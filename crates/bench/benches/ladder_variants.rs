@@ -1,7 +1,7 @@
 //! Fixed-backend ladder-variant bench: plain double-and-add against the
 //! signed-digit NAF ladder and the `Window4` path (the cached fixed-base
 //! comb for the curve's base point) on secp256k1, all running on the
-//! stack-allocated `bignum::fixed` backend.
+//! curve's stack-allocated fixed-width backend (`Curve::fixed_backend`).
 //!
 //! Under `cargo bench` with `BENCH_REPORT_JSON=<path>` set, the harness
 //! re-times the variants with a plain `Instant` loop and merges the

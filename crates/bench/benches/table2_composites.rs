@@ -4,7 +4,7 @@
 
 use ceilidh::CeilidhParams;
 use criterion::{criterion_group, criterion_main, Criterion};
-use platform::{CostModel, Hierarchy, Platform};
+use platform::{CostModel, Hierarchy, OpKind, Platform};
 use rand::SeedableRng;
 use std::time::Duration;
 
@@ -16,13 +16,13 @@ fn bench_simulated_composites(c: &mut Criterion) {
     for (name, hierarchy) in [("type_a", Hierarchy::TypeA), ("type_b", Hierarchy::TypeB)] {
         let plat = Platform::new(CostModel::paper(), 4, hierarchy);
         group.bench_function(format!("{name}/t6_mult_170"), |b| {
-            b.iter(|| plat.fp6_multiplication_report(170))
+            b.iter(|| plat.composite_report(OpKind::Fp6Mul, 170))
         });
         group.bench_function(format!("{name}/ecc_pa_160"), |b| {
-            b.iter(|| plat.ecc_point_addition_report(160))
+            b.iter(|| plat.composite_report(OpKind::EccPaGeneral, 160))
         });
         group.bench_function(format!("{name}/ecc_pd_160"), |b| {
-            b.iter(|| plat.ecc_point_doubling_report(160))
+            b.iter(|| plat.composite_report(OpKind::EccPd, 160))
         });
     }
     group.finish();

@@ -23,7 +23,7 @@
 use bench::{paper, print_table, Row};
 use bignum::BigUint;
 use ceilidh::CeilidhParams;
-use platform::{Coprocessor, CostModel, Hierarchy, Platform};
+use platform::{Coprocessor, CostModel, Hierarchy, OpKind, Platform};
 use rand::SeedableRng;
 
 fn main() {
@@ -57,11 +57,7 @@ fn search_sweep() {
     let mut wins = 0usize;
     for formula in platform::FormulaDb::builtin().formulas() {
         let kind = formula.kind();
-        let bits = if kind == platform::OpKind::Fp6Mul {
-            170
-        } else {
-            160
-        };
+        let bits = if kind == OpKind::Fp6Mul { 170 } else { 160 };
         let authored = Platform::new(authored_cost, 4, Hierarchy::TypeB)
             .composite_report(kind, bits)
             .cycles;
@@ -113,16 +109,15 @@ fn pd_fast_sweep() {
     // The Table 2 ECC PD ablation: the same doubling priced through the
     // general 10-MM Jacobian sequence versus the shortened 8-MM a = -3
     // sequence. The Type-A delta is the fidelity story (the paper's 5793
-    // row matches the fast sequence); the last rows propagate the delta
-    // into the Table 3 scalar-multiplication latency via the ladder knob
-    // and show the compiler's scheduling win on the sequence itself.
+    // row matches the fast sequence); the last row propagates the delta
+    // into the Table 3 scalar-multiplication latency via the ladder knob.
     let mut rows = Vec::new();
     let pd = |hierarchy: Hierarchy, fast: bool| -> u64 {
         let plat = Platform::new(CostModel::paper(), 4, hierarchy);
         if fast {
-            plat.ecc_point_doubling_fast_report(160).cycles
+            plat.composite_report(OpKind::EccPdFast, 160).cycles
         } else {
-            plat.ecc_point_doubling_report(160).cycles
+            plat.composite_report(OpKind::EccPd, 160).cycles
         }
     };
     for (label, paper_cycles, hierarchy) in [
@@ -137,25 +132,6 @@ fn pd_fast_sweep() {
             measured: format!("{:+.1}%", delta_pct(general, fast)),
         });
     }
-    // The compiler's list-scheduling pass on the fast sequence: hazard-free
-    // neighbour pairs before and after scheduling.
-    let compiled = platform::compile(platform::OpKind::EccPdFast, 160, &CostModel::paper());
-    let reorder = compiled
-        .passes()
-        .iter()
-        .find(|p| p.pass == "list-schedule")
-        .expect("fast PD is scheduled");
-    rows.push(Row {
-        label: format!(
-            "fast PD prefetch pairs: authored {}, scheduled {}",
-            reorder.pairs_before, reorder.pairs_after
-        ),
-        paper: "-".into(),
-        measured: format!(
-            "{:+.1}%",
-            delta_pct(reorder.pairs_before as u64, reorder.pairs_after as u64)
-        ),
-    });
     // Full 160-bit ladder (Table 3): the knob swaps the PD sequence under
     // the double-and-add driver; everything else is identical.
     let curve = ecc::Curve::p160_reproduction().expect("built-in curve");
@@ -191,9 +167,9 @@ fn pa_mixed_sweep() {
     let pa = |hierarchy: Hierarchy, mixed: bool| -> u64 {
         let plat = Platform::new(CostModel::paper(), 4, hierarchy);
         if mixed {
-            plat.ecc_point_addition_mixed_report(160).cycles
+            plat.composite_report(OpKind::EccPaMixed, 160).cycles
         } else {
-            plat.ecc_point_addition_report(160).cycles
+            plat.composite_report(OpKind::EccPaGeneral, 160).cycles
         }
     };
     for (label, paper_cycles, hierarchy) in [
@@ -275,25 +251,25 @@ fn dual_path_sweep() {
     rows.push(composite(
         "Type-A T6 mult.",
         paper::T6_MULT_TYPE_A,
-        &|p| p.fp6_multiplication_report(170).cycles,
+        &|p| p.composite_report(OpKind::Fp6Mul, 170).cycles,
         Hierarchy::TypeA,
     ));
     rows.push(composite(
         "Type-B T6 mult.",
         paper::T6_MULT_TYPE_B,
-        &|p| p.fp6_multiplication_report(170).cycles,
+        &|p| p.composite_report(OpKind::Fp6Mul, 170).cycles,
         Hierarchy::TypeB,
     ));
     rows.push(composite(
         "Type-B ECC PA",
         paper::ECC_PA_TYPE_B,
-        &|p| p.ecc_point_addition_report(160).cycles,
+        &|p| p.composite_report(OpKind::EccPaGeneral, 160).cycles,
         Hierarchy::TypeB,
     ));
     rows.push(composite(
         "Type-B ECC PD",
         paper::ECC_PD_TYPE_B,
-        &|p| p.ecc_point_doubling_report(160).cycles,
+        &|p| p.composite_report(OpKind::EccPd, 160).cycles,
         Hierarchy::TypeB,
     ));
     print_table(
@@ -361,10 +337,10 @@ fn interrupt_sweep() {
             ..CostModel::paper()
         };
         let a = Platform::new(cost, 4, Hierarchy::TypeA)
-            .fp6_multiplication_report(170)
+            .composite_report(OpKind::Fp6Mul, 170)
             .cycles;
         let b = Platform::new(cost, 4, Hierarchy::TypeB)
-            .fp6_multiplication_report(170)
+            .composite_report(OpKind::Fp6Mul, 170)
             .cycles;
         rows.push(Row {
             label: format!("interrupt = {interrupt} cycles: Type-A {a}, Type-B {b}"),
@@ -429,8 +405,8 @@ fn future_work() {
         ..CostModel::paper()
     };
     let fast = Platform::new(fast_adder_cost, 4, Hierarchy::TypeB);
-    let t6_base = baseline.fp6_multiplication_report(170).cycles;
-    let t6_fast = fast.fp6_multiplication_report(170).cycles;
+    let t6_base = baseline.composite_report(OpKind::Fp6Mul, 170).cycles;
+    let t6_fast = fast.composite_report(OpKind::Fp6Mul, 170).cycles;
     let rows = vec![
         Row::cycles("T6 mult., baseline cost model", 5908, t6_base),
         Row::cycles("T6 mult., fast-adder cost model", 5908, t6_fast),

@@ -7,7 +7,7 @@
 
 use bench::{metrics, paper, print_table, Row};
 use engine::{Fleet, FleetConfig, TrafficProfile};
-use platform::{Coprocessor, CostModel, Hierarchy, Platform};
+use platform::{Coprocessor, CostModel, Hierarchy, OpKind, Platform};
 
 fn main() {
     let type_a = Platform::new(CostModel::paper(), 4, Hierarchy::TypeA);
@@ -15,17 +15,17 @@ fn main() {
 
     let mm170 = type_b.montgomery_multiplication_report(170).cycles;
     let mm1024 = type_b.montgomery_multiplication_report(1024).cycles;
-    let t6_a = type_a.fp6_multiplication_report(170).cycles;
-    let t6_b = type_b.fp6_multiplication_report(170).cycles;
+    let t6_a = type_a.composite_report(OpKind::Fp6Mul, 170).cycles;
+    let t6_b = type_b.composite_report(OpKind::Fp6Mul, 170).cycles;
     // Table 2's ECC PA rows are reproduced by the mixed-coordinate
     // sequence (the ladder's case); the general 16-MM addition stays a
     // gated ablation baseline. The PD rows split by hierarchy: Type-A is
     // the fast a = -3 doubling, Type-B the general InsRom doubling.
-    let pa_a = type_a.ecc_point_addition_mixed_report(160).cycles;
-    let pa_b = type_b.ecc_point_addition_mixed_report(160).cycles;
-    let pd_fast_a = type_a.ecc_point_doubling_fast_report(160).cycles;
-    let pd_fast_b = type_b.ecc_point_doubling_fast_report(160).cycles;
-    let pd_b = type_b.ecc_point_doubling_report(160).cycles;
+    let pa_a = type_a.composite_report(OpKind::EccPaMixed, 160).cycles;
+    let pa_b = type_b.composite_report(OpKind::EccPaMixed, 160).cycles;
+    let pd_fast_a = type_a.composite_report(OpKind::EccPdFast, 160).cycles;
+    let pd_fast_b = type_b.composite_report(OpKind::EccPdFast, 160).cycles;
+    let pd_b = type_b.composite_report(OpKind::EccPd, 160).cycles;
 
     // Table 3 shape from composite costs (full drivers are in `table3`).
     // The default ladder (CostModel::paper) runs the fast doubling; the

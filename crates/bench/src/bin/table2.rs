@@ -12,22 +12,22 @@
 //! (no paper row).
 
 use bench::{paper, print_table, Row};
-use platform::{CostModel, Hierarchy, Platform};
+use platform::{CostModel, Hierarchy, OpKind, Platform};
 
 fn main() {
     let type_a = Platform::new(CostModel::paper(), 4, Hierarchy::TypeA);
     let type_b = Platform::new(CostModel::paper(), 4, Hierarchy::TypeB);
 
-    let t6_a = type_a.fp6_multiplication_report(170).cycles;
-    let t6_b = type_b.fp6_multiplication_report(170).cycles;
-    let pa_a = type_a.ecc_point_addition_mixed_report(160).cycles;
-    let pa_b = type_b.ecc_point_addition_mixed_report(160).cycles;
-    let pa_gen_a = type_a.ecc_point_addition_report(160).cycles;
-    let pa_gen_b = type_b.ecc_point_addition_report(160).cycles;
-    let pd_fast_a = type_a.ecc_point_doubling_fast_report(160).cycles;
-    let pd_fast_b = type_b.ecc_point_doubling_fast_report(160).cycles;
-    let pd_a = type_a.ecc_point_doubling_report(160).cycles;
-    let pd_b = type_b.ecc_point_doubling_report(160).cycles;
+    let t6_a = type_a.composite_report(OpKind::Fp6Mul, 170).cycles;
+    let t6_b = type_b.composite_report(OpKind::Fp6Mul, 170).cycles;
+    let pa_a = type_a.composite_report(OpKind::EccPaMixed, 160).cycles;
+    let pa_b = type_b.composite_report(OpKind::EccPaMixed, 160).cycles;
+    let pa_gen_a = type_a.composite_report(OpKind::EccPaGeneral, 160).cycles;
+    let pa_gen_b = type_b.composite_report(OpKind::EccPaGeneral, 160).cycles;
+    let pd_fast_a = type_a.composite_report(OpKind::EccPdFast, 160).cycles;
+    let pd_fast_b = type_b.composite_report(OpKind::EccPdFast, 160).cycles;
+    let pd_a = type_a.composite_report(OpKind::EccPd, 160).cycles;
+    let pd_b = type_b.composite_report(OpKind::EccPd, 160).cycles;
 
     let rows = vec![
         Row::cycles("Type-A  torus T6 mult.", paper::T6_MULT_TYPE_A, t6_a),

@@ -264,7 +264,7 @@ pub mod json {
 /// function of the cost model (no RNG), so any drift is a calibration
 /// change that must be acknowledged by regenerating the golden file.
 pub mod metrics {
-    use platform::{Coprocessor, CostModel, Hierarchy, Platform};
+    use platform::{Coprocessor, CostModel, Hierarchy, OpKind, Platform};
 
     /// Deterministic 256-bit scalar driving the beyond-paper ladder rows
     /// (an arbitrary fixed value with a balanced bit pattern; any drift in
@@ -432,38 +432,38 @@ pub mod metrics {
             ),
             m(
                 "t6_mult_type_a",
-                type_a.fp6_multiplication_report(170).cycles,
+                type_a.composite_report(OpKind::Fp6Mul, 170).cycles,
             ),
             m(
                 "t6_mult_type_b",
-                type_b.fp6_multiplication_report(170).cycles,
+                type_b.composite_report(OpKind::Fp6Mul, 170).cycles,
             ),
             m(
                 "ecc_pa_type_a",
-                type_a.ecc_point_addition_report(160).cycles,
+                type_a.composite_report(OpKind::EccPaGeneral, 160).cycles,
             ),
             m(
                 "ecc_pd_type_a",
-                type_a.ecc_point_doubling_report(160).cycles,
+                type_a.composite_report(OpKind::EccPd, 160).cycles,
             ),
             m(
                 "ecc_pa_type_b",
-                type_b.ecc_point_addition_report(160).cycles,
+                type_b.composite_report(OpKind::EccPaGeneral, 160).cycles,
             ),
             m(
                 "ecc_pd_type_b",
-                type_b.ecc_point_doubling_report(160).cycles,
+                type_b.composite_report(OpKind::EccPd, 160).cycles,
             ),
             // The mixed-coordinate PA rows are the Table 2 reproduction;
             // the general rows above stay gated bit-identical as the
             // coordinate-form ablation baseline.
             m(
                 "ecc_pa_mixed_type_a",
-                type_a.ecc_point_addition_mixed_report(160).cycles,
+                type_a.composite_report(OpKind::EccPaMixed, 160).cycles,
             ),
             m(
                 "ecc_pa_mixed_type_b",
-                type_b.ecc_point_addition_mixed_report(160).cycles,
+                type_b.composite_report(OpKind::EccPaMixed, 160).cycles,
             ),
             // The fast a = -3 doubling is the Table 2 Type-A PD
             // reproduction (the on-the-fly generated sequence); the
@@ -472,11 +472,11 @@ pub mod metrics {
             // 2665-cycle row.
             m(
                 "ecc_pd_fast_type_a",
-                type_a.ecc_point_doubling_fast_report(160).cycles,
+                type_a.composite_report(OpKind::EccPdFast, 160).cycles,
             ),
             m(
                 "ecc_pd_fast_type_b",
-                type_b.ecc_point_doubling_fast_report(160).cycles,
+                type_b.composite_report(OpKind::EccPdFast, 160).cycles,
             ),
             // Compile-once plumbing: any drift here means the drivers
             // started re-compiling per call.

@@ -6,6 +6,7 @@ use rand::Rng;
 
 use crate::error::EccError;
 use crate::fixed::FixedCurve;
+use crate::formulas::{self, Addition};
 use crate::params::{P160Reproduction, Toy};
 use crate::point::{AffinePoint, JacobianPoint};
 
@@ -170,11 +171,10 @@ impl Curve {
     /// Validates a [`CurveSpec`] and builds the curve.
     ///
     /// This is the single construction path: the trait-driven
-    /// [`Curve::from_parameters`] and the deprecated positional
-    /// [`Curve::new`] both funnel through it, so every curve gets the
-    /// same checks — `p` must make a usable field, the discriminant
-    /// `4a³ + 27b²` must be non-zero, and the generator must satisfy the
-    /// curve equation.
+    /// [`Curve::from_parameters`] and [`CurveSpec::build`] both funnel
+    /// through it, so every curve gets the same checks — `p` must make a
+    /// usable field, the discriminant `4a³ + 27b²` must be non-zero, and
+    /// the generator must satisfy the curve equation.
     ///
     /// # Errors
     ///
@@ -238,35 +238,6 @@ impl Curve {
         Ok(Curve { base, ..curve })
     }
 
-    /// Builds a curve from positional parameters.
-    ///
-    /// # Errors
-    ///
-    /// See [`Curve::from_spec`].
-    #[deprecated(
-        note = "use CurveSpec::new(..).build(), Curve::from_parameters::<E>() or Curve::by_name(..)"
-    )]
-    pub fn new(
-        p: &BigUint,
-        a: &BigUint,
-        b: &BigUint,
-        base_x: &BigUint,
-        base_y: &BigUint,
-        order: Option<BigUint>,
-        name: &'static str,
-    ) -> Result<Self, EccError> {
-        CurveSpec::new(
-            p.clone(),
-            a.clone(),
-            b.clone(),
-            base_x.clone(),
-            base_y.clone(),
-        )
-        .maybe_order(order)
-        .name(name)
-        .build()
-    }
-
     /// The 160-bit curve used to reproduce the paper's "160-bit ECC" rows —
     /// shorthand for
     /// [`Curve::from_parameters::<P160Reproduction>()`](crate::P160Reproduction):
@@ -309,7 +280,7 @@ impl Curve {
 
     /// Returns `true` when the curve coefficient satisfies `a = -3`
     /// (i.e. `a ≡ p - 3 mod p`), the precondition of the shortened
-    /// doubling formulas ([`Curve::jacobian_double_fast`]). Holds for
+    /// doubling formulas ([`formulas::dbl_2001_b`]). Holds for
     /// [`Curve::p160_reproduction`], as for most standardized curves.
     pub fn a_is_minus_three(&self) -> bool {
         self.a_minus_three
@@ -493,131 +464,43 @@ impl Curve {
         }
     }
 
+    /// The point at infinity in Jacobian form, `(1 : 1 : 0)`.
+    fn jacobian_infinity(&self) -> JacobianPoint {
+        self.to_jacobian(&AffinePoint::Infinity)
+    }
+
     /// Jacobian point doubling (the paper's PD sequence; inversion-free).
     ///
-    /// On curves with `a = -3` this dispatches to the shortened
-    /// [`Curve::jacobian_double_fast`] formulas (identical result, two
-    /// fewer field multiplications) — the same substitution the
-    /// platform's ladder driver makes with its `fast_pd` cost-model knob.
+    /// Runs [`formulas::dbl_2001_b`] on curves with `a = -3` (two fewer
+    /// field multiplications) and [`formulas::pd_general`] otherwise —
+    /// the same choice the platform's `FormulaDb` makes. The point at
+    /// infinity and points with `Y1 = 0` double to infinity.
     pub fn jacobian_double(&self, p: &JacobianPoint) -> JacobianPoint {
-        if self.a_is_minus_three() {
-            return self.jacobian_double_fast(p);
-        }
-        let fp = &self.fp;
         if p.is_infinity() || p.y.is_zero() {
-            return JacobianPoint {
-                x: fp.one(),
-                y: fp.one(),
-                z: fp.zero(),
-            };
+            return self.jacobian_infinity();
         }
-        let a_sq = fp.square(&p.x); // X1²
-        let b_sq = fp.square(&p.y); // Y1²
-        let c = fp.square(&b_sq); // Y1⁴
-                                  // D = 2((X1 + B)² - A - C)
-        let d = fp.double(&fp.sub(&fp.sub(&fp.square(&fp.add(&p.x, &b_sq)), &a_sq), &c));
-        // E = 3A + a·Z1⁴
-        let z2 = fp.square(&p.z);
-        let e = fp.add(
-            &fp.add(&fp.double(&a_sq), &a_sq),
-            &fp.mul(&self.a, &fp.square(&z2)),
-        );
-        let f = fp.square(&e);
-        let x3 = fp.sub(&f, &fp.double(&d));
-        let eight_c = fp.double(&fp.double(&fp.double(&c)));
-        let y3 = fp.sub(&fp.mul(&e, &fp.sub(&d, &x3)), &eight_c);
-        let z3 = fp.double(&fp.mul(&p.y, &p.z));
-        JacobianPoint {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
+        let coords = [&p.x, &p.y, &p.z];
+        let [x, y, z] = if self.a_minus_three {
+            formulas::dbl_2001_b(&self.fp, coords)
+        } else {
+            formulas::pd_general(&self.fp, coords, &self.a)
+        };
+        JacobianPoint { x, y, z }
     }
 
-    /// Shortened Jacobian doubling for curves with `a = -3` (the
-    /// "dbl-2001-b" formulas): the tangent numerator factors as
-    /// `3·X1² + a·Z1⁴ = 3·(X1 - Z1²)·(X1 + Z1²)`, saving two field
-    /// multiplications over the general [`Curve::jacobian_double`]. This
-    /// is the host-level counterpart of the platform's 8-MM
-    /// `ecc_pd_fast` sequence.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that `a = -3`; on other curves the result would be
-    /// wrong, so callers must check [`Curve::a_is_minus_three`] first
-    /// (the general doubling does this and dispatches automatically).
-    pub fn jacobian_double_fast(&self, p: &JacobianPoint) -> JacobianPoint {
-        debug_assert!(self.a_is_minus_three(), "fast doubling requires a = -3");
-        let fp = &self.fp;
-        if p.is_infinity() || p.y.is_zero() {
-            return JacobianPoint {
-                x: fp.one(),
-                y: fp.one(),
-                z: fp.zero(),
-            };
-        }
-        let delta = fp.square(&p.z); // Z1²
-        let gamma = fp.square(&p.y); // Y1²
-        let beta = fp.mul(&p.x, &gamma); // X1·Y1²
-        let alpha = fp.mul(
-            &fp.from_u64(3),
-            &fp.mul(&fp.sub(&p.x, &delta), &fp.add(&p.x, &delta)),
-        );
-        let beta4 = fp.double(&fp.double(&beta));
-        let x3 = fp.sub(&fp.square(&alpha), &fp.double(&beta4));
-        let y3 = fp.sub(
-            &fp.mul(&alpha, &fp.sub(&beta4, &x3)),
-            &fp.double(&fp.double(&fp.double(&fp.square(&gamma)))),
-        );
-        let z3 = fp.double(&fp.mul(&p.y, &p.z));
-        JacobianPoint {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
-    }
-
-    /// Jacobian point addition (the paper's PA sequence; inversion-free).
+    /// Jacobian point addition (the paper's PA sequence; inversion-free):
+    /// [`formulas::pa_general`] plus the degenerate cases — either operand
+    /// at infinity, and `p = ±q`, which the [`Addition`]'s `H` and `r`
+    /// reveal.
     pub fn jacobian_add(&self, p: &JacobianPoint, q: &JacobianPoint) -> JacobianPoint {
-        let fp = &self.fp;
         if p.is_infinity() {
             return q.clone();
         }
         if q.is_infinity() {
             return p.clone();
         }
-        let z1z1 = fp.square(&p.z);
-        let z2z2 = fp.square(&q.z);
-        let u1 = fp.mul(&p.x, &z2z2);
-        let u2 = fp.mul(&q.x, &z1z1);
-        let s1 = fp.mul(&p.y, &fp.mul(&q.z, &z2z2));
-        let s2 = fp.mul(&q.y, &fp.mul(&p.z, &z1z1));
-        if u1 == u2 {
-            if s1 == s2 {
-                return self.jacobian_double(p);
-            }
-            return JacobianPoint {
-                x: fp.one(),
-                y: fp.one(),
-                z: fp.zero(),
-            };
-        }
-        let h = fp.sub(&u2, &u1);
-        let i = fp.square(&fp.double(&h));
-        let j = fp.mul(&h, &i);
-        let r = fp.double(&fp.sub(&s2, &s1));
-        let v = fp.mul(&u1, &i);
-        let x3 = fp.sub(&fp.sub(&fp.square(&r), &j), &fp.double(&v));
-        let y3 = fp.sub(&fp.mul(&r, &fp.sub(&v, &x3)), &fp.double(&fp.mul(&s1, &j)));
-        let z3 = fp.mul(
-            &fp.sub(&fp.sub(&fp.square(&fp.add(&p.z, &q.z)), &z1z1), &z2z2),
-            &h,
-        );
-        JacobianPoint {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
+        let sum = formulas::pa_general(&self.fp, [&p.x, &p.y, &p.z], [&q.x, &q.y, &q.z]);
+        self.finish_addition(p, sum)
     }
 
     /// Mixed-coordinate point addition: Jacobian `p` plus **affine** `q`
@@ -625,46 +508,38 @@ impl Curve {
     ///
     /// This is the addition the scalar-multiplication ladder performs on
     /// every set bit — the addend is the one-time-normalized base point —
-    /// and the shape the platform formula database's 13-multiplication
-    /// `madd` entry prices: `Z2 = 1` makes `U1 = X1` and
-    /// `S1 = Y1`, eliminating three of the general sequence's Montgomery
-    /// products and collapsing the `Z3` tail to `2·Z1·H`. Functionally it
-    /// agrees with `jacobian_add(p, to_jacobian(q))` on all inputs,
-    /// including the degenerate ones (either operand at infinity, `q = ±p`).
+    /// and the [`formulas::madd`] body the platform's 13-multiplication
+    /// `madd` program records (11 products here, plus the platform's two
+    /// Montgomery lifts of its plain-form addend). Functionally it agrees
+    /// with `jacobian_add(p, to_jacobian(q))` on all inputs, including the
+    /// degenerate ones (either operand at infinity, `q = ±p`).
     pub fn jacobian_add_mixed(&self, p: &JacobianPoint, q: &AffinePoint) -> JacobianPoint {
-        let fp = &self.fp;
-        let (x2, y2) = match q.coordinates() {
-            None => return p.clone(),
-            Some(c) => c,
+        let Some((x2, y2)) = q.coordinates() else {
+            return p.clone();
         };
         if p.is_infinity() {
             return self.to_jacobian(q);
         }
-        let z1z1 = fp.square(&p.z);
-        let u2 = fp.mul(x2, &z1z1);
-        let s2 = fp.mul(y2, &fp.mul(&p.z, &z1z1));
-        if u2 == p.x {
-            if s2 == p.y {
-                return self.jacobian_double(p);
-            }
-            return JacobianPoint {
-                x: fp.one(),
-                y: fp.one(),
-                z: fp.zero(),
-            };
-        }
-        let h = fp.sub(&u2, &p.x);
-        let i = fp.square(&fp.double(&h));
-        let j = fp.mul(&h, &i);
-        let r = fp.double(&fp.sub(&s2, &p.y));
-        let v = fp.mul(&p.x, &i);
-        let x3 = fp.sub(&fp.sub(&fp.square(&r), &j), &fp.double(&v));
-        let y3 = fp.sub(&fp.mul(&r, &fp.sub(&v, &x3)), &fp.double(&fp.mul(&p.y, &j)));
-        let z3 = fp.double(&fp.mul(&p.z, &h));
-        JacobianPoint {
-            x: x3,
-            y: y3,
-            z: z3,
+        let sum = formulas::madd(&self.fp, [&p.x, &p.y, &p.z], [x2, y2]);
+        self.finish_addition(p, sum)
+    }
+
+    /// Resolves an addition body's degenerate cases: `H = 0` means the
+    /// operands share an x-coordinate, so the result is `2p` when `r = 0`
+    /// too and infinity otherwise.
+    fn finish_addition(
+        &self,
+        p: &JacobianPoint,
+        Addition {
+            sum: [x, y, z],
+            h,
+            r,
+        }: Addition<FpElement>,
+    ) -> JacobianPoint {
+        match (h.is_zero(), r.is_zero()) {
+            (false, _) => JacobianPoint { x, y, z },
+            (true, true) => self.jacobian_double(p),
+            (true, false) => self.jacobian_infinity(),
         }
     }
 
@@ -686,10 +561,14 @@ impl Curve {
     ///
     /// # Errors
     ///
-    /// Returns [`EccError::InvalidCompressedPoint`] if `x³ + ax + b` is not
-    /// a square.
+    /// Returns [`EccError::InvalidCompressedPoint`] if `x` is not a
+    /// canonical field element (`x ≥ p`, which would otherwise alias
+    /// `x mod p`) or `x³ + ax + b` is not a square.
     pub fn decompress_point(&self, x: &BigUint, y_is_odd: bool) -> Result<AffinePoint, EccError> {
         let fp = &self.fp;
+        if x >= fp.modulus() {
+            return Err(EccError::InvalidCompressedPoint);
+        }
         let x = fp.from_biguint(x);
         let rhs = fp.add(
             &fp.add(&fp.mul(&x, &fp.square(&x)), &fp.mul(&self.a, &x)),
@@ -858,38 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_positional_constructor_matches_spec_path() {
-        // The shim must keep building the same curve as the CurveSpec path
-        // until it is removed.
-        #[allow(deprecated)]
-        let shimmed = Curve::new(
-            &BigUint::from(1009u64),
-            &BigUint::one(),
-            &BigUint::from(6u64),
-            &BigUint::from(1u64),
-            &BigUint::from(878u64),
-            Some(BigUint::from(1020u64)),
-            "toy-1009",
-        )
-        .unwrap();
-        let speced = CurveSpec::new(
-            BigUint::from(1009u64),
-            BigUint::one(),
-            BigUint::from(6u64),
-            BigUint::from(1u64),
-            BigUint::from(878u64),
-        )
-        .order(BigUint::from(1020u64))
-        .name("toy-1009")
-        .build()
-        .unwrap();
-        assert_eq!(shimmed.base_point(), speced.base_point());
-        assert_eq!(shimmed.order(), speced.order());
-        assert_eq!(shimmed.name(), speced.name());
-        assert_eq!(shimmed.bits(), speced.bits());
-    }
-
-    #[test]
     fn hardcoded_generators_match_a_fresh_scan() {
         // params.rs pins the generators the original constructors found by
         // scanning x = 1, 2, ... — re-run the scan and compare.
@@ -990,25 +837,24 @@ mod tests {
     fn fast_doubling_matches_general_on_minus_three_curves() {
         let curve = Curve::p160_reproduction().unwrap();
         assert!(curve.a_is_minus_three());
+        let fp = curve.fp();
+        let affine = |[x, y, z]: [FpElement; 3]| curve.to_affine(&JacobianPoint { x, y, z });
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         for _ in 0..5 {
             let p = curve.random_point(&mut rng);
             let jp = curve.to_jacobian(&p);
-            // Against first principles (affine doubling) and with a
-            // generic-Z input.
-            assert_eq!(
-                curve.to_affine(&curve.jacobian_double_fast(&jp)),
-                curve.double(&p)
-            );
-            let generic_z = curve.jacobian_add(&jp, &jp);
-            assert_eq!(
-                curve.to_affine(&curve.jacobian_double_fast(&generic_z)),
-                curve.double(&curve.to_affine(&generic_z))
-            );
+            // Both bodies, against first principles (affine doubling), on
+            // a Z = 1 and a generic-Z input.
+            for q in [jp.clone(), curve.jacobian_double(&jp)] {
+                let coords = [&q.x, &q.y, &q.z];
+                let fast = affine(formulas::dbl_2001_b(fp, coords));
+                assert_eq!(fast, affine(formulas::pd_general(fp, coords, curve.a())));
+                assert_eq!(fast, curve.double(&curve.to_affine(&q)));
+            }
         }
-        // Degenerate inputs collapse to infinity, as in the general path.
+        // Degenerate inputs collapse to infinity in the wrapper.
         let inf = curve.to_jacobian(&AffinePoint::Infinity);
-        assert!(curve.jacobian_double_fast(&inf).is_infinity());
+        assert!(curve.jacobian_double(&inf).is_infinity());
         // The toy curve (a = 1) must not qualify.
         assert!(!Curve::toy().unwrap().a_is_minus_three());
     }
@@ -1026,6 +872,31 @@ mod tests {
                 curve.compress_point(&AffinePoint::Infinity),
                 Err(EccError::PointAtInfinity)
             ));
+        }
+    }
+
+    #[test]
+    fn decompress_rejects_non_canonical_x() {
+        // x + k·p names the same field element as x; only the canonical
+        // representative may decode.
+        for curve in [
+            Curve::p160_reproduction().unwrap(),
+            Curve::by_name("secp256k1").unwrap(),
+        ] {
+            let (x, odd) = curve.compress_point(curve.base_point()).unwrap();
+            assert_eq!(
+                curve.decompress_point(&x, odd).unwrap(),
+                *curve.base_point()
+            );
+            let p = curve.fp().modulus();
+            for alias in [&x + p, &x + &(p * &BigUint::from(1000u64)), p.clone()] {
+                assert_eq!(
+                    curve.decompress_point(&alias, odd),
+                    Err(EccError::InvalidCompressedPoint),
+                    "{}: x = {alias:?}",
+                    curve.name()
+                );
+            }
         }
     }
 

@@ -3,11 +3,12 @@
 //! The named 256-bit curves ([`crate::Secp256k1`], [`crate::P256`]) spend
 //! their host time in Jacobian ladder steps whose field arithmetic all
 //! funnels through heap-allocated [`bignum::BigUint`] residues. This module
-//! re-runs the *same* formulas — the general and `a = -3` "dbl-2001-b"
-//! doublings and the mixed-coordinate addition of
-//! [`crate::Curve::jacobian_double`] / [`Curve::jacobian_add_mixed`] — on
-//! [`bignum::fixed::Uint<4>`] stack words, with zero heap allocation from
-//! the first doubling through the final Fermat inversion.
+//! runs the *same* formula bodies ([`crate::formulas`]) — the general and
+//! `a = -3` "dbl-2001-b" doublings and the mixed-coordinate addition
+//! behind [`crate::Curve::jacobian_double`] /
+//! [`Curve::jacobian_add_mixed`] — on [`bignum::fixed::Uint<4>`] stack
+//! words, with zero heap allocation from the first doubling through the
+//! final Fermat inversion.
 //!
 //! Because the fixed backend shares the Montgomery radix `R = 2^256` with
 //! the field's heap parameters (see [`field::FpContext::fixed256`]), every
@@ -23,11 +24,12 @@
 
 use std::sync::{Arc, OnceLock};
 
-use bignum::fixed::{add_mod, neg_mod, sub_mod, MontgomeryContext, Uint};
+use bignum::fixed::{neg_mod, MontgomeryContext, Uint};
 use bignum::BigUint;
 use field::FpElement;
 
 use crate::curve::Curve;
+use crate::formulas;
 use crate::point::AffinePoint;
 use crate::scalar::{naf_digits, window_digits, ScalarMulAlgorithm};
 
@@ -74,9 +76,6 @@ pub struct FixedCurve {
     ctx: MontgomeryContext<4>,
     /// The coefficient `a` in Montgomery form.
     a_mont: Residue,
-    /// The constant 3 in Montgomery form (the fast doubling's tangent
-    /// factor).
-    three_mont: Residue,
     a_is_minus_three: bool,
     /// Lazily built fixed-base comb table, shared across clones. Populated
     /// by the first [`FixedCurve::scalar_mul_comb`] call (the curve's base
@@ -92,11 +91,9 @@ impl FixedCurve {
     pub(crate) fn new(ctx: MontgomeryContext<4>, a: &FpElement, a_is_minus_three: bool) -> Self {
         let a_mont = Residue::from_biguint(a.mont_repr())
             .expect("Montgomery residue of a 256-bit field fits in 4 limbs");
-        let three_mont = ctx.to_mont(&Uint::from_u64(3));
         FixedCurve {
             ctx,
             a_mont,
-            three_mont,
             a_is_minus_three,
             comb: Arc::new(OnceLock::new()),
         }
@@ -123,21 +120,6 @@ impl FixedCurve {
         self.ctx.mont_mul(a, a)
     }
 
-    #[inline]
-    fn add(&self, a: &Residue, b: &Residue) -> Residue {
-        add_mod(a, b, self.ctx.modulus())
-    }
-
-    #[inline]
-    fn sub(&self, a: &Residue, b: &Residue) -> Residue {
-        sub_mod(a, b, self.ctx.modulus())
-    }
-
-    #[inline]
-    fn dbl(&self, a: &Residue) -> Residue {
-        self.add(a, a)
-    }
-
     fn infinity(&self) -> JPoint {
         JPoint {
             x: self.ctx.one_mont(),
@@ -146,68 +128,24 @@ impl FixedCurve {
         }
     }
 
-    /// Jacobian doubling, mirroring [`Curve::jacobian_double`]'s dispatch
-    /// and formulas exactly.
+    /// Jacobian doubling: the wrapper of [`Curve::jacobian_double`] over
+    /// the same [`formulas`] bodies.
     fn jacobian_double(&self, p: &JPoint) -> JPoint {
-        if self.a_is_minus_three {
-            return self.jacobian_double_fast(p);
-        }
         if p.z.is_zero() || p.y.is_zero() {
             return self.infinity();
         }
-        let a_sq = self.sqr(&p.x); // X1²
-        let b_sq = self.sqr(&p.y); // Y1²
-        let c = self.sqr(&b_sq); // Y1⁴
-                                 // D = 2((X1 + B)² - A - C)
-        let d = self.dbl(&self.sub(&self.sub(&self.sqr(&self.add(&p.x, &b_sq)), &a_sq), &c));
-        // E = 3A + a·Z1⁴
-        let z2 = self.sqr(&p.z);
-        let e = self.add(
-            &self.add(&self.dbl(&a_sq), &a_sq),
-            &self.mul(&self.a_mont, &self.sqr(&z2)),
-        );
-        let f = self.sqr(&e);
-        let x3 = self.sub(&f, &self.dbl(&d));
-        let eight_c = self.dbl(&self.dbl(&self.dbl(&c)));
-        let y3 = self.sub(&self.mul(&e, &self.sub(&d, &x3)), &eight_c);
-        let z3 = self.dbl(&self.mul(&p.y, &p.z));
-        JPoint {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
+        let coords = [&p.x, &p.y, &p.z];
+        let [x, y, z] = if self.a_is_minus_three {
+            formulas::dbl_2001_b(&self.ctx, coords)
+        } else {
+            formulas::pd_general(&self.ctx, coords, &self.a_mont)
+        };
+        JPoint { x, y, z }
     }
 
-    /// Shortened `a = -3` doubling ("dbl-2001-b"), mirroring
-    /// [`Curve::jacobian_double_fast`].
-    fn jacobian_double_fast(&self, p: &JPoint) -> JPoint {
-        debug_assert!(self.a_is_minus_three, "fast doubling requires a = -3");
-        if p.z.is_zero() || p.y.is_zero() {
-            return self.infinity();
-        }
-        let delta = self.sqr(&p.z); // Z1²
-        let gamma = self.sqr(&p.y); // Y1²
-        let beta = self.mul(&p.x, &gamma); // X1·Y1²
-        let alpha = self.mul(
-            &self.three_mont,
-            &self.mul(&self.sub(&p.x, &delta), &self.add(&p.x, &delta)),
-        );
-        let beta4 = self.dbl(&self.dbl(&beta));
-        let x3 = self.sub(&self.sqr(&alpha), &self.dbl(&beta4));
-        let y3 = self.sub(
-            &self.mul(&alpha, &self.sub(&beta4, &x3)),
-            &self.dbl(&self.dbl(&self.dbl(&self.sqr(&gamma)))),
-        );
-        let z3 = self.dbl(&self.mul(&p.y, &p.z));
-        JPoint {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
-    }
-
-    /// Mixed-coordinate addition of an affine addend (`Z2 = 1`), mirroring
-    /// [`Curve::jacobian_add_mixed`] including its degenerate cases.
+    /// Mixed-coordinate addition of an affine addend (`Z2 = 1`): the
+    /// wrapper of [`Curve::jacobian_add_mixed`] over [`formulas::madd`],
+    /// degenerate cases included.
     fn jacobian_add_mixed(&self, p: &JPoint, x2: &Residue, y2: &Residue) -> JPoint {
         if p.z.is_zero() {
             return JPoint {
@@ -216,30 +154,15 @@ impl FixedCurve {
                 z: self.ctx.one_mont(),
             };
         }
-        let z1z1 = self.sqr(&p.z);
-        let u2 = self.mul(x2, &z1z1);
-        let s2 = self.mul(y2, &self.mul(&p.z, &z1z1));
-        if u2 == p.x {
-            if s2 == p.y {
-                return self.jacobian_double(p);
-            }
-            return self.infinity();
-        }
-        let h = self.sub(&u2, &p.x);
-        let i = self.sqr(&self.dbl(&h));
-        let j = self.mul(&h, &i);
-        let r = self.dbl(&self.sub(&s2, &p.y));
-        let v = self.mul(&p.x, &i);
-        let x3 = self.sub(&self.sub(&self.sqr(&r), &j), &self.dbl(&v));
-        let y3 = self.sub(
-            &self.mul(&r, &self.sub(&v, &x3)),
-            &self.dbl(&self.mul(&p.y, &j)),
-        );
-        let z3 = self.dbl(&self.mul(&p.z, &h));
-        JPoint {
-            x: x3,
-            y: y3,
-            z: z3,
+        let formulas::Addition {
+            sum: [x, y, z],
+            h,
+            r,
+        } = formulas::madd(&self.ctx, [&p.x, &p.y, &p.z], [x2, y2]);
+        match (h.is_zero(), r.is_zero()) {
+            (false, _) => JPoint { x, y, z },
+            (true, true) => self.jacobian_double(p),
+            (true, false) => self.infinity(),
         }
     }
 
@@ -607,5 +530,68 @@ impl Curve {
         out.into_iter()
             .map(|p| p.expect("every slot filled"))
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::point::JacobianPoint;
+    use rand::SeedableRng;
+
+    fn residue(e: &FpElement) -> Residue {
+        Residue::from_biguint(e.mont_repr()).expect("256-bit residue")
+    }
+
+    fn lower(p: &JacobianPoint) -> JPoint {
+        JPoint {
+            x: residue(&p.x),
+            y: residue(&p.y),
+            z: residue(&p.z),
+        }
+    }
+
+    fn lift(p: &JPoint) -> [FpElement; 3] {
+        [p.x, p.y, p.z].map(|c| FpElement::from_mont_repr(c.to_biguint()))
+    }
+
+    #[test]
+    fn degenerate_wrappers_match_the_heap_wrappers() {
+        for name in ["p256", "secp256k1"] {
+            let curve = Curve::by_name(name).unwrap();
+            let fixed = curve.fixed_backend().expect("256-bit curve");
+            let fp = curve.fp();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+            let q = curve.random_point(&mut rng);
+            let (qx, qy) = q.coordinates().unwrap();
+            // q itself with a generic Z = λ: (λ²x, λ³y, λ).
+            let l = fp.from_u64(7);
+            let l2 = fp.square(&l);
+            let p_eq_q = JacobianPoint {
+                x: fp.mul(qx, &l2),
+                y: fp.mul(qy, &fp.mul(&l2, &l)),
+                z: l,
+            };
+            let neg_q = curve.negate(&q);
+            let infinity = curve.to_jacobian(&AffinePoint::Infinity);
+            let other = curve.to_jacobian(&curve.random_point(&mut rng));
+            for (label, acc, addend) in [
+                ("infinity + q", &infinity, &q),
+                ("q + q", &p_eq_q, &q),
+                ("q + (-q)", &p_eq_q, &neg_q),
+                ("p + q", &other, &q),
+            ] {
+                let heap = curve.jacobian_add_mixed(acc, addend);
+                let (x2, y2) = addend.coordinates().unwrap();
+                let got = fixed.jacobian_add_mixed(&lower(acc), &residue(x2), &residue(y2));
+                assert_eq!(lift(&got), [heap.x, heap.y, heap.z], "{name}: {label}");
+            }
+            assert!(curve.jacobian_add_mixed(&p_eq_q, &neg_q).is_infinity());
+            for (label, p) in [("2·infinity", &infinity), ("2·q", &p_eq_q)] {
+                let heap = curve.jacobian_double(p);
+                let got = fixed.jacobian_double(&lower(p));
+                assert_eq!(lift(&got), [heap.x, heap.y, heap.z], "{name}: {label}");
+            }
+        }
     }
 }

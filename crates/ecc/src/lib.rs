@@ -9,6 +9,10 @@
 //! per-operation `Fp` multiplication/addition counts that feed the platform
 //! cycle model.
 //!
+//! The point formulas themselves live in [`formulas`], each written once
+//! over [`field::FieldOps`] and shared by the heap [`Curve`], the
+//! fixed-width [`FixedCurve`] and the platform simulator's programs.
+//!
 //! Curves are described by the [`WeierstrassParameters`] trait — constants
 //! as associated data on zero-sized marker types — and built through
 //! [`Curve::from_parameters`] (or [`Curve::by_name`] at runtime). The
@@ -40,6 +44,7 @@ mod curve;
 mod ecdh;
 mod error;
 pub mod fixed;
+pub mod formulas;
 mod params;
 mod point;
 mod scalar;
@@ -50,8 +55,6 @@ pub use error::EccError;
 pub use fixed::FixedCurve;
 pub use params::{P160Reproduction, Secp256k1, Toy, WeierstrassParameters, P256};
 pub use point::{AffinePoint, JacobianPoint};
-#[allow(deprecated)] // re-exported for one release alongside the Curve methods
-pub use scalar::{affine_window_table, scalar_mul, scalar_mul_base};
 pub use scalar::{naf_digits, window_digits, ScalarMulAlgorithm};
 
 /// One-line import for the common ECC surface: the parameter trait, the

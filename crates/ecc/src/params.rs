@@ -44,7 +44,7 @@ pub trait WeierstrassParameters {
 
     /// Whether the curve coefficient satisfies `a ≡ -3 (mod p)`, the
     /// precondition of the shortened doubling formulas
-    /// ([`Curve::jacobian_double_fast`] and the platform's 8-MM
+    /// ([`crate::formulas::dbl_2001_b`] and the platform's 8-MM
     /// `ecc_pd_fast` sequence). Declared at the type level so generic
     /// code can dispatch without a runtime conversion; validated against
     /// [`a`](WeierstrassParameters::a) by [`Curve::from_parameters`].

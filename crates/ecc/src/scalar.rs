@@ -15,9 +15,9 @@
 //! the fallback for operands that are not in normalized form.
 //!
 //! Doublings go through [`Curve::jacobian_double`], which on `a = -3`
-//! curves (the reproduction curve included) dispatches to the shortened
-//! [`Curve::jacobian_double_fast`] formulas — the access pattern the
-//! platform's 8-multiplication `ecc_pd_fast` sequence prices.
+//! curves (the reproduction curve included) runs the shortened
+//! [`crate::formulas::dbl_2001_b`] body — the one the platform's
+//! 8-multiplication `dbl-2001-b` program records.
 
 use bignum::BigUint;
 
@@ -139,23 +139,6 @@ impl Curve {
     }
 }
 
-/// Computes `k · point` with the selected algorithm.
-#[deprecated(note = "use the Curve::scalar_mul method")]
-pub fn scalar_mul(
-    curve: &Curve,
-    point: &AffinePoint,
-    k: &BigUint,
-    algorithm: ScalarMulAlgorithm,
-) -> AffinePoint {
-    curve.scalar_mul(point, k, algorithm)
-}
-
-/// Computes `k · base_point` with the default algorithm.
-#[deprecated(note = "use the Curve::scalar_mul_base method")]
-pub fn scalar_mul_base(curve: &Curve, k: &BigUint) -> AffinePoint {
-    curve.scalar_mul_base(k)
-}
-
 fn double_and_add(curve: &Curve, point: &AffinePoint, k: &BigUint) -> JacobianPoint {
     // The addend is the base point itself: already affine, so every
     // addition is a mixed addition.
@@ -219,12 +202,6 @@ fn naf_mul(curve: &Curve, point: &AffinePoint, k: &BigUint) -> JacobianPoint {
         }
     }
     acc
-}
-
-/// Precomputes the windowed ladder's affine table.
-#[deprecated(note = "use the Curve::affine_window_table method")]
-pub fn affine_window_table(curve: &Curve, point: &AffinePoint, window: usize) -> Vec<AffinePoint> {
-    curve.affine_window_table(point, window)
 }
 
 /// Splits `k` into unsigned `window`-bit digits, least-significant digit

@@ -153,36 +153,37 @@ fn trait_invariants_hold_for_every_registered_curve() {
     }
 }
 
-/// The curves the deprecated positional constructor used to hardwire,
-/// rebuilt through it, for equivalence with the trait path.
-#[allow(deprecated)]
+/// The constants the original constructors hardwired, typed in again and
+/// built through [`CurveSpec`], so a drift in the registered parameters
+/// cannot hide behind the trait path.
 fn legacy_curve(name: &str) -> Curve {
     match name {
         "p160-reproduction" => {
             let p = hex("ffffffffffffffffffffffffffffffff7fffffff");
             let a = &p - &BigUint::from(3u64);
-            Curve::new(
-                &p,
-                &a,
-                &BigUint::from(7u64),
-                &BigUint::from(2u64),
-                &hex("ffffffffffffffffffffffffffffffff7ffffffc"),
-                None,
-                "p160-reproduction",
+            CurveSpec::new(
+                p,
+                a,
+                BigUint::from(7u64),
+                BigUint::from(2u64),
+                hex("ffffffffffffffffffffffffffffffff7ffffffc"),
             )
+            .name("p160-reproduction")
+            .build()
             .unwrap()
         }
-        "toy-1009" => Curve::new(
-            &BigUint::from(1009u64),
-            &BigUint::from(1u64),
-            &BigUint::from(6u64),
-            &BigUint::from(1u64),
-            &BigUint::from(878u64),
-            Some(BigUint::from(1020u64)),
-            "toy-1009",
+        "toy-1009" => CurveSpec::new(
+            BigUint::from(1009u64),
+            BigUint::from(1u64),
+            BigUint::from(6u64),
+            BigUint::from(1u64),
+            BigUint::from(878u64),
         )
+        .order(BigUint::from(1020u64))
+        .name("toy-1009")
+        .build()
         .unwrap(),
-        other => panic!("no legacy constructor for {other}"),
+        other => panic!("no legacy constants for {other}"),
     }
 }
 
@@ -190,7 +191,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// `from_parameters::<P160Reproduction>()` is the same group as the
-    /// legacy positional construction: same generator, and the same ladder
+    /// legacy constants: same generator, and the same ladder
     /// output on random scalars.
     #[test]
     fn p160_trait_path_matches_legacy_constructor(seed in 0u64..1_000_000) {

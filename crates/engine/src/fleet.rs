@@ -216,7 +216,7 @@ impl Fleet {
                 (*bits as u64 + *bits as u64 / 2) * mm
             }
             WorkClass::Torus { bits } => {
-                let fp6 = self.pricer.fp6_multiplication_report(*bits).cycles;
+                let fp6 = self.pricer.composite_report(OpKind::Fp6Mul, *bits).cycles;
                 (*bits as u64 + *bits as u64 / 2) * fp6
             }
         };

@@ -12,6 +12,7 @@ use bignum::BigUint;
 use rand::Rng;
 
 use crate::error::FieldError;
+use crate::formulas::karatsuba3;
 use crate::fp::{FpContext, FpElement};
 
 /// Context for arithmetic in `Fp3 = Fp[x]/(x^3 - 3x + 1)`.
@@ -172,7 +173,7 @@ impl Fp3Context {
     /// Multiplication using the 6M Karatsuba formula of Section 2.2.2 and
     /// the reduction `x^3 = 3x - 1`, `x^4 = 3x² - x`.
     pub fn mul(&self, a: &Fp3Element, b: &Fp3Element) -> Fp3Element {
-        let d = karatsuba3(&self.fp, &a.c, &b.c);
+        let d = karatsuba3(&self.fp, a.c.each_ref(), b.c.each_ref());
         self.reduce_deg4(&d)
     }
 
@@ -251,27 +252,6 @@ impl Fp3Context {
         let r2 = fp.add(&d[2], &three_d4);
         self.from_coeffs([r0, r1, r2])
     }
-}
-
-/// Multiplies two degree-2 polynomials with the 6M formula of Section 2.2.2,
-/// returning the five coefficients of the degree-4 product.
-pub(crate) fn karatsuba3(fp: &FpContext, a: &[FpElement; 3], b: &[FpElement; 3]) -> [FpElement; 5] {
-    let c0 = fp.mul(&a[0], &b[0]);
-    let c1 = fp.mul(&a[1], &b[1]);
-    let c2 = fp.mul(&a[2], &b[2]);
-    let c3 = fp.mul(&fp.sub(&a[0], &a[1]), &fp.sub(&b[0], &b[1]));
-    let c4 = fp.mul(&fp.sub(&a[0], &a[2]), &fp.sub(&b[0], &b[2]));
-    let c5 = fp.mul(&fp.sub(&a[1], &a[2]), &fp.sub(&b[1], &b[2]));
-    // C = c0 + (c0+c1-c3) x + (c0+c1+c2-c4) x^2 + (c1+c2-c5) x^3 + c2 x^4
-    // The sum c0+c1 is shared between the x and x^2 coefficients, matching
-    // the paper's 6M + 11A accounting.
-    let s01 = fp.add(&c0, &c1);
-    let d0 = c0;
-    let d1 = fp.sub(&s01, &c3);
-    let d2 = fp.sub(&fp.add(&s01, &c2), &c4);
-    let d3 = fp.sub(&fp.add(&c1, &c2), &c5);
-    let d4 = c2;
-    [d0, d1, d2, d3, d4]
 }
 
 #[cfg(test)]

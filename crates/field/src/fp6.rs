@@ -13,8 +13,8 @@ use bignum::BigUint;
 use rand::Rng;
 
 use crate::error::FieldError;
+use crate::formulas::karatsuba_fp6;
 use crate::fp::{FpContext, FpElement};
-use crate::fp3::karatsuba3;
 
 /// Context for arithmetic in `Fp6 = Fp[z]/(z^6 + z^3 + 1)` (representation F1).
 #[derive(Clone)]
@@ -178,43 +178,10 @@ impl Fp6Context {
     }
 
     /// Multiplication with the paper's 18M Karatsuba schedule
-    /// (Section 2.2.2) followed by reduction modulo `z^6 + z^3 + 1`.
-    ///
-    /// Writing `A = A0 + A1·z³` and `B = B0 + B1·z³` with degree-2 halves,
-    /// the three half-products `C0 = A0·B0`, `C1 = A1·B1` and
-    /// `C2 = (A0-A1)(B0-B1)` each cost 6M, for 18M total.
+    /// (Section 2.2.2), reduced modulo `z^6 + z^3 + 1`: the heap
+    /// instantiation of [`crate::karatsuba_fp6`].
     pub fn mul(&self, a: &Fp6Element, b: &Fp6Element) -> Fp6Element {
-        let fp = &self.fp;
-        let a0: [FpElement; 3] = [a.c[0].clone(), a.c[1].clone(), a.c[2].clone()];
-        let a1: [FpElement; 3] = [a.c[3].clone(), a.c[4].clone(), a.c[5].clone()];
-        let b0: [FpElement; 3] = [b.c[0].clone(), b.c[1].clone(), b.c[2].clone()];
-        let b1: [FpElement; 3] = [b.c[3].clone(), b.c[4].clone(), b.c[5].clone()];
-
-        let c0 = karatsuba3(fp, &a0, &b0);
-        let c1 = karatsuba3(fp, &a1, &b1);
-        let a_diff: [FpElement; 3] = std::array::from_fn(|i| fp.sub(&a0[i], &a1[i]));
-        let b_diff: [FpElement; 3] = std::array::from_fn(|i| fp.sub(&b0[i], &b1[i]));
-        let c2 = karatsuba3(fp, &a_diff, &b_diff);
-
-        // A·B = C0 + (C0 + C1 - C2)·z³ + C1·z⁶, degree ≤ 10 before reduction.
-        // The mid half-product overlaps C0 at z³/z⁴ and C1 at z⁶/z⁷ only, so
-        // the remaining coefficients are plain copies (no additions), keeping
-        // the addition count in line with the paper's ~60A figure.
-        let mid: [FpElement; 5] = std::array::from_fn(|k| fp.sub(&fp.add(&c0[k], &c1[k]), &c2[k]));
-        let d: [FpElement; 11] = [
-            c0[0].clone(),
-            c0[1].clone(),
-            c0[2].clone(),
-            fp.add(&c0[3], &mid[0]),
-            fp.add(&c0[4], &mid[1]),
-            mid[2].clone(),
-            fp.add(&mid[3], &c1[0]),
-            fp.add(&mid[4], &c1[1]),
-            c1[2].clone(),
-            c1[3].clone(),
-            c1[4].clone(),
-        ];
-        self.reduce_deg10(&d)
+        self.from_coeffs(karatsuba_fp6(&self.fp, a.c.each_ref(), b.c.each_ref()))
     }
 
     /// Squaring (delegates to [`mul`](Self::mul), counted as 18M like the paper).
@@ -376,27 +343,6 @@ impl Fp6Context {
         let n_inv = self.fp.inv(&n.c[0]).ok_or(FieldError::DivisionByZero)?;
         Ok(self.scalar_mul(&adj, &n_inv))
     }
-
-    /// Reduces a polynomial of degree ≤ 10 modulo `z^6 + z^3 + 1`.
-    fn reduce_deg10(&self, d: &[FpElement]) -> Fp6Element {
-        let fp = &self.fp;
-        debug_assert!(d.len() == 11);
-        let mut r: [FpElement; 6] = std::array::from_fn(|i| d[i].clone());
-        // z^6 = -z^3 - 1
-        r[3] = fp.sub(&r[3], &d[6]);
-        r[0] = fp.sub(&r[0], &d[6]);
-        // z^7 = -z^4 - z
-        r[4] = fp.sub(&r[4], &d[7]);
-        r[1] = fp.sub(&r[1], &d[7]);
-        // z^8 = -z^5 - z^2
-        r[5] = fp.sub(&r[5], &d[8]);
-        r[2] = fp.sub(&r[2], &d[8]);
-        // z^9 = 1
-        r[0] = fp.add(&r[0], &d[9]);
-        // z^10 = z
-        r[1] = fp.add(&r[1], &d[10]);
-        self.from_coeffs(r)
-    }
 }
 
 #[cfg(test)]
@@ -408,7 +354,8 @@ mod tests {
         Fp6Context::new(FpContext::new(&BigUint::from(101u64)).unwrap()).unwrap()
     }
 
-    /// Schoolbook 36M reference multiplication.
+    /// Schoolbook 36M reference multiplication, reduced top-down with
+    /// `z^k = -z^(k-3) - z^(k-6)` for `k >= 6`.
     fn schoolbook_mul(f: &Fp6Context, a: &Fp6Element, b: &Fp6Element) -> Fp6Element {
         let fp = f.fp();
         let mut d: Vec<FpElement> = vec![fp.zero(); 11];
@@ -417,7 +364,11 @@ mod tests {
                 d[i + j] = fp.add(&d[i + j], &fp.mul(&a.coeffs()[i], &b.coeffs()[j]));
             }
         }
-        f.reduce_deg10(&d)
+        for k in (6..11).rev() {
+            d[k - 3] = fp.sub(&d[k - 3], &d[k]);
+            d[k - 6] = fp.sub(&d[k - 6], &d[k]);
+        }
+        f.from_coeffs(std::array::from_fn(|i| d[i].clone()))
     }
 
     #[test]

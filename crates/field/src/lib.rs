@@ -17,6 +17,10 @@
 //!   Karatsuba multiplication, Frobenius maps, norms and inversion.
 //! * [`F2Repr`] — the representation F2 = `Fp3[y]/(y^2 - x·y + 1)` of
 //!   Fig. 1 with the maps τ / τ⁻¹ between F1 and F2.
+//! * [`FieldOps`] — the mul/add/sub/copy interface every composite
+//!   formula is written against once ([`karatsuba_fp6`] here, the ECC
+//!   point formulas in the `ecc` crate), instantiated on the heap field,
+//!   the fixed-width backend and the platform's program recorder.
 //!
 //! # Example
 //!
@@ -40,6 +44,7 @@
 
 mod error;
 mod f2repr;
+mod formulas;
 mod fp;
 mod fp2;
 mod fp3;
@@ -49,6 +54,7 @@ mod opcount;
 
 pub use error::FieldError;
 pub use f2repr::{F2Element, F2Repr};
+pub use formulas::{karatsuba_fp6, FieldOps};
 pub use fp::{FpContext, FpElement};
 pub use fp2::{Fp2Context, Fp2Element};
 pub use fp3::{Fp3Context, Fp3Element};

@@ -138,11 +138,11 @@ pub struct CostModel {
     /// `a` — the ladder runs the general doubling (the InsRom1 image,
     /// kept for ablations and as the Table 2 Type-B PD calibration).
     pub fast_pd: bool,
-    /// Run the superoptimizing search pass after list scheduling: a beam
+    /// Run the superoptimizing search pass after validation: a beam
     /// search over instruction reorderings and slot reallocations, scored
     /// by the same pipelined overlap accounting the engine charges, with
     /// the searched order kept only when it is strictly cheaper than the
-    /// list-scheduled one. Off in [`CostModel::paper`] so the paper
+    /// recorded one. Off in [`CostModel::paper`] so the paper
     /// reproduction rows stay bit-identical; the `search_sweep` ablation
     /// turns it on to report discovered wins.
     pub sequence_search: bool,

@@ -105,16 +105,24 @@ impl SequenceOp {
     /// may prefetch `next`'s operands under `prev`'s tail exactly when
     /// neither step is a decoder copy and `next` does not consume `prev`'s
     /// result. Both the executing sequence engine and the static
-    /// [`crate::programs::independent_neighbour_pairs`] counter (which the
-    /// calibration-floor tests pin) consult this predicate, so they cannot
-    /// drift apart.
+    /// [`crate::ProgramStats::independent_neighbour_pairs`] count (which
+    /// the calibration-floor tests pin) consult this predicate, so they
+    /// cannot drift apart.
     pub fn may_overlap(prev: &SequenceOp, next: &SequenceOp) -> bool {
         !prev.is_copy() && !next.is_copy() && !next.depends_on(prev)
     }
-}
 
-/// Accounting for one executed sequence.
-pub type SequenceReport = ExecutionReport;
+    /// The same operation on other slots (a copy reads `a` and ignores
+    /// `b`).
+    pub(crate) fn with_slots(self, dst: usize, a: usize, b: usize) -> SequenceOp {
+        match self {
+            SequenceOp::MontMul { .. } => SequenceOp::MontMul { dst, a, b },
+            SequenceOp::ModAdd { .. } => SequenceOp::ModAdd { dst, a, b },
+            SequenceOp::ModSub { .. } => SequenceOp::ModSub { dst, a, b },
+            SequenceOp::Copy { .. } => SequenceOp::Copy { dst, src: a },
+        }
+    }
+}
 
 /// Executes level-2 sequences on the coprocessor under a given hierarchy.
 #[derive(Debug, Clone)]
@@ -149,7 +157,7 @@ impl SequenceEngine {
         modulus: &BigUint,
         slots: &mut [BigUint],
         ops: &[SequenceOp],
-    ) -> SequenceReport {
+    ) -> ExecutionReport {
         let mut report = ExecutionReport::default();
         // Under the pipelined schedule the Type-B sequencer prefetches the
         // next step's operand words from the data memory while the current

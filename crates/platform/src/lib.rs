@@ -25,18 +25,19 @@
 //!   with the carry-local schedule of Fig. 5, single-core modular
 //!   addition/subtraction), all functionally verified against the host
 //!   `bignum` implementation;
-//! * [`programs`] — the level-2 composite sequences (`Fp6` multiplication,
-//!   ECC point addition/doubling, the fast `a = -3` doubling) whose
-//!   hazard-free neighbour density feeds the Type-B sequencer's operand
-//!   prefetch;
-//! * [`program`] — the typed program IR: authored [`program::Program`]s
+//! * [`programs`] — the recorder that turns the level-2 formula bodies
+//!   (`Fp6` multiplication, ECC point addition/doubling, the fast
+//!   `a = -3` doubling — each written once over [`field::FieldOps`] and
+//!   shared with the host) into coprocessor programs whose hazard-free
+//!   neighbour density feeds the Type-B sequencer's operand prefetch;
+//! * [`program`] — the typed program IR: recorded [`program::Program`]s
 //!   flow through an explicit [`program::PassPipeline`] (validate →
-//!   dead-temp-elim → list-schedule → optional superoptimizing search,
-//!   each pass leaving a [`program::PassTrace`]) into
-//!   [`program::CompiledProgram`]s that a [`program::ProgramCache`] hands
-//!   out once per `(OpKind, bits, cost-model)` key; the
-//!   [`program::FormulaDb`] registry derives the cheapest applicable
-//!   EFD formula per `(curve, cost model)`;
+//!   optional superoptimizing search, each pass leaving a
+//!   [`program::PassTrace`]) into [`program::CompiledProgram`]s that a
+//!   [`program::ProgramCache`] hands out once per
+//!   `(OpKind, bits, cost-model)` key; the [`program::FormulaDb`]
+//!   registry derives the cheapest applicable EFD formula per
+//!   `(curve, cost model)`;
 //! * [`Platform`] — the MicroBlaze-level view: Type-A and Type-B control
 //!   hierarchies (Figs. 3 and 4), interrupt/accounting overheads, the
 //!   single [`Platform::execute`] path every composite operation flows
@@ -70,18 +71,11 @@ pub mod schedule;
 
 pub use coprocessor::{sample_modulus, Coprocessor, ModOpResult};
 pub use cost::{CostModel, ScheduleModel};
-pub use hierarchy::{Hierarchy, SequenceOp, SequencePricing, SequenceReport};
+pub use hierarchy::{Hierarchy, SequenceOp, SequencePricing};
 pub use platform::Platform;
-#[allow(deprecated)]
-pub use program::PassOutcome;
 pub use program::{
-    compile, compile_unoptimized, CompiledProgram, Formula, FormulaDb, OpKind, Pass, PassPipeline,
-    PassTrace, Program, ProgramBuilder, ProgramCache, ProgramStats, Slot,
+    compile, CompiledProgram, Formula, FormulaDb, OpKind, Pass, PassPipeline, PassTrace, Program,
+    ProgramCache, ProgramStats,
 };
-pub use programs::{
-    count_modadds, count_modmuls, ecc_pa_sequence, ecc_pd_sequence, fp6_mul_sequence,
-    independent_neighbour_pairs, SlotArena, SlotOverflow, ECC_SLOTS, FP6_MUL_SLOTS,
-};
-#[allow(deprecated)]
-pub use programs::{ecc_pa_mixed_sequence, ecc_pd_fast_sequence};
+pub use programs::{ECC_SLOTS, FP6_MUL_SLOTS};
 pub use report::ExecutionReport;

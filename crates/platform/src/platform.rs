@@ -4,10 +4,11 @@
 //! refactor: the [`crate::program::ProgramCache`] compiles the level-2
 //! sequence once per `(OpKind, bits, cost-model)` key, and
 //! [`Platform::execute`] runs the [`CompiledProgram`] against a slot
-//! bank. The public `run_*` / `*_report` methods are thin marshalling
-//! shims over that path, and the exponentiation/scalar ladders fetch
-//! their programs once before the loop instead of rebuilding and
-//! re-scheduling the same sequence on every iteration.
+//! bank. [`Platform::composite_report`] prices one program on probe
+//! operands, the public `run_*` methods marshal real field elements in
+//! and out of the platform's Montgomery domain, and the
+//! exponentiation/scalar ladders fetch their programs once before the
+//! loop instead of rebuilding the same sequence on every iteration.
 
 use std::sync::Arc;
 
@@ -57,13 +58,13 @@ impl Platform {
     /// instances with different knobs never alias each other's programs.
     ///
     /// ```
-    /// use platform::{CostModel, Hierarchy, Platform, ProgramCache};
+    /// use platform::{CostModel, Hierarchy, OpKind, Platform, ProgramCache};
     ///
     /// let shared = ProgramCache::new();
     /// let a = Platform::with_program_cache(CostModel::paper(), 4, Hierarchy::TypeB, shared.clone());
     /// let b = Platform::with_program_cache(CostModel::paper(), 2, Hierarchy::TypeA, shared.clone());
-    /// a.fp6_multiplication_report(170);
-    /// b.fp6_multiplication_report(170); // same program: a hit, not a recompile
+    /// a.composite_report(OpKind::Fp6Mul, 170);
+    /// b.composite_report(OpKind::Fp6Mul, 170); // same program: a hit, not a recompile
     /// assert_eq!((shared.misses(), shared.hits()), (1, 1));
     /// ```
     pub fn with_program_cache(
@@ -107,7 +108,7 @@ impl Platform {
 
     /// Executes a compiled program against a slot bank — the single
     /// sequence → coprocessor → schedule path every composite driver and
-    /// report shim goes through.
+    /// report goes through.
     ///
     /// Montgomery products operate on whatever representation the slots
     /// are in; callers needing plain-domain results are responsible for
@@ -246,8 +247,10 @@ impl Platform {
     // ----------------------------------------------------------------- //
 
     /// Cycle accounting of one compiled composite operation at `bits`
-    /// operand length, executed on dummy (but valid) operands — the
-    /// generic path behind every Table 2 report shim.
+    /// operand length, executed on dummy (but valid) operands — the Table 2
+    /// rows (e.g. [`OpKind::Fp6Mul`] at 170 bits for "T6 Mult.",
+    /// [`OpKind::EccPaMixed`] and [`OpKind::EccPdFast`] at 160 bits for
+    /// the ECC rows).
     pub fn composite_report(&self, kind: OpKind, bits: usize) -> ExecutionReport {
         let program = self.compiled(kind, bits);
         let modulus = probe_modulus(bits);
@@ -310,41 +313,6 @@ impl Platform {
             .iter()
             .map(|(a, b)| self.execute_fp6_multiplication(&program, fp6, a, b))
             .collect()
-    }
-
-    /// Cycle accounting of one `Fp6` multiplication at `bits` operand length
-    /// (Table 2, "T6 Mult." rows) without needing real field elements.
-    pub fn fp6_multiplication_report(&self, bits: usize) -> ExecutionReport {
-        self.composite_report(OpKind::Fp6Mul, bits)
-    }
-
-    /// Cycle accounting of one **general** (16-MM Jacobian) ECC point
-    /// addition at `bits` operand length.
-    pub fn ecc_point_addition_report(&self, bits: usize) -> ExecutionReport {
-        self.composite_report(OpKind::EccPaGeneral, bits)
-    }
-
-    /// Cycle accounting of one **mixed-coordinate** (13-MM, affine addend)
-    /// ECC point addition at `bits` operand length — the sequence the
-    /// scalar ladder runs and the one Table 2's ECC PA rows are calibrated
-    /// against.
-    pub fn ecc_point_addition_mixed_report(&self, bits: usize) -> ExecutionReport {
-        self.composite_report(OpKind::EccPaMixed, bits)
-    }
-
-    /// Cycle accounting of one general ECC point doubling at `bits`
-    /// operand length — the InsRom1 doubling Table 2's **Type-B** ECC PD
-    /// row is calibrated against.
-    pub fn ecc_point_doubling_report(&self, bits: usize) -> ExecutionReport {
-        self.composite_report(OpKind::EccPd, bits)
-    }
-
-    /// Cycle accounting of one **fast `a = -3`** ECC point doubling (8 MM)
-    /// at `bits` operand length — the shortened sequence Table 2's
-    /// **Type-A** ECC PD row is calibrated against (the MicroBlaze
-    /// generates Type-A sequences on the fly; see DESIGN.md).
-    pub fn ecc_point_doubling_fast_report(&self, bits: usize) -> ExecutionReport {
-        self.composite_report(OpKind::EccPdFast, bits)
     }
 
     /// Executes one Jacobian point addition on the platform.
@@ -922,19 +890,19 @@ mod tests {
     fn type_b_is_several_times_faster_for_composites() {
         let a = platform(Hierarchy::TypeA);
         let b = platform(Hierarchy::TypeB);
-        let t6_a = a.fp6_multiplication_report(170).cycles;
-        let t6_b = b.fp6_multiplication_report(170).cycles;
+        let t6_a = a.composite_report(OpKind::Fp6Mul, 170).cycles;
+        let t6_b = b.composite_report(OpKind::Fp6Mul, 170).cycles;
         let ratio = t6_a as f64 / t6_b as f64;
         assert!(
             (1.8..6.0).contains(&ratio),
             "paper: Type-A/Type-B ≈ 3.78 for the T6 mult, got {ratio}"
         );
-        let pa_a = a.ecc_point_addition_report(160).cycles;
-        let pa_b = b.ecc_point_addition_report(160).cycles;
+        let pa_a = a.composite_report(OpKind::EccPaGeneral, 160).cycles;
+        let pa_b = b.composite_report(OpKind::EccPaGeneral, 160).cycles;
         assert!(pa_a > pa_b);
-        let pd_b = b.ecc_point_doubling_report(160).cycles;
+        let pd_b = b.composite_report(OpKind::EccPd, 160).cycles;
         assert!(pd_b < pa_b, "PD must be cheaper than PA");
-        let pd_fast_b = b.ecc_point_doubling_fast_report(160).cycles;
+        let pd_fast_b = b.composite_report(OpKind::EccPdFast, 160).cycles;
         assert!(pd_fast_b < pd_b, "fast PD must beat the general PD");
     }
 
@@ -1016,9 +984,9 @@ mod tests {
         // Use short exponents so the test stays fast; the relative shape is
         // what matters (CEILIDH beats RSA, ECC beats CEILIDH).
         let plat = platform(Hierarchy::TypeB);
-        let t6_mult = plat.fp6_multiplication_report(170).cycles;
-        let pa = plat.ecc_point_addition_mixed_report(160).cycles;
-        let pd = plat.ecc_point_doubling_report(160).cycles;
+        let t6_mult = plat.composite_report(OpKind::Fp6Mul, 170).cycles;
+        let pa = plat.composite_report(OpKind::EccPaMixed, 160).cycles;
+        let pd = plat.composite_report(OpKind::EccPd, 160).cycles;
         let mm1024 = plat.montgomery_multiplication_report(1024).cycles + plat.interrupt_cycles();
 
         // Scale to full operations as in the paper: a 170-bit torus

@@ -6,25 +6,23 @@
 //! them into a compile-once/execute-many program layer:
 //!
 //! ```text
-//! Program  (authored: named operands, typed slots)
+//! formula body   (field::karatsuba_fp6, ecc::formulas::*)
+//!    │  recorded by crate::programs: one step per field operation
+//!    ▼
+//! Program  (named operands, compacted slots, executed order)
 //!    │  PassPipeline: validate
-//!    │                dead-temp-elim     (uncalibrated programs only)
-//!    │                list-schedule      (uncalibrated programs only)
 //!    │                search             (CostModel::uses_search only)
 //!    ▼
-//! CompiledProgram  (scheduled ops + ProgramStats + PassTrace per pass)
+//! CompiledProgram  (ops + ProgramStats + PassTrace per pass)
 //!    │  ProgramCache, keyed by (OpKind, bits, CostModel fingerprint)
 //!    ▼
 //! Platform::execute → SequenceEngine → scheduled cycles
 //! ```
 //!
-//! The four pre-existing sequences (`Fp6` multiplication, general and
-//! mixed ECC point addition, ECC point doubling) are **calibrated**: their
-//! stored step stream models the InsRom1 image whose cycle counts
-//! reproduce Table 2, so the deterministic optimization passes leave them
-//! untouched and the golden file pins them bit-identical. The fast
-//! `a = -3` doubling ([`OpKind::EccPdFast`]) is authored in derivation
-//! order and the compiler schedules it for maximum sequencer overlap.
+//! Every program arrives in the order it executes: the recorded step
+//! stream models the InsRom1 image whose cycle counts reproduce Table 2,
+//! so under the published calibration compilation only validates it and
+//! the golden file pins the result bit-identical.
 //!
 //! Two pieces go beyond faithful reproduction, toward what the paper's
 //! "on-the-fly sequence generation" gestured at:
@@ -34,8 +32,8 @@
 //!   reorderings and slot reallocations, scored by
 //!   [`crate::SequencePricing`] (the exact accounting walk the executing
 //!   engine charges), accepted only when strictly cheaper than the
-//!   incoming schedule — it applies to *every* kind, calibrated ones
-//!   included, which is why the published calibration keeps it off;
+//!   recorded schedule — which is why the published calibration keeps it
+//!   off;
 //! * the **formula database** ([`FormulaDb`]) — named EFD variants with
 //!   op-count and constraint metadata, from which the ladder *derives*
 //!   the best PA/PD sequence per `(curve, cost model)` instead of being
@@ -51,11 +49,11 @@
 //!
 //! let pd = compile(OpKind::EccPdFast, 160, &CostModel::paper());
 //! assert_eq!(pd.stats().modmuls, 8); // a = -3 shortened doubling
-//! // The scheduler raised the hazard-free neighbour density the Type-B
-//! // sequencer prefetches across.
-//! let sched = pd.passes().iter().find(|p| p.pass == "list-schedule").unwrap();
-//! assert!(sched.pairs_after > sched.pairs_before);
-//! assert!(sched.cycles_after < sched.cycles_before);
+//! // The recorded order already interleaves the formula's chains for
+//! // the Type-B sequencer; search is off, so validation is the only pass.
+//! assert_eq!(pd.stats().independent_neighbour_pairs, 15);
+//! assert_eq!(pd.passes().len(), 1);
+//! assert!(!pd.passes()[0].changed());
 //! ```
 
 use std::collections::HashMap;
@@ -94,16 +92,6 @@ impl OpKind {
         OpKind::EccPdFast,
     ];
 
-    /// The kinds that existed before the IR (their hand-built `Vec`
-    /// builders remain as shims); the compile pipeline must stay
-    /// cycle-identical to them.
-    pub const LEGACY: [OpKind; 4] = [
-        OpKind::Fp6Mul,
-        OpKind::EccPaGeneral,
-        OpKind::EccPaMixed,
-        OpKind::EccPd,
-    ];
-
     /// Stable name, used in cache diagnostics and slot-overflow panics.
     pub fn name(self) -> &'static str {
         match self {
@@ -122,13 +110,6 @@ impl OpKind {
             _ => ECC_SLOTS,
         }
     }
-
-    /// Returns `true` when the authored step order is itself the
-    /// calibration artifact (the InsRom1 image reproducing Table 2); the
-    /// reordering pass must not disturb such programs.
-    pub fn order_is_calibrated(self) -> bool {
-        !matches!(self, OpKind::EccPdFast)
-    }
 }
 
 impl std::fmt::Display for OpKind {
@@ -137,116 +118,7 @@ impl std::fmt::Display for OpKind {
     }
 }
 
-/// A typed handle to one data-memory slot of a program's layout, handed
-/// out by [`ProgramBuilder`]; using handles instead of raw `usize`
-/// indices keeps authored sequences from mixing up operands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slot(pub(crate) usize);
-
-impl Slot {
-    /// The raw data-memory index.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-/// Authoring interface for level-2 programs: named operands on fixed
-/// layout slots, temporaries from the owning
-/// [`SlotArena`](crate::programs::SlotArena), and typed op emitters.
-#[derive(Debug, Clone)]
-pub struct ProgramBuilder {
-    kind: OpKind,
-    arena: programs::SlotArena,
-    ops: Vec<SequenceOp>,
-    operands: Vec<(&'static str, usize)>,
-    outputs: Vec<usize>,
-}
-
-impl ProgramBuilder {
-    /// Starts a program of the given kind whose temporaries begin at slot
-    /// `temps_from` (the end of the kind's fixed operand layout).
-    pub fn new(kind: OpKind, temps_from: usize) -> Self {
-        ProgramBuilder {
-            kind,
-            arena: programs::SlotArena::named(kind.name(), temps_from, kind.slot_budget()),
-            ops: Vec::new(),
-            operands: Vec::new(),
-            outputs: Vec::new(),
-        }
-    }
-
-    /// Declares a named input operand at a fixed layout slot.
-    pub fn input(&mut self, name: &'static str, slot: usize) -> Slot {
-        self.operands.push((name, slot));
-        Slot(slot)
-    }
-
-    /// Declares a named output operand at a fixed layout slot. Output
-    /// slots anchor the dead-temp elimination pass's liveness analysis.
-    pub fn output(&mut self, name: &'static str, slot: usize) -> Slot {
-        self.operands.push((name, slot));
-        self.outputs.push(slot);
-        Slot(slot)
-    }
-
-    /// Allocates one anonymous temporary.
-    pub fn temp(&mut self) -> Slot {
-        Slot(self.arena.alloc())
-    }
-
-    /// Allocates `N` temporaries.
-    pub fn temps<const N: usize>(&mut self) -> [Slot; N] {
-        self.arena.alloc_n().map(Slot)
-    }
-
-    /// Emits `dst ← a · b · R⁻¹ mod p`.
-    pub fn mul(&mut self, dst: Slot, a: Slot, b: Slot) {
-        self.ops.push(SequenceOp::MontMul {
-            dst: dst.0,
-            a: a.0,
-            b: b.0,
-        });
-    }
-
-    /// Emits `dst ← (a + b) mod p`.
-    pub fn add(&mut self, dst: Slot, a: Slot, b: Slot) {
-        self.ops.push(SequenceOp::ModAdd {
-            dst: dst.0,
-            a: a.0,
-            b: b.0,
-        });
-    }
-
-    /// Emits `dst ← (a - b) mod p`.
-    pub fn sub(&mut self, dst: Slot, a: Slot, b: Slot) {
-        self.ops.push(SequenceOp::ModSub {
-            dst: dst.0,
-            a: a.0,
-            b: b.0,
-        });
-    }
-
-    /// Emits a decoder copy `dst ← src`.
-    pub fn copy(&mut self, dst: Slot, src: Slot) {
-        self.ops.push(SequenceOp::Copy {
-            dst: dst.0,
-            src: src.0,
-        });
-    }
-
-    /// Finalizes the authored program.
-    pub fn finish(self) -> Program {
-        Program {
-            kind: self.kind,
-            slot_budget: self.kind.slot_budget(),
-            ops: self.ops,
-            operands: self.operands,
-            outputs: self.outputs,
-        }
-    }
-}
-
-/// An authored (not yet compiled) level-2 program: the typed IR the
+/// A recorded (not yet compiled) level-2 program: the typed IR the
 /// passes consume.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
@@ -258,10 +130,25 @@ pub struct Program {
 }
 
 impl Program {
-    /// Authors the program for `kind` (delegates to the sequence sources
-    /// in [`crate::programs`]).
+    /// Records the formula body behind `kind` (see [`crate::programs`]).
     pub fn author(kind: OpKind) -> Program {
         programs::author(kind)
+    }
+
+    /// Wraps recorded steps with their named operands and output slots.
+    pub(crate) fn new(
+        kind: OpKind,
+        ops: Vec<SequenceOp>,
+        operands: Vec<(&'static str, usize)>,
+        outputs: Vec<usize>,
+    ) -> Program {
+        Program {
+            kind,
+            ops,
+            operands,
+            outputs,
+            slot_budget: kind.slot_budget(),
+        }
     }
 
     /// The operation this program implements.
@@ -269,15 +156,9 @@ impl Program {
         self.kind
     }
 
-    /// The authored steps.
+    /// The recorded steps, in executed order.
     pub fn ops(&self) -> &[SequenceOp] {
         &self.ops
-    }
-
-    /// Consumes the program, returning its steps (the legacy
-    /// `Vec<SequenceOp>` shape).
-    pub fn into_ops(self) -> Vec<SequenceOp> {
-        self.ops
     }
 
     /// Slot of the named operand, if declared.
@@ -293,15 +174,13 @@ impl Program {
         &self.outputs
     }
 
-    /// Op metadata of the authored steps.
+    /// Op metadata of the recorded steps.
     pub fn stats(&self) -> ProgramStats {
         ProgramStats::of(&self.ops)
     }
 }
 
-/// Op metadata of a step sequence — the typed replacement for the old
-/// free-standing `count_modmuls` / `count_modadds` /
-/// `independent_neighbour_pairs` helpers (which remain as thin wrappers).
+/// Op metadata of a step sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProgramStats {
     /// Total steps.
@@ -355,8 +234,7 @@ impl ProgramStats {
 /// [`CompiledProgram`] for traceability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassTrace {
-    /// Pass name ([`Pass::name`]: `"validate"`, `"dead-temp-elim"`,
-    /// `"list-schedule"`, `"search"`).
+    /// Pass name ([`Pass::name`]: `"validate"` or `"search"`).
     pub pass: &'static str,
     /// Steps entering the pass.
     pub steps_before: usize,
@@ -381,11 +259,6 @@ impl PassTrace {
             || self.cycles_before != self.cycles_after
     }
 }
-
-/// Former name of [`PassTrace`], kept so pre-pipeline call sites stay
-/// source-compatible.
-#[deprecated(note = "renamed to PassTrace when the pass pipeline became explicit")]
-pub type PassOutcome = PassTrace;
 
 /// A compiled level-2 program: validated, optimized and ready to execute
 /// any number of times via [`crate::Platform::execute`].
@@ -481,32 +354,21 @@ impl CompiledProgram {
 
 /// One named compiler pass of a [`PassPipeline`].
 ///
-/// Every pass is deterministic and carries its own skip conditions (a
+/// Every pass is deterministic and carries its own skip condition (a
 /// skipped pass still records a [`PassTrace`], reporting no change), so a
 /// pipeline built once is valid for every kind:
 ///
 /// * [`Pass::Validate`] — every referenced slot must sit inside the
 ///   kind's layout budget; always runs, never rewrites.
-/// * [`Pass::DeadTempElim`] — drops steps whose result no later step
-///   (and no output) observes; skipped for calibrated kinds, whose step
-///   stream *is* the InsRom image the golden file pins.
-/// * [`Pass::ListSchedule`] — hazard-aware greedy list scheduling
-///   ([`reorder_for_overlap`]); skipped for calibrated kinds and under
-///   the sequential schedule (no overlap to win).
 /// * [`Pass::Search`] — the superoptimizing beam search over
 ///   reorderings *and* slot reallocations, scored by
 ///   [`crate::SequencePricing`]; runs only under
 ///   [`CostModel::uses_search`] and keeps its candidate only when
-///   strictly cheaper than the incoming schedule, calibrated kinds
-///   included (that is the point: stop hand-authoring).
+///   strictly cheaper than the recorded schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pass {
-    /// Slot-budget validation (formerly `"slot-check"`).
+    /// Slot-budget validation.
     Validate,
-    /// Backward-liveness dead-step elimination.
-    DeadTempElim,
-    /// Greedy hazard-aware neighbour scheduling (formerly `"reorder"`).
-    ListSchedule,
     /// Beam search over orderings and slot assignments.
     Search,
 }
@@ -516,8 +378,6 @@ impl Pass {
     pub fn name(self) -> &'static str {
         match self {
             Pass::Validate => "validate",
-            Pass::DeadTempElim => "dead-temp-elim",
-            Pass::ListSchedule => "list-schedule",
             Pass::Search => "search",
         }
     }
@@ -533,7 +393,7 @@ impl Pass {
 /// let cost = CostModel::paper().with_search(true);
 /// let pipeline = PassPipeline::standard(&cost);
 /// let names: Vec<_> = pipeline.passes().iter().map(|p| p.name()).collect();
-/// assert_eq!(names, ["validate", "dead-temp-elim", "list-schedule", "search"]);
+/// assert_eq!(names, ["validate", "search"]);
 /// let pd = pipeline.run(Program::author(OpKind::EccPdFast), 160, &cost);
 /// assert_eq!(pd.stats().modmuls, 8);
 /// ```
@@ -543,24 +403,14 @@ pub struct PassPipeline {
 }
 
 impl PassPipeline {
-    /// The standard pipeline for the given cost model: validate,
-    /// dead-temp elimination, list scheduling, plus the search pass when
-    /// [`CostModel::uses_search`] selects it.
+    /// The standard pipeline for the given cost model: validation, plus
+    /// the search pass when [`CostModel::uses_search`] selects it.
     pub fn standard(cost: &CostModel) -> Self {
-        let mut passes = vec![Pass::Validate, Pass::DeadTempElim, Pass::ListSchedule];
+        let mut passes = vec![Pass::Validate];
         if cost.uses_search() {
             passes.push(Pass::Search);
         }
         PassPipeline { passes }
-    }
-
-    /// The validation-only pipeline: the authored steps are checked and
-    /// wrapped as-is (the "legacy hand-built sequence" baseline behind
-    /// [`compile_unoptimized`]).
-    pub fn minimal() -> Self {
-        PassPipeline {
-            passes: vec![Pass::Validate],
-        }
     }
 
     /// The ordered passes this pipeline runs.
@@ -568,16 +418,15 @@ impl PassPipeline {
         &self.passes
     }
 
-    /// Runs the pipeline over an authored program, producing the
-    /// compiled artifact with one [`PassTrace`] per pass. Trace cycles
-    /// are priced under the Type-B hierarchy (the one whose sequencer the
-    /// ordering passes optimize for) at the given operand length.
+    /// Runs the pipeline over a recorded program, producing the compiled
+    /// artifact with one [`PassTrace`] per pass. Trace cycles are priced
+    /// under the Type-B hierarchy (the one whose sequencer the search
+    /// optimizes for) at the given operand length.
     ///
     /// # Panics
     ///
     /// Panics if the program references a slot beyond its layout budget
-    /// (a microcode-generation bug in the authoring code, not a user
-    /// error).
+    /// (a formula bug, not a user error).
     pub fn run(&self, program: Program, bits: usize, cost: &CostModel) -> CompiledProgram {
         let pricing = SequencePricing::new(cost, bits, Hierarchy::TypeB);
         let Program {
@@ -600,16 +449,6 @@ impl PassPipeline {
                         before.slot_high_water - 1,
                         slot_budget
                     );
-                }
-                Pass::DeadTempElim => {
-                    if !kind.order_is_calibrated() {
-                        ops = eliminate_dead_temps(ops, &outputs);
-                    }
-                }
-                Pass::ListSchedule => {
-                    if !kind.order_is_calibrated() && cost.is_pipelined() {
-                        ops = reorder_for_overlap(&ops);
-                    }
                 }
                 Pass::Search => {
                     if cost.uses_search() {
@@ -652,96 +491,18 @@ impl PassPipeline {
 }
 
 /// Compiles the program for `kind` at the given operand length through
-/// the standard pass pipeline ([`PassPipeline::standard`]): validation,
-/// dead-temp elimination, hazard-aware list scheduling and — when the
-/// cost model selects it — the superoptimizing search pass. Kept as a
-/// thin shim over the pipeline so existing call sites and the
-/// [`ProgramCache`] key stay source-compatible.
+/// the standard pass pipeline ([`PassPipeline::standard`]): validation
+/// and — when the cost model selects it — the superoptimizing search
+/// pass. With search off the compiled steps are the recorded program.
 pub fn compile(kind: OpKind, bits: usize, cost: &CostModel) -> CompiledProgram {
     PassPipeline::standard(cost).run(Program::author(kind), bits, cost)
-}
-
-/// Compiles the program for `kind` with the optimization passes disabled
-/// ([`PassPipeline::minimal`]): the authored steps are validated and
-/// wrapped as-is. This is the "legacy hand-built sequence" baseline the
-/// cycle-identity tests and the `program_cache` bench compare
-/// [`compile`] against.
-pub fn compile_unoptimized(kind: OpKind, bits: usize, cost: &CostModel) -> CompiledProgram {
-    PassPipeline::minimal().run(Program::author(kind), bits, cost)
-}
-
-/// Dead-temp elimination: backward liveness seeded by the output slots.
-/// A step is dead when no later step reads its destination before the
-/// destination is overwritten and the destination is not a live output.
-fn eliminate_dead_temps(ops: Vec<SequenceOp>, outputs: &[usize]) -> Vec<SequenceOp> {
-    let mut live: std::collections::HashSet<usize> = outputs.iter().copied().collect();
-    let mut keep = vec![false; ops.len()];
-    for (i, op) in ops.iter().enumerate().rev() {
-        if live.contains(&op.dest()) {
-            keep[i] = true;
-            live.remove(&op.dest());
-            for s in op.sources() {
-                live.insert(s);
-            }
-        }
-    }
-    ops.into_iter()
-        .zip(keep)
-        .filter_map(|(op, k)| k.then_some(op))
-        .collect()
-}
-
-/// Hazard-aware list scheduler: emits a topological order of the steps
-/// (RAW, WAR and WAW edges preserved, so the slot-level semantics are
-/// unchanged) that greedily prefers a ready step able to overlap with the
-/// previously emitted one ([`SequenceOp::may_overlap`]), breaking ties by
-/// authored position for determinism.
-pub fn reorder_for_overlap(ops: &[SequenceOp]) -> Vec<SequenceOp> {
-    let n = ops.len();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut npreds = vec![0usize; n];
-    for j in 0..n {
-        for i in 0..j {
-            let raw = ops[j].sources().contains(&ops[i].dest());
-            let war = ops[i].sources().contains(&ops[j].dest());
-            let waw = ops[i].dest() == ops[j].dest();
-            if raw || war || waw {
-                succs[i].push(j);
-                npreds[j] += 1;
-            }
-        }
-    }
-    let mut ready: std::collections::BTreeSet<usize> = (0..n).filter(|&i| npreds[i] == 0).collect();
-    let mut out = Vec::with_capacity(n);
-    let mut prev: Option<usize> = None;
-    while let Some(&first) = ready.iter().next() {
-        let pick = match prev {
-            Some(p) => ready
-                .iter()
-                .copied()
-                .find(|&i| SequenceOp::may_overlap(&ops[p], &ops[i]))
-                .unwrap_or(first),
-            None => first,
-        };
-        ready.remove(&pick);
-        out.push(ops[pick]);
-        for &s in &succs[pick] {
-            npreds[s] -= 1;
-            if npreds[s] == 0 {
-                ready.insert(s);
-            }
-        }
-        prev = Some(pick);
-    }
-    debug_assert_eq!(out.len(), n, "scheduler dropped steps");
-    out
 }
 
 /// The value-level dataflow of a slot program: for each step, the steps
 /// whose *values* it consumes (true RAW dependencies only — WAR/WAW slot
 /// reuse is a false dependency the search removes by renaming), plus the
 /// bookkeeping the renamer needs to rebuild a slot program afterwards.
-struct ValueDag {
+pub(crate) struct ValueDag {
     /// `deps[j]` = indices of the steps whose value step `j` reads.
     deps: Vec<Vec<usize>>,
     /// `value_sources[j]` = per operand of step `j`: `Ok(i)` reads step
@@ -764,7 +525,7 @@ impl ValueDag {
     /// value of an output slot is made to depend on every step that reads
     /// that slot's *external* value, so renaming can write the output in
     /// place without clobbering a start-of-program operand.
-    fn of(ops: &[SequenceOp], outputs: &[usize]) -> ValueDag {
+    pub(crate) fn of(ops: &[SequenceOp], outputs: &[usize]) -> ValueDag {
         let n = ops.len();
         let mut last_def: HashMap<usize, usize> = HashMap::new();
         let mut external_readers: HashMap<usize, Vec<usize>> = HashMap::new();
@@ -940,14 +701,14 @@ fn beam_search_order(
         .order
 }
 
-/// Rebuilds a slot program for the searched order: operand and output
-/// slots are protected (outputs receive exactly their final value, in
-/// place), every other value lives in a recycled temporary drawn from the
-/// unprotected slots below the layout budget, freed when its last reader
-/// has been scheduled. Returns `None` if the order needs more live
-/// temporaries than the budget holds (the caller then keeps the incoming
-/// schedule).
-fn reassign_slots(
+/// Rebuilds a slot program for a value-level order (the searched one, or
+/// a recording's own): operand and output slots are protected (outputs
+/// receive exactly their final value, in place), every other value lives
+/// in a recycled temporary drawn lowest-first from the unprotected slots
+/// below the layout budget, freed when its last reader has been
+/// scheduled. Returns `None` if the order needs more live temporaries
+/// than the budget holds.
+pub(crate) fn reassign_slots(
     ops: &[SequenceOp],
     order: &[u32],
     dag: &ValueDag,
@@ -997,17 +758,11 @@ fn reassign_slots(
             }
         };
         value_slot[j] = Some(dst);
-        // A value nothing reads (possible in calibrated streams the
-        // dead-temp pass never touches) frees its slot immediately.
+        // A value nothing reads frees its slot immediately.
         if pending_reads[j] == 0 && dag.final_output_def[j].is_none() {
             pool.insert(dst);
         }
-        out.push(match ops[j] {
-            SequenceOp::MontMul { .. } => SequenceOp::MontMul { dst, a, b },
-            SequenceOp::ModAdd { .. } => SequenceOp::ModAdd { dst, a, b },
-            SequenceOp::ModSub { .. } => SequenceOp::ModSub { dst, a, b },
-            SequenceOp::Copy { .. } => SequenceOp::Copy { dst, src: a },
-        });
+        out.push(ops[j].with_slots(dst, a, b));
     }
     Some(out)
 }
@@ -1114,7 +869,7 @@ impl ProgramCache {
 }
 
 /// One named formula variant in the [`FormulaDb`]: which [`OpKind`]
-/// program implements it, its operation counts (taken from the authored
+/// program implements it, its operation counts (taken from the recorded
 /// program, so they cannot drift from the sequences themselves), and the
 /// constraints under which it is usable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1139,12 +894,12 @@ impl Formula {
         self.kind
     }
 
-    /// Montgomery multiplications in the authored sequence.
+    /// Montgomery multiplications in the recorded sequence.
     pub fn modmuls(&self) -> usize {
         self.modmuls
     }
 
-    /// Modular additions plus subtractions in the authored sequence.
+    /// Modular additions plus subtractions in the recorded sequence.
     pub fn modaddsubs(&self) -> usize {
         self.modaddsubs
     }
@@ -1189,7 +944,7 @@ pub struct FormulaDb {
 
 impl FormulaDb {
     /// The built-in registry covering every compilable kind, constructed
-    /// once: op counts are read off the authored programs at first use.
+    /// once: op counts are read off the recorded programs at first use.
     pub fn builtin() -> &'static FormulaDb {
         static DB: OnceLock<FormulaDb> = OnceLock::new();
         DB.get_or_init(|| {
@@ -1294,86 +1049,67 @@ mod tests {
 
     #[test]
     fn compile_preserves_calibrated_programs_exactly() {
-        // The four legacy kinds are the InsRom calibration: the full pass
-        // pipeline must leave their step stream bit-identical (the golden
-        // file pins the resulting cycles).
-        for kind in OpKind::LEGACY {
+        // Every recorded program is the InsRom calibration: with search
+        // off the pipeline must leave its step stream bit-identical at
+        // every operand length (the golden file pins the resulting
+        // cycles).
+        for kind in OpKind::ALL {
             let authored = Program::author(kind);
-            let compiled = compile(kind, 160, &CostModel::paper());
-            assert_eq!(compiled.ops(), authored.ops(), "{kind}");
-            assert!(compiled.passes().iter().all(|p| !p.changed()), "{kind}");
+            for bits in [160, 170, 256, 1024] {
+                let compiled = compile(kind, bits, &CostModel::paper());
+                assert_eq!(compiled.ops(), authored.ops(), "{kind} at {bits}");
+                assert!(compiled.passes().iter().all(|p| !p.changed()), "{kind}");
+            }
         }
     }
 
     #[test]
-    fn scheduler_raises_fast_pd_overlap_and_preserves_semantics() {
-        let authored = Program::author(OpKind::EccPdFast);
-        let compiled = compile(OpKind::EccPdFast, 160, &CostModel::paper());
-        let before = authored.stats();
-        let after = compiled.stats();
-        assert_eq!(before.steps, after.steps);
-        assert_eq!(before.modmuls, after.modmuls);
-        assert!(
-            after.independent_neighbour_pairs > before.independent_neighbour_pairs,
-            "scheduler must raise overlap: {} !> {}",
-            after.independent_neighbour_pairs,
-            before.independent_neighbour_pairs
-        );
-        // Same slot-level results on a probe execution.
-        let mut a = probe_slots(ECC_SLOTS);
-        let mut b = probe_slots(ECC_SLOTS);
-        run(authored.ops(), &mut a);
-        run(compiled.ops(), &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn scheduler_respects_all_hazard_kinds() {
-        // RAW: 1 reads 0's dest. WAR: 2 overwrites a slot 1 reads.
-        // WAW: 3 overwrites 2's dest. Any legal order must keep the final
-        // slot state; exercise via the scheduler on a chain designed so
-        // every violation changes the result.
-        let ops = vec![
-            SequenceOp::ModAdd { dst: 4, a: 0, b: 1 },
-            SequenceOp::ModAdd { dst: 5, a: 4, b: 1 },
-            SequenceOp::ModAdd { dst: 4, a: 2, b: 2 },
-            SequenceOp::ModAdd { dst: 4, a: 4, b: 3 },
-            SequenceOp::ModSub { dst: 6, a: 4, b: 5 },
-        ];
-        let scheduled = reorder_for_overlap(&ops);
-        assert_eq!(scheduled.len(), ops.len());
-        let mut a = probe_slots(8);
-        let mut b = probe_slots(8);
-        run(&ops, &mut a);
-        run(&scheduled, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn dead_temps_are_eliminated() {
-        // Author a throwaway program with one dead chain: t1 is computed
-        // and never observed by the output.
-        let mut b = ProgramBuilder::new(OpKind::EccPdFast, 7);
-        let x = b.input("X", 0);
-        let y = b.input("Y", 1);
-        let out = b.output("OUT", 3);
-        let t0 = b.temp();
-        let t1 = b.temp();
-        b.add(t0, x, y);
-        b.mul(t1, x, x); // dead: nothing reads t1
-        b.sub(out, t0, y);
-        let program = b.finish();
-        let kept = eliminate_dead_temps(program.ops().to_vec(), program.outputs());
-        assert_eq!(kept.len(), 2);
-        assert!(kept
-            .iter()
-            .all(|op| !matches!(op, SequenceOp::MontMul { .. })));
-        // And the surviving steps compute the same output slot.
-        let mut full = probe_slots(10);
-        let mut pruned = probe_slots(10);
-        run(program.ops(), &mut full);
-        run(&kept, &mut pruned);
-        assert_eq!(full[3], pruned[3]);
+    fn formula_db_counts_match_one_heap_body_call() {
+        // The host and the platform run the same bodies: one heap call of
+        // each formula records exactly the MM and MA/MS the platform
+        // program executes — plus, for `madd`, the two R² lifts of the
+        // plain-form addend that only the platform program performs.
+        use ecc::formulas;
+        use field::{FpContext, OpCount};
+        let fp = FpContext::new(&BigUint::from(1_000_003u64)).unwrap();
+        let e: Vec<_> = (2..14u64).map(|v| fp.from_u64(v)).collect();
+        let p = [&e[0], &e[1], &e[2]];
+        let q = [&e[3], &e[4], &e[5]];
+        for formula in FormulaDb::builtin().formulas() {
+            fp.reset_op_count();
+            let lifts = match formula.name() {
+                "karatsuba-fp6" => {
+                    let b = std::array::from_fn(|i| &e[6 + i]);
+                    field::karatsuba_fp6(&fp, std::array::from_fn(|i| &e[i]), b);
+                    0
+                }
+                "pa-general" => {
+                    formulas::pa_general(&fp, p, q);
+                    0
+                }
+                "madd" => {
+                    formulas::madd(&fp, p, [q[0], q[1]]);
+                    2
+                }
+                "pd-general" => {
+                    formulas::pd_general(&fp, p, q[0]);
+                    0
+                }
+                "dbl-2001-b" => {
+                    formulas::dbl_2001_b(&fp, p);
+                    0
+                }
+                other => panic!("no heap body for formula {other}"),
+            };
+            let OpCount { mul, add, sub, inv } = fp.op_count();
+            assert_eq!(inv, 0, "{}", formula.name());
+            assert_eq!(
+                (formula.modmuls(), formula.modaddsubs()),
+                (mul as usize + lifts, (add + sub) as usize),
+                "{}",
+                formula.name()
+            );
+        }
     }
 
     #[test]
@@ -1402,10 +1138,16 @@ mod tests {
 
     #[test]
     fn unoptimized_compilation_is_the_authored_program() {
-        for kind in OpKind::ALL {
-            let unopt = compile_unoptimized(kind, 160, &CostModel::paper());
-            assert_eq!(unopt.ops(), Program::author(kind).ops(), "{kind}");
-            assert_eq!(unopt.passes().len(), 1, "{kind}: slot-check only");
+        // Without the search pass compilation only validates — and the
+        // search knob is inert under the flat schedule — so the compiled
+        // steps are the recorded ones.
+        let sequential = CostModel::paper_sequential();
+        for cost in [sequential, sequential.with_search(true)] {
+            for kind in OpKind::ALL {
+                let compiled = compile(kind, 160, &cost);
+                assert_eq!(compiled.ops(), Program::author(kind).ops(), "{kind}");
+                assert_eq!(compiled.passes().len(), 1, "{kind}: validate only");
+            }
         }
     }
 
@@ -1419,26 +1161,12 @@ mod tests {
                 .collect()
         };
         let base = CostModel::paper();
-        assert_eq!(
-            names(&base),
-            ["validate", "dead-temp-elim", "list-schedule"]
-        );
-        assert_eq!(
-            names(&base.with_search(true)),
-            ["validate", "dead-temp-elim", "list-schedule", "search"]
-        );
+        assert_eq!(names(&base), ["validate"]);
+        assert_eq!(names(&base.with_search(true)), ["validate", "search"]);
         // The search pass needs the pipelined scorer: sequential models
-        // keep the three-pass pipeline even with the knob on.
+        // keep validation only even with the knob on.
         assert_eq!(
             names(&CostModel::paper_sequential().with_search(true)),
-            ["validate", "dead-temp-elim", "list-schedule"]
-        );
-        assert_eq!(
-            PassPipeline::minimal()
-                .passes()
-                .iter()
-                .map(|p| p.name())
-                .collect::<Vec<_>>(),
             ["validate"]
         );
     }
@@ -1518,25 +1246,27 @@ mod tests {
         );
         assert_ne!(
             base.fingerprint(),
-            compile_unoptimized(OpKind::EccPdFast, 160, &cost).fingerprint(),
-            "the scheduled and authored step streams must hash apart"
+            compile(OpKind::EccPdFast, 160, &cost.with_search(true)).fingerprint(),
+            "the searched and recorded step streams must hash apart"
         );
     }
 
     #[test]
     fn pass_traces_record_the_scored_cycles() {
-        let compiled = compile(OpKind::EccPdFast, 160, &CostModel::paper());
-        let sched = compiled
+        let cost = CostModel::paper().with_search(true);
+        let compiled = compile(OpKind::EccPdFast, 160, &cost);
+        let search = compiled
             .passes()
             .iter()
-            .find(|p| p.pass == "list-schedule")
-            .expect("list-schedule trace");
+            .find(|p| p.pass == "search")
+            .expect("search trace");
         assert!(
-            sched.cycles_after < sched.cycles_before,
-            "scheduling the fast doubling must be a scored win: {} !< {}",
-            sched.cycles_after,
-            sched.cycles_before
+            search.cycles_after < search.cycles_before,
+            "searching the fast doubling must be a scored win: {} !< {}",
+            search.cycles_after,
+            search.cycles_before
         );
+        assert!(search.changed());
         // Passes that leave the program alone must also leave the score.
         let validate = &compiled.passes()[0];
         assert_eq!(validate.pass, "validate");

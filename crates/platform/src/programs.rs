@@ -12,41 +12,47 @@
 //!   whose **Type-B** cycle count matches Table 2) and
 //! * the shortened `a = -3` doubling (8 MM + 12 MA/MS — the on-the-fly
 //!   generated doubling whose **Type-A** cycle count matches Table 2; the
-//!   `dbl-2001-b` entry of the [`crate::program::FormulaDb`]),
+//!   `dbl-2001-b` entry of the [`crate::program::FormulaDb`]).
 //!
-//! each authored through the typed [`ProgramBuilder`]
-//! (named operands, [`SlotArena`] temporaries) and compiled by
-//! [`crate::program::compile`] into a [`crate::program::CompiledProgram`].
+//! None of them is written here. Each is one formula body over
+//! [`field::FieldOps`] — [`field::karatsuba_fp6`] and the four point
+//! formulas of [`ecc::formulas`] — which the host field, the fixed-width
+//! backend and this module's recorder all run. Recording turns every field
+//! operation of a body into one program step, in body order, writes each
+//! output's final value straight into its layout slot, and compacts the
+//! temporaries with the lowest-first slot reassignment the search pass
+//! also uses.
 //!
 //! The *order* of a sequence matters beyond correctness: under the
 //! pipelined schedule the Type-B sequencer prefetches the next step's
 //! operands while the current step drains, but only across neighbours
-//! with no read-after-write dependency (`SequenceOp::depends_on`).
-//! [`independent_neighbour_pairs`] counts those prefetch opportunities, and
-//! the unit tests pin a floor for each sequence so a future rewrite cannot
-//! silently destroy the Type-B overlap that calibrates Table 2. The four
-//! pre-existing sequences keep their authored (InsRom) order through
-//! compilation; the fast doubling is authored in derivation order and the
-//! compiler's reordering pass schedules it.
+//! with no read-after-write dependency ([`SequenceOp::may_overlap`]). The
+//! bodies are written in the InsRom order that calibrates Table 2, and the
+//! unit tests pin a prefetch floor per program so a future rewrite cannot
+//! silently destroy the Type-B overlap.
 //!
 //! # Example
 //!
 //! Inspect the paper's `Fp6` multiplication sequence:
 //!
 //! ```
-//! use platform::programs::{count_modadds, count_modmuls, fp6_mul_sequence,
-//!                          independent_neighbour_pairs};
+//! use platform::program::{OpKind, Program};
 //!
-//! let ops = fp6_mul_sequence();
-//! assert_eq!(count_modmuls(&ops), 18);      // Section 2.2.2: 18M per Fp6 mult
-//! assert!(count_modadds(&ops) >= 55);       // ≈ 60 A
+//! let stats = Program::author(OpKind::Fp6Mul).stats();
+//! assert_eq!(stats.modmuls, 18);          // Section 2.2.2: 18M per Fp6 mult
+//! assert!(stats.modaddsubs() >= 55);      // ≈ 60 A
 //! // More than half of the adjacent step pairs are hazard-free, which is
 //! // what the Type-B sequencer's operand prefetch feeds on.
-//! assert!(independent_neighbour_pairs(&ops) * 2 > ops.len());
+//! assert!(stats.independent_neighbour_pairs * 2 > stats.steps);
 //! ```
 
+use std::cell::RefCell;
+
+use ecc::formulas;
+use field::FieldOps;
+
 use crate::hierarchy::SequenceOp;
-use crate::program::{OpKind, Program, ProgramBuilder, ProgramStats, Slot};
+use crate::program::{reassign_slots, OpKind, Program, ValueDag};
 
 /// Slot layout of the `Fp6` multiplication sequence.
 ///
@@ -64,541 +70,183 @@ pub const FP6_MUL_SLOTS: usize = 96;
 /// result, `9` = curve coefficient `a`, `10..` = temporaries.
 /// PA (mixed): `0..3` = (X1, Y1, Z1), `3..5` = (X2, Y2) in **plain**
 /// (canonical) form, `5` = the Montgomery lift constant `R² mod p`,
-/// `6..9` = result, `9` = `a` (unused, kept for layout symmetry), `10..`
-/// temporaries.
+/// `6..9` = result, `9..` temporaries.
 /// PD (general and fast): `0..3` = (X1, Y1, Z1), `3..6` = result, `6` =
 /// `a` (unused by the fast `a = -3` doubling, kept for layout symmetry),
 /// `7..` temporaries.
 pub const ECC_SLOTS: usize = 40;
 
-/// Typed error returned by [`SlotArena::try_alloc`] when a sequence's
-/// slot budget is exhausted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotOverflow {
-    /// Name of the owning program.
-    pub owner: &'static str,
-    /// The slot budget that was exhausted.
-    pub limit: usize,
-}
+const POINT_1: [&str; 3] = ["X1", "Y1", "Z1"];
+const RESULT: [&str; 3] = ["X3", "Y3", "Z3"];
 
-impl std::fmt::Display for SlotOverflow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: temporary slots exhausted (limit {})",
-            self.owner, self.limit
-        )
+/// Records the formula body behind `kind` as its program — the single
+/// entry point behind [`Program::author`].
+pub(crate) fn author(kind: OpKind) -> Program {
+    let mut rec = Recorder::new(kind);
+    match kind {
+        OpKind::Fp6Mul => {
+            let a = rec.inputs(["a0", "a1", "a2", "a3", "a4", "a5"], 0);
+            let b = rec.inputs(["b0", "b1", "b2", "b3", "b4", "b5"], 6);
+            let r = field::karatsuba_fp6(&rec, a.each_ref(), b.each_ref());
+            rec.finish(["r0", "r1", "r2", "r3", "r4", "r5"], 12, r)
+        }
+        OpKind::EccPaGeneral => {
+            let p = rec.inputs(POINT_1, 0);
+            let q = rec.inputs(["X2", "Y2", "Z2"], 3);
+            rec.inputs(["a"], 9);
+            let sum = formulas::pa_general(&rec, p.each_ref(), q.each_ref()).sum;
+            rec.finish(RESULT, 6, sum)
+        }
+        OpKind::EccPaMixed => {
+            let p = rec.inputs(POINT_1, 0);
+            let [x2, y2, r2] = rec.inputs(["X2", "Y2", "R2"], 3);
+            // The MicroBlaze stores the affine addend once, in plain form;
+            // the program lifts it into the Montgomery domain with the
+            // preloaded R² — two products the formula itself never sees.
+            let q = [rec.mul(&x2, &r2), rec.mul(&y2, &r2)];
+            let sum = formulas::madd(&rec, p.each_ref(), q.each_ref()).sum;
+            rec.finish(RESULT, 6, sum)
+        }
+        OpKind::EccPd => {
+            let p = rec.inputs(POINT_1, 0);
+            let [a] = rec.inputs(["a"], 6);
+            let twice = formulas::pd_general(&rec, p.each_ref(), &a);
+            rec.finish(RESULT, 3, twice)
+        }
+        OpKind::EccPdFast => {
+            let p = rec.inputs(POINT_1, 0);
+            // The shared doubling layout keeps `a` in slot 6; a = -3 is
+            // folded into the formula, which never reads it.
+            rec.inputs(["a"], 6);
+            let twice = formulas::dbl_2001_b(&rec, p.each_ref());
+            rec.finish(RESULT, 3, twice)
+        }
     }
 }
 
-impl std::error::Error for SlotOverflow {}
-
-/// Bump allocator for temporary data-memory slots of a level-2 sequence,
-/// with an overflow check against the sequence's declared slot budget
-/// ([`FP6_MUL_SLOTS`] / [`ECC_SLOTS`]).
-#[derive(Debug, Clone)]
-pub struct SlotArena {
-    owner: &'static str,
-    next: usize,
-    limit: usize,
+/// The recording backend: every field operation a body performs appends
+/// one step. Elements are slots — a layout slot for each input, and a
+/// fresh *virtual* slot (numbered from the slot budget up) for each
+/// step's result, so the recorded stream assigns every value once until
+/// [`Recorder::finish`] maps it onto real slots.
+struct Recorder {
+    kind: OpKind,
+    operands: Vec<(&'static str, usize)>,
+    steps: RefCell<Vec<SequenceOp>>,
 }
 
-impl SlotArena {
-    /// Creates an arena handing out slots `first..limit`.
-    pub fn new(first: usize, limit: usize) -> Self {
-        SlotArena::named("sequence", first, limit)
-    }
-
-    /// Creates an arena that reports `owner` (the owning program's name)
-    /// in overflow diagnostics.
-    pub fn named(owner: &'static str, first: usize, limit: usize) -> Self {
-        assert!(first <= limit, "{owner}: arena starts past its limit");
-        SlotArena {
-            owner,
-            next: first,
-            limit,
+impl Recorder {
+    fn new(kind: OpKind) -> Self {
+        Recorder {
+            kind,
+            operands: Vec::new(),
+            steps: RefCell::new(Vec::new()),
         }
     }
 
-    /// Allocates one temporary slot, or reports which program ran out of
-    /// budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SlotOverflow`] naming the owning program when the budget
-    /// is exhausted.
-    pub fn try_alloc(&mut self) -> Result<usize, SlotOverflow> {
-        if self.next >= self.limit {
-            return Err(SlotOverflow {
-                owner: self.owner,
-                limit: self.limit,
-            });
-        }
-        let t = self.next;
-        self.next += 1;
-        Ok(t)
+    /// Declares named input operands on consecutive layout slots.
+    fn inputs<const N: usize>(&mut self, names: [&'static str; N], first: usize) -> [usize; N] {
+        std::array::from_fn(|i| {
+            self.operands.push((names[i], first + i));
+            first + i
+        })
     }
 
-    /// Allocates one temporary slot.
+    fn emit(&self, op: impl FnOnce(usize) -> SequenceOp) -> usize {
+        let mut steps = self.steps.borrow_mut();
+        let dst = self.kind.slot_budget() + steps.len();
+        steps.push(op(dst));
+        dst
+    }
+
+    /// Declares the body's results as named outputs on consecutive layout
+    /// slots and builds the program: the step producing each output writes
+    /// its slot directly, and every other value takes the lowest free
+    /// temporary.
     ///
     /// # Panics
     ///
-    /// Panics with the owning program's name if the sequence's slot
-    /// budget is exhausted — a microcode generation bug, not a user error.
-    pub fn alloc(&mut self) -> usize {
-        match self.try_alloc() {
-            Ok(t) => t,
-            Err(e) => panic!("{e} after {} allocations", self.next),
+    /// Panics if the body needs more live temporaries than the kind's
+    /// slot budget holds — a formula bug, not a user error.
+    fn finish<const N: usize>(
+        mut self,
+        names: [&'static str; N],
+        first: usize,
+        results: [usize; N],
+    ) -> Program {
+        let budget = self.kind.slot_budget();
+        assert!(
+            results.iter().all(|&r| r >= budget),
+            "{}: every output must be computed by the body",
+            self.kind
+        );
+        let outputs: Vec<usize> = (first..first + N).collect();
+        for (&name, &slot) in names.iter().zip(&outputs) {
+            self.operands.push((name, slot));
         }
+        let place = |s: usize| {
+            results
+                .iter()
+                .position(|&r| r == s)
+                .map_or(s, |i| outputs[i])
+        };
+        let ops: Vec<SequenceOp> = self
+            .steps
+            .into_inner()
+            .into_iter()
+            .map(|op| {
+                let [a, b] = op.sources();
+                op.with_slots(place(op.dest()), place(a), place(b))
+            })
+            .collect();
+        let order: Vec<u32> = (0..ops.len() as u32).collect();
+        let dag = ValueDag::of(&ops, &outputs);
+        let ops = reassign_slots(&ops, &order, &dag, &self.operands, &outputs, budget)
+            .unwrap_or_else(|| {
+                panic!("{}: temporary slots exhausted (budget {budget})", self.kind)
+            });
+        Program::new(self.kind, ops, self.operands, outputs)
+    }
+}
+
+impl FieldOps for Recorder {
+    type Elem = usize;
+
+    fn mul(&self, &a: &usize, &b: &usize) -> usize {
+        self.emit(|dst| SequenceOp::MontMul { dst, a, b })
     }
 
-    /// Allocates `N` consecutive temporary slots.
-    pub fn alloc_n<const N: usize>(&mut self) -> [usize; N] {
-        std::array::from_fn(|_| self.alloc())
+    fn add(&self, &a: &usize, &b: &usize) -> usize {
+        self.emit(|dst| SequenceOp::ModAdd { dst, a, b })
     }
 
-    /// Slots handed out so far (the high-water mark of the sequence).
-    pub fn used(&self) -> usize {
-        self.next
-    }
-}
-
-/// Authors the program for `kind` — the single entry point the compiler
-/// ([`crate::program::compile`]) builds on.
-pub(crate) fn author(kind: OpKind) -> Program {
-    match kind {
-        OpKind::Fp6Mul => author_fp6_mul(),
-        OpKind::EccPaGeneral => author_ecc_pa(),
-        OpKind::EccPaMixed => author_ecc_pa_mixed(),
-        OpKind::EccPd => author_ecc_pd(),
-        OpKind::EccPdFast => author_ecc_pd_fast(),
-    }
-}
-
-/// Builds the `Fp6` (torus `T6`) multiplication program: representation F1
-/// Karatsuba with 18 Montgomery multiplications, following Section 2.2.2.
-fn author_fp6_mul() -> Program {
-    const A_NAMES: [&str; 6] = ["a0", "a1", "a2", "a3", "a4", "a5"];
-    const B_NAMES: [&str; 6] = ["b0", "b1", "b2", "b3", "b4", "b5"];
-    const R_NAMES: [&str; 6] = ["r0", "r1", "r2", "r3", "r4", "r5"];
-    let mut bld = ProgramBuilder::new(OpKind::Fp6Mul, 18);
-    let a: [Slot; 6] = std::array::from_fn(|i| bld.input(A_NAMES[i], i));
-    let b: [Slot; 6] = std::array::from_fn(|i| bld.input(B_NAMES[i], 6 + i));
-    let r: [Slot; 6] = std::array::from_fn(|i| bld.output(R_NAMES[i], 12 + i));
-
-    // One 3-term Karatsuba half-product (6 MM + 12 MA/MS), writing the five
-    // product words into `out`.
-    fn karatsuba3(bld: &mut ProgramBuilder, ax: [Slot; 3], bx: [Slot; 3], out: [Slot; 5]) {
-        let [c0, c1, c2, c3, c4, c5, da, db, s01] = bld.temps();
-        bld.mul(c0, ax[0], bx[0]);
-        bld.mul(c1, ax[1], bx[1]);
-        bld.mul(c2, ax[2], bx[2]);
-        // c3 = (a0 - a1)(b0 - b1)
-        bld.sub(da, ax[0], ax[1]);
-        bld.sub(db, bx[0], bx[1]);
-        bld.mul(c3, da, db);
-        // c4 = (a0 - a2)(b0 - b2)
-        bld.sub(da, ax[0], ax[2]);
-        bld.sub(db, bx[0], bx[2]);
-        bld.mul(c4, da, db);
-        // c5 = (a1 - a2)(b1 - b2)
-        bld.sub(da, ax[1], ax[2]);
-        bld.sub(db, bx[1], bx[2]);
-        bld.mul(c5, da, db);
-        // d0 = c0, d1 = (c0+c1) - c3, d2 = (c0+c1) + c2 - c4, d3 = c1+c2-c5, d4 = c2
-        bld.add(s01, c0, c1);
-        bld.copy(out[0], c0);
-        bld.sub(out[1], s01, c3);
-        bld.add(out[2], s01, c2);
-        bld.sub(out[2], out[2], c4);
-        bld.add(out[3], c1, c2);
-        bld.sub(out[3], out[3], c5);
-        bld.copy(out[4], c2);
+    fn sub(&self, &a: &usize, &b: &usize) -> usize {
+        self.emit(|dst| SequenceOp::ModSub { dst, a, b })
     }
 
-    // C0 = A0·B0, C1 = A1·B1, C2 = (A0-A1)(B0-B1).
-    let c0_out: [Slot; 5] = bld.temps();
-    let c1_out: [Slot; 5] = bld.temps();
-    let c2_out: [Slot; 5] = bld.temps();
-    let adiff: [Slot; 3] = bld.temps();
-    let bdiff: [Slot; 3] = bld.temps();
-
-    karatsuba3(&mut bld, [a[0], a[1], a[2]], [b[0], b[1], b[2]], c0_out);
-    karatsuba3(&mut bld, [a[3], a[4], a[5]], [b[3], b[4], b[5]], c1_out);
-    for i in 0..3 {
-        bld.sub(adiff[i], a[i], a[3 + i]);
-        bld.sub(bdiff[i], b[i], b[3 + i]);
+    fn copy(&self, src: usize) -> usize {
+        self.emit(|dst| SequenceOp::Copy { dst, src })
     }
-    karatsuba3(&mut bld, adiff, bdiff, c2_out);
-
-    // mid[k] = C0[k] + C1[k] - C2[k]
-    let mid: [Slot; 5] = bld.temps();
-    for k in 0..5 {
-        bld.add(mid[k], c0_out[k], c1_out[k]);
-        bld.sub(mid[k], mid[k], c2_out[k]);
-    }
-
-    // Pre-reduction coefficients d0..d10:
-    //   d[k]   += C0[k]            (k = 0..4)
-    //   d[k+3] += mid[k]           (k = 0..4)
-    //   d[k+6] += C1[k]            (k = 0..4)
-    // then reduce modulo z^6 + z^3 + 1:
-    //   r[j] = d[j]  (j = 0..5)
-    //   d6: r3 -= d6, r0 -= d6;  d7: r4 -= d7, r1 -= d7;  d8: r5 -= d8, r2 -= d8
-    //   d9: r0 += d9;  d10: r1 += d10
-    let [d6, d7] = bld.temps();
-    // d0..d2 = C0[0..2]
-    bld.copy(r[0], c0_out[0]);
-    bld.copy(r[1], c0_out[1]);
-    bld.copy(r[2], c0_out[2]);
-    // d3 = C0[3] + mid[0], d4 = C0[4] + mid[1], d5 = mid[2]
-    bld.add(r[3], c0_out[3], mid[0]);
-    bld.add(r[4], c0_out[4], mid[1]);
-    bld.copy(r[5], mid[2]);
-    // d6 = mid[3] + C1[0], d7 = mid[4] + C1[1], d8 = C1[2], d9 = C1[3], d10 = C1[4]
-    bld.add(d6, mid[3], c1_out[0]);
-    bld.add(d7, mid[4], c1_out[1]);
-    // Reduction.
-    bld.sub(r[3], r[3], d6);
-    bld.sub(r[0], r[0], d6);
-    bld.sub(r[4], r[4], d7);
-    bld.sub(r[1], r[1], d7);
-    bld.sub(r[5], r[5], c1_out[2]);
-    bld.sub(r[2], r[2], c1_out[2]);
-    bld.add(r[0], r[0], c1_out[3]);
-    bld.add(r[1], r[1], c1_out[4]);
-
-    bld.finish()
-}
-
-/// Builds the Jacobian point-addition program (general addition of two
-/// distinct points).
-fn author_ecc_pa() -> Program {
-    let mut bld = ProgramBuilder::new(OpKind::EccPaGeneral, 10);
-    let x1 = bld.input("X1", 0);
-    let y1 = bld.input("Y1", 1);
-    let z1 = bld.input("Z1", 2);
-    let x2 = bld.input("X2", 3);
-    let y2 = bld.input("Y2", 4);
-    let z2 = bld.input("Z2", 5);
-    let x3 = bld.output("X3", 6);
-    let y3 = bld.output("Y3", 7);
-    let z3 = bld.output("Z3", 8);
-    let _a = bld.input("a", 9);
-    let [z1z1, z2z2, u1, u2, s1, s2, h, i, j, rr, v, t0, t1] = bld.temps();
-
-    bld.mul(z1z1, z1, z1);
-    bld.mul(z2z2, z2, z2);
-    bld.mul(u1, x1, z2z2);
-    bld.mul(u2, x2, z1z1);
-    // S1 = Y1 · Z2 · Z2Z2, S2 = Y2 · Z1 · Z1Z1
-    bld.mul(t0, z2, z2z2);
-    bld.mul(s1, y1, t0);
-    bld.mul(t0, z1, z1z1);
-    bld.mul(s2, y2, t0);
-    // H = U2 - U1, I = (2H)², J = H·I
-    bld.sub(h, u2, u1);
-    bld.add(t0, h, h);
-    bld.mul(i, t0, t0);
-    bld.mul(j, h, i);
-    // r = 2(S2 - S1), V = U1·I
-    bld.sub(t0, s2, s1);
-    bld.add(rr, t0, t0);
-    bld.mul(v, u1, i);
-    // X3 = r² - J - 2V
-    bld.mul(t0, rr, rr);
-    bld.sub(t0, t0, j);
-    bld.add(t1, v, v);
-    bld.sub(x3, t0, t1);
-    // Y3 = r(V - X3) - 2·S1·J
-    bld.sub(t0, v, x3);
-    bld.mul(t0, rr, t0);
-    bld.mul(t1, s1, j);
-    bld.add(t1, t1, t1);
-    bld.sub(y3, t0, t1);
-    // Z3 = ((Z1 + Z2)² - Z1Z1 - Z2Z2) · H
-    bld.add(t0, z1, z2);
-    bld.mul(t0, t0, t0);
-    bld.sub(t0, t0, z1z1);
-    bld.sub(t0, t0, z2z2);
-    bld.mul(z3, t0, h);
-
-    bld.finish()
-}
-
-/// Builds the mixed-coordinate point-addition program: Jacobian
-/// `(X1 : Y1 : Z1)` plus an **affine** second operand (`Z2 = 1`), the case
-/// the scalar-multiplication ladder always presents because the addend is
-/// the one-time-normalized base point.
-///
-/// `Z2 = 1` eliminates the general sequence's `Z2²`, `U1 = X1·Z2²` and
-/// `S1 = Y1·Z2·Z2²` multiplications (`U1` and `S1` become the slots `X1`
-/// and `Y1` directly) and collapses the `Z3` tail to `2·(Z1·H)` — the
-/// classic 11-multiplication `madd` formulas. Two further Montgomery
-/// products lift the affine operand into the datapath's Montgomery domain:
-/// the base point is a public constant the MicroBlaze stores **once, in
-/// plain canonical form**, and converting a 160-bit residue in MicroBlaze
-/// software would cost far more than the two `MontMul`s with the preloaded
-/// `R² mod p` constant (slot 5), so the InsRom program pays them itself.
-/// Total: **13 MM + 11 MA/MS** against the general sequence's 16 MM +
-/// 13 MA/MS — the count Table 2's 2888-cycle ECC PA row is consistent
-/// with (see DESIGN.md's calibration section).
-fn author_ecc_pa_mixed() -> Program {
-    let mut bld = ProgramBuilder::new(OpKind::EccPaMixed, 10);
-    let x1 = bld.input("X1", 0);
-    let y1 = bld.input("Y1", 1);
-    let z1 = bld.input("Z1", 2);
-    let x2 = bld.input("X2", 3);
-    let y2 = bld.input("Y2", 4);
-    let rsq = bld.input("R2", 5);
-    let x3 = bld.output("X3", 6);
-    let y3 = bld.output("Y3", 7);
-    let z3 = bld.output("Z3", 8);
-    let [x2m, y2m, z1z1, u2, s2, h, i, j, rr, v, t0, t1] = bld.temps();
-
-    // Lift the plain affine operand into the Montgomery domain.
-    bld.mul(x2m, x2, rsq);
-    bld.mul(y2m, y2, rsq);
-    // Z1Z1 = Z1², U2 = X2·Z1Z1, S2 = Y2·Z1·Z1Z1 (U1 = X1, S1 = Y1).
-    bld.mul(z1z1, z1, z1);
-    bld.mul(u2, x2m, z1z1);
-    bld.mul(t0, z1, z1z1);
-    bld.mul(s2, y2m, t0);
-    // H = U2 - X1, I = (2H)², J = H·I
-    bld.sub(h, u2, x1);
-    bld.add(t0, h, h);
-    bld.mul(i, t0, t0);
-    bld.mul(j, h, i);
-    // r = 2(S2 - Y1), V = X1·I
-    bld.sub(t0, s2, y1);
-    bld.add(rr, t0, t0);
-    bld.mul(v, x1, i);
-    // X3 = r² - J - 2V
-    bld.mul(t0, rr, rr);
-    bld.sub(t0, t0, j);
-    bld.add(t1, v, v);
-    bld.sub(x3, t0, t1);
-    // Y3 = r(V - X3) - 2·Y1·J
-    bld.sub(t0, v, x3);
-    bld.mul(t0, rr, t0);
-    bld.mul(t1, y1, j);
-    bld.add(t1, t1, t1);
-    bld.sub(y3, t0, t1);
-    // Z3 = 2·Z1·H (the (Z1+Z2)² trick degenerates for Z2 = 1)
-    bld.mul(t0, z1, h);
-    bld.add(z3, t0, t0);
-
-    bld.finish()
-}
-
-/// Builds the Jacobian point-doubling program (the InsRom1 doubling:
-/// general `a`, 10 MM + 15 MA/MS).
-fn author_ecc_pd() -> Program {
-    let mut bld = ProgramBuilder::new(OpKind::EccPd, 7);
-    let x1 = bld.input("X1", 0);
-    let y1 = bld.input("Y1", 1);
-    let z1 = bld.input("Z1", 2);
-    let x3 = bld.output("X3", 3);
-    let y3 = bld.output("Y3", 4);
-    let z3 = bld.output("Z3", 5);
-    let a_coeff = bld.input("a", 6);
-    let [aa, bb, cc, dd, ee, ff, t0, t1] = bld.temps();
-
-    // A = X1², B = Y1², C = B²
-    bld.mul(aa, x1, x1);
-    bld.mul(bb, y1, y1);
-    bld.mul(cc, bb, bb);
-    // D = 2((X1+B)² - A - C)
-    bld.add(t0, x1, bb);
-    bld.mul(t0, t0, t0);
-    bld.sub(t0, t0, aa);
-    bld.sub(t0, t0, cc);
-    bld.add(dd, t0, t0);
-    // E = 3A + a·Z1⁴
-    bld.mul(t0, z1, z1);
-    bld.mul(t0, t0, t0);
-    bld.mul(t0, a_coeff, t0);
-    bld.add(ee, aa, aa);
-    bld.add(ee, ee, aa);
-    bld.add(ee, ee, t0);
-    // F = E², X3 = F - 2D
-    bld.mul(ff, ee, ee);
-    bld.add(t0, dd, dd);
-    bld.sub(x3, ff, t0);
-    // Y3 = E(D - X3) - 8C
-    bld.sub(t0, dd, x3);
-    bld.mul(t0, ee, t0);
-    bld.add(t1, cc, cc);
-    bld.add(t1, t1, t1);
-    bld.add(t1, t1, t1);
-    bld.sub(y3, t0, t1);
-    // Z3 = 2·Y1·Z1
-    bld.mul(t0, y1, z1);
-    bld.add(z3, t0, t0);
-
-    bld.finish()
-}
-
-/// Builds the shortened `a = -3` point-doubling program: the classic
-/// "dbl-2001-b" formulas, restructured so every squared quantity is
-/// pre-doubled and the doubling chains shrink.
-///
-/// With `a = -3` the slope numerator factors,
-/// `E = 3·X1² + a·Z1⁴ = 3·(X1 − Z1²)·(X1 + Z1²)`, trading the general
-/// doubling's three squarings (`Z1²`, `Z1⁴`, `a·Z1⁴`) for one squaring
-/// and one product. Squaring `2γ` instead of `γ` (`γ = Y1²`) yields `4γ²`
-/// directly, and multiplying `X1` by `2γ` yields `2β` (`β = X1·γ`), so
-/// the `8β` and `8γ²` terms each need one halving of their doubling
-/// chains. Total: **8 MM + 12 MA/MS** against the general doubling's
-/// 10 MM + 15 MA/MS — the count Table 2's 5793-cycle Type-A ECC PD row is
-/// consistent with (the MicroBlaze generates Type-A sequences on the fly
-/// and the reproduction curve has `a = -3`; see DESIGN.md). The program
-/// is authored in derivation order; the compiler's reordering pass
-/// interleaves the α/γ/β/Z chains for sequencer overlap.
-fn author_ecc_pd_fast() -> Program {
-    let mut bld = ProgramBuilder::new(OpKind::EccPdFast, 7);
-    let x1 = bld.input("X1", 0);
-    let y1 = bld.input("Y1", 1);
-    let z1 = bld.input("Z1", 2);
-    let x3 = bld.output("X3", 3);
-    let y3 = bld.output("Y3", 4);
-    let z3 = bld.output("Z3", 5);
-    // Slot 6 holds `a` in the shared PD layout; the fast program never
-    // reads it (a = -3 is folded into the formulas).
-    let _a = bld.input("a", 6);
-    let [delta, t0, t1, alpha, gamma, g2, g4, beta2, s] = bld.temps();
-
-    // δ = Z1², α = 3(X1 − δ)(X1 + δ)
-    bld.mul(delta, z1, z1);
-    bld.sub(t0, x1, delta);
-    bld.add(t1, x1, delta);
-    bld.mul(alpha, t0, t1);
-    bld.add(t0, alpha, alpha);
-    bld.add(alpha, t0, alpha);
-    // γ = Y1², 4γ² = (2γ)², 2β = X1·(2γ)
-    bld.mul(gamma, y1, y1);
-    bld.add(g2, gamma, gamma);
-    bld.mul(g4, g2, g2);
-    bld.mul(beta2, x1, g2);
-    // X3 = α² − 8β
-    bld.add(t0, beta2, beta2); // 4β
-    bld.add(t1, t0, t0); // 8β
-    bld.mul(s, alpha, alpha);
-    bld.sub(x3, s, t1);
-    // Y3 = α(4β − X3) − 8γ²
-    bld.sub(t0, t0, x3);
-    bld.mul(t0, alpha, t0);
-    bld.add(t1, g4, g4); // 8γ²
-    bld.sub(y3, t0, t1);
-    // Z3 = 2·Y1·Z1
-    bld.mul(t0, y1, z1);
-    bld.add(z3, t0, t0);
-
-    bld.finish()
-}
-
-/// Builds the `Fp6` (torus `T6`) multiplication sequence (legacy shape;
-/// see [`crate::program::compile`] for the typed pipeline).
-pub fn fp6_mul_sequence() -> Vec<SequenceOp> {
-    author_fp6_mul().into_ops()
-}
-
-/// Builds the Jacobian point-addition sequence (general addition of two
-/// distinct points; legacy shape).
-pub fn ecc_pa_sequence() -> Vec<SequenceOp> {
-    author_ecc_pa().into_ops()
-}
-
-/// Builds the mixed-coordinate point-addition sequence (legacy shape; the
-/// derivation is documented on the authoring function in this module).
-#[deprecated(
-    note = "select the `madd` formula through `FormulaDb::best_for` and compile its kind \
-            instead of calling the sequence directly"
-)]
-pub fn ecc_pa_mixed_sequence() -> Vec<SequenceOp> {
-    author_ecc_pa_mixed().into_ops()
-}
-
-/// Builds the Jacobian point-doubling sequence (legacy shape).
-pub fn ecc_pd_sequence() -> Vec<SequenceOp> {
-    author_ecc_pd().into_ops()
-}
-
-/// Builds the shortened `a = -3` point-doubling sequence in authored
-/// (derivation) order; [`crate::program::compile`] additionally schedules
-/// it for sequencer overlap.
-#[deprecated(
-    note = "select the `dbl-2001-b` formula through `FormulaDb::best_for` and compile its \
-            kind instead of calling the sequence directly"
-)]
-pub fn ecc_pd_fast_sequence() -> Vec<SequenceOp> {
-    author_ecc_pd_fast().into_ops()
-}
-
-/// Counts the modular multiplications in a sequence.
-pub fn count_modmuls(ops: &[SequenceOp]) -> usize {
-    ProgramStats::of(ops).modmuls
-}
-
-/// Counts the modular additions/subtractions in a sequence.
-pub fn count_modadds(ops: &[SequenceOp]) -> usize {
-    ProgramStats::of(ops).modaddsubs()
-}
-
-/// Counts the adjacent step pairs the Type-B sequencer may overlap,
-/// using the same [`SequenceOp::may_overlap`] predicate the executing
-/// engine consults: the successor does not consume the predecessor's
-/// result and neither side is a decoder copy. This is the sequence-level
-/// quantity the pipelined Table 2 calibration rests on.
-pub fn independent_neighbour_pairs(ops: &[SequenceOp]) -> usize {
-    ProgramStats::of(ops).independent_neighbour_pairs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::ProgramStats;
+
+    fn pairs(ops: &[SequenceOp]) -> usize {
+        ProgramStats::of(ops).independent_neighbour_pairs
+    }
 
     #[test]
     fn fp6_sequence_matches_paper_operation_count() {
-        let ops = fp6_mul_sequence();
-        assert_eq!(count_modmuls(&ops), 18, "Section 2.2.2: 18M per Fp6 mult");
-        let adds = count_modadds(&ops);
+        let stats = Program::author(OpKind::Fp6Mul).stats();
+        assert_eq!(stats.modmuls, 18, "Section 2.2.2: 18M per Fp6 mult");
+        let adds = stats.modaddsubs();
         assert!((55..=70).contains(&adds), "≈60A expected, found {adds}");
+        assert_eq!(stats.copies, 10, "the decoder copies of the InsRom image");
         // Slot indices stay within the declared layout.
-        assert!(ProgramStats::of(&ops).slot_high_water <= FP6_MUL_SLOTS);
-    }
-
-    #[test]
-    fn slot_arena_allocates_contiguously_and_reports_usage() {
-        let mut arena = SlotArena::new(3, 8);
-        assert_eq!(arena.alloc(), 3);
-        let [a, b] = arena.alloc_n();
-        assert_eq!([a, b], [4, 5]);
-        assert_eq!(arena.used(), 6);
-    }
-
-    #[test]
-    fn slot_arena_overflow_is_a_typed_error_naming_the_program() {
-        let mut arena = SlotArena::named("ecc_pd_fast", 0, 2);
-        assert!(arena.try_alloc().is_ok());
-        assert!(arena.try_alloc().is_ok());
-        let err = arena.try_alloc().unwrap_err();
-        assert_eq!(
-            err,
-            SlotOverflow {
-                owner: "ecc_pd_fast",
-                limit: 2
-            }
-        );
-        assert!(err.to_string().contains("ecc_pd_fast"));
-        assert!(err.to_string().contains("temporary slots exhausted"));
-    }
-
-    #[test]
-    #[should_panic(expected = "temporary slots exhausted")]
-    fn slot_arena_overflow_panics() {
-        let mut arena = SlotArena::new(0, 2);
-        let _ = arena.alloc_n::<3>();
+        assert!(stats.slot_high_water <= FP6_MUL_SLOTS);
     }
 
     #[test]
@@ -606,16 +254,16 @@ mod tests {
         // The Type-B calibration depends on the sequencer finding enough
         // hazard-free neighbour pairs to prefetch across; pin a floor per
         // sequence so reorderings cannot silently serialise Table 2.
-        let fp6 = fp6_mul_sequence();
-        let pa = ecc_pa_sequence();
-        let pd = ecc_pd_sequence();
-        let density = |ops: &[SequenceOp]| (independent_neighbour_pairs(ops), ops.len() - 1);
-        let (fp6_pairs, fp6_total) = density(&fp6);
+        let density = |kind| {
+            let stats = Program::author(kind).stats();
+            (stats.independent_neighbour_pairs, stats.steps - 1)
+        };
+        let (fp6_pairs, fp6_total) = density(OpKind::Fp6Mul);
         assert!(
             fp6_pairs * 2 > fp6_total,
             "Fp6 mult: only {fp6_pairs}/{fp6_total} independent neighbour pairs"
         );
-        let (pa_pairs, pa_total) = density(&pa);
+        let (pa_pairs, pa_total) = density(OpKind::EccPaGeneral);
         assert!(
             pa_pairs * 3 > pa_total,
             "ECC PA: only {pa_pairs}/{pa_total} independent neighbour pairs"
@@ -623,19 +271,21 @@ mod tests {
         // The mixed sequence's Table 2 calibration leans on ten prefetch
         // pairs (2876 = 13 MM + 11 MA/MS + dispatch − 10 overlaps at 160
         // bits); pin the floor so a reorder cannot silently serialise it.
-        let mixed = author(OpKind::EccPaMixed).into_ops();
-        let (mx_pairs, mx_total) = density(&mixed);
+        let (mx_pairs, mx_total) = density(OpKind::EccPaMixed);
         assert!(
             mx_pairs >= 10,
             "ECC mixed PA: only {mx_pairs}/{mx_total} independent neighbour pairs"
         );
         // The doubling sequence is naturally chain-heavier (E and Y3 are
         // long dependent chains), so its floor sits lower.
-        let (pd_pairs, pd_total) = density(&pd);
+        let (pd_pairs, pd_total) = density(OpKind::EccPd);
         assert!(
             pd_pairs * 4 > pd_total,
             "ECC PD: only {pd_pairs}/{pd_total} independent neighbour pairs"
         );
+        // The fast doubling's interleaved order is its Table 2 Type-B
+        // figure: 15 of its 19 neighbour pairs prefetch.
+        assert_eq!(density(OpKind::EccPdFast), (15, 19));
     }
 
     #[test]
@@ -644,46 +294,62 @@ mod tests {
             SequenceOp::ModAdd { dst: 2, a: 0, b: 1 },
             SequenceOp::ModAdd { dst: 3, a: 0, b: 1 },
         ];
-        assert_eq!(independent_neighbour_pairs(&independent), 1);
+        assert_eq!(pairs(&independent), 1);
         let raw = [
             SequenceOp::ModAdd { dst: 2, a: 0, b: 1 },
             SequenceOp::ModAdd { dst: 3, a: 2, b: 1 },
         ];
-        assert_eq!(independent_neighbour_pairs(&raw), 0);
+        assert_eq!(pairs(&raw), 0);
         let copy = [
             SequenceOp::ModAdd { dst: 2, a: 0, b: 1 },
             SequenceOp::Copy { dst: 4, src: 0 },
             SequenceOp::ModAdd { dst: 3, a: 0, b: 1 },
         ];
-        assert_eq!(independent_neighbour_pairs(&copy), 0);
+        assert_eq!(pairs(&copy), 0);
     }
 
     #[test]
     fn ecc_sequences_have_expected_shape() {
-        let pa = ecc_pa_sequence();
-        let pa_mixed = author(OpKind::EccPaMixed).into_ops();
-        let pd = ecc_pd_sequence();
-        let pd_fast = author(OpKind::EccPdFast).into_ops();
-        // Jacobian addition ≈ 16 MM, mixed addition 13 MM (11 madd
-        // multiplications + 2 Montgomery lifts), doubling ≈ 10 MM, fast
+        let stats = |kind| Program::author(kind).stats();
+        let pa = stats(OpKind::EccPaGeneral);
+        let pa_mixed = stats(OpKind::EccPaMixed);
+        let pd = stats(OpKind::EccPd);
+        let pd_fast = stats(OpKind::EccPdFast);
+        // Jacobian addition 16 MM, mixed addition 13 MM (11 madd
+        // multiplications + 2 Montgomery lifts), doubling 10 MM, fast
         // a = -3 doubling 8 MM; PD must stay cheaper than both additions.
-        assert_eq!(count_modmuls(&pa), 16);
-        assert_eq!(count_modmuls(&pa_mixed), 13);
-        assert_eq!(count_modadds(&pa_mixed), 11);
-        assert_eq!(count_modmuls(&pd), 10);
-        assert_eq!(count_modmuls(&pd_fast), 8);
-        assert_eq!(count_modadds(&pd_fast), 12);
-        assert!(pa.len() > pd.len());
+        assert_eq!(pa.modmuls, 16);
+        assert_eq!(pa_mixed.modmuls, 13);
+        assert_eq!(pa_mixed.modaddsubs(), 11);
+        assert_eq!(pd.modmuls, 10);
+        assert_eq!(pd_fast.modmuls, 8);
+        assert_eq!(pd_fast.modaddsubs(), 12);
+        assert!(pa.steps > pd.steps);
         assert!(
-            pa_mixed.len() < pa.len(),
+            pa_mixed.steps < pa.steps,
             "the mixed sequence must be strictly shorter than the general one"
         );
         assert!(
-            pd_fast.len() < pd.len(),
+            pd_fast.steps < pd.steps,
             "the fast doubling must be strictly shorter than the general one"
         );
-        for ops in [&pa, &pa_mixed, &pd, &pd_fast] {
-            assert!(ProgramStats::of(ops).slot_high_water <= ECC_SLOTS);
+        for s in [pa, pa_mixed, pd, pd_fast] {
+            assert!(s.slot_high_water <= ECC_SLOTS);
+            assert_eq!(s.copies, 0);
+        }
+    }
+
+    #[test]
+    fn outputs_are_written_once_with_their_final_value() {
+        // Recording writes each output slot exactly once, by the step that
+        // produces its final value — no trailing copies, no scratch use.
+        for kind in OpKind::ALL {
+            let program = Program::author(kind);
+            for &out in program.outputs() {
+                let writes: Vec<_> = program.ops().iter().filter(|op| op.dest() == out).collect();
+                assert_eq!(writes.len(), 1, "{kind}: slot {out} written {writes:?}");
+                assert!(!writes[0].is_copy(), "{kind}: slot {out} ends in a copy");
+            }
         }
     }
 
@@ -693,8 +359,8 @@ mod tests {
         // as a coordinate: its operand block is X2 (3), Y2 (4) and the R²
         // lift constant (5), and the two lifts are the only steps that may
         // read the plain-form slots 3 and 4.
-        let ops = author(OpKind::EccPaMixed).into_ops();
-        for (idx, op) in ops.iter().enumerate() {
+        let program = Program::author(OpKind::EccPaMixed);
+        for (idx, op) in program.ops().iter().enumerate() {
             for src in op.sources() {
                 if src == 3 || src == 4 || src == 5 {
                     assert!(
@@ -711,7 +377,7 @@ mod tests {
     fn fast_pd_never_reads_the_curve_coefficient() {
         // a = -3 is folded into the factored slope: the program must not
         // touch slot 6 (`a`), and must not overwrite its inputs.
-        for op in author(OpKind::EccPdFast).into_ops() {
+        for op in Program::author(OpKind::EccPdFast).ops() {
             assert!(!op.sources().contains(&6), "fast PD reads `a`: {op:?}");
             assert_ne!(op.dest(), 6);
             assert!(op.dest() >= 3, "fast PD overwrites an input: {op:?}");

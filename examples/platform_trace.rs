@@ -7,10 +7,7 @@
 use bignum::BigUint;
 use ceilidh::CeilidhParams;
 use platform::isa::{Core, MicroOp, Program};
-use platform::{
-    compile, count_modadds, count_modmuls, Coprocessor, CostModel, FormulaDb, Hierarchy, OpKind,
-    Platform,
-};
+use platform::{compile, Coprocessor, CostModel, FormulaDb, Hierarchy, OpKind, Platform};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Level 3: a microinstruction program on a single core. ------------
@@ -53,14 +50,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Level 2: the formula database behind the InsRom1 sequences. -------
     println!("\n== level 2: formula database (InsRom1 sequences) ==");
     for formula in FormulaDb::builtin().formulas() {
-        let seq = platform::program::Program::author(formula.kind()).into_ops();
+        let stats = platform::program::Program::author(formula.kind()).stats();
         println!(
-            "{:<14} ({}): {} steps = {} MM + {} MA/MS",
+            "{:<14} ({}): {} steps = {} MM + {} MA/MS + {} copies",
             formula.name(),
             formula.kind(),
-            seq.len(),
-            count_modmuls(&seq),
-            count_modadds(&seq)
+            stats.steps,
+            stats.modmuls,
+            stats.modaddsubs(),
+            stats.copies
         );
     }
     let curve = ecc::Curve::p160_reproduction()?;
@@ -76,7 +74,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Level 2: the pass pipeline + program cache. -----------------------
     println!("\n== level 2: pass pipeline (Program -> passes -> CompiledProgram) ==");
-    let compiled = compile(OpKind::EccPdFast, 160, &CostModel::paper());
+    // The paper calibration only validates the recorded program; turning
+    // the search pass on shows a pass that rewrites it.
+    let searched = CostModel::paper().with_search(true);
+    let compiled = compile(OpKind::EccPdFast, 160, &searched);
     for pass in compiled.passes() {
         println!(
             "pass {:<14} steps {:>2} -> {:<2} prefetch pairs {:>2} -> {:<2} scored cycles {:>5} -> {:<5}",
@@ -90,9 +91,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let plat_cache = Platform::new(CostModel::paper(), 4, Hierarchy::TypeB);
-    let _ = plat_cache.ecc_point_doubling_fast_report(160);
-    let _ = plat_cache.ecc_point_doubling_fast_report(160);
-    let _ = plat_cache.ecc_point_doubling_report(160);
+    let _ = plat_cache.composite_report(OpKind::EccPdFast, 160);
+    let _ = plat_cache.composite_report(OpKind::EccPdFast, 160);
+    let _ = plat_cache.composite_report(OpKind::EccPd, 160);
     println!(
         "program cache after three reports: {} programs, {} hits / {} misses",
         plat_cache.program_cache().len(),

@@ -16,7 +16,7 @@
 use bignum::BigUint;
 use ecc::{AffinePoint, Curve, CurveSpec, ScalarMulAlgorithm};
 use field::FpContext;
-use platform::{CostModel, Hierarchy, Platform};
+use platform::{CostModel, Hierarchy, OpKind, Platform};
 use proptest::prelude::*;
 
 /// Builds a random short-Weierstrass curve over the toy prime 1009 from a
@@ -102,8 +102,8 @@ proptest! {
         ] {
             for hierarchy in [Hierarchy::TypeA, Hierarchy::TypeB] {
                 let plat = Platform::new(cost, 4, hierarchy);
-                let mixed = plat.ecc_point_addition_mixed_report(bits);
-                let general = plat.ecc_point_addition_report(bits);
+                let mixed = plat.composite_report(OpKind::EccPaMixed, bits);
+                let general = plat.composite_report(OpKind::EccPaGeneral, bits);
                 prop_assert!(
                     mixed.cycles < general.cycles,
                     "mixed {} !< general {} at {} bits ({:?})",
@@ -164,10 +164,10 @@ fn mixed_pa_reproduces_table2_within_tolerance() {
     let paper_type_a = 7185.0;
     let paper_type_b = 2888.0;
     let a = Platform::new(CostModel::paper(), 4, Hierarchy::TypeA)
-        .ecc_point_addition_mixed_report(160)
+        .composite_report(OpKind::EccPaMixed, 160)
         .cycles as f64;
     let b = Platform::new(CostModel::paper(), 4, Hierarchy::TypeB)
-        .ecc_point_addition_mixed_report(160)
+        .composite_report(OpKind::EccPaMixed, 160)
         .cycles as f64;
     let delta_a = 100.0 * (a - paper_type_a) / paper_type_a;
     let delta_b = 100.0 * (b - paper_type_b) / paper_type_b;

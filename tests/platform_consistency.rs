@@ -4,7 +4,7 @@
 use bignum::BigUint;
 use ecc::Curve;
 use field::Fp6Context;
-use platform::{Coprocessor, CostModel, Hierarchy, Platform};
+use platform::{Coprocessor, CostModel, Hierarchy, OpKind, Platform};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -33,16 +33,16 @@ fn table2_shape() {
     let b = Platform::new(CostModel::paper(), 4, Hierarchy::TypeB);
     let pairs = [
         (
-            a.fp6_multiplication_report(170),
-            b.fp6_multiplication_report(170),
+            a.composite_report(OpKind::Fp6Mul, 170),
+            b.composite_report(OpKind::Fp6Mul, 170),
         ),
         (
-            a.ecc_point_addition_report(160),
-            b.ecc_point_addition_report(160),
+            a.composite_report(OpKind::EccPaGeneral, 160),
+            b.composite_report(OpKind::EccPaGeneral, 160),
         ),
         (
-            a.ecc_point_doubling_report(160),
-            b.ecc_point_doubling_report(160),
+            a.composite_report(OpKind::EccPd, 160),
+            b.composite_report(OpKind::EccPd, 160),
         ),
     ];
     for (ra, rb) in pairs {
@@ -55,7 +55,7 @@ fn table2_shape() {
         );
     }
     // The T6 multiplication issues 18 MM + ~60 MA/MS, as in Section 2.2.2.
-    let t6 = b.fp6_multiplication_report(170);
+    let t6 = b.composite_report(OpKind::Fp6Mul, 170);
     assert_eq!(t6.modmuls, 18);
     assert!((55..=70).contains(&(t6.modadds + t6.modsubs)));
 }

@@ -119,15 +119,13 @@ proptest! {
 fn paper_calibration_is_bit_identical_with_search_off() {
     // The 27 gated paper-reproduction rows rest on this: `paper()` keeps
     // the search layer off, so compilation under the published
-    // calibration must not change a single step.
+    // calibration must not change a single recorded step.
     let paper = CostModel::paper();
     assert!(!paper.uses_search());
     for kind in OpKind::ALL {
         let compiled = compile(kind, 160, &paper);
-        let authored = platform::program::compile_unoptimized(kind, 160, &paper);
-        if OpKind::LEGACY.contains(&kind) {
-            assert_eq!(compiled.ops(), authored.ops(), "{kind}");
-        }
+        let recorded = platform::program::Program::author(kind);
+        assert_eq!(compiled.ops(), recorded.ops(), "{kind}");
     }
 }
 
