@@ -284,32 +284,26 @@ pub mod metrics {
     }
 
     /// The beyond-paper 256-bit rows: one PA, one PD and one full scalar
-    /// multiplication per standards curve and hierarchy, produced by the
-    /// *drivers* on the real curves (not the curve-independent composite
-    /// reports) so the `a = -3` dispatch is part of what is gated —
-    /// P-256 rows price the shortened 8-MM doubling, secp256k1 rows the
-    /// general 10-MM one.
+    /// multiplication per standards curve and hierarchy. PA and PD price
+    /// the programs the ladder derives for the real curve
+    /// ([`Platform::ladder_kinds`]), so the `a = -3` dispatch is part of
+    /// what is gated — P-256 rows price the shortened 8-MM doubling,
+    /// secp256k1 rows the general 10-MM one.
     fn beyond_paper_rows() -> Vec<(String, u64)> {
         let k = bignum::BigUint::from_hex(PREDICTION_SCALAR_HEX).expect("valid scalar constant");
         let mut out = Vec::new();
         for (curve_name, key) in [("secp256k1", "secp256k1"), ("p256", "p256")] {
             let curve = ecc::Curve::by_name(curve_name).expect("registered curve");
+            let bits = curve.fp().modulus().bit_len();
             let g = curve.base_point().clone();
-            // A generic-Z (Z ≠ 1) operand, as the ladder's accumulator is.
-            let acc = curve.jacobian_double(&curve.to_jacobian(&g));
             for (hierarchy, suffix) in [(Hierarchy::TypeA, "type_a"), (Hierarchy::TypeB, "type_b")]
             {
                 let plat = Platform::new(CostModel::paper(), 4, hierarchy);
-                let (_, pa) = plat.run_ecc_point_addition_mixed(&curve, &acc, &g);
-                out.push((format!("ecc_pa_mixed_{key}_{suffix}"), pa.cycles));
-                let (pd_name, pd) = if curve.a_is_minus_three() {
-                    let (_, r) = plat.run_ecc_point_doubling_fast(&curve, &acc);
-                    (format!("ecc_pd_fast_{key}_{suffix}"), r)
-                } else {
-                    let (_, r) = plat.run_ecc_point_doubling(&curve, &acc);
-                    (format!("ecc_pd_{key}_{suffix}"), r)
-                };
-                out.push((pd_name, pd.cycles));
+                let (pd, pa) = plat.ladder_kinds(&curve);
+                for kind in [pa, pd] {
+                    let cycles = plat.composite_report(kind, bits).cycles;
+                    out.push((format!("{kind}_{key}_{suffix}"), cycles));
+                }
                 let (_, ladder) = plat.ecc_scalar_multiplication(&curve, &g, &k);
                 out.push((format!("ecc_scalar_mult_{key}_{suffix}"), ladder.cycles));
             }

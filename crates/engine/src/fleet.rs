@@ -150,33 +150,22 @@ impl Fleet {
     /// # Panics
     ///
     /// Panics if the name is not registered (see [`Curve::by_name`]).
-    fn curve(&mut self, name: &str) -> &Curve {
-        self.curves.entry(name.to_string()).or_insert_with(|| {
+    fn curve<'a>(curves: &'a mut BTreeMap<String, Curve>, name: &str) -> &'a Curve {
+        curves.entry(name.to_string()).or_insert_with(|| {
             Curve::by_name(name).unwrap_or_else(|e| panic!("unknown curve in request: {e:?}"))
         })
     }
 
     /// The level-2 programs a batch of `class` fetches before serving:
-    /// the ladder's PD + PA pair for ECC (honouring the cost-model
-    /// knobs), the `Fp6` multiplication for the torus, and none for RSA
-    /// (whose ladder is raw MicroBlaze-driven Montgomery
-    /// multiplications).
+    /// the ladder's PD + PA pair for ECC ([`Platform::ladder_kinds`]),
+    /// the `Fp6` multiplication for the torus, and none for RSA (whose
+    /// ladder is raw MicroBlaze-driven Montgomery multiplications).
     fn class_programs(&mut self, class: &WorkClass) -> Vec<(OpKind, usize)> {
-        let cost = self.config.cost;
         match class {
             WorkClass::Ecc { curve } => {
-                let curve = self.curve(&curve.clone());
+                let curve = Self::curve(&mut self.curves, curve);
                 let bits = curve.fp().modulus().bit_len();
-                let pd = if cost.uses_fast_pd() && curve.a_is_minus_three() {
-                    OpKind::EccPdFast
-                } else {
-                    OpKind::EccPd
-                };
-                let pa = if cost.uses_mixed_pa() {
-                    OpKind::EccPaMixed
-                } else {
-                    OpKind::EccPaGeneral
-                };
+                let (pd, pa) = self.pricer.ladder_kinds(curve);
                 vec![(pd, bits), (pa, bits)]
             }
             WorkClass::Rsa { .. } => vec![],
@@ -202,10 +191,10 @@ impl Fleet {
             return cycles;
         }
         let cycles = match class {
-            WorkClass::Ecc { curve } => {
+            WorkClass::Ecc { .. } => {
                 let programs = self.class_programs(class);
-                let bits = self.curve(&curve.clone()).fp().modulus().bit_len() as u64;
                 let (pd, pa) = (programs[0], programs[1]);
+                let bits = pd.1 as u64;
                 let pd_cycles = self.pricer.composite_report(pd.0, pd.1).cycles;
                 let pa_cycles = self.pricer.composite_report(pa.0, pa.1).cycles;
                 bits * pd_cycles + (bits / 2) * pa_cycles

@@ -168,9 +168,7 @@ impl Coprocessor {
             // data-memory traffic).
             let mut boundary_words = vec![0u64; cores];
             let mut phase_b_core_cycles = vec![0u64; cores];
-            let phase_b_mem = 0u64;
             for (j, range) in ranges.iter().enumerate() {
-                let _ = j;
                 let mut carry: u128 = 0;
                 let mut ops = 0u64;
                 for m in range.start..range.end {
@@ -204,11 +202,8 @@ impl Coprocessor {
                 instructions += ops;
                 phase_b_core_cycles[j] = ops * self.cost.mac_cycles;
             }
-            // Parallel phase: longest core determines the latency; memory
-            // fetches serialise on the single port.
-            seq_cycles += phase_b_core_cycles.iter().copied().max().unwrap_or(0)
-                + phase_b_mem * self.cost.mem_cycles;
-            memory_accesses += phase_b_mem;
+            // Parallel phase: the longest core determines the latency.
+            seq_cycles += phase_b_core_cycles.iter().copied().max().unwrap_or(0);
 
             // ---- Phase C: word transfers between neighbouring cores. -----
             // Core j's lowest result word becomes core j-1's new top limb.
@@ -216,25 +211,10 @@ impl Coprocessor {
                 let dest_top = ranges[j - 1].end - 1;
                 z[dest_top] = boundary_words[j];
             }
-            if s > 0 {
-                // The global top limb is refreshed from the last core's
-                // pending carry stream at the end (handled after the loop);
-                // within the loop the top limb simply receives the shifted
-                // word, which for the last core comes from its own carry.
-                let last = cores - 1;
-                let top = ranges[last].end - 1;
-                if ranges[last].end - ranges[last].start == 1 && cores > 1 {
-                    // A single-limb last core already wrote its boundary word
-                    // into the previous core; its own top limb comes from the
-                    // pending carry in the next iteration.
-                    z[top] = 0;
-                } else if cores == 1 {
-                    // Single-core: the top limb is produced by the carry.
-                    z[top] = 0;
-                } else {
-                    z[top] = 0;
-                }
-            }
+            // The global top limb holds no shifted word: its value is the
+            // last core's pending carry, which re-enters next iteration and
+            // is folded in after the loop.
+            z[s - 1] = 0;
             let transfers = (cores - 1) as u64;
             seq_cycles += transfers * self.cost.transfer_cycles;
             instructions += 2 * transfers;

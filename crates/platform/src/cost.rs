@@ -318,6 +318,11 @@ impl CostModel {
         bits.div_ceil(self.word_bits)
     }
 
+    /// Cycles of one decoder-driven data-memory copy: a read and a write.
+    pub(crate) fn copy_cycles(&self) -> u64 {
+        2 * self.mem_cycles
+    }
+
     /// Converts a cycle count to milliseconds at the configured clock.
     pub fn cycles_to_ms(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.clock_mhz * 1e3)

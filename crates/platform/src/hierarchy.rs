@@ -12,10 +12,16 @@
 //! * **Type-B** — the sequence is stored in the coprocessor's second
 //!   instruction ROM (InsRom1); the MicroBlaze issues a single composite
 //!   instruction and services a single interrupt.
+//!
+//! One walk applies these rules, together with the Type-B sequencer's
+//! operand prefetch: execution feeds it the cycles the coprocessor spends
+//! on each step, [`SequencePricing`] feeds it a static per-op table, and
+//! the search pass steps it once per candidate schedule prefix.
 
 use bignum::BigUint;
 
 use crate::coprocessor::Coprocessor;
+use crate::cost::CostModel;
 use crate::report::ExecutionReport;
 
 /// Control-hierarchy variant.
@@ -124,123 +130,158 @@ impl SequenceOp {
     }
 }
 
-/// Executes level-2 sequences on the coprocessor under a given hierarchy.
-#[derive(Debug, Clone)]
-pub struct SequenceEngine {
+/// The sequencer's accounting over one level-2 sequence — the only code
+/// that applies the hierarchy rules of Figs. 3 and 4:
+///
+/// * each step's own price;
+/// * on Type-B under the pipelined schedule, the operand-prefetch credit
+///   of a [`SequenceOp::may_overlap`] neighbour, capped by the
+///   predecessor's own cycles and by the running total;
+/// * on Type-A, one register access and interrupt per modular operation;
+/// * on Type-B, one composite issue and interrupt per sequence;
+/// * the operation counters.
+///
+/// Three callers feed it: [`Platform::execute`](crate::Platform::execute)
+/// passes the cycles the coprocessor spends executing each step,
+/// [`SequencePricing`] passes its static per-op table, and the search
+/// pass advances one walk per candidate prefix, step by step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Walk {
     hierarchy: Hierarchy,
+    /// Prefetch credit one independent neighbour pair can earn.
+    overlap_budget: u64,
+    interrupt_cycles: u64,
+    issue_cycles: u64,
+    /// The previous step's own cycles (the cap on the next credit).
+    prev_cycles: u64,
+    report: ExecutionReport,
 }
 
-impl SequenceEngine {
-    /// Creates an engine for the given hierarchy.
-    pub fn new(hierarchy: Hierarchy) -> Self {
-        SequenceEngine { hierarchy }
-    }
-
-    /// The hierarchy this engine models.
-    pub fn hierarchy(&self) -> Hierarchy {
-        self.hierarchy
-    }
-
-    /// Executes `ops` against `slots` (values reduced modulo `modulus`),
-    /// returning the cycle/operation accounting.
-    ///
-    /// Montgomery products operate on whatever representation the slots are
-    /// in; callers that need plain-domain results are responsible for the
-    /// domain conversions (see `Platform`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a slot index is out of range.
-    pub fn run(
-        &self,
-        coprocessor: &Coprocessor,
-        modulus: &BigUint,
-        slots: &mut [BigUint],
-        ops: &[SequenceOp],
-    ) -> ExecutionReport {
-        let mut report = ExecutionReport::default();
+impl Walk {
+    /// An empty walk over `bits`-bit operands under `cost` and `hierarchy`.
+    pub(crate) fn new(cost: &CostModel, bits: usize, hierarchy: Hierarchy) -> Self {
         // Under the pipelined schedule the Type-B sequencer prefetches the
         // next step's operand words from the data memory while the current
         // step's MAC tail drains — one limb-stream worth of memory cycles
-        // per independent neighbour pair. Eligibility is decided by
-        // `SequenceOp::may_overlap` (RAW hazards and decoder copies forbid
-        // it); Type-A cannot overlap anything because control returns to
-        // the MicroBlaze between steps.
-        let cost = coprocessor.cost();
-        let overlap_budget = if self.hierarchy == Hierarchy::TypeB && cost.is_pipelined() {
-            cost.limbs(modulus.bit_len()) as u64 * cost.mem_cycles
+        // per independent neighbour pair. Type-A cannot overlap anything
+        // because control returns to the MicroBlaze between steps.
+        let overlap_budget = if hierarchy == Hierarchy::TypeB && cost.is_pipelined() {
+            cost.limbs(bits) as u64 * cost.mem_cycles
         } else {
             0
         };
-        let mut prev: Option<(&SequenceOp, u64)> = None;
-        for op in ops {
-            if let Some((prev_op, prev_cycles)) = prev {
-                if SequenceOp::may_overlap(prev_op, op) {
-                    // A prefetch can hide at most under the predecessor's
-                    // own duration.
-                    let credit = overlap_budget.min(prev_cycles).min(report.cycles);
-                    report.cycles -= credit;
-                    report.overlapped_cycles += credit;
-                }
-            }
-            let cycles_before = report.cycles;
-            match *op {
-                SequenceOp::MontMul { dst, a, b } => {
-                    let r = coprocessor.mont_mul(&slots[a], &slots[b], modulus);
-                    slots[dst] = r.value;
-                    report.cycles += r.cycles;
-                    report.modmuls += 1;
-                }
-                SequenceOp::ModAdd { dst, a, b } => {
-                    let r = coprocessor.mod_add(&slots[a], &slots[b], modulus);
-                    slots[dst] = r.value;
-                    report.cycles += r.cycles;
-                    report.modadds += 1;
-                }
-                SequenceOp::ModSub { dst, a, b } => {
-                    let r = coprocessor.mod_sub(&slots[a], &slots[b], modulus);
-                    slots[dst] = r.value;
-                    report.cycles += r.cycles;
-                    report.modsubs += 1;
-                }
-                SequenceOp::Copy { dst, src } => {
-                    slots[dst] = slots[src].clone();
-                    // Two memory accesses through the decoder.
-                    report.cycles += 2 * coprocessor.cost().mem_cycles;
-                }
-            }
-            prev = Some((op, report.cycles - cycles_before));
-            // Type-A: every modular operation is issued through register A
-            // and completes with an interrupt back to the MicroBlaze.
-            if self.hierarchy == Hierarchy::TypeA && !matches!(op, SequenceOp::Copy { .. }) {
-                report.cycles += coprocessor.cost().interrupt_cycles;
-                report.interrupts += 1;
-                report.register_accesses += 1;
-            }
+        Walk {
+            hierarchy,
+            overlap_budget,
+            interrupt_cycles: cost.interrupt_cycles,
+            issue_cycles: cost.issue_cycles,
+            prev_cycles: 0,
+            report: ExecutionReport::default(),
         }
-        // Type-B: a single composite instruction and a single interrupt per
-        // sequence.
-        if self.hierarchy == Hierarchy::TypeB {
-            report.cycles += coprocessor.cost().interrupt_cycles + coprocessor.cost().issue_cycles;
+    }
+
+    /// Charges one step costing `cycles` on its own; `overlaps` says
+    /// whether the sequencer may prefetch its operands under the previous
+    /// step.
+    pub(crate) fn step(&mut self, op: &SequenceOp, overlaps: bool, cycles: u64) {
+        let report = &mut self.report;
+        if overlaps {
+            let credit = self.overlap_budget.min(self.prev_cycles).min(report.cycles);
+            report.cycles -= credit;
+            report.overlapped_cycles += credit;
+        }
+        report.cycles += cycles;
+        self.prev_cycles = cycles;
+        match op {
+            SequenceOp::MontMul { .. } => report.modmuls += 1,
+            SequenceOp::ModAdd { .. } => report.modadds += 1,
+            SequenceOp::ModSub { .. } => report.modsubs += 1,
+            // The decoder handles copies without the MicroBlaze.
+            SequenceOp::Copy { .. } => return,
+        }
+        if self.hierarchy == Hierarchy::TypeA {
+            report.cycles += self.interrupt_cycles;
             report.interrupts += 1;
             report.register_accesses += 1;
         }
-        report
     }
+
+    /// Cycles charged so far, before the Type-B tail.
+    pub(crate) fn cycles(&self) -> u64 {
+        self.report.cycles
+    }
+
+    /// Walks `ops` in order, taking each step's own cycles from
+    /// `step_cycles`, and closes the sequence.
+    pub(crate) fn run(
+        mut self,
+        ops: &[SequenceOp],
+        mut step_cycles: impl FnMut(&SequenceOp) -> u64,
+    ) -> ExecutionReport {
+        let mut prev: Option<&SequenceOp> = None;
+        for op in ops {
+            let overlaps = prev.is_some_and(|p| SequenceOp::may_overlap(p, op));
+            self.step(op, overlaps, step_cycles(op));
+            prev = Some(op);
+        }
+        if self.hierarchy == Hierarchy::TypeB {
+            self.report.cycles += self.interrupt_cycles + self.issue_cycles;
+            self.report.interrupts += 1;
+            self.report.register_accesses += 1;
+        }
+        self.report
+    }
+}
+
+/// Executes `ops` against `slots` (values reduced modulo `modulus`) on
+/// `coprocessor`, walking them under `hierarchy` with each step's executed
+/// cycles.
+///
+/// Montgomery products operate on whatever representation the slots are
+/// in; callers that need plain-domain results convert (see `Platform`).
+///
+/// # Panics
+///
+/// Panics if a slot index is out of range.
+pub(crate) fn execute(
+    coprocessor: &Coprocessor,
+    hierarchy: Hierarchy,
+    modulus: &BigUint,
+    slots: &mut [BigUint],
+    ops: &[SequenceOp],
+) -> ExecutionReport {
+    let cost = coprocessor.cost();
+    Walk::new(cost, modulus.bit_len(), hierarchy).run(ops, |op| {
+        let (dst, result) = match *op {
+            SequenceOp::MontMul { dst, a, b } => {
+                (dst, coprocessor.mont_mul(&slots[a], &slots[b], modulus))
+            }
+            SequenceOp::ModAdd { dst, a, b } => {
+                (dst, coprocessor.mod_add(&slots[a], &slots[b], modulus))
+            }
+            SequenceOp::ModSub { dst, a, b } => {
+                (dst, coprocessor.mod_sub(&slots[a], &slots[b], modulus))
+            }
+            SequenceOp::Copy { dst, src } => {
+                slots[dst] = slots[src].clone();
+                return cost.copy_cycles();
+            }
+        };
+        slots[dst] = result.value;
+        result.cycles
+    })
 }
 
 /// Static cycle pricing of level-2 sequences — the scorer of the
 /// superoptimizing search pass.
 ///
-/// [`SequencePricing::sequence_cycles`] replays exactly the accounting
-/// walk the executing sequence engine charges (per-op prices, the prefetch
-/// credit of [`SequenceOp::may_overlap`] neighbours capped by the
-/// predecessor's own duration, the hierarchy's interrupt overheads)
-/// without executing any arithmetic, so a candidate reordering can be
-/// priced in microseconds instead of milliseconds. It lives next to the
-/// engine so the two walks cannot drift apart; the
-/// `pricing_matches_the_executing_engine` test pins them cycle-identical
-/// on every sequence kind.
+/// [`SequencePricing::sequence_cycles`] feeds the executing platform's
+/// walk a static per-op table instead of executing any arithmetic, so a
+/// candidate reordering can be priced in microseconds instead of
+/// milliseconds. The table is probed once on the coprocessor that will
+/// run the sequences, so it follows its core count (Fig. 5); the
+/// `pricing_matches_the_executing_engine` test pins it cycle-identical to
+/// execution on every sequence kind.
 ///
 /// Prices are taken at the *calibrated* case (no MA correction, no MS
 /// add-back — the constant-time dual-path case, and Table 1's reported
@@ -254,41 +295,20 @@ pub struct SequencePricing {
     mod_add: u64,
     mod_sub: u64,
     copy: u64,
-    overlap_budget: u64,
-    /// Type-A: one interrupt + register access after every non-copy op.
-    per_op_overhead: u64,
-    /// Type-B: one composite issue + interrupt for the whole sequence.
-    tail: u64,
+    walk: Walk,
 }
 
 impl SequencePricing {
-    /// Prices sequences of `bits`-bit operands under `cost` and
-    /// `hierarchy`, probing a paper-shaped 4-core coprocessor (per-op
-    /// latencies do not depend on the core count consulted here beyond
-    /// what `cost` already fixes).
-    pub fn new(cost: &crate::cost::CostModel, bits: usize, hierarchy: Hierarchy) -> Self {
-        let probe = Coprocessor::new(*cost, 4);
-        let overlap_budget = if hierarchy == Hierarchy::TypeB && cost.is_pipelined() {
-            cost.limbs(bits) as u64 * cost.mem_cycles
-        } else {
-            0
-        };
+    /// Prices sequences of `bits`-bit operands on `coprocessor` under
+    /// `hierarchy`.
+    pub fn new(coprocessor: &Coprocessor, bits: usize, hierarchy: Hierarchy) -> Self {
+        let cost = coprocessor.cost();
         SequencePricing {
-            mont_mul: probe.mont_mul_cycles(bits),
-            mod_add: probe.mod_add_cycles(bits),
-            mod_sub: probe.mod_sub_cycles(bits),
-            copy: 2 * cost.mem_cycles,
-            overlap_budget,
-            per_op_overhead: if hierarchy == Hierarchy::TypeA {
-                cost.interrupt_cycles
-            } else {
-                0
-            },
-            tail: if hierarchy == Hierarchy::TypeB {
-                cost.interrupt_cycles + cost.issue_cycles
-            } else {
-                0
-            },
+            mont_mul: coprocessor.mont_mul_cycles(bits),
+            mod_add: coprocessor.mod_add_cycles(bits),
+            mod_sub: coprocessor.mod_sub_cycles(bits),
+            copy: cost.copy_cycles(),
+            walk: Walk::new(cost, bits, hierarchy),
         }
     }
 
@@ -303,38 +323,20 @@ impl SequencePricing {
         }
     }
 
-    /// The prefetch credit one independent neighbour pair can earn (the
-    /// limb-stream memory cycles hidden under the predecessor's tail).
-    pub fn overlap_budget(&self) -> u64 {
-        self.overlap_budget
+    /// An empty walk under this pricing's hierarchy and operand length.
+    pub(crate) fn walk(&self) -> Walk {
+        self.walk
     }
 
-    /// Total cycles the engine would charge for `ops` — the same walk
-    /// the executing sequence engine performs, arithmetic elided.
+    /// Total cycles executing `ops` would charge.
     pub fn sequence_cycles(&self, ops: &[SequenceOp]) -> u64 {
-        let mut cycles = 0u64;
-        let mut prev: Option<(&SequenceOp, u64)> = None;
-        for op in ops {
-            if let Some((prev_op, prev_cycles)) = prev {
-                if SequenceOp::may_overlap(prev_op, op) {
-                    cycles -= self.overlap_budget.min(prev_cycles).min(cycles);
-                }
-            }
-            let own = self.op_cycles(op);
-            cycles += own;
-            prev = Some((op, own));
-            if !op.is_copy() {
-                cycles += self.per_op_overhead;
-            }
-        }
-        cycles + self.tail
+        self.walk.run(ops, |op| self.op_cycles(op)).cycles
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostModel;
 
     fn setup() -> (Coprocessor, BigUint, Vec<BigUint>) {
         let cp = Coprocessor::new(CostModel::paper(), 4);
@@ -351,13 +353,12 @@ mod tests {
     #[test]
     fn sequence_ops_compute_modular_arithmetic() {
         let (cp, p, mut slots) = setup();
-        let engine = SequenceEngine::new(Hierarchy::TypeB);
         let ops = [
             SequenceOp::ModAdd { dst: 2, a: 0, b: 1 },
             SequenceOp::ModSub { dst: 3, a: 0, b: 1 },
             SequenceOp::Copy { dst: 0, src: 2 },
         ];
-        let report = engine.run(&cp, &p, &mut slots, &ops);
+        let report = execute(&cp, Hierarchy::TypeB, &p, &mut slots, &ops);
         assert_eq!(slots[2].to_u64(), Some(12));
         assert_eq!(
             slots[3],
@@ -386,8 +387,8 @@ mod tests {
             SequenceOp::ModAdd { dst: 3, a: 0, b: 1 },
             SequenceOp::ModAdd { dst: 3, a: 0, b: 1 },
         ];
-        let a = SequenceEngine::new(Hierarchy::TypeA).run(&cp, &p, &mut slots.clone(), &ops);
-        let b = SequenceEngine::new(Hierarchy::TypeB).run(&cp, &p, &mut slots, &ops);
+        let a = execute(&cp, Hierarchy::TypeA, &p, &mut slots.clone(), &ops);
+        let b = execute(&cp, Hierarchy::TypeB, &p, &mut slots, &ops);
         assert_eq!(a.interrupts, 3);
         assert_eq!(b.interrupts, 1);
         assert!(a.cycles > b.cycles);
@@ -410,50 +411,51 @@ mod tests {
             SequenceOp::ModAdd { dst: 2, a: 0, b: 1 },
             SequenceOp::ModAdd { dst: 3, a: 2, b: 1 },
         ];
-        let engine = SequenceEngine::new(Hierarchy::TypeB);
-        let ri = engine.run(&cp, &p, &mut slots.clone(), &independent);
-        let rd = engine.run(&cp, &p, &mut slots, &dependent);
+        let ri = execute(&cp, Hierarchy::TypeB, &p, &mut slots.clone(), &independent);
+        let rd = execute(&cp, Hierarchy::TypeB, &p, &mut slots, &dependent);
         assert!(ri.overlapped_cycles > 0, "independent pair must overlap");
         assert_eq!(rd.overlapped_cycles, 0, "RAW hazard forbids overlap");
         assert!(ri.cycles < rd.cycles);
         // Type-A never overlaps: control bounces back to the MicroBlaze.
         let (_, _, mut fresh_slots) = setup();
-        let ra = SequenceEngine::new(Hierarchy::TypeA).run(&cp, &p, &mut fresh_slots, &independent);
+        let ra = execute(&cp, Hierarchy::TypeA, &p, &mut fresh_slots, &independent);
         assert_eq!(ra.overlapped_cycles, 0);
     }
 
     #[test]
     fn pricing_matches_the_executing_engine() {
-        // The scorer must charge exactly what the engine charges — on
+        // The scorer must charge exactly what execution charges — on
         // every sequence kind, at both hierarchies, for paper-shaped
-        // operand lengths. (Pinned under the dual-path calibration, whose
-        // MA/MS microcode is constant-time by construction; conditional
-        // correction adds a data-dependent, order-invariant surcharge the
-        // scorer deliberately prices at the calibrated case.)
+        // operand lengths, on every core count (MM latency follows the
+        // core count, Fig. 5). Pinned under the dual-path calibration,
+        // whose MA/MS microcode is constant-time by construction;
+        // conditional correction adds a data-dependent, order-invariant
+        // surcharge the scorer deliberately prices at the calibrated case.
         use crate::program::{compile, OpKind};
         let cost = CostModel::paper();
-        let cp = Coprocessor::new(cost, 4);
-        for hierarchy in [Hierarchy::TypeA, Hierarchy::TypeB] {
-            let engine = SequenceEngine::new(hierarchy);
-            for (kind, bits) in [
-                (OpKind::Fp6Mul, 170),
-                (OpKind::EccPaGeneral, 160),
-                (OpKind::EccPaMixed, 160),
-                (OpKind::EccPd, 160),
-                (OpKind::EccPdFast, 256),
-            ] {
-                let program = compile(kind, bits, &cost);
-                let modulus = crate::coprocessor::sample_modulus(bits);
-                let mut slots: Vec<BigUint> = (0..program.slot_budget())
-                    .map(|i| BigUint::from((i % 251 + 1) as u64))
-                    .collect();
-                let report = engine.run(&cp, &modulus, &mut slots, program.ops());
-                let pricing = SequencePricing::new(&cost, bits, hierarchy);
-                assert_eq!(
-                    pricing.sequence_cycles(program.ops()),
-                    report.cycles,
-                    "{kind:?} at {bits} bits under {hierarchy:?}"
-                );
+        for cores in [1, 2, 4] {
+            let cp = Coprocessor::new(cost, cores);
+            for hierarchy in [Hierarchy::TypeA, Hierarchy::TypeB] {
+                for (kind, bits) in [
+                    (OpKind::Fp6Mul, 170),
+                    (OpKind::EccPaGeneral, 160),
+                    (OpKind::EccPaMixed, 160),
+                    (OpKind::EccPd, 160),
+                    (OpKind::EccPdFast, 256),
+                ] {
+                    let program = compile(kind, bits, &cost);
+                    let modulus = crate::coprocessor::sample_modulus(bits);
+                    let mut slots: Vec<BigUint> = (0..program.slot_budget())
+                        .map(|i| BigUint::from((i % 251 + 1) as u64))
+                        .collect();
+                    let report = execute(&cp, hierarchy, &modulus, &mut slots, program.ops());
+                    let pricing = SequencePricing::new(&cp, bits, hierarchy);
+                    assert_eq!(
+                        pricing.sequence_cycles(program.ops()),
+                        report.cycles,
+                        "{kind:?} at {bits} bits under {hierarchy:?} on {cores} cores"
+                    );
+                }
             }
         }
     }
@@ -461,9 +463,8 @@ mod tests {
     #[test]
     fn montgomery_step_keeps_values_reduced() {
         let (cp, p, mut slots) = setup();
-        let engine = SequenceEngine::new(Hierarchy::TypeB);
         let ops = [SequenceOp::MontMul { dst: 2, a: 0, b: 1 }];
-        let report = engine.run(&cp, &p, &mut slots, &ops);
+        let report = execute(&cp, Hierarchy::TypeB, &p, &mut slots, &ops);
         assert!(slots[2] < p);
         assert_eq!(report.modmuls, 1);
     }

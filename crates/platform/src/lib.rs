@@ -39,11 +39,14 @@
 //!   registry derives the cheapest applicable EFD formula per
 //!   `(curve, cost model)`;
 //! * [`Platform`] — the MicroBlaze-level view: Type-A and Type-B control
-//!   hierarchies (Figs. 3 and 4), interrupt/accounting overheads, the
-//!   single [`Platform::execute`] path every composite operation flows
-//!   through, and the level-1 drivers for torus exponentiation, ECC
-//!   point/scalar operations and RSA exponentiation that regenerate
-//!   Tables 1–3.
+//!   hierarchies (Figs. 3 and 4), the single [`Platform::execute`] path
+//!   every composite operation flows through — one sequencer walk that
+//!   charges per-op latency, Type-B prefetch overlap and the hierarchy's
+//!   interrupt overheads, and that [`SequencePricing`] also drives from a
+//!   static table — and the level-1 drivers for torus exponentiation, ECC
+//!   scalar multiplication and RSA exponentiation that regenerate
+//!   Tables 1–3, whose ladders keep their operands resident in the
+//!   platform's Montgomery domain between steps.
 //!
 //! # Example
 //!

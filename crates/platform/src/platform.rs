@@ -1,26 +1,31 @@
 //! The MicroBlaze-level view of the platform: full public-key operations.
 //!
-//! Every composite operation flows through one path since the typed-IR
-//! refactor: the [`crate::program::ProgramCache`] compiles the level-2
-//! sequence once per `(OpKind, bits, cost-model)` key, and
-//! [`Platform::execute`] runs the [`CompiledProgram`] against a slot
-//! bank. [`Platform::composite_report`] prices one program on probe
-//! operands, the public `run_*` methods marshal real field elements in
-//! and out of the platform's Montgomery domain, and the
-//! exponentiation/scalar ladders fetch their programs once before the
-//! loop instead of rebuilding the same sequence on every iteration.
+//! Every composite operation flows through one path: the
+//! [`crate::program::ProgramCache`] compiles the level-2 sequence once per
+//! `(OpKind, bits, cost-model)` key, and [`Platform::execute`] walks the
+//! [`CompiledProgram`] over a slot bank, charging the sequencer rules of
+//! the platform's hierarchy. [`Platform::composite_report`] prices one
+//! program on probe operands. The exponentiation and scalar ladders keep
+//! their operands resident in the platform's Montgomery domain, as the
+//! coprocessor's data memory does: each program gets one bank, the base
+//! and the constants are converted and loaded once per call, and between
+//! steps only the accumulator moves, from one program's outputs to the
+//! next program's inputs.
 
 use std::sync::Arc;
 
 use bignum::{mod_inv, mod_mul, BigUint};
 use ceilidh::{CeilidhParams, TorusElement};
 use ecc::{AffinePoint, Curve, JacobianPoint};
-use field::{Fp6Context, Fp6Element};
+use field::Fp6Element;
 
 use crate::coprocessor::Coprocessor;
 use crate::cost::CostModel;
-use crate::hierarchy::{Hierarchy, SequenceEngine};
+use crate::hierarchy::{self, Hierarchy};
 use crate::program::{CompiledProgram, FormulaDb, OpKind, ProgramCache};
+use crate::programs::{
+    AFFINE_2, CURVE_A, FP6_A, FP6_B, POINT_1, POINT_2, RSA_ACC, RSA_BASE, RSA_MULTIPLY, RSA_SQUARE,
+};
 use crate::report::ExecutionReport;
 
 /// The complete platform: MicroBlaze controller + multicore coprocessor.
@@ -36,7 +41,7 @@ use crate::report::ExecutionReport;
 #[derive(Debug, Clone)]
 pub struct Platform {
     coprocessor: Coprocessor,
-    engine: SequenceEngine,
+    hierarchy: Hierarchy,
     programs: ProgramCache,
 }
 
@@ -75,7 +80,7 @@ impl Platform {
     ) -> Self {
         Platform {
             coprocessor: Coprocessor::new(cost, num_cores),
-            engine: SequenceEngine::new(hierarchy),
+            hierarchy,
             programs,
         }
     }
@@ -92,7 +97,7 @@ impl Platform {
 
     /// The control hierarchy in use.
     pub fn hierarchy(&self) -> Hierarchy {
-        self.engine.hierarchy()
+        self.hierarchy
     }
 
     /// The compile-once program cache (shared between clones).
@@ -107,12 +112,12 @@ impl Platform {
     }
 
     /// Executes a compiled program against a slot bank — the single
-    /// sequence → coprocessor → schedule path every composite driver and
-    /// report goes through.
+    /// sequence → coprocessor → sequencer-walk path every composite driver
+    /// and report goes through.
     ///
     /// Montgomery products operate on whatever representation the slots
     /// are in; callers needing plain-domain results are responsible for
-    /// the domain conversions (as the `run_*` shims are).
+    /// the domain conversions (as the ladders are).
     ///
     /// # Panics
     ///
@@ -130,34 +135,13 @@ impl Platform {
             slots.len(),
             program.slot_budget()
         );
-        self.engine
-            .run(&self.coprocessor, modulus, slots, program.ops())
-    }
-
-    /// Executes a compiled program once per slot bank — the batched form
-    /// of [`Platform::execute`] that the throughput engine's batch
-    /// dispatch goes through.
-    ///
-    /// The program is compiled (and fetched from the cache) exactly once
-    /// by the caller; every bank then pays only the execution cost, which
-    /// is what makes same-`(OpKind, bits)` batch formation worthwhile.
-    /// Each bank is executed independently and in order, so the returned
-    /// reports — and the slot states left behind — are identical to `n`
-    /// serial [`Platform::execute`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any bank is smaller than the program's slot budget.
-    pub fn execute_batch(
-        &self,
-        program: &CompiledProgram,
-        modulus: &BigUint,
-        banks: &mut [Vec<BigUint>],
-    ) -> Vec<ExecutionReport> {
-        banks
-            .iter_mut()
-            .map(|bank| self.execute(program, modulus, bank))
-            .collect()
+        hierarchy::execute(
+            &self.coprocessor,
+            self.hierarchy,
+            modulus,
+            slots,
+            program.ops(),
+        )
     }
 
     /// Cycles of one MicroBlaze register access + interrupt (Table 1 row 1).
@@ -198,51 +182,6 @@ impl Platform {
     }
 
     // ----------------------------------------------------------------- //
-    // Domain conversions (operands are loaded into the coprocessor in    //
-    // Montgomery representation, as on the real platform).               //
-    // ----------------------------------------------------------------- //
-
-    /// `R = 2^{w·s} mod p` for this platform's datapath.
-    fn platform_r(&self, modulus: &BigUint) -> BigUint {
-        let bits = self.cost().word_bits * self.cost().limbs(modulus.bit_len());
-        BigUint::one().shl_bits(bits) % modulus
-    }
-
-    /// Converts a residue into the platform's Montgomery domain.
-    fn to_domain(&self, v: &BigUint, modulus: &BigUint) -> BigUint {
-        mod_mul(v, &self.platform_r(modulus), modulus)
-    }
-
-    /// Converts a platform-domain value back to a plain residue.
-    fn leave_domain(&self, v: &BigUint, modulus: &BigUint) -> BigUint {
-        let r_inv =
-            mod_inv(&self.platform_r(modulus), modulus).expect("R is invertible for odd moduli");
-        mod_mul(v, &r_inv, modulus)
-    }
-
-    /// Reads a Jacobian point out of three consecutive output slots,
-    /// converting back to the plain domain.
-    fn read_jacobian(
-        &self,
-        curve: &Curve,
-        slots: &[BigUint],
-        modulus: &BigUint,
-        base: usize,
-    ) -> JacobianPoint {
-        JacobianPoint {
-            x: curve
-                .fp()
-                .from_biguint(&self.leave_domain(&slots[base], modulus)),
-            y: curve
-                .fp()
-                .from_biguint(&self.leave_domain(&slots[base + 1], modulus)),
-            z: curve
-                .fp()
-                .from_biguint(&self.leave_domain(&slots[base + 2], modulus)),
-        }
-    }
-
-    // ----------------------------------------------------------------- //
     // Table 2: composite (level-2) operations.                           //
     // ----------------------------------------------------------------- //
 
@@ -260,191 +199,21 @@ impl Platform {
         self.execute(&program, &modulus, &mut slots)
     }
 
-    /// Executes one `Fp6` (torus `T6`) multiplication on the platform,
-    /// returning the product and the cycle accounting.
-    pub fn run_fp6_multiplication(
-        &self,
-        fp6: &Fp6Context,
-        a: &Fp6Element,
-        b: &Fp6Element,
-    ) -> (Fp6Element, ExecutionReport) {
-        let program = self.compiled(OpKind::Fp6Mul, fp6.fp().modulus().bit_len());
-        self.execute_fp6_multiplication(&program, fp6, a, b)
-    }
-
-    /// [`Platform::run_fp6_multiplication`] against an already-compiled
-    /// program (the exponentiation ladder's compile-once path).
-    fn execute_fp6_multiplication(
-        &self,
-        program: &CompiledProgram,
-        fp6: &Fp6Context,
-        a: &Fp6Element,
-        b: &Fp6Element,
-    ) -> (Fp6Element, ExecutionReport) {
-        let modulus = fp6.fp().modulus().clone();
-        let mut slots = vec![BigUint::zero(); program.slot_budget()];
-        for i in 0..6 {
-            slots[i] = self.to_domain(&fp6.fp().to_biguint(&a.coeffs()[i]), &modulus);
-            slots[6 + i] = self.to_domain(&fp6.fp().to_biguint(&b.coeffs()[i]), &modulus);
-        }
-        let report = self.execute(program, &modulus, &mut slots);
-        let coeffs: [field::FpElement; 6] = std::array::from_fn(|i| {
-            fp6.fp()
-                .from_biguint(&self.leave_domain(&slots[12 + i], &modulus))
-        });
-        (fp6.from_coeffs(coeffs), report)
-    }
-
-    /// Executes a batch of `Fp6` multiplications against **one** compile
-    /// of the `Fp6Mul` program.
+    /// The doubling and addition programs the scalar ladder runs on
+    /// `curve` under this platform's cost model, as `(PD, PA)`.
     ///
-    /// This is the driver the throughput engine's batch dispatch uses for
-    /// torus traffic: the program is fetched from the cache once (a single
-    /// miss-or-hit), then every pair pays only marshalling + execution.
-    /// Results and per-pair reports are identical to calling
-    /// [`Platform::run_fp6_multiplication`] once per pair.
-    pub fn run_fp6_multiplication_batch(
-        &self,
-        fp6: &Fp6Context,
-        pairs: &[(Fp6Element, Fp6Element)],
-    ) -> Vec<(Fp6Element, ExecutionReport)> {
-        let program = self.compiled(OpKind::Fp6Mul, fp6.fp().modulus().bit_len());
-        pairs
-            .iter()
-            .map(|(a, b)| self.execute_fp6_multiplication(&program, fp6, a, b))
-            .collect()
-    }
-
-    /// Executes one Jacobian point addition on the platform.
-    pub fn run_ecc_point_addition(
-        &self,
-        curve: &Curve,
-        p: &JacobianPoint,
-        q: &JacobianPoint,
-    ) -> (JacobianPoint, ExecutionReport) {
-        let program = self.compiled(OpKind::EccPaGeneral, curve.fp().modulus().bit_len());
-        self.execute_ecc_point_addition(&program, curve, p, q)
-    }
-
-    fn execute_ecc_point_addition(
-        &self,
-        program: &CompiledProgram,
-        curve: &Curve,
-        p: &JacobianPoint,
-        q: &JacobianPoint,
-    ) -> (JacobianPoint, ExecutionReport) {
-        let modulus = curve.fp().modulus().clone();
-        let mut slots = vec![BigUint::zero(); program.slot_budget()];
-        for (i, c) in [&p.x, &p.y, &p.z, &q.x, &q.y, &q.z].iter().enumerate() {
-            slots[i] = self.to_domain(&curve.fp().to_biguint(c), &modulus);
-        }
-        slots[9] = self.to_domain(&curve.fp().to_biguint(curve.a()), &modulus);
-        let report = self.execute(program, &modulus, &mut slots);
-        let out = self.read_jacobian(curve, &slots, &modulus, 6);
-        (out, report)
-    }
-
-    /// Executes one mixed-coordinate point addition on the platform:
-    /// Jacobian `p` plus the **affine** addend `q` (`Z2 = 1`), the
-    /// 13-multiplication sequence the scalar ladder runs.
-    ///
-    /// As on the real platform the affine operand is stored in **plain**
-    /// (canonical) form — it is the public base point, written once by the
-    /// MicroBlaze — and the sequence itself lifts it into the Montgomery
-    /// domain with the preloaded `R² mod p` constant (slot 5).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is the point at infinity: the mixed sequence, like
-    /// every InsRom program, has no data-dependent control flow and cannot
-    /// represent the identity; the ladder never presents it.
-    pub fn run_ecc_point_addition_mixed(
-        &self,
-        curve: &Curve,
-        p: &JacobianPoint,
-        q: &AffinePoint,
-    ) -> (JacobianPoint, ExecutionReport) {
-        let program = self.compiled(OpKind::EccPaMixed, curve.fp().modulus().bit_len());
-        self.execute_ecc_point_addition_mixed(&program, curve, p, q)
-    }
-
-    fn execute_ecc_point_addition_mixed(
-        &self,
-        program: &CompiledProgram,
-        curve: &Curve,
-        p: &JacobianPoint,
-        q: &AffinePoint,
-    ) -> (JacobianPoint, ExecutionReport) {
-        let (qx, qy) = q
-            .coordinates()
-            .expect("the mixed PA sequence needs a finite affine addend");
-        let modulus = curve.fp().modulus().clone();
-        let mut slots = vec![BigUint::zero(); program.slot_budget()];
-        for (i, c) in [&p.x, &p.y, &p.z].iter().enumerate() {
-            slots[i] = self.to_domain(&curve.fp().to_biguint(c), &modulus);
-        }
-        // Affine operand in plain form plus the Montgomery lift constant.
-        slots[3] = curve.fp().to_biguint(qx);
-        slots[4] = curve.fp().to_biguint(qy);
-        let r_mod = self.platform_r(&modulus);
-        slots[5] = mod_mul(&r_mod, &r_mod, &modulus);
-        let report = self.execute(program, &modulus, &mut slots);
-        let out = self.read_jacobian(curve, &slots, &modulus, 6);
-        (out, report)
-    }
-
-    /// Executes one Jacobian point doubling on the platform (the general
-    /// 10-MM sequence, valid for every curve coefficient `a`).
-    pub fn run_ecc_point_doubling(
-        &self,
-        curve: &Curve,
-        p: &JacobianPoint,
-    ) -> (JacobianPoint, ExecutionReport) {
-        let program = self.compiled(OpKind::EccPd, curve.fp().modulus().bit_len());
-        self.execute_ecc_point_doubling(&program, curve, p)
-    }
-
-    /// Executes one **fast** Jacobian point doubling on the platform: the
-    /// shortened 8-multiplication `a = -3` sequence the reproduction
-    /// curve's ladder runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the curve does not satisfy `a = -3` — the factored slope
-    /// `3(X1 - Z1²)(X1 + Z1²)` is only the correct tangent numerator
-    /// there; the ladder driver checks [`Curve::a_is_minus_three`] and
-    /// falls back to the general doubling otherwise.
-    pub fn run_ecc_point_doubling_fast(
-        &self,
-        curve: &Curve,
-        p: &JacobianPoint,
-    ) -> (JacobianPoint, ExecutionReport) {
-        assert!(
-            curve.a_is_minus_three(),
-            "the fast PD sequence requires a = -3 (curve {:?})",
-            curve
-        );
-        let program = self.compiled(OpKind::EccPdFast, curve.fp().modulus().bit_len());
-        self.execute_ecc_point_doubling(&program, curve, p)
-    }
-
-    /// Shared marshalling for both doubling programs (identical slot
-    /// layout; the fast program simply never reads the `a` slot).
-    fn execute_ecc_point_doubling(
-        &self,
-        program: &CompiledProgram,
-        curve: &Curve,
-        p: &JacobianPoint,
-    ) -> (JacobianPoint, ExecutionReport) {
-        let modulus = curve.fp().modulus().clone();
-        let mut slots = vec![BigUint::zero(); program.slot_budget()];
-        for (i, c) in [&p.x, &p.y, &p.z].iter().enumerate() {
-            slots[i] = self.to_domain(&curve.fp().to_biguint(c), &modulus);
-        }
-        slots[6] = self.to_domain(&curve.fp().to_biguint(curve.a()), &modulus);
-        let report = self.execute(program, &modulus, &mut slots);
-        let out = self.read_jacobian(curve, &slots, &modulus, 3);
-        (out, report)
+    /// [`FormulaDb::best_for`] derives each from `(curve, cost model)`:
+    /// the addition request asserts an affine addend, because the ladder
+    /// always adds the base point, so `madd` ([`OpKind::EccPaMixed`]) runs
+    /// while [`CostModel::mixed_coordinate_pa`] is on; the doubling request
+    /// leaves the choice between `pd-general` and `dbl-2001-b` to the
+    /// curve's `a = -3` structure and [`CostModel::fast_pd`].
+    pub fn ladder_kinds(&self, curve: &Curve) -> (OpKind, OpKind) {
+        let db = FormulaDb::builtin();
+        (
+            db.best_for(OpKind::EccPd, curve, self.cost()).kind(),
+            db.best_for(OpKind::EccPaMixed, curve, self.cost()).kind(),
+        )
     }
 
     // ----------------------------------------------------------------- //
@@ -455,7 +224,8 @@ impl Platform {
     /// representation F1) on the platform.
     ///
     /// The `Fp6` multiplication program is compiled once and executed on
-    /// every ladder step (squarings and multiplications alike).
+    /// every ladder step (squarings and multiplications alike), with the
+    /// accumulator and the base resident in its slot bank.
     pub fn torus_exponentiation(
         &self,
         params: &CeilidhParams,
@@ -463,36 +233,43 @@ impl Platform {
         exponent: &BigUint,
     ) -> (TorusElement, ExecutionReport) {
         let fp6 = params.fp6();
-        let program = self.compiled(OpKind::Fp6Mul, fp6.fp().modulus().bit_len());
-        let mut acc = fp6.one();
+        let fp = fp6.fp();
+        let modulus = fp.modulus();
+        let domain = Domain::new(self.cost(), modulus);
+        let enter = |x: &Fp6Element| {
+            x.coeffs()
+                .each_ref()
+                .map(|c| domain.enter(&fp.to_biguint(c)))
+        };
+        let base = enter(base.as_fp6());
+        let mut acc = enter(&fp6.one());
+        let mut bank = Bank::new(self.compiled(OpKind::Fp6Mul, modulus.bit_len()));
         let mut report = ExecutionReport::default();
         for i in (0..exponent.bit_len()).rev() {
-            let (sq, r) = self.execute_fp6_multiplication(&program, fp6, &acc, &acc);
-            acc = sq;
-            report = report.merge(&r);
+            bank.load(FP6_B, acc.clone());
+            bank.load(FP6_A, acc);
+            acc = bank.run(self, modulus, &mut report);
             if exponent.bit(i) {
-                let (prod, r) = self.execute_fp6_multiplication(&program, fp6, &acc, base.as_fp6());
-                acc = prod;
-                report = report.merge(&r);
+                bank.load(FP6_B, base.clone());
+                bank.load(FP6_A, acc);
+                acc = bank.run(self, modulus, &mut report);
             }
         }
-        (TorusElement::from_fp6_unchecked(acc), report)
+        let coeffs = acc.map(|c| fp.from_biguint(&domain.leave(&c)));
+        (
+            TorusElement::from_fp6_unchecked(fp6.from_coeffs(coeffs)),
+            report,
+        )
     }
 
     /// Executes a full ECC scalar multiplication (Jacobian double-and-add)
     /// on the platform.
     ///
-    /// Both ladder programs are compiled once, before the loop. The addend
-    /// of every point addition is the base point itself, which arrives
-    /// affine and stays affine — so when the cost model selects the
-    /// mixed-coordinate layer ([`CostModel::uses_mixed_pa`], on in
-    /// [`CostModel::paper`]) the ladder drives the 13-multiplication
-    /// `pa_mixed` sequence; with the knob off it runs the general 16-MM
-    /// Jacobian addition (the pre-mixed baseline, kept selectable for the
-    /// `pa_mixed_sweep` ablation). Likewise, on curves with `a = -3` the
-    /// fast-PD layer ([`CostModel::uses_fast_pd`]) drives the shortened
-    /// 8-MM doubling; otherwise the general 10-MM doubling runs (the
-    /// `pd_fast_sweep` ablation baseline).
+    /// Both ladder programs ([`Platform::ladder_kinds`]) are compiled
+    /// once, before the loop, each with its own resident slot bank: the
+    /// doubling's holds `a`, the addition's the base point — affine and
+    /// in plain form with the lift constant `R²` for the mixed sequence,
+    /// Jacobian with `Z = 1` for the general one.
     ///
     /// # Panics
     ///
@@ -504,137 +281,142 @@ impl Platform {
         point: &AffinePoint,
         k: &BigUint,
     ) -> (AffinePoint, ExecutionReport) {
-        let (pd_program, pa_program, mixed) = self.ladder_programs(curve);
-        self.scalar_multiplication_with_programs(curve, point, k, &pd_program, &pa_program, mixed)
-    }
-
-    /// Executes a batch of scalar multiplications over the same curve
-    /// against **one** fetch of the ladder's PD and PA programs.
-    ///
-    /// This is the driver the throughput engine's batch dispatch uses for
-    /// signing/ECDH traffic: both programs are fetched from the cache
-    /// once, then every `(point, scalar)` request pays only the ladder.
-    /// Results and per-request reports are identical to calling
-    /// [`Platform::ecc_scalar_multiplication`] once per request.
-    pub fn ecc_scalar_multiplication_batch(
-        &self,
-        curve: &Curve,
-        requests: &[(AffinePoint, BigUint)],
-    ) -> Vec<(AffinePoint, ExecutionReport)> {
-        let (pd_program, pa_program, mixed) = self.ladder_programs(curve);
-        requests
-            .iter()
-            .map(|(point, k)| {
-                self.scalar_multiplication_with_programs(
-                    curve,
-                    point,
-                    k,
-                    &pd_program,
-                    &pa_program,
-                    mixed,
-                )
-            })
-            .collect()
-    }
-
-    /// Fetches (compiling at most once) the doubling and addition
-    /// programs the scalar ladder will run on `curve` under the current
-    /// cost-model knobs, plus whether the addition is the mixed sequence.
-    ///
-    /// The variants are no longer hard-coded: [`FormulaDb::best_for`]
-    /// derives the cheapest formula eligible under `(curve, cost model)`.
-    /// The ladder asks for [`OpKind::EccPaMixed`] because its addend is
-    /// always the affine base point (the capability the `madd` formula
-    /// requires); the doubling request carries no extra capability and the
-    /// database decides between `pd-general` and `dbl-2001-b` from the
-    /// curve's `a = -3` structure.
-    fn ladder_programs(&self, curve: &Curve) -> (Arc<CompiledProgram>, Arc<CompiledProgram>, bool) {
-        let db = FormulaDb::builtin();
-        let pd = db.best_for(OpKind::EccPd, curve, self.cost());
-        let pa = db.best_for(OpKind::EccPaMixed, curve, self.cost());
-        let bits = curve.fp().modulus().bit_len();
-        let pd_program = self.compiled(pd.kind(), bits);
-        let pa_program = self.compiled(pa.kind(), bits);
-        let mixed = pa.kind() == OpKind::EccPaMixed;
-        (pd_program, pa_program, mixed)
-    }
-
-    /// The double-and-add ladder body against already-fetched programs —
-    /// shared by the single-call and batched scalar-multiplication
-    /// drivers, bit-identical between them.
-    fn scalar_multiplication_with_programs(
-        &self,
-        curve: &Curve,
-        point: &AffinePoint,
-        k: &BigUint,
-        pd_program: &CompiledProgram,
-        pa_program: &CompiledProgram,
-        mixed: bool,
-    ) -> (AffinePoint, ExecutionReport) {
-        assert!(
-            !point.is_infinity(),
-            "the platform PA/PD sequences need a finite base point"
-        );
+        let (x, y) = point
+            .coordinates()
+            .expect("the platform PA/PD sequences need a finite base point");
+        let fp = curve.fp();
+        let modulus = fp.modulus();
+        let domain = Domain::new(self.cost(), modulus);
+        let [x, y, a] = [x, y, curve.a()].map(|c| fp.to_biguint(c));
+        let (pd_kind, pa_kind) = self.ladder_kinds(curve);
+        let mut pd = Bank::new(self.compiled(pd_kind, modulus.bit_len()));
+        let mut pa = Bank::new(self.compiled(pa_kind, modulus.bit_len()));
+        pd.load(CURVE_A, [domain.enter(&a)]);
+        let base = [domain.enter(&x), domain.enter(&y), domain.r.clone()];
+        if pa_kind == OpKind::EccPaMixed {
+            pa.load(AFFINE_2, [x, y, domain.enter(&domain.r)]);
+        } else {
+            pa.load(POINT_2, base.clone());
+            pa.load(CURVE_A, [domain.enter(&a)]);
+        }
+        let mut acc: Option<[BigUint; 3]> = None;
         let mut report = ExecutionReport::default();
-        let jp = curve.to_jacobian(point);
-        let mut acc: Option<JacobianPoint> = None;
         for i in (0..k.bit_len()).rev() {
-            if let Some(cur) = acc.take() {
-                let (doubled, r) = self.execute_ecc_point_doubling(pd_program, curve, &cur);
-                report = report.merge(&r);
-                acc = Some(doubled);
+            if let Some(p) = acc.take() {
+                pd.load(POINT_1, p);
+                acc = Some(pd.run(self, modulus, &mut report));
             }
             if k.bit(i) {
                 acc = Some(match acc.take() {
-                    None => jp.clone(),
-                    Some(cur) => {
-                        let (sum, r) = if mixed {
-                            self.execute_ecc_point_addition_mixed(pa_program, curve, &cur, point)
-                        } else {
-                            self.execute_ecc_point_addition(pa_program, curve, &cur, &jp)
-                        };
-                        report = report.merge(&r);
-                        sum
+                    None => base.clone(),
+                    Some(p) => {
+                        pa.load(POINT_1, p);
+                        pa.run(self, modulus, &mut report)
                     }
                 });
             }
         }
         let result = match acc {
             None => AffinePoint::Infinity,
-            Some(j) => curve.to_affine(&j),
+            Some(p) => {
+                let [x, y, z] = p.map(|c| fp.from_biguint(&domain.leave(&c)));
+                curve.to_affine(&JacobianPoint { x, y, z })
+            }
         };
         (result, report)
     }
 
     /// Executes a full RSA modular exponentiation (`base^exponent mod n`) on
     /// the platform. The exponentiation ladder is driven by the MicroBlaze,
-    /// so every Montgomery multiplication pays the register-access +
-    /// interrupt overhead, as in the paper's RSA implementation.
+    /// so every Montgomery multiplication runs as a one-step Type-A
+    /// sequence and pays the register-access + interrupt overhead, as in
+    /// the paper's RSA implementation.
     pub fn rsa_exponentiation(
         &self,
         modulus: &BigUint,
         base: &BigUint,
         exponent: &BigUint,
     ) -> (BigUint, ExecutionReport) {
+        let domain = Domain::new(self.cost(), modulus);
+        let mut bank = [BigUint::zero(), BigUint::zero()];
+        bank[RSA_ACC] = domain.r.clone(); // 1 in the platform domain
+        bank[RSA_BASE] = domain.enter(&(base % modulus));
+        let products = (0..exponent.bit_len()).rev().flat_map(|i| {
+            std::iter::once(RSA_SQUARE).chain(exponent.bit(i).then_some(RSA_MULTIPLY))
+        });
         let mut report = ExecutionReport::default();
-        let r_mod = self.platform_r(modulus);
-        let mut acc = r_mod.clone(); // 1 in the platform domain
-        let base_dom = self.to_domain(&(base % modulus), modulus);
-        let mm = |a: &BigUint, b: &BigUint, report: &mut ExecutionReport| {
-            let r = self.coprocessor.mont_mul(a, b, modulus);
-            report.cycles += r.cycles + self.cost().interrupt_cycles;
-            report.modmuls += 1;
-            report.interrupts += 1;
-            report.register_accesses += 1;
-            r.value
-        };
-        for i in (0..exponent.bit_len()).rev() {
-            acc = mm(&acc.clone(), &acc, &mut report);
-            if exponent.bit(i) {
-                acc = mm(&acc.clone(), &base_dom, &mut report);
-            }
+        for ops in products {
+            let r =
+                hierarchy::execute(&self.coprocessor, Hierarchy::TypeA, modulus, &mut bank, ops);
+            report = report.merge(&r);
         }
-        (self.leave_domain(&acc, modulus), report)
+        (domain.leave(&bank[RSA_ACC]), report)
+    }
+}
+
+/// The platform's Montgomery domain for one modulus: `R = 2^{w·s} mod p`
+/// for the datapath's word width `w` and limb count `s`, and its inverse,
+/// computed once per driver call.
+struct Domain<'a> {
+    modulus: &'a BigUint,
+    r: BigUint,
+    r_inv: BigUint,
+}
+
+impl<'a> Domain<'a> {
+    fn new(cost: &CostModel, modulus: &'a BigUint) -> Self {
+        let r = BigUint::one().shl_bits(cost.word_bits * cost.limbs(modulus.bit_len())) % modulus;
+        let r_inv = mod_inv(&r, modulus).expect("R is invertible for odd moduli");
+        Domain { modulus, r, r_inv }
+    }
+
+    /// `v·R mod p`: a residue in the platform's Montgomery domain.
+    fn enter(&self, v: &BigUint) -> BigUint {
+        mod_mul(v, &self.r, self.modulus)
+    }
+
+    /// `v·R⁻¹ mod p`: a platform-domain value back as a plain residue.
+    fn leave(&self, v: &BigUint) -> BigUint {
+        mod_mul(v, &self.r_inv, self.modulus)
+    }
+}
+
+/// One compiled program and its data memory, resident across a ladder.
+/// Operands are addressed by the names the program declares, so the slot
+/// layout stays in [`crate::programs`].
+struct Bank {
+    program: Arc<CompiledProgram>,
+    slots: Vec<BigUint>,
+}
+
+impl Bank {
+    fn new(program: Arc<CompiledProgram>) -> Self {
+        let slots = vec![BigUint::zero(); program.slot_budget()];
+        Bank { program, slots }
+    }
+
+    /// Writes `values` into the named operand slots.
+    fn load<const N: usize>(&mut self, names: [&str; N], values: [BigUint; N]) {
+        for (name, value) in names.into_iter().zip(values) {
+            let slot = self
+                .program
+                .operand(name)
+                .unwrap_or_else(|| panic!("{} declares no operand {name}", self.program.kind()));
+            self.slots[slot] = value;
+        }
+    }
+
+    /// Executes the program, adds its accounting to `report` and moves
+    /// its declared outputs out of the bank.
+    fn run<const N: usize>(
+        &mut self,
+        platform: &Platform,
+        modulus: &BigUint,
+        report: &mut ExecutionReport,
+    ) -> [BigUint; N] {
+        *report = report.merge(&platform.execute(&self.program, modulus, &mut self.slots));
+        let outputs = self.program.outputs();
+        std::array::from_fn(|i| std::mem::take(&mut self.slots[outputs[i]]))
     }
 }
 
@@ -656,17 +438,66 @@ mod tests {
         Platform::new(CostModel::paper(), 4, hierarchy)
     }
 
+    /// Executes one ECC program on the Jacobian point `p`, with its other
+    /// operands loaded by name as the ladder loads them (`q` is the
+    /// addend of the additions).
+    fn point_op(
+        plat: &Platform,
+        curve: &Curve,
+        kind: OpKind,
+        p: &JacobianPoint,
+        q: &AffinePoint,
+    ) -> (JacobianPoint, ExecutionReport) {
+        let fp = curve.fp();
+        let modulus = fp.modulus();
+        let domain = Domain::new(plat.cost(), modulus);
+        let enter = |c: &field::FpElement| domain.enter(&fp.to_biguint(c));
+        let mut bank = Bank::new(plat.compiled(kind, modulus.bit_len()));
+        bank.load(POINT_1, [&p.x, &p.y, &p.z].map(enter));
+        let (qx, qy) = q.coordinates().expect("finite addend");
+        match kind {
+            OpKind::EccPaMixed => bank.load(
+                AFFINE_2,
+                [
+                    fp.to_biguint(qx),
+                    fp.to_biguint(qy),
+                    domain.enter(&domain.r),
+                ],
+            ),
+            OpKind::EccPaGeneral => bank.load(POINT_2, [enter(qx), enter(qy), domain.r.clone()]),
+            _ => bank.load(CURVE_A, [enter(curve.a())]),
+        }
+        let mut report = ExecutionReport::default();
+        let [x, y, z] = bank
+            .run(plat, modulus, &mut report)
+            .map(|c| fp.from_biguint(&domain.leave(&c)));
+        (JacobianPoint { x, y, z }, report)
+    }
+
     #[test]
     fn fp6_multiplication_matches_field_crate() {
         let params = CeilidhParams::toy().unwrap();
         let fp6 = params.fp6();
+        let fp = fp6.fp();
         let mut rng = rand::rngs::StdRng::seed_from_u64(201);
         let plat = platform(Hierarchy::TypeB);
+        let domain = Domain::new(plat.cost(), fp.modulus());
+        let enter = |x: &Fp6Element| {
+            x.coeffs()
+                .each_ref()
+                .map(|c| domain.enter(&fp.to_biguint(c)))
+        };
         for _ in 0..5 {
             let a = fp6.random(&mut rng);
             let b = fp6.random(&mut rng);
-            let (got, report) = plat.run_fp6_multiplication(fp6, &a, &b);
-            assert_eq!(got, fp6.mul(&a, &b));
+            let mut bank = Bank::new(plat.compiled(OpKind::Fp6Mul, fp.modulus().bit_len()));
+            bank.load(FP6_A, enter(&a));
+            bank.load(FP6_B, enter(&b));
+            let mut report = ExecutionReport::default();
+            let got = bank
+                .run(&plat, fp.modulus(), &mut report)
+                .map(|c| fp.from_biguint(&domain.leave(&c)));
+            assert_eq!(fp6.from_coeffs(got), fp6.mul(&a, &b));
             assert_eq!(report.modmuls, 18);
         }
         // Five runs of the same operation: one compile, four cache hits.
@@ -683,15 +514,14 @@ mod tests {
             let p = curve.random_point(&mut rng);
             let q = curve.random_point(&mut rng);
             let jp = curve.to_jacobian(&p);
-            let jq = curve.to_jacobian(&q);
-            let (sum, _) = plat.run_ecc_point_addition(&curve, &jp, &jq);
-            assert_eq!(curve.to_affine(&sum), curve.add(&p, &q));
-            let (mixed, _) = plat.run_ecc_point_addition_mixed(&curve, &jp, &q);
-            assert_eq!(curve.to_affine(&mixed), curve.add(&p, &q));
-            let (dbl, _) = plat.run_ecc_point_doubling(&curve, &jp);
-            assert_eq!(curve.to_affine(&dbl), curve.double(&p));
-            let (dbl_fast, _) = plat.run_ecc_point_doubling_fast(&curve, &jp);
-            assert_eq!(curve.to_affine(&dbl_fast), curve.double(&p));
+            for kind in [OpKind::EccPaGeneral, OpKind::EccPaMixed] {
+                let (sum, _) = point_op(&plat, &curve, kind, &jp, &q);
+                assert_eq!(curve.to_affine(&sum), curve.add(&p, &q), "{kind}");
+            }
+            for kind in [OpKind::EccPd, OpKind::EccPdFast] {
+                let (dbl, _) = point_op(&plat, &curve, kind, &jp, &q);
+                assert_eq!(curve.to_affine(&dbl), curve.double(&p), "{kind}");
+            }
         }
     }
 
@@ -706,22 +536,13 @@ mod tests {
             let plat = platform(hierarchy);
             let p = curve.random_point(&mut rng);
             let jp = curve.jacobian_double(&curve.to_jacobian(&p)); // generic Z
-            let (general, rg) = plat.run_ecc_point_doubling(&curve, &jp);
-            let (fast, rf) = plat.run_ecc_point_doubling_fast(&curve, &jp);
+            let (general, rg) = point_op(&plat, &curve, OpKind::EccPd, &jp, &p);
+            let (fast, rf) = point_op(&plat, &curve, OpKind::EccPdFast, &jp, &p);
             assert_eq!(curve.to_affine(&general), curve.to_affine(&fast));
             assert!(rf.cycles < rg.cycles);
             assert_eq!(rf.modmuls, 8);
             assert_eq!(rg.modmuls, 10);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a = -3")]
-    fn fast_doubling_rejects_other_curves() {
-        let curve = Curve::toy().unwrap(); // a = 1
-        let plat = platform(Hierarchy::TypeB);
-        let p = curve.to_jacobian(curve.base_point());
-        let _ = plat.run_ecc_point_doubling_fast(&curve, &p);
     }
 
     #[test]
@@ -737,8 +558,8 @@ mod tests {
             let p = curve.random_point(&mut rng);
             let q = curve.random_point(&mut rng);
             let jp = curve.to_jacobian(&p);
-            let (general, rg) = plat.run_ecc_point_addition(&curve, &jp, &curve.to_jacobian(&q));
-            let (mixed, rm) = plat.run_ecc_point_addition_mixed(&curve, &jp, &q);
+            let (general, rg) = point_op(&plat, &curve, OpKind::EccPaGeneral, &jp, &q);
+            let (mixed, rm) = point_op(&plat, &curve, OpKind::EccPaMixed, &jp, &q);
             assert_eq!(curve.to_affine(&general), curve.to_affine(&mixed));
             assert!(rm.cycles < rg.cycles);
             assert_eq!(rm.modmuls, 13);
@@ -811,79 +632,6 @@ mod tests {
         let clone = plat.clone();
         clone.ecc_scalar_multiplication(&curve, &p, &k);
         assert_eq!(plat.program_cache().misses(), 2);
-    }
-
-    #[test]
-    fn fp6_batch_matches_serial_and_compiles_once() {
-        let params = CeilidhParams::toy().unwrap();
-        let fp6 = params.fp6();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(211);
-        let pairs: Vec<_> = (0..4)
-            .map(|_| (fp6.random(&mut rng), fp6.random(&mut rng)))
-            .collect();
-
-        let serial_plat = platform(Hierarchy::TypeB);
-        let serial: Vec<_> = pairs
-            .iter()
-            .map(|(a, b)| serial_plat.run_fp6_multiplication(fp6, a, b))
-            .collect();
-
-        let batch_plat = platform(Hierarchy::TypeB);
-        let batched = batch_plat.run_fp6_multiplication_batch(fp6, &pairs);
-
-        assert_eq!(batched, serial);
-        // The batch fetches the program exactly once.
-        assert_eq!(batch_plat.program_cache().misses(), 1);
-        assert_eq!(batch_plat.program_cache().hits(), 0);
-    }
-
-    #[test]
-    fn scalar_mult_batch_matches_serial_and_fetches_programs_once() {
-        let curve = Curve::p160_reproduction().unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(212);
-        let requests: Vec<_> = (0..3)
-            .map(|i| {
-                (
-                    curve.random_point(&mut rng),
-                    BigUint::from(0x1234_5678u64 + i),
-                )
-            })
-            .collect();
-
-        let serial_plat = platform(Hierarchy::TypeB);
-        let serial: Vec<_> = requests
-            .iter()
-            .map(|(p, k)| serial_plat.ecc_scalar_multiplication(&curve, p, k))
-            .collect();
-
-        let batch_plat = platform(Hierarchy::TypeB);
-        let batched = batch_plat.ecc_scalar_multiplication_batch(&curve, &requests);
-
-        assert_eq!(batched, serial);
-        // One PD + one PA fetch for the whole batch: two misses, no hits.
-        assert_eq!(batch_plat.program_cache().misses(), 2);
-        assert_eq!(batch_plat.program_cache().hits(), 0);
-    }
-
-    #[test]
-    fn execute_batch_matches_serial_execute() {
-        let plat = platform(Hierarchy::TypeB);
-        let program = plat.compiled(OpKind::Fp6Mul, 170);
-        let modulus = probe_modulus(170);
-        let bank = |seed: u64| -> Vec<BigUint> {
-            (0..program.slot_budget())
-                .map(|i| BigUint::from((seed + i as u64) % 251 + 1))
-                .collect()
-        };
-        let mut serial_banks = [bank(3), bank(17), bank(99)];
-        let serial: Vec<_> = serial_banks
-            .iter_mut()
-            .map(|b| plat.execute(&program, &modulus, b))
-            .collect();
-        let mut batch_banks = [bank(3), bank(17), bank(99)];
-        let batched = plat.execute_batch(&program, &modulus, &mut batch_banks);
-        assert_eq!(batched, serial);
-        assert_eq!(batch_banks, serial_banks);
     }
 
     #[test]

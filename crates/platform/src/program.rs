@@ -16,7 +16,7 @@
 //! CompiledProgram  (ops + ProgramStats + PassTrace per pass)
 //!    │  ProgramCache, keyed by (OpKind, bits, CostModel fingerprint)
 //!    ▼
-//! Platform::execute → SequenceEngine → scheduled cycles
+//! Platform::execute → the sequencer walk → scheduled cycles
 //! ```
 //!
 //! Every program arrives in the order it executes: the recorded step
@@ -30,8 +30,8 @@
 //! * the **superoptimizing search pass** ([`Pass::Search`], behind
 //!   [`CostModel::sequence_search`]) — a beam search over instruction
 //!   reorderings and slot reallocations, scored by
-//!   [`crate::SequencePricing`] (the exact accounting walk the executing
-//!   engine charges), accepted only when strictly cheaper than the
+//!   [`crate::SequencePricing`] (the accounting walk execution charges,
+//!   fed a static price table), accepted only when strictly cheaper than the
 //!   recorded schedule — which is why the published calibration keeps it
 //!   off;
 //! * the **formula database** ([`FormulaDb`]) — named EFD variants with
@@ -59,8 +59,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::coprocessor::Coprocessor;
 use crate::cost::CostModel;
-use crate::hierarchy::{Hierarchy, SequenceOp, SequencePricing};
+use crate::hierarchy::{Hierarchy, SequenceOp, SequencePricing, Walk};
 use crate::programs::{self, ECC_SLOTS, FP6_MUL_SLOTS};
 
 /// The composite (level-2) operations the platform can compile.
@@ -419,16 +420,18 @@ impl PassPipeline {
     }
 
     /// Runs the pipeline over a recorded program, producing the compiled
-    /// artifact with one [`PassTrace`] per pass. Trace cycles are priced
-    /// under the Type-B hierarchy (the one whose sequencer the search
-    /// optimizes for) at the given operand length.
+    /// artifact with one [`PassTrace`] per pass. Trace cycles and the
+    /// search's scores are priced on the paper's 4-core platform under
+    /// the Type-B hierarchy (the one whose sequencer the search optimizes
+    /// for) at the given operand length: a compiled program is cached per
+    /// cost model, not per core count.
     ///
     /// # Panics
     ///
     /// Panics if the program references a slot beyond its layout budget
     /// (a formula bug, not a user error).
     pub fn run(&self, program: Program, bits: usize, cost: &CostModel) -> CompiledProgram {
-        let pricing = SequencePricing::new(cost, bits, Hierarchy::TypeB);
+        let pricing = SequencePricing::new(&Coprocessor::new(*cost, 4), bits, Hierarchy::TypeB);
         let Program {
             kind,
             mut ops,
@@ -591,9 +594,9 @@ struct BeamEntry {
     mask: u128,
     /// Scheduled step indices, in order.
     order: Vec<u32>,
-    /// Cycles of the prefix under the engine's credit walk.
-    cycles: u64,
-    /// Last scheduled step, for the overlap credit of the next one.
+    /// The sequencer walk over the prefix.
+    walk: Walk,
+    /// Last scheduled step, for the overlap predicate of the next one.
     prev: Option<u32>,
 }
 
@@ -626,10 +629,9 @@ fn search_schedule(
 }
 
 /// Beam search for a cheap topological order of the value DAG, scored
-/// incrementally by the engine's credit walk (per-op price minus the
-/// overlap credit [`SequenceOp::may_overlap`] neighbours earn, capped by
-/// the predecessor's own duration and the running total). Deterministic:
-/// candidates are expanded in index order, deduplicated on
+/// incrementally by the sequencer walk, which each candidate step advances
+/// with its static price and the value-level overlap predicate.
+/// Deterministic: candidates are expanded in index order, deduplicated on
 /// `(mask, last step)` keeping the cheaper prefix, and ranked by
 /// `(cycles, order)` so ties break identically on every run.
 fn beam_search_order(
@@ -642,7 +644,7 @@ fn beam_search_order(
     let mut beam = vec![BeamEntry {
         mask: 0,
         order: Vec::with_capacity(n),
-        cycles: 0,
+        walk: pricing.walk(),
         prev: None,
     }];
     for _ in 0..n {
@@ -656,25 +658,19 @@ fn beam_search_order(
                 if dag.deps[j].iter().any(|&d| entry.mask & (1u128 << d) == 0) {
                     continue; // not ready: an input value is unscheduled
                 }
-                let mut cycles = entry.cycles;
-                if let Some(p) = entry.prev {
-                    if dag.may_overlap(ops, p as usize, j) {
-                        let credit = pricing
-                            .overlap_budget()
-                            .min(pricing.op_cycles(&ops[p as usize]))
-                            .min(cycles);
-                        cycles -= credit;
-                    }
-                }
-                cycles += pricing.op_cycles(&ops[j]);
+                let mut walk = entry.walk;
+                let overlaps = entry
+                    .prev
+                    .is_some_and(|p| dag.may_overlap(ops, p as usize, j));
+                walk.step(&ops[j], overlaps, pricing.op_cycles(&ops[j]));
                 let mask = entry.mask | bit;
                 match candidates
                     .iter_mut()
                     .find(|c| c.mask == mask && c.prev == Some(j as u32))
                 {
-                    Some(dup) if dup.cycles <= cycles => {}
+                    Some(dup) if dup.walk.cycles() <= walk.cycles() => {}
                     Some(dup) => {
-                        dup.cycles = cycles;
+                        dup.walk = walk;
                         dup.order = entry.order.clone();
                         dup.order.push(j as u32);
                     }
@@ -684,14 +680,19 @@ fn beam_search_order(
                         candidates.push(BeamEntry {
                             mask,
                             order,
-                            cycles,
+                            walk,
                             prev: Some(j as u32),
                         });
                     }
                 }
             }
         }
-        candidates.sort_by(|a, b| a.cycles.cmp(&b.cycles).then_with(|| a.order.cmp(&b.order)));
+        candidates.sort_by(|a, b| {
+            a.walk
+                .cycles()
+                .cmp(&b.walk.cycles())
+                .then_with(|| a.order.cmp(&b.order))
+        });
         candidates.truncate(beam_width);
         beam = candidates;
     }
@@ -1017,8 +1018,7 @@ impl FormulaDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coprocessor::Coprocessor;
-    use crate::hierarchy::{Hierarchy, SequenceEngine};
+    use crate::hierarchy;
     use bignum::BigUint;
 
     fn probe_slots(n: usize) -> Vec<BigUint> {
@@ -1029,9 +1029,8 @@ mod tests {
 
     fn run(ops: &[SequenceOp], slots: &mut [BigUint]) -> crate::report::ExecutionReport {
         let cp = Coprocessor::new(CostModel::paper(), 4);
-        let engine = SequenceEngine::new(Hierarchy::TypeB);
         let p = BigUint::from(1_000_003u64);
-        engine.run(&cp, &p, slots, ops)
+        hierarchy::execute(&cp, Hierarchy::TypeB, &p, slots, ops)
     }
 
     #[test]
@@ -1059,6 +1058,36 @@ mod tests {
                 let compiled = compile(kind, bits, &CostModel::paper());
                 assert_eq!(compiled.ops(), authored.ops(), "{kind} at {bits}");
                 assert!(compiled.passes().iter().all(|p| !p.changed()), "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_programs_read_only_declared_inputs_and_never_overwrite_them() {
+        // The ladders keep each program's slot bank resident across steps:
+        // constants (`a`, the addend, `R²`) are loaded once and stale
+        // temporaries stay behind. That is sound only while every slot a
+        // program reads before writing is a declared operand, and no step
+        // writes one — recorded and searched schedules alike.
+        for cost in [CostModel::paper(), CostModel::paper().with_search(true)] {
+            for kind in OpKind::ALL {
+                let compiled = compile(kind, 160, &cost);
+                let declared = |slot: usize| compiled.operands.iter().any(|&(_, s)| s == slot);
+                let mut written = std::collections::HashSet::new();
+                for op in compiled.ops() {
+                    for src in op.sources() {
+                        assert!(
+                            written.contains(&src) || declared(src),
+                            "{kind} reads {src}"
+                        );
+                    }
+                    let dst = op.dest();
+                    assert!(
+                        !declared(dst) || compiled.outputs().contains(&dst),
+                        "{kind} overwrites input slot {dst}"
+                    );
+                    written.insert(dst);
+                }
             }
         }
     }
@@ -1187,7 +1216,7 @@ mod tests {
                 authored.stats().modmuls,
                 "{kind}: search must not change the formula"
             );
-            let pricing = SequencePricing::new(&cost, bits, Hierarchy::TypeB);
+            let pricing = SequencePricing::new(&Coprocessor::new(cost, 4), bits, Hierarchy::TypeB);
             let searched_cycles = pricing.sequence_cycles(searched.ops());
             let authored_cycles = pricing.sequence_cycles(authored.ops());
             assert!(
@@ -1208,7 +1237,7 @@ mod tests {
     #[test]
     fn search_discovers_a_win_on_at_least_one_kind() {
         let cost = CostModel::paper().with_search(true);
-        let pricing = SequencePricing::new(&cost, 160, Hierarchy::TypeB);
+        let pricing = SequencePricing::new(&Coprocessor::new(cost, 4), 160, Hierarchy::TypeB);
         let improved = OpKind::ALL.iter().any(|&kind| {
             let searched = compile(kind, 160, &cost);
             let authored = compile(kind, 160, &CostModel::paper());

@@ -76,8 +76,36 @@ pub const FP6_MUL_SLOTS: usize = 96;
 /// `7..` temporaries.
 pub const ECC_SLOTS: usize = 40;
 
-const POINT_1: [&str; 3] = ["X1", "Y1", "Z1"];
+// Operand names of the `Fp6` multiplication's factors and product.
+pub(crate) const FP6_A: [&str; 6] = ["a0", "a1", "a2", "a3", "a4", "a5"];
+pub(crate) const FP6_B: [&str; 6] = ["b0", "b1", "b2", "b3", "b4", "b5"];
+const FP6_R: [&str; 6] = ["r0", "r1", "r2", "r3", "r4", "r5"];
+
+// Operand names of the ECC sequences: the Jacobian input point, the
+// general addition's Jacobian addend, the mixed addition's plain-form
+// affine addend with its lift constant `R² mod p`, the curve coefficient
+// `a`, and the result.
+pub(crate) const POINT_1: [&str; 3] = ["X1", "Y1", "Z1"];
+pub(crate) const POINT_2: [&str; 3] = ["X2", "Y2", "Z2"];
+pub(crate) const AFFINE_2: [&str; 3] = ["X2", "Y2", "R2"];
+pub(crate) const CURVE_A: [&str; 1] = ["a"];
 const RESULT: [&str; 3] = ["X3", "Y3", "Z3"];
+
+// The RSA ladder's products: one-step Type-A sequences the MicroBlaze
+// issues itself, over a two-slot bank holding the accumulator and the
+// base.
+pub(crate) const RSA_ACC: usize = 0;
+pub(crate) const RSA_BASE: usize = 1;
+pub(crate) const RSA_SQUARE: &[SequenceOp] = &[SequenceOp::MontMul {
+    dst: RSA_ACC,
+    a: RSA_ACC,
+    b: RSA_ACC,
+}];
+pub(crate) const RSA_MULTIPLY: &[SequenceOp] = &[SequenceOp::MontMul {
+    dst: RSA_ACC,
+    a: RSA_ACC,
+    b: RSA_BASE,
+}];
 
 /// Records the formula body behind `kind` as its program — the single
 /// entry point behind [`Program::author`].
@@ -85,21 +113,21 @@ pub(crate) fn author(kind: OpKind) -> Program {
     let mut rec = Recorder::new(kind);
     match kind {
         OpKind::Fp6Mul => {
-            let a = rec.inputs(["a0", "a1", "a2", "a3", "a4", "a5"], 0);
-            let b = rec.inputs(["b0", "b1", "b2", "b3", "b4", "b5"], 6);
+            let a = rec.inputs(FP6_A, 0);
+            let b = rec.inputs(FP6_B, 6);
             let r = field::karatsuba_fp6(&rec, a.each_ref(), b.each_ref());
-            rec.finish(["r0", "r1", "r2", "r3", "r4", "r5"], 12, r)
+            rec.finish(FP6_R, 12, r)
         }
         OpKind::EccPaGeneral => {
             let p = rec.inputs(POINT_1, 0);
-            let q = rec.inputs(["X2", "Y2", "Z2"], 3);
-            rec.inputs(["a"], 9);
+            let q = rec.inputs(POINT_2, 3);
+            rec.inputs(CURVE_A, 9);
             let sum = formulas::pa_general(&rec, p.each_ref(), q.each_ref()).sum;
             rec.finish(RESULT, 6, sum)
         }
         OpKind::EccPaMixed => {
             let p = rec.inputs(POINT_1, 0);
-            let [x2, y2, r2] = rec.inputs(["X2", "Y2", "R2"], 3);
+            let [x2, y2, r2] = rec.inputs(AFFINE_2, 3);
             // The MicroBlaze stores the affine addend once, in plain form;
             // the program lifts it into the Montgomery domain with the
             // preloaded R² — two products the formula itself never sees.
@@ -109,7 +137,7 @@ pub(crate) fn author(kind: OpKind) -> Program {
         }
         OpKind::EccPd => {
             let p = rec.inputs(POINT_1, 0);
-            let [a] = rec.inputs(["a"], 6);
+            let [a] = rec.inputs(CURVE_A, 6);
             let twice = formulas::pd_general(&rec, p.each_ref(), &a);
             rec.finish(RESULT, 3, twice)
         }
@@ -117,7 +145,7 @@ pub(crate) fn author(kind: OpKind) -> Program {
             let p = rec.inputs(POINT_1, 0);
             // The shared doubling layout keeps `a` in slot 6; a = -3 is
             // folded into the formula, which never reads it.
-            rec.inputs(["a"], 6);
+            rec.inputs(CURVE_A, 6);
             let twice = formulas::dbl_2001_b(&rec, p.each_ref());
             rec.finish(RESULT, 3, twice)
         }

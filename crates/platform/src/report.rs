@@ -43,20 +43,6 @@ impl ExecutionReport {
             register_accesses: self.register_accesses + other.register_accesses,
         }
     }
-
-    /// Scales every field by `n` (e.g. one composite operation repeated `n`
-    /// times in an exponentiation ladder).
-    pub fn repeat(&self, n: u64) -> ExecutionReport {
-        ExecutionReport {
-            cycles: self.cycles * n,
-            modmuls: self.modmuls * n,
-            modadds: self.modadds * n,
-            modsubs: self.modsubs * n,
-            interrupts: self.interrupts * n,
-            overlapped_cycles: self.overlapped_cycles * n,
-            register_accesses: self.register_accesses * n,
-        }
-    }
 }
 
 impl std::fmt::Display for ExecutionReport {
@@ -84,14 +70,18 @@ mod tests {
             overlapped_cycles: 5,
             register_accesses: 1,
         };
-        let b = a.repeat(3);
+        // Repeated merges scale a report, as a ladder accumulates one
+        // report per step.
+        let b = a.merge(&a).merge(&a);
         assert_eq!(b.cycles, 300);
         assert_eq!(b.modmuls, 6);
         let c = a.merge(&b);
         assert_eq!(c.cycles, 400);
         assert_eq!(c.modadds, 12);
-        assert_eq!(b.overlapped_cycles, 15);
+        assert_eq!(c.modsubs, 4);
+        assert_eq!(c.interrupts, 4);
         assert_eq!(c.overlapped_cycles, 20);
+        assert_eq!(c.register_accesses, 4);
         assert!(c.to_string().contains("400 cycles"));
     }
 

@@ -1,10 +1,8 @@
-//! Property-based tests for the throughput engine and the platform's
-//! batched execution path:
+//! Property-based tests for the throughput engine:
 //!
-//! * **batching is invisible** — the platform's batch drivers
-//!   (`run_fp6_multiplication_batch`, `ecc_scalar_multiplication_batch`,
-//!   `execute_batch`) return results *and per-request cycle reports*
-//!   identical to serial calls, for every batch size and seed;
+//! * **prices are executions** — the engine's compositional service price
+//!   of each work class equals the cycles the platform's driver executes
+//!   on a balanced input (for ECC, up to the ladder's first set bit);
 //! * **scaling never hurts** — on closed (burst) workloads, fleet
 //!   throughput is monotone non-decreasing in the instance count;
 //! * **percentiles are ordered** — p50 ≤ p99 ≤ max on every run, and the
@@ -14,88 +12,55 @@ use bignum::BigUint;
 use ceilidh::CeilidhParams;
 use ecc::Curve;
 use engine::prelude::*;
-use platform::{CostModel, Hierarchy, OpKind, Platform};
+use platform::Platform;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn platform() -> Platform {
-    Platform::new(CostModel::paper(), 4, Hierarchy::TypeB)
+/// A balanced `bits`-bit exponent or scalar: the top bit and the
+/// `⌊bits/2⌋ - 1` lowest bits set, `⌊bits/2⌋` set bits in all.
+fn balanced(bits: usize) -> BigUint {
+    let low = &BigUint::one().shl_bits(bits / 2 - 1) - &BigUint::one();
+    &BigUint::one().shl_bits(bits - 1) + &low
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// `Fleet::service_cycles` prices a `b`-bit ladder as `b` squarings or
+/// doublings plus `⌊b/2⌋` multiplications or additions. On balanced
+/// inputs the torus and RSA drivers execute exactly that; the ECC ladder
+/// executes one doubling and one addition fewer, because its first set
+/// bit loads the point instead of doubling and adding.
+#[test]
+fn service_prices_match_the_executed_drivers() {
+    let config = FleetConfig::date2008(1);
+    let plat = Platform::new(config.cost, config.cores_per_instance, config.hierarchy);
+    let mut fleet = Fleet::new(config);
 
-    /// Batched `Fp6` multiplication is result- and report-identical to
-    /// serial execution, and fetches its program exactly once.
-    #[test]
-    fn fp6_batch_is_identical_to_serial(seed in 0u64..1000, len in 1usize..7) {
-        let params = CeilidhParams::toy().unwrap();
-        let fp6 = params.fp6();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pairs: Vec<_> = (0..len)
-            .map(|_| (fp6.random(&mut rng), fp6.random(&mut rng)))
-            .collect();
-        let serial_plat = platform();
-        let serial: Vec<_> = pairs
-            .iter()
-            .map(|(a, b)| serial_plat.run_fp6_multiplication(fp6, a, b))
-            .collect();
-        let batch_plat = platform();
-        let batched = batch_plat.run_fp6_multiplication_batch(fp6, &pairs);
-        prop_assert_eq!(&batched, &serial);
-        prop_assert_eq!(batch_plat.program_cache().misses(), 1);
-        prop_assert_eq!(batch_plat.program_cache().hits(), 0);
-    }
+    let params = CeilidhParams::date2008().unwrap();
+    let bits = params.fp6().fp().modulus().bit_len();
+    let (_, torus) = plat.torus_exponentiation(&params, &params.generator(), &balanced(bits));
+    assert_eq!(
+        fleet.service_cycles(&WorkClass::Torus { bits }),
+        torus.cycles
+    );
 
-    /// Batched scalar multiplication is result- and report-identical to
-    /// serial execution, and fetches its two ladder programs exactly once
-    /// for the whole batch.
-    #[test]
-    fn scalar_mult_batch_is_identical_to_serial(seed in 0u64..1000, len in 1usize..5) {
-        let curve = Curve::p160_reproduction().unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let requests: Vec<_> = (0..len)
-            .map(|_| {
-                let point = curve.random_point(&mut rng);
-                let k = &BigUint::random_bits(&mut rng, 24) + &BigUint::one();
-                (point, k)
-            })
-            .collect();
-        let serial_plat = platform();
-        let serial: Vec<_> = requests
-            .iter()
-            .map(|(p, k)| serial_plat.ecc_scalar_multiplication(&curve, p, k))
-            .collect();
-        let batch_plat = platform();
-        let batched = batch_plat.ecc_scalar_multiplication_batch(&curve, &requests);
-        prop_assert_eq!(&batched, &serial);
-        prop_assert_eq!(batch_plat.program_cache().misses(), 2);
-        prop_assert_eq!(batch_plat.program_cache().hits(), 0);
-    }
+    let bits = 1024;
+    let modulus = platform::sample_modulus(bits);
+    let (_, rsa) = plat.rsa_exponentiation(&modulus, &BigUint::from(3u64), &balanced(bits));
+    assert_eq!(fleet.service_cycles(&WorkClass::Rsa { bits }), rsa.cycles);
 
-    /// The raw slot-bank batch executor leaves results and reports
-    /// identical to serial `execute` calls over the same banks.
-    #[test]
-    fn execute_batch_is_identical_to_serial(seed in 1u64..500, banks in 1usize..5) {
-        let plat = platform();
-        let program = plat.compiled(OpKind::Fp6Mul, 170);
-        // Odd (Montgomery-compatible) 170-bit probe modulus.
-        let modulus = BigUint::one().shl_bits(169) + BigUint::from(seed * 2 + 13);
-        let bank = |salt: u64| -> Vec<BigUint> {
-            (0..program.slot_budget())
-                .map(|i| BigUint::from((seed * 31 + salt * 7 + i as u64) % 251 + 1))
-                .collect()
-        };
-        let mut serial_banks: Vec<Vec<BigUint>> = (0..banks as u64).map(bank).collect();
-        let serial: Vec<_> = serial_banks
-            .iter_mut()
-            .map(|b| plat.execute(&program, &modulus, b))
-            .collect();
-        let mut batch_banks: Vec<Vec<BigUint>> = (0..banks as u64).map(bank).collect();
-        let batched = plat.execute_batch(&program, &modulus, &mut batch_banks);
-        prop_assert_eq!(batched, serial);
-        prop_assert_eq!(batch_banks, serial_banks);
+    for name in ["p256", "secp256k1"] {
+        let curve = Curve::by_name(name).unwrap();
+        let bits = curve.fp().modulus().bit_len();
+        let (_, ecc) = plat.ecc_scalar_multiplication(&curve, curve.base_point(), &balanced(bits));
+        let (pd, pa) = plat.ladder_kinds(&curve);
+        let first_bit =
+            plat.composite_report(pd, bits).cycles + plat.composite_report(pa, bits).cycles;
+        let class = WorkClass::Ecc { curve: name.into() };
+        assert_eq!(
+            fleet.service_cycles(&class),
+            ecc.cycles + first_bit,
+            "{name}"
+        );
     }
 }
 

@@ -141,19 +141,21 @@ proptest! {
         }
     }
 
-    /// (a, platform level) The simulated mixed sequence computes the same
-    /// sum as the simulated general sequence on random 160-bit points.
+    /// (a, platform level) The simulated ladder computes the same multiple
+    /// through the mixed sequence as through the general one, on random
+    /// 160-bit points and scalars (every addition but the first meets a
+    /// generic-Z accumulator).
     #[test]
     fn platform_mixed_sequence_matches_general(seed in 0u64..1_000) {
         let curve = Curve::p160_reproduction().unwrap();
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
-        let plat = Platform::new(CostModel::paper(), 4, Hierarchy::TypeB);
+        let mixed = Platform::new(CostModel::paper(), 4, Hierarchy::TypeB);
+        let general = Platform::new(CostModel::paper().with_mixed_pa(false), 4, Hierarchy::TypeB);
         let p = curve.random_point(&mut rng);
-        let q = curve.random_point(&mut rng);
-        let jp = curve.jacobian_double(&curve.to_jacobian(&p)); // generic Z
-        let (mixed, _) = plat.run_ecc_point_addition_mixed(&curve, &jp, &q);
-        let (general, _) = plat.run_ecc_point_addition(&curve, &jp, &curve.to_jacobian(&q));
-        prop_assert_eq!(curve.to_affine(&mixed), curve.to_affine(&general));
+        let k = BigUint::random_bits(&mut rng, 16);
+        let (via_mixed, _) = mixed.ecc_scalar_multiplication(&curve, &p, &k);
+        let (via_general, _) = general.ecc_scalar_multiplication(&curve, &p, &k);
+        prop_assert_eq!(via_mixed, via_general);
     }
 }
 

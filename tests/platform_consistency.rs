@@ -121,15 +121,33 @@ proptest! {
     }
 
     /// The platform's Fp6 multiplication agrees with the host field tower
-    /// for random operands over the toy field.
+    /// for random operands over the toy field, loaded by name into the
+    /// program's slots in the platform's Montgomery domain.
     #[test]
     fn simulated_fp6_multiplication_is_correct(coeffs_a in prop::array::uniform6(0u64..101), coeffs_b in prop::array::uniform6(0u64..101)) {
-        let fp = field::FpContext::new(&BigUint::from(101u64)).unwrap();
-        let fp6 = Fp6Context::new(fp).unwrap();
+        let p = BigUint::from(101u64);
+        let fp6 = Fp6Context::new(field::FpContext::new(&p).unwrap()).unwrap();
         let a = fp6.from_u64_coeffs(coeffs_a);
         let b = fp6.from_u64_coeffs(coeffs_b);
         let plat = Platform::new(CostModel::paper(), 4, Hierarchy::TypeB);
-        let (got, _) = plat.run_fp6_multiplication(&fp6, &a, &b);
-        prop_assert_eq!(got, fp6.mul(&a, &b));
+        let program = plat.compiled(OpKind::Fp6Mul, p.bit_len());
+        let cost = plat.cost();
+        let r = BigUint::one().shl_bits(cost.word_bits * cost.limbs(p.bit_len())) % &p;
+        let r_inv = bignum::mod_inv(&r, &p).unwrap();
+        let mut slots = vec![BigUint::zero(); program.slot_budget()];
+        for (factor, x) in [("a", &a), ("b", &b)] {
+            for (i, c) in x.coeffs().iter().enumerate() {
+                let slot = program.operand(&format!("{factor}{i}")).unwrap();
+                slots[slot] = bignum::mod_mul(&fp6.fp().to_biguint(c), &r, &p);
+            }
+        }
+        plat.execute(&program, &p, &mut slots);
+        let got: Vec<BigUint> = program
+            .outputs()
+            .iter()
+            .map(|&o| bignum::mod_mul(&slots[o], &r_inv, &p))
+            .collect();
+        let want: Vec<BigUint> = fp6.mul(&a, &b).coeffs().iter().map(|c| fp6.fp().to_biguint(c)).collect();
+        prop_assert_eq!(got, want);
     }
 }
