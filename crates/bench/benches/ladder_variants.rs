@@ -1,7 +1,8 @@
 //! Fixed-backend ladder-variant bench: plain double-and-add against the
 //! signed-digit NAF ladder and the `Window4` path (the cached fixed-base
 //! comb for the curve's base point) on secp256k1, all running on the
-//! curve's stack-allocated fixed-width backend (`Curve::fixed_backend`).
+//! fixed-width instantiation of `ecc::ladder` (the curve's field has a
+//! `fixed256` backend).
 //!
 //! Under `cargo bench` with `BENCH_REPORT_JSON=<path>` set, the harness
 //! re-times the variants with a plain `Instant` loop and merges the
@@ -22,7 +23,7 @@ struct Fixture {
 impl Fixture {
     fn new() -> Fixture {
         let curve = Curve::from_parameters::<Secp256k1>().expect("registered curve");
-        assert!(curve.fixed_backend().is_some(), "secp256k1 runs fixed");
+        assert!(curve.fp().fixed256().is_some(), "secp256k1 runs fixed");
         let mut rng = rand::rngs::StdRng::seed_from_u64(1024);
         let k = BigUint::random_bits(&mut rng, 256);
         // Build (and cache) the comb table outside the timed region: the

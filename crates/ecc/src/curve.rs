@@ -1,14 +1,17 @@
 //! Short-Weierstrass curves `y² = x³ + ax + b` over `Fp` and their group law.
 
+use std::sync::{Arc, OnceLock};
+
+use bignum::fixed::Uint;
 use bignum::BigUint;
 use field::{FpContext, FpElement};
 use rand::Rng;
 
 use crate::error::EccError;
-use crate::fixed::FixedCurve;
-use crate::formulas::{self, Addition};
+use crate::ladder::{CombTable, Ladder};
 use crate::params::{P160Reproduction, Toy};
 use crate::point::{AffinePoint, JacobianPoint};
+use crate::scalar::Backend;
 
 /// A short-Weierstrass curve over a prime field, together with a base point.
 ///
@@ -37,9 +40,10 @@ pub struct Curve {
     // Whether a ≡ -3 (mod p), precomputed so the per-doubling dispatch
     // to the shortened formulas costs a bool instead of a conversion.
     a_minus_three: bool,
-    // The stack-allocated ladder backend, present exactly when the field
-    // has a fixed-width 256-bit context (see `Curve::fixed_backend`).
-    fixed: Option<FixedCurve>,
+    // The base point's comb table on the fixed-width backend, built by the
+    // first `Window4` multiplication of the base point and shared by
+    // clones.
+    pub(crate) comb: Arc<OnceLock<CombTable<Uint<4>>>>,
 }
 
 /// Explicit curve parameters with named fields — the builder behind every
@@ -211,9 +215,6 @@ impl Curve {
         }
         let a_minus_three = a_is_minus_three(&fp, &a);
         let bits = bits.unwrap_or_else(|| fp.bit_len());
-        let fixed = fp
-            .fixed256()
-            .map(|ctx| FixedCurve::new(ctx.clone(), &a, a_minus_three));
         let curve = Curve {
             fp: fp.clone(),
             a,
@@ -224,7 +225,7 @@ impl Curve {
             bits,
             name,
             a_minus_three,
-            fixed,
+            comb: Arc::default(),
         };
         let base = curve
             .lift(
@@ -280,7 +281,7 @@ impl Curve {
 
     /// Returns `true` when the curve coefficient satisfies `a = -3`
     /// (i.e. `a ≡ p - 3 mod p`), the precondition of the shortened
-    /// doubling formulas ([`formulas::dbl_2001_b`]). Holds for
+    /// doubling formulas ([`crate::formulas::dbl_2001_b`]). Holds for
     /// [`Curve::p160_reproduction`], as for most standardized curves.
     pub fn a_is_minus_three(&self) -> bool {
         self.a_minus_three
@@ -291,19 +292,16 @@ impl Curve {
         &self.b
     }
 
-    /// The stack-allocated ladder backend, present exactly when the field
-    /// prime is 256-bit (e.g. [`crate::Secp256k1`] and [`crate::P256`];
-    /// see [`field::FpContext::fixed256`]). [`Curve::scalar_mul`] uses it
-    /// automatically for double-and-add ladders; benchmarks and
-    /// differential tests reach it through this accessor.
-    pub fn fixed_backend(&self) -> Option<&FixedCurve> {
-        self.fixed.as_ref()
+    /// The heap instantiation of the ladder layer, behind the `jacobian_*`
+    /// entry points.
+    pub(crate) fn ladder(&self) -> Ladder<'_, FpContext> {
+        Ladder::new(&self.fp, &self.a, self.a_minus_three)
     }
 
     /// A twin of this curve with every fixed-width fast path disabled:
     /// the field context is [`field::FpContext::heap_only`] (single
     /// products run on heap `BigUint`s, sharing the original operation
-    /// counter) and the stack-allocated ladder backend is dropped.
+    /// counter), so the ladders run on the heap instantiation too.
     ///
     /// This is the honest baseline for `fixed_vs_heap`-style comparisons:
     /// with [`field::FpContext::mul`] routing through the fixed backend on
@@ -313,15 +311,7 @@ impl Curve {
     pub fn heap_only(&self) -> Curve {
         Curve {
             fp: self.fp.heap_only(),
-            a: self.a.clone(),
-            b: self.b.clone(),
-            base: self.base.clone(),
-            order: self.order.clone(),
-            cofactor: self.cofactor.clone(),
-            bits: self.bits,
-            name: self.name,
-            a_minus_three: self.a_minus_three,
-            fixed: None,
+            ..self.clone()
         }
     }
 
@@ -435,72 +425,30 @@ impl Curve {
 
     /// Converts an affine point to Jacobian coordinates.
     pub fn to_jacobian(&self, p: &AffinePoint) -> JacobianPoint {
-        match p {
-            AffinePoint::Infinity => JacobianPoint {
-                x: self.fp.one(),
-                y: self.fp.one(),
-                z: self.fp.zero(),
-            },
-            AffinePoint::Point { x, y } => JacobianPoint {
-                x: x.clone(),
-                y: y.clone(),
-                z: self.fp.one(),
-            },
-        }
+        self.ladder().to_jacobian(p.coordinates())
     }
 
     /// Converts a Jacobian point back to affine coordinates (one inversion).
     pub fn to_affine(&self, p: &JacobianPoint) -> AffinePoint {
-        if p.is_infinity() {
-            return AffinePoint::Infinity;
-        }
-        let fp = &self.fp;
-        let z_inv = fp.inv(&p.z).expect("finite point has z != 0");
-        let z_inv2 = fp.square(&z_inv);
-        let z_inv3 = fp.mul(&z_inv2, &z_inv);
-        AffinePoint::Point {
-            x: fp.mul(&p.x, &z_inv2),
-            y: fp.mul(&p.y, &z_inv3),
-        }
-    }
-
-    /// The point at infinity in Jacobian form, `(1 : 1 : 0)`.
-    fn jacobian_infinity(&self) -> JacobianPoint {
-        self.to_jacobian(&AffinePoint::Infinity)
+        self.fp.lift_point(self.ladder().to_affine(p))
     }
 
     /// Jacobian point doubling (the paper's PD sequence; inversion-free).
     ///
-    /// Runs [`formulas::dbl_2001_b`] on curves with `a = -3` (two fewer
-    /// field multiplications) and [`formulas::pd_general`] otherwise —
-    /// the same choice the platform's `FormulaDb` makes. The point at
-    /// infinity and points with `Y1 = 0` double to infinity.
+    /// Runs [`crate::formulas::dbl_2001_b`] on curves with `a = -3` (two
+    /// fewer field multiplications) and [`crate::formulas::pd_general`]
+    /// otherwise — the same choice the platform's `FormulaDb` makes. The
+    /// point at infinity and points with `Y1 = 0` double to infinity
+    /// ([`Ladder::double`]).
     pub fn jacobian_double(&self, p: &JacobianPoint) -> JacobianPoint {
-        if p.is_infinity() || p.y.is_zero() {
-            return self.jacobian_infinity();
-        }
-        let coords = [&p.x, &p.y, &p.z];
-        let [x, y, z] = if self.a_minus_three {
-            formulas::dbl_2001_b(&self.fp, coords)
-        } else {
-            formulas::pd_general(&self.fp, coords, &self.a)
-        };
-        JacobianPoint { x, y, z }
+        self.ladder().double(p)
     }
 
     /// Jacobian point addition (the paper's PA sequence; inversion-free):
-    /// [`formulas::pa_general`] plus the degenerate cases — either operand
-    /// at infinity, and `p = ±q`, which the [`Addition`]'s `H` and `r`
-    /// reveal.
+    /// [`crate::formulas::pa_general`] plus the degenerate cases — either
+    /// operand at infinity, and `p = ±q` ([`Ladder::add`]).
     pub fn jacobian_add(&self, p: &JacobianPoint, q: &JacobianPoint) -> JacobianPoint {
-        if p.is_infinity() {
-            return q.clone();
-        }
-        if q.is_infinity() {
-            return p.clone();
-        }
-        let sum = formulas::pa_general(&self.fp, [&p.x, &p.y, &p.z], [&q.x, &q.y, &q.z]);
-        self.finish_addition(p, sum)
+        self.ladder().add(p, q)
     }
 
     /// Mixed-coordinate point addition: Jacobian `p` plus **affine** `q`
@@ -508,39 +456,14 @@ impl Curve {
     ///
     /// This is the addition the scalar-multiplication ladder performs on
     /// every set bit — the addend is the one-time-normalized base point —
-    /// and the [`formulas::madd`] body the platform's 13-multiplication
-    /// `madd` program records (11 products here, plus the platform's two
-    /// Montgomery lifts of its plain-form addend). Functionally it agrees
-    /// with `jacobian_add(p, to_jacobian(q))` on all inputs, including the
-    /// degenerate ones (either operand at infinity, `q = ±p`).
+    /// and the [`crate::formulas::madd`] body the platform's
+    /// 13-multiplication `madd` program records (11 products here, plus the
+    /// platform's two Montgomery lifts of its plain-form addend).
+    /// Functionally it agrees with `jacobian_add(p, to_jacobian(q))` on all
+    /// inputs, including the degenerate ones (either operand at infinity,
+    /// `q = ±p`; [`Ladder::add_mixed`]).
     pub fn jacobian_add_mixed(&self, p: &JacobianPoint, q: &AffinePoint) -> JacobianPoint {
-        let Some((x2, y2)) = q.coordinates() else {
-            return p.clone();
-        };
-        if p.is_infinity() {
-            return self.to_jacobian(q);
-        }
-        let sum = formulas::madd(&self.fp, [&p.x, &p.y, &p.z], [x2, y2]);
-        self.finish_addition(p, sum)
-    }
-
-    /// Resolves an addition body's degenerate cases: `H = 0` means the
-    /// operands share an x-coordinate, so the result is `2p` when `r = 0`
-    /// too and infinity otherwise.
-    fn finish_addition(
-        &self,
-        p: &JacobianPoint,
-        Addition {
-            sum: [x, y, z],
-            h,
-            r,
-        }: Addition<FpElement>,
-    ) -> JacobianPoint {
-        match (h.is_zero(), r.is_zero()) {
-            (false, _) => JacobianPoint { x, y, z },
-            (true, true) => self.jacobian_double(p),
-            (true, false) => self.jacobian_infinity(),
-        }
+        self.ladder().add_mixed(p, q.coordinates())
     }
 
     /// Compresses a finite point to `(x, parity-of-y)`.
@@ -662,6 +585,7 @@ impl Curve {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::formulas;
     use crate::params::WeierstrassParameters;
     use rand::SeedableRng;
 

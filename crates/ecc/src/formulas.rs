@@ -5,17 +5,17 @@
 //! (`pa-general`), the mixed addition with an affine addend (`madd`), the
 //! general doubling (`pd-general`) and the `a = -3` doubling
 //! (`dbl-2001-b`). Each is one branch-free body, in the exact step order
-//! the platform executes. The same body runs on the heap field
-//! ([`crate::Curve`]), on the fixed-width backend ([`crate::FixedCurve`])
-//! and under the platform crate's recorder, which turns it into the
+//! the platform executes. The same body runs in the host ladders
+//! ([`crate::ladder`], on the heap field or the fixed-width backend) and
+//! under the platform crate's recorder, which turns it into the
 //! coprocessor program — so host results, host op counts and simulated
 //! cycles all come from one source.
 //!
 //! Bodies never branch. Degenerate inputs (the point at infinity, `Y1 = 0`,
-//! `P = ±Q`) are the callers' business: the additions return `H` and `r`
-//! alongside the sum, and a caller seeing `H = 0` knows the sum is
-//! meaningless — it doubles when `r = 0` too, and returns infinity
-//! otherwise.
+//! `P = ±Q`) are the business of the wrappers in [`crate::ladder`]: the
+//! additions return `H` and `r` alongside the sum, and a caller seeing
+//! `H = 0` knows the sum is meaningless — it doubles when `r = 0` too, and
+//! returns infinity otherwise.
 //!
 //! ```
 //! use ecc::formulas::{self, Addition};

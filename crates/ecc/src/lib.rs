@@ -9,9 +9,13 @@
 //! per-operation `Fp` multiplication/addition counts that feed the platform
 //! cycle model.
 //!
-//! The point formulas themselves live in [`formulas`], each written once
-//! over [`field::FieldOps`] and shared by the heap [`Curve`], the
-//! fixed-width [`FixedCurve`] and the platform simulator's programs.
+//! The point formulas live in [`formulas`], each written once over
+//! [`field::FieldOps`] and shared by the host ladders and the platform
+//! simulator's programs. The ladders around them — the degenerate cases,
+//! the return to affine form, the four scalar-multiplication algorithms
+//! and the batch driver — live in [`ladder`], each written once over
+//! [`field::ValueOps`]. [`Curve`] instantiates them on the heap field, or
+//! on the fixed-width backend when the prime is 256-bit.
 //!
 //! Curves are described by the [`WeierstrassParameters`] trait — constants
 //! as associated data on zero-sized marker types — and built through
@@ -43,8 +47,9 @@
 mod curve;
 mod ecdh;
 mod error;
-pub mod fixed;
+mod fixed;
 pub mod formulas;
+pub mod ladder;
 mod params;
 mod point;
 mod scalar;
@@ -52,7 +57,6 @@ mod scalar;
 pub use curve::{Curve, CurveSpec};
 pub use ecdh::EccKeyPair;
 pub use error::EccError;
-pub use fixed::FixedCurve;
 pub use params::{P160Reproduction, Secp256k1, Toy, WeierstrassParameters, P256};
 pub use point::{AffinePoint, JacobianPoint};
 pub use scalar::{naf_digits, window_digits, ScalarMulAlgorithm};

@@ -42,14 +42,16 @@ impl AffinePoint {
 ///
 /// Jacobian coordinates avoid the per-operation modular inversion, which is
 /// what the paper's coprocessor point-addition/doubling sequences assume.
+/// The coordinates are heap [`FpElement`]s by default; the ladders in
+/// [`crate::ladder`] also run on the fixed-width backend's residues.
 #[derive(Clone, Debug)]
-pub struct JacobianPoint {
+pub struct JacobianPoint<E = FpElement> {
     /// Projective X coordinate.
-    pub x: FpElement,
+    pub x: E,
     /// Projective Y coordinate.
-    pub y: FpElement,
+    pub y: E,
     /// Projective Z coordinate (`0` for the point at infinity).
-    pub z: FpElement,
+    pub z: E,
 }
 
 impl JacobianPoint {

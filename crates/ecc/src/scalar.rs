@@ -5,24 +5,30 @@
 //! benchmark harness can ablate over them; all accumulate in Jacobian
 //! coordinates and convert back to affine once at the end.
 //!
-//! Every ladder keeps its **addend affine** and adds through the
-//! mixed-coordinate formulas ([`Curve::jacobian_add_mixed`], `Z2 = 1`):
-//! the double-and-add and NAF ladders add the (already affine) base point
-//! or its negation, and the windowed ladder normalizes its precomputed
-//! table once ([`Curve::affine_window_table`]) before the main loop. This is the
-//! access pattern the platform's 13-multiplication `pa_mixed` sequence
-//! prices; the general Jacobian addition ([`Curve::jacobian_add`]) remains
-//! the fallback for operands that are not in normalized form.
+//! The ladders themselves are written once in [`crate::ladder`]; this
+//! module picks the instantiation. A curve whose field has a fixed-width
+//! backend ([`field::FpContext::fixed256`], the 256-bit primes) runs them
+//! on [`bignum::fixed::MontgomeryContext`] stack residues, and every other
+//! curve on the heap field, which counts each operation.
 //!
-//! Doublings go through [`Curve::jacobian_double`], which on `a = -3`
-//! curves (the reproduction curve included) runs the shortened
+//! Every ladder keeps its **addend affine** and adds through the
+//! mixed-coordinate formula ([`crate::formulas::madd`], `Z2 = 1`): the
+//! double-and-add and NAF ladders add the (already affine) point or its
+//! negation, and the window and comb ladders normalize their tables with
+//! one inversion before the main loop. This is the access pattern the
+//! platform's 13-multiplication `pa_mixed` sequence prices. Doublings on
+//! `a = -3` curves (the reproduction curve included) run the shortened
 //! [`crate::formulas::dbl_2001_b`] body — the one the platform's
 //! 8-multiplication `dbl-2001-b` program records.
 
+use std::sync::OnceLock;
+
 use bignum::BigUint;
+use field::{FpContext, FpElement, ValueOps};
 
 use crate::curve::Curve;
-use crate::point::{AffinePoint, JacobianPoint};
+use crate::ladder::{Affine, CombTable, Ladder};
+use crate::point::AffinePoint;
 
 /// Scalar-multiplication algorithm selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,61 +37,147 @@ pub enum ScalarMulAlgorithm {
     DoubleAndAdd,
     /// Signed-digit non-adjacent form (PA on roughly one third of the digits).
     Naf,
-    /// Fixed 4-bit windows with a precomputed table.
+    /// Fixed 4-bit windows with a precomputed table (on a 256-bit curve's
+    /// base point, the cached Lim–Lee comb instead).
     Window4,
+}
+
+/// A backend [`Curve`] instantiates [`Ladder`] on, with the conversions
+/// from and to the heap [`FpElement`] at the ladder's edges.
+pub(crate) trait Backend: ValueOps {
+    /// The backend form of a field element.
+    fn lower(&self, e: &FpElement) -> Self::Elem;
+
+    /// The heap form of a backend element.
+    fn lift(&self, e: Self::Elem) -> FpElement;
+
+    /// The curve's cache for this backend's comb table at the base point,
+    /// when the backend runs the comb at all.
+    fn comb_cache(curve: &Curve) -> Option<&OnceLock<CombTable<Self::Elem>>>;
+
+    /// The backend form of an affine point (`None` is infinity).
+    fn lower_point(&self, p: &AffinePoint) -> Affine<Self::Elem> {
+        p.coordinates().map(|(x, y)| (self.lower(x), self.lower(y)))
+    }
+
+    /// The typed form of a ladder result.
+    fn lift_point(&self, p: Affine<Self::Elem>) -> AffinePoint {
+        p.map_or(AffinePoint::Infinity, |(x, y)| AffinePoint::Point {
+            x: self.lift(x),
+            y: self.lift(y),
+        })
+    }
+}
+
+impl Backend for FpContext {
+    fn lower(&self, e: &FpElement) -> FpElement {
+        e.clone()
+    }
+
+    fn lift(&self, e: FpElement) -> FpElement {
+        e
+    }
+
+    fn comb_cache(_: &Curve) -> Option<&OnceLock<CombTable<FpElement>>> {
+        None
+    }
 }
 
 impl Curve {
     /// Computes `k · point` with the selected algorithm.
     ///
-    /// On 256-bit curves every algorithm runs on the stack-allocated fixed
-    /// backend ([`Curve::fixed_backend`]): double-and-add and NAF map to
-    /// their fixed ladders, and `Window4` maps to the cached fixed-base
-    /// comb for the curve's base point (or a per-call batch-normalized
-    /// window table for arbitrary points). All results are bit-identical
-    /// to the heap ladders ([`Curve::scalar_mul_reference`] pins this):
-    /// the fixed backend shares the Montgomery radix, and the affine
-    /// coordinates of `k · point` are unique whatever ladder computed
-    /// them.
+    /// Double-and-add and NAF run as named. `Window4` runs the Lim–Lee
+    /// comb on a 256-bit curve's base point (its table built once and
+    /// cached) for scalars of at most 256 bits, and the 4-bit window ladder
+    /// everywhere else. On 256-bit curves every ladder runs on the
+    /// fixed-width backend; results are identical to the heap ladders
+    /// ([`Curve::scalar_mul_reference`] pins this), because the backends
+    /// share the Montgomery radix and the affine coordinates of
+    /// `k · point` are unique whatever ladder computed them.
     pub fn scalar_mul(
         &self,
         point: &AffinePoint,
         k: &BigUint,
         algorithm: ScalarMulAlgorithm,
     ) -> AffinePoint {
-        if k.is_zero() || point.is_infinity() {
-            return AffinePoint::Infinity;
+        match self.fp().fixed256() {
+            Some(ctx) => self.scalar_mul_on(ctx, point, k, algorithm),
+            None => self.scalar_mul_on(self.fp(), point, k, algorithm),
         }
-        if let Some(result) = self.fixed_scalar_mul_with(point, k, algorithm) {
-            return result;
-        }
-        self.scalar_mul_reference(point, k, algorithm)
     }
 
-    /// Computes `k · point` on the heap (`BigUint`) ladder unconditionally
-    /// — the pre-fixed-backend behaviour, kept as the differential baseline
-    /// for tests and the `fixed_vs_heap` benchmark. The whole ladder
-    /// (formulas *and* single field products) runs on a
-    /// [`Curve::heap_only`] twin, so the baseline stays honest now that
-    /// [`field::FpContext::mul`] itself routes 256-bit products through
-    /// the fixed backend. [`Curve::scalar_mul`] is the fast path; results
-    /// are identical.
+    fn scalar_mul_on<F: Backend>(
+        &self,
+        f: &F,
+        point: &AffinePoint,
+        k: &BigUint,
+        algorithm: ScalarMulAlgorithm,
+    ) -> AffinePoint {
+        let Some((x, y)) = f.lower_point(point) else {
+            return AffinePoint::Infinity;
+        };
+        if k.is_zero() {
+            return AffinePoint::Infinity;
+        }
+        let a = f.lower(self.a());
+        let ladder = Ladder::new(f, &a, self.a_is_minus_three());
+        let acc = match algorithm {
+            ScalarMulAlgorithm::DoubleAndAdd => ladder.double_and_add(&x, &y, k),
+            ScalarMulAlgorithm::Naf => ladder.naf(&x, &y, k),
+            ScalarMulAlgorithm::Window4 => F::comb_cache(self)
+                .filter(|_| point == self.base_point())
+                .and_then(|cache| {
+                    ladder.comb(cache.get_or_init(|| ladder.comb_table(&x, &y)), &x, &y, k)
+                })
+                .unwrap_or_else(|| ladder.window(&x, &y, k, 4)),
+        };
+        f.lift_point(ladder.to_affine(&acc))
+    }
+
+    /// Computes `k · point` on the heap (`BigUint`) ladders unconditionally,
+    /// on a [`Curve::heap_only`] twin — the differential baseline for tests
+    /// and the `fixed_vs_heap` benchmark. [`Curve::scalar_mul`] is the fast
+    /// path; results are identical.
     pub fn scalar_mul_reference(
         &self,
         point: &AffinePoint,
         k: &BigUint,
         algorithm: ScalarMulAlgorithm,
     ) -> AffinePoint {
-        if k.is_zero() || point.is_infinity() {
-            return AffinePoint::Infinity;
+        self.heap_only().scalar_mul(point, k, algorithm)
+    }
+
+    /// Computes `k_i · P_i` for a whole batch of requests, amortizing host
+    /// wall-clock the way [`Curve::scalar_mul`] cannot: every request runs
+    /// the NAF ladder (or the comb, when the request is at the base point
+    /// and a `Window4` call has cached its table), and the whole batch
+    /// shares one final batched inversion ([`Ladder::batch`]). Every
+    /// element is identical to a serial `scalar_mul` call on the same
+    /// request.
+    pub fn scalar_mul_batch(&self, requests: &[(AffinePoint, BigUint)]) -> Vec<AffinePoint> {
+        match self.fp().fixed256() {
+            Some(ctx) => self.scalar_mul_batch_on(ctx, requests),
+            None => self.scalar_mul_batch_on(self.fp(), requests),
         }
-        let heap = self.heap_only();
-        let result = match algorithm {
-            ScalarMulAlgorithm::DoubleAndAdd => double_and_add(&heap, point, k),
-            ScalarMulAlgorithm::Naf => naf_mul(&heap, point, k),
-            ScalarMulAlgorithm::Window4 => window_mul(&heap, point, k, 4),
-        };
-        heap.to_affine(&result)
+    }
+
+    fn scalar_mul_batch_on<F: Backend>(
+        &self,
+        f: &F,
+        requests: &[(AffinePoint, BigUint)],
+    ) -> Vec<AffinePoint> {
+        let a = f.lower(self.a());
+        let ladder = Ladder::new(f, &a, self.a_is_minus_three());
+        let lowered: Vec<_> = requests
+            .iter()
+            .map(|(point, k)| (f.lower_point(point), k))
+            .collect();
+        let comb = F::comb_cache(self).and_then(OnceLock::get);
+        ladder
+            .batch(&lowered, comb)
+            .into_iter()
+            .map(|p| f.lift_point(p))
+            .collect()
     }
 
     /// Computes `k · base_point` with the default algorithm (double-and-add,
@@ -94,62 +186,17 @@ impl Curve {
         self.scalar_mul(self.base_point(), k, ScalarMulAlgorithm::DoubleAndAdd)
     }
 
-    /// Precomputes the windowed ladder's table `[O, P, 2P, .., (2^w - 1)·P]`
-    /// with every entry **normalized to affine form** — the one-time
-    /// normalization that lets the main loop use mixed additions only.
-    /// Exposed so tests can pin the ladder invariant (every addend is
+    /// The windowed ladder's table `[O, P, 2P, .., (2^w - 1)·P]` with every
+    /// entry **normalized to affine form** ([`Ladder::window`]'s table) — the
+    /// one-time normalization that lets the main loop use mixed additions
+    /// only. Exposed so tests can pin the ladder invariant (every addend is
     /// affine and the correct multiple) without re-deriving the table.
     pub fn affine_window_table(&self, point: &AffinePoint, window: usize) -> Vec<AffinePoint> {
-        let table_len = 1usize << window;
-        // Build the multiples chain in Jacobian form (the addend stays the
-        // affine base point, so every step is a mixed addition), then
-        // normalize the whole chain with ONE batched inversion —
-        // Montgomery's trick via [`field::FpContext::inv_batch`] — instead
-        // of one Fermat inversion per entry. The recorded operation counts
-        // are unchanged (one inversion + four multiplications per finite
-        // entry, infinity entries free, exactly what the per-entry
-        // normalization recorded); only the host-side inversion loops
-        // collapse.
-        let mut chain = Vec::with_capacity(table_len.saturating_sub(2));
-        let mut acc = self.to_jacobian(point);
-        for _ in 2..table_len {
-            acc = self.jacobian_add_mixed(&acc, point);
-            chain.push(acc.clone());
-        }
-        let fp = self.fp();
-        let zs: Vec<_> = chain.iter().map(|p| p.z.clone()).collect();
-        let z_invs = fp.inv_batch(&zs);
-        let mut table = Vec::with_capacity(table_len);
-        table.push(AffinePoint::Infinity);
-        table.push(point.clone());
-        for (p, z_inv) in chain.iter().zip(z_invs) {
-            table.push(match z_inv {
-                None => AffinePoint::Infinity,
-                Some(z_inv) => {
-                    let z_inv2 = fp.square(&z_inv);
-                    let z_inv3 = fp.mul(&z_inv2, &z_inv);
-                    AffinePoint::Point {
-                        x: fp.mul(&p.x, &z_inv2),
-                        y: fp.mul(&p.y, &z_inv3),
-                    }
-                }
-            });
-        }
-        table
+        let table = self.ladder().window_table(point.coordinates(), window);
+        std::iter::once(AffinePoint::Infinity)
+            .chain(table.into_iter().map(|p| self.fp().lift_point(p)))
+            .collect()
     }
-}
-
-fn double_and_add(curve: &Curve, point: &AffinePoint, k: &BigUint) -> JacobianPoint {
-    // The addend is the base point itself: already affine, so every
-    // addition is a mixed addition.
-    let mut acc = curve.to_jacobian(&AffinePoint::Infinity);
-    for i in (0..k.bit_len()).rev() {
-        acc = curve.jacobian_double(&acc);
-        if k.bit(i) {
-            acc = curve.jacobian_add_mixed(&acc, point);
-        }
-    }
-    acc
 }
 
 /// Computes the non-adjacent form of `k` (least-significant digit first).
@@ -188,26 +235,8 @@ pub fn naf_digits(k: &BigUint) -> Vec<i8> {
     digits
 }
 
-fn naf_mul(curve: &Curve, point: &AffinePoint, k: &BigUint) -> JacobianPoint {
-    // Both addends (±P) are affine: negation does not disturb `Z = 1`.
-    let digits = naf_digits(k);
-    let neg_p = curve.negate(point);
-    let mut acc = curve.to_jacobian(&AffinePoint::Infinity);
-    for &d in digits.iter().rev() {
-        acc = curve.jacobian_double(&acc);
-        match d {
-            1 => acc = curve.jacobian_add_mixed(&acc, point),
-            -1 => acc = curve.jacobian_add_mixed(&acc, &neg_p),
-            _ => {}
-        }
-    }
-    acc
-}
-
 /// Splits `k` into unsigned `window`-bit digits, least-significant digit
-/// first — the **shared** recoding used by both the heap and fixed windowed
-/// ladders (and the batch window tables), so the two backends can never
-/// diverge on digit sequences.
+/// first — the recoding of [`Ladder::window`].
 pub fn window_digits(k: &BigUint, window: usize) -> Vec<usize> {
     assert!(window > 0, "window width must be positive");
     let chunks = k.bit_len().div_ceil(window);
@@ -220,22 +249,6 @@ pub fn window_digits(k: &BigUint, window: usize) -> Vec<usize> {
         digits.push(digit);
     }
     digits
-}
-
-fn window_mul(curve: &Curve, point: &AffinePoint, k: &BigUint, window: usize) -> JacobianPoint {
-    let table = curve.affine_window_table(point, window);
-    // Process the scalar in w-bit chunks, most significant first.
-    let digits = window_digits(k, window);
-    let mut acc = curve.to_jacobian(&AffinePoint::Infinity);
-    for &digit in digits.iter().rev() {
-        for _ in 0..window {
-            acc = curve.jacobian_double(&acc);
-        }
-        if digit != 0 {
-            acc = curve.jacobian_add_mixed(&acc, &table[digit]);
-        }
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -290,6 +303,40 @@ mod tests {
     }
 
     #[test]
+    fn small_order_point_matches_repeated_addition_in_every_ladder() {
+        // The toy group has order 1020 = 2²·3·5·17, so (1020 / 3)·Q is a
+        // point of order 3 whenever it is finite. Its multiples reach
+        // infinity mid-ladder, and its window table holds infinity entries.
+        let curve = Curve::toy().unwrap();
+        let third = BigUint::from(curve.order().unwrap().to_u64().unwrap() / 3);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+        let p = loop {
+            let q = curve.random_point(&mut rng);
+            let p = curve.scalar_mul(&q, &third, ScalarMulAlgorithm::DoubleAndAdd);
+            if !p.is_infinity() {
+                break p;
+            }
+        };
+        assert!(curve.add(&curve.double(&p), &p).is_infinity(), "order 3");
+        let table = curve.affine_window_table(&p, 4);
+        assert!(table[1..].iter().any(AffinePoint::is_infinity));
+        let requests: Vec<_> = (0u64..=20).map(|k| (p.clone(), BigUint::from(k))).collect();
+        let batch = curve.scalar_mul_batch(&requests);
+        let mut expected = AffinePoint::Infinity;
+        for ((_, k), batched) in requests.iter().zip(&batch) {
+            for alg in [
+                ScalarMulAlgorithm::DoubleAndAdd,
+                ScalarMulAlgorithm::Naf,
+                ScalarMulAlgorithm::Window4,
+            ] {
+                assert_eq!(curve.scalar_mul(&p, k, alg), expected, "{alg:?}, k = {k:?}");
+            }
+            assert_eq!(*batched, expected, "batch, k = {k:?}");
+            expected = curve.add(&expected, &p);
+        }
+    }
+
+    #[test]
     fn scalar_mul_distributes_over_addition_of_scalars() {
         let curve = Curve::toy().unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(14);
@@ -323,9 +370,8 @@ mod tests {
     #[test]
     fn reference_ladder_runs_heap_only_and_matches_the_fast_path() {
         let curve = Curve::by_name("secp256k1").unwrap();
-        assert!(curve.fixed_backend().is_some());
+        assert!(curve.fp().fixed256().is_some());
         let heap = curve.heap_only();
-        assert!(heap.fixed_backend().is_none());
         assert!(heap.fp().fixed256().is_none());
         let mut rng = rand::rngs::StdRng::seed_from_u64(16);
         for _ in 0..3 {
@@ -359,7 +405,7 @@ mod tests {
     #[test]
     fn fixed_ladders_and_batch_match_heap_reference_on_secp256k1() {
         let curve = Curve::by_name("secp256k1").unwrap();
-        assert!(curve.fixed_backend().is_some());
+        assert!(curve.fp().fixed256().is_some());
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let base = curve.base_point().clone();
         let other = curve.random_point(&mut rng);

@@ -10,7 +10,7 @@ pub enum FieldError {
     /// The modulus is not usable as a field characteristic (even, zero or one).
     InvalidModulus,
     /// The prime does not satisfy the congruence required by the extension
-    /// (e.g. `p ≡ 2 mod 3` for `Fp2`, `p ≡ 2, 5 mod 9` for `Fp3`/`Fp6`).
+    /// (`p ≡ 2, 5 mod 9` for `Fp3`/`Fp6`).
     UnsupportedCongruence {
         /// Modulus of the congruence condition.
         modulus: u32,

@@ -17,7 +17,7 @@
 //! bodies are written in that order. The ECC point formulas follow the
 //! same pattern in the `ecc` crate.
 
-use bignum::fixed::{add_mod, sub_mod, MontgomeryContext, Uint};
+use bignum::fixed::{add_mod, neg_mod, sub_mod, MontgomeryContext, Uint};
 
 use crate::fp::{FpContext, FpElement};
 
@@ -43,6 +43,35 @@ pub trait FieldOps {
     fn copy(&self, a: Self::Elem) -> Self::Elem;
 }
 
+/// What a backend that holds values (not a recorder) adds to [`FieldOps`]:
+/// the constants, the zero test and the two operations a scalar ladder
+/// performs outside the formula bodies — negating an addend and one
+/// batched inversion to return to affine form.
+///
+/// [`FpContext`] and [`MontgomeryContext`] implement it; the `ecc` crate's
+/// ladders are written once against it.
+pub trait ValueOps: FieldOps<Elem: Clone + PartialEq> {
+    /// The additive identity.
+    fn zero(&self) -> Self::Elem;
+
+    /// The multiplicative identity.
+    fn one(&self) -> Self::Elem;
+
+    /// Whether `a` is zero.
+    fn is_zero(&self, a: &Self::Elem) -> bool;
+
+    /// `−a`.
+    fn neg(&self, a: &Self::Elem) -> Self::Elem;
+
+    /// Inverts every element of `values` in place with one shared
+    /// inversion (Montgomery's trick).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an element is zero.
+    fn invert_batch(&self, values: &mut [Self::Elem]);
+}
+
 impl FieldOps for FpContext {
     type Elem = FpElement;
 
@@ -60,6 +89,33 @@ impl FieldOps for FpContext {
 
     fn copy(&self, a: FpElement) -> FpElement {
         a
+    }
+}
+
+/// Counted like the inherent methods: [`FpContext::neg`] records one
+/// subtraction, and the batch records one inversion per element.
+impl ValueOps for FpContext {
+    fn zero(&self) -> FpElement {
+        FpContext::zero(self)
+    }
+
+    fn one(&self) -> FpElement {
+        FpContext::one(self)
+    }
+
+    fn is_zero(&self, a: &FpElement) -> bool {
+        a.is_zero()
+    }
+
+    fn neg(&self, a: &FpElement) -> FpElement {
+        FpContext::neg(self, a)
+    }
+
+    fn invert_batch(&self, values: &mut [FpElement]) {
+        let inverses = self.inv_batch(values);
+        for (value, inverse) in values.iter_mut().zip(inverses) {
+            *value = inverse.expect("batched inversion of zero");
+        }
     }
 }
 
@@ -84,6 +140,42 @@ impl<const LIMBS: usize> FieldOps for MontgomeryContext<LIMBS> {
     #[inline]
     fn copy(&self, a: Uint<LIMBS>) -> Uint<LIMBS> {
         a
+    }
+}
+
+impl<const LIMBS: usize> ValueOps for MontgomeryContext<LIMBS> {
+    #[inline]
+    fn zero(&self) -> Uint<LIMBS> {
+        Uint::ZERO
+    }
+
+    #[inline]
+    fn one(&self) -> Uint<LIMBS> {
+        self.one_mont()
+    }
+
+    #[inline]
+    fn is_zero(&self, a: &Uint<LIMBS>) -> bool {
+        a.is_zero()
+    }
+
+    #[inline]
+    fn neg(&self, a: &Uint<LIMBS>) -> Uint<LIMBS> {
+        neg_mod(a, self.modulus())
+    }
+
+    fn invert_batch(&self, values: &mut [Uint<LIMBS>]) {
+        // A lone value needs no prefix chain, so a single inversion stays
+        // off the heap.
+        if let [value] = values {
+            *value = self.mont_inv_prime(value).expect("inversion of zero");
+            return;
+        }
+        let mut scratch = vec![Uint::ZERO; values.len()];
+        assert!(
+            self.mont_inv_batch(values, &mut scratch),
+            "batched inversion of zero"
+        );
     }
 }
 

@@ -312,34 +312,23 @@ impl FpContext {
 
     /// Modular exponentiation by square-and-multiply.
     ///
-    /// For 256-bit primes the whole loop runs on the fixed-width backend
-    /// (no heap allocation per step); the recorded operation counts and the
+    /// For 256-bit primes and exponents of at most 256 bits the whole loop
+    /// runs on the fixed-width backend ([`MontgomeryContext::mont_pow`], no
+    /// heap allocation per step); the recorded operation counts and the
     /// result are identical to the heap path.
     pub fn exp(&self, base: &FpElement, exp: &BigUint) -> FpElement {
         if let Some(ctx) = self.inner.fixed256.as_ref() {
-            if let Some(base_f) = Uint::<4>::from_biguint(&base.mont) {
-                let mut acc = ctx.one_mont();
-                for i in (0..exp.bit_len()).rev() {
-                    self.inner.counter.record_mul();
-                    acc = ctx.mont_mul(&acc, &acc);
-                    if exp.bit(i) {
-                        self.inner.counter.record_mul();
-                        acc = ctx.mont_mul(&acc, &base_f);
-                    }
-                }
+            if let (Some(base_f), Some(exp_f)) = (
+                Uint::<4>::from_biguint(&base.mont),
+                Uint::<4>::from_biguint(exp),
+            ) {
+                self.record_serial_exp_ops(exp);
                 return FpElement {
-                    mont: acc.to_biguint(),
+                    mont: ctx.mont_pow(&base_f, &exp_f).to_biguint(),
                 };
             }
         }
-        let mut acc = self.one();
-        for i in (0..exp.bit_len()).rev() {
-            acc = self.square(&acc);
-            if exp.bit(i) {
-                acc = self.mul(&acc, base);
-            }
-        }
-        acc
+        square_and_multiply(self.one(), base, exp, |a, b| self.mul(a, b))
     }
 
     /// Batched modular exponentiation: `out[i] = pairs[i].0 ^ pairs[i].1`.
@@ -482,18 +471,9 @@ impl FpContext {
             }
         }
         let exp = &self.inner.modulus - &BigUint::from(2u64);
-        let mut acc = self.one();
-        for i in (0..exp.bit_len()).rev() {
-            acc = FpElement {
-                mont: self.inner.mont.mont_mul(&acc.mont, &acc.mont),
-            };
-            if exp.bit(i) {
-                acc = FpElement {
-                    mont: self.inner.mont.mont_mul(&acc.mont, &a.mont),
-                };
-            }
-        }
-        Some(acc)
+        Some(FpElement {
+            mont: self.inner.mont.mont_pow(&a.mont, &exp),
+        })
     }
 
     /// Returns `true` if two contexts describe the same field.
@@ -564,6 +544,24 @@ impl FpContext {
         }
         Some(r)
     }
+}
+
+/// Left-to-right square-and-multiply from `one`, squaring as `mul(acc, acc)`:
+/// the one loop behind `exp` on every level of the tower.
+pub(crate) fn square_and_multiply<E>(
+    one: E,
+    base: &E,
+    exp: &BigUint,
+    mul: impl Fn(&E, &E) -> E,
+) -> E {
+    let mut acc = one;
+    for i in (0..exp.bit_len()).rev() {
+        acc = mul(&acc, &acc);
+        if exp.bit(i) {
+            acc = mul(&acc, base);
+        }
+    }
+    acc
 }
 
 impl fmt::Debug for FpContext {
@@ -737,6 +735,18 @@ mod tests {
                 assert_eq!(fp.to_biguint(&fp.inv(&a).unwrap()), expected_inv);
             }
         }
+
+        // Exponents wider than the fixed backend's 256 bits still work, on
+        // the generic loop, and count like every other exponent.
+        let a = fp.random(&mut rng);
+        let wide = BigUint::random_bits(&mut rng, 300);
+        fp.reset_op_count();
+        let got = fp.exp(&a, &wide);
+        let set_bits = (0..wide.bit_len()).filter(|&i| wide.bit(i)).count();
+        assert!(wide.bit_len() > 256);
+        assert_eq!(fp.op_count().mul, (wide.bit_len() + set_bits) as u64);
+        let expected = fp.montgomery().mod_exp(&fp.to_biguint(&a), &wide);
+        assert_eq!(fp.to_biguint(&got), expected);
 
         // The fast path records the same operation counts as the heap loop:
         // one mul per squaring plus one per set exponent bit.

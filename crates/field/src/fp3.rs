@@ -13,7 +13,7 @@ use rand::Rng;
 
 use crate::error::FieldError;
 use crate::formulas::karatsuba3;
-use crate::fp::{FpContext, FpElement};
+use crate::fp::{square_and_multiply, FpContext, FpElement};
 
 /// Context for arithmetic in `Fp3 = Fp[x]/(x^3 - 3x + 1)`.
 #[derive(Clone)]
@@ -185,14 +185,7 @@ impl Fp3Context {
 
     /// Exponentiation by square-and-multiply.
     pub fn exp(&self, base: &Fp3Element, exp: &BigUint) -> Fp3Element {
-        let mut acc = self.one();
-        for i in (0..exp.bit_len()).rev() {
-            acc = self.square(&acc);
-            if exp.bit(i) {
-                acc = self.mul(&acc, base);
-            }
-        }
-        acc
+        square_and_multiply(self.one(), base, exp, |a, b| self.mul(a, b))
     }
 
     /// The Frobenius map `a ↦ a^p` (an `Fp`-linear map; uses the cached

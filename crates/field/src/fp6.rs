@@ -14,7 +14,7 @@ use rand::Rng;
 
 use crate::error::FieldError;
 use crate::formulas::karatsuba_fp6;
-use crate::fp::{FpContext, FpElement};
+use crate::fp::{square_and_multiply, FpContext, FpElement};
 
 /// Context for arithmetic in `Fp6 = Fp[z]/(z^6 + z^3 + 1)` (representation F1).
 #[derive(Clone)]
@@ -191,14 +191,7 @@ impl Fp6Context {
 
     /// Exponentiation by left-to-right square-and-multiply.
     pub fn exp(&self, base: &Fp6Element, exp: &BigUint) -> Fp6Element {
-        let mut acc = self.one();
-        for i in (0..exp.bit_len()).rev() {
-            acc = self.square(&acc);
-            if exp.bit(i) {
-                acc = self.mul(&acc, base);
-            }
-        }
-        acc
+        square_and_multiply(self.one(), base, exp, |a, b| self.mul(a, b))
     }
 
     /// Sliding-window exponentiation with `window` bits (1 ≤ window ≤ 8).

@@ -9,8 +9,6 @@
 //! * [`FpContext`]/[`FpElement`] — the base prime field with Montgomery
 //!   arithmetic and M/A/I operation counting (the counts drive the cycle
 //!   model in the `platform` crate).
-//! * [`Fp2Context`] — `Fp[w]/(w^2 + w + 1)`, the quadratic subfield of
-//!   `Fp6` (requires `p ≡ 2 mod 3`).
 //! * [`Fp3Context`] — `Fp[x]/(x^3 - 3x + 1)`, the cubic subfield generated
 //!   by `ζ9 + ζ9^{-1}` (requires `p ≡ 2, 5 mod 9`).
 //! * [`Fp6Context`] — the paper's representation F1 with the 18M + ~60A
@@ -21,6 +19,10 @@
 //!   formula is written against once ([`karatsuba_fp6`] here, the ECC
 //!   point formulas in the `ecc` crate), instantiated on the heap field,
 //!   the fixed-width backend and the platform's program recorder.
+//! * [`ValueOps`] — what the two value backends (the heap field and the
+//!   fixed-width [`bignum::fixed::MontgomeryContext`]) add for the `ecc`
+//!   scalar ladders: constants, the zero test, negation and one batched
+//!   inversion.
 //!
 //! # Example
 //!
@@ -46,7 +48,6 @@ mod error;
 mod f2repr;
 mod formulas;
 mod fp;
-mod fp2;
 mod fp3;
 mod fp6;
 mod linalg;
@@ -54,9 +55,8 @@ mod opcount;
 
 pub use error::FieldError;
 pub use f2repr::{F2Element, F2Repr};
-pub use formulas::{karatsuba_fp6, FieldOps};
+pub use formulas::{karatsuba_fp6, FieldOps, ValueOps};
 pub use fp::{FpContext, FpElement};
-pub use fp2::{Fp2Context, Fp2Element};
 pub use fp3::{Fp3Context, Fp3Element};
 pub use fp6::{Fp6Context, Fp6Element};
 pub use linalg::FpMatrix;

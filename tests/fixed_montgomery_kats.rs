@@ -12,6 +12,7 @@
 
 use bignum::fixed::{MontgomeryContext, Uint};
 use bignum::{BigUint, MontgomeryParams};
+use ecc::ladder::Ladder;
 use ecc::prelude::*;
 use field::FpElement;
 use proptest::prelude::*;
@@ -132,32 +133,33 @@ fn backend_presence_matches_field_width() {
     ] {
         let curve = Curve::by_name(name).unwrap();
         assert_eq!(
-            curve.fixed_backend().is_some(),
+            curve.fp().fixed256().is_some(),
             expect,
             "{name}: fixed backend presence"
         );
-        assert_eq!(
-            curve.fp().fixed256().is_some(),
-            expect,
-            "{name}: field fast path"
+        // The heap twin never has one.
+        assert!(
+            curve.heap_only().fp().fixed256().is_none(),
+            "{name}: heap twin"
         );
     }
 }
 
-/// Runs `k · G` directly through the fixed backend (no dispatch), returning
-/// the affine result as field elements.
+/// Runs `k · G` through the ladder's `MontgomeryContext<4>` instantiation
+/// directly (no dispatch), returning the affine result as field elements.
 fn fixed_mul_base(curve: &Curve, k: u64) -> Option<(FpElement, FpElement)> {
-    let backend = curve.fixed_backend().expect("256-bit curve has a backend");
-    let (gx, gy) = curve.base_point().coordinates().expect("G is finite");
+    let ctx = curve.fp().fixed256().expect("256-bit curve has a backend");
     let to_residue = |e: &FpElement| Uint::<4>::from_biguint(e.mont_repr()).unwrap();
-    backend
-        .scalar_mul(&to_residue(gx), &to_residue(gy), &Uint::from_u64(k))
-        .map(|(x, y)| {
-            (
-                FpElement::from_mont_repr(x.to_biguint()),
-                FpElement::from_mont_repr(y.to_biguint()),
-            )
-        })
+    let a = to_residue(curve.a());
+    let ladder = Ladder::new(ctx, &a, curve.a_is_minus_three());
+    let (gx, gy) = curve.base_point().coordinates().expect("G is finite");
+    let acc = ladder.double_and_add(&to_residue(gx), &to_residue(gy), &BigUint::from(k));
+    ladder.to_affine(&acc).map(|(x, y)| {
+        (
+            FpElement::from_mont_repr(x.to_biguint()),
+            FpElement::from_mont_repr(y.to_biguint()),
+        )
+    })
 }
 
 #[test]
