@@ -2,29 +2,38 @@
 //!
 //! [`BigUint`](crate::BigUint) keeps its limbs in a `Vec<u32>`, which makes
 //! every ladder step on the host allocate. When the operand width is known
-//! statically — the 256-bit named curves, fixed RSA moduli — the arithmetic
-//! can instead run on a `[u64; LIMBS]` stack array with `u128`
-//! carry/widening primitives and no heap traffic at all:
+//! — every field of the paper (160, 170 bits), the 256-bit named curves,
+//! the RSA-1024 moduli and their CRT halves — the arithmetic can instead
+//! run on a `[u64; LIMBS]` stack array with `u128` carry/widening
+//! primitives and no heap traffic at all:
 //!
 //! - [`Uint`]: the `Copy` const-generic integer with explicit
 //!   carry/borrow/widening arithmetic and `BigUint` conversions.
 //! - [`MontgomeryContext`]: CIOS Montgomery multiplication, exponentiation
 //!   and Fermat inversion with zero allocation past setup, mirroring
-//!   [`MontgomeryParams`](crate::MontgomeryParams). At matching radix
-//!   (`num_limbs() == 2·LIMBS`, e.g. 256-bit moduli at `LIMBS = 4`) the two
-//!   backends share `R`, making Montgomery forms interchangeable and
-//!   results bit-identical. Batch traffic gets the lane-interleaved
-//!   kernels ([`MontgomeryContext::mont_mul_batch`] and the
-//!   `mont_pow_batch`/`mod_exp_batch` ladders over it) plus Montgomery's
-//!   batch-inversion trick ([`MontgomeryContext::mont_inv_batch`]: one
-//!   Fermat inversion + `3(n-1)` multiplications), every lane bit-identical
-//!   to its serial counterpart.
+//!   [`MontgomeryParams`](crate::MontgomeryParams). Batch traffic gets the
+//!   lane-interleaved kernels ([`MontgomeryContext::mont_mul_batch`] and
+//!   the `mont_pow_batch`/`mod_exp_batch` ladders over it) plus
+//!   Montgomery's batch-inversion trick
+//!   ([`MontgomeryContext::mont_inv_batch`]: one Fermat inversion +
+//!   `3(n-1)` multiplications), every lane bit-identical to its serial
+//!   counterpart.
+//! - The width rule, [`montgomery_words`]: a modulus of `n` bits runs on
+//!   `MontgomeryContext<L>` with `L = ⌈n/64⌉`. The heap backend uses the
+//!   same radix `R = 2^(64·L)` at every width, so Montgomery forms are
+//!   interchangeable and results bit-identical.
+//!   [`MontgomeryParams::mont_pow`](crate::MontgomeryParams::mont_pow)
+//!   (and so `mod_exp`) runs on the `L`-word context for `L` in
+//!   {1, 2, 3, 4, 8, 16}, and [`Montgomery256`] holds the context of any
+//!   modulus of at most 256 bits behind one four-word residue type.
 //! - Free modular helpers ([`add_mod`], [`sub_mod`], [`neg_mod`],
 //!   [`mul_mod`], [`reduce_wide`]) for reduced fixed-width residues.
 //!
-//! Higher layers do not construct these directly: `field::Fp` selects the
-//! fixed path for 256-bit primes behind its existing API, and `ecc` runs
-//! the named 256-bit curve ladders on it. The differential proptest suite
+//! Higher layers do not construct these directly: `field::FpContext`
+//! stores every residue of a field of at most 256 bits in words on a
+//! [`Montgomery256`], `ecc` runs the named 256-bit curve ladders on its
+//! four-word context, and RSA reaches the stack through
+//! `MontgomeryParams`. The differential proptest suite
 //! (`tests/fixed_uint_properties.rs`) pins every operation here to the heap
 //! backend bit for bit.
 
@@ -34,10 +43,12 @@ mod ifma;
 mod modular;
 mod montgomery;
 mod uint;
+mod width;
 
 pub use modular::{add_mod, mul_mod, neg_mod, reduce_wide, sub_mod};
 pub use montgomery::MontgomeryContext;
 pub use uint::{Uint, FIXED_LIMB_BITS};
+pub use width::{montgomery_words, Montgomery256};
 
 // The u64 carry/borrow/widening primitives, re-exported for differential
 // test harnesses; higher layers use the typed `Uint` operations instead.

@@ -8,12 +8,12 @@ use crate::BigUint;
 /// Montgomery arithmetic over a fixed-width odd modulus, mirroring
 /// [`MontgomeryParams`](crate::MontgomeryParams) at radix 2^64.
 ///
-/// The Montgomery radix is `R = 2^(64·LIMBS)`. When the heap
-/// [`MontgomeryParams`](crate::MontgomeryParams) for the same modulus has
-/// `num_limbs() == 2·LIMBS` (true for any modulus whose bit length exceeds
-/// `64·LIMBS - 32`, e.g. every 256-bit prime at `LIMBS = 4`), both backends
-/// use the *same* `R`, so Montgomery representations are interchangeable
-/// limb reinterpretations of each other and products are bit-identical.
+/// The Montgomery radix is `R = 2^(64·LIMBS)`. At the width the modulus
+/// needs, `LIMBS = ⌈n/64⌉` for an `n`-bit modulus (see
+/// [`montgomery_words`](super::montgomery_words)), the heap
+/// [`MontgomeryParams`](crate::MontgomeryParams) uses the *same* `R`, so
+/// Montgomery representations are interchangeable limb reinterpretations
+/// of each other and products are bit-identical.
 ///
 /// Construction may allocate (it reduces with `BigUint`); every operation
 /// afterwards — [`mont_mul`](Self::mont_mul) (a word-level CIOS schedule),
@@ -60,16 +60,21 @@ impl<const LIMBS: usize> MontgomeryContext<LIMBS> {
             return None;
         }
         let m = Uint::<LIMBS>::from_biguint(modulus)?;
-        let n0_inv = inv_mod_limb64(m.limbs()[0]);
         let r = BigUint::one().shl_bits(Uint::<LIMBS>::BITS);
         let r_mod = Uint::from_biguint(&(&r % modulus)).expect("R mod p < p fits");
         let r2 = Uint::from_biguint(&(&(&r * &r) % modulus)).expect("R^2 mod p < p fits");
-        Some(MontgomeryContext {
-            modulus: m,
-            n0_inv,
+        Some(Self::from_parts(m, r_mod, r2))
+    }
+
+    /// A context from a modulus and its `R mod p`, `R² mod p` constants
+    /// computed elsewhere: no division, no allocation.
+    pub(crate) fn from_parts(modulus: Uint<LIMBS>, r_mod: Uint<LIMBS>, r2: Uint<LIMBS>) -> Self {
+        MontgomeryContext {
+            modulus,
+            n0_inv: inv_mod_limb64(modulus.limbs[0]),
             r_mod,
             r2,
-        })
+        }
     }
 
     /// The modulus this context was derived for.

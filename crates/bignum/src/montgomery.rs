@@ -8,8 +8,44 @@
 //! verified operand-for-operand, and so the benchmark harness can ablate
 //! over the scanning variants.
 
+use crate::fixed::{montgomery_words, MontgomeryContext, Uint};
 use crate::limb::{adc, inv_mod_limb, mac, Limb, LIMB_BITS};
 use crate::uint::BigUint;
+
+/// Evaluates `$body`, an `Option`, with `$ctx` bound to `$params`'
+/// [`MontgomeryContext<L>`] for `L = s/2` words, at the widths the
+/// workspace runs (up to 256 bits, 512 and 1024 bits); `None` elsewhere.
+macro_rules! on_stack {
+    ($params:expr, $ctx:ident => $body:expr) => {
+        match $params.s / 2 {
+            1 => {
+                let $ctx = $params.context::<1>();
+                $body
+            }
+            2 => {
+                let $ctx = $params.context::<2>();
+                $body
+            }
+            3 => {
+                let $ctx = $params.context::<3>();
+                $body
+            }
+            4 => {
+                let $ctx = $params.context::<4>();
+                $body
+            }
+            8 => {
+                let $ctx = $params.context::<8>();
+                $body
+            }
+            16 => {
+                let $ctx = $params.context::<16>();
+                $body
+            }
+            _ => None,
+        }
+    };
+}
 
 /// Operand-scanning variant of Montgomery multiplication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,6 +59,16 @@ pub enum ReductionKind {
 }
 
 /// Precomputed per-modulus constants for Montgomery arithmetic.
+///
+/// The radix follows the width rule of [`crate::fixed::montgomery_words`]:
+/// an `n`-bit modulus uses `s = 2·⌈n/64⌉` limbs of 32 bits, so
+/// `R = 2^(64·⌈n/64⌉)` is also the radix of the fixed-width
+/// [`MontgomeryContext`] at that width, and Montgomery forms from the two
+/// backends are bit-identical. Single products ([`mont_mul`](Self::mont_mul))
+/// run the heap FIOS reference; [`mont_pow`](Self::mont_pow), and with it
+/// [`mod_exp`](Self::mod_exp) and [`mod_inv_prime`](Self::mod_inv_prime),
+/// run on the stack context for widths of 1–4, 8 and 16 words (moduli of
+/// up to 256 bits, 512 and 1024 bits).
 ///
 /// # Example
 ///
@@ -55,7 +101,8 @@ impl MontgomeryParams {
         if modulus.is_even() || modulus.is_zero() || modulus.is_one() {
             return None;
         }
-        let s = modulus.limbs().len();
+        // ⌈n/32⌉ limbs rounded up to even: the fixed backend's radix.
+        let s = 2 * montgomery_words(modulus.bit_len());
         let n0_inv = inv_mod_limb(modulus.limbs()[0]);
         let r = BigUint::one().shl_bits(s * LIMB_BITS);
         let r_mod = &r % modulus;
@@ -75,7 +122,8 @@ impl MontgomeryParams {
         &self.modulus
     }
 
-    /// Number of radix-2^32 limbs `s = ceil(n / w)` of the modulus.
+    /// Number of radix-2^32 limbs `s = 2·⌈n/64⌉` of the modulus: `⌈n/32⌉`
+    /// rounded up to even, so that `R = 2^(32·s)`.
     pub fn num_limbs(&self) -> usize {
         self.s
     }
@@ -119,15 +167,44 @@ impl MontgomeryParams {
 
     /// Modular exponentiation `base^exp mod p` via Montgomery
     /// square-and-multiply (left-to-right).
+    ///
+    /// Runs entirely on the stack context at this width (conversions
+    /// included) when there is one and the exponent fits in it, so its
+    /// allocations do not grow with the exponent.
     pub fn mod_exp(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        let base_m = self.to_mont(base);
-        let result_m = self.mont_pow(&base_m, exp);
-        self.from_mont(&result_m)
+        let base = base % &self.modulus;
+        on_stack!(self, ctx => Uint::from_biguint(exp).map(|exp| {
+            let base = Uint::from_biguint(&base).expect("a reduced base fits");
+            ctx.mod_exp(&base, &exp).to_biguint()
+        }))
+        .unwrap_or_else(|| self.from_mont(&self.mont_pow(&self.to_mont(&base), exp)))
     }
 
     /// Exponentiation of a Montgomery-form base, returning a Montgomery-form
     /// result.
+    ///
+    /// Runs on the [`MontgomeryContext`] at this width (repacked from these
+    /// constants on each call) when there is one, the base is reduced and
+    /// the exponent fits in it; otherwise on heap FIOS products. The result
+    /// is the same residue either way.
     pub fn mont_pow(&self, base_mont: &BigUint, exp: &BigUint) -> BigUint {
+        on_stack!(self, ctx => {
+            let base = Uint::from_biguint(base_mont).filter(|b| b < ctx.modulus());
+            let exp = Uint::from_biguint(exp);
+            base.zip(exp).map(|(b, e)| ctx.mont_pow(&b, &e).to_biguint())
+        })
+        .unwrap_or_else(|| self.heap_pow(base_mont, exp))
+    }
+
+    /// This modulus's fixed-width context, repacked from the constants held
+    /// here: the two backends share `R`, so no division is needed.
+    fn context<const L: usize>(&self) -> MontgomeryContext<L> {
+        let words = |v: &BigUint| Uint::from_biguint(v).expect("s/2 words hold every residue");
+        MontgomeryContext::from_parts(words(&self.modulus), words(&self.r_mod), words(&self.r2))
+    }
+
+    /// [`mont_pow`](Self::mont_pow) on heap FIOS products.
+    fn heap_pow(&self, base_mont: &BigUint, exp: &BigUint) -> BigUint {
         let mut acc = self.one_mont();
         for i in (0..exp.bit_len()).rev() {
             acc = self.mont_mul(&acc, &acc);

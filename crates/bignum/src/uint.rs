@@ -111,12 +111,11 @@ impl BigUint {
 
     /// Parses a big-endian byte string.
     pub fn from_be_bytes(bytes: &[u8]) -> Self {
-        let mut out = BigUint::zero();
-        for &b in bytes {
-            out = out.shl_bits(8);
-            out = &out + &BigUint::from(b as u64);
-        }
-        out
+        let limbs: Vec<Limb> = bytes
+            .rchunks(LIMB_BITS / 8)
+            .map(|chunk| chunk.iter().fold(0, |acc, &b| (acc << 8) | b as Limb))
+            .collect();
+        BigUint::from_limbs(&limbs)
     }
 
     /// Returns the minimal big-endian byte representation (empty for zero).
@@ -274,21 +273,79 @@ impl BigUint {
             let (q, r) = self.div_rem_limb(divisor.limbs[0]);
             return Ok((q, BigUint::from(r as u64)));
         }
-        // Binary long division: O(bits(self) * limbs(divisor)), which is
-        // plenty for the operand sizes in this reproduction (<= 2048 bits).
-        let mut quotient = vec![0 as Limb; self.limbs.len()];
-        let mut remainder = BigUint::zero();
-        for i in (0..self.bit_len()).rev() {
-            remainder = remainder.shl_bits(1);
-            if self.bit(i) {
-                remainder.set_bit(0);
+        Ok(self.div_rem_knuth(divisor))
+    }
+
+    /// Knuth's Algorithm D (TAOCP vol. 2, §4.3.1) for a divisor of at least
+    /// two limbs and a dividend at least as large: one quotient limb per
+    /// step, estimated from the top limbs and corrected at most twice, in
+    /// three working buffers.
+    fn div_rem_knuth(&self, divisor: &BigUint) -> (BigUint, BigUint) {
+        let n = divisor.limbs.len();
+        let m = self.limbs.len();
+        debug_assert!(n >= 2 && m >= n);
+        // D1: shift both operands so the divisor's top limb has its top bit
+        // set, which bounds each estimate's error to two.
+        let shift = divisor.limbs[n - 1].leading_zeros();
+        let shifted = |limbs: &[Limb], len: usize| -> Vec<Limb> {
+            let mut out = vec![0 as Limb; len];
+            for (i, &l) in limbs.iter().enumerate() {
+                out[i] |= l << shift;
+                if shift > 0 && i + 1 < len {
+                    out[i + 1] |= l >> (LIMB_BITS as u32 - shift);
+                }
             }
-            if remainder >= *divisor {
-                remainder = remainder.sub_unchecked(divisor);
-                quotient[i / LIMB_BITS] |= 1 << (i % LIMB_BITS);
+            out
+        };
+        let v = shifted(&divisor.limbs, n);
+        let mut u = shifted(&self.limbs, m + 1);
+        let mut q = vec![0 as Limb; m - n + 1];
+        let base = 1u64 << LIMB_BITS;
+        let (v_top, v_next) = (v[n - 1] as u64, v[n - 2] as u64);
+        for j in (0..=m - n).rev() {
+            // D3: estimate the quotient limb from the top two remainder limbs.
+            let top = ((u[j + n] as u64) << LIMB_BITS) | u[j + n - 1] as u64;
+            let mut q_hat = top / v_top;
+            let mut r_hat = top % v_top;
+            while q_hat >= base || q_hat * v_next > ((r_hat << LIMB_BITS) | u[j + n - 2] as u64) {
+                q_hat -= 1;
+                r_hat += v_top;
+                if r_hat >= base {
+                    break;
+                }
+            }
+            // D4: subtract q̂ · v from the remainder window.
+            let mut borrow: i64 = 0;
+            for i in 0..n {
+                let p = q_hat * v[i] as u64;
+                let t = u[i + j] as i64 - borrow - (p & 0xffff_ffff) as i64;
+                u[i + j] = t as Limb;
+                borrow = (p >> LIMB_BITS) as i64 - (t >> LIMB_BITS);
+            }
+            let t = u[j + n] as i64 - borrow;
+            u[j + n] = t as Limb;
+            q[j] = q_hat as Limb;
+            // D6: the estimate was one too large; add v back.
+            if t < 0 {
+                q[j] -= 1;
+                let mut carry = 0u64;
+                for i in 0..n {
+                    let t = u[i + j] as u64 + v[i] as u64 + carry;
+                    u[i + j] = t as Limb;
+                    carry = t >> LIMB_BITS;
+                }
+                u[j + n] = u[j + n].wrapping_add(carry as Limb);
             }
         }
-        Ok((BigUint::from_limbs(&quotient), remainder))
+        // D8: the remainder is the low window, shifted back.
+        let mut r = vec![0 as Limb; n];
+        for (i, slot) in r.iter_mut().enumerate() {
+            *slot = u[i] >> shift;
+            if shift > 0 {
+                *slot |= u[i + 1] << (LIMB_BITS as u32 - shift);
+            }
+        }
+        (BigUint::from_limbs(&q), BigUint::from_limbs(&r))
     }
 
     /// Divides by a single limb, returning `(quotient, remainder)`.
@@ -350,14 +407,6 @@ impl BigUint {
             };
         }
         BigUint::from_limbs(&out)
-    }
-
-    fn set_bit(&mut self, i: usize) {
-        let limb = i / LIMB_BITS;
-        if limb >= self.limbs.len() {
-            self.limbs.resize(limb + 1, 0);
-        }
-        self.limbs[limb] |= 1 << (i % LIMB_BITS);
     }
 
     fn normalize(&mut self) {
@@ -719,6 +768,8 @@ mod tests {
         let v = BigUint::from_hex("0102030405060708090a").unwrap();
         assert_eq!(v.to_be_bytes(), vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
         assert_eq!(BigUint::from_be_bytes(&v.to_be_bytes()), v);
+        assert_eq!(BigUint::from_be_bytes(&[]), BigUint::zero());
+        assert_eq!(BigUint::from_be_bytes(&[0, 0, 0, 0, 0, 1]), BigUint::one());
     }
 
     #[test]
@@ -768,6 +819,35 @@ mod tests {
         let (q, r) = b.div_rem(&a).unwrap();
         assert!(q.is_zero());
         assert_eq!(r, b);
+    }
+
+    #[test]
+    fn long_division_satisfies_the_defining_identity() {
+        // Limbs drawn from the values that stress quotient estimation
+        // (including the rare add-back step) as well as random ones.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xd1d);
+        let special = [0, 1, 2, 0x7fff_ffff, 0x8000_0000, 0xffff_fffe, 0xffff_ffff];
+        let limbs = |len: usize, rng: &mut rand::rngs::StdRng| -> BigUint {
+            let v: Vec<Limb> = (0..len)
+                .map(|_| match rng.gen_range(0..3usize) {
+                    0 => rng.gen(),
+                    _ => special[rng.gen_range(0..special.len())],
+                })
+                .collect();
+            BigUint::from_limbs(&v)
+        };
+        for _ in 0..4000 {
+            let n = rng.gen_range(2..12usize);
+            let a = limbs(n + rng.gen_range(0..12usize), &mut rng);
+            let b = limbs(n, &mut rng);
+            if b.limbs().len() < 2 {
+                continue;
+            }
+            let (q, r) = a.div_rem(&b).unwrap();
+            assert!(r < b, "remainder below the divisor");
+            assert_eq!(&(&q * &b) + &r, a, "a = q·b + r");
+        }
     }
 
     #[test]

@@ -92,19 +92,34 @@ pub fn compress_t2(params: &CeilidhParams, g: &TorusElement) -> Result<Compresse
 /// The result always satisfies `N_{Fp6/Fp3}(g) = 1`; it lies on the full
 /// torus `T6` only if the coordinates came from [`compress_t2`] applied to a
 /// `T6` element.
+///
+/// # Errors
+///
+/// Returns [`CeilidhError::DecompressionFailed`] if a coordinate is not a
+/// canonical residue (`≥ p`), so each element has exactly one encoding.
 pub fn decompress_t2(
     params: &CeilidhParams,
     compressed: &CompressedT2,
 ) -> Result<TorusElement, CeilidhError> {
-    let fp = params.fp();
-    let a = embed_fp3(
-        params,
-        &fp.from_biguint(&compressed.coords[0]),
-        &fp.from_biguint(&compressed.coords[1]),
-        &fp.from_biguint(&compressed.coords[2]),
-    );
+    let [u0, u1, u2] = compressed
+        .coords
+        .each_ref()
+        .map(|c| canonical_coordinate(params, c));
+    let a = embed_fp3(params, &u0?, &u1?, &u2?);
     let g = t2_point(params, &a)?;
     Ok(TorusElement::from_fp6_unchecked(g))
+}
+
+/// A transmitted coordinate as a field element; only canonical residues
+/// (`< p`) are accepted.
+fn canonical_coordinate(params: &CeilidhParams, c: &BigUint) -> Result<FpElement, CeilidhError> {
+    let fp = params.fp();
+    if c >= fp.modulus() {
+        return Err(CeilidhError::DecompressionFailed(
+            "coordinate is not reduced modulo p",
+        ));
+    }
+    Ok(fp.from_biguint(c))
 }
 
 /// Compresses a `T6` element to two `Fp` values plus a 2-bit hint
@@ -140,15 +155,15 @@ pub fn compress(params: &CeilidhParams, g: &TorusElement) -> Result<CompressedTo
 ///
 /// # Errors
 ///
-/// Returns [`CeilidhError::DecompressionFailed`] if the coordinates do not
-/// correspond to any torus element or the hint is out of range.
+/// Returns [`CeilidhError::DecompressionFailed`] if a coordinate is not a
+/// canonical residue (`≥ p`), the coordinates do not correspond to any
+/// torus element or the hint is out of range.
 pub fn decompress(
     params: &CeilidhParams,
     compressed: &CompressedTorus,
 ) -> Result<TorusElement, CeilidhError> {
-    let fp = params.fp();
-    let u0 = fp.from_biguint(&compressed.u0);
-    let u1 = fp.from_biguint(&compressed.u1);
+    let u0 = canonical_coordinate(params, &compressed.u0)?;
+    let u1 = canonical_coordinate(params, &compressed.u1)?;
     let candidates = constraint_roots(params, &u0, &u1)?;
     let t = candidates
         .get(compressed.hint as usize)
@@ -399,6 +414,50 @@ mod tests {
             // ...or it selects a different (but valid) torus element.
             Ok(other) => assert!(params.is_torus_member(other.as_fp6())),
             Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+
+    #[test]
+    fn non_canonical_coordinates_are_rejected() {
+        // Adding a multiple of p to a coordinate leaves its residue alone,
+        // so without the range check one element would have many
+        // encodings.
+        for params in [params(), CeilidhParams::date2008().unwrap()] {
+            let p = params.fp().modulus().clone();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(64);
+            let g = loop {
+                let (_, g) = params.random_subgroup_element(&mut rng);
+                if g != params.identity() {
+                    break g;
+                }
+            };
+            let compressed = compress(&params, &g).unwrap();
+            assert_eq!(decompress(&params, &compressed).unwrap(), g);
+            for shifted in [
+                CompressedTorus {
+                    u0: &compressed.u0 + &p,
+                    ..compressed.clone()
+                },
+                CompressedTorus {
+                    u1: &compressed.u1 + &p,
+                    ..compressed.clone()
+                },
+            ] {
+                assert!(matches!(
+                    decompress(&params, &shifted),
+                    Err(CeilidhError::DecompressionFailed(_))
+                ));
+            }
+            let t2 = compress_t2(&params, &g).unwrap();
+            assert_eq!(decompress_t2(&params, &t2).unwrap(), g);
+            for i in 0..3 {
+                let mut shifted = t2.clone();
+                shifted.coords[i] = &shifted.coords[i] + &(&p * &BigUint::from(3u64));
+                assert!(matches!(
+                    decompress_t2(&params, &shifted),
+                    Err(CeilidhError::DecompressionFailed(_))
+                ));
+            }
         }
     }
 

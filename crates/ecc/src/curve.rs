@@ -301,13 +301,13 @@ impl Curve {
     /// A twin of this curve with every fixed-width fast path disabled:
     /// the field context is [`field::FpContext::heap_only`] (single
     /// products run on heap `BigUint`s, sharing the original operation
-    /// counter), so the ladders run on the heap instantiation too.
+    /// counter), so the ladders run on its counted instantiation.
     ///
     /// This is the honest baseline for `fixed_vs_heap`-style comparisons:
-    /// with [`field::FpContext::mul`] routing through the fixed backend on
-    /// 256-bit fields, a reference ladder must run on a heap-only twin or
-    /// it would benchmark the fixed backend against itself.
-    /// [`Curve::scalar_mul_reference`] uses it internally.
+    /// with [`field::FpContext::mul`] running on the stack context of every
+    /// field of at most 256 bits, a reference ladder must run on a
+    /// heap-only twin or it would benchmark the fixed backend against
+    /// itself. [`Curve::scalar_mul_reference`] uses it internally.
     pub fn heap_only(&self) -> Curve {
         Curve {
             fp: self.fp.heap_only(),

@@ -1,15 +1,17 @@
 //! The fixed-width instantiation of [`crate::ladder`].
 //!
 //! The 256-bit curves ([`crate::Secp256k1`], [`crate::P256`]) run their
-//! ladders on the [`MontgomeryContext`] their field returns from
+//! ladders uncounted on the [`MontgomeryContext`] their field returns from
 //! [`field::FpContext::fixed256`]: [`bignum::fixed::Uint<4>`] stack words,
 //! with zero heap allocation from the first doubling through the final
-//! Fermat inversion.
+//! Fermat inversion. Narrower curves, the paper's 160-bit one included,
+//! run the counted [`field::FpContext`] instantiation, which is on the
+//! stack too.
 //!
-//! The fixed backend shares the Montgomery radix `R = 2^256` with the
-//! field's heap parameters, so a residue crosses between the two by
-//! repacking its limbs, and every intermediate is the *bit-identical*
-//! Montgomery residue the heap instantiation would have produced; the
+//! A field element's Montgomery residue is already these four words
+//! ([`FpElement::mont_repr`]), so lowering and lifting are word copies, and
+//! every intermediate is the *bit-identical* residue the
+//! [`field::FpContext::heap_only`] instantiation produces; the
 //! differential suites in `tests/` pin this.
 
 use std::sync::OnceLock;
@@ -23,11 +25,11 @@ use crate::scalar::Backend;
 
 impl Backend for MontgomeryContext<4> {
     fn lower(&self, e: &FpElement) -> Uint<4> {
-        Uint::from_biguint(e.mont_repr()).expect("a 256-bit field residue fits in 4 limbs")
+        e.mont_repr().expect("a 256-bit field stores words")
     }
 
     fn lift(&self, e: Uint<4>) -> FpElement {
-        FpElement::from_mont_repr(e.to_biguint())
+        FpElement::from_mont_repr(e)
     }
 
     fn comb_cache(curve: &Curve) -> Option<&OnceLock<CombTable<Uint<4>>>> {

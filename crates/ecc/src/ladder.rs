@@ -12,12 +12,14 @@
 //! * the double-and-add, NAF, window and Lim–Lee comb ladders, and the
 //!   batch driver [`Ladder::batch`].
 //!
-//! [`crate::Curve`] instantiates it twice: on the heap field
-//! [`field::FpContext`], which counts every operation, and on the
-//! fixed-width [`bignum::fixed::MontgomeryContext`] that
-//! [`field::FpContext::fixed256`] returns for a 256-bit prime. The two share
-//! the Montgomery radix, so every intermediate is the same residue on
-//! either backend.
+//! [`crate::Curve`] instantiates it twice: on the field
+//! [`field::FpContext`], which counts every operation (and runs each on
+//! the stack context of the field's width, or on the heap products of a
+//! [`field::FpContext::heap_only`] twin), and uncounted on the four-word
+//! [`bignum::fixed::MontgomeryContext`] that
+//! [`field::FpContext::fixed256`] returns for a 256-bit prime. Every
+//! backend shares the Montgomery radix of the field's width, so every
+//! intermediate is the same residue on each.
 //!
 //! Affine points are [`Affine`] pairs, with `None` the point at infinity.
 //! One rule covers both a table entry at infinity (a point of small order)
@@ -34,7 +36,7 @@
 //! // 6·G on the fixed-width instantiation, against the typed API.
 //! let curve = Curve::by_name("p256")?;
 //! let ctx = curve.fp().fixed256().expect("256-bit prime");
-//! let lower = |e: &field::FpElement| Uint::<4>::from_biguint(e.mont_repr()).unwrap();
+//! let lower = |e: &field::FpElement| -> Uint<4> { e.mont_repr().unwrap() };
 //! let a = lower(curve.a());
 //! let ladder = Ladder::new(ctx, &a, curve.a_is_minus_three());
 //! let (gx, gy) = curve.base_point().coordinates().unwrap();

@@ -6,10 +6,11 @@
 //! coordinates and convert back to affine once at the end.
 //!
 //! The ladders themselves are written once in [`crate::ladder`]; this
-//! module picks the instantiation. A curve whose field has a fixed-width
-//! backend ([`field::FpContext::fixed256`], the 256-bit primes) runs them
-//! on [`bignum::fixed::MontgomeryContext`] stack residues, and every other
-//! curve on the heap field, which counts each operation.
+//! module picks the instantiation. A curve whose field has a four-word
+//! context ([`field::FpContext::fixed256`], the 256-bit primes) runs them
+//! uncounted on [`bignum::fixed::MontgomeryContext`] stack residues, and
+//! every other curve on the field itself, which counts each operation and
+//! runs it on the stack context of the field's width.
 //!
 //! Every ladder keeps its **addend affine** and adds through the
 //! mixed-coordinate formula ([`crate::formulas::madd`], `Z2 = 1`): the
@@ -89,11 +90,12 @@ impl Curve {
     /// Double-and-add and NAF run as named. `Window4` runs the Lim–Lee
     /// comb on a 256-bit curve's base point (its table built once and
     /// cached) for scalars of at most 256 bits, and the 4-bit window ladder
-    /// everywhere else. On 256-bit curves every ladder runs on the
-    /// fixed-width backend; results are identical to the heap ladders
-    /// ([`Curve::scalar_mul_reference`] pins this), because the backends
-    /// share the Montgomery radix and the affine coordinates of
-    /// `k · point` are unique whatever ladder computed them.
+    /// everywhere else. On 256-bit curves every ladder runs uncounted on the
+    /// four-word context; results are identical to the heap ladders
+    /// ([`Curve::scalar_mul_reference`] pins this) on every curve, because
+    /// the backends share the Montgomery radix at every width and the
+    /// affine coordinates of `k · point` are unique whatever ladder
+    /// computed them.
     pub fn scalar_mul(
         &self,
         point: &AffinePoint,
@@ -134,10 +136,10 @@ impl Curve {
         f.lift_point(ladder.to_affine(&acc))
     }
 
-    /// Computes `k · point` on the heap (`BigUint`) ladders unconditionally,
-    /// on a [`Curve::heap_only`] twin — the differential baseline for tests
-    /// and the `fixed_vs_heap` benchmark. [`Curve::scalar_mul`] is the fast
-    /// path; results are identical.
+    /// Computes `k · point` with every product on the heap (`BigUint`)
+    /// FIOS reference, on a [`Curve::heap_only`] twin — the differential
+    /// baseline for tests and the `fixed_vs_heap` benchmark.
+    /// [`Curve::scalar_mul`] is the fast path; results are identical.
     pub fn scalar_mul_reference(
         &self,
         point: &AffinePoint,

@@ -1,9 +1,10 @@
 //! The base prime field `Fp`.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
-use bignum::fixed::{MontgomeryContext, Uint};
+use bignum::fixed::{Montgomery256, MontgomeryContext, Uint};
 use bignum::{BigUint, MontgomeryParams};
 use rand::Rng;
 
@@ -16,6 +17,17 @@ use crate::opcount::{OpCount, OpCounter};
 /// coprocessor, which works on Montgomery residues throughout an
 /// exponentiation), and every multiplication / addition / subtraction /
 /// inversion is recorded in the context's [`OpCounter`].
+///
+/// On a field of at most 256 bits — the toy fields, the paper's 160- and
+/// 170-bit primes and the 256-bit curves — every residue lives in four
+/// stack words and every operation runs on the
+/// [`bignum::fixed::MontgomeryContext`] of the field's own width
+/// (`⌈n/64⌉` words, see [`bignum::fixed::montgomery_words`]). The heap
+/// [`MontgomeryParams`] share its radix at every width, so the residues are
+/// bit-identical to the heap backend's. Wider fields keep `BigUint`
+/// residues. Either way each operation records exactly one count (an
+/// exponentiation records its squarings and multiplications), so op
+/// counts do not depend on the backend.
 ///
 /// Cloning the context is cheap and clones share the same counter.
 ///
@@ -41,49 +53,102 @@ pub struct FpContext {
 struct FpInner {
     modulus: BigUint,
     mont: MontgomeryParams,
-    /// Fixed-width fast backend for 256-bit primes. Populated exactly when
-    /// the heap parameters use 8 u32 limbs, so both backends share the
-    /// Montgomery radix `R = 2^256` and representations are
-    /// interchangeable (see [`bignum::fixed::MontgomeryContext`]).
-    fixed256: Option<MontgomeryContext<4>>,
+    backend: Backend,
     counter: Arc<OpCounter>,
+}
+
+/// Where a field's residues live and what runs its products.
+enum Backend {
+    /// A field of at most 256 bits: word residues, every operation on the
+    /// stack context of the field's width.
+    Words(Montgomery256),
+    /// The [`FpContext::heap_only`] twin of such a field: word residues,
+    /// but products (and so exponentiations) run on the heap FIOS
+    /// reference.
+    HeapProducts(Montgomery256),
+    /// A field wider than 256 bits: `BigUint` residues throughout.
+    Heap,
+}
+
+impl Backend {
+    /// The stack context, when residues are words.
+    fn words(&self) -> Option<&Montgomery256> {
+        match self {
+            Backend::Words(ctx) | Backend::HeapProducts(ctx) => Some(ctx),
+            Backend::Heap => None,
+        }
+    }
+
+    /// The stack context, when products run on it too.
+    fn products(&self) -> Option<&Montgomery256> {
+        match self {
+            Backend::Words(ctx) => Some(ctx),
+            Backend::HeapProducts(_) | Backend::Heap => None,
+        }
+    }
 }
 
 /// An element of `Fp`, stored in Montgomery form.
 ///
 /// Elements do not carry a back-reference to their context; mixing elements
-/// from different [`FpContext`]s is a logic error (debug builds may panic on
-/// limb-length mismatches).
+/// from different [`FpContext`]s is a logic error (it may panic). Elements
+/// of a context and of its [`FpContext::heap_only`] twin share one
+/// representation, so they compare and hash equal exactly when their
+/// values are equal.
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct FpElement {
-    mont: BigUint,
+pub struct FpElement(Residue);
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Residue {
+    /// Fields of at most 256 bits: four words, zero above the field's
+    /// width.
+    Words(Uint<4>),
+    /// Wider fields.
+    Heap(BigUint),
 }
 
 impl FpElement {
     /// Returns `true` if this element is zero.
     pub fn is_zero(&self) -> bool {
-        self.mont.is_zero()
+        match &self.0 {
+            Residue::Words(w) => w.is_zero(),
+            Residue::Heap(h) => h.is_zero(),
+        }
     }
 
-    /// Raw Montgomery-form representation (used by the platform simulator to
-    /// load operands into the coprocessor data memory).
-    pub fn mont_repr(&self) -> &BigUint {
-        &self.mont
+    /// The Montgomery-form residue in four 64-bit words, zero above the
+    /// field's width: the operand form of [`FpContext::fixed256`] and of
+    /// every other fixed-width context of the field's width. `None` on
+    /// fields wider than 256 bits.
+    pub fn mont_repr(&self) -> Option<Uint<4>> {
+        match &self.0 {
+            Residue::Words(w) => Some(*w),
+            Residue::Heap(_) => None,
+        }
     }
 
-    /// Constructs an element directly from a Montgomery-form residue.
-    ///
-    /// This is the inverse of [`FpElement::mont_repr`] and is intended for
-    /// the platform simulator; normal users should go through
-    /// [`FpContext::from_biguint`].
-    pub fn from_mont_repr(mont: BigUint) -> Self {
-        FpElement { mont }
+    /// Constructs an element of a field of at most 256 bits directly from
+    /// its Montgomery-form words: the inverse of [`FpElement::mont_repr`].
+    /// Normal users should go through [`FpContext::from_biguint`].
+    pub fn from_mont_repr(words: Uint<4>) -> Self {
+        FpElement(Residue::Words(words))
+    }
+
+    /// The Montgomery residue as a heap integer.
+    fn heap_residue(&self) -> Cow<'_, BigUint> {
+        match &self.0 {
+            Residue::Words(w) => Cow::Owned(w.to_biguint()),
+            Residue::Heap(h) => Cow::Borrowed(h),
+        }
     }
 }
 
 impl fmt::Debug for FpElement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "FpElement(mont=0x{})", self.mont.to_hex())
+        match &self.0 {
+            Residue::Words(w) => write!(f, "FpElement(mont=0x{w})"),
+            Residue::Heap(h) => write!(f, "FpElement(mont=0x{})", h.to_hex()),
+        }
     }
 }
 
@@ -102,14 +167,12 @@ impl FpContext {
             return Err(FieldError::InvalidModulus);
         }
         let mont = MontgomeryParams::new(p).ok_or(FieldError::InvalidModulus)?;
-        let fixed256 = (mont.num_limbs() == 8)
-            .then(|| MontgomeryContext::new(p))
-            .flatten();
+        let backend = Montgomery256::new(p).map_or(Backend::Heap, Backend::Words);
         Ok(FpContext {
             inner: Arc::new(FpInner {
                 modulus: p.clone(),
                 mont,
-                fixed256,
+                backend,
                 counter: OpCounter::new(),
             }),
         })
@@ -132,41 +195,42 @@ impl FpContext {
             .unwrap_or(0) as u32
     }
 
-    /// The Montgomery parameters backing this field (exposed for the
-    /// platform simulator, which replays the same constants in microcode).
-    pub fn montgomery(&self) -> &MontgomeryParams {
-        &self.inner.mont
-    }
-
-    /// The fixed-width (4×u64 limb) Montgomery context backing this field,
-    /// when the modulus is a 256-bit prime — `None` otherwise.
+    /// The four-word Montgomery context of a field of 193 to 256 bits (the
+    /// named 256-bit curves) — `None` on narrower and wider fields and on a
+    /// [`FpContext::heap_only`] twin.
     ///
-    /// The fixed backend shares the Montgomery radix `R = 2^256` with
-    /// [`FpContext::montgomery`], so an [`FpElement`]'s `mont_repr` is also
-    /// its fixed-backend Montgomery form (only the limb packing differs).
-    /// [`FpContext::mul`]/[`FpContext::square`] single products and the
-    /// [`FpContext::exp`] / [`FpContext::inv`] square-and-multiply loops
-    /// all route through it automatically; `ecc` uses this accessor to run
-    /// whole scalar-mult ladders on the stack. A context built by
-    /// [`FpContext::heap_only`] opts out, which is how the benchmark
-    /// baselines stay on the `BigUint` path.
+    /// An [`FpElement`]'s [`mont_repr`](FpElement::mont_repr) is its
+    /// operand on this context, as on the context of every other width, so
+    /// `ecc` uses this accessor to run whole 256-bit scalar-mult ladders on
+    /// the stack, uncounted. Everything else reaches the field's stack
+    /// context through the counted operations of this type.
     pub fn fixed256(&self) -> Option<&MontgomeryContext<4>> {
-        self.inner.fixed256.as_ref()
+        match self.inner.backend.products() {
+            Some(Montgomery256::W4(ctx)) => Some(ctx),
+            _ => None,
+        }
     }
 
-    /// A twin of this context with the fixed-width backend disabled: same
-    /// modulus, same Montgomery constants, and the **same shared operation
-    /// counter**, but every product runs on the heap `BigUint` path.
+    /// A twin of this context whose products run on the heap: same
+    /// modulus, same Montgomery constants, same element representation,
+    /// and the **same shared operation counter**, but every product — and
+    /// so every [`FpContext::exp`] step — runs the heap `BigUint` FIOS
+    /// reference ([`MontgomeryParams::mont_mul`]).
     ///
     /// This exists for honest baselines: `fixed_vs_heap` benches and
-    /// `scalar_mul_reference` must measure the heap implementation, not the
-    /// fixed backend against itself.
+    /// `scalar_mul_reference` must measure the heap products, not the
+    /// fixed backend against itself. Additions, subtractions and
+    /// inversions are not products and run as on this context.
     pub fn heap_only(&self) -> FpContext {
+        let backend = match self.inner.backend.words() {
+            Some(ctx) => Backend::HeapProducts(ctx.clone()),
+            None => Backend::Heap,
+        };
         FpContext {
             inner: Arc::new(FpInner {
                 modulus: self.inner.modulus.clone(),
                 mont: self.inner.mont.clone(),
-                fixed256: None,
+                backend,
                 counter: Arc::clone(&self.inner.counter),
             }),
         }
@@ -187,25 +251,45 @@ impl FpContext {
         self.inner.counter.reset();
     }
 
+    /// Stores a Montgomery residue computed on the heap in this field's
+    /// representation.
+    fn store_heap_residue(&self, mont: BigUint) -> FpElement {
+        FpElement(match self.inner.backend.words() {
+            Some(_) => Residue::Words(
+                Uint::from_biguint(&mont).expect("a residue of a field of at most 256 bits"),
+            ),
+            None => Residue::Heap(mont),
+        })
+    }
+
     /// The additive identity.
     pub fn zero(&self) -> FpElement {
-        FpElement {
-            mont: BigUint::zero(),
-        }
+        FpElement(match self.inner.backend.words() {
+            Some(_) => Residue::Words(Uint::ZERO),
+            None => Residue::Heap(BigUint::zero()),
+        })
     }
 
     /// The multiplicative identity.
     pub fn one(&self) -> FpElement {
-        FpElement {
-            mont: self.inner.mont.one_mont(),
-        }
+        FpElement(match self.inner.backend.words() {
+            Some(ctx) => Residue::Words(ctx.one_mont()),
+            None => Residue::Heap(self.inner.mont.one_mont()),
+        })
     }
 
     /// Embeds an arbitrary integer (reduced modulo `p`).
     pub fn from_biguint(&self, v: &BigUint) -> FpElement {
-        FpElement {
-            mont: self.inner.mont.to_mont(v),
-        }
+        let Some(ctx) = self.inner.backend.words() else {
+            return FpElement(Residue::Heap(self.inner.mont.to_mont(v)));
+        };
+        let reduced = if *v < self.inner.modulus {
+            Cow::Borrowed(v)
+        } else {
+            Cow::Owned(v % &self.inner.modulus)
+        };
+        let words = Uint::from_biguint(&reduced).expect("a reduced residue fits in four words");
+        FpElement(Residue::Words(ctx.to_mont(&words)))
     }
 
     /// Embeds a small integer.
@@ -224,7 +308,10 @@ impl FpContext {
 
     /// Returns the canonical (non-Montgomery) residue of an element.
     pub fn to_biguint(&self, a: &FpElement) -> BigUint {
-        self.inner.mont.from_mont(&a.mont)
+        match (self.inner.backend.words(), &a.0) {
+            (Some(ctx), Residue::Words(w)) => ctx.from_mont(w).to_biguint(),
+            _ => self.inner.mont.from_mont(&a.heap_residue()),
+        }
     }
 
     /// Uniformly random field element.
@@ -232,29 +319,44 @@ impl FpContext {
         self.from_biguint(&BigUint::random_below(rng, &self.inner.modulus))
     }
 
+    /// Applies `words` to word residues and `heap` to heap residues.
+    fn binary(
+        &self,
+        a: &FpElement,
+        b: &FpElement,
+        words: impl FnOnce(&Montgomery256, &Uint<4>, &Uint<4>) -> Uint<4>,
+        heap: impl FnOnce(&BigUint, &BigUint) -> BigUint,
+    ) -> FpElement {
+        FpElement(match (self.inner.backend.words(), &a.0, &b.0) {
+            (Some(ctx), Residue::Words(x), Residue::Words(y)) => Residue::Words(words(ctx, x, y)),
+            (None, Residue::Heap(x), Residue::Heap(y)) => Residue::Heap(heap(x, y)),
+            _ => panic!("elements of another field"),
+        })
+    }
+
     /// Modular addition.
     pub fn add(&self, a: &FpElement, b: &FpElement) -> FpElement {
         self.inner.counter.record_add();
-        let s = &a.mont + &b.mont;
-        FpElement {
-            mont: if s >= self.inner.modulus {
+        self.binary(a, b, Montgomery256::add, |x, y| {
+            let s = x + y;
+            if s >= self.inner.modulus {
                 &s - &self.inner.modulus
             } else {
                 s
-            },
-        }
+            }
+        })
     }
 
     /// Modular subtraction.
     pub fn sub(&self, a: &FpElement, b: &FpElement) -> FpElement {
         self.inner.counter.record_sub();
-        FpElement {
-            mont: if a.mont >= b.mont {
-                &a.mont - &b.mont
+        self.binary(a, b, Montgomery256::sub, |x, y| {
+            if x >= y {
+                x - y
             } else {
-                &(&a.mont + &self.inner.modulus) - &b.mont
-            },
-        }
+                &(x + &self.inner.modulus) - y
+            }
+        })
     }
 
     /// Modular negation.
@@ -263,9 +365,7 @@ impl FpContext {
             return self.zero();
         }
         self.inner.counter.record_sub();
-        FpElement {
-            mont: &self.inner.modulus - &a.mont,
-        }
+        self.binary(a, a, |ctx, x, _| ctx.neg(x), |x, _| &self.inner.modulus - x)
     }
 
     /// Doubling (`a + a`), counted as one addition.
@@ -273,25 +373,21 @@ impl FpContext {
         self.add(a, a)
     }
 
-    /// Modular multiplication (one Montgomery multiplication).
-    ///
-    /// For 256-bit primes the product runs on the fixed-width backend;
-    /// residues are bit-identical to the heap path because both backends
-    /// share the Montgomery radix.
+    /// Modular multiplication (one Montgomery multiplication), on the
+    /// field's stack context, or on the heap FIOS reference for a
+    /// [`FpContext::heap_only`] twin or a field wider than 256 bits. The
+    /// residue is the same either way.
     pub fn mul(&self, a: &FpElement, b: &FpElement) -> FpElement {
         self.inner.counter.record_mul();
-        if let Some(ctx) = self.inner.fixed256.as_ref() {
-            if let (Some(a_f), Some(b_f)) = (
-                Uint::<4>::from_biguint(&a.mont),
-                Uint::<4>::from_biguint(&b.mont),
-            ) {
-                return FpElement {
-                    mont: ctx.mont_mul(&a_f, &b_f).to_biguint(),
-                };
+        match (self.inner.backend.products(), &a.0, &b.0) {
+            (Some(ctx), Residue::Words(x), Residue::Words(y)) => {
+                FpElement(Residue::Words(ctx.mont_mul(x, y)))
             }
-        }
-        FpElement {
-            mont: self.inner.mont.mont_mul(&a.mont, &b.mont),
+            _ => self.store_heap_residue(
+                self.inner
+                    .mont
+                    .mont_mul(&a.heap_residue(), &b.heap_residue()),
+            ),
         }
     }
 
@@ -312,20 +408,16 @@ impl FpContext {
 
     /// Modular exponentiation by square-and-multiply.
     ///
-    /// For 256-bit primes and exponents of at most 256 bits the whole loop
-    /// runs on the fixed-width backend ([`MontgomeryContext::mont_pow`], no
-    /// heap allocation per step); the recorded operation counts and the
-    /// result are identical to the heap path.
+    /// When the exponent fits in the field's word count, the whole loop
+    /// runs on the stack context ([`MontgomeryContext::mont_pow`]) and the
+    /// counts a serial loop would make are recorded at once; wider
+    /// exponents, [`FpContext::heap_only`] twins and fields wider than 256
+    /// bits run the counted loop. Results and counts are identical.
     pub fn exp(&self, base: &FpElement, exp: &BigUint) -> FpElement {
-        if let Some(ctx) = self.inner.fixed256.as_ref() {
-            if let (Some(base_f), Some(exp_f)) = (
-                Uint::<4>::from_biguint(&base.mont),
-                Uint::<4>::from_biguint(exp),
-            ) {
+        if let (Some(ctx), Residue::Words(b)) = (self.inner.backend.products(), &base.0) {
+            if let Some(pow) = ctx.mont_pow(b, exp) {
                 self.record_serial_exp_ops(exp);
-                return FpElement {
-                    mont: ctx.mont_pow(&base_f, &exp_f).to_biguint(),
-                };
+                return FpElement(Residue::Words(pow));
             }
         }
         square_and_multiply(self.one(), base, exp, |a, b| self.mul(a, b))
@@ -333,12 +425,13 @@ impl FpContext {
 
     /// Batched modular exponentiation: `out[i] = pairs[i].0 ^ pairs[i].1`.
     ///
-    /// On 256-bit primes the squaring ladders run **lane-parallel** on the
-    /// fixed backend ([`bignum::fixed::MontgomeryContext::mont_pow_batch`],
-    /// four lanes per pass) so batch traffic amortizes host wall-clock; a
-    /// trailing partial chunk — and every element on non-256-bit fields or
-    /// with an exponent wider than 256 bits — falls back to the serial
-    /// [`FpContext::exp`] loop.
+    /// The squaring ladders of exponents that fit in the field's word count
+    /// run **lane-parallel** on the stack context
+    /// ([`bignum::fixed::MontgomeryContext::mont_pow_batch`], four lanes
+    /// per pass) so batch traffic amortizes host wall-clock; a trailing
+    /// partial chunk — and every element with a wider exponent, of a
+    /// [`FpContext::heap_only`] twin or of a field wider than 256 bits —
+    /// runs the serial [`FpContext::exp`].
     ///
     /// Results are bit-identical to calling `exp` element by element, and
     /// so are the recorded operation counts (one multiplication per
@@ -347,26 +440,24 @@ impl FpContext {
     pub fn exp_batch(&self, pairs: &[(FpElement, BigUint)]) -> Vec<FpElement> {
         const LANES: usize = 4;
         let mut out: Vec<Option<FpElement>> = vec![None; pairs.len()];
-        let mut lanes: Vec<(usize, Uint<4>, Uint<4>)> = Vec::new();
-        if let Some(ctx) = self.inner.fixed256.as_ref() {
-            for (i, (base, exp)) in pairs.iter().enumerate() {
-                if let (Some(b), Some(e)) = (
-                    Uint::<4>::from_biguint(&base.mont),
-                    Uint::<4>::from_biguint(exp),
-                ) {
-                    lanes.push((i, b, e));
-                }
-            }
-            for group in lanes.chunks(LANES) {
-                if let [l0, l1, l2, l3] = group {
-                    let pow =
-                        ctx.mont_pow_batch(&[l0.1, l1.1, l2.1, l3.1], &[l0.2, l1.2, l2.2, l3.2]);
-                    for (lane, (i, _, _)) in group.iter().enumerate() {
-                        self.record_serial_exp_ops(&pairs[*i].1);
-                        out[*i] = Some(FpElement {
-                            mont: pow[lane].to_biguint(),
-                        });
-                    }
+        if let Some(ctx) = self.inner.backend.products() {
+            let lanes: Vec<(usize, Uint<4>)> = pairs
+                .iter()
+                .enumerate()
+                .filter_map(|(i, (base, exp))| match base.0 {
+                    Residue::Words(b) if exp.bit_len() <= 64 * ctx.words() => Some((i, b)),
+                    _ => None,
+                })
+                .collect();
+            for group in lanes.chunks_exact(LANES) {
+                let bases = std::array::from_fn(|lane| group[lane].1);
+                let exps = std::array::from_fn(|lane| &pairs[group[lane].0].1);
+                let pow = ctx
+                    .mont_pow_batch::<LANES>(&bases, exps)
+                    .expect("every exponent fits");
+                for (lane, (i, _)) in group.iter().enumerate() {
+                    self.record_serial_exp_ops(&pairs[*i].1);
+                    out[*i] = Some(FpElement(Residue::Words(pow[lane])));
                 }
             }
         }
@@ -401,54 +492,29 @@ impl FpContext {
     /// element, and so are the recorded operation counts: one inversion
     /// per non-zero element and no multiplications — inversion stays its
     /// own primitive (the trick's internal products are host bookkeeping,
-    /// not modeled field work). On 256-bit primes the chain runs on the
-    /// fixed backend; other fields use the heap Montgomery parameters.
+    /// not modeled field work). The chain runs on the field's stack
+    /// context; a field wider than 256 bits inverts element by element.
     pub fn inv_batch(&self, elems: &[FpElement]) -> Vec<Option<FpElement>> {
         let live: Vec<usize> = (0..elems.len()).filter(|&i| !elems[i].is_zero()).collect();
         for _ in &live {
             self.inner.counter.record_inv();
         }
         let mut out: Vec<Option<FpElement>> = vec![None; elems.len()];
-        if live.is_empty() {
-            return out;
-        }
-        if let Some(ctx) = self.inner.fixed256.as_ref() {
-            let mut values: Vec<Uint<4>> = live
-                .iter()
-                .map(|&i| {
-                    Uint::<4>::from_biguint(&elems[i].mont)
-                        .expect("256-bit field residue fits in 4 limbs")
-                })
-                .collect();
-            let mut scratch = vec![Uint::<4>::ZERO; values.len()];
-            let ok = ctx.mont_inv_batch(&mut values, &mut scratch);
-            debug_assert!(ok, "non-zero elements invert");
-            for (slot, inv) in live.iter().zip(values) {
-                out[*slot] = Some(FpElement {
-                    mont: inv.to_biguint(),
-                });
+        let Some(ctx) = self.inner.backend.words() else {
+            for &i in &live {
+                out[i] = Some(self.fermat_inverse(&elems[i]));
             }
             return out;
+        };
+        let mut values: Vec<Uint<4>> = live
+            .iter()
+            .map(|&i| elems[i].mont_repr().expect("a word residue"))
+            .collect();
+        let ok = ctx.mont_inv_batch(&mut values);
+        debug_assert!(ok, "non-zero elements invert");
+        for (slot, inv) in live.iter().zip(values) {
+            out[*slot] = Some(FpElement(Residue::Words(inv)));
         }
-        // Heap path: the same prefix-product chain on the raw Montgomery
-        // parameters (deliberately uncounted — see the doc note above).
-        let mont = &self.inner.mont;
-        let mut prefix: Vec<BigUint> = Vec::with_capacity(live.len());
-        for &i in &live {
-            prefix.push(match prefix.last() {
-                None => elems[i].mont.clone(),
-                Some(acc) => mont.mont_mul(acc, &elems[i].mont),
-            });
-        }
-        let exp = &self.inner.modulus - &BigUint::from(2u64);
-        let mut inv = mont.mont_pow(prefix.last().expect("live is non-empty"), &exp);
-        for idx in (1..live.len()).rev() {
-            out[live[idx]] = Some(FpElement {
-                mont: mont.mont_mul(&inv, &prefix[idx - 1]),
-            });
-            inv = mont.mont_mul(&inv, &elems[live[idx]].mont);
-        }
-        out[live[0]] = Some(FpElement { mont: inv });
         out
     }
 
@@ -457,23 +523,23 @@ impl FpContext {
         if a.is_zero() {
             return None;
         }
-        self.inner.counter.record_inv();
         // The exponentiation's internal multiplications are deliberately not
         // double-counted: the paper treats inversion as its own primitive.
-        if let Some(ctx) = self.inner.fixed256.as_ref() {
-            if let Some(a_f) = Uint::<4>::from_biguint(&a.mont) {
-                let inv = ctx
-                    .mont_inv_prime(&a_f)
-                    .expect("non-zero element stays non-zero in fixed form");
-                return Some(FpElement {
-                    mont: inv.to_biguint(),
-                });
-            }
-        }
-        let exp = &self.inner.modulus - &BigUint::from(2u64);
-        Some(FpElement {
-            mont: self.inner.mont.mont_pow(&a.mont, &exp),
+        self.inner.counter.record_inv();
+        Some(match (self.inner.backend.words(), &a.0) {
+            (Some(ctx), Residue::Words(w)) => FpElement(Residue::Words(
+                ctx.mont_inv_prime(w)
+                    .expect("non-zero element stays non-zero in fixed form"),
+            )),
+            _ => self.fermat_inverse(a),
         })
+    }
+
+    /// `a^(p−2)` of a non-zero element through
+    /// [`MontgomeryParams::mont_pow`], uncounted.
+    fn fermat_inverse(&self, a: &FpElement) -> FpElement {
+        let exp = &self.inner.modulus - &BigUint::from(2u64);
+        self.store_heap_residue(self.inner.mont.mont_pow(&a.heap_residue(), &exp))
     }
 
     /// Returns `true` if two contexts describe the same field.
@@ -676,7 +742,7 @@ mod tests {
     fn montgomery_repr_roundtrip() {
         let fp = ctx();
         let a = fp.from_u64(424_242);
-        let repr = a.mont_repr().clone();
+        let repr = a.mont_repr().expect("a 30-bit field stores words");
         assert_eq!(FpElement::from_mont_repr(repr), a);
     }
 
@@ -715,29 +781,33 @@ mod tests {
 
     #[test]
     fn fixed256_fast_path_matches_heap_loops() {
-        // secp256k1's p: 8 u32 limbs, so the fixed backend engages.
+        // secp256k1's p: four words, so `fixed256` is its context.
         let p =
             BigUint::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
                 .unwrap();
         let fp = FpContext::new(&p).unwrap();
         assert!(fp.fixed256().is_some());
-        assert!(ctx().fixed256().is_none(), "small primes stay on the heap");
+        assert!(
+            ctx().fixed256().is_none(),
+            "narrower primes run on their own width"
+        );
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         for _ in 0..5 {
             let a = fp.random(&mut rng);
             let e = BigUint::random_below(&mut rng, &p);
-            // Reference: the heap Montgomery exponentiation on the plain residue.
-            let expected = fp.montgomery().mod_exp(&fp.to_biguint(&a), &e);
+            // Reference: plain square-and-multiply on the plain residue (not
+            // Montgomery, so no fast path is checked against itself).
+            let expected = bignum::mod_exp(&fp.to_biguint(&a), &e, &p);
             assert_eq!(fp.to_biguint(&fp.exp(&a, &e)), expected);
             if !a.is_zero() {
-                let expected_inv = fp.montgomery().mod_inv_prime(&fp.to_biguint(&a)).unwrap();
+                let expected_inv = bignum::mod_inv(&fp.to_biguint(&a), &p).unwrap();
                 assert_eq!(fp.to_biguint(&fp.inv(&a).unwrap()), expected_inv);
             }
         }
 
-        // Exponents wider than the fixed backend's 256 bits still work, on
-        // the generic loop, and count like every other exponent.
+        // Exponents wider than the field's four words still work, on the
+        // counted loop, and count like every other exponent.
         let a = fp.random(&mut rng);
         let wide = BigUint::random_bits(&mut rng, 300);
         fp.reset_op_count();
@@ -745,7 +815,7 @@ mod tests {
         let set_bits = (0..wide.bit_len()).filter(|&i| wide.bit(i)).count();
         assert!(wide.bit_len() > 256);
         assert_eq!(fp.op_count().mul, (wide.bit_len() + set_bits) as u64);
-        let expected = fp.montgomery().mod_exp(&fp.to_biguint(&a), &wide);
+        let expected = bignum::mod_exp(&fp.to_biguint(&a), &wide, &p);
         assert_eq!(fp.to_biguint(&got), expected);
 
         // The fast path records the same operation counts as the heap loop:

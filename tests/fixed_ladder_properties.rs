@@ -1,5 +1,13 @@
-//! Differential proptests pinning the fixed-backend ladder suite and the
-//! batch entry points to the serial heap reference.
+//! Differential proptests pinning the fixed-backend ladder suite, the
+//! batch entry points and the field's stack context at every width to the
+//! serial heap reference.
+//!
+//! At every field width (10, 64, 127, 160, 170 and 256 bits) random sequences
+//! of field operations must give the same residues and the same op counts
+//! on `FpContext::new(p)` and on its `heap_only()` twin, whose products run
+//! the heap FIOS reference; their elements compare and hash equal exactly
+//! when their values are equal. Every `Curve::scalar_mul` algorithm must
+//! match `scalar_mul_reference` on the 160-bit and toy curves too.
 //!
 //! Every fixed ladder variant (double-and-add, NAF, windowed/comb) and
 //! every batch kernel (`Curve::scalar_mul_batch`, `FpContext::exp_batch`
@@ -10,10 +18,16 @@
 //! not a multiple of the kernel lane counts, and the scalars
 //! {0, 1, order − 1, order} that straddle the group boundary.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
 use bignum::fixed::{MontgomeryContext, Uint};
 use bignum::BigUint;
+use ceilidh::CeilidhParams;
 use ecc::prelude::*;
+use field::{FpContext, FpElement};
 use proptest::prelude::*;
+use rand::SeedableRng;
 
 fn curve() -> Curve {
     Curve::from_parameters::<Secp256k1>().expect("registered curve")
@@ -37,6 +51,131 @@ fn edge_scalars(curve: &Curve) -> Vec<BigUint> {
         &order - &BigUint::one(),
         order,
     ]
+}
+
+/// Primes at every stack width the field uses: the toy curve's 1009
+/// (≡ 1 mod 4, so square roots take Tonelli–Shanks) and 2^64 − 59 (also
+/// ≡ 1 mod 4) on one word, 2^127 − 1 on two, the paper's 160- and 170-bit
+/// primes on three, and secp256k1's on four.
+fn primes_at_every_width() -> Vec<BigUint> {
+    vec![
+        BigUint::from(1009u64),
+        BigUint::from(0xffff_ffff_ffff_ffc5u64),
+        &BigUint::one().shl_bits(127) - &BigUint::one(),
+        Curve::p160_reproduction().unwrap().fp().modulus().clone(),
+        CeilidhParams::date2008().unwrap().fp().modulus().clone(),
+        curve().fp().modulus().clone(),
+    ]
+}
+
+fn hash_of(e: &FpElement) -> u64 {
+    let mut h = DefaultHasher::new();
+    e.hash(&mut h);
+    h.finish()
+}
+
+/// Applies operation `code` to registers of `fp`, returning the result.
+fn apply(fp: &FpContext, code: u8, regs: &[FpElement; 4], exp: &BigUint) -> Option<FpElement> {
+    let (a, b) = (&regs[code as usize % 4], &regs[(code as usize / 4) % 4]);
+    Some(match (code / 16) % 7 {
+        0 => fp.mul(a, b),
+        1 => fp.add(a, b),
+        2 => fp.sub(a, b),
+        3 => fp.neg(a),
+        4 => fp.inv(a)?,
+        5 => fp.exp(a, exp),
+        _ => fp.sqrt(a)?,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A random sequence of mul/add/sub/neg/inv/exp/sqrt runs identically
+    /// on each field's stack context and on its heap-product twin: same
+    /// residues, same op-count deltas, and elements equal (and hashing
+    /// equal) across the two contexts exactly when their values are.
+    #[test]
+    fn fast_context_matches_heap_twin_at_every_width(
+        seed in any::<u64>(),
+        codes in prop::collection::vec(any::<u8>(), 1..24),
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for p in primes_at_every_width() {
+            let fast = FpContext::new(&p).unwrap();
+            let heap = fast.heap_only();
+            let mut regs: [FpElement; 4] = std::array::from_fn(|_| fast.random(&mut rng));
+            let mut twin_regs = regs.clone();
+            for &code in &codes {
+                // Exponents up to twice the field width: some fit its
+                // words, some take the counted loop.
+                let exp = BigUint::random_bits(&mut rng, 2 * p.bit_len());
+                let exp = exp.shr_bits((code as usize) % (2 * p.bit_len()));
+                let before = fast.op_count();
+                let got = apply(&fast, code, &regs, &exp);
+                let mid = fast.op_count();
+                let want = apply(&heap, code, &twin_regs, &exp);
+                let after = fast.op_count();
+                prop_assert_eq!(mid.since(&before), after.since(&mid), "{} bits, op {}", p.bit_len(), code);
+                prop_assert_eq!(&got, &want, "{} bits, op {}", p.bit_len(), code);
+                if let (Some(got), Some(want)) = (got, want) {
+                    prop_assert_eq!(got.mont_repr(), want.mont_repr());
+                    prop_assert_eq!(fast.to_biguint(&got), heap.to_biguint(&want));
+                    // The ring operations, which the twin shares, against
+                    // plain modular arithmetic.
+                    let plain = |i: usize| fast.to_biguint(&regs[i]);
+                    let (a, b) = (plain(code as usize % 4), plain((code as usize / 4) % 4));
+                    let expected = match (code / 16) % 7 {
+                        0 => Some(bignum::mod_mul(&a, &b, &p)),
+                        1 => Some(bignum::mod_add(&a, &b, &p)),
+                        2 => Some(bignum::mod_sub(&a, &b, &p)),
+                        3 => Some(bignum::mod_neg(&a, &p)),
+                        _ => None,
+                    };
+                    if let Some(expected) = expected {
+                        prop_assert_eq!(fast.to_biguint(&got), expected, "op {}", code);
+                    }
+                    let slot = (code as usize / 64) % 4;
+                    regs[slot] = got;
+                    twin_regs[slot] = want;
+                }
+            }
+            for x in &regs {
+                for y in &twin_regs {
+                    let same_value = fast.to_biguint(x) == heap.to_biguint(y);
+                    prop_assert_eq!(x == y, same_value);
+                    prop_assert_eq!(hash_of(x) == hash_of(y), same_value);
+                }
+            }
+        }
+    }
+
+    /// Every scalar-multiplication algorithm matches the heap-product
+    /// reference on the paper's 160-bit curve and on the toy curve, whose
+    /// fields run on three words and one word.
+    #[test]
+    fn scalar_mul_matches_reference_below_256_bits(limbs in prop::array::uniform4(any::<u64>())) {
+        for curve in [Curve::p160_reproduction().unwrap(), Curve::toy().unwrap()] {
+            let k = &scalar(limbs) % &BigUint::one().shl_bits(curve.fp().bit_len() + 8);
+            let g = curve.base_point().clone();
+            let h = curve.scalar_mul_reference(&g, &BigUint::from(5u64), ScalarMulAlgorithm::Naf);
+            for point in [&g, &h] {
+                for algorithm in [
+                    ScalarMulAlgorithm::DoubleAndAdd,
+                    ScalarMulAlgorithm::Naf,
+                    ScalarMulAlgorithm::Window4,
+                ] {
+                    prop_assert_eq!(
+                        curve.scalar_mul(point, &k, algorithm),
+                        curve.scalar_mul_reference(point, &k, algorithm),
+                        "{}: algorithm {:?}",
+                        curve.name(),
+                        algorithm
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {

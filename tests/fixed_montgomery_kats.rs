@@ -1,21 +1,27 @@
-//! Known-answer tests pinning `bignum::fixed::MontgomeryContext` to the
-//! heap `MontgomeryParams` backend on the standards 256-bit moduli, plus
-//! the published secp256k1/P-256 generator multiples re-run through the
-//! fixed-width curve ladder.
+//! Known-answer tests pinning `bignum::fixed::MontgomeryContext<L>` to the
+//! heap `MontgomeryParams` backend at every width with callers — one word
+//! (the toy field), two, three (the paper's 160- and 170-bit primes), four
+//! (the standards 256-bit moduli), eight (an RSA-1024 CRT half) and sixteen
+//! (an RSA-1024 modulus) — plus the published secp256k1/P-256 generator
+//! multiples re-run through the fixed-width curve ladder.
 //!
-//! Both backends use the Montgomery radix `R = 2^256` on these moduli
-//! (8 × 32-bit heap limbs, 4 × 64-bit fixed limbs), so everything —
-//! `n'`, `R²`, Montgomery forms, products — must agree *bit for bit*, not
-//! just modulo `p`. The `n'` and `R²` values are additionally checked
-//! against independently derived constants so a shared bug in the two
-//! Newton–Hensel inversions could not hide.
+//! By the width rule both backends use the Montgomery radix
+//! `R = 2^(64·L)` for an `n`-bit modulus, `L = ⌈n/64⌉` (`2L` × 32-bit heap
+//! limbs, `L` × 64-bit fixed limbs), so everything — `n'`, `R`, `R²`,
+//! Montgomery forms, products, powers — must agree *bit for bit*, not just
+//! modulo `p`. `n'`, `R` and `R²` are additionally checked against
+//! independently derived constants (extended-Euclid inverse, shifts), and
+//! powers against plain square-and-multiply, so a shared bug in the two
+//! backends, or a fast path checked against itself, could not hide.
 
-use bignum::fixed::{MontgomeryContext, Uint};
-use bignum::{BigUint, MontgomeryParams};
+use bignum::fixed::{montgomery_words, MontgomeryContext, Uint};
+use bignum::{mod_exp, mod_inv, mod_mul, BigUint, MontgomeryParams};
+use ceilidh::CeilidhParams;
 use ecc::ladder::Ladder;
 use ecc::prelude::*;
 use field::FpElement;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The secp256k1 prime `2^256 - 2^32 - 977`.
@@ -123,6 +129,104 @@ fn known_products_match_on_the_secp256k1_modulus() {
     assert_eq!(fixed.mont_mul(&minus_one, &minus_one), fixed.one_mont());
 }
 
+/// Checks `MontgomeryParams` against `MontgomeryContext<L>` bit for bit on
+/// one odd modulus of `L` words.
+fn check_width<const L: usize>(name: &str, p: &BigUint, rng: &mut StdRng) {
+    let fixed = MontgomeryContext::<L>::new(p).expect("odd modulus of L words");
+    let heap = MontgomeryParams::new(p).expect("odd modulus");
+    assert_eq!(montgomery_words(p.bit_len()), L, "{name}: width rule");
+    assert_eq!(heap.num_limbs(), 2 * L, "{name}: heap limbs rounded up");
+
+    // n' = -p⁻¹ mod 2^64 from the extended-Euclid inverse; the heap value
+    // is its truncation to 32 bits.
+    let two64 = BigUint::one().shl_bits(64);
+    let inv = mod_inv(&(p % &two64), &two64).expect("odd modulus");
+    let n_prime = (&two64 - &inv).to_u64().expect("below 2^64");
+    assert_eq!(fixed.n0_inv(), n_prime, "{name}: n'");
+    assert_eq!(
+        fixed.n0_inv() as u32,
+        heap.n0_inv(),
+        "{name}: n' truncation"
+    );
+
+    // R = 2^(64L) mod p and R² = 2^(128L) mod p, by shifts.
+    let r = &BigUint::one().shl_bits(64 * L) % p;
+    let r2 = &BigUint::one().shl_bits(128 * L) % p;
+    assert_eq!(fixed.one_mont().to_biguint(), r, "{name}: fixed R");
+    assert_eq!(heap.one_mont(), r, "{name}: heap R");
+    assert_eq!(fixed.r2().to_biguint(), r2, "{name}: fixed R²");
+    assert_eq!(heap.to_mont(&r), r2, "{name}: heap R² (the form of R)");
+
+    for _ in 0..6 {
+        let a = BigUint::random_below(rng, p);
+        let b = BigUint::random_below(rng, p);
+        let e = BigUint::random_below(rng, p);
+        let am = fixed.to_mont(&Uint::from_biguint(&a).unwrap());
+        let bm = fixed.to_mont(&Uint::from_biguint(&b).unwrap());
+        // The same Montgomery form, a·R mod p...
+        assert_eq!(am.to_biguint(), &(&a * &r) % p, "{name}: form");
+        assert_eq!(am.to_biguint(), heap.to_mont(&a), "{name}: heap form");
+        // ...the same product residue as the heap FIOS product...
+        let product = fixed.mont_mul(&am, &bm);
+        let heap_product = heap.mont_mul(&heap.to_mont(&a), &heap.to_mont(&b));
+        assert_eq!(product.to_biguint(), heap_product, "{name}: product");
+        assert_eq!(
+            fixed.from_mont(&product).to_biguint(),
+            mod_mul(&a, &b, p),
+            "{name}: product value"
+        );
+        // ...and the same power as plain square-and-multiply.
+        let power = mod_exp(&a, &e, p);
+        let fixed_pow = fixed.mont_pow(&am, &Uint::from_biguint(&e).unwrap());
+        assert_eq!(fixed_pow.to_biguint(), heap.to_mont(&power), "{name}: pow");
+        assert_eq!(
+            heap.mont_pow(&heap.to_mont(&a), &e),
+            heap.to_mont(&power),
+            "{name}: heap mont_pow"
+        );
+        assert_eq!(heap.mod_exp(&a, &e), power, "{name}: heap mod_exp");
+    }
+}
+
+#[test]
+fn one_and_two_words_match_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x0001);
+    check_width::<1>("toy 1009", &BigUint::from(1009u64), &mut rng);
+    // The Mersenne prime 2^127 − 1.
+    check_width::<2>(
+        "2^127 - 1",
+        &hex("7fffffffffffffffffffffffffffffff"),
+        &mut rng,
+    );
+}
+
+#[test]
+fn the_paper_field_primes_match_bit_for_bit_on_three_words() {
+    let mut rng = StdRng::seed_from_u64(0x0003);
+    let p160 = Curve::p160_reproduction().unwrap();
+    check_width::<3>("p160", p160.fp().modulus(), &mut rng);
+    let torus = CeilidhParams::date2008().unwrap();
+    check_width::<3>("ceilidh-170", torus.fp().modulus(), &mut rng);
+}
+
+#[test]
+fn the_256_bit_primes_match_bit_for_bit_on_four_words() {
+    let mut rng = StdRng::seed_from_u64(0x0004);
+    check_width::<4>("secp256k1", &hex(SECP256K1_P), &mut rng);
+    check_width::<4>("p256", &hex(P256_P), &mut rng);
+}
+
+#[test]
+fn rsa_1024_widths_match_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x0816);
+    // 2^512 − 569, the largest prime below 2^512: a CRT half's width.
+    let half = &BigUint::one().shl_bits(512) - &BigUint::from(569u64);
+    check_width::<8>("2^512 - 569", &half, &mut rng);
+    // 2^1024 − 105, odd: a modulus's width (no primality needed).
+    let modulus = &BigUint::one().shl_bits(1024) - &BigUint::from(105u64);
+    check_width::<16>("2^1024 - 105", &modulus, &mut rng);
+}
+
 #[test]
 fn backend_presence_matches_field_width() {
     for (name, expect) in [
@@ -135,13 +239,18 @@ fn backend_presence_matches_field_width() {
         assert_eq!(
             curve.fp().fixed256().is_some(),
             expect,
-            "{name}: fixed backend presence"
+            "{name}: four-word context presence"
         );
         // The heap twin never has one.
         assert!(
             curve.heap_only().fp().fixed256().is_none(),
             "{name}: heap twin"
         );
+        // Every one of these fields stores its residues as words, the heap
+        // twin's too.
+        assert!(curve.a().mont_repr().is_some(), "{name}: word residues");
+        let twin = curve.heap_only();
+        assert!(twin.fp().one().mont_repr().is_some(), "{name}: twin words");
     }
 }
 
@@ -149,17 +258,14 @@ fn backend_presence_matches_field_width() {
 /// directly (no dispatch), returning the affine result as field elements.
 fn fixed_mul_base(curve: &Curve, k: u64) -> Option<(FpElement, FpElement)> {
     let ctx = curve.fp().fixed256().expect("256-bit curve has a backend");
-    let to_residue = |e: &FpElement| Uint::<4>::from_biguint(e.mont_repr()).unwrap();
+    let to_residue = |e: &FpElement| e.mont_repr().expect("a 256-bit field stores words");
     let a = to_residue(curve.a());
     let ladder = Ladder::new(ctx, &a, curve.a_is_minus_three());
     let (gx, gy) = curve.base_point().coordinates().expect("G is finite");
     let acc = ladder.double_and_add(&to_residue(gx), &to_residue(gy), &BigUint::from(k));
-    ladder.to_affine(&acc).map(|(x, y)| {
-        (
-            FpElement::from_mont_repr(x.to_biguint()),
-            FpElement::from_mont_repr(y.to_biguint()),
-        )
-    })
+    ladder
+        .to_affine(&acc)
+        .map(|(x, y)| (FpElement::from_mont_repr(x), FpElement::from_mont_repr(y)))
 }
 
 #[test]

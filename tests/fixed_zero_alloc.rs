@@ -1,12 +1,17 @@
-//! Zero-allocation regression test for the fixed-width backend.
+//! Zero-allocation regression tests for the stack backend.
 //!
 //! The point of `bignum::fixed` is that the hot loops — Montgomery
 //! multiplication, exponentiation, and the full scalar-multiplication
-//! ladder — run entirely on stack arrays. This test installs a counting
-//! global allocator and asserts that, after setup, those loops perform
-//! **zero** heap allocations; a `Vec` sneaking back into the CIOS kernel or
-//! the ladder would fail here immediately. The counter itself is
-//! sanity-checked against the heap backend, which must allocate.
+//! ladder — run entirely on stack arrays, at every width the paper uses.
+//! These tests install a counting global allocator and assert that, after
+//! setup, those loops perform **zero** heap allocations: on the raw 256-bit
+//! context, and through the counted `FpContext` at the paper's 160- and
+//! 170-bit widths (field operations, the `Fp6` product, the p160 ladder).
+//! A `Vec` sneaking back into the CIOS kernel, the field element or the
+//! ladder would fail here immediately. RSA-size exponentiations through
+//! `MontgomeryParams` may allocate only for their conversions, a count that
+//! must not grow with the exponent. The counter itself is sanity-checked
+//! against the heap backend, which must allocate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,8 +19,11 @@ use std::hint::black_box;
 
 use bignum::fixed::Uint;
 use bignum::{BigUint, MontgomeryParams};
+use ceilidh::CeilidhParams;
 use ecc::ladder::Ladder;
 use ecc::prelude::*;
+use field::{FpContext, FpElement};
+use rand::SeedableRng;
 
 thread_local! {
     /// Allocations observed on this thread (the test harness runs each
@@ -65,7 +73,7 @@ fn fixed_backend_loops_do_not_touch_the_heap() {
         .fp()
         .fixed256()
         .expect("secp256k1 has a fixed backend");
-    let residue = |e: &field::FpElement| Uint::<4>::from_biguint(e.mont_repr()).unwrap();
+    let residue = |e: &FpElement| e.mont_repr().expect("a 256-bit field stores words");
     let coefficient = residue(curve.a());
     let ladder = Ladder::new(ctx, &coefficient, curve.a_is_minus_three());
     let (gx, gy) = curve.base_point().coordinates().expect("G is finite");
@@ -97,6 +105,93 @@ fn fixed_backend_loops_do_not_touch_the_heap() {
         0,
         "fixed Montgomery/ladder loops must not allocate"
     );
+}
+
+/// Allocations made by `f`, with its result kept alive until after the
+/// count.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = allocations();
+    let out = f();
+    let after = allocations();
+    black_box(out);
+    after - before
+}
+
+/// The paper's two field widths: the 160-bit ECC prime and the 170-bit
+/// CEILIDH prime, each with its field context.
+fn paper_fields() -> [(&'static str, FpContext); 2] {
+    let curve = Curve::p160_reproduction().expect("built-in 160-bit curve");
+    let params = CeilidhParams::date2008().expect("built-in CEILIDH-170 parameters");
+    [
+        ("p160", curve.fp().clone()),
+        ("ceilidh-170", params.fp().clone()),
+    ]
+}
+
+#[test]
+fn field_operations_at_the_paper_widths_do_not_touch_the_heap() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_0a11);
+    for (name, fp) in paper_fields() {
+        let a = fp.random(&mut rng);
+        let b = fp.random(&mut rng);
+        let e = BigUint::random_below(&mut rng, fp.modulus());
+        let loops = allocations_in(|| {
+            let mut acc = a.clone();
+            for _ in 0..1000 {
+                acc = fp.mul(black_box(&acc), black_box(&b));
+                acc = fp.add(black_box(&acc), black_box(&a));
+                acc = fp.sub(black_box(&acc), black_box(&b));
+                acc = fp.neg(black_box(&acc));
+            }
+            acc
+        });
+        assert_eq!(loops, 0, "{name}: products, sums, differences, negations");
+        let inverse = allocations_in(|| fp.inv(black_box(&a)));
+        assert_eq!(inverse, 0, "{name}: inversion");
+        let power = allocations_in(|| fp.exp(black_box(&a), black_box(&e)));
+        assert_eq!(power, 0, "{name}: exponentiation");
+    }
+}
+
+#[test]
+fn the_fp6_product_at_170_bits_does_not_touch_the_heap() {
+    let params = CeilidhParams::date2008().expect("built-in CEILIDH-170 parameters");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xf6);
+    let fp6 = params.fp6();
+    let a = fp6.random(&mut rng);
+    let b = fp6.random(&mut rng);
+    let product = allocations_in(|| fp6.mul(black_box(&a), black_box(&b)));
+    assert_eq!(product, 0, "one karatsuba-fp6 product");
+}
+
+#[test]
+fn the_counted_p160_ladder_loop_does_not_touch_the_heap() {
+    let curve = Curve::p160_reproduction().expect("built-in 160-bit curve");
+    let ladder = Ladder::new(curve.fp(), curve.a(), curve.a_is_minus_three());
+    let (x, y) = curve.base_point().coordinates().expect("G is finite");
+    let k = BigUint::from_hex("9f3c0a55e4d2b8a17c66f0e1d2c3b4a5968778aa").unwrap();
+    curve.fp().reset_op_count();
+    let ladder_loop = allocations_in(|| ladder.double_and_add(black_box(x), black_box(y), &k));
+    assert_eq!(ladder_loop, 0, "p160 double-and-add on FpContext");
+    assert!(curve.fp().op_count().mul > 1000, "the ladder ran, counted");
+}
+
+#[test]
+fn rsa_size_exponentiations_allocate_a_fixed_number_of_times() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x2fa);
+    for bits in [512, 1024] {
+        let n = &BigUint::random_bits(&mut rng, bits - 1) + &BigUint::one().shl_bits(bits - 1);
+        let n = if n.is_even() { &n + &BigUint::one() } else { n };
+        assert_eq!(n.bit_len(), bits);
+        let mont = MontgomeryParams::new(&n).unwrap();
+        let base = BigUint::random_below(&mut rng, &n);
+        let short = BigUint::from(65_537u64);
+        let long = BigUint::random_below(&mut rng, &n);
+        let few = allocations_in(|| mont.mod_exp(black_box(&base), black_box(&short)));
+        let many = allocations_in(|| mont.mod_exp(black_box(&base), black_box(&long)));
+        assert_eq!(few, many, "{bits} bits: allocations grow with the exponent");
+        assert!(few <= 4, "{bits} bits: {few} allocations for one mod_exp");
+    }
 }
 
 #[test]
