@@ -94,7 +94,6 @@ fn search_sweep() {
         &rows,
     );
     if let Ok(path) = std::env::var("BENCH_REPORT_JSON") {
-        let path = bench::json::report_path(&path);
         let mut merged = std::fs::read_to_string(&path)
             .ok()
             .and_then(|text| bench::json::parse_object(&text).ok())

@@ -318,12 +318,10 @@ fn main() -> ExitCode {
         }
     }
     // Informational rows ride along in the same report file but are
-    // never gated: `info_` keys from the report binary and the speedup
-    // ratios the Criterion harnesses merge in (host-dependent, so no
-    // golden value can pin them).
-    const INFORMATIONAL_PREFIXES: [&str; 4] = ["info_", "fixed_vs_heap_", "ladder_", "mont_batch_"];
+    // never gated: the report binary's `info_` keys. Every other key
+    // must have a golden row.
     for (name, _) in &measured {
-        if INFORMATIONAL_PREFIXES.iter().any(|p| name.starts_with(p)) {
+        if name.starts_with("info_") {
             continue;
         }
         if !expected.iter().any(|row| &row.name == name) {

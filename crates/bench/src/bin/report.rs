@@ -185,7 +185,6 @@ fn main() {
     }
 
     if let Ok(path) = std::env::var("BENCH_REPORT_JSON") {
-        let path = bench::json::report_path(&path);
         let mut collected = metrics::collect();
         let hit_rate = collected
             .iter()
@@ -196,9 +195,8 @@ fn main() {
         let text = bench::json::write_object(&collected);
         std::fs::write(&path, text).expect("write BENCH_REPORT_JSON");
         println!(
-            "\nwrote gated cycle metrics to {} \
-             (program-cache hit rate over the batch workload: {hit_rate}%)",
-            path.display()
+            "\nwrote gated cycle metrics to {path} \
+             (program-cache hit rate over the batch workload: {hit_rate}%)"
         );
     }
 }

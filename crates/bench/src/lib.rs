@@ -2,8 +2,9 @@
 //! and small helpers for rendering paper-vs-measured tables.
 //!
 //! Each table/figure of the evaluation has a report binary
-//! (`cargo run -p bench --bin table1|table2|table3|fig1_hierarchy|fig5_multicore|ablations|report`)
-//! and a Criterion bench (`cargo bench -p bench`).
+//! (`cargo run -p bench --bin table1|table2|table3|fig1_hierarchy|fig5_multicore|ablations|report`);
+//! `cycle_gate` diffs the report against the golden cycle file. Host
+//! wall-clock figures come from `hostbench/`, not from this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -106,23 +107,6 @@ pub mod json {
         pub cycles: u64,
         /// Allowed drift before the gate fails, in percent.
         pub tol_pct: Option<f64>,
-    }
-
-    /// Resolves a `BENCH_REPORT_JSON` value to the file every producer
-    /// shares. `cargo bench` runs harnesses with the *package* directory
-    /// (`crates/bench/`) as cwd while `cargo run` binaries keep the
-    /// caller's cwd (the workspace root in CI), so a relative path would
-    /// split the report across two files. Relative paths are therefore
-    /// anchored at the workspace root; absolute paths pass through.
-    pub fn report_path(path: &str) -> std::path::PathBuf {
-        let p = std::path::Path::new(path);
-        if p.is_absolute() {
-            p.to_path_buf()
-        } else {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(p)
-        }
     }
 
     /// Renders `pairs` as a pretty-printed flat JSON object.

@@ -11,13 +11,10 @@
 //!   carry/borrow/widening arithmetic and `BigUint` conversions.
 //! - [`MontgomeryContext`]: CIOS Montgomery multiplication, exponentiation
 //!   and Fermat inversion with zero allocation past setup, mirroring
-//!   [`MontgomeryParams`](crate::MontgomeryParams). Batch traffic gets the
-//!   lane-interleaved kernels ([`MontgomeryContext::mont_mul_batch`] and
-//!   the `mont_pow_batch`/`mod_exp_batch` ladders over it) plus
-//!   Montgomery's batch-inversion trick
-//!   ([`MontgomeryContext::mont_inv_batch`]: one Fermat inversion +
-//!   `3(n-1)` multiplications), every lane bit-identical to its serial
-//!   counterpart.
+//!   [`MontgomeryParams`](crate::MontgomeryParams), plus Montgomery's
+//!   batch-inversion trick ([`MontgomeryContext::mont_inv_batch`]: one
+//!   Fermat inversion + `3(n-1)` multiplications), which every ladder's
+//!   affine normalization runs on.
 //! - The width rule, [`montgomery_words`]: a modulus of `n` bits runs on
 //!   `MontgomeryContext<L>` with `L = ⌈n/64⌉`. The heap backend uses the
 //!   same radix `R = 2^(64·L)` at every width, so Montgomery forms are
@@ -37,9 +34,6 @@
 //! (`tests/fixed_uint_properties.rs`) pins every operation here to the heap
 //! backend bit for bit.
 
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod ifma;
 mod modular;
 mod montgomery;
 mod uint;

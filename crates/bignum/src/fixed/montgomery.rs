@@ -201,149 +201,18 @@ impl<const LIMBS: usize> MontgomeryContext<LIMBS> {
         Some(self.mont_pow(a_mont, &exp))
     }
 
-    /// Lane-interleaved Montgomery products: `LANES` independent CIOS
-    /// multiplications advanced **limb by limb in one pass**.
+    /// `LANES` independent Montgomery products, lane `l` exactly
+    /// [`mont_mul`](Self::mont_mul)`(&a[l], &b[l])`.
     ///
-    /// Each lane computes exactly [`mont_mul`](Self::mont_mul) — the same
-    /// schedule, the same conditional subtraction, bit-identical results —
-    /// but the inner multiply-accumulate loops iterate lanes innermost, so
-    /// adjacent instructions belong to *independent* u128 carry chains.
-    /// A serial CIOS pass is latency-bound on its single carry chain; the
-    /// interleaved pass gives the out-of-order core `LANES` chains to
-    /// overlap, which is where the batch throughput win comes from (no
-    /// unstable `std::simd` involved). Performs no heap allocation.
-    ///
-    /// On x86-64 hosts with AVX-512 IFMA, 256-bit (`LIMBS = 4`) batches
-    /// additionally route blocks of 8 lanes through a vectorized
-    /// radix-2^52 kernel and a trailing block of 4 through a pair-split
-    /// variant (see `fixed::ifma`); results stay bit-identical because
-    /// both kernels produce the unique canonical residue.
+    /// A plain per-lane map with no kernel of its own. It stays because
+    /// the host benchmark's traced leaf probe
+    /// (`bignum.fixed_mont_mul_batch8_ns_per_lane.256`) times it.
     pub fn mont_mul_batch<const LANES: usize>(
         &self,
         a: &[Uint<LIMBS>; LANES],
         b: &[Uint<LIMBS>; LANES],
     ) -> [Uint<LIMBS>; LANES] {
-        debug_assert!(
-            a.iter().all(|x| x < &self.modulus) && b.iter().all(|x| x < &self.modulus),
-            "operands must be reduced"
-        );
-        #[cfg(target_arch = "x86_64")]
-        #[allow(unsafe_code)]
-        if LIMBS == 4 && LANES >= 4 && super::ifma::available() {
-            // SAFETY: LIMBS == 4 was just checked, so Uint<LIMBS> and
-            // Uint<4> are the same type and the casts below only erase
-            // the const generic; lengths are preserved.
-            let mut out = [Uint::<LIMBS>::ZERO; LANES];
-            let done = unsafe {
-                super::ifma::mont_mul_batch_slice(
-                    core::slice::from_raw_parts(a.as_ptr() as *const Uint<4>, LANES),
-                    core::slice::from_raw_parts(b.as_ptr() as *const Uint<4>, LANES),
-                    core::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut Uint<4>, LANES),
-                    &*(self.modulus.limbs().as_ptr() as *const [u64; 4]),
-                    self.n0_inv,
-                )
-            };
-            for l in done..LANES {
-                out[l] = self.mont_mul(&a[l], &b[l]);
-            }
-            return out;
-        }
-        let mut t = [Uint::<LIMBS>::ZERO; LANES];
-        let mut t_hi = [0u64; LANES]; // t[LIMBS] per lane
-        let mut carry;
-        let mut t_hi2 = [0u64; LANES];
-        let mut m = [0u64; LANES];
-        for i in 0..LIMBS {
-            // t += a[i] * b, lanes innermost: LANES independent MAC chains
-            // per word position.
-            carry = [0u64; LANES];
-            for j in 0..LIMBS {
-                for l in 0..LANES {
-                    let (lo, c) = mac64(t[l].limbs[j], a[l].limbs()[i], b[l].limbs()[j], carry[l]);
-                    t[l].limbs[j] = lo;
-                    carry[l] = c;
-                }
-            }
-            for l in 0..LANES {
-                let (s, c) = carrying_add64(t_hi[l], carry[l], 0);
-                t_hi[l] = s;
-                t_hi2[l] = c; // t[LIMBS + 1], always 0 or 1
-                              // m = t[0] * p' mod 2^64; the first column of the
-                              // reduction zeroes t[0] by construction.
-                m[l] = t[l].limbs[0].wrapping_mul(self.n0_inv);
-                let (_, c0) = mac64(t[l].limbs[0], m[l], self.modulus.limbs[0], 0);
-                carry[l] = c0;
-            }
-            // t += m * p, shifting the accumulator right one word.
-            for j in 1..LIMBS {
-                for l in 0..LANES {
-                    let (lo, c) = mac64(t[l].limbs[j], m[l], self.modulus.limbs[j], carry[l]);
-                    t[l].limbs[j - 1] = lo;
-                    carry[l] = c;
-                }
-            }
-            for l in 0..LANES {
-                let (lo, c) = carrying_add64(t_hi[l], carry[l], 0);
-                t[l].limbs[LIMBS - 1] = lo;
-                t_hi[l] = t_hi2[l] + c;
-            }
-        }
-        let mut out = [Uint::<LIMBS>::ZERO; LANES];
-        for l in 0..LANES {
-            let (diff, borrow) = t[l].borrowing_sub(&self.modulus, 0);
-            out[l] = if t_hi[l] != 0 || borrow == 0 {
-                diff
-            } else {
-                t[l]
-            };
-        }
-        out
-    }
-
-    /// Lane-parallel exponentiation of Montgomery-form bases: the shared
-    /// squaring ladder runs through [`mont_mul_batch`](Self::mont_mul_batch)
-    /// (every lane squares every step, so the batch kernel always has
-    /// `LANES` live chains), while the data-dependent multiply steps stay
-    /// serial per lane. Each lane's result is bit-identical to
-    /// [`mont_pow`](Self::mont_pow) on its own `(base, exp)` pair.
-    pub fn mont_pow_batch<const LANES: usize>(
-        &self,
-        bases_mont: &[Uint<LIMBS>; LANES],
-        exps: &[Uint<LIMBS>; LANES],
-    ) -> [Uint<LIMBS>; LANES] {
-        let max_bits = exps.iter().map(|e| e.bit_len()).max().unwrap_or(0);
-        let mut acc = [self.r_mod; LANES];
-        for i in (0..max_bits).rev() {
-            // Leading squarings of lanes with shorter exponents square the
-            // residue R, which is a fixed point of mont_mul — so every
-            // lane's value stays exactly what the serial ladder produces.
-            acc = self.mont_mul_batch(&acc, &acc);
-            for l in 0..LANES {
-                if exps[l].bit(i) {
-                    acc[l] = self.mont_mul(&acc[l], &bases_mont[l]);
-                }
-            }
-        }
-        acc
-    }
-
-    /// Lane-parallel modular exponentiation on plain residues, over
-    /// [`mont_pow_batch`](Self::mont_pow_batch).
-    pub fn mod_exp_batch<const LANES: usize>(
-        &self,
-        bases: &[Uint<LIMBS>; LANES],
-        exps: &[Uint<LIMBS>; LANES],
-    ) -> [Uint<LIMBS>; LANES] {
-        let mut bases_m = [Uint::<LIMBS>::ZERO; LANES];
-        for l in 0..LANES {
-            bases_m[l] = self.to_mont(&bases[l]);
-        }
-        let pow = self.mont_pow_batch(&bases_m, exps);
-        let mut out = [Uint::<LIMBS>::ZERO; LANES];
-        for l in 0..LANES {
-            out[l] = self.from_mont(&pow[l]);
-        }
-        out
+        core::array::from_fn(|l| self.mont_mul(&a[l], &b[l]))
     }
 
     /// Montgomery's batch-inversion trick: inverts every element of
@@ -509,65 +378,6 @@ mod tests {
                 ctx.mont_mul(&edge[l], &edge[l]),
                 "edge lane {l}"
             );
-        }
-    }
-
-    /// Lane counts that split across the vector kernels' block sizes
-    /// (8+4, 8+tail, 4+tail, tail-only) all match the serial product,
-    /// on secp256k1 and on an unstructured odd modulus.
-    #[test]
-    fn mont_mul_batch_block_splits_match_serial() {
-        let dense =
-            BigUint::from_hex("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
-                .unwrap();
-        for p in [secp256k1_p(), dense] {
-            let ctx = MontgomeryContext::<4>::new(&p).unwrap();
-            macro_rules! check {
-                ($lanes:literal) => {{
-                    let a = sample_residues::<$lanes>(&ctx, 11);
-                    let b = sample_residues::<$lanes>(&ctx, 13);
-                    let batched = ctx.mont_mul_batch(&a, &b);
-                    for l in 0..$lanes {
-                        assert_eq!(batched[l], ctx.mont_mul(&a[l], &b[l]), "lane {l}");
-                    }
-                }};
-            }
-            check!(2);
-            check!(3);
-            check!(4);
-            check!(7);
-            check!(9);
-            check!(12);
-            check!(16);
-        }
-    }
-
-    #[test]
-    fn mont_pow_and_mod_exp_batch_match_serial() {
-        let ctx = MontgomeryContext::<4>::new(&secp256k1_p()).unwrap();
-        let bases = sample_residues::<4>(&ctx, 3);
-        // Mixed exponent widths exercise the lane-lockstep leading bits.
-        let exps = [
-            Uint::ZERO,
-            Uint::from_u64(1),
-            Uint::from_u64(0xdead_beef),
-            ctx.modulus()
-                .checked_sub(&Uint::from_u64(1))
-                .expect("p >= 3"),
-        ];
-        let batched = ctx.mont_pow_batch(&bases, &exps);
-        for l in 0..4 {
-            assert_eq!(batched[l], ctx.mont_pow(&bases[l], &exps[l]), "lane {l}");
-        }
-        let plain = [
-            Uint::from_u64(2),
-            Uint::from_u64(3),
-            Uint::from_u64(65_537),
-            Uint::from_u64(0x1234_5678),
-        ];
-        let batched = ctx.mod_exp_batch(&plain, &exps);
-        for l in 0..4 {
-            assert_eq!(batched[l], ctx.mod_exp(&plain[l], &exps[l]), "lane {l}");
         }
     }
 

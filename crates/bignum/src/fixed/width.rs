@@ -147,23 +147,6 @@ impl Montgomery256 {
         })
     }
 
-    /// [`MontgomeryContext::mont_pow_batch`] at this width: `None` when an
-    /// exponent is wider than `L` words.
-    pub fn mont_pow_batch<const LANES: usize>(
-        &self,
-        bases_mont: &[Uint<4>; LANES],
-        exps: [&BigUint; LANES],
-    ) -> Option<[Uint<4>; LANES]> {
-        on_width!(self, c => {
-            let mut narrow_exps = [Uint::ZERO; LANES];
-            for (slot, exp) in narrow_exps.iter_mut().zip(exps) {
-                *slot = Uint::from_biguint(exp)?;
-            }
-            let pow = c.mont_pow_batch(&bases_mont.map(|b| narrow(&b)), &narrow_exps);
-            Some(pow.map(|r| widen(&r)))
-        })
-    }
-
     /// Fermat inversion staying in Montgomery form; `None` for zero.
     pub fn mont_inv_prime(&self, a_mont: &Uint<4>) -> Option<Uint<4>> {
         on_width!(self, c => c.mont_inv_prime(&narrow(a_mont)).map(|r| widen(&r)))
@@ -245,14 +228,9 @@ mod tests {
             let e = BigUint::from(0xdead_beefu64);
             let pow = ctx.mont_pow(&am, &e).unwrap();
             assert_eq!(plain(&pow), crate::mod_exp(&a, &e, &m), "{bits}: pow");
-            let batch = ctx
-                .mont_pow_batch(&[am, bm], [&e, &BigUint::zero()])
-                .unwrap();
-            assert_eq!(batch, [pow, ctx.one_mont()], "{bits}: pow batch");
             // An exponent wider than the context is refused, not truncated.
             let wide = BigUint::one().shl_bits(64 * ctx.words());
             assert!(ctx.mont_pow(&am, &wide).is_none(), "{bits}: wide exponent");
-            assert!(ctx.mont_pow_batch(&[am], [&wide]).is_none());
         }
     }
 

@@ -2,9 +2,9 @@
 //!
 //! This crate provides the arbitrary-precision unsigned integer type
 //! [`BigUint`], the radix-2^w primitives the DATE 2008 paper builds on
-//! (Montgomery modular multiplication in its FIOS, CIOS and SOS variants),
-//! generic modular arithmetic, extended GCD / modular inversion and
-//! Miller–Rabin based prime generation.
+//! (Montgomery modular multiplication in the FIOS schedule of its
+//! Algorithm 1), generic modular arithmetic, extended GCD / modular
+//! inversion and Miller–Rabin based prime generation.
 //!
 //! Every higher layer of the reproduction (the `field` tower, the `ceilidh`
 //! torus cryptosystem, the `ecc` and `rsa` comparators and the `platform`
@@ -29,11 +29,7 @@
 //! # }
 //! ```
 
-// Denied, not forbidden: the AVX-512 IFMA batch kernels (`fixed::ifma`)
-// and their dispatch site are the only opt-outs, each carrying its own
-// `#[allow(unsafe_code)]` and SAFETY comments. Everything else stays
-// unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;
@@ -49,6 +45,6 @@ pub use error::{DivideByZeroError, ParseBigUintError};
 pub use gcd::{extended_gcd, gcd, ExtendedGcd};
 pub use limb::{DoubleLimb, Limb, LIMB_BITS};
 pub use modular::{mod_add, mod_exp, mod_inv, mod_mul, mod_neg, mod_sub};
-pub use montgomery::{MontgomeryParams, ReductionKind};
+pub use montgomery::MontgomeryParams;
 pub use prime::{gen_prime, gen_prime_congruent, gen_safe_prime, is_prime, miller_rabin};
 pub use uint::BigUint;

@@ -3,10 +3,9 @@
 //! The paper performs all modular multiplications with a radix-2^w
 //! Montgomery algorithm; the coprocessor microcode implements the FIOS
 //! (Finely Integrated Operand Scanning) schedule of Koç, Acar and Kaliski.
-//! This module provides host-side reference implementations of FIOS, CIOS
-//! and SOS so that the simulated coprocessor (crate `platform`) can be
-//! verified operand-for-operand, and so the benchmark harness can ablate
-//! over the scanning variants.
+//! This module provides the host-side FIOS reference, so that the
+//! simulated coprocessor (crate `platform`) can be verified
+//! operand-for-operand.
 
 use crate::fixed::{montgomery_words, MontgomeryContext, Uint};
 use crate::limb::{adc, inv_mod_limb, mac, Limb, LIMB_BITS};
@@ -45,17 +44,6 @@ macro_rules! on_stack {
             _ => None,
         }
     };
-}
-
-/// Operand-scanning variant of Montgomery multiplication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReductionKind {
-    /// Finely Integrated Operand Scanning (the paper's Algorithm 1).
-    Fios,
-    /// Coarsely Integrated Operand Scanning.
-    Cios,
-    /// Separated Operand Scanning (multiply fully, then reduce).
-    Sos,
 }
 
 /// Precomputed per-modulus constants for Montgomery arithmetic.
@@ -150,19 +138,9 @@ impl MontgomeryParams {
 
     /// Montgomery product `a * b * R^{-1} mod p` using the FIOS schedule.
     pub fn mont_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        self.mont_mul_with(a, b, ReductionKind::Fios)
-    }
-
-    /// Montgomery product using an explicit operand-scanning variant.
-    pub fn mont_mul_with(&self, a: &BigUint, b: &BigUint, kind: ReductionKind) -> BigUint {
         let x = a.to_limbs_padded(self.s);
         let y = b.to_limbs_padded(self.s);
-        let t = match kind {
-            ReductionKind::Fios => self.fios(&x, &y),
-            ReductionKind::Cios => self.cios(&x, &y),
-            ReductionKind::Sos => self.sos(&x, &y),
-        };
-        self.final_subtract(t)
+        self.final_subtract(self.fios(&x, &y))
     }
 
     /// Modular exponentiation `base^exp mod p` via Montgomery
@@ -268,67 +246,6 @@ impl MontgomeryParams {
         t.truncate(s + 1);
         t
     }
-
-    /// CIOS: alternate a full multiplication pass and a full reduction pass
-    /// per word of `y`.
-    fn cios(&self, x: &[Limb], y: &[Limb]) -> Vec<Limb> {
-        let s = self.s;
-        let n = &self.modulus_limbs;
-        let mut t = vec![0 as Limb; s + 2];
-        for &y_i in y.iter().take(s) {
-            let mut carry = 0;
-            for j in 0..s {
-                let (lo, hi) = mac(t[j], x[j], y_i, carry);
-                t[j] = lo;
-                carry = hi;
-            }
-            let (lo, hi) = adc(t[s], carry, 0);
-            t[s] = lo;
-            t[s + 1] = hi;
-
-            let m = t[0].wrapping_mul(self.n0_inv);
-            let (_, mut carry) = mac(t[0], m, n[0], 0);
-            for j in 1..s {
-                let (lo, hi) = mac(t[j], m, n[j], carry);
-                t[j - 1] = lo;
-                carry = hi;
-            }
-            let (lo, hi) = adc(t[s], carry, 0);
-            t[s - 1] = lo;
-            t[s] = t[s + 1].wrapping_add(hi);
-            t[s + 1] = 0;
-        }
-        t.truncate(s + 1);
-        t
-    }
-
-    /// SOS: compute the full double-length product, then reduce it in a
-    /// second phase.
-    fn sos(&self, x: &[Limb], y: &[Limb]) -> Vec<Limb> {
-        let s = self.s;
-        let n = &self.modulus_limbs;
-        let mut t = vec![0 as Limb; 2 * s + 1];
-        for i in 0..s {
-            let mut carry = 0;
-            for j in 0..s {
-                let (lo, hi) = mac(t[i + j], x[j], y[i], carry);
-                t[i + j] = lo;
-                carry = hi;
-            }
-            t[i + s] = carry;
-        }
-        for i in 0..s {
-            let m = t[i].wrapping_mul(self.n0_inv);
-            let mut carry = 0;
-            for j in 0..s {
-                let (lo, hi) = mac(t[i + j], m, n[j], carry);
-                t[i + j] = lo;
-                carry = hi;
-            }
-            add_carry_at(&mut t, i + s, carry);
-        }
-        t[s..].to_vec()
-    }
 }
 
 /// Adds `carry` into `t[idx]`, rippling any further carries upward.
@@ -390,10 +307,8 @@ mod tests {
                 let expected = mod_mul(&a, &b, &p);
                 let am = mont.to_mont(&a);
                 let bm = mont.to_mont(&b);
-                for kind in [ReductionKind::Fios, ReductionKind::Cios, ReductionKind::Sos] {
-                    let got = mont.from_mont(&mont.mont_mul_with(&am, &bm, kind));
-                    assert_eq!(got, expected, "variant {kind:?} modulus {p:?}");
-                }
+                let got = mont.from_mont(&mont.mont_mul(&am, &bm));
+                assert_eq!(got, expected, "modulus {p:?}");
             }
         }
     }

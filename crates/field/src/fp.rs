@@ -423,57 +423,9 @@ impl FpContext {
         square_and_multiply(self.one(), base, exp, |a, b| self.mul(a, b))
     }
 
-    /// Batched modular exponentiation: `out[i] = pairs[i].0 ^ pairs[i].1`.
-    ///
-    /// The squaring ladders of exponents that fit in the field's word count
-    /// run **lane-parallel** on the stack context
-    /// ([`bignum::fixed::MontgomeryContext::mont_pow_batch`], four lanes
-    /// per pass) so batch traffic amortizes host wall-clock; a trailing
-    /// partial chunk — and every element with a wider exponent, of a
-    /// [`FpContext::heap_only`] twin or of a field wider than 256 bits —
-    /// runs the serial [`FpContext::exp`].
-    ///
-    /// Results are bit-identical to calling `exp` element by element, and
-    /// so are the recorded operation counts (one multiplication per
-    /// squaring plus one per set exponent bit, **per element** — the batch
-    /// kernel's lane-lockstep padding squarings are not modeled work).
-    pub fn exp_batch(&self, pairs: &[(FpElement, BigUint)]) -> Vec<FpElement> {
-        const LANES: usize = 4;
-        let mut out: Vec<Option<FpElement>> = vec![None; pairs.len()];
-        if let Some(ctx) = self.inner.backend.products() {
-            let lanes: Vec<(usize, Uint<4>)> = pairs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, (base, exp))| match base.0 {
-                    Residue::Words(b) if exp.bit_len() <= 64 * ctx.words() => Some((i, b)),
-                    _ => None,
-                })
-                .collect();
-            for group in lanes.chunks_exact(LANES) {
-                let bases = std::array::from_fn(|lane| group[lane].1);
-                let exps = std::array::from_fn(|lane| &pairs[group[lane].0].1);
-                let pow = ctx
-                    .mont_pow_batch::<LANES>(&bases, exps)
-                    .expect("every exponent fits");
-                for (lane, (i, _)) in group.iter().enumerate() {
-                    self.record_serial_exp_ops(&pairs[*i].1);
-                    out[*i] = Some(FpElement(Residue::Words(pow[lane])));
-                }
-            }
-        }
-        for (i, (base, exp)) in pairs.iter().enumerate() {
-            if out[i].is_none() {
-                out[i] = Some(self.exp(base, exp));
-            }
-        }
-        out.into_iter()
-            .map(|e| e.expect("every slot filled"))
-            .collect()
-    }
-
     /// Records what the serial square-and-multiply loop would record for
-    /// exponent `exp` — the batch entry points keep the modeled operation
-    /// counts identical to their serial counterparts.
+    /// exponent `exp`, so [`FpContext::exp`] on the stack context keeps the
+    /// modeled operation counts of the counted loop.
     fn record_serial_exp_ops(&self, exp: &BigUint) {
         for i in 0..exp.bit_len() {
             self.inner.counter.record_mul();
@@ -861,44 +813,6 @@ mod tests {
         let _ = fp.mul(&a, &a);
         let _ = heap.mul(&a, &a);
         assert_eq!(fp.op_count().mul, 2);
-    }
-
-    #[test]
-    fn exp_batch_matches_serial_on_both_backends() {
-        let p =
-            BigUint::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
-                .unwrap();
-        for fp in [FpContext::new(&p).unwrap(), ctx()] {
-            let heap = fp.heap_only();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-            // 7 pairs: exercises a full lane group plus a partial trailing
-            // chunk, with edge exponents {0, 1, p-1} mixed in.
-            let mut pairs: Vec<(FpElement, BigUint)> = vec![
-                (fp.random(&mut rng), BigUint::zero()),
-                (fp.random(&mut rng), BigUint::one()),
-                (fp.random(&mut rng), fp.modulus() - &BigUint::one()),
-            ];
-            for _ in 0..4 {
-                let e = BigUint::random_below(&mut rng, fp.modulus());
-                pairs.push((fp.random(&mut rng), e));
-            }
-            let serial: Vec<FpElement> = pairs.iter().map(|(b, e)| heap.exp(b, e)).collect();
-            fp.reset_op_count();
-            let expected: Vec<FpElement> = pairs.iter().map(|(b, e)| fp.exp(b, e)).collect();
-            let serial_count = fp.op_count();
-            assert_eq!(expected, serial, "fixed serial path matches heap");
-            fp.reset_op_count();
-            let batch = fp.exp_batch(&pairs);
-            assert_eq!(batch, serial, "batch bit-identical to serial");
-            assert_eq!(
-                fp.op_count().mul,
-                serial_count.mul,
-                "batch records serial-equivalent mul counts"
-            );
-            assert!(fp.exp_batch(&[]).is_empty());
-            let single = fp.exp_batch(&pairs[..1]);
-            assert_eq!(single, serial[..1]);
-        }
     }
 
     #[test]

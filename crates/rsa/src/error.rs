@@ -15,7 +15,8 @@ pub enum RsaError {
         /// Bytes that were supplied.
         got: usize,
     },
-    /// A ciphertext or signature value is not a canonical residue.
+    /// A value is not a canonical residue: it is `>= n`, or a ciphertext
+    /// is not exactly the modulus's byte length.
     ValueOutOfRange,
     /// The padding of a decrypted block is malformed.
     InvalidPadding,

@@ -81,12 +81,17 @@ impl RsaPublicKey {
         Ok(to_fixed_bytes(&c, self.byte_len()))
     }
 
-    /// Verifies a signature, returning the recovered digest on success.
+    /// Verifies a signature of exactly [`byte_len`](Self::byte_len) bytes,
+    /// the only encoding [`RsaKeyPair::sign`] produces.
     ///
     /// # Errors
     ///
-    /// Returns [`RsaError::VerificationFailed`] if the signature is invalid.
+    /// Returns [`RsaError::VerificationFailed`] if the signature is invalid,
+    /// including when it is longer or shorter than the modulus.
     pub fn verify(&self, digest: &[u8], signature: &[u8]) -> Result<(), RsaError> {
+        if signature.len() != self.byte_len() {
+            return Err(RsaError::VerificationFailed);
+        }
         let s = BigUint::from_be_bytes(signature);
         let m = self
             .raw_encrypt(&s)
@@ -199,13 +204,19 @@ impl RsaKeyPair {
         Ok(&m_q + &(&h * &sk.q))
     }
 
-    /// Decrypts a padded ciphertext.
+    /// Decrypts a padded ciphertext of exactly
+    /// [`byte_len`](RsaPublicKey::byte_len) bytes, the only encoding
+    /// [`RsaPublicKey::encrypt`] produces.
     ///
     /// # Errors
     ///
-    /// Returns [`RsaError::InvalidPadding`] if the recovered block is
-    /// malformed.
+    /// Returns [`RsaError::ValueOutOfRange`] if the ciphertext is longer or
+    /// shorter than the modulus or encodes a value `>= n`, and
+    /// [`RsaError::InvalidPadding`] if the recovered block is malformed.
     pub fn decrypt(&self, ciphertext: &[u8]) -> Result<Vec<u8>, RsaError> {
+        if ciphertext.len() != self.public.byte_len() {
+            return Err(RsaError::ValueOutOfRange);
+        }
         let c = BigUint::from_be_bytes(ciphertext);
         let m = self.raw_decrypt_crt(&c)?;
         let block = to_fixed_bytes(&m, self.public.byte_len());
@@ -312,6 +323,50 @@ mod tests {
                 .encrypt(&huge_msg, &mut rand::rngs::StdRng::seed_from_u64(1)),
             Err(RsaError::MessageTooLong { .. })
         ));
+    }
+
+    #[test]
+    fn decrypt_requires_exactly_byte_len_bytes() {
+        let kp = keys();
+        let msg = b"canonical";
+        // A ciphertext whose first byte is zero, so that dropping it
+        // leaves the same integer.
+        let ct = (0..)
+            .map(|seed| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                kp.public().encrypt(msg, &mut rng).unwrap()
+            })
+            .find(|ct| ct[0] == 0)
+            .unwrap();
+        assert_eq!(kp.decrypt(&ct).unwrap(), msg);
+        let longer = [&[0u8][..], &ct].concat();
+        assert_eq!(kp.decrypt(&longer).unwrap_err(), RsaError::ValueOutOfRange);
+        assert_eq!(kp.decrypt(&ct[1..]).unwrap_err(), RsaError::ValueOutOfRange);
+    }
+
+    #[test]
+    fn verify_requires_exactly_byte_len_bytes() {
+        let kp = keys();
+        // A signature whose first byte is zero, so that dropping it
+        // leaves the same integer.
+        let (digest, sig) = (0u64..)
+            .map(|i| {
+                let mut digest = [0xABu8; 32];
+                digest[..8].copy_from_slice(&i.to_be_bytes());
+                (digest, kp.sign(&digest).unwrap())
+            })
+            .find(|(_, sig)| sig[0] == 0)
+            .unwrap();
+        assert!(kp.public().verify(&digest, &sig).is_ok());
+        let longer = [&[0u8, 0][..], &sig].concat();
+        assert_eq!(
+            kp.public().verify(&digest, &longer).unwrap_err(),
+            RsaError::VerificationFailed
+        );
+        assert_eq!(
+            kp.public().verify(&digest, &sig[1..]).unwrap_err(),
+            RsaError::VerificationFailed
+        );
     }
 
     #[test]

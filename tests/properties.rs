@@ -1,16 +1,41 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: multi-precision arithmetic, Montgomery reduction, the field
-//! tower and torus compression.
+//! tower, torus compression and the RSA entry points on raw bytes.
+
+use std::sync::OnceLock;
 
 use bignum::{mod_exp, BigUint, MontgomeryParams};
 use ceilidh::{compress, decompress, CeilidhParams};
 use field::{Fp6Context, FpContext};
 use proptest::prelude::*;
+use rand::{rngs::StdRng, SeedableRng};
+use rsa_torus::{unpad_encrypt, RsaError, RsaKeyPair};
 
 /// Strategy: arbitrary big integers up to `max_bytes` bytes.
 fn biguint(max_bytes: usize) -> impl Strategy<Value = BigUint> {
     prop::collection::vec(any::<u8>(), 0..=max_bytes)
         .prop_map(|bytes| BigUint::from_be_bytes(&bytes))
+}
+
+/// One 512-bit RSA key pair (64-byte modulus), generated once for every
+/// case rather than per case.
+fn rsa_keys() -> &'static RsaKeyPair {
+    static KEYS: OnceLock<RsaKeyPair> = OnceLock::new();
+    KEYS.get_or_init(|| RsaKeyPair::generate(512, &mut StdRng::seed_from_u64(41)).expect("keygen"))
+}
+
+/// What `decrypt` must return for `bytes`, from the raw non-CRT private
+/// operation: only a canonical encoding (exactly the modulus's byte
+/// length, value below the modulus) gets as far as the padding check.
+fn reference_decrypt(keys: &RsaKeyPair, bytes: &[u8]) -> Result<Vec<u8>, RsaError> {
+    let len = keys.public().byte_len();
+    if bytes.len() != len {
+        return Err(RsaError::ValueOutOfRange);
+    }
+    let m = keys
+        .raw_decrypt(&BigUint::from_be_bytes(bytes))?
+        .to_be_bytes();
+    unpad_encrypt(&[vec![0; len - m.len()], m].concat())
 }
 
 proptest! {
@@ -132,5 +157,52 @@ proptest! {
         let g = params.generator();
         let element = params.pow(&g, &BigUint::from(exponent));
         prop_assert_eq!(params.mul(&element, &params.invert(&element)), params.identity());
+    }
+
+    // ------------------- RSA entry points on raw bytes ------------------- //
+
+    /// `decrypt` and `verify` on any byte string of 0 to 2·`byte_len`
+    /// bytes, and on that string cut or zero-filled to exactly `byte_len`
+    /// bytes, return an error or the correct result, and never panic.
+    #[test]
+    fn rsa_decrypt_and_verify_answer_any_bytes_correctly(
+        bytes in prop::collection::vec(any::<u8>(), 0..=128),
+        digest in prop::collection::vec(any::<u8>(), 0..=32),
+    ) {
+        let keys = rsa_keys();
+        let mut exact = bytes.clone();
+        exact.resize(keys.public().byte_len(), 0);
+        let signature = keys.sign(&digest).unwrap();
+        for input in [&bytes, &exact] {
+            prop_assert_eq!(keys.decrypt(input), reference_decrypt(keys, input));
+            match keys.public().verify(&digest, input) {
+                Ok(()) => prop_assert_eq!(input, &signature),
+                Err(e) => {
+                    prop_assert_eq!(e, RsaError::VerificationFailed);
+                    prop_assert_ne!(input, &signature);
+                }
+            }
+        }
+    }
+
+    /// A valid ciphertext or signature behind leading zero bytes encodes
+    /// the same integer, and is rejected.
+    #[test]
+    fn rsa_leading_zero_bytes_are_rejected(
+        message in prop::collection::vec(any::<u8>(), 0..=32),
+        zeros in 1usize..=64,
+        seed in any::<u64>(),
+    ) {
+        let keys = rsa_keys();
+        let padded = |bytes: &[u8]| [vec![0; zeros], bytes.to_vec()].concat();
+        let ct = keys.public().encrypt(&message, &mut StdRng::seed_from_u64(seed)).unwrap();
+        prop_assert_eq!(keys.decrypt(&ct), Ok(message.clone()));
+        prop_assert_eq!(keys.decrypt(&padded(&ct)), Err(RsaError::ValueOutOfRange));
+        let signature = keys.sign(&message).unwrap();
+        prop_assert_eq!(keys.public().verify(&message, &signature), Ok(()));
+        prop_assert_eq!(
+            keys.public().verify(&message, &padded(&signature)),
+            Err(RsaError::VerificationFailed)
+        );
     }
 }
