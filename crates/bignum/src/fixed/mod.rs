@@ -28,9 +28,9 @@
 //!
 //! Higher layers do not construct these directly: `field::FpContext`
 //! stores every residue of a field of at most 256 bits in words on a
-//! [`Montgomery256`], `ecc` runs the named 256-bit curve ladders on its
-//! four-word context, and RSA reaches the stack through
-//! `MontgomeryParams`. The differential proptest suite
+//! [`Montgomery256`] and runs whole computations, such as the `ecc`
+//! ladders, on the `L`-word context of the field's width, and RSA reaches
+//! the stack through `MontgomeryParams`. The differential proptest suite
 //! (`tests/fixed_uint_properties.rs`) pins every operation here to the heap
 //! backend bit for bit.
 

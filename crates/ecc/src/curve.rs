@@ -1,17 +1,14 @@
 //! Short-Weierstrass curves `y² = x³ + ax + b` over `Fp` and their group law.
 
-use std::sync::{Arc, OnceLock};
-
-use bignum::fixed::Uint;
 use bignum::BigUint;
 use field::{FpContext, FpElement};
 use rand::Rng;
 
 use crate::error::EccError;
-use crate::ladder::{CombTable, Ladder};
+use crate::ladder::Ladder;
 use crate::params::{P160Reproduction, Toy};
 use crate::point::{AffinePoint, JacobianPoint};
-use crate::scalar::Backend;
+use crate::scalar::lift_point;
 
 /// A short-Weierstrass curve over a prime field, together with a base point.
 ///
@@ -40,10 +37,6 @@ pub struct Curve {
     // Whether a ≡ -3 (mod p), precomputed so the per-doubling dispatch
     // to the shortened formulas costs a bool instead of a conversion.
     a_minus_three: bool,
-    // The base point's comb table on the fixed-width backend, built by the
-    // first `Window4` multiplication of the base point and shared by
-    // clones.
-    pub(crate) comb: Arc<OnceLock<CombTable<Uint<4>>>>,
 }
 
 /// Explicit curve parameters with named fields — the builder behind every
@@ -225,7 +218,6 @@ impl Curve {
             bits,
             name,
             a_minus_three,
-            comb: Arc::default(),
         };
         let base = curve
             .lift(
@@ -292,7 +284,7 @@ impl Curve {
         &self.b
     }
 
-    /// The heap instantiation of the ladder layer, behind the `jacobian_*`
+    /// The ladder layer on the counted field, behind the `jacobian_*`
     /// entry points.
     pub(crate) fn ladder(&self) -> Ladder<'_, FpContext> {
         Ladder::new(&self.fp, &self.a, self.a_minus_three)
@@ -301,12 +293,13 @@ impl Curve {
     /// A twin of this curve with every fixed-width fast path disabled:
     /// the field context is [`field::FpContext::heap_only`] (single
     /// products run on heap `BigUint`s, sharing the original operation
-    /// counter), so the ladders run on its counted instantiation.
+    /// counter), so the ladders run on the field itself, counting every
+    /// operation as it happens.
     ///
-    /// This is the honest baseline for `fixed_vs_heap`-style comparisons:
-    /// with [`field::FpContext::mul`] running on the stack context of every
-    /// field of at most 256 bits, a reference ladder must run on a
-    /// heap-only twin or it would benchmark the fixed backend against
+    /// This is the honest baseline for differential comparisons: with
+    /// [`field::FpContext::run`] putting every ladder of a field of at most
+    /// 256 bits on the field's stack context, a reference ladder must run
+    /// on a heap-only twin or it would check the stack context against
     /// itself. [`Curve::scalar_mul_reference`] uses it internally.
     pub fn heap_only(&self) -> Curve {
         Curve {
@@ -430,7 +423,7 @@ impl Curve {
 
     /// Converts a Jacobian point back to affine coordinates (one inversion).
     pub fn to_affine(&self, p: &JacobianPoint) -> AffinePoint {
-        self.fp.lift_point(self.ladder().to_affine(p))
+        lift_point(&self.fp, self.ladder().to_affine(p))
     }
 
     /// Jacobian point doubling (the paper's PD sequence; inversion-free).

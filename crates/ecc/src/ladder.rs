@@ -9,17 +9,18 @@
 //!   and `Y1 = 0`), [`Ladder::add`] and [`Ladder::add_mixed`] (infinity, and
 //!   `P = ±Q` decided from the `H` and `r` an addition returns);
 //! * [`Ladder::to_affine`] and the one-inversion [`Ladder::batch_to_affine`];
-//! * the double-and-add, NAF, window and Lim–Lee comb ladders, and the
-//!   batch driver [`Ladder::batch`].
+//! * the double-and-add, NAF and window ladders, and the batch driver
+//!   [`Ladder::batch`].
 //!
-//! [`crate::Curve`] instantiates it twice: on the field
-//! [`field::FpContext`], which counts every operation (and runs each on
-//! the stack context of the field's width, or on the heap products of a
-//! [`field::FpContext::heap_only`] twin), and uncounted on the four-word
-//! [`bignum::fixed::MontgomeryContext`] that
-//! [`field::FpContext::fixed256`] returns for a 256-bit prime. Every
-//! backend shares the Montgomery radix of the field's width, so every
-//! intermediate is the same residue on each.
+//! [`crate::Curve::scalar_mul`] and [`crate::Curve::scalar_mul_batch`] run
+//! their ladders as [`field::FieldJob`]s through [`field::FpContext::run`]:
+//! on a field of at most 256 bits the whole ladder runs on the field's own
+//! stack context and adds one tally to the field's counter, and on a
+//! [`field::FpContext::heap_only`] twin it runs on the field itself, which
+//! counts every operation as it happens. The single `Curve::jacobian_*`
+//! and `Curve::to_affine` operations run on the field too. Every backend
+//! shares the Montgomery radix of the field's width, so every intermediate
+//! is the same residue on each, and the counts are the same.
 //!
 //! Affine points are [`Affine`] pairs, with `None` the point at infinity.
 //! One rule covers both a table entry at infinity (a point of small order)
@@ -28,23 +29,24 @@
 //! infinite points out of its one inversion.
 //!
 //! ```
-//! use bignum::fixed::Uint;
 //! use bignum::BigUint;
 //! use ecc::ladder::Ladder;
 //! use ecc::prelude::*;
 //!
-//! // 6·G on the fixed-width instantiation, against the typed API.
+//! // 6·G on the counted field, against the typed API: same point, same
+//! // operation counts.
 //! let curve = Curve::by_name("p256")?;
-//! let ctx = curve.fp().fixed256().expect("256-bit prime");
-//! let lower = |e: &field::FpElement| -> Uint<4> { e.mont_repr().unwrap() };
-//! let a = lower(curve.a());
-//! let ladder = Ladder::new(ctx, &a, curve.a_is_minus_three());
+//! let fp = curve.fp();
+//! let ladder = Ladder::new(fp, curve.a(), curve.a_is_minus_three());
 //! let (gx, gy) = curve.base_point().coordinates().unwrap();
 //! let k = BigUint::from(6u64);
-//! let acc = ladder.double_and_add(&lower(gx), &lower(gy), &k);
-//! let (x, _) = ladder.to_affine(&acc).unwrap();
+//! let before = fp.op_count();
+//! let acc = ladder.double_and_add(gx, gy, &k);
+//! let (x, y) = ladder.to_affine(&acc).unwrap();
+//! let mid = fp.op_count();
 //! let expected = curve.scalar_mul_base(&k);
-//! assert_eq!(x, lower(expected.coordinates().unwrap().0));
+//! assert_eq!(AffinePoint::new(x, y), expected);
+//! assert_eq!(mid.since(&before), fp.op_count().since(&mid));
 //! # Ok::<(), EccError>(())
 //! ```
 
@@ -58,24 +60,6 @@ use crate::scalar::{naf_digits, window_digits};
 /// An affine point `(x, y)` on a value backend; `None` is the point at
 /// infinity.
 pub type Affine<E> = Option<(E, E)>;
-
-/// Comb tooth count: each comb step assembles one bit from each of four
-/// equally spaced scalar positions.
-const COMB_TEETH: usize = 4;
-/// Distance between comb teeth, and the number of doublings in the comb
-/// ladder (vs 256 in double-and-add).
-const COMB_SPACING: usize = 64;
-
-/// A Lim–Lee fixed-base comb table for one point `P`: the 15 non-trivial
-/// sums of `{P, 2^64·P, 2^128·P, 2^192·P}` in affine form, so the comb
-/// ladder adds through the mixed formula only. Built by
-/// [`Ladder::comb_table`].
-#[derive(Clone, Debug)]
-pub struct CombTable<E> {
-    base: (E, E),
-    /// `entries[d - 1]` holds `Σ_t (d >> t & 1) · 2^(64t) · P`.
-    entries: Vec<Affine<E>>,
-}
 
 /// A curve's Jacobian arithmetic on one value backend: the field, the
 /// coefficient `a` in the backend's Montgomery form, and whether `a = −3`,
@@ -202,7 +186,8 @@ impl<'a, F: ValueOps> Ladder<'a, F> {
     }
 
     /// Affine form with one inversion; `None` is the point at infinity.
-    /// Allocation-free on the fixed-width backend.
+    /// Allocation-free on the stack backend [`field::FpContext::run`]
+    /// picks.
     pub fn to_affine(&self, p: &JacobianPoint<F::Elem>) -> Affine<F::Elem> {
         if self.f.is_zero(&p.z) {
             return None;
@@ -249,7 +234,7 @@ impl<'a, F: ValueOps> Ladder<'a, F> {
     }
 
     /// Left-to-right double-and-add: one mixed addition of `(x, y)` per
-    /// set bit of `k`. Allocation-free on the fixed-width backend.
+    /// set bit of `k`. Allocation-free on a field of at most 256 bits.
     pub fn double_and_add(&self, x: &F::Elem, y: &F::Elem, k: &BigUint) -> JacobianPoint<F::Elem> {
         let mut acc = self.infinity();
         for i in (0..k.bit_len()).rev() {
@@ -300,76 +285,15 @@ impl<'a, F: ValueOps> Ladder<'a, F> {
         acc
     }
 
-    /// Builds the Lim–Lee comb table of `(x, y)`: the strides `2^(64t)·P`
-    /// by 192 doublings, then the 15 subset sums, each set normalized with
-    /// one inversion.
-    pub fn comb_table(&self, x: &F::Elem, y: &F::Elem) -> CombTable<F::Elem> {
-        let mut stride = self.to_jacobian(Some((x, y)));
-        let mut chain = Vec::with_capacity(COMB_TEETH - 1);
-        for _ in 1..COMB_TEETH {
-            for _ in 0..COMB_SPACING {
-                stride = self.double(&stride);
-            }
-            chain.push(stride.clone());
-        }
-        let mut strides = vec![Some((x.clone(), y.clone()))];
-        strides.extend(self.batch_to_affine(&chain));
-        let sums: Vec<_> = (1usize..1 << COMB_TEETH)
-            .map(|d| {
-                (0..COMB_TEETH)
-                    .filter(|t| d >> t & 1 == 1)
-                    .fold(self.infinity(), |acc, t| {
-                        self.add_mixed(&acc, addend(&strides[t]))
-                    })
-            })
-            .collect();
-        CombTable {
-            base: (x.clone(), y.clone()),
-            entries: self.batch_to_affine(&sums),
-        }
-    }
-
-    /// The comb ladder: 63 doublings and at most 64 mixed additions for a
-    /// 256-bit scalar. `None` unless `(x, y)` is the table's base point and
-    /// `k` fits in the comb's 256 bits.
-    pub fn comb(
-        &self,
-        table: &CombTable<F::Elem>,
-        x: &F::Elem,
-        y: &F::Elem,
-        k: &BigUint,
-    ) -> Option<JacobianPoint<F::Elem>> {
-        if (x, y) != (&table.base.0, &table.base.1) || k.bit_len() > COMB_TEETH * COMB_SPACING {
-            return None;
-        }
-        let mut acc = self.infinity();
-        for i in (0..COMB_SPACING).rev() {
-            acc = self.double(&acc);
-            let digit =
-                (0..COMB_TEETH).fold(0, |d, t| d | usize::from(k.bit(t * COMB_SPACING + i)) << t);
-            if digit != 0 {
-                acc = self.add_mixed(&acc, addend(&table.entries[digit - 1]));
-            }
-        }
-        Some(acc)
-    }
-
-    /// `k · P` for a batch of `(P, k)` requests: each runs the comb when
-    /// `comb` is the table of its point, and the NAF ladder otherwise, and
-    /// the whole batch shares one [`Ladder::batch_to_affine`]. `None` is
-    /// the point at infinity, in requests and results alike.
-    pub fn batch(
-        &self,
-        requests: &[(Affine<F::Elem>, &BigUint)],
-        comb: Option<&CombTable<F::Elem>>,
-    ) -> Vec<Affine<F::Elem>> {
+    /// `k · P` for a batch of `(P, k)` requests: each runs the NAF ladder,
+    /// and the whole batch shares one [`Ladder::batch_to_affine`]. `None`
+    /// is the point at infinity, in requests and results alike.
+    pub fn batch(&self, requests: &[(Affine<F::Elem>, &BigUint)]) -> Vec<Affine<F::Elem>> {
         let accs: Vec<_> = requests
             .iter()
             .map(|(point, k)| match point {
                 None => self.infinity(),
-                Some((x, y)) => comb
-                    .and_then(|table| self.comb(table, x, y, k))
-                    .unwrap_or_else(|| self.naf(x, y, k)),
+                Some((x, y)) => self.naf(x, y, k),
             })
             .collect();
         self.batch_to_affine(&accs)

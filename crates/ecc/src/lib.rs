@@ -14,8 +14,11 @@
 //! simulator's programs. The ladders around them — the degenerate cases,
 //! the return to affine form, the four scalar-multiplication algorithms
 //! and the batch driver — live in [`ladder`], each written once over
-//! [`field::ValueOps`]. [`Curve`] instantiates them on the heap field, or
-//! on the fixed-width backend when the prime is 256-bit.
+//! [`field::ValueOps`]. [`Curve::scalar_mul`] and
+//! [`Curve::scalar_mul_batch`] hand their ladders to
+//! [`field::FpContext::run`], which runs them on the field's own stack
+//! context at every width up to 256 bits and counts them in one update;
+//! the single `jacobian_*` operations run on the counted field.
 //!
 //! Curves are described by the [`WeierstrassParameters`] trait — constants
 //! as associated data on zero-sized marker types — and built through
@@ -47,7 +50,6 @@
 mod curve;
 mod ecdh;
 mod error;
-mod fixed;
 pub mod formulas;
 pub mod ladder;
 mod params;

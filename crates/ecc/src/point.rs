@@ -42,8 +42,9 @@ impl AffinePoint {
 ///
 /// Jacobian coordinates avoid the per-operation modular inversion, which is
 /// what the paper's coprocessor point-addition/doubling sequences assume.
-/// The coordinates are heap [`FpElement`]s by default; the ladders in
-/// [`crate::ladder`] also run on the fixed-width backend's residues.
+/// The coordinates are [`FpElement`]s by default; the ladders in
+/// [`crate::ladder`] also run on the residues of the field's stack
+/// backend.
 #[derive(Clone, Debug)]
 pub struct JacobianPoint<E = FpElement> {
     /// Projective X coordinate.

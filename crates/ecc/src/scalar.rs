@@ -6,29 +6,28 @@
 //! coordinates and convert back to affine once at the end.
 //!
 //! The ladders themselves are written once in [`crate::ladder`]; this
-//! module picks the instantiation. A curve whose field has a four-word
-//! context ([`field::FpContext::fixed256`], the 256-bit primes) runs them
-//! uncounted on [`bignum::fixed::MontgomeryContext`] stack residues, and
-//! every other curve on the field itself, which counts each operation and
-//! runs it on the stack context of the field's width.
+//! module wraps each call in a [`FieldJob`] and hands it to
+//! [`field::FpContext::run`], which picks the field's width. On every field of at
+//! most 256 bits the whole ladder runs on the field's own stack context,
+//! and its operation counts reach the field's counter in one update when
+//! it returns; a [`Curve::heap_only`] twin runs the same job on the field
+//! itself, counting every operation.
 //!
 //! Every ladder keeps its **addend affine** and adds through the
 //! mixed-coordinate formula ([`crate::formulas::madd`], `Z2 = 1`): the
 //! double-and-add and NAF ladders add the (already affine) point or its
-//! negation, and the window and comb ladders normalize their tables with
-//! one inversion before the main loop. This is the access pattern the
+//! negation, and the window ladder normalizes its table with one
+//! inversion before the main loop. This is the access pattern the
 //! platform's 13-multiplication `pa_mixed` sequence prices. Doublings on
 //! `a = -3` curves (the reproduction curve included) run the shortened
 //! [`crate::formulas::dbl_2001_b`] body — the one the platform's
 //! 8-multiplication `dbl-2001-b` program records.
 
-use std::sync::OnceLock;
-
 use bignum::BigUint;
-use field::{FpContext, FpElement, ValueOps};
+use field::{FieldJob, ValueOps};
 
 use crate::curve::Curve;
-use crate::ladder::{Affine, CombTable, Ladder};
+use crate::ladder::{Affine, Ladder};
 use crate::point::AffinePoint;
 
 /// Scalar-multiplication algorithm selector.
@@ -38,108 +37,110 @@ pub enum ScalarMulAlgorithm {
     DoubleAndAdd,
     /// Signed-digit non-adjacent form (PA on roughly one third of the digits).
     Naf,
-    /// Fixed 4-bit windows with a precomputed table (on a 256-bit curve's
-    /// base point, the cached Lim–Lee comb instead).
+    /// Fixed 4-bit windows with a per-call table of affine multiples.
     Window4,
 }
 
-/// A backend [`Curve`] instantiates [`Ladder`] on, with the conversions
-/// from and to the heap [`FpElement`] at the ladder's edges.
-pub(crate) trait Backend: ValueOps {
-    /// The backend form of a field element.
-    fn lower(&self, e: &FpElement) -> Self::Elem;
+/// The backend form of an affine point (`None` is infinity).
+pub(crate) fn lower_point<F: ValueOps>(f: &F, p: &AffinePoint) -> Affine<F::Elem> {
+    p.coordinates().map(|(x, y)| (f.lower(x), f.lower(y)))
+}
 
-    /// The heap form of a backend element.
-    fn lift(&self, e: Self::Elem) -> FpElement;
+/// The typed form of a ladder result.
+pub(crate) fn lift_point<F: ValueOps>(f: &F, p: Affine<F::Elem>) -> AffinePoint {
+    p.map_or(AffinePoint::Infinity, |(x, y)| AffinePoint::Point {
+        x: f.lift(x),
+        y: f.lift(y),
+    })
+}
 
-    /// The curve's cache for this backend's comb table at the base point,
-    /// when the backend runs the comb at all.
-    fn comb_cache(curve: &Curve) -> Option<&OnceLock<CombTable<Self::Elem>>>;
+/// [`Curve::scalar_mul`]'s ladder, on the backend [`field::FpContext::run`]
+/// picks.
+struct ScalarMul<'a> {
+    curve: &'a Curve,
+    point: &'a AffinePoint,
+    k: &'a BigUint,
+    algorithm: ScalarMulAlgorithm,
+}
 
-    /// The backend form of an affine point (`None` is infinity).
-    fn lower_point(&self, p: &AffinePoint) -> Affine<Self::Elem> {
-        p.coordinates().map(|(x, y)| (self.lower(x), self.lower(y)))
-    }
+impl FieldJob for ScalarMul<'_> {
+    type Output = AffinePoint;
 
-    /// The typed form of a ladder result.
-    fn lift_point(&self, p: Affine<Self::Elem>) -> AffinePoint {
-        p.map_or(AffinePoint::Infinity, |(x, y)| AffinePoint::Point {
-            x: self.lift(x),
-            y: self.lift(y),
-        })
+    fn run<F: ValueOps>(self, f: &F) -> AffinePoint {
+        let Some((x, y)) = lower_point(f, self.point) else {
+            return AffinePoint::Infinity;
+        };
+        let k = self.k;
+        if k.is_zero() {
+            return AffinePoint::Infinity;
+        }
+        let a = f.lower(self.curve.a());
+        let ladder = Ladder::new(f, &a, self.curve.a_is_minus_three());
+        let acc = match self.algorithm {
+            ScalarMulAlgorithm::DoubleAndAdd => ladder.double_and_add(&x, &y, k),
+            ScalarMulAlgorithm::Naf => ladder.naf(&x, &y, k),
+            ScalarMulAlgorithm::Window4 => ladder.window(&x, &y, k, 4),
+        };
+        lift_point(f, ladder.to_affine(&acc))
     }
 }
 
-impl Backend for FpContext {
-    fn lower(&self, e: &FpElement) -> FpElement {
-        e.clone()
-    }
+/// [`Curve::scalar_mul_batch`]'s ladders and their shared inversion, on
+/// the backend [`field::FpContext::run`] picks.
+struct ScalarMulBatch<'a> {
+    curve: &'a Curve,
+    requests: &'a [(AffinePoint, BigUint)],
+}
 
-    fn lift(&self, e: FpElement) -> FpElement {
-        e
-    }
+impl FieldJob for ScalarMulBatch<'_> {
+    type Output = Vec<AffinePoint>;
 
-    fn comb_cache(_: &Curve) -> Option<&OnceLock<CombTable<FpElement>>> {
-        None
+    fn run<F: ValueOps>(self, f: &F) -> Vec<AffinePoint> {
+        let a = f.lower(self.curve.a());
+        let ladder = Ladder::new(f, &a, self.curve.a_is_minus_three());
+        let lowered: Vec<_> = self
+            .requests
+            .iter()
+            .map(|(point, k)| (lower_point(f, point), k))
+            .collect();
+        ladder
+            .batch(&lowered)
+            .into_iter()
+            .map(|p| lift_point(f, p))
+            .collect()
     }
 }
 
 impl Curve {
     /// Computes `k · point` with the selected algorithm.
     ///
-    /// Double-and-add and NAF run as named. `Window4` runs the Lim–Lee
-    /// comb on a 256-bit curve's base point (its table built once and
-    /// cached) for scalars of at most 256 bits, and the 4-bit window ladder
-    /// everywhere else. On 256-bit curves every ladder runs uncounted on the
-    /// four-word context; results are identical to the heap ladders
-    /// ([`Curve::scalar_mul_reference`] pins this) on every curve, because
-    /// the backends share the Montgomery radix at every width and the
-    /// affine coordinates of `k · point` are unique whatever ladder
-    /// computed them.
+    /// The ladder runs through [`field::FpContext::run`]: on the field's
+    /// own stack context up to 256 bits, with its operation counts added
+    /// to the field's counter once it returns, and on the counted field
+    /// itself otherwise. Results and counts are identical to the
+    /// heap-product ladder's ([`Curve::scalar_mul_reference`] pins this)
+    /// on every curve, because the backends share the Montgomery radix at
+    /// every width and the affine coordinates of `k · point` are unique
+    /// whatever ladder computed them.
     pub fn scalar_mul(
         &self,
         point: &AffinePoint,
         k: &BigUint,
         algorithm: ScalarMulAlgorithm,
     ) -> AffinePoint {
-        match self.fp().fixed256() {
-            Some(ctx) => self.scalar_mul_on(ctx, point, k, algorithm),
-            None => self.scalar_mul_on(self.fp(), point, k, algorithm),
-        }
-    }
-
-    fn scalar_mul_on<F: Backend>(
-        &self,
-        f: &F,
-        point: &AffinePoint,
-        k: &BigUint,
-        algorithm: ScalarMulAlgorithm,
-    ) -> AffinePoint {
-        let Some((x, y)) = f.lower_point(point) else {
-            return AffinePoint::Infinity;
-        };
-        if k.is_zero() {
-            return AffinePoint::Infinity;
-        }
-        let a = f.lower(self.a());
-        let ladder = Ladder::new(f, &a, self.a_is_minus_three());
-        let acc = match algorithm {
-            ScalarMulAlgorithm::DoubleAndAdd => ladder.double_and_add(&x, &y, k),
-            ScalarMulAlgorithm::Naf => ladder.naf(&x, &y, k),
-            ScalarMulAlgorithm::Window4 => F::comb_cache(self)
-                .filter(|_| point == self.base_point())
-                .and_then(|cache| {
-                    ladder.comb(cache.get_or_init(|| ladder.comb_table(&x, &y)), &x, &y, k)
-                })
-                .unwrap_or_else(|| ladder.window(&x, &y, k, 4)),
-        };
-        f.lift_point(ladder.to_affine(&acc))
+        self.fp().run(ScalarMul {
+            curve: self,
+            point,
+            k,
+            algorithm,
+        })
     }
 
     /// Computes `k · point` with every product on the heap (`BigUint`)
-    /// FIOS reference, on a [`Curve::heap_only`] twin — the differential
-    /// baseline for tests and the `fixed_vs_heap` benchmark.
-    /// [`Curve::scalar_mul`] is the fast path; results are identical.
+    /// FIOS reference and every operation counted as it happens, on a
+    /// [`Curve::heap_only`] twin — the differential baseline for tests and
+    /// for hostbench's set-up checks. [`Curve::scalar_mul`] is the fast
+    /// path; results and counts are identical.
     pub fn scalar_mul_reference(
         &self,
         point: &AffinePoint,
@@ -151,35 +152,15 @@ impl Curve {
 
     /// Computes `k_i · P_i` for a whole batch of requests, amortizing host
     /// wall-clock the way [`Curve::scalar_mul`] cannot: every request runs
-    /// the NAF ladder (or the comb, when the request is at the base point
-    /// and a `Window4` call has cached its table), and the whole batch
-    /// shares one final batched inversion ([`Ladder::batch`]). Every
-    /// element is identical to a serial `scalar_mul` call on the same
-    /// request.
+    /// the NAF ladder, and the whole batch shares one final batched
+    /// inversion ([`Ladder::batch`]), all in one
+    /// [`field::FpContext::run`]. Every element is identical to a serial
+    /// `scalar_mul` call on the same request.
     pub fn scalar_mul_batch(&self, requests: &[(AffinePoint, BigUint)]) -> Vec<AffinePoint> {
-        match self.fp().fixed256() {
-            Some(ctx) => self.scalar_mul_batch_on(ctx, requests),
-            None => self.scalar_mul_batch_on(self.fp(), requests),
-        }
-    }
-
-    fn scalar_mul_batch_on<F: Backend>(
-        &self,
-        f: &F,
-        requests: &[(AffinePoint, BigUint)],
-    ) -> Vec<AffinePoint> {
-        let a = f.lower(self.a());
-        let ladder = Ladder::new(f, &a, self.a_is_minus_three());
-        let lowered: Vec<_> = requests
-            .iter()
-            .map(|(point, k)| (f.lower_point(point), k))
-            .collect();
-        let comb = F::comb_cache(self).and_then(OnceLock::get);
-        ladder
-            .batch(&lowered, comb)
-            .into_iter()
-            .map(|p| f.lift_point(p))
-            .collect()
+        self.fp().run(ScalarMulBatch {
+            curve: self,
+            requests,
+        })
     }
 
     /// Computes `k · base_point` with the default algorithm (double-and-add,
@@ -196,7 +177,7 @@ impl Curve {
     pub fn affine_window_table(&self, point: &AffinePoint, window: usize) -> Vec<AffinePoint> {
         let table = self.ladder().window_table(point.coordinates(), window);
         std::iter::once(AffinePoint::Infinity)
-            .chain(table.into_iter().map(|p| self.fp().lift_point(p)))
+            .chain(table.into_iter().map(|p| lift_point(self.fp(), p)))
             .collect()
     }
 }
@@ -372,19 +353,26 @@ mod tests {
     #[test]
     fn reference_ladder_runs_heap_only_and_matches_the_fast_path() {
         let curve = Curve::by_name("secp256k1").unwrap();
-        assert!(curve.fp().fixed256().is_some());
         let heap = curve.heap_only();
-        assert!(heap.fp().fixed256().is_none());
+        assert!(
+            std::sync::Arc::ptr_eq(curve.fp().counter(), heap.fp().counter()),
+            "the twin records on the same counter"
+        );
+        let fp = curve.fp();
         let mut rng = rand::rngs::StdRng::seed_from_u64(16);
         for _ in 0..3 {
             let k = BigUint::random_bits(&mut rng, 256);
+            let before = fp.op_count();
             let fast = curve.scalar_mul(curve.base_point(), &k, ScalarMulAlgorithm::DoubleAndAdd);
+            let mid = fp.op_count();
             let reference = curve.scalar_mul_reference(
                 curve.base_point(),
                 &k,
                 ScalarMulAlgorithm::DoubleAndAdd,
             );
             assert_eq!(fast, reference);
+            assert_eq!(mid.since(&before), fp.op_count().since(&mid), "op counts");
+            assert!(mid.since(&before).mul > 0, "the fast path is counted");
             assert!(curve.is_on_curve(&reference));
         }
     }
@@ -407,7 +395,6 @@ mod tests {
     #[test]
     fn fixed_ladders_and_batch_match_heap_reference_on_secp256k1() {
         let curve = Curve::by_name("secp256k1").unwrap();
-        assert!(curve.fp().fixed256().is_some());
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let base = curve.base_point().clone();
         let other = curve.random_point(&mut rng);
@@ -417,7 +404,7 @@ mod tests {
             &order - &BigUint::one(),
             BigUint::random_bits(&mut rng, 256),
         ];
-        // Every fixed ladder (D&A, NAF, comb-on-base, window-on-arbitrary)
+        // Every ladder (D&A, NAF, window), at the base point and elsewhere,
         // must be bit-identical to the heap reference ladder.
         for point in [&base, &other] {
             for k in &scalars {

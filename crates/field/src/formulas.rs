@@ -1,5 +1,5 @@
-//! Field operations as a trait, and the `Fp6` product written once
-//! against it.
+//! Field operations as traits, the `Fp6` product written once against
+//! them, and the field's counted stack backend.
 //!
 //! The paper's composite operations are straight-line sequences of
 //! modular multiplications, additions and subtractions. [`FieldOps`] is
@@ -7,9 +7,11 @@
 //! written exactly once as a generic, branch-free body and then
 //! instantiated on every backend:
 //!
-//! * [`FpContext`] — the heap `BigUint` field (behind [`crate::Fp6Context`]
-//!   and [`crate::Fp3Context`]);
-//! * [`MontgomeryContext`] — the fixed-width stack backend;
+//! * [`FpContext`] — the field itself, counting every operation on the
+//!   shared counter (behind [`crate::Fp6Context`] and
+//!   [`crate::Fp3Context`]);
+//! * the field's own `L`-word [`MontgomeryContext`], which
+//!   [`FpContext::run`] hands a [`FieldJob`] behind a non-atomic tally;
 //! * the platform crate's recorder, which turns each operation into one
 //!   step of the coprocessor program.
 //!
@@ -17,9 +19,12 @@
 //! bodies are written in that order. The ECC point formulas follow the
 //! same pattern in the `ecc` crate.
 
+use std::cell::Cell;
+
 use bignum::fixed::{add_mod, neg_mod, sub_mod, MontgomeryContext, Uint};
 
 use crate::fp::{FpContext, FpElement};
+use crate::opcount::OpCount;
 
 /// The arithmetic a formula body may perform.
 ///
@@ -44,12 +49,15 @@ pub trait FieldOps {
 }
 
 /// What a backend that holds values (not a recorder) adds to [`FieldOps`]:
-/// the constants, the zero test and the two operations a scalar ladder
+/// the constants, the zero test, the two operations a scalar ladder
 /// performs outside the formula bodies — negating an addend and one
-/// batched inversion to return to affine form.
+/// batched inversion to return to affine form — and the conversions
+/// between [`FpElement`] and the backend's own element.
 ///
-/// [`FpContext`] and [`MontgomeryContext`] implement it; the `ecc` crate's
-/// ladders are written once against it.
+/// [`FpContext`] implements it, and so does the stack backend
+/// [`FpContext::run`] picks; the `ecc` crate's ladders are written once
+/// against it. Both count exactly what the inherent [`FpContext`]
+/// operations count.
 pub trait ValueOps: FieldOps<Elem: Clone + PartialEq> {
     /// The additive identity.
     fn zero(&self) -> Self::Elem;
@@ -70,6 +78,22 @@ pub trait ValueOps: FieldOps<Elem: Clone + PartialEq> {
     ///
     /// Panics if an element is zero.
     fn invert_batch(&self, values: &mut [Self::Elem]);
+
+    /// The backend form of a field element.
+    fn lower(&self, e: &FpElement) -> Self::Elem;
+
+    /// The field element of a backend value.
+    fn lift(&self, e: Self::Elem) -> FpElement;
+}
+
+/// A computation written once over [`ValueOps`], which
+/// [`FpContext::run`] runs on the backend it picks for the field.
+pub trait FieldJob {
+    /// What the job returns.
+    type Output;
+
+    /// Runs the job on `f`.
+    fn run<F: ValueOps>(self, f: &F) -> Self::Output;
 }
 
 impl FieldOps for FpContext {
@@ -117,65 +141,134 @@ impl ValueOps for FpContext {
             *value = inverse.expect("batched inversion of zero");
         }
     }
+
+    fn lower(&self, e: &FpElement) -> FpElement {
+        e.clone()
+    }
+
+    fn lift(&self, e: FpElement) -> FpElement {
+        e
+    }
 }
 
-impl<const LIMBS: usize> FieldOps for MontgomeryContext<LIMBS> {
-    type Elem = Uint<LIMBS>;
+/// The backend [`FpContext::run`] hands a job on a field of at most 256
+/// bits: the field's own `L`-word [`MontgomeryContext`], whose elements
+/// are the low `L` words of each [`FpElement`] residue, plus a tally of
+/// exactly what [`FpContext`] records for the same calls. `run` adds the
+/// tally to the shared counter once, when the job returns.
+pub(crate) struct Words<'a, const L: usize> {
+    ctx: &'a MontgomeryContext<L>,
+    // Four cells, not one `Cell<OpCount>`, so that each operation updates
+    // one word instead of rewriting the whole tally.
+    mul: Cell<u64>,
+    add: Cell<u64>,
+    sub: Cell<u64>,
+    inv: Cell<u64>,
+}
+
+impl<'a, const L: usize> Words<'a, L> {
+    /// The backend over `ctx`, with an empty tally.
+    pub(crate) fn new(ctx: &'a MontgomeryContext<L>) -> Self {
+        Words {
+            ctx,
+            mul: Cell::new(0),
+            add: Cell::new(0),
+            sub: Cell::new(0),
+            inv: Cell::new(0),
+        }
+    }
+
+    /// The operations recorded so far.
+    pub(crate) fn tally(&self) -> OpCount {
+        OpCount {
+            mul: self.mul.get(),
+            add: self.add.get(),
+            sub: self.sub.get(),
+            inv: self.inv.get(),
+        }
+    }
+}
+
+impl<const L: usize> FieldOps for Words<'_, L> {
+    type Elem = Uint<L>;
 
     #[inline]
-    fn mul(&self, a: &Uint<LIMBS>, b: &Uint<LIMBS>) -> Uint<LIMBS> {
-        self.mont_mul(a, b)
+    fn mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+        self.mul.set(self.mul.get() + 1);
+        self.ctx.mont_mul(a, b)
     }
 
     #[inline]
-    fn add(&self, a: &Uint<LIMBS>, b: &Uint<LIMBS>) -> Uint<LIMBS> {
-        add_mod(a, b, self.modulus())
+    fn add(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+        self.add.set(self.add.get() + 1);
+        add_mod(a, b, self.ctx.modulus())
     }
 
     #[inline]
-    fn sub(&self, a: &Uint<LIMBS>, b: &Uint<LIMBS>) -> Uint<LIMBS> {
-        sub_mod(a, b, self.modulus())
+    fn sub(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+        self.sub.set(self.sub.get() + 1);
+        sub_mod(a, b, self.ctx.modulus())
     }
 
     #[inline]
-    fn copy(&self, a: Uint<LIMBS>) -> Uint<LIMBS> {
+    fn copy(&self, a: Uint<L>) -> Uint<L> {
         a
     }
 }
 
-impl<const LIMBS: usize> ValueOps for MontgomeryContext<LIMBS> {
+impl<const L: usize> ValueOps for Words<'_, L> {
     #[inline]
-    fn zero(&self) -> Uint<LIMBS> {
+    fn zero(&self) -> Uint<L> {
         Uint::ZERO
     }
 
     #[inline]
-    fn one(&self) -> Uint<LIMBS> {
-        self.one_mont()
+    fn one(&self) -> Uint<L> {
+        self.ctx.one_mont()
     }
 
     #[inline]
-    fn is_zero(&self, a: &Uint<LIMBS>) -> bool {
+    fn is_zero(&self, a: &Uint<L>) -> bool {
         a.is_zero()
     }
 
     #[inline]
-    fn neg(&self, a: &Uint<LIMBS>) -> Uint<LIMBS> {
-        neg_mod(a, self.modulus())
+    fn neg(&self, a: &Uint<L>) -> Uint<L> {
+        if a.is_zero() {
+            return Uint::ZERO;
+        }
+        self.sub.set(self.sub.get() + 1);
+        neg_mod(a, self.ctx.modulus())
     }
 
-    fn invert_batch(&self, values: &mut [Uint<LIMBS>]) {
+    fn invert_batch(&self, values: &mut [Uint<L>]) {
+        self.inv.set(self.inv.get() + values.len() as u64);
         // A lone value needs no prefix chain, so a single inversion stays
         // off the heap.
         if let [value] = values {
-            *value = self.mont_inv_prime(value).expect("inversion of zero");
+            *value = self.ctx.mont_inv_prime(value).expect("inversion of zero");
             return;
         }
         let mut scratch = vec![Uint::ZERO; values.len()];
         assert!(
-            self.mont_inv_batch(values, &mut scratch),
+            self.ctx.mont_inv_batch(values, &mut scratch),
             "batched inversion of zero"
         );
+    }
+
+    #[inline]
+    fn lower(&self, e: &FpElement) -> Uint<L> {
+        let words = e
+            .mont_repr()
+            .expect("a field of at most 256 bits stores words");
+        Uint::from_limbs(std::array::from_fn(|i| words.limbs()[i]))
+    }
+
+    #[inline]
+    fn lift(&self, e: Uint<L>) -> FpElement {
+        let mut words = [0; 4];
+        words[..L].copy_from_slice(e.limbs());
+        FpElement::from_words(Uint::from_limbs(words))
     }
 }
 

@@ -9,6 +9,7 @@ use bignum::{BigUint, MontgomeryParams};
 use rand::Rng;
 
 use crate::error::FieldError;
+use crate::formulas::{FieldJob, Words};
 use crate::opcount::{OpCount, OpCounter};
 
 /// Context for arithmetic in the prime field `Fp`.
@@ -28,6 +29,12 @@ use crate::opcount::{OpCount, OpCounter};
 /// residues. Either way each operation records exactly one count (an
 /// exponentiation records its squarings and multiplications), so op
 /// counts do not depend on the backend.
+///
+/// A whole computation written over [`crate::ValueOps`] — a scalar-mult
+/// ladder, say — runs through [`FpContext::run`] instead: the width is
+/// picked once, the operations run on that context directly, and the
+/// same counts are added to the counter once, when the computation
+/// returns.
 ///
 /// Cloning the context is cheap and clones share the same counter.
 ///
@@ -117,9 +124,9 @@ impl FpElement {
     }
 
     /// The Montgomery-form residue in four 64-bit words, zero above the
-    /// field's width: the operand form of [`FpContext::fixed256`] and of
-    /// every other fixed-width context of the field's width. `None` on
-    /// fields wider than 256 bits.
+    /// field's width: its low `⌈n/64⌉` words are the operand on the
+    /// fixed-width context of the field's width. `None` on fields wider
+    /// than 256 bits.
     pub fn mont_repr(&self) -> Option<Uint<4>> {
         match &self.0 {
             Residue::Words(w) => Some(*w),
@@ -127,10 +134,10 @@ impl FpElement {
         }
     }
 
-    /// Constructs an element of a field of at most 256 bits directly from
-    /// its Montgomery-form words: the inverse of [`FpElement::mont_repr`].
-    /// Normal users should go through [`FpContext::from_biguint`].
-    pub fn from_mont_repr(words: Uint<4>) -> Self {
+    /// The element whose Montgomery residue is `words`, which must be
+    /// reduced and zero above the field's width: the inverse of
+    /// [`FpElement::mont_repr`].
+    pub(crate) fn from_words(words: Uint<4>) -> Self {
         FpElement(Residue::Words(words))
     }
 
@@ -195,32 +202,47 @@ impl FpContext {
             .unwrap_or(0) as u32
     }
 
-    /// The four-word Montgomery context of a field of 193 to 256 bits (the
-    /// named 256-bit curves) — `None` on narrower and wider fields and on a
-    /// [`FpContext::heap_only`] twin.
-    ///
-    /// An [`FpElement`]'s [`mont_repr`](FpElement::mont_repr) is its
-    /// operand on this context, as on the context of every other width, so
-    /// `ecc` uses this accessor to run whole 256-bit scalar-mult ladders on
-    /// the stack, uncounted. Everything else reaches the field's stack
-    /// context through the counted operations of this type.
-    pub fn fixed256(&self) -> Option<&MontgomeryContext<4>> {
+    /// Runs `job` on the field's own stack context: a field of at most
+    /// 256 bits picks its `L`-word [`MontgomeryContext`] once for the
+    /// whole job, which runs on it behind a non-atomic tally; the tally is
+    /// added to the shared counter once, when the job returns. A
+    /// [`FpContext::heap_only`] twin and a field wider than 256 bits run
+    /// the job on this context itself, which counts every operation as it
+    /// happens. Results and counts are the same either way.
+    pub fn run<J: FieldJob>(&self, job: J) -> J::Output {
         match self.inner.backend.products() {
-            Some(Montgomery256::W4(ctx)) => Some(ctx),
-            _ => None,
+            Some(Montgomery256::W1(ctx)) => self.run_on_words(ctx, job),
+            Some(Montgomery256::W2(ctx)) => self.run_on_words(ctx, job),
+            Some(Montgomery256::W3(ctx)) => self.run_on_words(ctx, job),
+            Some(Montgomery256::W4(ctx)) => self.run_on_words(ctx, job),
+            None => job.run(self),
         }
+    }
+
+    /// [`FpContext::run`] at one width.
+    fn run_on_words<const L: usize, J: FieldJob>(
+        &self,
+        ctx: &MontgomeryContext<L>,
+        job: J,
+    ) -> J::Output {
+        let words = Words::new(ctx);
+        let out = job.run(&words);
+        self.inner.counter.add(words.tally());
+        out
     }
 
     /// A twin of this context whose products run on the heap: same
     /// modulus, same Montgomery constants, same element representation,
     /// and the **same shared operation counter**, but every product — and
     /// so every [`FpContext::exp`] step — runs the heap `BigUint` FIOS
-    /// reference ([`MontgomeryParams::mont_mul`]).
+    /// reference ([`MontgomeryParams::mont_mul`]), and [`FpContext::run`]
+    /// runs its job on the twin itself, counting every operation.
     ///
-    /// This exists for honest baselines: `fixed_vs_heap` benches and
-    /// `scalar_mul_reference` must measure the heap products, not the
-    /// fixed backend against itself. Additions, subtractions and
-    /// inversions are not products and run as on this context.
+    /// This exists for honest baselines: `scalar_mul_reference` and the
+    /// differential tests must run the heap products and the per-operation
+    /// counted loop, not the stack context against itself. Additions,
+    /// subtractions and inversions are not products and run as on this
+    /// context.
     pub fn heap_only(&self) -> FpContext {
         let backend = match self.inner.backend.words() {
             Some(ctx) => Backend::HeapProducts(ctx.clone()),
@@ -424,15 +446,15 @@ impl FpContext {
     }
 
     /// Records what the serial square-and-multiply loop would record for
-    /// exponent `exp`, so [`FpContext::exp`] on the stack context keeps the
-    /// modeled operation counts of the counted loop.
+    /// exponent `exp` — one product per squaring and one per set bit — in
+    /// one counter update, so [`FpContext::exp`] on the stack context keeps
+    /// the modeled operation counts of the counted loop.
     fn record_serial_exp_ops(&self, exp: &BigUint) {
-        for i in 0..exp.bit_len() {
-            self.inner.counter.record_mul();
-            if exp.bit(i) {
-                self.inner.counter.record_mul();
-            }
-        }
+        let set_bits = (0..exp.bit_len()).filter(|&i| exp.bit(i)).count();
+        self.inner.counter.add(OpCount {
+            mul: (exp.bit_len() + set_bits) as u64,
+            ..OpCount::default()
+        });
     }
 
     /// Batched modular inversion by **Montgomery's trick**: one Fermat
@@ -695,7 +717,7 @@ mod tests {
         let fp = ctx();
         let a = fp.from_u64(424_242);
         let repr = a.mont_repr().expect("a 30-bit field stores words");
-        assert_eq!(FpElement::from_mont_repr(repr), a);
+        assert_eq!(FpElement::from_words(repr), a);
     }
 
     #[test]
@@ -732,17 +754,12 @@ mod tests {
     }
 
     #[test]
-    fn fixed256_fast_path_matches_heap_loops() {
-        // secp256k1's p: four words, so `fixed256` is its context.
+    fn stack_exponentiation_matches_heap_loops() {
+        // secp256k1's p: four words.
         let p =
             BigUint::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
                 .unwrap();
         let fp = FpContext::new(&p).unwrap();
-        assert!(fp.fixed256().is_some());
-        assert!(
-            ctx().fixed256().is_none(),
-            "narrower primes run on their own width"
-        );
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         for _ in 0..5 {
@@ -789,8 +806,11 @@ mod tests {
                 .unwrap();
         let fp = FpContext::new(&p).unwrap();
         let heap = fp.heap_only();
-        assert!(fp.fixed256().is_some());
-        assert!(heap.fixed256().is_none(), "twin must stay on the heap");
+        assert!(matches!(fp.inner.backend, Backend::Words(_)));
+        assert!(
+            matches!(heap.inner.backend, Backend::HeapProducts(_)),
+            "twin must stay on the heap"
+        );
         assert!(fp.same_field(&heap));
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);

@@ -17,12 +17,16 @@
 //!   Fig. 1 with the maps τ / τ⁻¹ between F1 and F2.
 //! * [`FieldOps`] — the mul/add/sub/copy interface every composite
 //!   formula is written against once ([`karatsuba_fp6`] here, the ECC
-//!   point formulas in the `ecc` crate), instantiated on the heap field,
-//!   the fixed-width backend and the platform's program recorder.
-//! * [`ValueOps`] — what the two value backends (the heap field and the
-//!   fixed-width [`bignum::fixed::MontgomeryContext`]) add for the `ecc`
-//!   scalar ladders: constants, the zero test, negation and one batched
-//!   inversion.
+//!   point formulas in the `ecc` crate), instantiated on the field, its
+//!   stack backend and the platform's program recorder.
+//! * [`ValueOps`] — what the value backends add for the `ecc` scalar
+//!   ladders: constants, the zero test, negation, one batched inversion
+//!   and the conversions from and to [`FpElement`].
+//! * [`FieldJob`] — a computation written once over [`ValueOps`], which
+//!   [`FpContext::run`] runs on the field's own
+//!   [`bignum::fixed::MontgomeryContext`], picking the width once and
+//!   adding one tally to the shared [`OpCounter`] when it returns. This
+//!   crate is the only one that picks a width.
 //!
 //! # Example
 //!
@@ -55,7 +59,7 @@ mod opcount;
 
 pub use error::FieldError;
 pub use f2repr::{F2Element, F2Repr};
-pub use formulas::{karatsuba_fp6, FieldOps, ValueOps};
+pub use formulas::{karatsuba_fp6, FieldJob, FieldOps, ValueOps};
 pub use fp::{FpContext, FpElement};
 pub use fp3::{Fp3Context, Fp3Element};
 pub use fp6::{Fp6Context, Fp6Element};

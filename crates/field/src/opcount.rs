@@ -86,6 +86,14 @@ impl OpCounter {
         self.inv.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records a whole tally at once, one update per kind of operation.
+    pub fn add(&self, count: OpCount) {
+        self.mul.fetch_add(count.mul, Ordering::Relaxed);
+        self.add.fetch_add(count.add, Ordering::Relaxed);
+        self.sub.fetch_add(count.sub, Ordering::Relaxed);
+        self.inv.fetch_add(count.inv, Ordering::Relaxed);
+    }
+
     /// Returns the current counts.
     pub fn snapshot(&self) -> OpCount {
         OpCount {
@@ -128,6 +136,16 @@ mod tests {
             }
         );
         assert_eq!(s.additions_total(), 2);
+        c.add(s);
+        assert_eq!(
+            c.snapshot(),
+            OpCount {
+                mul: 4,
+                add: 2,
+                sub: 2,
+                inv: 2
+            }
+        );
         c.reset();
         assert_eq!(c.snapshot(), OpCount::default());
     }

@@ -1,22 +1,26 @@
-//! Differential proptests pinning the fixed-backend ladder suite, the
-//! batch entry points and the field's stack context at every width to the
+//! Differential proptests pinning the stack-context ladders, the batch
+//! entry points and the field's stack context at every width to the
 //! serial heap reference.
 //!
 //! At every field width (10, 64, 127, 160, 170 and 256 bits) random sequences
 //! of field operations must give the same residues and the same op counts
 //! on `FpContext::new(p)` and on its `heap_only()` twin, whose products run
 //! the heap FIOS reference; their elements compare and hash equal exactly
-//! when their values are equal. Every `Curve::scalar_mul` algorithm must
-//! match `scalar_mul_reference` on the 160-bit and toy curves too.
+//! when their values are equal. Every `Curve::scalar_mul` algorithm, and
+//! `Curve::scalar_mul_batch`, must match the heap twin's results and op
+//! counts on the toy, 160-bit and secp256k1 curves (one, three and four
+//! words).
 //!
-//! Every fixed ladder variant (double-and-add, NAF, windowed/comb) and
+//! Every ladder variant (double-and-add, NAF, window) and
 //! every batch entry point (`Curve::scalar_mul_batch`,
 //! `FpContext::inv_batch`, `MontgomeryContext::mont_mul_batch`) must agree
 //! with its one-at-a-time heap reference — `Curve::scalar_mul_reference`
 //! runs the whole ladder on `BigUint`, so a fixed-backend bug cannot mask
 //! itself. Edge coverage: empty batches, batches of one, ragged lengths,
 //! and the scalars {0, 1, order − 1, order} that straddle the group
-//! boundary.
+//! boundary. The ladder's degenerate-case wrappers, run through
+//! `FpContext::run` at one, three and four words, must match the counted
+//! field's wrappers in result and op count.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -24,8 +28,9 @@ use std::hash::{Hash, Hasher};
 use bignum::fixed::{MontgomeryContext, Uint};
 use bignum::BigUint;
 use ceilidh::CeilidhParams;
+use ecc::ladder::Ladder;
 use ecc::prelude::*;
-use field::{FpContext, FpElement};
+use field::{FieldJob, FpContext, FpElement, ValueOps};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -150,13 +155,20 @@ proptest! {
         }
     }
 
-    /// Every scalar-multiplication algorithm matches the heap-product
-    /// reference on the paper's 160-bit curve and on the toy curve, whose
-    /// fields run on three words and one word.
+    /// Every scalar-multiplication algorithm, at the base point and at
+    /// another point, and the batch entry point match the heap-product
+    /// twin's results and op counts on the toy, the paper's 160-bit and the
+    /// secp256k1 curve, whose fields run on one, three and four words.
     #[test]
-    fn scalar_mul_matches_reference_below_256_bits(limbs in prop::array::uniform4(any::<u64>())) {
-        for curve in [Curve::p160_reproduction().unwrap(), Curve::toy().unwrap()] {
-            let k = &scalar(limbs) % &BigUint::one().shl_bits(curve.fp().bit_len() + 8);
+    fn scalar_mul_matches_reference_at_every_width(limbs in prop::array::uniform4(any::<u64>())) {
+        let curves = [
+            Curve::toy().unwrap(),
+            Curve::p160_reproduction().unwrap(),
+            Curve::from_parameters::<Secp256k1>().unwrap(),
+        ];
+        for curve in curves {
+            let fp = curve.fp();
+            let k = &scalar(limbs) % &BigUint::one().shl_bits(fp.bit_len() + 8);
             let g = curve.base_point().clone();
             let h = curve.scalar_mul_reference(&g, &BigUint::from(5u64), ScalarMulAlgorithm::Naf);
             for point in [&g, &h] {
@@ -165,15 +177,27 @@ proptest! {
                     ScalarMulAlgorithm::Naf,
                     ScalarMulAlgorithm::Window4,
                 ] {
-                    prop_assert_eq!(
-                        curve.scalar_mul(point, &k, algorithm),
-                        curve.scalar_mul_reference(point, &k, algorithm),
-                        "{}: algorithm {:?}",
-                        curve.name(),
-                        algorithm
-                    );
+                    let before = fp.op_count();
+                    let got = curve.scalar_mul(point, &k, algorithm);
+                    let mid = fp.op_count();
+                    let want = curve.scalar_mul_reference(point, &k, algorithm);
+                    let label = format!("{}: algorithm {:?}", curve.name(), algorithm);
+                    prop_assert_eq!(got, want, "{}", label);
+                    prop_assert_eq!(mid.since(&before), fp.op_count().since(&mid), "{} counts", label);
                 }
             }
+            let requests = vec![
+                (g.clone(), k.clone()),
+                (h.clone(), k.clone()),
+                (AffinePoint::Infinity, k.clone()),
+                (h.clone(), BigUint::zero()),
+            ];
+            let before = fp.op_count();
+            let got = curve.scalar_mul_batch(&requests);
+            let mid = fp.op_count();
+            let want = curve.heap_only().scalar_mul_batch(&requests);
+            prop_assert_eq!(got, want, "{}: batch", curve.name());
+            prop_assert_eq!(mid.since(&before), fp.op_count().since(&mid), "{}: batch counts", curve.name());
         }
     }
 }
@@ -181,9 +205,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// All three fixed ladder algorithms match the heap reference ladder
-    /// on random 256-bit scalars, on the base point (comb path) and on a
-    /// non-base point (window path).
+    /// All three ladder algorithms match the heap reference ladder on
+    /// random 256-bit scalars, on the base point and on a non-base point.
     #[test]
     fn fixed_ladders_match_heap_reference(limbs in prop::array::uniform4(any::<u64>())) {
         let curve = curve();
@@ -302,5 +325,96 @@ proptest! {
         check!(5);
         check!(8);
         check!(13);
+    }
+}
+
+/// The ladder's degenerate-case wrappers on the backend `FpContext::run`
+/// picks: each addition both mixed (affine addend) and Jacobian, then each
+/// doubling, every result lifted back to field elements.
+struct Wrappers<'a> {
+    curve: &'a Curve,
+    additions: &'a [(&'a JacobianPoint, &'a AffinePoint)],
+    doublings: &'a [&'a JacobianPoint],
+}
+
+impl FieldJob for Wrappers<'_> {
+    type Output = Vec<[FpElement; 3]>;
+
+    fn run<F: ValueOps>(self, f: &F) -> Vec<[FpElement; 3]> {
+        let a = f.lower(self.curve.a());
+        let ladder = Ladder::new(f, &a, self.curve.a_is_minus_three());
+        let lower = |p: &JacobianPoint| JacobianPoint {
+            x: f.lower(&p.x),
+            y: f.lower(&p.y),
+            z: f.lower(&p.z),
+        };
+        let lift = |p: JacobianPoint<F::Elem>| [p.x, p.y, p.z].map(|c| f.lift(c));
+        let mut out = Vec::new();
+        for &(acc, q) in self.additions {
+            let affine = q.coordinates().map(|(x, y)| (f.lower(x), f.lower(y)));
+            let addend = affine.as_ref().map(|(x, y)| (x, y));
+            out.push(lift(ladder.add_mixed(&lower(acc), addend)));
+            let q = lower(&self.curve.to_jacobian(q));
+            out.push(lift(ladder.add(&lower(acc), &q)));
+        }
+        out.extend(
+            self.doublings
+                .iter()
+                .map(|p| lift(ladder.double(&lower(p)))),
+        );
+        out
+    }
+}
+
+#[test]
+fn degenerate_wrappers_match_the_heap_wrappers() {
+    for name in ["toy-1009", "p160-reproduction", "p256", "secp256k1"] {
+        let curve = Curve::by_name(name).unwrap();
+        let fp = curve.fp();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let q = curve.random_point(&mut rng);
+        let (qx, qy) = q.coordinates().unwrap();
+        // q itself with a generic Z = λ: (λ²x, λ³y, λ).
+        let l = fp.from_u64(7);
+        let l2 = fp.square(&l);
+        let q_at_z = JacobianPoint {
+            x: fp.mul(qx, &l2),
+            y: fp.mul(qy, &fp.mul(&l2, &l)),
+            z: l,
+        };
+        let neg_q = curve.negate(&q);
+        let at_infinity = AffinePoint::Infinity;
+        let infinity = curve.to_jacobian(&at_infinity);
+        let p = curve.to_jacobian(&curve.random_point(&mut rng));
+        // ∞ + q, q + q, q + (−q), p + q and p + ∞; then 2·∞ and 2·q.
+        let additions = [
+            (&infinity, &q),
+            (&q_at_z, &q),
+            (&q_at_z, &neg_q),
+            (&p, &q),
+            (&p, &at_infinity),
+        ];
+        let doublings = [&infinity, &q_at_z];
+        let before = fp.op_count();
+        let got = fp.run(Wrappers {
+            curve: &curve,
+            additions: &additions,
+            doublings: &doublings,
+        });
+        let mid = fp.op_count();
+        let mut want = Vec::new();
+        for (acc, q) in additions {
+            want.push(curve.jacobian_add_mixed(acc, q));
+            want.push(curve.jacobian_add(acc, &curve.to_jacobian(q)));
+        }
+        want.extend(doublings.map(|p| curve.jacobian_double(p)));
+        let want: Vec<_> = want.into_iter().map(|p| [p.x, p.y, p.z]).collect();
+        assert_eq!(got, want, "{name}");
+        assert_eq!(
+            mid.since(&before),
+            fp.op_count().since(&mid),
+            "{name}: counts"
+        );
+        assert!(want[4][2].is_zero(), "{name}: q + (−q) is infinity");
     }
 }

@@ -3,7 +3,9 @@
 //! (the toy field), two, three (the paper's 160- and 170-bit primes), four
 //! (the standards 256-bit moduli), eight (an RSA-1024 CRT half) and sixteen
 //! (an RSA-1024 modulus) — plus the published secp256k1/P-256 generator
-//! multiples re-run through the fixed-width curve ladder.
+//! multiples re-run through the public `Curve::scalar_mul`, which runs its
+//! ladder on the field's four-word stack context, and through the heap
+//! reference ladder.
 //!
 //! By the width rule both backends use the Montgomery radix
 //! `R = 2^(64·L)` for an `n`-bit modulus, `L = ⌈n/64⌉` (`2L` × 32-bit heap
@@ -17,9 +19,7 @@
 use bignum::fixed::{montgomery_words, MontgomeryContext, Uint};
 use bignum::{mod_exp, mod_inv, mod_mul, BigUint, MontgomeryParams};
 use ceilidh::CeilidhParams;
-use ecc::ladder::Ladder;
 use ecc::prelude::*;
-use field::FpElement;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -229,23 +229,8 @@ fn rsa_1024_widths_match_bit_for_bit() {
 
 #[test]
 fn backend_presence_matches_field_width() {
-    for (name, expect) in [
-        ("secp256k1", true),
-        ("p256", true),
-        ("p160-reproduction", false),
-        ("toy-1009", false),
-    ] {
+    for name in ["secp256k1", "p256", "p160-reproduction", "toy-1009"] {
         let curve = Curve::by_name(name).unwrap();
-        assert_eq!(
-            curve.fp().fixed256().is_some(),
-            expect,
-            "{name}: four-word context presence"
-        );
-        // The heap twin never has one.
-        assert!(
-            curve.heap_only().fp().fixed256().is_none(),
-            "{name}: heap twin"
-        );
         // Every one of these fields stores its residues as words, the heap
         // twin's too.
         assert!(curve.a().mont_repr().is_some(), "{name}: word residues");
@@ -254,24 +239,22 @@ fn backend_presence_matches_field_width() {
     }
 }
 
-/// Runs `k · G` through the ladder's `MontgomeryContext<4>` instantiation
-/// directly (no dispatch), returning the affine result as field elements.
-fn fixed_mul_base(curve: &Curve, k: u64) -> Option<(FpElement, FpElement)> {
-    let ctx = curve.fp().fixed256().expect("256-bit curve has a backend");
-    let to_residue = |e: &FpElement| e.mont_repr().expect("a 256-bit field stores words");
-    let a = to_residue(curve.a());
-    let ladder = Ladder::new(ctx, &a, curve.a_is_minus_three());
-    let (gx, gy) = curve.base_point().coordinates().expect("G is finite");
-    let acc = ladder.double_and_add(&to_residue(gx), &to_residue(gy), &BigUint::from(k));
-    ladder
-        .to_affine(&acc)
-        .map(|(x, y)| (FpElement::from_mont_repr(x), FpElement::from_mont_repr(y)))
+/// `k · G` through the public call, which runs double-and-add on the
+/// field's stack context, checked against the heap reference ladder.
+fn stack_mul_base(curve: &Curve, k: u64) -> AffinePoint {
+    let k = BigUint::from(k);
+    let algorithm = ScalarMulAlgorithm::DoubleAndAdd;
+    let stack = curve.scalar_mul(curve.base_point(), &k, algorithm);
+    let reference = curve.scalar_mul_reference(curve.base_point(), &k, algorithm);
+    assert_eq!(stack, reference, "{}: {k:?}G", curve.name());
+    stack
 }
 
 #[test]
 fn fixed_ladder_reproduces_published_generator_multiples() {
-    // The same SEC 2 / FIPS 186-4 vectors `tests/named_curves.rs` pins on
-    // the heap ladder, this time evaluated on the stack backend alone.
+    // The SEC 2 / FIPS 186-4 vectors `tests/named_curves.rs` pins under
+    // every algorithm, here on the four-word stack context and on the heap
+    // reference.
     let vectors = [
         (
             "secp256k1",
@@ -288,20 +271,22 @@ fn fixed_ladder_reproduces_published_generator_multiples() {
     ];
     for (name, x2, y2, x6) in vectors {
         let curve = Curve::by_name(name).unwrap();
-        let (gx2, gy2) = fixed_mul_base(&curve, 2).expect("2G is finite");
-        assert_eq!(gx2, curve.fp().from_biguint(&hex(x2)), "{name}: x(2G)");
-        assert_eq!(gy2, curve.fp().from_biguint(&hex(y2)), "{name}: y(2G)");
-        let (gx6, _) = fixed_mul_base(&curve, 6).expect("6G is finite");
-        assert_eq!(gx6, curve.fp().from_biguint(&hex(x6)), "{name}: x(6G)");
+        let g2 = stack_mul_base(&curve, 2);
+        let (gx2, gy2) = g2.coordinates().expect("2G is finite");
+        assert_eq!(*gx2, curve.fp().from_biguint(&hex(x2)), "{name}: x(2G)");
+        assert_eq!(*gy2, curve.fp().from_biguint(&hex(y2)), "{name}: y(2G)");
+        let g6 = stack_mul_base(&curve, 6);
+        let (gx6, _) = g6.coordinates().expect("6G is finite");
+        assert_eq!(*gx6, curve.fp().from_biguint(&hex(x6)), "{name}: x(6G)");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The dispatching ladder (which routes 256-bit double-and-add through
-    /// the fixed backend) agrees with the always-heap reference ladder on
-    /// random full-width scalars, on both named 256-bit curves.
+    /// The public ladder (which runs 256-bit double-and-add on the field's
+    /// four-word stack context) agrees with the always-heap reference
+    /// ladder on random full-width scalars, on both named 256-bit curves.
     #[test]
     fn dispatch_matches_reference_ladder(seed in any::<u64>()) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);

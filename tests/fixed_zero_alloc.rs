@@ -5,10 +5,11 @@
 //! ladder — run entirely on stack arrays, at every width the paper uses.
 //! These tests install a counting global allocator and assert that, after
 //! setup, those loops perform **zero** heap allocations: on the raw 256-bit
-//! context, and through the counted `FpContext` at the paper's 160- and
-//! 170-bit widths (field operations, the `Fp6` product, the p160 ladder).
-//! A `Vec` sneaking back into the CIOS kernel, the field element or the
-//! ladder would fail here immediately. RSA-size exponentiations through
+//! context, through the counted `FpContext` at the paper's 160- and
+//! 170-bit widths (field operations, the `Fp6` product, the p160 ladder),
+//! and through the whole public `Curve::scalar_mul` call at 160 and 256
+//! bits. A `Vec` sneaking back into the CIOS kernel, the field element or
+//! the ladder would fail here immediately. RSA-size exponentiations through
 //! `MontgomeryParams` may allocate only for their conversions, a count that
 //! must not grow with the exponent. The counter itself is sanity-checked
 //! against the heap backend, which must allocate.
@@ -17,12 +18,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use bignum::fixed::Uint;
+use bignum::fixed::{MontgomeryContext, Uint};
 use bignum::{BigUint, MontgomeryParams};
 use ceilidh::CeilidhParams;
 use ecc::ladder::Ladder;
 use ecc::prelude::*;
-use field::{FpContext, FpElement};
+use field::FpContext;
 use rand::SeedableRng;
 
 thread_local! {
@@ -66,28 +67,20 @@ fn allocations() -> u64 {
 
 #[test]
 fn fixed_backend_loops_do_not_touch_the_heap() {
-    // Setup may allocate freely: curve construction, context setup, and the
-    // BigUint conversions all happen before the measured window.
-    let curve = Curve::from_parameters::<Secp256k1>().unwrap();
-    let ctx = curve
-        .fp()
-        .fixed256()
-        .expect("secp256k1 has a fixed backend");
-    let residue = |e: &FpElement| e.mont_repr().expect("a 256-bit field stores words");
-    let coefficient = residue(curve.a());
-    let ladder = Ladder::new(ctx, &coefficient, curve.a_is_minus_three());
-    let (gx, gy) = curve.base_point().coordinates().expect("G is finite");
-    let (x, y) = (residue(gx), residue(gy));
+    // Setup may allocate freely: context setup and the BigUint conversions
+    // all happen before the measured window.
+    let p = BigUint::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
+        .unwrap();
+    let ctx = MontgomeryContext::<4>::new(&p).expect("the secp256k1 prime fits four words");
     let scalar =
         BigUint::from_hex("4727b5cc3a1b2eff9db127aa7412a7641eb87a766e6c46cfe0f5ab7ad8b33bb2")
             .unwrap();
     let k = Uint::<4>::from_biguint(&scalar).unwrap();
-    let a = ctx.to_mont(&x);
-    let b = ctx.to_mont(&y);
+    let a = ctx.to_mont(&Uint::from_u64(0x79be_667e));
+    let b = ctx.to_mont(&Uint::from_u64(0x483a_da77));
 
     // The measured window: the CIOS kernel under sustained iteration, one
-    // full exponentiation, one Fermat inversion, and one complete 256-bit
-    // scalar-multiplication ladder with its return to affine form.
+    // full exponentiation and one Fermat inversion.
     let before = allocations();
     let mut acc = a;
     for _ in 0..1000 {
@@ -95,16 +88,44 @@ fn fixed_backend_loops_do_not_touch_the_heap() {
     }
     let powed = ctx.mont_pow(black_box(&acc), black_box(&k));
     let inverted = ctx.mont_inv_prime(black_box(&powed)).unwrap();
-    let acc = ladder.double_and_add(black_box(&x), black_box(&y), black_box(&scalar));
-    let point = ladder.to_affine(&acc);
     let after = allocations();
 
-    black_box((acc, powed, inverted, point));
+    black_box((acc, powed, inverted));
     assert_eq!(
         after - before,
         0,
-        "fixed Montgomery/ladder loops must not allocate"
+        "fixed Montgomery loops must not allocate"
     );
+}
+
+#[test]
+fn public_scalar_mul_does_not_touch_the_heap() {
+    // The whole call: lowering the operands, the ladder, its inversion,
+    // lifting the result and the one counter update.
+    let k = BigUint::from_hex("9f3c0a55e4d2b8a17c66f0e1d2c3b4a5968778aa").unwrap();
+    for curve in [
+        Curve::from_parameters::<Secp256k1>().unwrap(),
+        Curve::from_parameters::<P256>().unwrap(),
+        Curve::p160_reproduction().unwrap(),
+    ] {
+        let g = curve.base_point();
+        let before = curve.fp().op_count();
+        let call = allocations_in(|| {
+            curve.scalar_mul(
+                black_box(g),
+                black_box(&k),
+                ScalarMulAlgorithm::DoubleAndAdd,
+            )
+        });
+        assert_eq!(call, 0, "{}: scalar_mul", curve.name());
+        let counted = curve.fp().op_count().since(&before);
+        assert!(
+            counted.mul > 1000,
+            "{}: the call records counts",
+            curve.name()
+        );
+        assert_eq!(counted.inv, 1, "{}: one inversion", curve.name());
+    }
 }
 
 /// Allocations made by `f`, with its result kept alive until after the
