@@ -138,15 +138,6 @@ impl Montgomery256 {
         on_width!(self, c => widen(&neg_mod(&narrow(a), c.modulus())))
     }
 
-    /// [`MontgomeryContext::mont_pow`] at this width: `None` when the
-    /// exponent is wider than `L` words.
-    pub fn mont_pow(&self, base_mont: &Uint<4>, exp: &BigUint) -> Option<Uint<4>> {
-        on_width!(self, c => {
-            let exp = Uint::from_biguint(exp)?;
-            Some(widen(&c.mont_pow(&narrow(base_mont), &exp)))
-        })
-    }
-
     /// Fermat inversion staying in Montgomery form; `None` for zero.
     pub fn mont_inv_prime(&self, a_mont: &Uint<4>) -> Option<Uint<4>> {
         on_width!(self, c => c.mont_inv_prime(&narrow(a_mont)).map(|r| widen(&r)))
@@ -225,12 +216,6 @@ mod tests {
                 "{bits}: sub"
             );
             assert_eq!(plain(&ctx.neg(&am)), &m - &a, "{bits}: neg");
-            let e = BigUint::from(0xdead_beefu64);
-            let pow = ctx.mont_pow(&am, &e).unwrap();
-            assert_eq!(plain(&pow), crate::mod_exp(&a, &e, &m), "{bits}: pow");
-            // An exponent wider than the context is refused, not truncated.
-            let wide = BigUint::one().shl_bits(64 * ctx.words());
-            assert!(ctx.mont_pow(&am, &wide).is_none(), "{bits}: wide exponent");
         }
     }
 

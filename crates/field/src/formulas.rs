@@ -8,10 +8,12 @@
 //! instantiated on every backend:
 //!
 //! * [`FpContext`] — the field itself, counting every operation on the
-//!   shared counter (behind [`crate::Fp6Context`] and
-//!   [`crate::Fp3Context`]);
+//!   shared counter (behind [`crate::Fp3Context`], and behind every
+//!   [`FieldJob`] on a `heap_only` twin or a field wider than 256 bits);
 //! * the field's own `L`-word [`MontgomeryContext`], which
-//!   [`FpContext::run`] hands a [`FieldJob`] behind a non-atomic tally;
+//!   [`FpContext::run`] hands a [`FieldJob`] behind a non-atomic tally —
+//!   each [`crate::Fp6Context`] product and exponentiation, each
+//!   [`FpContext::exp`] and each `ecc` scalar ladder is one such job;
 //! * the platform crate's recorder, which turns each operation into one
 //!   step of the coprocessor program.
 //!
@@ -55,9 +57,9 @@ pub trait FieldOps {
 /// between [`FpElement`] and the backend's own element.
 ///
 /// [`FpContext`] implements it, and so does the stack backend
-/// [`FpContext::run`] picks; the `ecc` crate's ladders are written once
-/// against it. Both count exactly what the inherent [`FpContext`]
-/// operations count.
+/// [`FpContext::run`] picks; the `ecc` crate's ladders and the tower's
+/// exponentiations are written once against it. Both count exactly what
+/// the inherent [`FpContext`] operations count.
 pub trait ValueOps: FieldOps<Elem: Clone + PartialEq> {
     /// The additive identity.
     fn zero(&self) -> Self::Elem;

@@ -9,7 +9,7 @@ use bignum::{BigUint, MontgomeryParams};
 use rand::Rng;
 
 use crate::error::FieldError;
-use crate::formulas::{FieldJob, Words};
+use crate::formulas::{FieldJob, ValueOps, Words};
 use crate::opcount::{OpCount, OpCounter};
 
 /// Context for arithmetic in the prime field `Fp`.
@@ -26,15 +26,15 @@ use crate::opcount::{OpCount, OpCounter};
 /// (`⌈n/64⌉` words, see [`bignum::fixed::montgomery_words`]). The heap
 /// [`MontgomeryParams`] share its radix at every width, so the residues are
 /// bit-identical to the heap backend's. Wider fields keep `BigUint`
-/// residues. Either way each operation records exactly one count (an
-/// exponentiation records its squarings and multiplications), so op
-/// counts do not depend on the backend.
+/// residues. Either way each single operation records exactly one count,
+/// so op counts do not depend on the backend.
 ///
 /// A whole computation written over [`crate::ValueOps`] — a scalar-mult
-/// ladder, say — runs through [`FpContext::run`] instead: the width is
-/// picked once, the operations run on that context directly, and the
-/// same counts are added to the counter once, when the computation
-/// returns.
+/// ladder, an `Fp6` product or exponentiation, or [`FpContext::exp`]
+/// itself — runs through [`FpContext::run`] instead: the width is picked
+/// once, the operations run on that context directly, and the same counts
+/// (an exponentiation's squarings and multiplications included) are added
+/// to the counter once, when the computation returns.
 ///
 /// Cloning the context is cheap and clones share the same counter.
 ///
@@ -428,33 +428,14 @@ impl FpContext {
         acc
     }
 
-    /// Modular exponentiation by square-and-multiply.
-    ///
-    /// When the exponent fits in the field's word count, the whole loop
-    /// runs on the stack context ([`MontgomeryContext::mont_pow`]) and the
-    /// counts a serial loop would make are recorded at once; wider
-    /// exponents, [`FpContext::heap_only`] twins and fields wider than 256
-    /// bits run the counted loop. Results and counts are identical.
+    /// Modular exponentiation by square-and-multiply, run as one
+    /// [`FieldJob`] through [`FpContext::run`]: up to 256 bits the whole
+    /// loop runs on the field's stack context, whatever the exponent's
+    /// width, and its `bit_len + popcount` products reach the counter in
+    /// one update. A [`FpContext::heap_only`] twin or a wider field counts
+    /// each product as it runs. Results and counts are identical.
     pub fn exp(&self, base: &FpElement, exp: &BigUint) -> FpElement {
-        if let (Some(ctx), Residue::Words(b)) = (self.inner.backend.products(), &base.0) {
-            if let Some(pow) = ctx.mont_pow(b, exp) {
-                self.record_serial_exp_ops(exp);
-                return FpElement(Residue::Words(pow));
-            }
-        }
-        square_and_multiply(self.one(), base, exp, |a, b| self.mul(a, b))
-    }
-
-    /// Records what the serial square-and-multiply loop would record for
-    /// exponent `exp` — one product per squaring and one per set bit — in
-    /// one counter update, so [`FpContext::exp`] on the stack context keeps
-    /// the modeled operation counts of the counted loop.
-    fn record_serial_exp_ops(&self, exp: &BigUint) {
-        let set_bits = (0..exp.bit_len()).filter(|&i| exp.bit(i)).count();
-        self.inner.counter.add(OpCount {
-            mul: (exp.bit_len() + set_bits) as u64,
-            ..OpCount::default()
-        });
+        self.run(Exp { base, exp })
     }
 
     /// Batched modular inversion by **Montgomery's trick**: one Fermat
@@ -470,9 +451,10 @@ impl FpContext {
     /// context; a field wider than 256 bits inverts element by element.
     pub fn inv_batch(&self, elems: &[FpElement]) -> Vec<Option<FpElement>> {
         let live: Vec<usize> = (0..elems.len()).filter(|&i| !elems[i].is_zero()).collect();
-        for _ in &live {
-            self.inner.counter.record_inv();
-        }
+        self.inner.counter.add(OpCount {
+            inv: live.len() as u64,
+            ..OpCount::default()
+        });
         let mut out: Vec<Option<FpElement>> = vec![None; elems.len()];
         let Some(ctx) = self.inner.backend.words() else {
             for &i in &live {
@@ -583,6 +565,22 @@ impl FpContext {
             r = self.mul(&r, &b);
         }
         Some(r)
+    }
+}
+
+/// [`FpContext::exp`]'s loop, on the backend [`FpContext::run`] picks.
+struct Exp<'a> {
+    base: &'a FpElement,
+    exp: &'a BigUint,
+}
+
+impl FieldJob for Exp<'_> {
+    type Output = FpElement;
+
+    fn run<F: ValueOps>(self, f: &F) -> FpElement {
+        let base = f.lower(self.base);
+        let power = square_and_multiply(f.one(), &base, self.exp, |a, b| f.mul(a, b));
+        f.lift(power)
     }
 }
 
@@ -766,7 +764,7 @@ mod tests {
             let a = fp.random(&mut rng);
             let e = BigUint::random_below(&mut rng, &p);
             // Reference: plain square-and-multiply on the plain residue (not
-            // Montgomery, so no fast path is checked against itself).
+            // Montgomery, so the stack loop is not checked against itself).
             let expected = bignum::mod_exp(&fp.to_biguint(&a), &e, &p);
             assert_eq!(fp.to_biguint(&fp.exp(&a, &e)), expected);
             if !a.is_zero() {
@@ -775,8 +773,8 @@ mod tests {
             }
         }
 
-        // Exponents wider than the field's four words still work, on the
-        // counted loop, and count like every other exponent.
+        // Exponents wider than the field's four words run on the same
+        // stack loop and count like every other exponent.
         let a = fp.random(&mut rng);
         let wide = BigUint::random_bits(&mut rng, 300);
         fp.reset_op_count();
@@ -787,8 +785,8 @@ mod tests {
         let expected = bignum::mod_exp(&fp.to_biguint(&a), &wide, &p);
         assert_eq!(fp.to_biguint(&got), expected);
 
-        // The fast path records the same operation counts as the heap loop:
-        // one mul per squaring plus one per set exponent bit.
+        // One mul per squaring plus one per set exponent bit, as on the
+        // per-operation counted loop.
         fp.reset_op_count();
         let e = BigUint::from(0b1011u64);
         let _ = fp.exp(&fp.from_u64(7), &e);

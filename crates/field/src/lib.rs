@@ -25,8 +25,10 @@
 //! * [`FieldJob`] — a computation written once over [`ValueOps`], which
 //!   [`FpContext::run`] runs on the field's own
 //!   [`bignum::fixed::MontgomeryContext`], picking the width once and
-//!   adding one tally to the shared [`OpCounter`] when it returns. This
-//!   crate is the only one that picks a width.
+//!   adding one tally to the shared [`OpCounter`] when it returns. Each
+//!   [`Fp6Context`] product and exponentiation and each [`FpContext::exp`]
+//!   is one job, as is each `ecc` scalar ladder. This crate is the only
+//!   one that picks a width.
 //!
 //! # Example
 //!

@@ -7,6 +7,7 @@ use ceilidh::{
     verify, CeilidhParams, KeyPair,
 };
 use ecc::prelude::*;
+use field::{FpContext, OpCount};
 use platform::{CostModel, Hierarchy, Platform};
 use rand::SeedableRng;
 use rsa_torus::RsaKeyPair;
@@ -76,6 +77,45 @@ fn compressed_torus_elements_stay_in_the_subgroup_after_transport() {
         assert!(params.is_subgroup_member(restored.as_fp6()));
         assert_eq!(restored, g);
     }
+}
+
+#[test]
+fn paper_size_torus_calls_record_the_pinned_counts() {
+    // The operation counts the paper's cost model is built from, pinned at
+    // the protocol level: one CEILIDH-170 exponentiation, compression and
+    // decompression of one seeded element, however the field runs them.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1034);
+    let params = CeilidhParams::date2008().expect("built-in 170-bit parameters");
+    let fp = params.fp();
+    let (_, g) = params.random_subgroup_element(&mut rng);
+    let e = BigUint::random_below(&mut rng, params.q());
+    fn counted<T>(fp: &FpContext, op: impl FnOnce() -> T) -> (T, OpCount) {
+        let before = fp.op_count();
+        let out = op();
+        (out, fp.op_count().since(&before))
+    }
+
+    let (h, pow) = counted(fp, || params.pow(&g, &e));
+    let (c, compressed) = counted(fp, || compress(&params, &h).expect("compressible"));
+    let (back, decompressed) = counted(fp, || decompress(&params, &c).expect("valid"));
+    assert_eq!(back, h);
+
+    let count = |mul, add, sub, inv| OpCount { mul, add, sub, inv };
+    assert_eq!(pow, count(8_964, 9_960, 21_912, 0), "pow");
+    assert_eq!(compressed, count(1_461, 1_189, 2_255, 5), "compress");
+    // Under debug assertions `decompress` also re-checks torus membership:
+    // two relative norms, three more products and their Frobenius maps.
+    let decompress = if cfg!(debug_assertions) {
+        count(1_419, 1_140, 2_201, 5)
+    } else {
+        count(1_365, 1_069, 2_055, 5)
+    };
+    assert_eq!(decompressed, decompress, "decompress");
+    // The exponentiation is 498 products of 18 M + 20 A + 44 S each: one
+    // per squaring and one per set exponent bit.
+    let set_bits = (0..e.bit_len()).filter(|&i| e.bit(i)).count();
+    assert_eq!(e.bit_len() + set_bits, 498);
+    assert_eq!(pow, count(18 * 498, 20 * 498, 44 * 498, 0));
 }
 
 #[test]

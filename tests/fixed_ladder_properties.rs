@@ -21,6 +21,12 @@
 //! boundary. The ladder's degenerate-case wrappers, run through
 //! `FpContext::run` at one, three and four words, must match the counted
 //! field's wrappers in result and op count.
+//!
+//! The tower's jobs get the same treatment: `Fp6Context` products,
+//! squarings, exponentiations (plain and windowed), inversions and norms
+//! over fields of one, two and three words and of 300 bits must match the
+//! `heap_only` twin's values and op counts, with every product recording
+//! exactly 18 M + 20 A + 44 S.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -30,7 +36,7 @@ use bignum::BigUint;
 use ceilidh::CeilidhParams;
 use ecc::ladder::Ladder;
 use ecc::prelude::*;
-use field::{FieldJob, FpContext, FpElement, ValueOps};
+use field::{FieldJob, Fp6Context, Fp6Element, FpContext, FpElement, OpCount, ValueOps};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -416,5 +422,90 @@ fn degenerate_wrappers_match_the_heap_wrappers() {
             "{name}: counts"
         );
         assert!(want[4][2].is_zero(), "{name}: q + (−q) is infinity");
+    }
+}
+
+/// Primes ≡ 2 (mod 9), so that `Fp6 = Fp[z]/(z⁶ + z³ + 1)` exists over
+/// them, at one, two and three words and past the stack backend: 101,
+/// 2^127 + 45, the paper's CEILIDH-170 prime and 2^299 + 645.
+fn tower_primes() -> Vec<BigUint> {
+    let primes = vec![
+        BigUint::from(101u64),
+        &BigUint::one().shl_bits(127) + &BigUint::from(45u64),
+        CeilidhParams::date2008().unwrap().p().clone(),
+        &BigUint::one().shl_bits(299) + &BigUint::from(645u64),
+    ];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+    for p in &primes {
+        assert!(bignum::is_prime(p, &mut rng), "{p:?} is prime");
+        assert_eq!(p % &BigUint::from(9u64), BigUint::from(2u64), "{p:?}");
+    }
+    primes
+}
+
+/// What `n` `Fp6` products record: 18 M + 20 A + 44 S each.
+fn products(n: u64) -> OpCount {
+    OpCount {
+        mul: 18 * n,
+        add: 20 * n,
+        sub: 44 * n,
+        inv: 0,
+    }
+}
+
+/// The products square-and-multiply makes for exponent `e`.
+fn exp_products(e: &BigUint) -> u64 {
+    (e.bit_len() + (0..e.bit_len()).filter(|&i| e.bit(i)).count()) as u64
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `Fp6Context` over each field and over its `heap_only` twin, whose
+    /// products and exponentiations run on the per-operation counted
+    /// field: `mul`, `square`, `exp`, `exp_window(·, 4)`, `inv` and `norm`
+    /// give the same values and the same op-count deltas, at the exponents
+    /// 0, 1, a random exponent the size of CEILIDH-170's `q` and one wider
+    /// than the field. One product records exactly 18 M + 20 A + 44 S, and
+    /// `exp(a, e)` exactly `bit_len(e) + popcount(e)` products.
+    #[test]
+    fn fp6_jobs_match_the_heap_twin(seed in any::<u64>()) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let q_bits = CeilidhParams::date2008().unwrap().q().bit_len();
+        for p in tower_primes() {
+            let fast = Fp6Context::new(FpContext::new(&p).unwrap()).unwrap();
+            let heap = Fp6Context::new(fast.fp().heap_only()).unwrap();
+            let (a, b) = (fast.random(&mut rng), fast.random(&mut rng));
+            let bits = p.bit_len();
+            let counted = |label: &str, op: &dyn Fn(&Fp6Context) -> Fp6Element| {
+                let before = fast.fp().op_count();
+                let got = op(&fast);
+                let mid = fast.fp().op_count();
+                let want = op(&heap);
+                let count = mid.since(&before);
+                assert_eq!(got, want, "{bits} bits: {label}");
+                assert_eq!(count, fast.fp().op_count().since(&mid), "{bits} bits: {label} counts");
+                (got, count)
+            };
+            prop_assert_eq!(counted("mul", &|f| f.mul(&a, &b)).1, products(1));
+            prop_assert_eq!(counted("square", &|f| f.square(&a)).1, products(1));
+            for e in [
+                BigUint::zero(),
+                BigUint::one(),
+                BigUint::random_bits(&mut rng, q_bits),
+                BigUint::random_bits(&mut rng, 64 * bits.div_ceil(64) + 64),
+            ] {
+                let label = format!("exp by {} bits", e.bit_len());
+                let (power, count) = counted(&label, &|f| f.exp(&a, &e));
+                prop_assert_eq!(count, products(exp_products(&e)), "{} bits: {}", bits, label);
+                // The windowed loop is built from single products, not from
+                // the exponentiation job, so it checks the job's values.
+                let (window, count) = counted(&label, &|f| f.exp_window(&a, &e, 4));
+                prop_assert_eq!(window, power, "{} bits: {}", bits, label);
+                prop_assert_eq!(count, products(count.mul / 18), "{} bits: whole products", bits);
+            }
+            counted("inv", &|f| f.inv(&a).unwrap());
+            counted("norm", &|f| f.from_fp(f.norm(&a)));
+        }
     }
 }

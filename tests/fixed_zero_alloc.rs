@@ -6,13 +6,14 @@
 //! These tests install a counting global allocator and assert that, after
 //! setup, those loops perform **zero** heap allocations: on the raw 256-bit
 //! context, through the counted `FpContext` at the paper's 160- and
-//! 170-bit widths (field operations, the `Fp6` product, the p160 ladder),
-//! and through the whole public `Curve::scalar_mul` call at 160 and 256
-//! bits. A `Vec` sneaking back into the CIOS kernel, the field element or
-//! the ladder would fail here immediately. RSA-size exponentiations through
-//! `MontgomeryParams` may allocate only for their conversions, a count that
-//! must not grow with the exponent. The counter itself is sanity-checked
-//! against the heap backend, which must allocate.
+//! 170-bit widths (field operations, the `Fp6` product and exponentiation,
+//! the p160 ladder), through the whole public `CeilidhParams::pow` call at
+//! 170 bits, and through the whole public `Curve::scalar_mul` call at 160
+//! and 256 bits. A `Vec` sneaking back into the CIOS kernel, the field
+//! element or the ladder would fail here immediately. RSA-size
+//! exponentiations through `MontgomeryParams` may allocate only for their
+//! conversions, a count that must not grow with the exponent. The counter
+//! itself is sanity-checked against the heap backend, which must allocate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -175,7 +176,7 @@ fn field_operations_at_the_paper_widths_do_not_touch_the_heap() {
 }
 
 #[test]
-fn the_fp6_product_at_170_bits_does_not_touch_the_heap() {
+fn the_fp6_product_and_torus_exponentiation_at_170_bits_do_not_touch_the_heap() {
     let params = CeilidhParams::date2008().expect("built-in CEILIDH-170 parameters");
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xf6);
     let fp6 = params.fp6();
@@ -183,6 +184,25 @@ fn the_fp6_product_at_170_bits_does_not_touch_the_heap() {
     let b = fp6.random(&mut rng);
     let product = allocations_in(|| fp6.mul(black_box(&a), black_box(&b)));
     assert_eq!(product, 0, "one karatsuba-fp6 product");
+
+    // Whole exponentiations by a q-sized exponent, through the field and
+    // through the public torus API: one job each, 18 multiplications per
+    // squaring and per set exponent bit.
+    let (_, g) = params.random_subgroup_element(&mut rng);
+    let e = BigUint::random_below(&mut rng, params.q());
+    let products = (e.bit_len() + (0..e.bit_len()).filter(|&i| e.bit(i)).count()) as u64;
+    let before = params.fp().op_count();
+    let power = allocations_in(|| fp6.exp(black_box(&a), black_box(&e)));
+    assert_eq!(power, 0, "Fp6Context::exp");
+    let mid = params.fp().op_count();
+    let torus = allocations_in(|| params.pow(black_box(&g), black_box(&e)));
+    assert_eq!(torus, 0, "CeilidhParams::pow");
+    assert_eq!(mid.since(&before).mul, 18 * products, "Fp6Context::exp");
+    assert_eq!(
+        params.fp().op_count().since(&mid).mul,
+        18 * products,
+        "CeilidhParams::pow"
+    );
 }
 
 #[test]
