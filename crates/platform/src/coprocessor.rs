@@ -9,10 +9,19 @@
 //! unattractive); multiplications use the carry-local multicore schedule of
 //! Fig. 5.
 //!
-//! Every operation is executed functionally — the simulator computes the
-//! actual numeric result, which the test-suite compares against the host
-//! `bignum` implementation — while cycles are accounted per microinstruction
-//! with single-port memory serialisation.
+//! [`Coprocessor::mont_mul`], [`Coprocessor::mod_add`] and
+//! [`Coprocessor::mod_sub`] are the register-level reference: each builds
+//! its microcode, executes it word by word and accounts cycles per
+//! microinstruction with single-port memory serialisation. A leaf's cycle
+//! count depends only on its shape — the operation, the operand length
+//! and, for MA/MS, the correction path — so the coprocessor keeps one leaf
+//! table per cost model and core count: each shape executes once, on
+//! [`sample_modulus`], and the sequences the platform runs take their
+//! cycles from the table and their values from host arithmetic (debug
+//! builds still execute every leaf and check both).
+
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use bignum::{mod_inv, BigUint};
 
@@ -34,11 +43,29 @@ pub struct ModOpResult {
     pub memory_accesses: u64,
 }
 
+/// One leaf shape of the coprocessor: the operation and, for MA/MS, the
+/// correction path the decoder takes. With the operand length it
+/// determines the leaf's cycle count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Leaf {
+    /// Montgomery multiplication.
+    MontMul,
+    /// Modular addition; `corrected` when the sum reaches the modulus.
+    ModAdd { corrected: bool },
+    /// Modular subtraction; `added_back` when the minuend is the smaller.
+    ModSub { added_back: bool },
+}
+
 /// The multicore coprocessor model.
+///
+/// Cloning a `Coprocessor` shares its leaf table, so clones execute each
+/// leaf shape once between them.
 #[derive(Debug, Clone)]
 pub struct Coprocessor {
     cost: CostModel,
     num_cores: usize,
+    /// Cycles per `(leaf, bits)`, each filled by one register-level run.
+    leaves: Arc<Mutex<HashMap<(Leaf, usize), u64>>>,
 }
 
 impl Coprocessor {
@@ -53,7 +80,11 @@ impl Coprocessor {
             cost.word_bits >= 4 && cost.word_bits <= 16,
             "the simulator models datapath widths of 4..=16 bits"
         );
-        Coprocessor { cost, num_cores }
+        Coprocessor {
+            cost,
+            num_cores,
+            leaves: Arc::default(),
+        }
     }
 
     /// The cost model in use.
@@ -583,32 +614,66 @@ impl Coprocessor {
         }
     }
 
+    /// The register-level reference run of `leaf` on `x`, `y` modulo `p`
+    /// (the leaf's path follows from the operands).
+    pub(crate) fn reference(
+        &self,
+        leaf: Leaf,
+        x: &BigUint,
+        y: &BigUint,
+        p: &BigUint,
+    ) -> ModOpResult {
+        match leaf {
+            Leaf::MontMul => self.mont_mul(x, y, p),
+            Leaf::ModAdd { .. } => self.mod_add(x, y, p),
+            Leaf::ModSub { .. } => self.mod_sub(x, y, p),
+        }
+    }
+
+    /// Cycles of one `leaf` at `bits` operand length, read from the leaf
+    /// table. A miss executes the shape once at register level on
+    /// [`sample_modulus`]`(bits)`, outside the lock.
+    pub(crate) fn leaf_cycles(&self, leaf: Leaf, bits: usize) -> u64 {
+        let key = (leaf, bits);
+        if let Some(&cycles) = self.leaves.lock().expect("leaf table poisoned").get(&key) {
+            return cycles;
+        }
+        let p = sample_modulus(bits);
+        let small = |v: u64| BigUint::from(v);
+        let hi = &p - &small(1);
+        let (x, y) = match leaf {
+            Leaf::MontMul => (&p - &small(2), &p - &small(3)),
+            Leaf::ModAdd { corrected: false } => (small(2), small(3)),
+            Leaf::ModAdd { corrected: true } => (hi.clone(), hi),
+            Leaf::ModSub { added_back: false } => (small(3), small(2)),
+            Leaf::ModSub { added_back: true } => (small(1), hi),
+        };
+        let cycles = self.reference(leaf, &x, &y, &p).cycles;
+        *self
+            .leaves
+            .lock()
+            .expect("leaf table poisoned")
+            .entry(key)
+            .or_insert(cycles)
+    }
+
     /// Cycle count of one Montgomery multiplication at the given operand
     /// length (operand values do not influence the cycle count).
     pub fn mont_mul_cycles(&self, bits: usize) -> u64 {
-        let p = sample_modulus(bits);
-        let x = &p - &BigUint::from(2u64);
-        let y = &p - &BigUint::from(3u64);
-        self.mont_mul(&x, &y, &p).cycles
+        self.leaf_cycles(Leaf::MontMul, bits)
     }
 
     /// Cycle count of one modular addition at the given operand length
     /// (the common case where no correction block is needed, which is what
     /// Table 1 reports).
     pub fn mod_add_cycles(&self, bits: usize) -> u64 {
-        let p = sample_modulus(bits);
-        let x = BigUint::from(2u64);
-        let y = BigUint::from(3u64);
-        self.mod_add(&x, &y, &p).cycles
+        self.leaf_cycles(Leaf::ModAdd { corrected: false }, bits)
     }
 
     /// Cycle count of one modular subtraction at the given operand length
     /// (no add-back case).
     pub fn mod_sub_cycles(&self, bits: usize) -> u64 {
-        let p = sample_modulus(bits);
-        let x = BigUint::from(3u64);
-        let y = BigUint::from(2u64);
-        self.mod_sub(&x, &y, &p).cycles
+        self.leaf_cycles(Leaf::ModSub { added_back: false }, bits)
     }
 
     /// Cycle count of one modular addition whose correction block runs
@@ -618,18 +683,14 @@ impl Coprocessor {
     /// ablations and the property tests probe through this helper so they
     /// cannot drift onto different operand choices.
     pub fn mod_add_worst_cycles(&self, bits: usize) -> u64 {
-        let p = sample_modulus(bits);
-        let hi = &p - &BigUint::from(1u64);
-        self.mod_add(&hi, &hi, &p).cycles
+        self.leaf_cycles(Leaf::ModAdd { corrected: true }, bits)
     }
 
     /// Cycle count of one modular subtraction whose add-back block runs
     /// (`x = 1, y = p - 1` forces the difference negative); see
     /// [`Coprocessor::mod_add_worst_cycles`].
     pub fn mod_sub_worst_cycles(&self, bits: usize) -> u64 {
-        let p = sample_modulus(bits);
-        let hi = &p - &BigUint::from(1u64);
-        self.mod_sub(&BigUint::from(1u64), &hi, &p).cycles
+        self.leaf_cycles(Leaf::ModSub { added_back: true }, bits)
     }
 }
 
@@ -793,6 +854,50 @@ mod tests {
         let s = cp.cost().limbs(p.bit_len());
         let r = BigUint::one().shl_bits(w * s) % &p;
         assert_eq!((&got.value * &r) % &p, (&x * &y) % &p);
+    }
+
+    #[test]
+    fn leaf_table_holds_each_executed_shape_and_is_shared_by_clones() {
+        let curve = ecc::Curve::p160_reproduction().unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(104);
+        let point = curve.random_point(&mut rng);
+        let k = BigUint::random_bits(&mut rng, 160);
+        let plat = crate::Platform::new(CostModel::paper(), 4, crate::Hierarchy::TypeB);
+        plat.ecc_scalar_multiplication(&curve, &point, &k);
+        let cp = plat.coprocessor();
+        let entries = || cp.leaves.lock().unwrap().clone();
+
+        // A random 160-bit scalar takes every MA and MS path.
+        let shapes = [
+            Leaf::MontMul,
+            Leaf::ModAdd { corrected: false },
+            Leaf::ModAdd { corrected: true },
+            Leaf::ModSub { added_back: false },
+            Leaf::ModSub { added_back: true },
+        ];
+        let table = entries();
+        let mut keys: Vec<_> = table.keys().copied().collect();
+        keys.sort_by_key(|&(leaf, bits)| (shapes.iter().position(|&s| s == leaf), bits));
+        assert_eq!(keys, shapes.map(|leaf| (leaf, 160)));
+
+        // The probes read the same entries.
+        assert_eq!(cp.mont_mul_cycles(160), table[&(Leaf::MontMul, 160)]);
+        assert_eq!(
+            cp.mod_add_worst_cycles(160),
+            table[&(Leaf::ModAdd { corrected: true }, 160)]
+        );
+        assert_eq!(
+            cp.mod_sub_cycles(160),
+            table[&(Leaf::ModSub { added_back: false }, 160)]
+        );
+
+        // A second ladder adds nothing, and a clone fills the same table.
+        plat.ecc_scalar_multiplication(&curve, &point, &k);
+        assert_eq!(entries(), table);
+        let clone = cp.clone();
+        let mm170 = clone.mont_mul_cycles(170);
+        assert_eq!(entries()[&(Leaf::MontMul, 170)], mm170);
+        assert_eq!(entries().len(), shapes.len() + 1);
     }
 
     #[test]

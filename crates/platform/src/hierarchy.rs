@@ -14,13 +14,14 @@
 //!   instruction and services a single interrupt.
 //!
 //! One walk applies these rules, together with the Type-B sequencer's
-//! operand prefetch: execution feeds it the cycles the coprocessor spends
-//! on each step, [`SequencePricing`] feeds it a static per-op table, and
-//! the search pass steps it once per candidate schedule prefix.
+//! operand prefetch: execution feeds it the cycles the coprocessor's leaf
+//! table holds for each step, [`SequencePricing`] feeds it the same table's
+//! calibrated entries, and the search pass steps it once per candidate
+//! schedule prefix.
 
-use bignum::BigUint;
+use bignum::{mod_inv, mod_mul, BigUint, MontgomeryParams, LIMB_BITS};
 
-use crate::coprocessor::Coprocessor;
+use crate::coprocessor::{Coprocessor, Leaf};
 use crate::cost::CostModel;
 use crate::report::ExecutionReport;
 
@@ -142,7 +143,7 @@ impl SequenceOp {
 /// * the operation counters.
 ///
 /// Three callers feed it: [`Platform::execute`](crate::Platform::execute)
-/// passes the cycles the coprocessor spends executing each step,
+/// passes each executed step's cycles from the coprocessor's leaf table,
 /// [`SequencePricing`] passes its static per-op table, and the search
 /// pass advances one walk per candidate prefix, step by step.
 #[derive(Debug, Clone, Copy)]
@@ -233,42 +234,137 @@ impl Walk {
     }
 }
 
-/// Executes `ops` against `slots` (values reduced modulo `modulus`) on
-/// `coprocessor`, walking them under `hierarchy` with each step's executed
-/// cycles.
+/// The platform's Montgomery domain for one modulus, built once per driver
+/// call: `R = 2^{w·s} mod p` for the datapath's word width `w` and limb
+/// count `s`, its inverse, and the host Montgomery context that computes
+/// every leaf's value.
+pub(crate) struct Domain {
+    host: MontgomeryParams,
+    /// `R mod p`: 1 in the platform domain.
+    pub(crate) r: BigUint,
+    r_inv: BigUint,
+    /// `R_h²·R⁻¹ mod p`, when the host radix `R_h = 2^{64·⌈n/64⌉}` differs
+    /// from the platform's `R`.
+    to_platform: Option<BigUint>,
+}
+
+impl Domain {
+    /// The domain of `modulus` on `cost`'s datapath.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the modulus is odd and greater than 1.
+    pub(crate) fn new(cost: &CostModel, modulus: &BigUint) -> Self {
+        let host = MontgomeryParams::new(modulus)
+            .expect("Montgomery multiplication needs an odd modulus > 1");
+        let r_bits = cost.word_bits * cost.limbs(modulus.bit_len());
+        let r = BigUint::one().shl_bits(r_bits) % modulus;
+        let r_inv = mod_inv(&r, modulus).expect("R is invertible for odd moduli");
+        let r_h_bits = LIMB_BITS * host.num_limbs();
+        let to_platform = (r_h_bits != r_bits).then(|| {
+            let r_h = BigUint::one().shl_bits(r_h_bits) % modulus;
+            mod_mul(&mod_mul(&r_h, &r_h, modulus), &r_inv, modulus)
+        });
+        Domain {
+            host,
+            r,
+            r_inv,
+            to_platform,
+        }
+    }
+
+    pub(crate) fn modulus(&self) -> &BigUint {
+        self.host.modulus()
+    }
+
+    /// `v·R mod p`: a residue in the platform's Montgomery domain.
+    pub(crate) fn enter(&self, v: &BigUint) -> BigUint {
+        mod_mul(v, &self.r, self.modulus())
+    }
+
+    /// `v·R⁻¹ mod p`: a platform-domain value back as a plain residue.
+    pub(crate) fn leave(&self, v: &BigUint) -> BigUint {
+        mod_mul(v, &self.r_inv, self.modulus())
+    }
+
+    /// The value of one MM, MA or MS step on `x` and `y`, computed on the
+    /// host, and the leaf shape the coprocessor runs for it. MM is
+    /// `x·y·R⁻¹ mod p`: one host product, or two through `R_h²·R⁻¹` where
+    /// the radices differ.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand is not reduced or `op` is a copy.
+    fn leaf(&self, op: &SequenceOp, x: &BigUint, y: &BigUint) -> (BigUint, Leaf) {
+        let p = self.modulus();
+        assert!(x < p && y < p, "operands must be reduced");
+        match op {
+            SequenceOp::MontMul { .. } => {
+                let xy = self.host.mont_mul(x, y);
+                let value = match &self.to_platform {
+                    Some(c) => self.host.mont_mul(&xy, c),
+                    None => xy,
+                };
+                (value, Leaf::MontMul)
+            }
+            SequenceOp::ModAdd { .. } => {
+                let sum = x + y;
+                let corrected = sum >= *p;
+                let value = if corrected { &sum - p } else { sum };
+                (value, Leaf::ModAdd { corrected })
+            }
+            SequenceOp::ModSub { .. } => {
+                let added_back = x < y;
+                let value = if added_back { &(x + p) - y } else { x - y };
+                (value, Leaf::ModSub { added_back })
+            }
+            SequenceOp::Copy { .. } => unreachable!("a copy is no coprocessor leaf"),
+        }
+    }
+}
+
+/// Executes `ops` against `slots` (values reduced modulo the domain's
+/// modulus) on `coprocessor`, walking them under `hierarchy`. Each step's
+/// value comes from host arithmetic and its cycles from the coprocessor's
+/// leaf table; debug builds also run every step at register level and
+/// check both.
 ///
 /// Montgomery products operate on whatever representation the slots are
 /// in; callers that need plain-domain results convert (see `Platform`).
 ///
 /// # Panics
 ///
-/// Panics if a slot index is out of range.
+/// Panics if a slot index is out of range or an operand is not reduced.
 pub(crate) fn execute(
     coprocessor: &Coprocessor,
     hierarchy: Hierarchy,
-    modulus: &BigUint,
+    domain: &Domain,
     slots: &mut [BigUint],
     ops: &[SequenceOp],
 ) -> ExecutionReport {
     let cost = coprocessor.cost();
-    Walk::new(cost, modulus.bit_len(), hierarchy).run(ops, |op| {
-        let (dst, result) = match *op {
-            SequenceOp::MontMul { dst, a, b } => {
-                (dst, coprocessor.mont_mul(&slots[a], &slots[b], modulus))
-            }
-            SequenceOp::ModAdd { dst, a, b } => {
-                (dst, coprocessor.mod_add(&slots[a], &slots[b], modulus))
-            }
-            SequenceOp::ModSub { dst, a, b } => {
-                (dst, coprocessor.mod_sub(&slots[a], &slots[b], modulus))
-            }
+    let p = domain.modulus();
+    let bits = p.bit_len();
+    Walk::new(cost, bits, hierarchy).run(ops, |op| {
+        let (dst, [a, b]) = match *op {
             SequenceOp::Copy { dst, src } => {
                 slots[dst] = slots[src].clone();
                 return cost.copy_cycles();
             }
+            _ => (op.dest(), op.sources()),
         };
-        slots[dst] = result.value;
-        result.cycles
+        let (value, leaf) = domain.leaf(op, &slots[a], &slots[b]);
+        let cycles = coprocessor.leaf_cycles(leaf, bits);
+        if cfg!(debug_assertions) {
+            let reference = coprocessor.reference(leaf, &slots[a], &slots[b], p);
+            debug_assert_eq!(
+                (&reference.value, reference.cycles),
+                (&value, cycles),
+                "register-level {leaf:?} at {bits} bits diverged from the host value or the leaf table"
+            );
+        }
+        slots[dst] = value;
+        cycles
     })
 }
 
@@ -276,10 +372,11 @@ pub(crate) fn execute(
 /// superoptimizing search pass.
 ///
 /// [`SequencePricing::sequence_cycles`] feeds the executing platform's
-/// walk a static per-op table instead of executing any arithmetic, so a
+/// walk a static per-op table instead of computing any values, so a
 /// candidate reordering can be priced in microseconds instead of
-/// milliseconds. The table is probed once on the coprocessor that will
-/// run the sequences, so it follows its core count (Fig. 5); the
+/// milliseconds. Its prices are read from the leaf table of the
+/// coprocessor that will run the sequences — the table execution charges
+/// from — so they follow its core count (Fig. 5); the
 /// `pricing_matches_the_executing_engine` test pins it cycle-identical to
 /// execution on every sequence kind.
 ///
@@ -338,31 +435,31 @@ impl SequencePricing {
 mod tests {
     use super::*;
 
-    fn setup() -> (Coprocessor, BigUint, Vec<BigUint>) {
+    fn setup() -> (Coprocessor, Domain, Vec<BigUint>) {
         let cp = Coprocessor::new(CostModel::paper(), 4);
-        let p = BigUint::from(1_000_000_007u64);
+        let domain = Domain::new(cp.cost(), &BigUint::from(1_000_000_007u64));
         let slots = vec![
             BigUint::from(5u64),
             BigUint::from(7u64),
             BigUint::zero(),
             BigUint::zero(),
         ];
-        (cp, p, slots)
+        (cp, domain, slots)
     }
 
     #[test]
     fn sequence_ops_compute_modular_arithmetic() {
-        let (cp, p, mut slots) = setup();
+        let (cp, domain, mut slots) = setup();
         let ops = [
             SequenceOp::ModAdd { dst: 2, a: 0, b: 1 },
             SequenceOp::ModSub { dst: 3, a: 0, b: 1 },
             SequenceOp::Copy { dst: 0, src: 2 },
         ];
-        let report = execute(&cp, Hierarchy::TypeB, &p, &mut slots, &ops);
+        let report = execute(&cp, Hierarchy::TypeB, &domain, &mut slots, &ops);
         assert_eq!(slots[2].to_u64(), Some(12));
         assert_eq!(
             slots[3],
-            bignum::mod_sub(&BigUint::from(5u64), &BigUint::from(7u64), &p)
+            bignum::mod_sub(&BigUint::from(5u64), &BigUint::from(7u64), domain.modulus())
         );
         assert_eq!(slots[0].to_u64(), Some(12));
         assert_eq!(report.modadds, 1);
@@ -375,7 +472,7 @@ mod tests {
         // Sequential baseline: without pipelining the two hierarchies run
         // the exact same events and differ only in synchronisation cost.
         let cp = Coprocessor::new(CostModel::paper_sequential(), 4);
-        let p = BigUint::from(1_000_000_007u64);
+        let domain = Domain::new(cp.cost(), &BigUint::from(1_000_000_007u64));
         let mut slots = vec![
             BigUint::from(5u64),
             BigUint::from(7u64),
@@ -387,8 +484,8 @@ mod tests {
             SequenceOp::ModAdd { dst: 3, a: 0, b: 1 },
             SequenceOp::ModAdd { dst: 3, a: 0, b: 1 },
         ];
-        let a = execute(&cp, Hierarchy::TypeA, &p, &mut slots.clone(), &ops);
-        let b = execute(&cp, Hierarchy::TypeB, &p, &mut slots, &ops);
+        let a = execute(&cp, Hierarchy::TypeA, &domain, &mut slots.clone(), &ops);
+        let b = execute(&cp, Hierarchy::TypeB, &domain, &mut slots, &ops);
         assert_eq!(a.interrupts, 3);
         assert_eq!(b.interrupts, 1);
         assert!(a.cycles > b.cycles);
@@ -401,7 +498,7 @@ mod tests {
 
     #[test]
     fn pipelined_type_b_overlaps_independent_neighbours() {
-        let (cp, p, mut slots) = setup();
+        let (cp, domain, mut slots) = setup();
         // Independent neighbours overlap; a dependent pair must not.
         let independent = [
             SequenceOp::ModAdd { dst: 2, a: 0, b: 1 },
@@ -411,14 +508,26 @@ mod tests {
             SequenceOp::ModAdd { dst: 2, a: 0, b: 1 },
             SequenceOp::ModAdd { dst: 3, a: 2, b: 1 },
         ];
-        let ri = execute(&cp, Hierarchy::TypeB, &p, &mut slots.clone(), &independent);
-        let rd = execute(&cp, Hierarchy::TypeB, &p, &mut slots, &dependent);
+        let ri = execute(
+            &cp,
+            Hierarchy::TypeB,
+            &domain,
+            &mut slots.clone(),
+            &independent,
+        );
+        let rd = execute(&cp, Hierarchy::TypeB, &domain, &mut slots, &dependent);
         assert!(ri.overlapped_cycles > 0, "independent pair must overlap");
         assert_eq!(rd.overlapped_cycles, 0, "RAW hazard forbids overlap");
         assert!(ri.cycles < rd.cycles);
         // Type-A never overlaps: control bounces back to the MicroBlaze.
         let (_, _, mut fresh_slots) = setup();
-        let ra = execute(&cp, Hierarchy::TypeA, &p, &mut fresh_slots, &independent);
+        let ra = execute(
+            &cp,
+            Hierarchy::TypeA,
+            &domain,
+            &mut fresh_slots,
+            &independent,
+        );
         assert_eq!(ra.overlapped_cycles, 0);
     }
 
@@ -444,11 +553,11 @@ mod tests {
                     (OpKind::EccPdFast, 256),
                 ] {
                     let program = compile(kind, bits, &cost);
-                    let modulus = crate::coprocessor::sample_modulus(bits);
+                    let domain = Domain::new(&cost, &crate::coprocessor::sample_modulus(bits));
                     let mut slots: Vec<BigUint> = (0..program.slot_budget())
                         .map(|i| BigUint::from((i % 251 + 1) as u64))
                         .collect();
-                    let report = execute(&cp, hierarchy, &modulus, &mut slots, program.ops());
+                    let report = execute(&cp, hierarchy, &domain, &mut slots, program.ops());
                     let pricing = SequencePricing::new(&cp, bits, hierarchy);
                     assert_eq!(
                         pricing.sequence_cycles(program.ops()),
@@ -462,10 +571,10 @@ mod tests {
 
     #[test]
     fn montgomery_step_keeps_values_reduced() {
-        let (cp, p, mut slots) = setup();
+        let (cp, domain, mut slots) = setup();
         let ops = [SequenceOp::MontMul { dst: 2, a: 0, b: 1 }];
-        let report = execute(&cp, Hierarchy::TypeB, &p, &mut slots, &ops);
-        assert!(slots[2] < p);
+        let report = execute(&cp, Hierarchy::TypeB, &domain, &mut slots, &ops);
+        assert!(slots[2] < *domain.modulus());
         assert_eq!(report.modmuls, 1);
     }
 }

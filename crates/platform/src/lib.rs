@@ -23,8 +23,12 @@
 //! * [`Coprocessor`] — the cores, the single-port data memory and the
 //!   microcoded modular operations (multicore Montgomery multiplication
 //!   with the carry-local schedule of Fig. 5, single-core modular
-//!   addition/subtraction), all functionally verified against the host
-//!   `bignum` implementation;
+//!   addition/subtraction), executed at register level and checked
+//!   against the host `bignum` implementation. A leaf's cycles depend
+//!   only on its shape (operation, operand length, correction path), so
+//!   each shape executes once into the coprocessor's leaf table, which
+//!   every sequence, [`SequencePricing`] and the Table 1 probes read,
+//!   while the values come from host arithmetic;
 //! * [`programs`] — the recorder that turns the level-2 formula bodies
 //!   (`Fp6` multiplication, ECC point addition/doubling, the fast
 //!   `a = -3` doubling — each written once over [`field::FieldOps`] and

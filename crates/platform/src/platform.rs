@@ -14,14 +14,14 @@
 
 use std::sync::Arc;
 
-use bignum::{mod_inv, mod_mul, BigUint};
+use bignum::BigUint;
 use ceilidh::{CeilidhParams, TorusElement};
 use ecc::{AffinePoint, Curve, JacobianPoint};
 use field::Fp6Element;
 
 use crate::coprocessor::Coprocessor;
 use crate::cost::CostModel;
-use crate::hierarchy::{self, Hierarchy};
+use crate::hierarchy::{self, Domain, Hierarchy};
 use crate::program::{CompiledProgram, FormulaDb, OpKind, ProgramCache};
 use crate::programs::{
     AFFINE_2, CURVE_A, FP6_A, FP6_B, POINT_1, POINT_2, RSA_ACC, RSA_BASE, RSA_MULTIPLY, RSA_SQUARE,
@@ -30,14 +30,15 @@ use crate::report::ExecutionReport;
 
 /// The complete platform: MicroBlaze controller + multicore coprocessor.
 ///
-/// All drivers execute *functionally* — results are computed through the
-/// simulated coprocessor and can be compared with the host `ceilidh`, `ecc`
-/// and `rsa` crates — while cycles are accumulated according to the cost
-/// model and the selected control hierarchy.
+/// All drivers execute *functionally* — every step of every sequence
+/// computes its value, so results can be compared with the host
+/// `ceilidh`, `ecc` and `rsa` crates — while cycles are accumulated
+/// according to the cost model and the selected control hierarchy.
 ///
-/// Cloning a `Platform` shares its program cache, so a fleet of clones
-/// (e.g. per-shard workers over the same cost model) compiles each
-/// level-2 program exactly once.
+/// Cloning a `Platform` shares its program cache and its coprocessor's
+/// leaf table, so a fleet of clones (e.g. per-shard workers over the same
+/// cost model) compiles each level-2 program and executes each leaf shape
+/// exactly once.
 #[derive(Debug, Clone)]
 pub struct Platform {
     coprocessor: Coprocessor,
@@ -112,20 +113,35 @@ impl Platform {
     }
 
     /// Executes a compiled program against a slot bank — the single
-    /// sequence → coprocessor → sequencer-walk path every composite driver
-    /// and report goes through.
+    /// sequence → leaf table → sequencer-walk path every composite driver
+    /// and report goes through. Each step's value is computed on the host
+    /// and its cycles are read from the coprocessor's leaf table.
     ///
     /// Montgomery products operate on whatever representation the slots
     /// are in; callers needing plain-domain results are responsible for
-    /// the domain conversions (as the ladders are).
+    /// the domain conversions (as the ladders are). This entry derives the
+    /// modulus's Montgomery constants on every call; the ladders derive
+    /// them once per call of the driver.
     ///
     /// # Panics
     ///
-    /// Panics if `slots` is smaller than the program's slot budget.
+    /// Panics if `slots` is smaller than the program's slot budget, if a
+    /// slot is not reduced, or unless the modulus is odd and greater
+    /// than 1.
     pub fn execute(
         &self,
         program: &CompiledProgram,
         modulus: &BigUint,
+        slots: &mut [BigUint],
+    ) -> ExecutionReport {
+        self.execute_in(program, &Domain::new(self.cost(), modulus), slots)
+    }
+
+    /// [`Platform::execute`] in a domain built by the caller.
+    fn execute_in(
+        &self,
+        program: &CompiledProgram,
+        domain: &Domain,
         slots: &mut [BigUint],
     ) -> ExecutionReport {
         assert!(
@@ -138,7 +154,7 @@ impl Platform {
         hierarchy::execute(
             &self.coprocessor,
             self.hierarchy,
-            modulus,
+            domain,
             slots,
             program.ops(),
         )
@@ -248,11 +264,11 @@ impl Platform {
         for i in (0..exponent.bit_len()).rev() {
             bank.load(FP6_B, acc.clone());
             bank.load(FP6_A, acc);
-            acc = bank.run(self, modulus, &mut report);
+            acc = bank.run(self, &domain, &mut report);
             if exponent.bit(i) {
                 bank.load(FP6_B, base.clone());
                 bank.load(FP6_A, acc);
-                acc = bank.run(self, modulus, &mut report);
+                acc = bank.run(self, &domain, &mut report);
             }
         }
         let coeffs = acc.map(|c| fp.from_biguint(&domain.leave(&c)));
@@ -304,14 +320,14 @@ impl Platform {
         for i in (0..k.bit_len()).rev() {
             if let Some(p) = acc.take() {
                 pd.load(POINT_1, p);
-                acc = Some(pd.run(self, modulus, &mut report));
+                acc = Some(pd.run(self, &domain, &mut report));
             }
             if k.bit(i) {
                 acc = Some(match acc.take() {
                     None => base.clone(),
                     Some(p) => {
                         pa.load(POINT_1, p);
-                        pa.run(self, modulus, &mut report)
+                        pa.run(self, &domain, &mut report)
                     }
                 });
             }
@@ -347,37 +363,10 @@ impl Platform {
         let mut report = ExecutionReport::default();
         for ops in products {
             let r =
-                hierarchy::execute(&self.coprocessor, Hierarchy::TypeA, modulus, &mut bank, ops);
+                hierarchy::execute(&self.coprocessor, Hierarchy::TypeA, &domain, &mut bank, ops);
             report = report.merge(&r);
         }
         (domain.leave(&bank[RSA_ACC]), report)
-    }
-}
-
-/// The platform's Montgomery domain for one modulus: `R = 2^{w·s} mod p`
-/// for the datapath's word width `w` and limb count `s`, and its inverse,
-/// computed once per driver call.
-struct Domain<'a> {
-    modulus: &'a BigUint,
-    r: BigUint,
-    r_inv: BigUint,
-}
-
-impl<'a> Domain<'a> {
-    fn new(cost: &CostModel, modulus: &'a BigUint) -> Self {
-        let r = BigUint::one().shl_bits(cost.word_bits * cost.limbs(modulus.bit_len())) % modulus;
-        let r_inv = mod_inv(&r, modulus).expect("R is invertible for odd moduli");
-        Domain { modulus, r, r_inv }
-    }
-
-    /// `v·R mod p`: a residue in the platform's Montgomery domain.
-    fn enter(&self, v: &BigUint) -> BigUint {
-        mod_mul(v, &self.r, self.modulus)
-    }
-
-    /// `v·R⁻¹ mod p`: a platform-domain value back as a plain residue.
-    fn leave(&self, v: &BigUint) -> BigUint {
-        mod_mul(v, &self.r_inv, self.modulus)
     }
 }
 
@@ -411,10 +400,10 @@ impl Bank {
     fn run<const N: usize>(
         &mut self,
         platform: &Platform,
-        modulus: &BigUint,
+        domain: &Domain,
         report: &mut ExecutionReport,
     ) -> [BigUint; N] {
-        *report = report.merge(&platform.execute(&self.program, modulus, &mut self.slots));
+        *report = report.merge(&platform.execute_in(&self.program, domain, &mut self.slots));
         let outputs = self.program.outputs();
         std::array::from_fn(|i| std::mem::take(&mut self.slots[outputs[i]]))
     }
@@ -469,7 +458,7 @@ mod tests {
         }
         let mut report = ExecutionReport::default();
         let [x, y, z] = bank
-            .run(plat, modulus, &mut report)
+            .run(plat, &domain, &mut report)
             .map(|c| fp.from_biguint(&domain.leave(&c)));
         (JacobianPoint { x, y, z }, report)
     }
@@ -495,7 +484,7 @@ mod tests {
             bank.load(FP6_B, enter(&b));
             let mut report = ExecutionReport::default();
             let got = bank
-                .run(&plat, fp.modulus(), &mut report)
+                .run(&plat, &domain, &mut report)
                 .map(|c| fp.from_biguint(&domain.leave(&c)));
             assert_eq!(fp6.from_coeffs(got), fp6.mul(&a, &b));
             assert_eq!(report.modmuls, 18);

@@ -1029,8 +1029,8 @@ mod tests {
 
     fn run(ops: &[SequenceOp], slots: &mut [BigUint]) -> crate::report::ExecutionReport {
         let cp = Coprocessor::new(CostModel::paper(), 4);
-        let p = BigUint::from(1_000_003u64);
-        hierarchy::execute(&cp, Hierarchy::TypeB, &p, slots, ops)
+        let domain = hierarchy::Domain::new(cp.cost(), &BigUint::from(1_000_003u64));
+        hierarchy::execute(&cp, Hierarchy::TypeB, &domain, slots, ops)
     }
 
     #[test]

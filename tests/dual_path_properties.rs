@@ -11,7 +11,10 @@
 //!   pipes are priced exactly as the scoreboard promises;
 //! * **layer isolation** — the knob changes MA/MS only: Montgomery
 //!   multiplication and the sequential baseline are bit-identical with it
-//!   on or off, and every layer computes the same numeric results.
+//!   on or off, and every layer computes the same numeric results;
+//! * **one price per shape** — under every model an MA or MS costs its
+//!   leaf-table entry for its operand length and correction path,
+//!   whatever the modulus and operands.
 
 use bignum::BigUint;
 use platform::isa::{MicroOp, Program};
@@ -106,6 +109,54 @@ proptest! {
         let seq_knob = Coprocessor::new(CostModel::paper_sequential().with_dual_path(true), 4);
         prop_assert_eq!(seq.mod_add_cycles(bits), seq_knob.mod_add_cycles(bits));
         prop_assert_eq!(seq.mod_sub_cycles(bits), seq_knob.mod_sub_cycles(bits));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// An MA or MS costs the leaf-table entry of its operand length and
+    /// correction path — the `*_cycles` probe of that path — for every
+    /// odd modulus, operand pair, core count and cost model, at the
+    /// paper's widths and one random one; its value is the host's.
+    #[test]
+    fn add_sub_cycles_depend_only_on_length_and_path(seed in any::<u64>(), width in 8usize..420) {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        for bits in [160, 170, 256, 1024, width] {
+            let mut p = BigUint::random_bits(&mut rng, bits);
+            if !p.is_odd() {
+                p = &p + &BigUint::one();
+            }
+            let xs = [
+                BigUint::zero(),
+                BigUint::one(),
+                &p - &BigUint::one(),
+                BigUint::random_below(&mut rng, &p),
+                BigUint::random_below(&mut rng, &p),
+            ];
+            for cost in [
+                CostModel::paper(),
+                CostModel::paper().with_dual_path(false),
+                CostModel::paper_sequential(),
+            ] {
+                for cores in 1..=4 {
+                    let cp = Coprocessor::new(cost, cores);
+                    let ma = [cp.mod_add_cycles(bits), cp.mod_add_worst_cycles(bits)];
+                    let ms = [cp.mod_sub_cycles(bits), cp.mod_sub_worst_cycles(bits)];
+                    for x in &xs {
+                        for y in &xs {
+                            let corrected = x + y >= p;
+                            let add = cp.mod_add(x, y, &p);
+                            prop_assert_eq!(add.cycles, ma[corrected as usize], "MA at {} bits under {:?}", bits, cost);
+                            prop_assert_eq!(add.value, bignum::mod_add(x, y, &p));
+                            let sub = cp.mod_sub(x, y, &p);
+                            prop_assert_eq!(sub.cycles, ms[(x < y) as usize], "MS at {} bits under {:?}", bits, cost);
+                            prop_assert_eq!(sub.value, bignum::mod_sub(x, y, &p));
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

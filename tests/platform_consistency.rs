@@ -88,6 +88,142 @@ fn table3_shape_full_drivers() {
     assert!(rsa.cycles > torus.cycles);
 }
 
+/// The paper calibration, its conditional-correction MA/MS ablation and
+/// the flat sequential baseline.
+fn cost_models() -> [CostModel; 3] {
+    [
+        CostModel::paper(),
+        CostModel::paper().with_dual_path(false),
+        CostModel::paper_sequential(),
+    ]
+}
+
+/// A random odd modulus with exactly `bits` bits.
+fn odd_modulus(rng: &mut rand::rngs::StdRng, bits: usize) -> BigUint {
+    let p = BigUint::random_bits(rng, bits);
+    if p.is_odd() {
+        p
+    } else {
+        &p + &BigUint::one()
+    }
+}
+
+/// Operands for the shape properties: 0, 1, `p - 1` and two random
+/// residues.
+fn operands(rng: &mut rand::rngs::StdRng, p: &BigUint) -> [BigUint; 5] {
+    [
+        BigUint::zero(),
+        BigUint::one(),
+        p - &BigUint::one(),
+        BigUint::random_below(rng, p),
+        BigUint::random_below(rng, p),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A Montgomery product's cycles are its leaf-table entry, a function
+    /// of the operand length alone: for every odd modulus, operand pair,
+    /// core count and cost model, at the paper's widths and one random
+    /// one. Its value is `x·y·R⁻¹ mod p` for the platform's
+    /// `R = 2^{w·⌈n/w⌉}`.
+    #[test]
+    fn montgomery_cycles_depend_only_on_the_operand_length(seed in any::<u64>(), width in 8usize..420) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for bits in [160, 170, 256, 1024, width] {
+            let p = odd_modulus(&mut rng, bits);
+            let xs = operands(&mut rng, &p);
+            for cost in cost_models() {
+                let r = BigUint::one().shl_bits(cost.word_bits * cost.limbs(bits)) % &p;
+                let r_inv = bignum::mod_inv(&r, &p).unwrap();
+                for cores in 1..=4 {
+                    let cp = Coprocessor::new(cost, cores);
+                    let cycles = cp.mont_mul_cycles(bits);
+                    for x in &xs {
+                        for y in &xs {
+                            let got = cp.mont_mul(x, y, &p);
+                            let want = bignum::mod_mul(&bignum::mod_mul(x, y, &p), &r_inv, &p);
+                            prop_assert_eq!(got.cycles, cycles, "{} bits on {} cores under {:?}", bits, cores, cost);
+                            prop_assert_eq!(got.value, want);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every field of the Table 3 drivers' reports on seeded inputs, under
+/// each cost model. Outside the dual-path adder an MA or MS pays its
+/// correction block only when the data asks for it, so a wrong pick
+/// between the corrected and the uncorrected price moves these counts.
+#[test]
+fn driver_reports_are_pinned_under_every_cost_model() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1919);
+    let params = ceilidh::CeilidhParams::date2008().unwrap();
+    let (_, base) = params.random_subgroup_element(&mut rng);
+    let e = BigUint::random_bits(&mut rng, 32);
+    let curve = Curve::p160_reproduction().unwrap();
+    let point = curve.random_point(&mut rng);
+    let k = BigUint::random_bits(&mut rng, 160);
+    let n = odd_modulus(&mut rng, 1024);
+    let m = BigUint::random_below(&mut rng, &n);
+    let d = BigUint::random_bits(&mut rng, 64);
+    let want_torus = params.pow(&base, &e);
+    let want_point = curve.scalar_mul(&point, &k, ecc::ScalarMulAlgorithm::DoubleAndAdd);
+    let want_rsa = bignum::mod_exp(&m, &d, &n);
+
+    // Per driver: [cycles, MM, MA, MS, interrupts, overlapped cycles,
+    // register accesses], taken from the register-level simulator.
+    let pinned: [[[u64; 7]; 4]; 3] = [
+        [
+            [282384, 864, 960, 2112, 48, 27984, 48],
+            [1508792, 2390, 1702, 1152, 5244, 0, 5244],
+            [558976, 2390, 1702, 1152, 245, 32450, 245],
+            [405768, 88, 0, 0, 88, 0, 88],
+        ],
+        [
+            [393519, 864, 960, 2112, 48, 27984, 48],
+            [1607040, 2390, 1702, 1152, 5244, 0, 5244],
+            [657224, 2390, 1702, 1152, 245, 32450, 245],
+            [405768, 88, 0, 0, 88, 0, 88],
+        ],
+        [
+            [563982, 864, 960, 2112, 48, 0, 48],
+            [2329888, 2966, 2020, 1483, 6469, 0, 6469],
+            [1187122, 2966, 2020, 1483, 245, 0, 245],
+            [462352, 88, 0, 0, 88, 0, 88],
+        ],
+    ];
+    for (cost, want) in cost_models().into_iter().zip(pinned) {
+        let a = Platform::new(cost, 4, Hierarchy::TypeA);
+        let b = Platform::new(cost, 4, Hierarchy::TypeB);
+        let (torus, torus_b) = b.torus_exponentiation(&params, &base, &e);
+        let (point_a, ecc_a) = a.ecc_scalar_multiplication(&curve, &point, &k);
+        let (point_b, ecc_b) = b.ecc_scalar_multiplication(&curve, &point, &k);
+        let (rsa, rsa_report) = b.rsa_exponentiation(&n, &m, &d);
+        assert_eq!(torus, want_torus);
+        assert_eq!(point_a, want_point);
+        assert_eq!(point_b, want_point);
+        assert_eq!(rsa, want_rsa);
+        let names = ["torus Type-B", "ECC Type-A", "ECC Type-B", "RSA"];
+        let reports = [torus_b, ecc_a, ecc_b, rsa_report];
+        for ((name, r), want) in names.into_iter().zip(reports).zip(want) {
+            let got = [
+                r.cycles,
+                r.modmuls,
+                r.modadds,
+                r.modsubs,
+                r.interrupts,
+                r.overlapped_cycles,
+                r.register_accesses,
+            ];
+            assert_eq!(got, want, "{name} under {cost:?}");
+        }
+    }
+}
+
 #[test]
 fn fig5_multicore_scaling_shape() {
     let c1 = Coprocessor::new(CostModel::paper(), 1).mont_mul_cycles(256);
