@@ -20,7 +20,7 @@
 //!   4's "search the sequence space"); honours `SEARCH_BEAM_WIDTH` and
 //!   merges the per-formula cycle counts into `BENCH_REPORT_JSON`.
 
-use bench::{paper, print_table, Row};
+use bench::{metrics, paper, print_table, Row};
 use bignum::BigUint;
 use ceilidh::CeilidhParams;
 use platform::{Coprocessor, CostModel, Hierarchy, OpKind, Platform};
@@ -45,49 +45,32 @@ fn search_sweep() {
     // point. The search is gated never-worse (the assert below is the
     // same property the proptests pin); discovered wins land in the
     // table and, when `BENCH_REPORT_JSON` is set, in the flat report.
-    // `SEARCH_BEAM_WIDTH` bounds the beam so CI smoke runs stay cheap.
-    let beam: usize = std::env::var("SEARCH_BEAM_WIDTH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(CostModel::paper().search_beam_width);
-    let searched_cost = CostModel::paper().with_search(true).with_beam_width(beam);
-    let authored_cost = CostModel::paper();
+    // The sweep reads `SEARCH_BEAM_WIDTH`, which bounds the beam so CI
+    // smoke runs stay cheap.
+    let (beam, sweep) = metrics::search_sweep();
     let mut rows = Vec::new();
     let mut pairs: Vec<(String, u64)> = Vec::new();
-    let mut wins = 0usize;
-    for formula in platform::FormulaDb::builtin().formulas() {
-        let kind = formula.kind();
-        let bits = if kind == OpKind::Fp6Mul { 170 } else { 160 };
-        let authored = Platform::new(authored_cost, 4, Hierarchy::TypeB)
-            .composite_report(kind, bits)
-            .cycles;
-        let searched = Platform::new(searched_cost, 4, Hierarchy::TypeB)
-            .composite_report(kind, bits)
-            .cycles;
+    for row in &sweep {
+        let (formula, bits, authored, searched) =
+            (row.kind.formula(), row.bits, row.authored, row.searched);
         assert!(
             searched <= authored,
-            "{}: searched {searched} > authored {authored}",
-            formula.name()
+            "{formula}: searched {searched} > authored {authored}"
         );
-        if searched < authored {
-            wins += 1;
-        }
         rows.push(Row {
-            label: format!(
-                "{} ({bits} bits): authored {authored}, searched {searched}",
-                formula.name()
-            ),
+            label: format!("{formula} ({bits} bits): authored {authored}, searched {searched}"),
             paper: "-".into(),
-            measured: format!("{:+.1}%", delta_pct(authored, searched)),
+            measured: format!("{:+.1}%", row.delta_pct()),
         });
-        let key = formula.name().replace('-', "_");
+        let key = formula.replace('-', "_");
         pairs.push((format!("search_{key}_authored_cycles"), authored));
         pairs.push((format!("search_{key}_searched_cycles"), searched));
     }
+    let wins = sweep.iter().filter(|r| r.searched < r.authored).count();
     rows.push(Row {
         label: format!("formulas with a discovered win (beam width {beam})"),
         paper: "-".into(),
-        measured: format!("{wins}/{}", platform::FormulaDb::builtin().formulas().len()),
+        measured: format!("{wins}/{}", sweep.len()),
     });
     print_table(
         "Ablation: superoptimizing search vs hand-authored sequences",

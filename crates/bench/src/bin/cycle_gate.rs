@@ -34,49 +34,8 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use bench::metrics::SearchRow;
 use bench::{json, metrics, paper};
-use platform::{CostModel, FormulaDb, Hierarchy, OpKind, Platform};
-
-/// One row of the informational "searched vs authored" section: a formula
-/// from the database priced through the executing Type-B engine with the
-/// hand-authored order and with the superoptimizing search pass enabled.
-struct SearchRow {
-    formula: &'static str,
-    bits: usize,
-    authored: u64,
-    searched: u64,
-}
-
-/// Prices every database formula under the authored order and the search
-/// pass (beam width from `SEARCH_BEAM_WIDTH` when set, so CI smoke runs
-/// stay cheap). Not gated: the golden rows pin the search-off calibration
-/// bit-identical; the never-worse property itself is pinned by the
-/// `search_properties` proptests and asserted by the `search_sweep`
-/// ablation.
-fn search_rows() -> Vec<SearchRow> {
-    let beam: usize = std::env::var("SEARCH_BEAM_WIDTH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(CostModel::paper().search_beam_width);
-    let searched_cost = CostModel::paper().with_search(true).with_beam_width(beam);
-    FormulaDb::builtin()
-        .formulas()
-        .iter()
-        .map(|f| {
-            let bits = if f.kind() == OpKind::Fp6Mul { 170 } else { 160 };
-            SearchRow {
-                formula: f.name(),
-                bits,
-                authored: Platform::new(CostModel::paper(), 4, Hierarchy::TypeB)
-                    .composite_report(f.kind(), bits)
-                    .cycles,
-                searched: Platform::new(searched_cost, 4, Hierarchy::TypeB)
-                    .composite_report(f.kind(), bits)
-                    .cycles,
-            }
-        })
-        .collect()
-}
 
 /// One fully-evaluated scorecard row: a golden metric joined with its
 /// measurement and, where the paper reports the number, the paper value.
@@ -167,10 +126,13 @@ fn markdown_scorecard(rows: &[ScoreRow], search: &[SearchRow], failures: &[Strin
              |---|---:|---:|---:|---:|\n",
         );
         for row in search {
-            let delta = 100.0 * (row.searched as f64 - row.authored as f64) / row.authored as f64;
             out.push_str(&format!(
-                "| `{}` | {} | {} | {} | {delta:+.1}% |\n",
-                row.formula, row.bits, row.authored, row.searched
+                "| `{}` | {} | {} | {} | {:+.1}% |\n",
+                row.kind.formula(),
+                row.bits,
+                row.authored,
+                row.searched,
+                row.delta_pct()
             ));
         }
     }
@@ -332,14 +294,19 @@ fn main() -> ExitCode {
     }
 
     // The informational searched-vs-authored comparison: printed for every
-    // run and appended to the step summary, never part of the gate.
-    let search = search_rows();
+    // run and appended to the step summary, never part of the gate (the
+    // never-worse property is pinned by the `search_properties` proptests
+    // and asserted by the `search_sweep` ablation).
+    let (_, search) = metrics::search_sweep();
     println!("\nsearched vs authored (informational, search off in the gated rows):");
     for row in &search {
-        let delta = 100.0 * (row.searched as f64 - row.authored as f64) / row.authored as f64;
         println!(
-            "  {:<16} {:>4} bits: authored {:>6}, searched {:>6} ({delta:+.1}%)",
-            row.formula, row.bits, row.authored, row.searched
+            "  {:<16} {:>4} bits: authored {:>6}, searched {:>6} ({:+.1}%)",
+            row.kind.formula(),
+            row.bits,
+            row.authored,
+            row.searched,
+            row.delta_pct()
         );
     }
 

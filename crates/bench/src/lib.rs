@@ -492,6 +492,59 @@ pub mod metrics {
             2.0
         }
     }
+
+    /// One formula of the searched-vs-authored sweep, priced through the
+    /// executing 4-core Type-B engine at its calibration point.
+    pub struct SearchRow {
+        /// The formula's program kind ([`OpKind::formula`] names it).
+        pub kind: OpKind,
+        /// Operand length: 170 bits for the `Fp6` product, 160 for the
+        /// point formulas.
+        pub bits: usize,
+        /// Cycles in the recorded (hand-authored InsRom) order.
+        pub authored: u64,
+        /// Cycles with the superoptimizing search pass on.
+        pub searched: u64,
+    }
+
+    impl SearchRow {
+        /// Relative change from the authored to the searched order, in
+        /// percent.
+        pub fn delta_pct(&self) -> f64 {
+            100.0 * (self.searched as f64 - self.authored as f64) / self.authored as f64
+        }
+    }
+
+    /// The searched-vs-authored sweep shared by `cycle_gate` and
+    /// `ablations`: the beam width (`SEARCH_BEAM_WIDTH` when set, so CI
+    /// smoke runs stay cheap, else the paper model's default) and one row
+    /// per [`OpKind::ALL`] entry, in that order. Not gated: the golden
+    /// rows pin the search-off calibration bit-identical.
+    pub fn search_sweep() -> (usize, Vec<SearchRow>) {
+        let beam: usize = std::env::var("SEARCH_BEAM_WIDTH")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(CostModel::paper().search_beam_width);
+        let searched = CostModel::paper().with_search(true).with_beam_width(beam);
+        let rows = OpKind::ALL
+            .into_iter()
+            .map(|kind| {
+                let bits = if kind == OpKind::Fp6Mul { 170 } else { 160 };
+                let cycles = |cost| {
+                    Platform::new(cost, 4, Hierarchy::TypeB)
+                        .composite_report(kind, bits)
+                        .cycles
+                };
+                SearchRow {
+                    kind,
+                    bits,
+                    authored: cycles(CostModel::paper()),
+                    searched: cycles(searched),
+                }
+            })
+            .collect();
+        (beam, rows)
+    }
 }
 
 /// A row comparing a paper value against the reproduction's measurement.

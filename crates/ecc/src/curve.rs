@@ -337,18 +337,20 @@ impl Curve {
         self.bits
     }
 
+    /// The right-hand side of the curve equation, `x³ + a·x + b`.
+    fn rhs(&self, x: &FpElement) -> FpElement {
+        let fp = &self.fp;
+        fp.add(
+            &fp.add(&fp.mul(x, &fp.square(x)), &fp.mul(&self.a, x)),
+            &self.b,
+        )
+    }
+
     /// Checks the curve equation for a point.
     pub fn is_on_curve(&self, point: &AffinePoint) -> bool {
         match point {
             AffinePoint::Infinity => true,
-            AffinePoint::Point { x, y } => {
-                let fp = &self.fp;
-                let rhs = fp.add(
-                    &fp.add(&fp.mul(x, &fp.square(x)), &fp.mul(&self.a, x)),
-                    &self.b,
-                );
-                fp.square(y) == rhs
-            }
+            AffinePoint::Point { x, y } => self.fp.square(y) == self.rhs(x),
         }
     }
 
@@ -430,9 +432,9 @@ impl Curve {
     ///
     /// Runs [`crate::formulas::dbl_2001_b`] on curves with `a = -3` (two
     /// fewer field multiplications) and [`crate::formulas::pd_general`]
-    /// otherwise — the same choice the platform's `FormulaDb` makes. The
-    /// point at infinity and points with `Y1 = 0` double to infinity
-    /// ([`Ladder::double`]).
+    /// otherwise — the same choice the platform's `OpKind::best_for`
+    /// makes. The point at infinity and points with `Y1 = 0` double to
+    /// infinity ([`Ladder::double`]).
     pub fn jacobian_double(&self, p: &JacobianPoint) -> JacobianPoint {
         self.ladder().double(p)
     }
@@ -481,26 +483,11 @@ impl Curve {
     /// canonical field element (`x ≥ p`, which would otherwise alias
     /// `x mod p`) or `x³ + ax + b` is not a square.
     pub fn decompress_point(&self, x: &BigUint, y_is_odd: bool) -> Result<AffinePoint, EccError> {
-        let fp = &self.fp;
-        if x >= fp.modulus() {
+        if x >= self.fp.modulus() {
             return Err(EccError::InvalidCompressedPoint);
         }
-        let x = fp.from_biguint(x);
-        let rhs = fp.add(
-            &fp.add(&fp.mul(&x, &fp.square(&x)), &fp.mul(&self.a, &x)),
-            &self.b,
-        );
-        let y = if rhs.is_zero() {
-            fp.zero()
-        } else {
-            fp.sqrt(&rhs).ok_or(EccError::InvalidCompressedPoint)?
-        };
-        let y = if fp.to_biguint(&y).bit(0) == y_is_odd {
-            y
-        } else {
-            fp.neg(&y)
-        };
-        Ok(AffinePoint::Point { x, y })
+        self.lift_x(&self.fp.from_biguint(x), y_is_odd)
+            .ok_or(EccError::InvalidCompressedPoint)
     }
 
     /// A uniformly random point obtained by sampling x-coordinates until the
@@ -518,10 +505,7 @@ impl Curve {
     /// `odd_y`.
     pub fn lift_x(&self, x: &FpElement, odd_y: bool) -> Option<AffinePoint> {
         let fp = &self.fp;
-        let rhs = fp.add(
-            &fp.add(&fp.mul(x, &fp.square(x)), &fp.mul(&self.a, x)),
-            &self.b,
-        );
+        let rhs = self.rhs(x);
         if rhs.is_zero() {
             return Some(AffinePoint::Point {
                 x: x.clone(),
@@ -557,14 +541,7 @@ impl Curve {
         let p = self.fp.modulus().to_u64().expect("toy field fits in u64");
         let mut count = 1u64; // point at infinity
         for xi in 0..p {
-            let x = self.fp.from_u64(xi);
-            let rhs = self.fp.add(
-                &self.fp.add(
-                    &self.fp.mul(&x, &self.fp.square(&x)),
-                    &self.fp.mul(&self.a, &x),
-                ),
-                &self.b,
-            );
+            let rhs = self.rhs(&self.fp.from_u64(xi));
             if rhs.is_zero() {
                 count += 1;
             } else if self.fp.is_square(&rhs) {
@@ -790,6 +767,31 @@ mod tests {
                 Err(EccError::PointAtInfinity)
             ));
         }
+        // Below p, decompression is `lift_x`, in value and in op count: on
+        // every x of the toy field (order 1020, so some points have
+        // y = 0) and for both parities.
+        let toy = Curve::toy().unwrap();
+        let fp = toy.fp();
+        let mut y_zero = 0;
+        for xi in 0..fp.modulus().to_u64().unwrap() {
+            for odd in [false, true] {
+                fp.reset_op_count();
+                let lifted = toy.lift_x(&fp.from_u64(xi), odd);
+                let lift_ops = fp.op_count();
+                fp.reset_op_count();
+                let decompressed = toy.decompress_point(&BigUint::from(xi), odd);
+                assert_eq!(fp.op_count(), lift_ops, "x = {xi}, odd = {odd}");
+                if let Some(AffinePoint::Point { y, .. }) = &lifted {
+                    y_zero += usize::from(y.is_zero());
+                }
+                assert_eq!(
+                    decompressed,
+                    lifted.ok_or(EccError::InvalidCompressedPoint),
+                    "x = {xi}, odd = {odd}"
+                );
+            }
+        }
+        assert!(y_zero > 0, "the toy curve has points with y = 0");
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! 4. **Mixed-coordinate ECC point addition**
 //!    ([`CostModel::mixed_coordinate_pa`]) — the scalar-multiplication
 //!    ladder's point addition uses the 13-multiplication mixed sequence
-//!    (`Z2 = 1`, affine addend; the `madd` formula in
-//!    [`crate::program::FormulaDb`]) instead of the general
+//!    (`Z2 = 1`, affine addend; the `madd` formula,
+//!    [`crate::program::OpKind::EccPaMixed`]) instead of the general
 //!    16-multiplication Jacobian addition. This is what closes Table 2's
 //!    ECC PA rows. The general sequence stays available regardless of the
 //!    knob (for non-normalized inputs and for the `pa_mixed_sweep`
@@ -39,16 +39,16 @@
 //! 5. **Fast `a = -3` point doubling** ([`CostModel::fast_pd`], the last
 //!    sequence-level layer) — the ladder's point doubling uses the
 //!    shortened 8-multiplication `a = -3` sequence (the `dbl-2001-b`
-//!    formula in [`crate::program::FormulaDb`]) instead of the general
-//!    10-multiplication Jacobian doubling, on curves where `a = -3`
-//!    holds. This is what closes Table 2's Type-A ECC PD row (the
+//!    formula, [`crate::program::OpKind::EccPdFast`]) instead of the
+//!    general 10-multiplication Jacobian doubling, on curves where
+//!    `a = -3` holds. This is what closes Table 2's Type-A ECC PD row (the
 //!    on-the-fly generated doubling); the general doubling stays
 //!    available regardless of the knob (it is the InsRom1 image whose
 //!    Type-B cycle count matches Table 2, and the fallback for curves
 //!    with arbitrary `a`).
 //! 6. **Superoptimizing sequence search**
-//!    ([`CostModel::sequence_search`]) — the compile pipeline appends a
-//!    beam-search pass over instruction reorderings and slot
+//!    ([`CostModel::sequence_search`]) — [`crate::program::compile`]
+//!    appends a beam-search pass over instruction reorderings and slot
 //!    reallocations, scored by the same overlap accounting the engine
 //!    charges, keeping the searched order only when strictly cheaper.
 //!

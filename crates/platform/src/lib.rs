@@ -34,14 +34,15 @@
 //!   `a = -3` doubling — each written once over [`field::FieldOps`] and
 //!   shared with the host) into coprocessor programs whose hazard-free
 //!   neighbour density feeds the Type-B sequencer's operand prefetch;
-//! * [`program`] — the typed program IR: recorded [`program::Program`]s
-//!   flow through an explicit [`program::PassPipeline`] (validate →
-//!   optional superoptimizing search, each pass leaving a
-//!   [`program::PassTrace`]) into [`program::CompiledProgram`]s that a
+//! * [`program`] — the typed program IR: [`program::compile`] records a
+//!   formula body, validates it and, when the cost model asks, runs the
+//!   superoptimizing search (each pass leaving a [`program::PassTrace`]),
+//!   producing the [`program::CompiledProgram`]s that a
 //!   [`program::ProgramCache`] hands out once per
-//!   `(OpKind, bits, cost-model)` key; the [`program::FormulaDb`]
-//!   registry derives the cheapest applicable EFD formula per
-//!   `(curve, cost model)`;
+//!   `(OpKind, bits, cost-model)` key; each [`program::OpKind`] carries
+//!   its EFD formula's name, op counts and constraints, from which
+//!   [`program::OpKind::best_for`] derives the cheapest applicable
+//!   formula per `(curve, cost model)`;
 //! * [`Platform`] — the MicroBlaze-level view: Type-A and Type-B control
 //!   hierarchies (Figs. 3 and 4), the single [`Platform::execute`] path
 //!   every composite operation flows through — one sequencer walk that
@@ -80,9 +81,6 @@ pub use coprocessor::{sample_modulus, Coprocessor, ModOpResult};
 pub use cost::{CostModel, ScheduleModel};
 pub use hierarchy::{Hierarchy, SequenceOp, SequencePricing};
 pub use platform::Platform;
-pub use program::{
-    compile, CompiledProgram, Formula, FormulaDb, OpKind, Pass, PassPipeline, PassTrace, Program,
-    ProgramCache, ProgramStats,
-};
+pub use program::{compile, CompiledProgram, OpKind, PassTrace, ProgramCache, ProgramStats};
 pub use programs::{ECC_SLOTS, FP6_MUL_SLOTS};
 pub use report::ExecutionReport;

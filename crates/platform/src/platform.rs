@@ -22,7 +22,7 @@ use field::Fp6Element;
 use crate::coprocessor::Coprocessor;
 use crate::cost::CostModel;
 use crate::hierarchy::{self, Domain, Hierarchy};
-use crate::program::{CompiledProgram, FormulaDb, OpKind, ProgramCache};
+use crate::program::{CompiledProgram, OpKind, ProgramCache};
 use crate::programs::{
     AFFINE_2, CURVE_A, FP6_A, FP6_B, POINT_1, POINT_2, RSA_ACC, RSA_BASE, RSA_MULTIPLY, RSA_SQUARE,
 };
@@ -218,17 +218,16 @@ impl Platform {
     /// The doubling and addition programs the scalar ladder runs on
     /// `curve` under this platform's cost model, as `(PD, PA)`.
     ///
-    /// [`FormulaDb::best_for`] derives each from `(curve, cost model)`:
+    /// [`OpKind::best_for`] derives each from `(curve, cost model)`:
     /// the addition request asserts an affine addend, because the ladder
     /// always adds the base point, so `madd` ([`OpKind::EccPaMixed`]) runs
     /// while [`CostModel::mixed_coordinate_pa`] is on; the doubling request
     /// leaves the choice between `pd-general` and `dbl-2001-b` to the
     /// curve's `a = -3` structure and [`CostModel::fast_pd`].
     pub fn ladder_kinds(&self, curve: &Curve) -> (OpKind, OpKind) {
-        let db = FormulaDb::builtin();
         (
-            db.best_for(OpKind::EccPd, curve, self.cost()).kind(),
-            db.best_for(OpKind::EccPaMixed, curve, self.cost()).kind(),
+            OpKind::EccPd.best_for(curve, self.cost()),
+            OpKind::EccPaMixed.best_for(curve, self.cost()),
         )
     }
 

@@ -9,9 +9,8 @@
 //! formula body   (field::karatsuba_fp6, ecc::formulas::*)
 //!    │  recorded by crate::programs: one step per field operation
 //!    ▼
-//! Program  (named operands, compacted slots, executed order)
-//!    │  PassPipeline: validate
-//!    │                search             (CostModel::uses_search only)
+//! compile  validate
+//!          search                    (CostModel::uses_search only)
 //!    ▼
 //! CompiledProgram  (ops + ProgramStats + PassTrace per pass)
 //!    │  ProgramCache, keyed by (OpKind, bits, CostModel fingerprint)
@@ -27,17 +26,18 @@
 //! Two pieces go beyond faithful reproduction, toward what the paper's
 //! "on-the-fly sequence generation" gestured at:
 //!
-//! * the **superoptimizing search pass** ([`Pass::Search`], behind
+//! * the **superoptimizing search pass** of [`compile`] (behind
 //!   [`CostModel::sequence_search`]) — a beam search over instruction
 //!   reorderings and slot reallocations, scored by
 //!   [`crate::SequencePricing`] (the accounting walk execution charges,
 //!   fed a static price table), accepted only when strictly cheaper than the
 //!   recorded schedule — which is why the published calibration keeps it
 //!   off;
-//! * the **formula database** ([`FormulaDb`]) — named EFD variants with
-//!   op-count and constraint metadata, from which the ladder *derives*
-//!   the best PA/PD sequence per `(curve, cost model)` instead of being
-//!   told through hard-coded dispatch.
+//! * the **formula database** on [`OpKind`] — each kind's EFD name,
+//!   recorded op counts and applicability constraints, from which
+//!   [`OpKind::best_for`] *derives* the best PA/PD sequence per
+//!   `(curve, cost model)` instead of being told through hard-coded
+//!   dispatch.
 //!
 //! # Example
 //!
@@ -64,7 +64,8 @@ use crate::cost::CostModel;
 use crate::hierarchy::{Hierarchy, SequenceOp, SequencePricing, Walk};
 use crate::programs::{self, ECC_SLOTS, FP6_MUL_SLOTS};
 
-/// The composite (level-2) operations the platform can compile.
+/// The composite (level-2) operations the platform can compile, one per
+/// formula of the database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// `Fp6` (torus `T6`) multiplication: 18 MM Karatsuba, Section 2.2.2.
@@ -84,7 +85,8 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Every compilable kind, in a stable order.
+    /// Every compilable kind, in a stable order (declaration order, which
+    /// is also the formula database's order).
     pub const ALL: [OpKind; 5] = [
         OpKind::Fp6Mul,
         OpKind::EccPaGeneral,
@@ -93,7 +95,8 @@ impl OpKind {
         OpKind::EccPdFast,
     ];
 
-    /// Stable name, used in cache diagnostics and slot-overflow panics.
+    /// Stable name, used in cache diagnostics, slot-overflow panics and
+    /// golden row keys.
     pub fn name(self) -> &'static str {
         match self {
             OpKind::Fp6Mul => "fp6_mul",
@@ -104,6 +107,41 @@ impl OpKind {
         }
     }
 
+    /// The formula's registry name (EFD identifier where one exists, e.g.
+    /// `"madd"`, `"dbl-2001-b"`), used in the search report keys, the
+    /// ablation labels and the scorecard.
+    pub fn formula(self) -> &'static str {
+        match self {
+            OpKind::Fp6Mul => "karatsuba-fp6",
+            OpKind::EccPaGeneral => "pa-general",
+            OpKind::EccPaMixed => "madd",
+            OpKind::EccPd => "pd-general",
+            OpKind::EccPdFast => "dbl-2001-b",
+        }
+    }
+
+    /// Returns `true` if the formula needs its addend affine (`Z2 = 1`,
+    /// plain-domain coordinates written once by the MicroBlaze).
+    pub fn requires_affine_addend(self) -> bool {
+        self == OpKind::EccPaMixed
+    }
+
+    /// Returns `true` if the formula is only valid on curves with
+    /// `a = -3`.
+    pub fn requires_a_minus_three(self) -> bool {
+        self == OpKind::EccPdFast
+    }
+
+    /// Op metadata of the recorded program, read off the recording (so
+    /// it cannot drift from the sequence itself). Every kind is recorded
+    /// once per process, at first use.
+    pub fn stats(self) -> ProgramStats {
+        // `ALL` is in declaration order, so a kind's discriminant indexes it.
+        static STATS: OnceLock<[ProgramStats; 5]> = OnceLock::new();
+        STATS.get_or_init(|| OpKind::ALL.map(|kind| ProgramStats::of(&programs::author(kind).0)))
+            [self as usize]
+    }
+
     /// Data-memory slot budget of this kind's layout.
     pub fn slot_budget(self) -> usize {
         match self {
@@ -111,73 +149,58 @@ impl OpKind {
             _ => ECC_SLOTS,
         }
     }
+
+    /// The cheapest formula applicable to the request: `self` states what
+    /// the caller is computing *and* what it can provide (asking for
+    /// [`OpKind::EccPaMixed`] asserts the addend is affine; asking for a
+    /// doubling leaves the variant choice to the database), `curve`
+    /// supplies the structural constraints (`a = -3`), and `cost`
+    /// supplies the sequence-level knobs that gate the beyond-general
+    /// variants for the ablation baselines. Eligible kinds are ranked by
+    /// `(modmuls, modaddsubs)`; ties keep [`OpKind::ALL`] order, so the
+    /// choice is deterministic. This replaces the hard-coded `fast_pd` /
+    /// `mixed_coordinate_pa` dispatch that used to tell the ladder which
+    /// sequence to run.
+    ///
+    /// ```
+    /// use ecc::Curve;
+    /// use platform::program::OpKind;
+    /// use platform::CostModel;
+    ///
+    /// let p256 = Curve::by_name("p256").unwrap(); // a = -3
+    /// let pd = OpKind::EccPd.best_for(&p256, &CostModel::paper());
+    /// assert_eq!(pd.formula(), "dbl-2001-b"); // derived, not hard-coded
+    /// let k256 = Curve::by_name("secp256k1").unwrap(); // a = 0
+    /// let pd = OpKind::EccPd.best_for(&k256, &CostModel::paper());
+    /// assert_eq!(pd.formula(), "pd-general");
+    /// ```
+    pub fn best_for(self, curve: &ecc::Curve, cost: &CostModel) -> OpKind {
+        let family: &[OpKind] = match self {
+            OpKind::Fp6Mul => &[OpKind::Fp6Mul],
+            OpKind::EccPaGeneral | OpKind::EccPaMixed => {
+                &[OpKind::EccPaGeneral, OpKind::EccPaMixed]
+            }
+            OpKind::EccPd | OpKind::EccPdFast => &[OpKind::EccPd, OpKind::EccPdFast],
+        };
+        family
+            .iter()
+            .copied()
+            .filter(|k| {
+                // An affine-addend formula is usable only when the caller
+                // asserted it has one, and while the mixed-PA layer is on.
+                !k.requires_affine_addend() || (self == OpKind::EccPaMixed && cost.uses_mixed_pa())
+            })
+            .filter(|k| {
+                !k.requires_a_minus_three() || (curve.a_is_minus_three() && cost.uses_fast_pd())
+            })
+            .min_by_key(|k| (k.stats().modmuls, k.stats().modaddsubs()))
+            .expect("every family has an unconstrained general formula")
+    }
 }
 
 impl std::fmt::Display for OpKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// A recorded (not yet compiled) level-2 program: the typed IR the
-/// passes consume.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Program {
-    kind: OpKind,
-    ops: Vec<SequenceOp>,
-    operands: Vec<(&'static str, usize)>,
-    outputs: Vec<usize>,
-    slot_budget: usize,
-}
-
-impl Program {
-    /// Records the formula body behind `kind` (see [`crate::programs`]).
-    pub fn author(kind: OpKind) -> Program {
-        programs::author(kind)
-    }
-
-    /// Wraps recorded steps with their named operands and output slots.
-    pub(crate) fn new(
-        kind: OpKind,
-        ops: Vec<SequenceOp>,
-        operands: Vec<(&'static str, usize)>,
-        outputs: Vec<usize>,
-    ) -> Program {
-        Program {
-            kind,
-            ops,
-            operands,
-            outputs,
-            slot_budget: kind.slot_budget(),
-        }
-    }
-
-    /// The operation this program implements.
-    pub fn kind(&self) -> OpKind {
-        self.kind
-    }
-
-    /// The recorded steps, in executed order.
-    pub fn ops(&self) -> &[SequenceOp] {
-        &self.ops
-    }
-
-    /// Slot of the named operand, if declared.
-    pub fn operand(&self, name: &str) -> Option<usize> {
-        self.operands
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, s)| s)
-    }
-
-    /// The declared output slots.
-    pub fn outputs(&self) -> &[usize] {
-        &self.outputs
-    }
-
-    /// Op metadata of the recorded steps.
-    pub fn stats(&self) -> ProgramStats {
-        ProgramStats::of(&self.ops)
     }
 }
 
@@ -231,11 +254,11 @@ impl ProgramStats {
     }
 }
 
-/// What one compiler pass did to a program, kept on the
+/// What one compiler pass of [`compile`] did to a program, kept on the
 /// [`CompiledProgram`] for traceability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassTrace {
-    /// Pass name ([`Pass::name`]: `"validate"` or `"search"`).
+    /// Pass name: `"validate"` or `"search"`.
     pub pass: &'static str,
     /// Steps entering the pass.
     pub steps_before: usize,
@@ -261,8 +284,9 @@ impl PassTrace {
     }
 }
 
-/// A compiled level-2 program: validated, optimized and ready to execute
-/// any number of times via [`crate::Platform::execute`].
+/// A compiled level-2 program, built by [`compile`]: validated, optimized
+/// and ready to execute any number of times via
+/// [`crate::Platform::execute`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledProgram {
     kind: OpKind,
@@ -353,152 +377,86 @@ impl CompiledProgram {
     }
 }
 
-/// One named compiler pass of a [`PassPipeline`].
+/// Compiles the program for `kind` at the given operand length: records
+/// the formula body ([`crate::programs`]), validates that every slot it
+/// references sits inside the kind's layout budget, and — when
+/// [`CostModel::uses_search`] selects it — runs the superoptimizing beam
+/// search over reorderings *and* slot reallocations, keeping its
+/// candidate only when strictly cheaper than the recorded schedule. With
+/// search off the compiled steps are the recorded program.
 ///
-/// Every pass is deterministic and carries its own skip condition (a
-/// skipped pass still records a [`PassTrace`], reporting no change), so a
-/// pipeline built once is valid for every kind:
-///
-/// * [`Pass::Validate`] — every referenced slot must sit inside the
-///   kind's layout budget; always runs, never rewrites.
-/// * [`Pass::Search`] — the superoptimizing beam search over
-///   reorderings *and* slot reallocations, scored by
-///   [`crate::SequencePricing`]; runs only under
-///   [`CostModel::uses_search`] and keeps its candidate only when
-///   strictly cheaper than the recorded schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pass {
-    /// Slot-budget validation.
-    Validate,
-    /// Beam search over orderings and slot assignments.
-    Search,
-}
-
-impl Pass {
-    /// Stable name, used in [`PassTrace::pass`] and diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            Pass::Validate => "validate",
-            Pass::Search => "search",
-        }
-    }
-}
-
-/// An ordered list of named passes — the explicit compile API behind
-/// [`compile`].
+/// Each pass leaves a [`PassTrace`] (`"validate"`, then `"search"`).
+/// Trace cycles and the search's scores are priced on the paper's 4-core
+/// platform under the Type-B hierarchy (the one whose sequencer the
+/// search optimizes for) at the given operand length: a compiled program
+/// is cached per cost model, not per core count.
 ///
 /// ```
-/// use platform::program::{OpKind, PassPipeline, Program};
+/// use platform::program::{compile, OpKind};
 /// use platform::CostModel;
 ///
 /// let cost = CostModel::paper().with_search(true);
-/// let pipeline = PassPipeline::standard(&cost);
-/// let names: Vec<_> = pipeline.passes().iter().map(|p| p.name()).collect();
+/// let pd = compile(OpKind::EccPdFast, 160, &cost);
+/// let names: Vec<_> = pd.passes().iter().map(|p| p.pass).collect();
 /// assert_eq!(names, ["validate", "search"]);
-/// let pd = pipeline.run(Program::author(OpKind::EccPdFast), 160, &cost);
 /// assert_eq!(pd.stats().modmuls, 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PassPipeline {
-    passes: Vec<Pass>,
-}
-
-impl PassPipeline {
-    /// The standard pipeline for the given cost model: validation, plus
-    /// the search pass when [`CostModel::uses_search`] selects it.
-    pub fn standard(cost: &CostModel) -> Self {
-        let mut passes = vec![Pass::Validate];
-        if cost.uses_search() {
-            passes.push(Pass::Search);
-        }
-        PassPipeline { passes }
-    }
-
-    /// The ordered passes this pipeline runs.
-    pub fn passes(&self) -> &[Pass] {
-        &self.passes
-    }
-
-    /// Runs the pipeline over a recorded program, producing the compiled
-    /// artifact with one [`PassTrace`] per pass. Trace cycles and the
-    /// search's scores are priced on the paper's 4-core platform under
-    /// the Type-B hierarchy (the one whose sequencer the search optimizes
-    /// for) at the given operand length: a compiled program is cached per
-    /// cost model, not per core count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program references a slot beyond its layout budget
-    /// (a formula bug, not a user error).
-    pub fn run(&self, program: Program, bits: usize, cost: &CostModel) -> CompiledProgram {
-        let pricing = SequencePricing::new(&Coprocessor::new(*cost, 4), bits, Hierarchy::TypeB);
-        let Program {
-            kind,
-            mut ops,
-            operands,
-            outputs,
-            slot_budget,
-        } = program;
-        let mut passes = Vec::with_capacity(self.passes.len());
-        for pass in &self.passes {
-            let before = ProgramStats::of(&ops);
-            let cycles_before = pricing.sequence_cycles(&ops);
-            match pass {
-                Pass::Validate => {
-                    assert!(
-                        before.slot_high_water <= slot_budget,
-                        "{}: program references slot {} beyond its budget of {}",
-                        kind.name(),
-                        before.slot_high_water - 1,
-                        slot_budget
-                    );
-                }
-                Pass::Search => {
-                    if cost.uses_search() {
-                        if let Some(found) = search_schedule(
-                            &ops,
-                            &operands,
-                            &outputs,
-                            slot_budget,
-                            &pricing,
-                            cost.search_beam_width.max(1),
-                        ) {
-                            ops = found;
-                        }
-                    }
-                }
-            }
-            let after = ProgramStats::of(&ops);
-            passes.push(PassTrace {
-                pass: pass.name(),
-                steps_before: before.steps,
-                steps_after: after.steps,
-                pairs_before: before.independent_neighbour_pairs,
-                pairs_after: after.independent_neighbour_pairs,
-                cycles_before,
-                cycles_after: pricing.sequence_cycles(&ops),
-            });
-        }
-        let stats = ProgramStats::of(&ops);
-        CompiledProgram {
-            kind,
-            bits,
-            ops,
-            operands,
-            outputs,
-            slot_budget,
-            stats,
-            passes,
-        }
-    }
-}
-
-/// Compiles the program for `kind` at the given operand length through
-/// the standard pass pipeline ([`PassPipeline::standard`]): validation
-/// and — when the cost model selects it — the superoptimizing search
-/// pass. With search off the compiled steps are the recorded program.
+///
+/// # Panics
+///
+/// Panics if the program references a slot beyond its layout budget
+/// (a formula bug, not a user error).
 pub fn compile(kind: OpKind, bits: usize, cost: &CostModel) -> CompiledProgram {
-    PassPipeline::standard(cost).run(Program::author(kind), bits, cost)
+    let pricing = SequencePricing::new(&Coprocessor::new(*cost, 4), bits, Hierarchy::TypeB);
+    let (mut ops, operands, outputs) = programs::author(kind);
+    let slot_budget = kind.slot_budget();
+    let recorded = ProgramStats::of(&ops);
+    assert!(
+        recorded.slot_high_water <= slot_budget,
+        "{}: program references slot {} beyond its budget of {}",
+        kind.name(),
+        recorded.slot_high_water - 1,
+        slot_budget
+    );
+    // Validation never rewrites, so every pass starts from the recording.
+    let recorded_cycles = pricing.sequence_cycles(&ops);
+    let trace = |pass, after: &[SequenceOp]| {
+        let stats = ProgramStats::of(after);
+        PassTrace {
+            pass,
+            steps_before: recorded.steps,
+            steps_after: stats.steps,
+            pairs_before: recorded.independent_neighbour_pairs,
+            pairs_after: stats.independent_neighbour_pairs,
+            cycles_before: recorded_cycles,
+            cycles_after: pricing.sequence_cycles(after),
+        }
+    };
+    let mut passes = vec![trace("validate", &ops)];
+    if cost.uses_search() {
+        if let Some(found) = search_schedule(
+            &ops,
+            &operands,
+            &outputs,
+            slot_budget,
+            &pricing,
+            cost.search_beam_width.max(1),
+        ) {
+            ops = found;
+        }
+        passes.push(trace("search", &ops));
+    }
+    let stats = ProgramStats::of(&ops);
+    CompiledProgram {
+        kind,
+        bits,
+        ops,
+        operands,
+        outputs,
+        slot_budget,
+        stats,
+        passes,
+    }
 }
 
 /// The value-level dataflow of a slot program: for each step, the steps
@@ -869,152 +827,6 @@ impl ProgramCache {
     }
 }
 
-/// One named formula variant in the [`FormulaDb`]: which [`OpKind`]
-/// program implements it, its operation counts (taken from the recorded
-/// program, so they cannot drift from the sequences themselves), and the
-/// constraints under which it is usable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Formula {
-    name: &'static str,
-    kind: OpKind,
-    modmuls: usize,
-    modaddsubs: usize,
-    requires_affine_addend: bool,
-    requires_a_minus_three: bool,
-}
-
-impl Formula {
-    /// The registry name (EFD identifier where one exists, e.g.
-    /// `"madd"`, `"dbl-2001-b"`).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The compiled program kind implementing this formula.
-    pub fn kind(&self) -> OpKind {
-        self.kind
-    }
-
-    /// Montgomery multiplications in the recorded sequence.
-    pub fn modmuls(&self) -> usize {
-        self.modmuls
-    }
-
-    /// Modular additions plus subtractions in the recorded sequence.
-    pub fn modaddsubs(&self) -> usize {
-        self.modaddsubs
-    }
-
-    /// Returns `true` if the formula needs its addend affine (`Z2 = 1`,
-    /// plain-domain coordinates written once by the MicroBlaze).
-    pub fn requires_affine_addend(&self) -> bool {
-        self.requires_affine_addend
-    }
-
-    /// Returns `true` if the formula is only valid on curves with
-    /// `a = -3`.
-    pub fn requires_a_minus_three(&self) -> bool {
-        self.requires_a_minus_three
-    }
-}
-
-/// The formula database: named EFD variants with op-count and constraint
-/// metadata, from which [`FormulaDb::best_for`] *derives* the cheapest
-/// applicable PA/PD sequence per `(curve, cost model)` — replacing the
-/// hard-coded `fast_pd` / `mixed_coordinate_pa` dispatch that used to
-/// tell the ladder which sequence to run. Mirrors the registry style of
-/// `ecc::Curve::by_name`.
-///
-/// ```
-/// use ecc::Curve;
-/// use platform::program::{FormulaDb, OpKind};
-/// use platform::CostModel;
-///
-/// let db = FormulaDb::builtin();
-/// let p256 = Curve::by_name("p256").unwrap(); // a = -3
-/// let pd = db.best_for(OpKind::EccPd, &p256, &CostModel::paper());
-/// assert_eq!(pd.name(), "dbl-2001-b"); // derived, not hard-coded
-/// let k256 = Curve::by_name("secp256k1").unwrap(); // a = 0
-/// let pd = db.best_for(OpKind::EccPd, &k256, &CostModel::paper());
-/// assert_eq!(pd.name(), "pd-general");
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FormulaDb {
-    formulas: Vec<Formula>,
-}
-
-impl FormulaDb {
-    /// The built-in registry covering every compilable kind, constructed
-    /// once: op counts are read off the recorded programs at first use.
-    pub fn builtin() -> &'static FormulaDb {
-        static DB: OnceLock<FormulaDb> = OnceLock::new();
-        DB.get_or_init(|| {
-            let entry = |name, kind: OpKind, affine, a_minus_three| {
-                let stats = Program::author(kind).stats();
-                Formula {
-                    name,
-                    kind,
-                    modmuls: stats.modmuls,
-                    modaddsubs: stats.modaddsubs(),
-                    requires_affine_addend: affine,
-                    requires_a_minus_three: a_minus_three,
-                }
-            };
-            FormulaDb {
-                formulas: vec![
-                    entry("karatsuba-fp6", OpKind::Fp6Mul, false, false),
-                    entry("pa-general", OpKind::EccPaGeneral, false, false),
-                    entry("madd", OpKind::EccPaMixed, true, false),
-                    entry("pd-general", OpKind::EccPd, false, false),
-                    entry("dbl-2001-b", OpKind::EccPdFast, false, true),
-                ],
-            }
-        })
-    }
-
-    /// Every registered formula, in registration order.
-    pub fn formulas(&self) -> &[Formula] {
-        &self.formulas
-    }
-
-    /// Looks a formula up by registry name.
-    pub fn by_name(&self, name: &str) -> Option<&Formula> {
-        self.formulas.iter().find(|f| f.name == name)
-    }
-
-    /// The cheapest formula applicable to the request: `op` states what
-    /// the caller is computing *and* what it can provide (asking for
-    /// [`OpKind::EccPaMixed`] asserts the addend is affine; asking for a
-    /// doubling leaves the variant choice to the database), `curve`
-    /// supplies the structural constraints (`a = -3`), and `cost`
-    /// supplies the sequence-level knobs that gate the beyond-general
-    /// variants for the ablation baselines. Eligible formulas are ranked
-    /// by `(modmuls, modaddsubs)`; ties keep registration order, so the
-    /// choice is deterministic.
-    pub fn best_for(&self, op: OpKind, curve: &ecc::Curve, cost: &CostModel) -> &Formula {
-        let family: &[OpKind] = match op {
-            OpKind::Fp6Mul => &[OpKind::Fp6Mul],
-            OpKind::EccPaGeneral | OpKind::EccPaMixed => {
-                &[OpKind::EccPaGeneral, OpKind::EccPaMixed]
-            }
-            OpKind::EccPd | OpKind::EccPdFast => &[OpKind::EccPd, OpKind::EccPdFast],
-        };
-        self.formulas
-            .iter()
-            .filter(|f| family.contains(&f.kind))
-            .filter(|f| {
-                // An affine-addend formula is usable only when the caller
-                // asserted it has one, and while the mixed-PA layer is on.
-                !f.requires_affine_addend || (op == OpKind::EccPaMixed && cost.uses_mixed_pa())
-            })
-            .filter(|f| {
-                !f.requires_a_minus_three || (curve.a_is_minus_three() && cost.uses_fast_pd())
-            })
-            .min_by_key(|f| (f.modmuls, f.modaddsubs))
-            .expect("every family has an unconstrained general formula")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1035,15 +847,19 @@ mod tests {
 
     #[test]
     fn authored_programs_expose_named_operands_and_outputs() {
-        let pa = Program::author(OpKind::EccPaMixed);
+        // The recording names its operands; compilation hands them on.
+        let (_, operands, outputs) = programs::author(OpKind::EccPaMixed);
+        assert_eq!(outputs, [6, 7, 8]);
+        let pa = compile(OpKind::EccPaMixed, 160, &CostModel::paper());
+        assert_eq!(pa.operands, operands);
         assert_eq!(pa.operand("X1"), Some(0));
         assert_eq!(pa.operand("R2"), Some(5));
         assert_eq!(pa.operand("X3"), Some(6));
         assert_eq!(pa.operand("nonexistent"), None);
         assert_eq!(pa.outputs(), &[6, 7, 8]);
-        let pd = Program::author(OpKind::EccPdFast);
-        assert_eq!(pd.outputs(), &[3, 4, 5]);
-        assert_eq!(pd.stats().modmuls, 8);
+        let (_, _, outputs) = programs::author(OpKind::EccPdFast);
+        assert_eq!(outputs, [3, 4, 5]);
+        assert_eq!(OpKind::EccPdFast.stats().modmuls, 8);
     }
 
     #[test]
@@ -1053,10 +869,10 @@ mod tests {
         // every operand length (the golden file pins the resulting
         // cycles).
         for kind in OpKind::ALL {
-            let authored = Program::author(kind);
+            let (authored, _, _) = programs::author(kind);
             for bits in [160, 170, 256, 1024] {
                 let compiled = compile(kind, bits, &CostModel::paper());
-                assert_eq!(compiled.ops(), authored.ops(), "{kind} at {bits}");
+                assert_eq!(compiled.ops(), authored, "{kind} at {bits}");
                 assert!(compiled.passes().iter().all(|p| !p.changed()), "{kind}");
             }
         }
@@ -1104,39 +920,39 @@ mod tests {
         let e: Vec<_> = (2..14u64).map(|v| fp.from_u64(v)).collect();
         let p = [&e[0], &e[1], &e[2]];
         let q = [&e[3], &e[4], &e[5]];
-        for formula in FormulaDb::builtin().formulas() {
+        for kind in OpKind::ALL {
             fp.reset_op_count();
-            let lifts = match formula.name() {
-                "karatsuba-fp6" => {
+            let lifts = match kind {
+                OpKind::Fp6Mul => {
                     let b = std::array::from_fn(|i| &e[6 + i]);
                     field::karatsuba_fp6(&fp, std::array::from_fn(|i| &e[i]), b);
                     0
                 }
-                "pa-general" => {
+                OpKind::EccPaGeneral => {
                     formulas::pa_general(&fp, p, q);
                     0
                 }
-                "madd" => {
+                OpKind::EccPaMixed => {
                     formulas::madd(&fp, p, [q[0], q[1]]);
                     2
                 }
-                "pd-general" => {
+                OpKind::EccPd => {
                     formulas::pd_general(&fp, p, q[0]);
                     0
                 }
-                "dbl-2001-b" => {
+                OpKind::EccPdFast => {
                     formulas::dbl_2001_b(&fp, p);
                     0
                 }
-                other => panic!("no heap body for formula {other}"),
             };
             let OpCount { mul, add, sub, inv } = fp.op_count();
-            assert_eq!(inv, 0, "{}", formula.name());
+            assert_eq!(inv, 0, "{}", kind.formula());
+            let stats = kind.stats();
             assert_eq!(
-                (formula.modmuls(), formula.modaddsubs()),
+                (stats.modmuls, stats.modaddsubs()),
                 (mul as usize + lifts, (add + sub) as usize),
                 "{}",
-                formula.name()
+                kind.formula()
             );
         }
     }
@@ -1174,7 +990,7 @@ mod tests {
         for cost in [sequential, sequential.with_search(true)] {
             for kind in OpKind::ALL {
                 let compiled = compile(kind, 160, &cost);
-                assert_eq!(compiled.ops(), Program::author(kind).ops(), "{kind}");
+                assert_eq!(compiled.ops(), programs::author(kind).0, "{kind}");
                 assert_eq!(compiled.passes().len(), 1, "{kind}: validate only");
             }
         }
@@ -1182,21 +998,23 @@ mod tests {
 
     #[test]
     fn standard_pipeline_names_its_passes_in_order() {
-        let names = |cost: &CostModel| -> Vec<&'static str> {
-            PassPipeline::standard(cost)
-                .passes()
-                .iter()
-                .map(|p| p.name())
-                .collect()
+        let names = |cost: &CostModel| -> [Vec<&'static str>; 5] {
+            OpKind::ALL.map(|kind| {
+                compile(kind, 160, cost)
+                    .passes()
+                    .iter()
+                    .map(|p| p.pass)
+                    .collect()
+            })
         };
         let base = CostModel::paper();
-        assert_eq!(names(&base), ["validate"]);
-        assert_eq!(names(&base.with_search(true)), ["validate", "search"]);
+        assert_eq!(names(&base), [["validate"]; 5]);
+        assert_eq!(names(&base.with_search(true)), [["validate", "search"]; 5]);
         // The search pass needs the pipelined scorer: sequential models
         // keep validation only even with the knob on.
         assert_eq!(
             names(&CostModel::paper_sequential().with_search(true)),
-            ["validate"]
+            [["validate"]; 5]
         );
     }
 
@@ -1228,7 +1046,7 @@ mod tests {
             let mut b = probe_slots(slots);
             run(authored.ops(), &mut a);
             run(searched.ops(), &mut b);
-            for &o in Program::author(kind).outputs() {
+            for &o in authored.outputs() {
                 assert_eq!(a[o], b[o], "{kind}: output slot {o} diverged");
             }
         }
@@ -1305,12 +1123,7 @@ mod tests {
 
     #[test]
     fn formula_db_registers_the_efd_variants_with_authored_counts() {
-        let db = FormulaDb::builtin();
-        let counts: Vec<(&str, usize, usize)> = db
-            .formulas()
-            .iter()
-            .map(|f| (f.name(), f.modmuls(), f.modaddsubs()))
-            .collect();
+        let counts = OpKind::ALL.map(|k| (k.formula(), k.stats().modmuls, k.stats().modaddsubs()));
         assert_eq!(
             counts,
             [
@@ -1321,50 +1134,62 @@ mod tests {
                 ("dbl-2001-b", 8, 12),
             ]
         );
-        assert_eq!(db.by_name("madd").unwrap().kind(), OpKind::EccPaMixed);
-        assert!(db.by_name("madd").unwrap().requires_affine_addend());
-        assert!(db.by_name("dbl-2001-b").unwrap().requires_a_minus_three());
-        assert!(db.by_name("nonexistent").is_none());
+        // Each kind reads its own recording's counts.
+        for kind in OpKind::ALL {
+            assert_eq!(kind.stats(), ProgramStats::of(&programs::author(kind).0));
+        }
+        // Exactly one formula carries each constraint.
+        let affine = OpKind::ALL.map(|k| k.requires_affine_addend());
+        assert_eq!(affine, [false, false, true, false, false]);
+        let a_minus_three = OpKind::ALL.map(|k| k.requires_a_minus_three());
+        assert_eq!(a_minus_three, [false, false, false, false, true]);
     }
 
     #[test]
     fn formula_db_derives_the_variant_from_curve_and_cost() {
-        let db = FormulaDb::builtin();
-        let p256 = ecc::Curve::by_name("p256").unwrap(); // a = -3
-        let k256 = ecc::Curve::by_name("secp256k1").unwrap(); // a = 0
-        let paper = CostModel::paper();
-        // Doubling: derived from curve structure, gated by the cost knob.
+        // Every registered curve under every (mixed PA, fast PD) knob
+        // pair, the kind derived for each request in `OpKind::ALL` order.
+        // Doubling is derived from curve structure (`a = -3`: p256 and
+        // the p160 reproduction), gated by the fast-PD knob; addition
+        // derives madd only when the caller asserts the affine addend and
+        // the mixed-PA knob is on; Fp6 is its own single-entry family.
+        let (f6, pa, madd) = (OpKind::Fp6Mul, OpKind::EccPaGeneral, OpKind::EccPaMixed);
+        let (pd, fast) = (OpKind::EccPd, OpKind::EccPdFast);
+        let expected = [
+            ("secp256k1", true, true, [f6, pa, madd, pd, pd]),
+            ("secp256k1", true, false, [f6, pa, madd, pd, pd]),
+            ("secp256k1", false, true, [f6, pa, pa, pd, pd]),
+            ("secp256k1", false, false, [f6, pa, pa, pd, pd]),
+            ("p256", true, true, [f6, pa, madd, fast, fast]),
+            ("p256", true, false, [f6, pa, madd, pd, pd]),
+            ("p256", false, true, [f6, pa, pa, fast, fast]),
+            ("p256", false, false, [f6, pa, pa, pd, pd]),
+            ("p160-reproduction", true, true, [f6, pa, madd, fast, fast]),
+            ("p160-reproduction", true, false, [f6, pa, madd, pd, pd]),
+            ("p160-reproduction", false, true, [f6, pa, pa, fast, fast]),
+            ("p160-reproduction", false, false, [f6, pa, pa, pd, pd]),
+            ("toy-1009", true, true, [f6, pa, madd, pd, pd]),
+            ("toy-1009", true, false, [f6, pa, madd, pd, pd]),
+            ("toy-1009", false, true, [f6, pa, pa, pd, pd]),
+            ("toy-1009", false, false, [f6, pa, pa, pd, pd]),
+        ];
+        let curves = ecc::Curve::registered_names();
         assert_eq!(
-            db.best_for(OpKind::EccPd, &p256, &paper).name(),
-            "dbl-2001-b"
+            expected.len(),
+            4 * curves.len(),
+            "one row per curve and knob pair"
         );
-        assert_eq!(
-            db.best_for(OpKind::EccPd, &k256, &paper).name(),
-            "pd-general"
-        );
-        assert_eq!(
-            db.best_for(OpKind::EccPd, &p256, &paper.with_fast_pd(false))
-                .name(),
-            "pd-general"
-        );
-        // Addition: madd only when the caller asserts the affine addend.
-        assert_eq!(
-            db.best_for(OpKind::EccPaMixed, &p256, &paper).name(),
-            "madd"
-        );
-        assert_eq!(
-            db.best_for(OpKind::EccPaGeneral, &p256, &paper).name(),
-            "pa-general"
-        );
-        assert_eq!(
-            db.best_for(OpKind::EccPaMixed, &p256, &paper.with_mixed_pa(false))
-                .name(),
-            "pa-general"
-        );
-        // Fp6 is its own single-entry family.
-        assert_eq!(
-            db.best_for(OpKind::Fp6Mul, &p256, &paper).name(),
-            "karatsuba-fp6"
-        );
+        for (name, mixed_pa, fast_pd, kinds) in expected {
+            assert!(curves.contains(&name), "{name} is registered");
+            let curve = ecc::Curve::by_name(name).unwrap();
+            let cost = CostModel::paper()
+                .with_mixed_pa(mixed_pa)
+                .with_fast_pd(fast_pd);
+            let derived = OpKind::ALL.map(|op| op.best_for(&curve, &cost));
+            assert_eq!(
+                derived, kinds,
+                "{name}, mixed PA {mixed_pa}, fast PD {fast_pd}"
+            );
+        }
     }
 }

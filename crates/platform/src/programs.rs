@@ -6,13 +6,13 @@
 //! * the `Fp6` multiplication of Section 2.2.2 (18 MM + ~60 MA/MS),
 //! * the general Jacobian ECC point addition (PA, 16 MM),
 //! * the mixed-coordinate ECC point addition (`Z2 = 1`, 13 MM — the
-//!   variant whose cycle count matches Table 2; the `madd` entry of the
-//!   [`crate::program::FormulaDb`]),
+//!   variant whose cycle count matches Table 2; the `madd` formula,
+//!   [`OpKind::EccPaMixed`]),
 //! * the Jacobian ECC point doubling (PD, 10 MM — the InsRom1 doubling
 //!   whose **Type-B** cycle count matches Table 2) and
 //! * the shortened `a = -3` doubling (8 MM + 12 MA/MS — the on-the-fly
 //!   generated doubling whose **Type-A** cycle count matches Table 2; the
-//!   `dbl-2001-b` entry of the [`crate::program::FormulaDb`]).
+//!   `dbl-2001-b` formula, [`OpKind::EccPdFast`]).
 //!
 //! None of them is written here. Each is one formula body over
 //! [`field::FieldOps`] — [`field::karatsuba_fp6`] and the four point
@@ -21,7 +21,8 @@
 //! operation of a body into one program step, in body order, writes each
 //! output's final value straight into its layout slot, and compacts the
 //! temporaries with the lowest-first slot reassignment the search pass
-//! also uses.
+//! also uses. [`crate::program::compile`] builds every program from its
+//! recording, and [`OpKind::stats`] counts it.
 //!
 //! The *order* of a sequence matters beyond correctness: under the
 //! pipelined schedule the Type-B sequencer prefetches the next step's
@@ -36,9 +37,9 @@
 //! Inspect the paper's `Fp6` multiplication sequence:
 //!
 //! ```
-//! use platform::program::{OpKind, Program};
+//! use platform::program::OpKind;
 //!
-//! let stats = Program::author(OpKind::Fp6Mul).stats();
+//! let stats = OpKind::Fp6Mul.stats();
 //! assert_eq!(stats.modmuls, 18);          // Section 2.2.2: 18M per Fp6 mult
 //! assert!(stats.modaddsubs() >= 55);      // ≈ 60 A
 //! // More than half of the adjacent step pairs are hazard-free, which is
@@ -52,7 +53,7 @@ use ecc::formulas;
 use field::FieldOps;
 
 use crate::hierarchy::SequenceOp;
-use crate::program::{reassign_slots, OpKind, Program, ValueDag};
+use crate::program::{reassign_slots, OpKind, ValueDag};
 
 /// Slot layout of the `Fp6` multiplication sequence.
 ///
@@ -107,9 +108,10 @@ pub(crate) const RSA_MULTIPLY: &[SequenceOp] = &[SequenceOp::MontMul {
     b: RSA_BASE,
 }];
 
-/// Records the formula body behind `kind` as its program — the single
-/// entry point behind [`Program::author`].
-pub(crate) fn author(kind: OpKind) -> Program {
+/// Records the formula body behind `kind` as its program: the steps in
+/// executed order, the named operand slots (inputs and outputs) and the
+/// output slots.
+pub(crate) fn author(kind: OpKind) -> (Vec<SequenceOp>, Vec<(&'static str, usize)>, Vec<usize>) {
     let mut rec = Recorder::new(kind);
     match kind {
         OpKind::Fp6Mul => {
@@ -188,9 +190,9 @@ impl Recorder {
     }
 
     /// Declares the body's results as named outputs on consecutive layout
-    /// slots and builds the program: the step producing each output writes
-    /// its slot directly, and every other value takes the lowest free
-    /// temporary.
+    /// slots and returns the recording [`author`] hands out: the step
+    /// producing each output writes its slot directly, and every other
+    /// value takes the lowest free temporary.
     ///
     /// # Panics
     ///
@@ -201,7 +203,7 @@ impl Recorder {
         names: [&'static str; N],
         first: usize,
         results: [usize; N],
-    ) -> Program {
+    ) -> (Vec<SequenceOp>, Vec<(&'static str, usize)>, Vec<usize>) {
         let budget = self.kind.slot_budget();
         assert!(
             results.iter().all(|&r| r >= budget),
@@ -233,7 +235,7 @@ impl Recorder {
             .unwrap_or_else(|| {
                 panic!("{}: temporary slots exhausted (budget {budget})", self.kind)
             });
-        Program::new(self.kind, ops, self.operands, outputs)
+        (ops, self.operands, outputs)
     }
 }
 
@@ -268,7 +270,7 @@ mod tests {
 
     #[test]
     fn fp6_sequence_matches_paper_operation_count() {
-        let stats = Program::author(OpKind::Fp6Mul).stats();
+        let stats = OpKind::Fp6Mul.stats();
         assert_eq!(stats.modmuls, 18, "Section 2.2.2: 18M per Fp6 mult");
         let adds = stats.modaddsubs();
         assert!((55..=70).contains(&adds), "≈60A expected, found {adds}");
@@ -282,8 +284,8 @@ mod tests {
         // The Type-B calibration depends on the sequencer finding enough
         // hazard-free neighbour pairs to prefetch across; pin a floor per
         // sequence so reorderings cannot silently serialise Table 2.
-        let density = |kind| {
-            let stats = Program::author(kind).stats();
+        let density = |kind: OpKind| {
+            let stats = kind.stats();
             (stats.independent_neighbour_pairs, stats.steps - 1)
         };
         let (fp6_pairs, fp6_total) = density(OpKind::Fp6Mul);
@@ -338,7 +340,7 @@ mod tests {
 
     #[test]
     fn ecc_sequences_have_expected_shape() {
-        let stats = |kind| Program::author(kind).stats();
+        let stats = |kind: OpKind| kind.stats();
         let pa = stats(OpKind::EccPaGeneral);
         let pa_mixed = stats(OpKind::EccPaMixed);
         let pd = stats(OpKind::EccPd);
@@ -372,9 +374,9 @@ mod tests {
         // Recording writes each output slot exactly once, by the step that
         // produces its final value — no trailing copies, no scratch use.
         for kind in OpKind::ALL {
-            let program = Program::author(kind);
-            for &out in program.outputs() {
-                let writes: Vec<_> = program.ops().iter().filter(|op| op.dest() == out).collect();
+            let (ops, _, outputs) = author(kind);
+            for out in outputs {
+                let writes: Vec<_> = ops.iter().filter(|op| op.dest() == out).collect();
                 assert_eq!(writes.len(), 1, "{kind}: slot {out} written {writes:?}");
                 assert!(!writes[0].is_copy(), "{kind}: slot {out} ends in a copy");
             }
@@ -387,8 +389,8 @@ mod tests {
         // as a coordinate: its operand block is X2 (3), Y2 (4) and the R²
         // lift constant (5), and the two lifts are the only steps that may
         // read the plain-form slots 3 and 4.
-        let program = Program::author(OpKind::EccPaMixed);
-        for (idx, op) in program.ops().iter().enumerate() {
+        let (ops, _, _) = author(OpKind::EccPaMixed);
+        for (idx, op) in ops.iter().enumerate() {
             for src in op.sources() {
                 if src == 3 || src == 4 || src == 5 {
                     assert!(
@@ -405,7 +407,7 @@ mod tests {
     fn fast_pd_never_reads_the_curve_coefficient() {
         // a = -3 is folded into the factored slope: the program must not
         // touch slot 6 (`a`), and must not overwrite its inputs.
-        for op in Program::author(OpKind::EccPdFast).ops() {
+        for op in author(OpKind::EccPdFast).0 {
             assert!(!op.sources().contains(&6), "fast PD reads `a`: {op:?}");
             assert_ne!(op.dest(), 6);
             assert!(op.dest() >= 3, "fast PD overwrites an input: {op:?}");

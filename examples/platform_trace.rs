@@ -7,7 +7,7 @@
 use bignum::BigUint;
 use ceilidh::CeilidhParams;
 use platform::isa::{Core, MicroOp, Program};
-use platform::{compile, Coprocessor, CostModel, FormulaDb, Hierarchy, OpKind, Platform};
+use platform::{compile, Coprocessor, CostModel, Hierarchy, OpKind, Platform};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Level 3: a microinstruction program on a single core. ------------
@@ -49,12 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Level 2: the formula database behind the InsRom1 sequences. -------
     println!("\n== level 2: formula database (InsRom1 sequences) ==");
-    for formula in FormulaDb::builtin().formulas() {
-        let stats = platform::program::Program::author(formula.kind()).stats();
+    for kind in OpKind::ALL {
+        let stats = kind.stats();
         println!(
             "{:<14} ({}): {} steps = {} MM + {} MA/MS + {} copies",
-            formula.name(),
-            formula.kind(),
+            kind.formula(),
+            kind,
             stats.steps,
             stats.modmuls,
             stats.modaddsubs(),
@@ -62,17 +62,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let curve = ecc::Curve::p160_reproduction()?;
-    let db = FormulaDb::builtin();
+    let paper = CostModel::paper();
     println!(
         "derived for {} under the paper calibration: PA -> {}, PD -> {}",
         curve.name(),
-        db.best_for(OpKind::EccPaMixed, &curve, &CostModel::paper())
-            .name(),
-        db.best_for(OpKind::EccPd, &curve, &CostModel::paper())
-            .name()
+        OpKind::EccPaMixed.best_for(&curve, &paper).formula(),
+        OpKind::EccPd.best_for(&curve, &paper).formula()
     );
 
-    // --- Level 2: the pass pipeline + program cache. -----------------------
+    // --- Level 2: compile's passes + program cache. ------------------------
     println!("\n== level 2: pass pipeline (Program -> passes -> CompiledProgram) ==");
     // The paper calibration only validates the recorded program; turning
     // the search pass on shows a pass that rewrites it.

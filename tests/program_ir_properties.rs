@@ -6,8 +6,9 @@
 //!   step at the value level, the programs the platform executed before
 //!   the bodies were shared with the host;
 //! * **refactor safety net** — `compile()` with search off is the recorded
-//!   program, cycle-identical and slot-state-identical on execution, for
-//!   every `OpKind × CostModel × bits` combination;
+//!   program (the paper calibration's compile, which the crate's unit
+//!   tests pin to the recording), cycle-identical and slot-state-identical
+//!   on execution, for every `OpKind × CostModel × bits` combination;
 //! * **cache semantics** — the same `(OpKind, bits, cost fingerprint)`
 //!   key yields the same `CompiledProgram` allocation (a hit), any knob
 //!   change misses;
@@ -17,7 +18,7 @@
 
 use bignum::BigUint;
 use ecc::Curve;
-use platform::program::{compile, OpKind, PassPipeline, Program, ProgramCache};
+use platform::program::{compile, OpKind, PassTrace, ProgramCache};
 use platform::{CostModel, Hierarchy, Platform, ScheduleModel, SequenceOp};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -53,24 +54,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The refactor safety net: for every kind, cost model and operand
-    /// length, the search-off pipeline produces a program whose execution
+    /// length, the search-off compile produces a program whose execution
     /// is cycle-identical — and slot-for-slot state-identical — to the
-    /// recorded program wrapped by validation alone.
+    /// recorded program, as the paper calibration compiles it at 160 bits
+    /// (`compile_preserves_calibrated_programs_exactly` pins that compile
+    /// to the recording).
     #[test]
     fn compile_is_cycle_identical_to_legacy_sequences(bits in 16usize..512) {
+        let recorded = OpKind::ALL.map(|kind| compile(kind, 160, &CostModel::paper()));
         for cost in cost_variants() {
-            let validate_only = PassPipeline::standard(&cost.with_search(false));
             for hierarchy in [Hierarchy::TypeA, Hierarchy::TypeB] {
                 let plat = Platform::new(cost, 4, hierarchy);
                 let modulus = probe_modulus(bits);
-                for kind in OpKind::ALL {
+                for (kind, recorded) in OpKind::ALL.into_iter().zip(&recorded) {
                     let compiled = compile(kind, bits, &cost);
-                    let recorded = validate_only.run(Program::author(kind), bits, &cost);
                     prop_assert_eq!(compiled.ops(), recorded.ops(), "{} step stream", kind);
                     let mut slots_a = probe_slots(compiled.slot_budget());
                     let mut slots_b = probe_slots(recorded.slot_budget());
                     let ra = plat.execute(&compiled, &modulus, &mut slots_a);
-                    let rb = plat.execute(&recorded, &modulus, &mut slots_b);
+                    let rb = plat.execute(recorded, &modulus, &mut slots_b);
                     prop_assert_eq!(ra, rb, "{} report ({:?})", kind, hierarchy);
                     prop_assert_eq!(slots_a, slots_b, "{} slot state", kind);
                 }
@@ -225,6 +227,39 @@ fn compiled_programs_expose_stats_and_pass_trace() {
     assert_eq!(fp6.operand("a0"), Some(0));
     assert_eq!(fp6.operand("r5"), Some(17));
     assert_eq!(pd.operand("X3"), Some(3));
+    // Every pass trace of every kind at its Table 2 width, with search
+    // off and on: (kind, bits, steps, recorded pairs, recorded cycles,
+    // searched pairs, searched cycles). Search keeps the step count.
+    let pinned = [
+        (OpKind::Fp6Mul, 170, 92, 53, 5883, 61, 5795),
+        (OpKind::EccPaGeneral, 160, 29, 11, 3487, 25, 3347),
+        (OpKind::EccPaMixed, 160, 24, 10, 2876, 19, 2786),
+        (OpKind::EccPd, 160, 25, 7, 2519, 20, 2389),
+        (OpKind::EccPdFast, 160, 20, 15, 1960, 18, 1930),
+    ];
+    for (kind, bits, steps, pairs, cycles, searched_pairs, searched_cycles) in pinned {
+        let validate = PassTrace {
+            pass: "validate",
+            steps_before: steps,
+            steps_after: steps,
+            pairs_before: pairs,
+            pairs_after: pairs,
+            cycles_before: cycles,
+            cycles_after: cycles,
+        };
+        let search = PassTrace {
+            pass: "search",
+            pairs_after: searched_pairs,
+            cycles_after: searched_cycles,
+            ..validate
+        };
+        assert_eq!(compile(kind, bits, &cost).passes(), [validate], "{kind}");
+        assert_eq!(
+            compile(kind, bits, &cost.with_search(true)).passes(),
+            [validate, search],
+            "{kind}"
+        );
+    }
 }
 
 #[test]
@@ -234,12 +269,13 @@ fn under_sequential_schedule_fast_pd_keeps_authored_order() {
     // (kind, cost) key.
     let seq = CostModel::paper_sequential();
     let compiled = compile(OpKind::EccPdFast, 160, &seq);
-    assert_eq!(compiled.ops(), Program::author(OpKind::EccPdFast).ops());
+    // The paper calibration's compile is the recording (pinned by
+    // `compile_preserves_calibrated_programs_exactly`).
+    let pip = compile(OpKind::EccPdFast, 160, &CostModel::paper());
+    assert_eq!(pip.ops(), compiled.ops());
     // And compilation is deterministic.
     let again = compile(OpKind::EccPdFast, 160, &seq);
     assert_eq!(compiled.ops(), again.ops());
-    let pip = compile(OpKind::EccPdFast, 160, &CostModel::paper());
-    assert_eq!(pip.ops(), compiled.ops());
 }
 
 /// A program in value-level form: each operand is named by the step that
