@@ -19,20 +19,22 @@
 //!   `MontgomeryContext<L>` with `L = ⌈n/64⌉`. The heap backend uses the
 //!   same radix `R = 2^(64·L)` at every width, so Montgomery forms are
 //!   interchangeable and results bit-identical.
-//!   [`MontgomeryParams::mont_pow`](crate::MontgomeryParams::mont_pow)
-//!   (and so `mod_exp`) runs on the `L`-word context for `L` in
-//!   {1, 2, 3, 4, 8, 16}, and [`Montgomery256`] holds the context of any
-//!   modulus of at most 256 bits behind one four-word residue type.
+//!   [`MontgomeryParams`](crate::MontgomeryParams) builds the `L`-word
+//!   context once for `L` in {1, 2, 3, 4, 8, 16}, and its
+//!   [`run`](crate::MontgomeryParams::run) hands it every
+//!   [`ResidueJob`](crate::ResidueJob) (`mod_exp` and `mont_pow` among
+//!   them); [`Montgomery256`] holds the context of any modulus of at most
+//!   256 bits behind one four-word residue type.
 //! - Free modular helpers ([`add_mod`], [`sub_mod`], [`neg_mod`],
 //!   [`mul_mod`], [`reduce_wide`]) for reduced fixed-width residues.
 //!
 //! Higher layers do not construct these directly: `field::FpContext`
 //! stores every residue of a field of at most 256 bits in words on a
 //! [`Montgomery256`] and runs whole computations, such as the `ecc`
-//! ladders, on the `L`-word context of the field's width, and RSA reaches
-//! the stack through `MontgomeryParams`. The differential proptest suite
-//! (`tests/fixed_uint_properties.rs`) pins every operation here to the heap
-//! backend bit for bit.
+//! ladders, on the `L`-word context of the field's width; RSA and the
+//! platform simulator reach the stack through `MontgomeryParams::run`. The
+//! differential proptest suite (`tests/fixed_uint_properties.rs`) pins
+//! every operation here to the heap backend bit for bit.
 
 mod modular;
 mod montgomery;

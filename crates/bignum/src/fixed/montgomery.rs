@@ -37,7 +37,7 @@ use crate::BigUint;
 ///     (&a.to_biguint() * &b.to_biguint()) % &p
 /// );
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MontgomeryContext<const LIMBS: usize> {
     modulus: Uint<LIMBS>,
     /// `p' = -p^{-1} mod 2^64`, the CIOS per-modulus constant.

@@ -4,7 +4,10 @@
 //! [`BigUint`], the radix-2^w primitives the DATE 2008 paper builds on
 //! (Montgomery modular multiplication in the FIOS schedule of its
 //! Algorithm 1), generic modular arithmetic, extended GCD / modular
-//! inversion and Miller–Rabin based prime generation.
+//! inversion and Miller–Rabin based prime generation. A [`ResidueJob`],
+//! written once over [`ResidueOps`], runs through [`MontgomeryParams::run`]
+//! on the stack context of its modulus's width ([`fixed`]) or, at widths
+//! without one, on the heap reference.
 //!
 //! Every higher layer of the reproduction (the `field` tower, the `ceilidh`
 //! torus cryptosystem, the `ecc` and `rsa` comparators and the `platform`
@@ -39,6 +42,7 @@ mod limb;
 mod modular;
 mod montgomery;
 mod prime;
+mod residue;
 mod uint;
 
 pub use error::{DivideByZeroError, ParseBigUintError};
@@ -47,4 +51,5 @@ pub use limb::{DoubleLimb, Limb, LIMB_BITS};
 pub use modular::{mod_add, mod_exp, mod_inv, mod_mul, mod_neg, mod_sub};
 pub use montgomery::MontgomeryParams;
 pub use prime::{gen_prime, gen_prime_congruent, gen_safe_prime, is_prime, miller_rabin};
+pub use residue::{ResidueJob, ResidueOps};
 pub use uint::BigUint;

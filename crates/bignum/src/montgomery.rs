@@ -9,42 +9,8 @@
 
 use crate::fixed::{montgomery_words, MontgomeryContext, Uint};
 use crate::limb::{adc, inv_mod_limb, mac, Limb, LIMB_BITS};
+use crate::residue::{ResidueJob, ResidueOps};
 use crate::uint::BigUint;
-
-/// Evaluates `$body`, an `Option`, with `$ctx` bound to `$params`'
-/// [`MontgomeryContext<L>`] for `L = s/2` words, at the widths the
-/// workspace runs (up to 256 bits, 512 and 1024 bits); `None` elsewhere.
-macro_rules! on_stack {
-    ($params:expr, $ctx:ident => $body:expr) => {
-        match $params.s / 2 {
-            1 => {
-                let $ctx = $params.context::<1>();
-                $body
-            }
-            2 => {
-                let $ctx = $params.context::<2>();
-                $body
-            }
-            3 => {
-                let $ctx = $params.context::<3>();
-                $body
-            }
-            4 => {
-                let $ctx = $params.context::<4>();
-                $body
-            }
-            8 => {
-                let $ctx = $params.context::<8>();
-                $body
-            }
-            16 => {
-                let $ctx = $params.context::<16>();
-                $body
-            }
-            _ => None,
-        }
-    };
-}
 
 /// Precomputed per-modulus constants for Montgomery arithmetic.
 ///
@@ -53,10 +19,12 @@ macro_rules! on_stack {
 /// `R = 2^(64·⌈n/64⌉)` is also the radix of the fixed-width
 /// [`MontgomeryContext`] at that width, and Montgomery forms from the two
 /// backends are bit-identical. Single products ([`mont_mul`](Self::mont_mul))
-/// run the heap FIOS reference; [`mont_pow`](Self::mont_pow), and with it
-/// [`mod_exp`](Self::mod_exp) and [`mod_inv_prime`](Self::mod_inv_prime),
-/// run on the stack context for widths of 1–4, 8 and 16 words (moduli of
-/// up to 256 bits, 512 and 1024 bits).
+/// run the heap FIOS reference. [`run`](Self::run) runs a [`ResidueJob`] on
+/// the stack context of the modulus's width, built once with these
+/// constants, for widths of 1–4, 8 and 16 words (moduli of up to 256 bits,
+/// 512 and 1024 bits), and on the heap reference elsewhere;
+/// [`mont_pow`](Self::mont_pow), [`mod_exp`](Self::mod_exp) and
+/// [`mod_inv_prime`](Self::mod_inv_prime) are such jobs.
 ///
 /// # Example
 ///
@@ -79,6 +47,44 @@ pub struct MontgomeryParams {
     n0_inv: Limb,
     r_mod: BigUint,
     r2: BigUint,
+    /// The stack context of this width, where there is one.
+    stack: Option<Stack>,
+}
+
+/// A modulus's stack context, at the widths that have one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Stack {
+    W1(MontgomeryContext<1>),
+    W2(MontgomeryContext<2>),
+    W3(MontgomeryContext<3>),
+    W4(MontgomeryContext<4>),
+    W8(MontgomeryContext<8>),
+    W16(MontgomeryContext<16>),
+}
+
+impl Stack {
+    /// The context at `words` words, repacked from the heap constants
+    /// `R mod p` and `R² mod p`: the two backends share `R`, so no division
+    /// is needed.
+    fn new(words: usize, modulus: &BigUint, r_mod: &BigUint, r2: &BigUint) -> Option<Self> {
+        fn context<const L: usize>(
+            modulus: &BigUint,
+            r_mod: &BigUint,
+            r2: &BigUint,
+        ) -> MontgomeryContext<L> {
+            let words = |v: &BigUint| Uint::from_biguint(v).expect("L words hold every residue");
+            MontgomeryContext::from_parts(words(modulus), words(r_mod), words(r2))
+        }
+        Some(match words {
+            1 => Stack::W1(context(modulus, r_mod, r2)),
+            2 => Stack::W2(context(modulus, r_mod, r2)),
+            3 => Stack::W3(context(modulus, r_mod, r2)),
+            4 => Stack::W4(context(modulus, r_mod, r2)),
+            8 => Stack::W8(context(modulus, r_mod, r2)),
+            16 => Stack::W16(context(modulus, r_mod, r2)),
+            _ => return None,
+        })
+    }
 }
 
 impl MontgomeryParams {
@@ -100,9 +106,48 @@ impl MontgomeryParams {
             modulus_limbs: modulus.to_limbs_padded(s),
             s,
             n0_inv,
+            stack: Stack::new(s / 2, modulus, &r_mod, &r2),
             r_mod,
             r2,
         })
+    }
+
+    /// Runs `job` on this modulus's stack context, when its width of `s/2`
+    /// words is 1, 2, 3, 4, 8 or 16, and on these parameters' heap FIOS
+    /// reference at any other width. The residues are the same either way.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use bignum::{BigUint, MontgomeryParams, ResidueJob, ResidueOps};
+    ///
+    /// /// `x³` of a Montgomery-form residue, in Montgomery form.
+    /// struct Cube<'a>(&'a BigUint);
+    ///
+    /// impl ResidueJob for Cube<'_> {
+    ///     type Output = BigUint;
+    ///     fn run<R: ResidueOps>(self, r: &R) -> BigUint {
+    ///         let x = r.lower(self.0);
+    ///         r.lift(&r.mont_mul(&r.mont_mul(&x, &x), &x))
+    ///     }
+    /// }
+    ///
+    /// let p = BigUint::from(1_000_000_007u64);
+    /// let mont = MontgomeryParams::new(&p).expect("odd modulus");
+    /// let x = BigUint::from(12_345u64);
+    /// let cube = mont.from_mont(&mont.run(Cube(&mont.to_mont(&x))));
+    /// assert_eq!(cube, &(&(&x * &x) * &x) % &p);
+    /// ```
+    pub fn run<J: ResidueJob>(&self, job: J) -> J::Output {
+        match &self.stack {
+            Some(Stack::W1(ctx)) => job.run(ctx),
+            Some(Stack::W2(ctx)) => job.run(ctx),
+            Some(Stack::W3(ctx)) => job.run(ctx),
+            Some(Stack::W4(ctx)) => job.run(ctx),
+            Some(Stack::W8(ctx)) => job.run(ctx),
+            Some(Stack::W16(ctx)) => job.run(ctx),
+            None => job.run(self),
+        }
     }
 
     /// The modulus these parameters were derived for.
@@ -144,53 +189,22 @@ impl MontgomeryParams {
     }
 
     /// Modular exponentiation `base^exp mod p` via Montgomery
-    /// square-and-multiply (left-to-right).
-    ///
-    /// Runs entirely on the stack context at this width (conversions
-    /// included) when there is one and the exponent fits in it, so its
-    /// allocations do not grow with the exponent.
+    /// square-and-multiply (left-to-right), conversions included, as one
+    /// [`run`](Self::run): its allocations do not grow with the exponent.
     pub fn mod_exp(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         let base = base % &self.modulus;
-        on_stack!(self, ctx => Uint::from_biguint(exp).map(|exp| {
-            let base = Uint::from_biguint(&base).expect("a reduced base fits");
-            ctx.mod_exp(&base, &exp).to_biguint()
-        }))
-        .unwrap_or_else(|| self.from_mont(&self.mont_pow(&self.to_mont(&base), exp)))
-    }
-
-    /// Exponentiation of a Montgomery-form base, returning a Montgomery-form
-    /// result.
-    ///
-    /// Runs on the [`MontgomeryContext`] at this width (repacked from these
-    /// constants on each call) when there is one, the base is reduced and
-    /// the exponent fits in it; otherwise on heap FIOS products. The result
-    /// is the same residue either way.
-    pub fn mont_pow(&self, base_mont: &BigUint, exp: &BigUint) -> BigUint {
-        on_stack!(self, ctx => {
-            let base = Uint::from_biguint(base_mont).filter(|b| b < ctx.modulus());
-            let exp = Uint::from_biguint(exp);
-            base.zip(exp).map(|(b, e)| ctx.mont_pow(&b, &e).to_biguint())
+        self.run(ModExp {
+            base: &base,
+            r2: &self.r2,
+            exp,
         })
-        .unwrap_or_else(|| self.heap_pow(base_mont, exp))
     }
 
-    /// This modulus's fixed-width context, repacked from the constants held
-    /// here: the two backends share `R`, so no division is needed.
-    fn context<const L: usize>(&self) -> MontgomeryContext<L> {
-        let words = |v: &BigUint| Uint::from_biguint(v).expect("s/2 words hold every residue");
-        MontgomeryContext::from_parts(words(&self.modulus), words(&self.r_mod), words(&self.r2))
-    }
-
-    /// [`mont_pow`](Self::mont_pow) on heap FIOS products.
-    fn heap_pow(&self, base_mont: &BigUint, exp: &BigUint) -> BigUint {
-        let mut acc = self.one_mont();
-        for i in (0..exp.bit_len()).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, base_mont);
-            }
-        }
-        acc
+    /// Exponentiation of a reduced Montgomery-form base, returning a
+    /// Montgomery-form result, as one [`run`](Self::run).
+    pub fn mont_pow(&self, base_mont: &BigUint, exp: &BigUint) -> BigUint {
+        debug_assert!(base_mont < &self.modulus, "the base must be reduced");
+        self.run(MontPow { base_mont, exp })
     }
 
     /// Modular inverse via Fermat's little theorem (`a^{p-2} mod p`);
@@ -248,6 +262,50 @@ impl MontgomeryParams {
     }
 }
 
+/// `base^exp` by left-to-right square-and-multiply on Montgomery products.
+fn pow<R: ResidueOps>(r: &R, base: &R::Elem, exp: &BigUint) -> R::Elem {
+    let mut acc = r.one_mont();
+    for i in (0..exp.bit_len()).rev() {
+        acc = r.mont_mul(&acc, &acc);
+        if exp.bit(i) {
+            acc = r.mont_mul(&acc, base);
+        }
+    }
+    acc
+}
+
+/// [`MontgomeryParams::mont_pow`] as a job.
+struct MontPow<'a> {
+    base_mont: &'a BigUint,
+    exp: &'a BigUint,
+}
+
+impl ResidueJob for MontPow<'_> {
+    type Output = BigUint;
+
+    fn run<R: ResidueOps>(self, r: &R) -> BigUint {
+        r.lift(&pow(r, &r.lower(self.base_mont), self.exp))
+    }
+}
+
+/// [`MontgomeryParams::mod_exp`] of a reduced base as a job: into
+/// Montgomery form through `R² mod p`, and out through a product with 1.
+struct ModExp<'a> {
+    base: &'a BigUint,
+    r2: &'a BigUint,
+    exp: &'a BigUint,
+}
+
+impl ResidueJob for ModExp<'_> {
+    type Output = BigUint;
+
+    fn run<R: ResidueOps>(self, r: &R) -> BigUint {
+        let base = r.mont_mul(&r.lower(self.base), &r.lower(self.r2));
+        let acc = pow(r, &base, self.exp);
+        r.lift(&r.mont_mul(&acc, &r.lower(&BigUint::one())))
+    }
+}
+
 /// Adds `carry` into `t[idx]`, rippling any further carries upward.
 fn add_carry_at(t: &mut [Limb], mut idx: usize, mut carry: Limb) {
     while carry != 0 && idx < t.len() {
@@ -273,6 +331,8 @@ mod tests {
             // A 170-bit prime-ish odd modulus (correct Montgomery arithmetic
             // does not require primality).
             BigUint::from_hex("3fffffffffffffffffffffffffffffffffffffffffb").unwrap(),
+            // Five words: no stack context, so `run` takes the heap path.
+            &BigUint::one().shl_bits(299) + &BigUint::from(0x9du64),
         ]
     }
 

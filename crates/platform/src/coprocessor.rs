@@ -17,8 +17,10 @@
 //! and, for MA/MS, the correction path — so the coprocessor keeps one leaf
 //! table per cost model and core count: each shape executes once, on
 //! [`sample_modulus`], and the sequences the platform runs take their
-//! cycles from the table and their values from host arithmetic (debug
-//! builds still execute every leaf and check both).
+//! cycles from the table — each driver call reads a shape's entry at most
+//! once — and their values from host arithmetic on the stack words of the
+//! modulus's width (debug builds still execute every leaf and check
+//! both).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -18,8 +18,14 @@
 //! table holds for each step, [`SequencePricing`] feeds it the same table's
 //! calibrated entries, and the search pass steps it once per candidate
 //! schedule prefix.
+//!
+//! Execution is written once over [`ResidueOps`]: a driver call runs as
+//! one [`MontgomeryParams::run`] job, so its slots hold the stack words of
+//! the modulus's width (or heap residues at widths without a stack
+//! context), and its `Leaves` hold the domain's constants in that form
+//! and each leaf shape's price, read from the table once per call.
 
-use bignum::{mod_inv, mod_mul, BigUint, MontgomeryParams, LIMB_BITS};
+use bignum::{mod_inv, mod_mul, BigUint, MontgomeryParams, ResidueOps, LIMB_BITS};
 
 use crate::coprocessor::{Coprocessor, Leaf};
 use crate::cost::CostModel;
@@ -236,15 +242,20 @@ impl Walk {
 
 /// The platform's Montgomery domain for one modulus, built once per driver
 /// call: `R = 2^{w·s} mod p` for the datapath's word width `w` and limb
-/// count `s`, its inverse, and the host Montgomery context that computes
-/// every leaf's value.
+/// count `s`, the constants that move values into and out of it, and the
+/// host Montgomery parameters whose [`MontgomeryParams::run`] computes every
+/// leaf's value on the stack context of the modulus's width.
 pub(crate) struct Domain {
-    host: MontgomeryParams,
+    pub(crate) host: MontgomeryParams,
     /// `R mod p`: 1 in the platform domain.
-    pub(crate) r: BigUint,
-    r_inv: BigUint,
-    /// `R_h²·R⁻¹ mod p`, when the host radix `R_h = 2^{64·⌈n/64⌉}` differs
-    /// from the platform's `R`.
+    r: BigUint,
+    /// `R·R_h mod p` for the host radix `R_h = 2^{64·⌈n/64⌉}`: one host
+    /// product with it multiplies by `R`.
+    enter: BigUint,
+    /// `R_h·R⁻¹ mod p`: one host product with it divides by `R`.
+    leave: BigUint,
+    /// `R_h²·R⁻¹ mod p`, when the host radix differs from the platform's
+    /// `R`.
     to_platform: Option<BigUint>,
 }
 
@@ -260,16 +271,15 @@ impl Domain {
         let r_bits = cost.word_bits * cost.limbs(modulus.bit_len());
         let r = BigUint::one().shl_bits(r_bits) % modulus;
         let r_inv = mod_inv(&r, modulus).expect("R is invertible for odd moduli");
-        let r_h_bits = LIMB_BITS * host.num_limbs();
-        let to_platform = (r_h_bits != r_bits).then(|| {
-            let r_h = BigUint::one().shl_bits(r_h_bits) % modulus;
-            mod_mul(&mod_mul(&r_h, &r_h, modulus), &r_inv, modulus)
-        });
+        let r_h = host.one_mont();
+        let to_platform = (LIMB_BITS * host.num_limbs() != r_bits)
+            .then(|| mod_mul(&mod_mul(&r_h, &r_h, modulus), &r_inv, modulus));
         Domain {
-            host,
+            enter: mod_mul(&r, &r_h, modulus),
+            leave: mod_mul(&r_h, &r_inv, modulus),
             r,
-            r_inv,
             to_platform,
+            host,
         }
     }
 
@@ -277,57 +287,131 @@ impl Domain {
         self.host.modulus()
     }
 
+    /// This domain on the backend `r` for one driver call on
+    /// `coprocessor`: its constants lowered once, and no leaf priced yet.
+    pub(crate) fn leaves<'a, R: ResidueOps>(
+        &'a self,
+        r: &'a R,
+        coprocessor: &'a Coprocessor,
+    ) -> Leaves<'a, R> {
+        let lower = |v: &BigUint| r.lower(v);
+        Leaves {
+            r,
+            coprocessor,
+            modulus: self.modulus(),
+            bits: self.modulus().bit_len(),
+            p: lower(self.modulus()),
+            zero: lower(&BigUint::zero()),
+            one: lower(&self.r),
+            enter: lower(&self.enter),
+            leave: lower(&self.leave),
+            to_platform: self.to_platform.as_ref().map(lower),
+            prices: [None; 5],
+        }
+    }
+}
+
+/// One driver call's leaves on the backend `R`: the domain's constants in
+/// `R`'s elements, and the cycles of each leaf shape the call has met,
+/// read from the coprocessor's table on first use.
+pub(crate) struct Leaves<'a, R: ResidueOps> {
+    r: &'a R,
+    coprocessor: &'a Coprocessor,
+    modulus: &'a BigUint,
+    bits: usize,
+    p: R::Elem,
+    zero: R::Elem,
+    one: R::Elem,
+    enter: R::Elem,
+    leave: R::Elem,
+    to_platform: Option<R::Elem>,
+    /// Cycles per shape: MM, MA without and with its correction, MS
+    /// without and with its add-back.
+    prices: [Option<u64>; 5],
+}
+
+impl<R: ResidueOps> Leaves<'_, R> {
+    /// 0, the filler of unused slots.
+    pub(crate) fn zero(&self) -> R::Elem {
+        self.zero.clone()
+    }
+
+    /// `R mod p`: 1 in the platform domain.
+    pub(crate) fn one(&self) -> R::Elem {
+        self.one.clone()
+    }
+
     /// `v·R mod p`: a residue in the platform's Montgomery domain.
-    pub(crate) fn enter(&self, v: &BigUint) -> BigUint {
-        mod_mul(v, &self.r, self.modulus())
+    pub(crate) fn enter(&self, v: &R::Elem) -> R::Elem {
+        self.r.mont_mul(v, &self.enter)
     }
 
     /// `v·R⁻¹ mod p`: a platform-domain value back as a plain residue.
-    pub(crate) fn leave(&self, v: &BigUint) -> BigUint {
-        mod_mul(v, &self.r_inv, self.modulus())
+    pub(crate) fn leave(&self, v: &R::Elem) -> R::Elem {
+        self.r.mont_mul(v, &self.leave)
     }
 
-    /// The value of one MM, MA or MS step on `x` and `y`, computed on the
-    /// host, and the leaf shape the coprocessor runs for it. MM is
-    /// `x·y·R⁻¹ mod p`: one host product, or two through `R_h²·R⁻¹` where
-    /// the radices differ.
+    /// The cycles of `leaf` at this call's operand length.
+    fn cycles(&mut self, leaf: Leaf) -> u64 {
+        let index = match leaf {
+            Leaf::MontMul => 0,
+            Leaf::ModAdd { corrected } => 1 + usize::from(corrected),
+            Leaf::ModSub { added_back } => 3 + usize::from(added_back),
+        };
+        let (coprocessor, bits) = (self.coprocessor, self.bits);
+        *self.prices[index].get_or_insert_with(|| coprocessor.leaf_cycles(leaf, bits))
+    }
+
+    /// The value of one MM, MA or MS step on `x` and `y` and its cycles.
+    /// MM is `x·y·R⁻¹ mod p`: one host product, or two through `R_h²·R⁻¹`
+    /// where the radices differ. The leaf shape follows from the operands:
+    /// an MA took its correction iff its result is below `x`, and an MS
+    /// added `p` back iff `x < y`. Debug builds also run the step at
+    /// register level and check both.
     ///
     /// # Panics
     ///
     /// Panics if an operand is not reduced or `op` is a copy.
-    fn leaf(&self, op: &SequenceOp, x: &BigUint, y: &BigUint) -> (BigUint, Leaf) {
-        let p = self.modulus();
-        assert!(x < p && y < p, "operands must be reduced");
-        match op {
+    fn step(&mut self, op: &SequenceOp, x: &R::Elem, y: &R::Elem) -> (R::Elem, u64) {
+        assert!(x < &self.p && y < &self.p, "operands must be reduced");
+        let r = self.r;
+        let (value, leaf) = match op {
             SequenceOp::MontMul { .. } => {
-                let xy = self.host.mont_mul(x, y);
+                let xy = r.mont_mul(x, y);
                 let value = match &self.to_platform {
-                    Some(c) => self.host.mont_mul(&xy, c),
+                    Some(c) => r.mont_mul(&xy, c),
                     None => xy,
                 };
                 (value, Leaf::MontMul)
             }
             SequenceOp::ModAdd { .. } => {
-                let sum = x + y;
-                let corrected = sum >= *p;
-                let value = if corrected { &sum - p } else { sum };
-                (value, Leaf::ModAdd { corrected })
+                let sum = r.add(x, y);
+                let corrected = sum < *x;
+                (sum, Leaf::ModAdd { corrected })
             }
-            SequenceOp::ModSub { .. } => {
-                let added_back = x < y;
-                let value = if added_back { &(x + p) - y } else { x - y };
-                (value, Leaf::ModSub { added_back })
-            }
+            SequenceOp::ModSub { .. } => (r.sub(x, y), Leaf::ModSub { added_back: x < y }),
             SequenceOp::Copy { .. } => unreachable!("a copy is no coprocessor leaf"),
+        };
+        let cycles = self.cycles(leaf);
+        if cfg!(debug_assertions) {
+            let (x, y) = (r.lift(x), r.lift(y));
+            let reference = self.coprocessor.reference(leaf, &x, &y, self.modulus);
+            debug_assert_eq!(
+                (reference.value, reference.cycles),
+                (r.lift(&value), cycles),
+                "register-level {leaf:?} at {} bits diverged from the host value or the leaf table",
+                self.bits
+            );
         }
+        (value, cycles)
     }
 }
 
 /// Executes `ops` against `slots` (values reduced modulo the domain's
-/// modulus) on `coprocessor`, walking them under `hierarchy`. Each step's
-/// value comes from host arithmetic and its cycles from the coprocessor's
-/// leaf table; debug builds also run every step at register level and
-/// check both.
+/// modulus) on the leaves' backend, walking them under `hierarchy`. Each
+/// step's value comes from host arithmetic and its cycles from the
+/// coprocessor's leaf table; debug builds also run every step at register
+/// level and check both.
 ///
 /// Montgomery products operate on whatever representation the slots are
 /// in; callers that need plain-domain results convert (see `Platform`).
@@ -335,17 +419,15 @@ impl Domain {
 /// # Panics
 ///
 /// Panics if a slot index is out of range or an operand is not reduced.
-pub(crate) fn execute(
-    coprocessor: &Coprocessor,
+pub(crate) fn execute<R: ResidueOps>(
+    leaves: &mut Leaves<'_, R>,
     hierarchy: Hierarchy,
-    domain: &Domain,
-    slots: &mut [BigUint],
+    slots: &mut [R::Elem],
     ops: &[SequenceOp],
 ) -> ExecutionReport {
+    let coprocessor = leaves.coprocessor;
     let cost = coprocessor.cost();
-    let p = domain.modulus();
-    let bits = p.bit_len();
-    Walk::new(cost, bits, hierarchy).run(ops, |op| {
+    Walk::new(cost, leaves.bits, hierarchy).run(ops, |op| {
         let (dst, [a, b]) = match *op {
             SequenceOp::Copy { dst, src } => {
                 slots[dst] = slots[src].clone();
@@ -353,16 +435,7 @@ pub(crate) fn execute(
             }
             _ => (op.dest(), op.sources()),
         };
-        let (value, leaf) = domain.leaf(op, &slots[a], &slots[b]);
-        let cycles = coprocessor.leaf_cycles(leaf, bits);
-        if cfg!(debug_assertions) {
-            let reference = coprocessor.reference(leaf, &slots[a], &slots[b], p);
-            debug_assert_eq!(
-                (&reference.value, reference.cycles),
-                (&value, cycles),
-                "register-level {leaf:?} at {bits} bits diverged from the host value or the leaf table"
-            );
-        }
+        let (value, cycles) = leaves.step(op, &slots[a], &slots[b]);
         slots[dst] = value;
         cycles
     })
@@ -435,6 +508,17 @@ impl SequencePricing {
 mod tests {
     use super::*;
 
+    /// [`execute`] on the heap reference backend.
+    fn execute_heap(
+        cp: &Coprocessor,
+        hierarchy: Hierarchy,
+        domain: &Domain,
+        slots: &mut [BigUint],
+        ops: &[SequenceOp],
+    ) -> ExecutionReport {
+        execute(&mut domain.leaves(&domain.host, cp), hierarchy, slots, ops)
+    }
+
     fn setup() -> (Coprocessor, Domain, Vec<BigUint>) {
         let cp = Coprocessor::new(CostModel::paper(), 4);
         let domain = Domain::new(cp.cost(), &BigUint::from(1_000_000_007u64));
@@ -455,7 +539,7 @@ mod tests {
             SequenceOp::ModSub { dst: 3, a: 0, b: 1 },
             SequenceOp::Copy { dst: 0, src: 2 },
         ];
-        let report = execute(&cp, Hierarchy::TypeB, &domain, &mut slots, &ops);
+        let report = execute_heap(&cp, Hierarchy::TypeB, &domain, &mut slots, &ops);
         assert_eq!(slots[2].to_u64(), Some(12));
         assert_eq!(
             slots[3],
@@ -484,8 +568,8 @@ mod tests {
             SequenceOp::ModAdd { dst: 3, a: 0, b: 1 },
             SequenceOp::ModAdd { dst: 3, a: 0, b: 1 },
         ];
-        let a = execute(&cp, Hierarchy::TypeA, &domain, &mut slots.clone(), &ops);
-        let b = execute(&cp, Hierarchy::TypeB, &domain, &mut slots, &ops);
+        let a = execute_heap(&cp, Hierarchy::TypeA, &domain, &mut slots.clone(), &ops);
+        let b = execute_heap(&cp, Hierarchy::TypeB, &domain, &mut slots, &ops);
         assert_eq!(a.interrupts, 3);
         assert_eq!(b.interrupts, 1);
         assert!(a.cycles > b.cycles);
@@ -508,20 +592,20 @@ mod tests {
             SequenceOp::ModAdd { dst: 2, a: 0, b: 1 },
             SequenceOp::ModAdd { dst: 3, a: 2, b: 1 },
         ];
-        let ri = execute(
+        let ri = execute_heap(
             &cp,
             Hierarchy::TypeB,
             &domain,
             &mut slots.clone(),
             &independent,
         );
-        let rd = execute(&cp, Hierarchy::TypeB, &domain, &mut slots, &dependent);
+        let rd = execute_heap(&cp, Hierarchy::TypeB, &domain, &mut slots, &dependent);
         assert!(ri.overlapped_cycles > 0, "independent pair must overlap");
         assert_eq!(rd.overlapped_cycles, 0, "RAW hazard forbids overlap");
         assert!(ri.cycles < rd.cycles);
         // Type-A never overlaps: control bounces back to the MicroBlaze.
         let (_, _, mut fresh_slots) = setup();
-        let ra = execute(
+        let ra = execute_heap(
             &cp,
             Hierarchy::TypeA,
             &domain,
@@ -557,7 +641,7 @@ mod tests {
                     let mut slots: Vec<BigUint> = (0..program.slot_budget())
                         .map(|i| BigUint::from((i % 251 + 1) as u64))
                         .collect();
-                    let report = execute(&cp, hierarchy, &domain, &mut slots, program.ops());
+                    let report = execute_heap(&cp, hierarchy, &domain, &mut slots, program.ops());
                     let pricing = SequencePricing::new(&cp, bits, hierarchy);
                     assert_eq!(
                         pricing.sequence_cycles(program.ops()),
@@ -573,7 +657,7 @@ mod tests {
     fn montgomery_step_keeps_values_reduced() {
         let (cp, domain, mut slots) = setup();
         let ops = [SequenceOp::MontMul { dst: 2, a: 0, b: 1 }];
-        let report = execute(&cp, Hierarchy::TypeB, &domain, &mut slots, &ops);
+        let report = execute_heap(&cp, Hierarchy::TypeB, &domain, &mut slots, &ops);
         assert!(slots[2] < *domain.modulus());
         assert_eq!(report.modmuls, 1);
     }

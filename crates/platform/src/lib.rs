@@ -28,7 +28,8 @@
 //!   only on its shape (operation, operand length, correction path), so
 //!   each shape executes once into the coprocessor's leaf table, which
 //!   every sequence, [`SequencePricing`] and the Table 1 probes read,
-//!   while the values come from host arithmetic;
+//!   while the values come from host arithmetic on the stack words of
+//!   the modulus's width ([`bignum::MontgomeryParams::run`]);
 //! * [`programs`] — the recorder that turns the level-2 formula bodies
 //!   (`Fp6` multiplication, ECC point addition/doubling, the fast
 //!   `a = -3` doubling — each written once over [`field::FieldOps`] and

@@ -5,8 +5,12 @@
 //! `(OpKind, bits, cost-model)` key, and [`Platform::execute`] walks the
 //! [`CompiledProgram`] over a slot bank, charging the sequencer rules of
 //! the platform's hierarchy. [`Platform::composite_report`] prices one
-//! program on probe operands. The exponentiation and scalar ladders keep
-//! their operands resident in the platform's Montgomery domain, as the
+//! program on probe operands. Each Table 3 driver call, and each
+//! [`Platform::execute`], is one
+//! [`MontgomeryParams::run`](bignum::MontgomeryParams::run) job: its slots
+//! hold the stack words of the modulus's width, and it reads each leaf
+//! shape's price once. The exponentiation and scalar ladders keep their
+//! operands resident in the platform's Montgomery domain, as the
 //! coprocessor's data memory does: each program gets one bank, the base
 //! and the constants are converted and loaded once per call, and between
 //! steps only the accumulator moves, from one program's outputs to the
@@ -14,14 +18,14 @@
 
 use std::sync::Arc;
 
-use bignum::BigUint;
+use bignum::{BigUint, ResidueJob, ResidueOps};
 use ceilidh::{CeilidhParams, TorusElement};
 use ecc::{AffinePoint, Curve, JacobianPoint};
 use field::Fp6Element;
 
 use crate::coprocessor::Coprocessor;
 use crate::cost::CostModel;
-use crate::hierarchy::{self, Domain, Hierarchy};
+use crate::hierarchy::{self, Domain, Hierarchy, Leaves};
 use crate::program::{CompiledProgram, OpKind, ProgramCache};
 use crate::programs::{
     AFFINE_2, CURVE_A, FP6_A, FP6_B, POINT_1, POINT_2, RSA_ACC, RSA_BASE, RSA_MULTIPLY, RSA_SQUARE,
@@ -119,30 +123,39 @@ impl Platform {
     ///
     /// Montgomery products operate on whatever representation the slots
     /// are in; callers needing plain-domain results are responsible for
-    /// the domain conversions (as the ladders are). This entry derives the
-    /// modulus's Montgomery constants on every call; the ladders derive
-    /// them once per call of the driver.
+    /// the domain conversions (as the ladders are). Each call builds the
+    /// modulus's domain, lowers the slots onto the stack words of the
+    /// modulus's width, runs the program as one job
+    /// ([`MontgomeryParams::run`](bignum::MontgomeryParams::run)) and
+    /// lifts the slots back; each Table 3 driver below is one such job.
     ///
     /// # Panics
     ///
     /// Panics if `slots` is smaller than the program's slot budget, if a
-    /// slot is not reduced, or unless the modulus is odd and greater
-    /// than 1.
+    /// slot is wider than the modulus or an operand is not reduced, or
+    /// unless the modulus is odd and greater than 1.
     pub fn execute(
         &self,
         program: &CompiledProgram,
         modulus: &BigUint,
         slots: &mut [BigUint],
     ) -> ExecutionReport {
-        self.execute_in(program, &Domain::new(self.cost(), modulus), slots)
+        let domain = Domain::new(self.cost(), modulus);
+        domain.host.run(Execute {
+            platform: self,
+            domain: &domain,
+            program,
+            slots,
+        })
     }
 
-    /// [`Platform::execute`] in a domain built by the caller.
-    fn execute_in(
+    /// Executes `program` against `slots` with one driver call's `leaves`,
+    /// under this platform's hierarchy.
+    fn run_program<R: ResidueOps>(
         &self,
         program: &CompiledProgram,
-        domain: &Domain,
-        slots: &mut [BigUint],
+        leaves: &mut Leaves<'_, R>,
+        slots: &mut [R::Elem],
     ) -> ExecutionReport {
         assert!(
             slots.len() >= program.slot_budget(),
@@ -151,13 +164,7 @@ impl Platform {
             slots.len(),
             program.slot_budget()
         );
-        hierarchy::execute(
-            &self.coprocessor,
-            self.hierarchy,
-            domain,
-            slots,
-            program.ops(),
-        )
+        hierarchy::execute(leaves, self.hierarchy, slots, program.ops())
     }
 
     /// Cycles of one MicroBlaze register access + interrupt (Table 1 row 1).
@@ -251,26 +258,16 @@ impl Platform {
         let fp = fp6.fp();
         let modulus = fp.modulus();
         let domain = Domain::new(self.cost(), modulus);
-        let enter = |x: &Fp6Element| {
-            x.coeffs()
-                .each_ref()
-                .map(|c| domain.enter(&fp.to_biguint(c)))
-        };
-        let base = enter(base.as_fp6());
-        let mut acc = enter(&fp6.one());
-        let mut bank = Bank::new(self.compiled(OpKind::Fp6Mul, modulus.bit_len()));
-        let mut report = ExecutionReport::default();
-        for i in (0..exponent.bit_len()).rev() {
-            bank.load(FP6_B, acc.clone());
-            bank.load(FP6_A, acc);
-            acc = bank.run(self, &domain, &mut report);
-            if exponent.bit(i) {
-                bank.load(FP6_B, base.clone());
-                bank.load(FP6_A, acc);
-                acc = bank.run(self, &domain, &mut report);
-            }
-        }
-        let coeffs = acc.map(|c| fp.from_biguint(&domain.leave(&c)));
+        let plain = |x: &Fp6Element| x.coeffs().each_ref().map(|c| fp.to_biguint(c));
+        let (coeffs, report) = domain.host.run(TorusExp {
+            platform: self,
+            domain: &domain,
+            program: self.compiled(OpKind::Fp6Mul, modulus.bit_len()),
+            base: plain(base.as_fp6()),
+            one: plain(&fp6.one()),
+            exponent,
+        });
+        let coeffs = coeffs.map(|c| fp.from_biguint(&c));
         (
             TorusElement::from_fp6_unchecked(fp6.from_coeffs(coeffs)),
             report,
@@ -302,39 +299,19 @@ impl Platform {
         let fp = curve.fp();
         let modulus = fp.modulus();
         let domain = Domain::new(self.cost(), modulus);
-        let [x, y, a] = [x, y, curve.a()].map(|c| fp.to_biguint(c));
-        let (pd_kind, pa_kind) = self.ladder_kinds(curve);
-        let mut pd = Bank::new(self.compiled(pd_kind, modulus.bit_len()));
-        let mut pa = Bank::new(self.compiled(pa_kind, modulus.bit_len()));
-        pd.load(CURVE_A, [domain.enter(&a)]);
-        let base = [domain.enter(&x), domain.enter(&y), domain.r.clone()];
-        if pa_kind == OpKind::EccPaMixed {
-            pa.load(AFFINE_2, [x, y, domain.enter(&domain.r)]);
-        } else {
-            pa.load(POINT_2, base.clone());
-            pa.load(CURVE_A, [domain.enter(&a)]);
-        }
-        let mut acc: Option<[BigUint; 3]> = None;
-        let mut report = ExecutionReport::default();
-        for i in (0..k.bit_len()).rev() {
-            if let Some(p) = acc.take() {
-                pd.load(POINT_1, p);
-                acc = Some(pd.run(self, &domain, &mut report));
-            }
-            if k.bit(i) {
-                acc = Some(match acc.take() {
-                    None => base.clone(),
-                    Some(p) => {
-                        pa.load(POINT_1, p);
-                        pa.run(self, &domain, &mut report)
-                    }
-                });
-            }
-        }
+        let (pd, pa) = self.ladder_kinds(curve);
+        let (acc, report) = domain.host.run(EccLadder {
+            platform: self,
+            domain: &domain,
+            pd: self.compiled(pd, modulus.bit_len()),
+            pa: self.compiled(pa, modulus.bit_len()),
+            xya: [x, y, curve.a()].map(|c| fp.to_biguint(c)),
+            k,
+        });
         let result = match acc {
             None => AffinePoint::Infinity,
             Some(p) => {
-                let [x, y, z] = p.map(|c| fp.from_biguint(&domain.leave(&c)));
+                let [x, y, z] = p.map(|c| fp.from_biguint(&c));
                 curve.to_affine(&JacobianPoint { x, y, z })
             }
         };
@@ -353,38 +330,171 @@ impl Platform {
         exponent: &BigUint,
     ) -> (BigUint, ExecutionReport) {
         let domain = Domain::new(self.cost(), modulus);
-        let mut bank = [BigUint::zero(), BigUint::zero()];
-        bank[RSA_ACC] = domain.r.clone(); // 1 in the platform domain
-        bank[RSA_BASE] = domain.enter(&(base % modulus));
+        domain.host.run(RsaExp {
+            platform: self,
+            domain: &domain,
+            base: &(base % modulus),
+            exponent,
+        })
+    }
+}
+
+/// [`Platform::execute`] as a job: the slots are lowered on entry and
+/// lifted back on exit.
+struct Execute<'a> {
+    platform: &'a Platform,
+    domain: &'a Domain,
+    program: &'a CompiledProgram,
+    slots: &'a mut [BigUint],
+}
+
+impl ResidueJob for Execute<'_> {
+    type Output = ExecutionReport;
+
+    fn run<R: ResidueOps>(self, r: &R) -> ExecutionReport {
+        let mut leaves = self.domain.leaves(r, &self.platform.coprocessor);
+        let mut slots: Vec<R::Elem> = self.slots.iter().map(|v| r.lower(v)).collect();
+        let report = self
+            .platform
+            .run_program(self.program, &mut leaves, &mut slots);
+        for (slot, value) in self.slots.iter_mut().zip(&slots) {
+            *slot = r.lift(value);
+        }
+        report
+    }
+}
+
+/// [`Platform::torus_exponentiation`] as a job, on plain coefficients in
+/// and out.
+struct TorusExp<'a> {
+    platform: &'a Platform,
+    domain: &'a Domain,
+    program: Arc<CompiledProgram>,
+    base: [BigUint; 6],
+    one: [BigUint; 6],
+    exponent: &'a BigUint,
+}
+
+impl ResidueJob for TorusExp<'_> {
+    type Output = ([BigUint; 6], ExecutionReport);
+
+    fn run<R: ResidueOps>(self, r: &R) -> Self::Output {
+        let mut leaves = self.domain.leaves(r, &self.platform.coprocessor);
+        let base = self.base.each_ref().map(|c| leaves.enter(&r.lower(c)));
+        let mut acc = self.one.each_ref().map(|c| leaves.enter(&r.lower(c)));
+        let mut bank = Bank::new(self.program, leaves.zero());
+        let mut report = ExecutionReport::default();
+        for i in (0..self.exponent.bit_len()).rev() {
+            bank.load(FP6_B, acc.clone());
+            bank.load(FP6_A, acc);
+            acc = bank.run(self.platform, &mut leaves, &mut report);
+            if self.exponent.bit(i) {
+                bank.load(FP6_B, base.clone());
+                bank.load(FP6_A, acc);
+                acc = bank.run(self.platform, &mut leaves, &mut report);
+            }
+        }
+        (acc.map(|c| r.lift(&leaves.leave(&c))), report)
+    }
+}
+
+/// [`Platform::ecc_scalar_multiplication`] as a job: the base point's
+/// plain `x`, `y` and the curve's `a` in, the Jacobian result's plain
+/// coordinates out (`None` for the point at infinity).
+struct EccLadder<'a> {
+    platform: &'a Platform,
+    domain: &'a Domain,
+    pd: Arc<CompiledProgram>,
+    pa: Arc<CompiledProgram>,
+    xya: [BigUint; 3],
+    k: &'a BigUint,
+}
+
+impl ResidueJob for EccLadder<'_> {
+    type Output = (Option<[BigUint; 3]>, ExecutionReport);
+
+    fn run<R: ResidueOps>(self, r: &R) -> Self::Output {
+        let mut leaves = self.domain.leaves(r, &self.platform.coprocessor);
+        let [x, y, a] = self.xya.each_ref().map(|c| r.lower(c));
+        let mixed = self.pa.kind() == OpKind::EccPaMixed;
+        let mut pd = Bank::new(self.pd, leaves.zero());
+        let mut pa = Bank::new(self.pa, leaves.zero());
+        pd.load(CURVE_A, [leaves.enter(&a)]);
+        let base = [leaves.enter(&x), leaves.enter(&y), leaves.one()];
+        if mixed {
+            pa.load(AFFINE_2, [x, y, leaves.enter(&leaves.one())]);
+        } else {
+            pa.load(POINT_2, base.clone());
+            pa.load(CURVE_A, [leaves.enter(&a)]);
+        }
+        let mut acc: Option<[R::Elem; 3]> = None;
+        let mut report = ExecutionReport::default();
+        for i in (0..self.k.bit_len()).rev() {
+            if let Some(p) = acc.take() {
+                pd.load(POINT_1, p);
+                acc = Some(pd.run(self.platform, &mut leaves, &mut report));
+            }
+            if self.k.bit(i) {
+                acc = Some(match acc.take() {
+                    None => base.clone(),
+                    Some(p) => {
+                        pa.load(POINT_1, p);
+                        pa.run(self.platform, &mut leaves, &mut report)
+                    }
+                });
+            }
+        }
+        let plain = acc.map(|p| p.map(|c| r.lift(&leaves.leave(&c))));
+        (plain, report)
+    }
+}
+
+/// [`Platform::rsa_exponentiation`] as a job, on a reduced base.
+struct RsaExp<'a> {
+    platform: &'a Platform,
+    domain: &'a Domain,
+    base: &'a BigUint,
+    exponent: &'a BigUint,
+}
+
+impl ResidueJob for RsaExp<'_> {
+    type Output = (BigUint, ExecutionReport);
+
+    fn run<R: ResidueOps>(self, r: &R) -> Self::Output {
+        let mut leaves = self.domain.leaves(r, &self.platform.coprocessor);
+        let mut bank = [leaves.zero(), leaves.zero()];
+        bank[RSA_ACC] = leaves.one(); // 1 in the platform domain
+        bank[RSA_BASE] = leaves.enter(&r.lower(self.base));
+        let exponent = self.exponent;
         let products = (0..exponent.bit_len()).rev().flat_map(|i| {
             std::iter::once(RSA_SQUARE).chain(exponent.bit(i).then_some(RSA_MULTIPLY))
         });
         let mut report = ExecutionReport::default();
         for ops in products {
-            let r =
-                hierarchy::execute(&self.coprocessor, Hierarchy::TypeA, &domain, &mut bank, ops);
-            report = report.merge(&r);
+            let step = hierarchy::execute(&mut leaves, Hierarchy::TypeA, &mut bank, ops);
+            report = report.merge(&step);
         }
-        (domain.leave(&bank[RSA_ACC]), report)
+        (r.lift(&leaves.leave(&bank[RSA_ACC])), report)
     }
 }
 
 /// One compiled program and its data memory, resident across a ladder.
 /// Operands are addressed by the names the program declares, so the slot
 /// layout stays in [`crate::programs`].
-struct Bank {
+struct Bank<E> {
     program: Arc<CompiledProgram>,
-    slots: Vec<BigUint>,
+    slots: Vec<E>,
 }
 
-impl Bank {
-    fn new(program: Arc<CompiledProgram>) -> Self {
-        let slots = vec![BigUint::zero(); program.slot_budget()];
+impl<E: Clone> Bank<E> {
+    /// The program's bank, every slot holding `zero`.
+    fn new(program: Arc<CompiledProgram>, zero: E) -> Self {
+        let slots = vec![zero; program.slot_budget()];
         Bank { program, slots }
     }
 
     /// Writes `values` into the named operand slots.
-    fn load<const N: usize>(&mut self, names: [&str; N], values: [BigUint; N]) {
+    fn load<const N: usize>(&mut self, names: [&str; N], values: [E; N]) {
         for (name, value) in names.into_iter().zip(values) {
             let slot = self
                 .program
@@ -394,17 +504,17 @@ impl Bank {
         }
     }
 
-    /// Executes the program, adds its accounting to `report` and moves
-    /// its declared outputs out of the bank.
-    fn run<const N: usize>(
+    /// Executes the program, adds its accounting to `report` and returns
+    /// its declared outputs.
+    fn run<R: ResidueOps<Elem = E>, const N: usize>(
         &mut self,
         platform: &Platform,
-        domain: &Domain,
+        leaves: &mut Leaves<'_, R>,
         report: &mut ExecutionReport,
-    ) -> [BigUint; N] {
-        *report = report.merge(&platform.execute_in(&self.program, domain, &mut self.slots));
+    ) -> [E; N] {
+        *report = report.merge(&platform.run_program(&self.program, leaves, &mut self.slots));
         let outputs = self.program.outputs();
-        std::array::from_fn(|i| std::mem::take(&mut self.slots[outputs[i]]))
+        std::array::from_fn(|i| self.slots[outputs[i]].clone())
     }
 }
 
@@ -439,8 +549,9 @@ mod tests {
         let fp = curve.fp();
         let modulus = fp.modulus();
         let domain = Domain::new(plat.cost(), modulus);
-        let enter = |c: &field::FpElement| domain.enter(&fp.to_biguint(c));
-        let mut bank = Bank::new(plat.compiled(kind, modulus.bit_len()));
+        let mut leaves = domain.leaves(&domain.host, &plat.coprocessor);
+        let enter = |c: &field::FpElement| leaves.enter(&fp.to_biguint(c));
+        let mut bank = Bank::new(plat.compiled(kind, modulus.bit_len()), BigUint::zero());
         bank.load(POINT_1, [&p.x, &p.y, &p.z].map(enter));
         let (qx, qy) = q.coordinates().expect("finite addend");
         match kind {
@@ -449,16 +560,16 @@ mod tests {
                 [
                     fp.to_biguint(qx),
                     fp.to_biguint(qy),
-                    domain.enter(&domain.r),
+                    leaves.enter(&leaves.one()),
                 ],
             ),
-            OpKind::EccPaGeneral => bank.load(POINT_2, [enter(qx), enter(qy), domain.r.clone()]),
+            OpKind::EccPaGeneral => bank.load(POINT_2, [enter(qx), enter(qy), leaves.one()]),
             _ => bank.load(CURVE_A, [enter(curve.a())]),
         }
         let mut report = ExecutionReport::default();
         let [x, y, z] = bank
-            .run(plat, &domain, &mut report)
-            .map(|c| fp.from_biguint(&domain.leave(&c)));
+            .run(plat, &mut leaves, &mut report)
+            .map(|c| fp.from_biguint(&leaves.leave(&c)));
         (JacobianPoint { x, y, z }, report)
     }
 
@@ -470,21 +581,24 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(201);
         let plat = platform(Hierarchy::TypeB);
         let domain = Domain::new(plat.cost(), fp.modulus());
-        let enter = |x: &Fp6Element| {
-            x.coeffs()
-                .each_ref()
-                .map(|c| domain.enter(&fp.to_biguint(c)))
-        };
+        let mut leaves = domain.leaves(&domain.host, &plat.coprocessor);
         for _ in 0..5 {
             let a = fp6.random(&mut rng);
             let b = fp6.random(&mut rng);
-            let mut bank = Bank::new(plat.compiled(OpKind::Fp6Mul, fp.modulus().bit_len()));
-            bank.load(FP6_A, enter(&a));
-            bank.load(FP6_B, enter(&b));
+            let enter = |x: &Fp6Element| {
+                x.coeffs()
+                    .each_ref()
+                    .map(|c| leaves.enter(&fp.to_biguint(c)))
+            };
+            let (a_in, b_in) = (enter(&a), enter(&b));
+            let program = plat.compiled(OpKind::Fp6Mul, fp.modulus().bit_len());
+            let mut bank = Bank::new(program, BigUint::zero());
+            bank.load(FP6_A, a_in);
+            bank.load(FP6_B, b_in);
             let mut report = ExecutionReport::default();
             let got = bank
-                .run(&plat, &domain, &mut report)
-                .map(|c| fp.from_biguint(&domain.leave(&c)));
+                .run(&plat, &mut leaves, &mut report)
+                .map(|c| fp.from_biguint(&leaves.leave(&c)));
             assert_eq!(fp6.from_coeffs(got), fp6.mul(&a, &b));
             assert_eq!(report.modmuls, 18);
         }

@@ -842,7 +842,8 @@ mod tests {
     fn run(ops: &[SequenceOp], slots: &mut [BigUint]) -> crate::report::ExecutionReport {
         let cp = Coprocessor::new(CostModel::paper(), 4);
         let domain = hierarchy::Domain::new(cp.cost(), &BigUint::from(1_000_003u64));
-        hierarchy::execute(&cp, Hierarchy::TypeB, &domain, slots, ops)
+        let mut leaves = domain.leaves(&domain.host, &cp);
+        hierarchy::execute(&mut leaves, Hierarchy::TypeB, slots, ops)
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! and 256 bits. A `Vec` sneaking back into the CIOS kernel, the field
 //! element or the ladder would fail here immediately. RSA-size
 //! exponentiations through `MontgomeryParams` may allocate only for their
-//! conversions, a count that must not grow with the exponent. The counter
-//! itself is sanity-checked against the heap backend, which must allocate.
+//! conversions, a count that must not grow with the exponent, and so may
+//! the platform simulator's Table 3 drivers (release builds only: debug
+//! builds re-run every leaf at register level). The counter itself is
+//! sanity-checked against the heap backend, which must allocate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -25,6 +27,7 @@ use ceilidh::CeilidhParams;
 use ecc::ladder::Ladder;
 use ecc::prelude::*;
 use field::FpContext;
+use platform::{CostModel, Hierarchy, Platform};
 use rand::SeedableRng;
 
 thread_local! {
@@ -233,6 +236,50 @@ fn rsa_size_exponentiations_allocate_a_fixed_number_of_times() {
         assert_eq!(few, many, "{bits} bits: allocations grow with the exponent");
         assert!(few <= 4, "{bits} bits: {few} allocations for one mod_exp");
     }
+}
+
+/// The Table 3 drivers compute every step on the stack words of the
+/// modulus's width and read each leaf price once per call: past a warm-up
+/// call, a driver's allocations (its domain, banks and conversions) do not
+/// grow with the exponent or the scalar.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds cross-check every leaf at register level, which allocates on every step"
+)]
+fn platform_drivers_allocate_a_fixed_number_of_times() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xd21);
+    let plat = Platform::new(CostModel::paper(), 4, Hierarchy::TypeB);
+
+    let n = &BigUint::random_bits(&mut rng, 1023) + &BigUint::one().shl_bits(1023);
+    let n = if n.is_even() { &n + &BigUint::one() } else { n };
+    let m = BigUint::random_below(&mut rng, &n);
+    let [d_short, d_long] = [17, 1024]
+        .map(|bits| &BigUint::random_bits(&mut rng, bits - 1) + &BigUint::one().shl_bits(bits - 1));
+    plat.rsa_exponentiation(&n, &m, &d_long);
+    let few = allocations_in(|| plat.rsa_exponentiation(black_box(&n), &m, black_box(&d_short)));
+    let many = allocations_in(|| plat.rsa_exponentiation(black_box(&n), &m, black_box(&d_long)));
+    assert_eq!(few, many, "RSA-1024: 17-bit vs 1024-bit exponent");
+
+    let curve = Curve::p160_reproduction().expect("built-in 160-bit curve");
+    let point = curve.random_point(&mut rng);
+    let [k_short, k_long] = [16, 160]
+        .map(|bits| &BigUint::random_bits(&mut rng, bits - 1) + &BigUint::one().shl_bits(bits - 1));
+    plat.ecc_scalar_multiplication(&curve, &point, &k_long);
+    let few =
+        allocations_in(|| plat.ecc_scalar_multiplication(&curve, &point, black_box(&k_short)));
+    let many =
+        allocations_in(|| plat.ecc_scalar_multiplication(&curve, &point, black_box(&k_long)));
+    assert_eq!(few, many, "ECC-160 Type-B ladder: 16-bit vs 160-bit scalar");
+
+    let params = CeilidhParams::date2008().expect("built-in CEILIDH-170 parameters");
+    let (_, g) = params.random_subgroup_element(&mut rng);
+    let [e_short, e_long] = [8, 170]
+        .map(|bits| &BigUint::random_bits(&mut rng, bits - 1) + &BigUint::one().shl_bits(bits - 1));
+    plat.torus_exponentiation(&params, &g, &e_long);
+    let few = allocations_in(|| plat.torus_exponentiation(&params, &g, black_box(&e_short)));
+    let many = allocations_in(|| plat.torus_exponentiation(&params, &g, black_box(&e_long)));
+    assert_eq!(few, many, "torus-170: 8-bit vs 170-bit exponent");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 use bignum::BigUint;
 use ecc::Curve;
 use field::Fp6Context;
-use platform::{Coprocessor, CostModel, Hierarchy, OpKind, Platform};
+use platform::{Coprocessor, CostModel, Hierarchy, OpKind, Platform, SequenceOp, SequencePricing};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -221,6 +221,67 @@ fn driver_reports_are_pinned_under_every_cost_model() {
             ];
             assert_eq!(got, want, "{name} under {cost:?}");
         }
+    }
+}
+
+/// At every stack width, on both sides of it, and at the heap widths
+/// between and beyond them, [`Platform::execute`] computes every step as
+/// the reference arithmetic does and, under conditional correction, charges
+/// each leaf what the register-level op pays on the same operands: an MA or
+/// MS its corrected or add-back price exactly when the data asks for it. A
+/// short [`Platform::rsa_exponentiation`] agrees with `bignum::mod_exp`.
+#[test]
+fn leaves_hold_on_both_sides_of_every_width() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x51de);
+    let cost = CostModel::paper().with_dual_path(false);
+    let plat = Platform::new(cost, 4, Hierarchy::TypeA);
+    let cp = plat.coprocessor();
+    for bits in [
+        64, 65, 128, 129, 192, 193, 256, 257, 320, 512, 513, 1024, 1025,
+    ] {
+        let p = odd_modulus(&mut rng, bits);
+        let r = BigUint::one().shl_bits(cost.word_bits * cost.limbs(bits)) % &p;
+        let r_inv = bignum::mod_inv(&r, &p).unwrap();
+        let program = plat.compiled(OpKind::EccPaGeneral, bits);
+        let copy_cycles = SequencePricing::new(cp, bits, Hierarchy::TypeA);
+        let xs = operands(&mut rng, &p);
+        let mut slots: Vec<BigUint> = (0..program.slot_budget())
+            .map(|i| xs[i % xs.len()].clone())
+            .collect();
+
+        // Replay every step on the host, priced by its register-level op;
+        // Type-A adds one interrupt per modular op and overlaps nothing.
+        let mut want = slots.clone();
+        let mut cycles = 0;
+        for op in program.ops() {
+            let [x, y] = op.sources().map(|s| &want[s]);
+            let (value, step) = match op {
+                SequenceOp::MontMul { .. } => (
+                    bignum::mod_mul(&bignum::mod_mul(x, y, &p), &r_inv, &p),
+                    cp.mont_mul(x, y, &p).cycles,
+                ),
+                SequenceOp::ModAdd { .. } => {
+                    (bignum::mod_add(x, y, &p), cp.mod_add(x, y, &p).cycles)
+                }
+                SequenceOp::ModSub { .. } => {
+                    (bignum::mod_sub(x, y, &p), cp.mod_sub(x, y, &p).cycles)
+                }
+                SequenceOp::Copy { .. } => (x.clone(), copy_cycles.op_cycles(op)),
+            };
+            cycles += step;
+            if !op.is_copy() {
+                cycles += plat.interrupt_cycles();
+            }
+            want[op.dest()] = value;
+        }
+        let report = plat.execute(&program, &p, &mut slots);
+        assert_eq!(slots, want, "{bits} bits: values");
+        assert_eq!(report.cycles, cycles, "{bits} bits: cycles");
+
+        let m = BigUint::random_below(&mut rng, &p);
+        let e = BigUint::random_bits(&mut rng, 20);
+        let (got, _) = plat.rsa_exponentiation(&p, &m, &e);
+        assert_eq!(got, bignum::mod_exp(&m, &e, &p), "{bits} bits: RSA");
     }
 }
 
