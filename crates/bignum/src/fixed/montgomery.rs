@@ -3,7 +3,7 @@
 use super::modular::reduce_wide;
 use super::uint::Uint;
 use crate::limb::{carrying_add64, inv_mod_limb64, mac64};
-use crate::BigUint;
+use crate::{square_and_multiply, BigUint};
 
 /// Montgomery arithmetic over a fixed-width odd modulus, mirroring
 /// [`MontgomeryParams`](crate::MontgomeryParams) at radix 2^64.
@@ -167,16 +167,9 @@ impl<const LIMBS: usize> MontgomeryContext<LIMBS> {
     }
 
     /// Exponentiation of a Montgomery-form base, returning a
-    /// Montgomery-form result (left-to-right square-and-multiply).
+    /// Montgomery-form result, by [`square_and_multiply`].
     pub fn mont_pow(&self, base_mont: &Uint<LIMBS>, exp: &Uint<LIMBS>) -> Uint<LIMBS> {
-        let mut acc = self.r_mod;
-        for i in (0..exp.bit_len()).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, base_mont);
-            }
-        }
-        acc
+        square_and_multiply(self.r_mod, base_mont, exp, |a, b| self.mont_mul(a, b))
     }
 
     /// Modular exponentiation `base^exp mod p` via Montgomery
@@ -213,39 +206,6 @@ impl<const LIMBS: usize> MontgomeryContext<LIMBS> {
         b: &[Uint<LIMBS>; LANES],
     ) -> [Uint<LIMBS>; LANES] {
         core::array::from_fn(|l| self.mont_mul(&a[l], &b[l]))
-    }
-
-    /// Montgomery's batch-inversion trick: inverts every element of
-    /// `values` **in place** with one [`mont_inv_prime`](Self::mont_inv_prime)
-    /// plus `3(n-1)` multiplications, instead of `n` Fermat inversions.
-    ///
-    /// `scratch` holds the prefix-product chain and must be at least as
-    /// long as `values`; with caller-provided scratch the helper performs
-    /// no heap allocation. Elements stay in Montgomery form throughout.
-    /// Returns `false` (leaving `values` untouched) if any element is zero
-    /// or `scratch` is too short; only valid for prime moduli.
-    pub fn mont_inv_batch(&self, values: &mut [Uint<LIMBS>], scratch: &mut [Uint<LIMBS>]) -> bool {
-        let n = values.len();
-        if scratch.len() < n || values.iter().any(|v| v.is_zero()) {
-            return false;
-        }
-        if n == 0 {
-            return true;
-        }
-        scratch[0] = values[0];
-        for i in 1..n {
-            scratch[i] = self.mont_mul(&scratch[i - 1], &values[i]);
-        }
-        let mut inv = self
-            .mont_inv_prime(&scratch[n - 1])
-            .expect("product of non-zero elements is non-zero mod a prime");
-        for i in (1..n).rev() {
-            let v = values[i];
-            values[i] = self.mont_mul(&inv, &scratch[i - 1]);
-            inv = self.mont_mul(&inv, &v);
-        }
-        values[0] = inv;
-        true
     }
 
     /// Modular inverse via Fermat's little theorem (`a^{p-2} mod p`); only
@@ -379,28 +339,5 @@ mod tests {
                 "edge lane {l}"
             );
         }
-    }
-
-    #[test]
-    fn mont_inv_batch_matches_fermat_per_element() {
-        let ctx = MontgomeryContext::<4>::new(&secp256k1_p()).unwrap();
-        for n in [0usize, 1, 2, 5, 16] {
-            let mut values: Vec<Uint<4>> = sample_residues::<16>(&ctx, 7 + n as u64)[..n].to_vec();
-            let expected: Vec<Uint<4>> = values
-                .iter()
-                .map(|v| ctx.mont_inv_prime(v).unwrap())
-                .collect();
-            let mut scratch = vec![Uint::ZERO; n];
-            assert!(ctx.mont_inv_batch(&mut values, &mut scratch), "n = {n}");
-            assert_eq!(values, expected, "n = {n}");
-        }
-        // Zeros and short scratch are rejected with values untouched.
-        let mut with_zero = [ctx.one_mont(), Uint::ZERO];
-        let snapshot = with_zero;
-        let mut scratch = [Uint::ZERO; 2];
-        assert!(!ctx.mont_inv_batch(&mut with_zero, &mut scratch));
-        assert_eq!(with_zero, snapshot);
-        let mut ok = [ctx.one_mont(), ctx.one_mont()];
-        assert!(!ctx.mont_inv_batch(&mut ok, &mut scratch[..1]));
     }
 }

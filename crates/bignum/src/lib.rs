@@ -51,5 +51,5 @@ pub use limb::{DoubleLimb, Limb, LIMB_BITS};
 pub use modular::{mod_add, mod_exp, mod_inv, mod_mul, mod_neg, mod_sub};
 pub use montgomery::MontgomeryParams;
 pub use prime::{gen_prime, gen_prime_congruent, gen_safe_prime, is_prime, miller_rabin};
-pub use residue::{ResidueJob, ResidueOps};
+pub use residue::{square_and_multiply, ExponentBits, ResidueJob, ResidueOps};
 pub use uint::BigUint;

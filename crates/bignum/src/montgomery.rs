@@ -9,7 +9,7 @@
 
 use crate::fixed::{montgomery_words, MontgomeryContext, Uint};
 use crate::limb::{adc, inv_mod_limb, mac, Limb, LIMB_BITS};
-use crate::residue::{ResidueJob, ResidueOps};
+use crate::residue::{pow, ResidueJob, ResidueOps};
 use crate::uint::BigUint;
 
 /// Precomputed per-modulus constants for Montgomery arithmetic.
@@ -138,6 +138,7 @@ impl MontgomeryParams {
     /// let cube = mont.from_mont(&mont.run(Cube(&mont.to_mont(&x))));
     /// assert_eq!(cube, &(&(&x * &x) * &x) % &p);
     /// ```
+    #[inline(always)]
     pub fn run<J: ResidueJob>(&self, job: J) -> J::Output {
         match &self.stack {
             Some(Stack::W1(ctx)) => job.run(ctx),
@@ -260,18 +261,6 @@ impl MontgomeryParams {
         t.truncate(s + 1);
         t
     }
-}
-
-/// `base^exp` by left-to-right square-and-multiply on Montgomery products.
-fn pow<R: ResidueOps>(r: &R, base: &R::Elem, exp: &BigUint) -> R::Elem {
-    let mut acc = r.one_mont();
-    for i in (0..exp.bit_len()).rev() {
-        acc = r.mont_mul(&acc, &acc);
-        if exp.bit(i) {
-            acc = r.mont_mul(&acc, base);
-        }
-    }
-    acc
 }
 
 /// [`MontgomeryParams::mont_pow`] as a job.

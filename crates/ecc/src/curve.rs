@@ -291,16 +291,15 @@ impl Curve {
     }
 
     /// A twin of this curve with every fixed-width fast path disabled:
-    /// the field context is [`field::FpContext::heap_only`] (single
-    /// products run on heap `BigUint`s, sharing the original operation
-    /// counter), so the ladders run on the field itself, counting every
-    /// operation as it happens.
+    /// the field context is [`field::FpContext::heap_only`], whose jobs run
+    /// on the heap `BigUint` FIOS reference and record on the original
+    /// operation counter, so each ladder is one tallied job on the heap.
     ///
     /// This is the honest baseline for differential comparisons: with
-    /// [`field::FpContext::run`] putting every ladder of a field of at most
-    /// 256 bits on the field's stack context, a reference ladder must run
-    /// on a heap-only twin or it would check the stack context against
-    /// itself. [`Curve::scalar_mul_reference`] uses it internally.
+    /// [`field::FpContext::run`] putting every ladder on the stack context
+    /// of the field's width, a reference ladder must run on a heap-only
+    /// twin or it would check the stack context against itself.
+    /// [`Curve::scalar_mul_reference`] uses it internally.
     pub fn heap_only(&self) -> Curve {
         Curve {
             fp: self.fp.heap_only(),

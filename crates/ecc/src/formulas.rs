@@ -6,7 +6,7 @@
 //! general doubling (`pd-general`) and the `a = -3` doubling
 //! (`dbl-2001-b`). Each is one branch-free body, in the exact step order
 //! the platform executes. The same body runs in the host ladders
-//! ([`crate::ladder`], on the counted field or its stack backend) and
+//! ([`crate::ladder`], on the counted field or a field job's tally) and
 //! under the platform crate's recorder, which turns it into the
 //! coprocessor program — so host results, host op counts and simulated
 //! cycles all come from one source.

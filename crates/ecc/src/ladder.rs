@@ -14,13 +14,13 @@
 //!
 //! [`crate::Curve::scalar_mul`] and [`crate::Curve::scalar_mul_batch`] run
 //! their ladders as [`field::FieldJob`]s through [`field::FpContext::run`]:
-//! on a field of at most 256 bits the whole ladder runs on the field's own
-//! stack context and adds one tally to the field's counter, and on a
-//! [`field::FpContext::heap_only`] twin it runs on the field itself, which
-//! counts every operation as it happens. The single `Curve::jacobian_*`
-//! and `Curve::to_affine` operations run on the field too. Every backend
-//! shares the Montgomery radix of the field's width, so every intermediate
-//! is the same residue on each, and the counts are the same.
+//! the whole ladder runs on the stack context of the field's width and
+//! adds one tally to the field's counter, and on a
+//! [`field::FpContext::heap_only`] twin the same tallied job runs on the
+//! heap FIOS reference. The single `Curve::jacobian_*` and
+//! `Curve::to_affine` operations run on the field, one job per operation.
+//! Every backend shares the Montgomery radix of the field's width, so every
+//! intermediate is the same residue on each, and the counts are the same.
 //!
 //! Affine points are [`Affine`] pairs, with `None` the point at infinity.
 //! One rule covers both a table entry at infinity (a point of small order)

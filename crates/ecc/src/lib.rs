@@ -16,9 +16,9 @@
 //! and the batch driver — live in [`ladder`], each written once over
 //! [`field::ValueOps`]. [`Curve::scalar_mul`] and
 //! [`Curve::scalar_mul_batch`] hand their ladders to
-//! [`field::FpContext::run`], which runs them on the field's own stack
-//! context at every width up to 256 bits and counts them in one update;
-//! the single `jacobian_*` operations run on the counted field.
+//! [`field::FpContext::run`], which runs them on the stack context of the
+//! field's width and counts them in one update; the single `jacobian_*`
+//! operations run on the counted field, one job each.
 //!
 //! Curves are described by the [`WeierstrassParameters`] trait — constants
 //! as associated data on zero-sized marker types — and built through

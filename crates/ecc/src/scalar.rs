@@ -7,11 +7,11 @@
 //!
 //! The ladders themselves are written once in [`crate::ladder`]; this
 //! module wraps each call in a [`FieldJob`] and hands it to
-//! [`field::FpContext::run`], which picks the field's width. On every field of at
-//! most 256 bits the whole ladder runs on the field's own stack context,
-//! and its operation counts reach the field's counter in one update when
-//! it returns; a [`Curve::heap_only`] twin runs the same job on the field
-//! itself, counting every operation.
+//! [`field::FpContext::run`], which runs it as one
+//! [`bignum::MontgomeryParams::run`]: the whole ladder runs on the stack
+//! context of the field's width, and its operation counts reach the
+//! field's counter in one update when it returns. A [`Curve::heap_only`]
+//! twin runs the same job, as one tallied job, on the heap FIOS reference.
 //!
 //! Every ladder keeps its **addend affine** and adds through the
 //! mixed-coordinate formula ([`crate::formulas::madd`], `Z2 = 1`): the
@@ -114,11 +114,11 @@ impl FieldJob for ScalarMulBatch<'_> {
 impl Curve {
     /// Computes `k · point` with the selected algorithm.
     ///
-    /// The ladder runs through [`field::FpContext::run`]: on the field's
-    /// own stack context up to 256 bits, with its operation counts added
-    /// to the field's counter once it returns, and on the counted field
-    /// itself otherwise. Results and counts are identical to the
-    /// heap-product ladder's ([`Curve::scalar_mul_reference`] pins this)
+    /// The ladder runs as one job through [`field::FpContext::run`], on
+    /// the stack context of the field's width, with its operation counts
+    /// added to the field's counter once it returns. Results and counts
+    /// are identical to the heap ladder's ([`Curve::scalar_mul_reference`]
+    /// pins this)
     /// on every curve, because the backends share the Montgomery radix at
     /// every width and the affine coordinates of `k · point` are unique
     /// whatever ladder computed them.
@@ -136,9 +136,9 @@ impl Curve {
         })
     }
 
-    /// Computes `k · point` with every product on the heap (`BigUint`)
-    /// FIOS reference and every operation counted as it happens, on a
-    /// [`Curve::heap_only`] twin — the differential baseline for tests and
+    /// Computes `k · point` on a [`Curve::heap_only`] twin: the same
+    /// ladder, as one tallied job, with every operation on the heap
+    /// (`BigUint`) FIOS reference — the differential baseline for tests and
     /// for hostbench's set-up checks. [`Curve::scalar_mul`] is the fast
     /// path; results and counts are identical.
     pub fn scalar_mul_reference(

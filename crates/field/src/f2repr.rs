@@ -16,7 +16,7 @@ use std::fmt;
 use rand::Rng;
 
 use crate::error::FieldError;
-use crate::fp::{square_and_multiply, FpContext, FpElement};
+use crate::fp::{FpContext, FpElement};
 use crate::fp3::{Fp3Context, Fp3Element};
 use crate::fp6::{Fp6Context, Fp6Element};
 use crate::linalg::FpMatrix;
@@ -261,7 +261,7 @@ impl F2Repr {
 
     /// Exponentiation by square-and-multiply.
     pub fn exp(&self, base: &F2Element, exp: &bignum::BigUint) -> F2Element {
-        square_and_multiply(self.one(), base, exp, |a, b| self.mul(a, b))
+        bignum::square_and_multiply(self.one(), base, exp, |a, b| self.mul(a, b))
     }
 }
 

@@ -1,5 +1,5 @@
 //! Field operations as traits, the `Fp6` product written once against
-//! them, and the field's counted stack backend.
+//! them, and the counted backend every field job runs on.
 //!
 //! The paper's composite operations are straight-line sequences of
 //! modular multiplications, additions and subtractions. [`FieldOps`] is
@@ -7,13 +7,15 @@
 //! written exactly once as a generic, branch-free body and then
 //! instantiated on every backend:
 //!
-//! * [`FpContext`] — the field itself, counting every operation on the
-//!   shared counter (behind [`crate::Fp3Context`], and behind every
-//!   [`FieldJob`] on a `heap_only` twin or a field wider than 256 bits);
-//! * the field's own `L`-word [`MontgomeryContext`], which
-//!   [`FpContext::run`] hands a [`FieldJob`] behind a non-atomic tally —
-//!   each [`crate::Fp6Context`] product and exponentiation, each
-//!   [`FpContext::exp`] and each `ecc` scalar ladder is one such job;
+//! * [`FpContext`] — the field itself, each operation one counted job on
+//!   the shared counter (behind [`crate::Fp3Context`] and the `ecc`
+//!   crate's single `Curve::jacobian_*` operations);
+//! * a tally over any [`ResidueOps`] backend, which [`FpContext::run`]
+//!   hands every [`FieldJob`] — each single [`FpContext`] operation, each
+//!   [`crate::Fp6Context`] product and exponentiation, each
+//!   [`FpContext::exp`] and each `ecc` scalar ladder. The backend is the
+//!   one [`bignum::MontgomeryParams::run`] picks for the field's width
+//!   (the heap reference on a `heap_only` twin);
 //! * the platform crate's recorder, which turns each operation into one
 //!   step of the coprocessor program.
 //!
@@ -23,10 +25,10 @@
 
 use std::cell::Cell;
 
-use bignum::fixed::{add_mod, neg_mod, sub_mod, MontgomeryContext, Uint};
+use bignum::{ResidueJob, ResidueOps};
 
 use crate::fp::{FpContext, FpElement};
-use crate::opcount::OpCount;
+use crate::opcount::{OpCount, OpCounter};
 
 /// The arithmetic a formula body may perform.
 ///
@@ -56,10 +58,10 @@ pub trait FieldOps {
 /// batched inversion to return to affine form — and the conversions
 /// between [`FpElement`] and the backend's own element.
 ///
-/// [`FpContext`] implements it, and so does the stack backend
-/// [`FpContext::run`] picks; the `ecc` crate's ladders and the tower's
-/// exponentiations are written once against it. Both count exactly what
-/// the inherent [`FpContext`] operations count.
+/// [`FpContext`] implements it, and so does the tally over the backend
+/// [`FpContext::run`] hands a job; the `ecc` crate's ladders and the
+/// tower's exponentiations are written once against it. Both count exactly
+/// what the inherent [`FpContext`] operations count.
 pub trait ValueOps: FieldOps<Elem: Clone + PartialEq> {
     /// The additive identity.
     fn zero(&self) -> Self::Elem;
@@ -153,13 +155,12 @@ impl ValueOps for FpContext {
     }
 }
 
-/// The backend [`FpContext::run`] hands a job on a field of at most 256
-/// bits: the field's own `L`-word [`MontgomeryContext`], whose elements
-/// are the low `L` words of each [`FpElement`] residue, plus a tally of
-/// exactly what [`FpContext`] records for the same calls. `run` adds the
-/// tally to the shared counter once, when the job returns.
-pub(crate) struct Words<'a, const L: usize> {
-    ctx: &'a MontgomeryContext<L>,
+/// The backend [`FpContext::run`] hands a job: a [`ResidueOps`] backend
+/// plus a tally of exactly what [`FpContext`] records for the same calls.
+struct Tally<'a, R> {
+    r: &'a R,
+    /// Whether the field's elements store their residues in words.
+    words: bool,
     // Four cells, not one `Cell<OpCount>`, so that each operation updates
     // one word instead of rewriting the whole tally.
     mul: Cell<u64>,
@@ -168,109 +169,106 @@ pub(crate) struct Words<'a, const L: usize> {
     inv: Cell<u64>,
 }
 
-impl<'a, const L: usize> Words<'a, L> {
-    /// The backend over `ctx`, with an empty tally.
-    pub(crate) fn new(ctx: &'a MontgomeryContext<L>) -> Self {
-        Words {
-            ctx,
-            mul: Cell::new(0),
-            add: Cell::new(0),
-            sub: Cell::new(0),
-            inv: Cell::new(0),
-        }
-    }
-
-    /// The operations recorded so far.
-    pub(crate) fn tally(&self) -> OpCount {
-        OpCount {
-            mul: self.mul.get(),
-            add: self.add.get(),
-            sub: self.sub.get(),
-            inv: self.inv.get(),
-        }
-    }
-}
-
-impl<const L: usize> FieldOps for Words<'_, L> {
-    type Elem = Uint<L>;
+impl<R: ResidueOps> FieldOps for Tally<'_, R> {
+    type Elem = R::Elem;
 
     #[inline]
-    fn mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+    fn mul(&self, a: &R::Elem, b: &R::Elem) -> R::Elem {
         self.mul.set(self.mul.get() + 1);
-        self.ctx.mont_mul(a, b)
+        self.r.mont_mul(a, b)
     }
 
     #[inline]
-    fn add(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+    fn add(&self, a: &R::Elem, b: &R::Elem) -> R::Elem {
         self.add.set(self.add.get() + 1);
-        add_mod(a, b, self.ctx.modulus())
+        self.r.add(a, b)
     }
 
     #[inline]
-    fn sub(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+    fn sub(&self, a: &R::Elem, b: &R::Elem) -> R::Elem {
         self.sub.set(self.sub.get() + 1);
-        sub_mod(a, b, self.ctx.modulus())
+        self.r.sub(a, b)
     }
 
     #[inline]
-    fn copy(&self, a: Uint<L>) -> Uint<L> {
+    fn copy(&self, a: R::Elem) -> R::Elem {
         a
     }
 }
 
-impl<const L: usize> ValueOps for Words<'_, L> {
+impl<R: ResidueOps> ValueOps for Tally<'_, R> {
     #[inline]
-    fn zero(&self) -> Uint<L> {
-        Uint::ZERO
+    fn zero(&self) -> R::Elem {
+        self.r.lower_words(&[])
     }
 
     #[inline]
-    fn one(&self) -> Uint<L> {
-        self.ctx.one_mont()
+    fn one(&self) -> R::Elem {
+        self.r.one_mont()
     }
 
     #[inline]
-    fn is_zero(&self, a: &Uint<L>) -> bool {
-        a.is_zero()
+    fn is_zero(&self, a: &R::Elem) -> bool {
+        self.r.is_zero(a)
     }
 
+    /// Counted as one subtraction, unless `a` is zero.
     #[inline]
-    fn neg(&self, a: &Uint<L>) -> Uint<L> {
-        if a.is_zero() {
-            return Uint::ZERO;
+    fn neg(&self, a: &R::Elem) -> R::Elem {
+        if !self.r.is_zero(a) {
+            self.sub.set(self.sub.get() + 1);
         }
-        self.sub.set(self.sub.get() + 1);
-        neg_mod(a, self.ctx.modulus())
+        self.r.neg(a)
     }
 
-    fn invert_batch(&self, values: &mut [Uint<L>]) {
+    /// Counted as one inversion per element.
+    fn invert_batch(&self, values: &mut [R::Elem]) {
         self.inv.set(self.inv.get() + values.len() as u64);
-        // A lone value needs no prefix chain, so a single inversion stays
-        // off the heap.
-        if let [value] = values {
-            *value = self.ctx.mont_inv_prime(value).expect("inversion of zero");
-            return;
-        }
-        let mut scratch = vec![Uint::ZERO; values.len()];
-        assert!(
-            self.ctx.mont_inv_batch(values, &mut scratch),
-            "batched inversion of zero"
-        );
+        assert!(self.r.invert_batch(values), "batched inversion of zero");
     }
 
     #[inline]
-    fn lower(&self, e: &FpElement) -> Uint<L> {
-        let words = e
-            .mont_repr()
-            .expect("a field of at most 256 bits stores words");
-        Uint::from_limbs(std::array::from_fn(|i| words.limbs()[i]))
+    fn lower(&self, e: &FpElement) -> R::Elem {
+        e.lower(self.r)
     }
 
     #[inline]
-    fn lift(&self, e: Uint<L>) -> FpElement {
-        let mut words = [0; 4];
-        words[..L].copy_from_slice(e.limbs());
-        FpElement::from_words(Uint::from_limbs(words))
+    fn lift(&self, e: R::Elem) -> FpElement {
+        FpElement::lift(self.r, &e, self.words)
+    }
+}
+
+/// A [`FieldJob`] as the [`ResidueJob`] [`FpContext::run`] dispatches: the
+/// job runs behind a [`Tally`] on the backend it is handed, and the tally
+/// reaches the shared counter once, when the job returns.
+pub(crate) struct Tallied<'a, J> {
+    pub(crate) job: J,
+    /// Whether the field's elements store their residues in words.
+    pub(crate) words: bool,
+    pub(crate) counter: &'a OpCounter,
+}
+
+impl<J: FieldJob> ResidueJob for Tallied<'_, J> {
+    type Output = J::Output;
+
+    #[inline(always)]
+    fn run<R: ResidueOps>(self, r: &R) -> J::Output {
+        let tally = Tally {
+            r,
+            words: self.words,
+            mul: Cell::new(0),
+            add: Cell::new(0),
+            sub: Cell::new(0),
+            inv: Cell::new(0),
+        };
+        let out = self.job.run(&tally);
+        self.counter.add(OpCount {
+            mul: tally.mul.get(),
+            add: tally.add.get(),
+            sub: tally.sub.get(),
+            inv: tally.inv.get(),
+        });
+        out
     }
 }
 

@@ -4,12 +4,12 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
-use bignum::fixed::{Montgomery256, MontgomeryContext, Uint};
-use bignum::{BigUint, MontgomeryParams};
+use bignum::fixed::Uint;
+use bignum::{square_and_multiply, BigUint, MontgomeryParams, ResidueJob, ResidueOps};
 use rand::Rng;
 
 use crate::error::FieldError;
-use crate::formulas::{FieldJob, ValueOps, Words};
+use crate::formulas::{FieldJob, Tallied, ValueOps};
 use crate::opcount::{OpCount, OpCounter};
 
 /// Context for arithmetic in the prime field `Fp`.
@@ -19,22 +19,18 @@ use crate::opcount::{OpCount, OpCounter};
 /// exponentiation), and every multiplication / addition / subtraction /
 /// inversion is recorded in the context's [`OpCounter`].
 ///
-/// On a field of at most 256 bits — the toy fields, the paper's 160- and
-/// 170-bit primes and the 256-bit curves — every residue lives in four
-/// stack words and every operation runs on the
-/// [`bignum::fixed::MontgomeryContext`] of the field's own width
-/// (`⌈n/64⌉` words, see [`bignum::fixed::montgomery_words`]). The heap
-/// [`MontgomeryParams`] share its radix at every width, so the residues are
-/// bit-identical to the heap backend's. Wider fields keep `BigUint`
-/// residues. Either way each single operation records exactly one count,
-/// so op counts do not depend on the backend.
-///
-/// A whole computation written over [`crate::ValueOps`] — a scalar-mult
-/// ladder, an `Fp6` product or exponentiation, or [`FpContext::exp`]
-/// itself — runs through [`FpContext::run`] instead: the width is picked
-/// once, the operations run on that context directly, and the same counts
-/// (an exponentiation's squarings and multiplications included) are added
-/// to the counter once, when the computation returns.
+/// Every operation is a job: a computation written once over
+/// [`crate::ValueOps`] — a single `mul` or `inv`, an `Fp6` product or
+/// exponentiation, a scalar-mult ladder, [`FpContext::exp`] — runs through
+/// [`FpContext::run`] on the backend [`MontgomeryParams::run`] picks for
+/// the field's width: the `⌈n/64⌉`-word stack context at 1–4, 8 and 16
+/// words, the heap FIOS reference elsewhere. Its counts (an
+/// exponentiation's squarings and multiplications included) are added to
+/// the counter once, when the job returns. On a field of at most 256 bits
+/// — the toy fields, the paper's 160- and 170-bit primes and the 256-bit
+/// curves — every residue lives in four stack words; wider fields keep
+/// `BigUint` residues. Both backends share the Montgomery radix at every
+/// width, so residues and counts do not depend on the backend.
 ///
 /// Cloning the context is cheap and clones share the same counter.
 ///
@@ -57,42 +53,21 @@ pub struct FpContext {
     inner: Arc<FpInner>,
 }
 
+#[derive(Clone)]
 struct FpInner {
-    modulus: BigUint,
     mont: MontgomeryParams,
-    backend: Backend,
+    /// The multiplicative identity.
+    one: FpElement,
+    /// The element of value `R`, whose residue `R² mod p` is the factor
+    /// into Montgomery form.
+    r2: FpElement,
+    /// Whether elements store their residues in four words: fields of at
+    /// most 256 bits.
+    words: bool,
+    /// Whether jobs run on the heap FIOS reference at every width: the
+    /// [`FpContext::heap_only`] twin.
+    heap_only: bool,
     counter: Arc<OpCounter>,
-}
-
-/// Where a field's residues live and what runs its products.
-enum Backend {
-    /// A field of at most 256 bits: word residues, every operation on the
-    /// stack context of the field's width.
-    Words(Montgomery256),
-    /// The [`FpContext::heap_only`] twin of such a field: word residues,
-    /// but products (and so exponentiations) run on the heap FIOS
-    /// reference.
-    HeapProducts(Montgomery256),
-    /// A field wider than 256 bits: `BigUint` residues throughout.
-    Heap,
-}
-
-impl Backend {
-    /// The stack context, when residues are words.
-    fn words(&self) -> Option<&Montgomery256> {
-        match self {
-            Backend::Words(ctx) | Backend::HeapProducts(ctx) => Some(ctx),
-            Backend::Heap => None,
-        }
-    }
-
-    /// The stack context, when products run on it too.
-    fn products(&self) -> Option<&Montgomery256> {
-        match self {
-            Backend::Words(ctx) => Some(ctx),
-            Backend::HeapProducts(_) | Backend::Heap => None,
-        }
-    }
 }
 
 /// An element of `Fp`, stored in Montgomery form.
@@ -109,7 +84,7 @@ pub struct FpElement(Residue);
 enum Residue {
     /// Fields of at most 256 bits: four words, zero above the field's
     /// width.
-    Words(Uint<4>),
+    Limbs(Uint<4>),
     /// Wider fields.
     Heap(BigUint),
 }
@@ -118,7 +93,7 @@ impl FpElement {
     /// Returns `true` if this element is zero.
     pub fn is_zero(&self) -> bool {
         match &self.0 {
-            Residue::Words(w) => w.is_zero(),
+            Residue::Limbs(w) => w.is_zero(),
             Residue::Heap(h) => h.is_zero(),
         }
     }
@@ -129,31 +104,36 @@ impl FpElement {
     /// than 256 bits.
     pub fn mont_repr(&self) -> Option<Uint<4>> {
         match &self.0 {
-            Residue::Words(w) => Some(*w),
+            Residue::Limbs(w) => Some(*w),
             Residue::Heap(_) => None,
         }
     }
 
-    /// The element whose Montgomery residue is `words`, which must be
-    /// reduced and zero above the field's width: the inverse of
-    /// [`FpElement::mont_repr`].
-    pub(crate) fn from_words(words: Uint<4>) -> Self {
-        FpElement(Residue::Words(words))
+    /// The residue on backend `r`.
+    pub(crate) fn lower<R: ResidueOps>(&self, r: &R) -> R::Elem {
+        match &self.0 {
+            Residue::Limbs(w) => r.lower_words(w.limbs()),
+            Residue::Heap(h) => r.lower(h),
+        }
     }
 
-    /// The Montgomery residue as a heap integer.
-    fn heap_residue(&self) -> Cow<'_, BigUint> {
-        match &self.0 {
-            Residue::Words(w) => Cow::Owned(w.to_biguint()),
-            Residue::Heap(h) => Cow::Borrowed(h),
-        }
+    /// The element of residue `e` on backend `r`, stored in four words when
+    /// `words`.
+    pub(crate) fn lift<R: ResidueOps>(r: &R, e: &R::Elem, words: bool) -> Self {
+        FpElement(if words {
+            let mut w = [0; 4];
+            r.lift_words(e, &mut w);
+            Residue::Limbs(Uint::from_limbs(w))
+        } else {
+            Residue::Heap(r.lift(e))
+        })
     }
 }
 
 impl fmt::Debug for FpElement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.0 {
-            Residue::Words(w) => write!(f, "FpElement(mont=0x{w})"),
+            Residue::Limbs(w) => write!(f, "FpElement(mont=0x{w})"),
             Residue::Heap(h) => write!(f, "FpElement(mont=0x{})", h.to_hex()),
         }
     }
@@ -174,12 +154,15 @@ impl FpContext {
             return Err(FieldError::InvalidModulus);
         }
         let mont = MontgomeryParams::new(p).ok_or(FieldError::InvalidModulus)?;
-        let backend = Montgomery256::new(p).map_or(Backend::Heap, Backend::Words);
+        let words = p.bit_len() <= Uint::<4>::BITS;
+        let one = mont.one_mont();
         Ok(FpContext {
             inner: Arc::new(FpInner {
-                modulus: p.clone(),
+                one: FpElement::lift(&mont, &one, words),
+                r2: FpElement::lift(&mont, &mont.to_mont(&one), words),
                 mont,
-                backend,
+                words,
+                heap_only: false,
                 counter: OpCounter::new(),
             }),
         })
@@ -187,73 +170,65 @@ impl FpContext {
 
     /// The field characteristic `p`.
     pub fn modulus(&self) -> &BigUint {
-        &self.inner.modulus
+        self.inner.mont.modulus()
     }
 
     /// Bit length of the modulus (e.g. 170 for the paper's torus field).
     pub fn bit_len(&self) -> usize {
-        self.inner.modulus.bit_len()
+        self.modulus().bit_len()
     }
 
     /// The residue of `p` modulo `m` as a small integer.
     pub fn modulus_mod(&self, m: u32) -> u32 {
-        (&self.inner.modulus % &BigUint::from(m))
-            .to_u64()
-            .unwrap_or(0) as u32
+        (self.modulus() % &BigUint::from(m)).to_u64().unwrap_or(0) as u32
     }
 
-    /// Runs `job` on the field's own stack context: a field of at most
-    /// 256 bits picks its `L`-word [`MontgomeryContext`] once for the
-    /// whole job, which runs on it behind a non-atomic tally; the tally is
-    /// added to the shared counter once, when the job returns. A
-    /// [`FpContext::heap_only`] twin and a field wider than 256 bits run
-    /// the job on this context itself, which counts every operation as it
-    /// happens. Results and counts are the same either way.
+    /// Runs `job` as one [`MontgomeryParams::run`], on the backend it picks
+    /// for the field's width (the stack context at 1–4, 8 and 16 words, the
+    /// heap FIOS reference elsewhere), behind a non-atomic tally of exactly
+    /// what the single operations record; the tally is added to the shared
+    /// counter once, when the job returns. A [`FpContext::heap_only`] twin
+    /// runs the same job, tally included, directly on the heap FIOS
+    /// reference. Results and counts are the same either way.
+    // This, `dispatch`, `MontgomeryParams::run`, `Tallied::run` and
+    // `Op::run` are always inlined, so that a single operation compiles to
+    // that one operation at each width, not to a match over all of them.
+    #[inline(always)]
     pub fn run<J: FieldJob>(&self, job: J) -> J::Output {
-        match self.inner.backend.products() {
-            Some(Montgomery256::W1(ctx)) => self.run_on_words(ctx, job),
-            Some(Montgomery256::W2(ctx)) => self.run_on_words(ctx, job),
-            Some(Montgomery256::W3(ctx)) => self.run_on_words(ctx, job),
-            Some(Montgomery256::W4(ctx)) => self.run_on_words(ctx, job),
-            None => job.run(self),
+        self.dispatch(Tallied {
+            job,
+            words: self.inner.words,
+            counter: &self.inner.counter,
+        })
+    }
+
+    /// Runs `job` on the backend [`MontgomeryParams::run`] picks, or on the
+    /// heap reference itself on a [`FpContext::heap_only`] twin.
+    #[inline(always)]
+    fn dispatch<J: ResidueJob>(&self, job: J) -> J::Output {
+        if self.inner.heap_only {
+            job.run(&self.inner.mont)
+        } else {
+            self.inner.mont.run(job)
         }
     }
 
-    /// [`FpContext::run`] at one width.
-    fn run_on_words<const L: usize, J: FieldJob>(
-        &self,
-        ctx: &MontgomeryContext<L>,
-        job: J,
-    ) -> J::Output {
-        let words = Words::new(ctx);
-        let out = job.run(&words);
-        self.inner.counter.add(words.tally());
-        out
-    }
-
-    /// A twin of this context whose products run on the heap: same
+    /// A twin of this context whose jobs all run on the heap: same
     /// modulus, same Montgomery constants, same element representation,
-    /// and the **same shared operation counter**, but every product — and
-    /// so every [`FpContext::exp`] step — runs the heap `BigUint` FIOS
-    /// reference ([`MontgomeryParams::mont_mul`]), and [`FpContext::run`]
-    /// runs its job on the twin itself, counting every operation.
+    /// and the **same shared operation counter**, but every job — each
+    /// single operation, [`FpContext::exp`], each `Fp6` product and each
+    /// `ecc` ladder — runs on the heap `BigUint` FIOS reference
+    /// ([`MontgomeryParams`] itself) instead of the stack context of the
+    /// field's width, behind the same tally.
     ///
     /// This exists for honest baselines: `scalar_mul_reference` and the
-    /// differential tests must run the heap products and the per-operation
-    /// counted loop, not the stack context against itself. Additions,
-    /// subtractions and inversions are not products and run as on this
-    /// context.
+    /// differential tests must run the heap products, not the stack context
+    /// against itself.
     pub fn heap_only(&self) -> FpContext {
-        let backend = match self.inner.backend.words() {
-            Some(ctx) => Backend::HeapProducts(ctx.clone()),
-            None => Backend::Heap,
-        };
         FpContext {
             inner: Arc::new(FpInner {
-                modulus: self.inner.modulus.clone(),
-                mont: self.inner.mont.clone(),
-                backend,
-                counter: Arc::clone(&self.inner.counter),
+                heap_only: true,
+                ..FpInner::clone(&self.inner)
             }),
         }
     }
@@ -273,45 +248,32 @@ impl FpContext {
         self.inner.counter.reset();
     }
 
-    /// Stores a Montgomery residue computed on the heap in this field's
-    /// representation.
-    fn store_heap_residue(&self, mont: BigUint) -> FpElement {
-        FpElement(match self.inner.backend.words() {
-            Some(_) => Residue::Words(
-                Uint::from_biguint(&mont).expect("a residue of a field of at most 256 bits"),
-            ),
-            None => Residue::Heap(mont),
-        })
-    }
-
     /// The additive identity.
     pub fn zero(&self) -> FpElement {
-        FpElement(match self.inner.backend.words() {
-            Some(_) => Residue::Words(Uint::ZERO),
-            None => Residue::Heap(BigUint::zero()),
+        FpElement(if self.inner.words {
+            Residue::Limbs(Uint::ZERO)
+        } else {
+            Residue::Heap(BigUint::zero())
         })
     }
 
     /// The multiplicative identity.
     pub fn one(&self) -> FpElement {
-        FpElement(match self.inner.backend.words() {
-            Some(ctx) => Residue::Words(ctx.one_mont()),
-            None => Residue::Heap(self.inner.mont.one_mont()),
-        })
+        self.inner.one.clone()
     }
 
     /// Embeds an arbitrary integer (reduced modulo `p`).
     pub fn from_biguint(&self, v: &BigUint) -> FpElement {
-        let Some(ctx) = self.inner.backend.words() else {
-            return FpElement(Residue::Heap(self.inner.mont.to_mont(v)));
-        };
-        let reduced = if *v < self.inner.modulus {
+        let reduced = if v < self.modulus() {
             Cow::Borrowed(v)
         } else {
-            Cow::Owned(v % &self.inner.modulus)
+            Cow::Owned(v % self.modulus())
         };
-        let words = Uint::from_biguint(&reduced).expect("a reduced residue fits in four words");
-        FpElement(Residue::Words(ctx.to_mont(&words)))
+        self.dispatch(ToMont {
+            v: &reduced,
+            r2: &self.inner.r2,
+            words: self.inner.words,
+        })
     }
 
     /// Embeds a small integer.
@@ -330,64 +292,27 @@ impl FpContext {
 
     /// Returns the canonical (non-Montgomery) residue of an element.
     pub fn to_biguint(&self, a: &FpElement) -> BigUint {
-        match (self.inner.backend.words(), &a.0) {
-            (Some(ctx), Residue::Words(w)) => ctx.from_mont(w).to_biguint(),
-            _ => self.inner.mont.from_mont(&a.heap_residue()),
-        }
+        self.dispatch(FromMont(a))
     }
 
     /// Uniformly random field element.
     pub fn random<R: Rng + ?Sized>(&self, rng: &mut R) -> FpElement {
-        self.from_biguint(&BigUint::random_below(rng, &self.inner.modulus))
-    }
-
-    /// Applies `words` to word residues and `heap` to heap residues.
-    fn binary(
-        &self,
-        a: &FpElement,
-        b: &FpElement,
-        words: impl FnOnce(&Montgomery256, &Uint<4>, &Uint<4>) -> Uint<4>,
-        heap: impl FnOnce(&BigUint, &BigUint) -> BigUint,
-    ) -> FpElement {
-        FpElement(match (self.inner.backend.words(), &a.0, &b.0) {
-            (Some(ctx), Residue::Words(x), Residue::Words(y)) => Residue::Words(words(ctx, x, y)),
-            (None, Residue::Heap(x), Residue::Heap(y)) => Residue::Heap(heap(x, y)),
-            _ => panic!("elements of another field"),
-        })
+        self.from_biguint(&BigUint::random_below(rng, self.modulus()))
     }
 
     /// Modular addition.
     pub fn add(&self, a: &FpElement, b: &FpElement) -> FpElement {
-        self.inner.counter.record_add();
-        self.binary(a, b, Montgomery256::add, |x, y| {
-            let s = x + y;
-            if s >= self.inner.modulus {
-                &s - &self.inner.modulus
-            } else {
-                s
-            }
-        })
+        self.run(Op::Add(a, b))
     }
 
     /// Modular subtraction.
     pub fn sub(&self, a: &FpElement, b: &FpElement) -> FpElement {
-        self.inner.counter.record_sub();
-        self.binary(a, b, Montgomery256::sub, |x, y| {
-            if x >= y {
-                x - y
-            } else {
-                &(x + &self.inner.modulus) - y
-            }
-        })
+        self.run(Op::Sub(a, b))
     }
 
-    /// Modular negation.
+    /// Modular negation, counted as one subtraction unless `a` is zero.
     pub fn neg(&self, a: &FpElement) -> FpElement {
-        if a.is_zero() {
-            return self.zero();
-        }
-        self.inner.counter.record_sub();
-        self.binary(a, a, |ctx, x, _| ctx.neg(x), |x, _| &self.inner.modulus - x)
+        self.run(Op::Neg(a))
     }
 
     /// Doubling (`a + a`), counted as one addition.
@@ -395,22 +320,9 @@ impl FpContext {
         self.add(a, a)
     }
 
-    /// Modular multiplication (one Montgomery multiplication), on the
-    /// field's stack context, or on the heap FIOS reference for a
-    /// [`FpContext::heap_only`] twin or a field wider than 256 bits. The
-    /// residue is the same either way.
+    /// Modular multiplication (one Montgomery multiplication).
     pub fn mul(&self, a: &FpElement, b: &FpElement) -> FpElement {
-        self.inner.counter.record_mul();
-        match (self.inner.backend.products(), &a.0, &b.0) {
-            (Some(ctx), Residue::Words(x), Residue::Words(y)) => {
-                FpElement(Residue::Words(ctx.mont_mul(x, y)))
-            }
-            _ => self.store_heap_residue(
-                self.inner
-                    .mont
-                    .mont_mul(&a.heap_residue(), &b.heap_residue()),
-            ),
-        }
+        self.run(Op::Mul(a, b))
     }
 
     /// Modular squaring (counted as a multiplication, as in the paper).
@@ -428,79 +340,44 @@ impl FpContext {
         acc
     }
 
-    /// Modular exponentiation by square-and-multiply, run as one
-    /// [`FieldJob`] through [`FpContext::run`]: up to 256 bits the whole
-    /// loop runs on the field's stack context, whatever the exponent's
-    /// width, and its `bit_len + popcount` products reach the counter in
-    /// one update. A [`FpContext::heap_only`] twin or a wider field counts
-    /// each product as it runs. Results and counts are identical.
+    /// Modular exponentiation by [`square_and_multiply`], run as one job:
+    /// whatever the exponent's width, the whole loop runs on one backend and
+    /// its `bit_len + popcount` products reach the counter in one update.
     pub fn exp(&self, base: &FpElement, exp: &BigUint) -> FpElement {
         self.run(Exp { base, exp })
     }
 
-    /// Batched modular inversion by **Montgomery's trick**: one Fermat
-    /// inversion plus `3(n-1)` multiplications for the whole batch of `n`
-    /// non-zero elements, instead of one Fermat inversion each. Zero
-    /// elements yield `None` without disturbing their neighbours.
+    /// Batched modular inversion by **Montgomery's trick**
+    /// ([`ResidueOps::invert_batch`]): one Fermat inversion plus `3(n-1)`
+    /// multiplications for the whole batch of `n` non-zero elements, instead
+    /// of one Fermat inversion each. Zero elements yield `None` without
+    /// disturbing their neighbours.
     ///
     /// Results are bit-identical to calling [`FpContext::inv`] element by
     /// element, and so are the recorded operation counts: one inversion
     /// per non-zero element and no multiplications — inversion stays its
     /// own primitive (the trick's internal products are host bookkeeping,
-    /// not modeled field work). The chain runs on the field's stack
-    /// context; a field wider than 256 bits inverts element by element.
+    /// not modeled field work).
     pub fn inv_batch(&self, elems: &[FpElement]) -> Vec<Option<FpElement>> {
-        let live: Vec<usize> = (0..elems.len()).filter(|&i| !elems[i].is_zero()).collect();
-        self.inner.counter.add(OpCount {
-            inv: live.len() as u64,
-            ..OpCount::default()
-        });
-        let mut out: Vec<Option<FpElement>> = vec![None; elems.len()];
-        let Some(ctx) = self.inner.backend.words() else {
-            for &i in &live {
-                out[i] = Some(self.fermat_inverse(&elems[i]));
-            }
-            return out;
-        };
-        let mut values: Vec<Uint<4>> = live
+        let live: Vec<&FpElement> = elems.iter().filter(|e| !e.is_zero()).collect();
+        let mut inverses = self.run(InvBatch(&live)).into_iter();
+        elems
             .iter()
-            .map(|&i| elems[i].mont_repr().expect("a word residue"))
-            .collect();
-        let ok = ctx.mont_inv_batch(&mut values);
-        debug_assert!(ok, "non-zero elements invert");
-        for (slot, inv) in live.iter().zip(values) {
-            out[*slot] = Some(FpElement(Residue::Words(inv)));
-        }
-        out
+            .map(|e| if e.is_zero() { None } else { inverses.next() })
+            .collect()
     }
 
     /// Modular inversion via Fermat's little theorem. Returns `None` for zero.
+    ///
+    /// The exponentiation's internal multiplications are deliberately not
+    /// counted: the paper treats inversion as its own primitive.
     pub fn inv(&self, a: &FpElement) -> Option<FpElement> {
-        if a.is_zero() {
-            return None;
-        }
-        // The exponentiation's internal multiplications are deliberately not
-        // double-counted: the paper treats inversion as its own primitive.
-        self.inner.counter.record_inv();
-        Some(match (self.inner.backend.words(), &a.0) {
-            (Some(ctx), Residue::Words(w)) => FpElement(Residue::Words(
-                ctx.mont_inv_prime(w)
-                    .expect("non-zero element stays non-zero in fixed form"),
-            )),
-            _ => self.fermat_inverse(a),
-        })
-    }
-
-    /// `a^(p−2)` of a non-zero element through
-    /// [`MontgomeryParams::mont_pow`], uncounted.
-    fn fermat_inverse(&self, a: &FpElement) -> FpElement {
-        let exp = &self.inner.modulus - &BigUint::from(2u64);
-        self.store_heap_residue(self.inner.mont.mont_pow(&a.heap_residue(), &exp))
+        (!a.is_zero()).then(|| self.run(Op::Inv(a)))
     }
 
     /// Returns `true` if two contexts describe the same field.
     pub fn same_field(&self, other: &FpContext) -> bool {
-        self.inner.modulus == other.inner.modulus
+        self.modulus() == other.modulus()
     }
 
     /// Euler's criterion: returns `true` if `a` is a non-zero quadratic
@@ -509,7 +386,7 @@ impl FpContext {
         if a.is_zero() {
             return false;
         }
-        let exp = (&self.inner.modulus - &BigUint::one()).shr_bits(1);
+        let exp = (self.modulus() - &BigUint::one()).shr_bits(1);
         self.exp(a, &exp) == self.one()
     }
 
@@ -523,7 +400,7 @@ impl FpContext {
         if !self.is_square(a) {
             return None;
         }
-        let p = &self.inner.modulus;
+        let p = self.modulus();
         let one = BigUint::one();
         // Fast path: p ≡ 3 (mod 4) → a^((p+1)/4).
         if (p % &BigUint::from(4u64)).to_u64() == Some(3) {
@@ -568,7 +445,50 @@ impl FpContext {
     }
 }
 
-/// [`FpContext::exp`]'s loop, on the backend [`FpContext::run`] picks.
+/// One counted operation, run as a job like any other.
+enum Op<'a> {
+    Mul(&'a FpElement, &'a FpElement),
+    Add(&'a FpElement, &'a FpElement),
+    Sub(&'a FpElement, &'a FpElement),
+    Neg(&'a FpElement),
+    /// The inversion of a non-zero element.
+    Inv(&'a FpElement),
+}
+
+impl FieldJob for Op<'_> {
+    type Output = FpElement;
+
+    #[inline(always)]
+    fn run<F: ValueOps>(self, f: &F) -> FpElement {
+        f.lift(match self {
+            Op::Mul(a, b) => f.mul(&f.lower(a), &f.lower(b)),
+            Op::Add(a, b) => f.add(&f.lower(a), &f.lower(b)),
+            Op::Sub(a, b) => f.sub(&f.lower(a), &f.lower(b)),
+            Op::Neg(a) => f.neg(&f.lower(a)),
+            Op::Inv(a) => {
+                let mut value = [f.lower(a)];
+                f.invert_batch(&mut value);
+                let [inverse] = value;
+                inverse
+            }
+        })
+    }
+}
+
+/// [`FpContext::inv_batch`]'s inversion of its non-zero elements.
+struct InvBatch<'a>(&'a [&'a FpElement]);
+
+impl FieldJob for InvBatch<'_> {
+    type Output = Vec<FpElement>;
+
+    fn run<F: ValueOps>(self, f: &F) -> Vec<FpElement> {
+        let mut values: Vec<F::Elem> = self.0.iter().map(|e| f.lower(e)).collect();
+        f.invert_batch(&mut values);
+        values.into_iter().map(|v| f.lift(v)).collect()
+    }
+}
+
+/// [`FpContext::exp`]'s loop.
 struct Exp<'a> {
     base: &'a FpElement,
     exp: &'a BigUint,
@@ -579,27 +499,38 @@ impl FieldJob for Exp<'_> {
 
     fn run<F: ValueOps>(self, f: &F) -> FpElement {
         let base = f.lower(self.base);
-        let power = square_and_multiply(f.one(), &base, self.exp, |a, b| f.mul(a, b));
-        f.lift(power)
+        f.lift(square_and_multiply(f.one(), &base, self.exp, |a, b| {
+            f.mul(a, b)
+        }))
     }
 }
 
-/// Left-to-right square-and-multiply from `one`, squaring as `mul(acc, acc)`:
-/// the one loop behind `exp` on every level of the tower.
-pub(crate) fn square_and_multiply<E>(
-    one: E,
-    base: &E,
-    exp: &BigUint,
-    mul: impl Fn(&E, &E) -> E,
-) -> E {
-    let mut acc = one;
-    for i in (0..exp.bit_len()).rev() {
-        acc = mul(&acc, &acc);
-        if exp.bit(i) {
-            acc = mul(&acc, base);
-        }
+/// [`FpContext::from_biguint`] of a reduced value, uncounted: its
+/// Montgomery product with `R²`.
+struct ToMont<'a> {
+    v: &'a BigUint,
+    r2: &'a FpElement,
+    words: bool,
+}
+
+impl ResidueJob for ToMont<'_> {
+    type Output = FpElement;
+
+    fn run<R: ResidueOps>(self, r: &R) -> FpElement {
+        let mont = r.mont_mul(&r.lower(self.v), &self.r2.lower(r));
+        FpElement::lift(r, &mont, self.words)
     }
-    acc
+}
+
+/// [`FpContext::to_biguint`], uncounted: the Montgomery product with 1.
+struct FromMont<'a>(&'a FpElement);
+
+impl ResidueJob for FromMont<'_> {
+    type Output = BigUint;
+
+    fn run<R: ResidueOps>(self, r: &R) -> BigUint {
+        r.lift(&r.mont_mul(&self.0.lower(r), &r.lower_words(&[1])))
+    }
 }
 
 impl fmt::Debug for FpContext {
@@ -607,7 +538,7 @@ impl fmt::Debug for FpContext {
         write!(
             f,
             "FpContext(p=0x{}, {} bits)",
-            self.inner.modulus.to_hex(),
+            self.modulus().to_hex(),
             self.bit_len()
         )
     }
@@ -713,9 +644,15 @@ mod tests {
     #[test]
     fn montgomery_repr_roundtrip() {
         let fp = ctx();
+        // A 30-bit field runs on one word: R = 2^64.
         let a = fp.from_u64(424_242);
         let repr = a.mont_repr().expect("a 30-bit field stores words");
-        assert_eq!(FpElement::from_words(repr), a);
+        let r = BigUint::one().shl_bits(64);
+        assert_eq!(
+            repr.to_biguint(),
+            &(&r * &BigUint::from(424_242u64)) % fp.modulus()
+        );
+        assert_eq!(fp.to_biguint(&a).to_u64(), Some(424_242));
     }
 
     #[test]
@@ -804,11 +741,6 @@ mod tests {
                 .unwrap();
         let fp = FpContext::new(&p).unwrap();
         let heap = fp.heap_only();
-        assert!(matches!(fp.inner.backend, Backend::Words(_)));
-        assert!(
-            matches!(heap.inner.backend, Backend::HeapProducts(_)),
-            "twin must stay on the heap"
-        );
         assert!(fp.same_field(&heap));
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);

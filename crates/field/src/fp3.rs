@@ -13,7 +13,7 @@ use rand::Rng;
 
 use crate::error::FieldError;
 use crate::formulas::karatsuba3;
-use crate::fp::{square_and_multiply, FpContext, FpElement};
+use crate::fp::{FpContext, FpElement};
 
 /// Context for arithmetic in `Fp3 = Fp[x]/(x^3 - 3x + 1)`.
 #[derive(Clone)]
@@ -185,7 +185,7 @@ impl Fp3Context {
 
     /// Exponentiation by square-and-multiply.
     pub fn exp(&self, base: &Fp3Element, exp: &BigUint) -> Fp3Element {
-        square_and_multiply(self.one(), base, exp, |a, b| self.mul(a, b))
+        bignum::square_and_multiply(self.one(), base, exp, |a, b| self.mul(a, b))
     }
 
     /// The Frobenius map `a ↦ a^p` (an `Fp`-linear map; uses the cached

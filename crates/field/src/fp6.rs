@@ -9,12 +9,12 @@
 
 use std::fmt;
 
-use bignum::BigUint;
+use bignum::{square_and_multiply, BigUint};
 use rand::Rng;
 
 use crate::error::FieldError;
 use crate::formulas::{karatsuba_fp6, FieldJob, ValueOps};
-use crate::fp::{square_and_multiply, FpContext, FpElement};
+use crate::fp::{FpContext, FpElement};
 
 /// Context for arithmetic in `Fp6 = Fp[z]/(z^6 + z^3 + 1)` (representation F1).
 #[derive(Clone)]
@@ -180,9 +180,9 @@ impl Fp6Context {
     /// Multiplication with the paper's 18M Karatsuba schedule
     /// (Section 2.2.2), reduced modulo `z^6 + z^3 + 1`: one
     /// [`crate::karatsuba_fp6`] run as a [`FieldJob`] through
-    /// [`FpContext::run`], so up to 256 bits the whole product runs on the
-    /// field's stack context and its 18 M + 20 A + 44 S reach the counter
-    /// in one update.
+    /// [`FpContext::run`], so the whole product runs on one backend (the
+    /// stack context of the field's width, where it has one) and its
+    /// 18 M + 20 A + 44 S reach the counter in one update.
     pub fn mul(&self, a: &Fp6Element, b: &Fp6Element) -> Fp6Element {
         self.fp.run(Mul { a, b })
     }

@@ -17,18 +17,20 @@
 //!   Fig. 1 with the maps τ / τ⁻¹ between F1 and F2.
 //! * [`FieldOps`] — the mul/add/sub/copy interface every composite
 //!   formula is written against once ([`karatsuba_fp6`] here, the ECC
-//!   point formulas in the `ecc` crate), instantiated on the field, its
-//!   stack backend and the platform's program recorder.
+//!   point formulas in the `ecc` crate), instantiated on the field, the
+//!   tally every field job runs behind and the platform's program
+//!   recorder.
 //! * [`ValueOps`] — what the value backends add for the `ecc` scalar
 //!   ladders: constants, the zero test, negation, one batched inversion
 //!   and the conversions from and to [`FpElement`].
 //! * [`FieldJob`] — a computation written once over [`ValueOps`], which
-//!   [`FpContext::run`] runs on the field's own
-//!   [`bignum::fixed::MontgomeryContext`], picking the width once and
-//!   adding one tally to the shared [`OpCounter`] when it returns. Each
-//!   [`Fp6Context`] product and exponentiation and each [`FpContext::exp`]
-//!   is one job, as is each `ecc` scalar ladder. This crate is the only
-//!   one that picks a width.
+//!   [`FpContext::run`] runs as one [`bignum::MontgomeryParams::run`]
+//!   behind a tally, added to the shared [`OpCounter`] when it returns.
+//!   Every [`FpContext`] operation is such a job, and so are each
+//!   [`Fp6Context`] product and exponentiation and each `ecc` scalar
+//!   ladder. `MontgomeryParams::run` is the only place that picks a width:
+//!   this crate stores the residues of fields of at most 256 bits in four
+//!   words, and never picks a context.
 //!
 //! # Example
 //!

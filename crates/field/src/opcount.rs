@@ -66,32 +66,20 @@ impl OpCounter {
         Arc::new(OpCounter::default())
     }
 
-    /// Records one modular multiplication.
-    pub fn record_mul(&self) {
-        self.mul.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one modular addition.
-    pub fn record_add(&self) {
-        self.add.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one modular subtraction.
-    pub fn record_sub(&self) {
-        self.sub.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one modular inversion.
-    pub fn record_inv(&self) {
-        self.inv.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a whole tally at once, one update per kind of operation.
+    /// Records a whole tally at once: one update per kind of operation
+    /// that occurred, so a single operation is one atomic update.
+    #[inline]
     pub fn add(&self, count: OpCount) {
-        self.mul.fetch_add(count.mul, Ordering::Relaxed);
-        self.add.fetch_add(count.add, Ordering::Relaxed);
-        self.sub.fetch_add(count.sub, Ordering::Relaxed);
-        self.inv.fetch_add(count.inv, Ordering::Relaxed);
+        for (counter, n) in [
+            (&self.mul, count.mul),
+            (&self.add, count.add),
+            (&self.sub, count.sub),
+            (&self.inv, count.inv),
+        ] {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Returns the current counts.
@@ -120,11 +108,16 @@ mod tests {
     #[test]
     fn records_and_snapshots() {
         let c = OpCounter::new();
-        c.record_mul();
-        c.record_mul();
-        c.record_add();
-        c.record_sub();
-        c.record_inv();
+        // One-op tallies, as single operations record them.
+        for (mul, add, sub, inv) in [
+            (1, 0, 0, 0),
+            (1, 0, 0, 0),
+            (0, 1, 0, 0),
+            (0, 0, 1, 0),
+            (0, 0, 0, 1),
+        ] {
+            c.add(OpCount { mul, add, sub, inv });
+        }
         let s = c.snapshot();
         assert_eq!(
             s,
@@ -185,7 +178,10 @@ mod tests {
                 let c = Arc::clone(&c);
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        c.record_mul();
+                        c.add(OpCount {
+                            mul: 1,
+                            ..OpCount::default()
+                        });
                     }
                 })
             })

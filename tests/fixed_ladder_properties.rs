@@ -2,11 +2,12 @@
 //! entry points and the field's stack context at every width to the
 //! serial heap reference.
 //!
-//! At every field width (10, 64, 127, 160, 170 and 256 bits) random sequences
-//! of field operations must give the same residues and the same op counts
-//! on `FpContext::new(p)` and on its `heap_only()` twin, whose products run
-//! the heap FIOS reference; their elements compare and hash equal exactly
-//! when their values are equal. Every `Curve::scalar_mul` algorithm, and
+//! At every field width (10, 64, 127, 160, 170 and 256 bits, both sides of
+//! every word boundary up to 257 bits, and 512 and 1024 bits) random
+//! sequences of field operations must give the same residues and the same
+//! op counts on `FpContext::new(p)` and on its `heap_only()` twin, whose
+//! jobs run on the heap FIOS reference; their elements compare and hash
+//! equal exactly when their values are equal. Every `Curve::scalar_mul` algorithm, and
 //! `Curve::scalar_mul_batch`, must match the heap twin's results and op
 //! counts on the toy, 160-bit and secp256k1 curves (one, three and four
 //! words).
@@ -24,12 +25,13 @@
 //!
 //! The tower's jobs get the same treatment: `Fp6Context` products,
 //! squarings, exponentiations (plain and windowed), inversions and norms
-//! over fields of one, two and three words and of 300 bits must match the
-//! `heap_only` twin's values and op counts, with every product recording
-//! exactly 18 M + 20 A + 44 S.
+//! over fields of one, two, three and eight words and of 300 bits must
+//! match the `heap_only` twin's values and op counts, with every product
+//! recording exactly 18 M + 20 A + 44 S.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 use bignum::fixed::{MontgomeryContext, Uint};
 use bignum::BigUint;
@@ -64,19 +66,40 @@ fn edge_scalars(curve: &Curve) -> Vec<BigUint> {
     ]
 }
 
-/// Primes at every stack width the field uses: the toy curve's 1009
-/// (≡ 1 mod 4, so square roots take Tonelli–Shanks) and 2^64 − 59 (also
-/// ≡ 1 mod 4) on one word, 2^127 − 1 on two, the paper's 160- and 170-bit
-/// primes on three, and secp256k1's on four.
+/// Primes at every width the field uses, checked with Miller–Rabin: the
+/// toy curve's 1009 (≡ 1 mod 4, so square roots take Tonelli–Shanks) and
+/// 2^64 − 59 (also ≡ 1 mod 4) on one word, 2^127 − 1 on two, the paper's
+/// 160- and 170-bit primes on three, and secp256k1's on four; the least
+/// prime above each word boundary, 2^64 + 13, 2^128 + 51, 2^192 + 133 and
+/// 2^256 + 297 (on five words, the heap reference); and 2^512 − 569 and
+/// 2^1024 − 105 on eight and sixteen.
 fn primes_at_every_width() -> Vec<BigUint> {
-    vec![
+    static PRIMES: OnceLock<Vec<BigUint>> = OnceLock::new();
+    PRIMES.get_or_init(checked_primes).clone()
+}
+
+/// [`primes_at_every_width`], checked once per run.
+fn checked_primes() -> Vec<BigUint> {
+    let power = |bits| BigUint::one().shl_bits(bits);
+    let primes = vec![
         BigUint::from(1009u64),
         BigUint::from(0xffff_ffff_ffff_ffc5u64),
-        &BigUint::one().shl_bits(127) - &BigUint::one(),
+        &power(127) - &BigUint::one(),
         Curve::p160_reproduction().unwrap().fp().modulus().clone(),
         CeilidhParams::date2008().unwrap().fp().modulus().clone(),
         curve().fp().modulus().clone(),
-    ]
+        &power(64) + &BigUint::from(13u64),
+        &power(128) + &BigUint::from(51u64),
+        &power(192) + &BigUint::from(133u64),
+        &power(256) + &BigUint::from(297u64),
+        &power(512) - &BigUint::from(569u64),
+        &power(1024) - &BigUint::from(105u64),
+    ];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(64);
+    for p in &primes {
+        assert!(bignum::is_prime(p, &mut rng), "{p:?} is prime");
+    }
+    primes
 }
 
 fn hash_of(e: &FpElement) -> u64 {
@@ -117,11 +140,14 @@ proptest! {
             let heap = fast.heap_only();
             let mut regs: [FpElement; 4] = std::array::from_fn(|_| fast.random(&mut rng));
             let mut twin_regs = regs.clone();
-            for &code in &codes {
-                // Exponents up to twice the field width: some fit its
-                // words, some take the counted loop.
-                let exp = BigUint::random_bits(&mut rng, 2 * p.bit_len());
-                let exp = exp.shr_bits((code as usize) % (2 * p.bit_len()));
+            // Exponents up to twice the field width; the eight- and
+            // sixteen-word fields take four operations and 64-bit
+            // exponents, which keeps their heap twin's run short.
+            let wide = p.bit_len() >= 512;
+            let exp_bits = if wide { 64 } else { 2 * p.bit_len() };
+            for &code in codes.iter().take(if wide { 4 } else { codes.len() }) {
+                let exp = BigUint::random_bits(&mut rng, exp_bits);
+                let exp = exp.shr_bits((code as usize) % exp_bits);
                 let before = fast.op_count();
                 let got = apply(&fast, code, &regs, &exp);
                 let mid = fast.op_count();
@@ -426,14 +452,22 @@ fn degenerate_wrappers_match_the_heap_wrappers() {
 }
 
 /// Primes ≡ 2 (mod 9), so that `Fp6 = Fp[z]/(z⁶ + z³ + 1)` exists over
-/// them, at one, two and three words and past the stack backend: 101,
-/// 2^127 + 45, the paper's CEILIDH-170 prime and 2^299 + 645.
+/// them, at one, two and three words, on the heap reference at five, and
+/// at eight: 101, 2^127 + 45, the paper's CEILIDH-170 prime, 2^299 + 645
+/// and 2^512 − 569.
 fn tower_primes() -> Vec<BigUint> {
+    static PRIMES: OnceLock<Vec<BigUint>> = OnceLock::new();
+    PRIMES.get_or_init(checked_tower_primes).clone()
+}
+
+/// [`tower_primes`], checked once per run.
+fn checked_tower_primes() -> Vec<BigUint> {
     let primes = vec![
         BigUint::from(101u64),
         &BigUint::one().shl_bits(127) + &BigUint::from(45u64),
         CeilidhParams::date2008().unwrap().p().clone(),
         &BigUint::one().shl_bits(299) + &BigUint::from(645u64),
+        &BigUint::one().shl_bits(512) - &BigUint::from(569u64),
     ];
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
     for p in &primes {
@@ -462,8 +496,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// `Fp6Context` over each field and over its `heap_only` twin, whose
-    /// products and exponentiations run on the per-operation counted
-    /// field: `mul`, `square`, `exp`, `exp_window(·, 4)`, `inv` and `norm`
+    /// products and exponentiations run as jobs on the heap FIOS
+    /// reference: `mul`, `square`, `exp`, `exp_window(·, 4)`, `inv` and `norm`
     /// give the same values and the same op-count deltas, at the exponents
     /// 0, 1, a random exponent the size of CEILIDH-170's `q` and one wider
     /// than the field. One product records exactly 18 M + 20 A + 44 S, and
@@ -489,11 +523,18 @@ proptest! {
             };
             prop_assert_eq!(counted("mul", &|f| f.mul(&a, &b)).1, products(1));
             prop_assert_eq!(counted("square", &|f| f.square(&a)).1, products(1));
+            // The eight-word field takes short exponents, which keeps its
+            // heap twin's run short.
+            let [mid, wide] = if bits >= 512 {
+                [32, 64]
+            } else {
+                [q_bits, 64 * bits.div_ceil(64) + 64]
+            };
             for e in [
                 BigUint::zero(),
                 BigUint::one(),
-                BigUint::random_bits(&mut rng, q_bits),
-                BigUint::random_bits(&mut rng, 64 * bits.div_ceil(64) + 64),
+                BigUint::random_bits(&mut rng, mid),
+                BigUint::random_bits(&mut rng, wide),
             ] {
                 let label = format!("exp by {} bits", e.bit_len());
                 let (power, count) = counted(&label, &|f| f.exp(&a, &e));

@@ -15,7 +15,8 @@
 //! conversions, a count that must not grow with the exponent, and so may
 //! the platform simulator's Table 3 drivers (release builds only: debug
 //! builds re-run every leaf at register level). The counter itself is
-//! sanity-checked against the heap backend, which must allocate.
+//! sanity-checked against the heap backend, which must allocate, and so
+//! must the `heap_only` twins every differential suite compares against.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -26,7 +27,7 @@ use bignum::{BigUint, MontgomeryParams};
 use ceilidh::CeilidhParams;
 use ecc::ladder::Ladder;
 use ecc::prelude::*;
-use field::FpContext;
+use field::{Fp6Context, FpContext};
 use platform::{CostModel, Hierarchy, Platform};
 use rand::SeedableRng;
 
@@ -299,4 +300,57 @@ fn the_counter_itself_observes_heap_traffic() {
         after > before,
         "heap Montgomery multiplication should allocate (counter sanity check)"
     );
+}
+
+/// The `heap_only` twin runs every job on the heap FIOS reference, so the
+/// differential suites that compare against it do not compare the stack
+/// context with itself: at 160, 170 and 256 bits a twin product, a twin
+/// `Fp6` product and the twin ladder behind `Curve::scalar_mul_reference`
+/// allocate, and the same calls on the fast context do not. The 160- and
+/// 256-bit towers run over the primes 2^159 + 795 and 2^255 + 1155
+/// (≡ 2 mod 9); no registered curve has a 170-bit field.
+#[test]
+fn the_heap_twin_allocates_where_the_fast_context_does_not() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x7a1);
+    let tower = |bits: usize, offset: u64| {
+        let p = &BigUint::one().shl_bits(bits - 1) + &BigUint::from(offset);
+        Fp6Context::new(FpContext::new(&p).unwrap()).unwrap()
+    };
+    let params = CeilidhParams::date2008().expect("built-in CEILIDH-170 parameters");
+    let k = BigUint::from_hex("9f3c0a55e4d2b8a17c66f0e1d2c3b4a5968778aa").unwrap();
+    for (fp6, curve) in [
+        (tower(160, 795), Some(Curve::p160_reproduction().unwrap())),
+        (params.fp6().clone(), None),
+        (
+            tower(256, 1155),
+            Some(Curve::from_parameters::<P256>().unwrap()),
+        ),
+    ] {
+        let bits = fp6.fp().bit_len();
+        let twin6 = Fp6Context::new(fp6.fp().heap_only()).unwrap();
+        let (a, b) = (fp6.random(&mut rng), fp6.random(&mut rng));
+        let (x, y) = (&a.coeffs()[0], &b.coeffs()[0]);
+        let mut fast = vec![
+            allocations_in(|| fp6.fp().mul(black_box(x), black_box(y))),
+            allocations_in(|| fp6.mul(black_box(&a), black_box(&b))),
+        ];
+        let mut twin = vec![
+            allocations_in(|| twin6.fp().mul(black_box(x), black_box(y))),
+            allocations_in(|| twin6.mul(black_box(&a), black_box(&b))),
+        ];
+        if let Some(curve) = curve {
+            // `scalar_mul_reference` is this call on a fresh twin, whose
+            // construction allocates whatever its ladder runs on.
+            let heap = curve.heap_only();
+            let (g, algorithm) = (curve.base_point(), ScalarMulAlgorithm::DoubleAndAdd);
+            fast.push(allocations_in(|| {
+                curve.scalar_mul(g, black_box(&k), algorithm)
+            }));
+            twin.push(allocations_in(|| {
+                heap.scalar_mul(g, black_box(&k), algorithm)
+            }));
+        }
+        assert!(fast.iter().all(|&n| n == 0), "{bits} bits: fast {fast:?}");
+        assert!(twin.iter().all(|&n| n > 0), "{bits} bits: twin {twin:?}");
+    }
 }
