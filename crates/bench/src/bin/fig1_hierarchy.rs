@@ -39,6 +39,16 @@ fn main() {
     assert_eq!(decompress(&params, &c).expect("decompressible"), g);
     println!("ρ/ψ   : factor-3 compression round-trips            ... ok");
 
+    // The factor 3 on the wire, at the paper's 170-bit size.
+    let paper = CeilidhParams::date2008().expect("170-bit parameters");
+    let bits = paper.p().bit_len();
+    let c = compress(&paper, &paper.generator()).expect("compressible");
+    println!(
+        "ρ/ψ   : a {bits}-bit torus element travels as {} bytes, its Fp6 form is {} bytes",
+        c.byte_len(bits),
+        6 * bits.div_ceil(8)
+    );
+
     // Fp6 inversion against the norm tower.
     let inv = fp6.inv(&a).expect("non-zero");
     assert_eq!(fp6.mul(&a, &inv), fp6.one());

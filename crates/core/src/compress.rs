@@ -1,28 +1,39 @@
-//! Torus compression: the bandwidth advantage of CEILIDH.
+//! Torus compression: CEILIDH's maps ρ: `T6 → A²` and ψ: `A² → T6`.
 //!
-//! Rubin–Silverberg show that `T6(Fp)` is rational, so its elements can be
-//! transmitted as two `Fp` values instead of six — the factor
-//! `6/ϕ(6) = 3` the paper highlights. The DATE paper performs all
-//! arithmetic in representation F1 and leaves the maps ρ/ψ unimplemented;
-//! here we provide an equivalent-bandwidth scheme built from two exact
-//! steps (see DESIGN.md for the substitution rationale):
+//! Rubin–Silverberg ("Torus-based cryptography", CRYPTO 2003) show that
+//! `T6(Fp)` is rational, so its elements can be transmitted as two `Fp`
+//! values instead of six — the factor `6/ϕ(6) = 3` the paper highlights.
+//! The DATE paper performs all arithmetic in representation F1 and leaves
+//! the maps ρ/ψ unimplemented; here they are, in closed form.
 //!
-//! 1. **Factor-2 (exact, [`compress_t2`] / [`decompress_t2`]).**
-//!    `T6(Fp) ⊂ T2(Fp3)`, and every `g ∈ T2(Fp3) \ {1}` can be written as
-//!    `g = (a + γ)/(a - γ)` for a unique `a ∈ Fp3`, where
-//!    `γ = ζ9 - ζ9^{-1}` is "purely imaginary" (`γ^{p³} = -γ`). The three
-//!    `Fp` coordinates of `a` are the compressed form.
-//!
-//! 2. **Factor-3 ([`compress`] / [`decompress`]).** Membership of `g` in
-//!    `T3` (norm to `Fp2` equal to 1) imposes one further algebraic
-//!    condition on `a` that is *quadratic* in each coordinate, because
-//!    `N(a+γ) - N(a-γ)` only keeps the terms odd in `γ`. We therefore
-//!    transmit the first two coordinates plus a 2-bit hint selecting the
-//!    right root of that quadratic; decompression interpolates the
-//!    constraint polynomial, solves it with a modular square root, filters
-//!    the candidates by torus membership and picks the hinted one. The
-//!    transmitted payload is two `Fp` elements + 2 bits — the same
-//!    bandwidth as the original CEILIDH maps.
+//! * **The parameter.** `T6(Fp) ⊂ T2(Fp3)`, and every `g ∈ T2(Fp3) \ {1}`
+//!   is `g = (a + γ)/(a - γ)` for exactly one `a = γ(g + 1)/(g - 1)` in
+//!   `Fp3`, where `γ = z - z⁻¹` satisfies `γ^{p³} = -γ`. Its coordinates
+//!   `u = (u₀, u₁, u₂)` in the basis `{1, x, x²}`, `x = z + z⁻¹`, are the
+//!   `u` half of τ(a) ([`field::F2Repr::from_f1`]); the `v` half is zero.
+//! * **The quadric.** `g` lies in `T6` when its norm to `Fp2` is 1 as well,
+//!   that is when `N₂(a + γ) = N₂(a - γ)`. The difference keeps only the
+//!   terms odd in `γ`: `N₂(a + γ) - N₂(a - γ) = 2Q(u)·(1 + 2z³)` with
+//!   `Q(u) = 1 + 3u₁² - 3u₀u₂ - 9u₂²`, the same integer polynomial for every
+//!   `p` (`1 + 2z³` squares to −3, so it is not zero). So `T6 \ {1}` is the
+//!   quadric `Q = 0`.
+//! * **The maps.** `ω = z³` lies in `T6` with parameter
+//!   `a0 = (-4/3, 1/3, 2/3)`. Projecting the quadric from `a0` gives
+//!   - ρ(g) = `(s, t) = ((3u₁ - 1)/(3u₀ + 4), (3u₂ - 2)/(3u₀ + 4))`, the
+//!     direction `(1, s, t)` of the line from `a0` through `a`;
+//!   - ψ(s, t): that line `a0 + λ(1, s, t)` meets `Q = 0` again at
+//!     `λ = l/q`, with `q = 3s² - 3t - 9t²` (the quadratic part of `Q` at
+//!     `(1, s, t)`) and `l = 2 - 2s + 8t` (`-∇Q(a0)·(1, s, t)`). Scaled by
+//!     `3q`, that parameter is `A = τ⁻¹(3l - 4q, q + 3ls, 2q + 3lt)`, and
+//!     `g = (A + 3q·γ)/(A - 3q·γ)`: one `Fp6` inversion, no square root, and
+//!     `g` lies in `T6` by construction.
+//! * **The exceptional set.** ρ fails on the identity and on the plane
+//!   `3u₀ + 4 = 0`, which meets the quadric in a conic through ω: at most
+//!   `p + 2` of the `p² - p + 1` elements of `T6`. ψ rejects exactly the
+//!   pairs with `q = 0` or `l = 0`, which ρ never produces. Everywhere else
+//!   ψ∘ρ and ρ∘ψ are the identity. At 170 bits the exceptional set is a
+//!   2⁻¹⁷⁰ fraction, and [`crate::encrypt_hybrid`] and [`crate::sign`]
+//!   resample on a failed compression.
 
 use bignum::BigUint;
 use field::{Fp6Element, FpElement};
@@ -31,82 +42,99 @@ use crate::error::CeilidhError;
 use crate::params::CeilidhParams;
 use crate::torus::TorusElement;
 
-/// Factor-2 compressed torus element: the three `Fp` coordinates of the
-/// `T2(Fp3)` parameter `a`.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CompressedT2 {
-    /// Coordinates of `a ∈ Fp3` in the basis `{1, x, x²}`.
-    pub coords: [BigUint; 3],
-}
-
-/// Factor-3 compressed torus element: two `Fp` coordinates plus a root-
-/// selection hint (always < 4, i.e. 2 bits on the wire).
+/// A torus element compressed by ρ: two `Fp` coordinates, a third of an
+/// `Fp6` element.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CompressedTorus {
-    /// Coordinate of `1` in the `Fp3` parameter `a`.
+    /// The first coordinate `s = (3u₁ - 1)/(3u₀ + 4)`.
     pub u0: BigUint,
-    /// Coordinate of `x` in the `Fp3` parameter `a`.
+    /// The second coordinate `t = (3u₂ - 2)/(3u₀ + 4)`.
     pub u1: BigUint,
-    /// Index of the correct candidate among the (canonically ordered) roots
-    /// of the membership constraint.
-    pub hint: u8,
 }
 
 impl CompressedTorus {
-    /// Size of the compressed representation in bytes (two field elements
-    /// plus one hint byte), versus `6 · ⌈log2 p / 8⌉` for an uncompressed
-    /// `Fp6` element.
+    /// Size of the compressed representation in bytes (two field elements),
+    /// versus `6 · ⌈log2 p / 8⌉` for an uncompressed `Fp6` element.
     pub fn byte_len(&self, p_bits: usize) -> usize {
-        2 * p_bits.div_ceil(8) + 1
+        2 * p_bits.div_ceil(8)
     }
 }
 
-/// Compresses a torus element to three `Fp` values (factor 2, exact).
+/// Compresses a `T6` element to two `Fp` values with ρ (factor 3 — the
+/// bandwidth the paper advertises for CEILIDH).
 ///
 /// # Errors
 ///
-/// Returns [`CeilidhError::CompressionFailed`] for the identity element
-/// (not covered by the rational parameterisation) and
-/// [`CeilidhError::NotInTorus`] if the element is not in `T2(Fp3)`.
-pub fn compress_t2(params: &CeilidhParams, g: &TorusElement) -> Result<CompressedT2, CeilidhError> {
-    let fp6 = params.fp6();
+/// Returns [`CeilidhError::NotInTorus`] for elements outside `T6`, and
+/// [`CeilidhError::CompressionFailed`] for the identity and the elements on
+/// the plane `3u₀ + 4 = 0` (ω = z³ among them).
+pub fn compress(params: &CeilidhParams, g: &TorusElement) -> Result<CompressedTorus, CeilidhError> {
+    let fp = params.fp();
     let value = g.as_fp6();
-    if *value == fp6.one() {
+    if *value == params.fp6().one() {
         return Err(CeilidhError::CompressionFailed(
             "the identity has no affine parameter",
         ));
     }
-    if fp6.norm_to_fp3(value) != fp6.one() {
+    if !params.is_torus_member(value) {
         return Err(CeilidhError::NotInTorus);
     }
-    // a = γ (g + 1) / (g - 1)
-    let gamma = fp6.zeta_minus_inverse();
-    let numer = fp6.mul(&gamma, &fp6.add(value, &fp6.one()));
-    let denom = fp6.sub(value, &fp6.one());
-    let a = fp6.mul(&numer, &fp6.inv(&denom)?);
-    fp3_coords(params, &a)
+    let [u0, u1, u2] = parameter(params, value)?;
+    let scale = fp
+        .inv(&fp.add(&fp.mul_small(&u0, 3), &fp.from_u64(4)))
+        .ok_or(CeilidhError::CompressionFailed(
+            "the parameter lies on the plane 3u0 + 4 = 0",
+        ))?;
+    let coordinate = |u: &FpElement, c: u64| {
+        fp.to_biguint(&fp.mul(&fp.sub(&fp.mul_small(u, 3), &fp.from_u64(c)), &scale))
+    };
+    Ok(CompressedTorus {
+        u0: coordinate(&u1, 1),
+        u1: coordinate(&u2, 2),
+    })
 }
 
-/// Decompresses three `Fp` values back to a torus (`T2(Fp3)`) element.
-///
-/// The result always satisfies `N_{Fp6/Fp3}(g) = 1`; it lies on the full
-/// torus `T6` only if the coordinates came from [`compress_t2`] applied to a
-/// `T6` element.
+/// Decompresses two `Fp` values back to the `T6` element with ψ.
 ///
 /// # Errors
 ///
 /// Returns [`CeilidhError::DecompressionFailed`] if a coordinate is not a
-/// canonical residue (`≥ p`), so each element has exactly one encoding.
-pub fn decompress_t2(
+/// canonical residue (`≥ p`), or if the pair is not in ρ's image
+/// (`q = 0` or `l = 0`).
+pub fn decompress(
     params: &CeilidhParams,
-    compressed: &CompressedT2,
+    compressed: &CompressedTorus,
 ) -> Result<TorusElement, CeilidhError> {
-    let [u0, u1, u2] = compressed
-        .coords
-        .each_ref()
-        .map(|c| canonical_coordinate(params, c));
-    let a = embed_fp3(params, &u0?, &u1?, &u2?);
-    let g = t2_point(params, &a)?;
+    let (fp, fp6, repr) = (params.fp(), params.fp6(), params.repr());
+    let s = canonical_coordinate(params, &compressed.u0)?;
+    let t = canonical_coordinate(params, &compressed.u1)?;
+    // q = 3(s² - t - 3t²) and l = 2(1 - s + 4t).
+    let q = fp.mul_small(
+        &fp.sub(
+            &fp.sub(&fp.square(&s), &t),
+            &fp.mul_small(&fp.square(&t), 3),
+        ),
+        3,
+    );
+    let l = fp.double(&fp.add(&fp.sub(&fp.one(), &s), &fp.mul_small(&t, 4)));
+    if q.is_zero() || l.is_zero() {
+        return Err(CeilidhError::DecompressionFailed(
+            "the coordinates are not in the image of compression",
+        ));
+    }
+    // A = 3q·(a0 + (l/q)(1, s, t)), embedded with τ⁻¹.
+    let l3 = fp.mul_small(&l, 3);
+    let fp3 = repr.fp3();
+    let u = fp3.from_coeffs([
+        fp.sub(&l3, &fp.mul_small(&q, 4)),
+        fp.add(&q, &fp.mul(&l3, &s)),
+        fp.add(&fp.double(&q), &fp.mul(&l3, &t)),
+    ]);
+    let a = repr.to_f1(&repr.from_components(u, fp3.zero()));
+    // 3q·γ, with γ = z + z² + z⁵.
+    let (q3, zero) = (fp.mul_small(&q, 3), fp.zero());
+    let q3_gamma = fp6.from_coeffs([zero.clone(), q3.clone(), q3.clone(), zero.clone(), zero, q3]);
+    let g = fp6.mul(&fp6.add(&a, &q3_gamma), &fp6.inv(&fp6.sub(&a, &q3_gamma))?);
     Ok(TorusElement::from_fp6_unchecked(g))
 }
 
@@ -122,197 +150,15 @@ fn canonical_coordinate(params: &CeilidhParams, c: &BigUint) -> Result<FpElement
     Ok(fp.from_biguint(c))
 }
 
-/// Compresses a `T6` element to two `Fp` values plus a 2-bit hint
-/// (factor 3 — the bandwidth the paper advertises for CEILIDH).
-///
-/// # Errors
-///
-/// Returns [`CeilidhError::CompressionFailed`] for the identity and
-/// [`CeilidhError::NotInTorus`] for elements outside `T6`.
-pub fn compress(params: &CeilidhParams, g: &TorusElement) -> Result<CompressedTorus, CeilidhError> {
-    if !params.is_torus_member(g.as_fp6()) {
-        return Err(CeilidhError::NotInTorus);
-    }
-    let stage1 = compress_t2(params, g)?;
-    let fp = params.fp();
-    let u0 = fp.from_biguint(&stage1.coords[0]);
-    let u1 = fp.from_biguint(&stage1.coords[1]);
-    let candidates = constraint_roots(params, &u0, &u1)?;
-    let hint = candidates
-        .iter()
-        .position(|t| *t == stage1.coords[2])
-        .ok_or(CeilidhError::CompressionFailed(
-            "true coordinate is not a constraint root",
-        ))?;
-    Ok(CompressedTorus {
-        u0: stage1.coords[0].clone(),
-        u1: stage1.coords[1].clone(),
-        hint: hint as u8,
-    })
-}
-
-/// Decompresses two `Fp` values plus a hint back to the `T6` element.
-///
-/// # Errors
-///
-/// Returns [`CeilidhError::DecompressionFailed`] if a coordinate is not a
-/// canonical residue (`≥ p`), the coordinates do not correspond to any
-/// torus element or the hint is out of range.
-pub fn decompress(
-    params: &CeilidhParams,
-    compressed: &CompressedTorus,
-) -> Result<TorusElement, CeilidhError> {
-    let u0 = canonical_coordinate(params, &compressed.u0)?;
-    let u1 = canonical_coordinate(params, &compressed.u1)?;
-    let candidates = constraint_roots(params, &u0, &u1)?;
-    let t = candidates
-        .get(compressed.hint as usize)
-        .ok_or(CeilidhError::DecompressionFailed("hint out of range"))?;
-    let reconstructed = CompressedT2 {
-        coords: [compressed.u0.clone(), compressed.u1.clone(), t.clone()],
-    };
-    let g = decompress_t2(params, &reconstructed)?;
-    debug_assert!(params.is_torus_member(g.as_fp6()));
-    Ok(g)
-}
-
-/// Evaluates `g = (a + γ)/(a - γ)` for `a ∈ Fp3 ⊂ Fp6`.
-fn t2_point(params: &CeilidhParams, a: &Fp6Element) -> Result<Fp6Element, CeilidhError> {
+/// The coordinates `u` of the parameter `a = γ(g + 1)/(g - 1)` of
+/// `g ∈ T2(Fp3) \ {1}`.
+fn parameter(params: &CeilidhParams, g: &Fp6Element) -> Result<[FpElement; 3], CeilidhError> {
     let fp6 = params.fp6();
-    let gamma = fp6.zeta_minus_inverse();
-    let numer = fp6.add(a, &gamma);
-    let denom = fp6.sub(a, &gamma);
-    Ok(fp6.mul(&numer, &fp6.inv(&denom)?))
-}
-
-/// Embeds `(u0, u1, u2)` as `u0 + u1·x + u2·x² ∈ Fp3 ⊂ Fp6`.
-fn embed_fp3(params: &CeilidhParams, u0: &FpElement, u1: &FpElement, u2: &FpElement) -> Fp6Element {
-    let fp6 = params.fp6();
-    let x = fp6.zeta_plus_inverse();
-    let x2 = fp6.mul(&x, &x);
-    let mut acc = fp6.from_fp(u0.clone());
-    acc = fp6.add(&acc, &fp6.scalar_mul(&x, u1));
-    fp6.add(&acc, &fp6.scalar_mul(&x2, u2))
-}
-
-/// Extracts the `Fp3` coordinates of an element known to lie in the `Fp3`
-/// subfield, using the representation-F2 basis change.
-fn fp3_coords(params: &CeilidhParams, a: &Fp6Element) -> Result<CompressedT2, CeilidhError> {
-    let repr = params.repr();
-    let f2 = repr.from_f1(a);
-    if !f2.v().is_zero() {
-        return Err(CeilidhError::CompressionFailed(
-            "parameter does not lie in the Fp3 subfield",
-        ));
-    }
-    let fp = params.fp();
-    let coeffs = f2.u().coeffs();
-    Ok(CompressedT2 {
-        coords: [
-            fp.to_biguint(&coeffs[0]),
-            fp.to_biguint(&coeffs[1]),
-            fp.to_biguint(&coeffs[2]),
-        ],
-    })
-}
-
-/// Computes the canonically ordered list of third coordinates `t` such that
-/// `a = u0 + u1·x + t·x²` parameterises a `T6` element.
-///
-/// The membership constraint `N_{Fp6/Fp2}(a+γ) = N_{Fp6/Fp2}(a-γ)` is
-/// quadratic in `t` (only the odd-in-γ terms survive the difference), so
-/// there are at most two candidates; they are found by interpolating the
-/// constraint polynomial at `t ∈ {0, 1, 2}` and solving with a modular
-/// square root.
-fn constraint_roots(
-    params: &CeilidhParams,
-    u0: &FpElement,
-    u1: &FpElement,
-) -> Result<Vec<BigUint>, CeilidhError> {
-    let fp = params.fp();
-    let fp6 = params.fp6();
-    let gamma = fp6.zeta_minus_inverse();
-
-    // D(t) = N(a(t)+γ) - N(a(t)-γ): an Fp2 element, quadratic in t.
-    let eval = |t: &FpElement| -> [FpElement; 6] {
-        let a = embed_fp3(params, u0, u1, t);
-        let plus = fp6.norm_to_fp2(&fp6.add(&a, &gamma));
-        let minus = fp6.norm_to_fp2(&fp6.sub(&a, &gamma));
-        let d = fp6.sub(&plus, &minus);
-        d.coeffs().clone()
-    };
-
-    // Interpolate each of the six coordinates of D as a quadratic in t from
-    // the samples at t = 0, 1, 2:
-    //   c2 = (d(0) - 2 d(1) + d(2)) / 2,  c1 = d(1) - d(0) - c2,  c0 = d(0).
-    let d0 = eval(&fp.zero());
-    let d1 = eval(&fp.one());
-    let d2 = eval(&fp.from_u64(2));
-    let half = fp
-        .inv(&fp.from_u64(2))
-        .expect("2 is invertible in odd characteristic");
-
-    let mut polys: Vec<[FpElement; 3]> = Vec::with_capacity(6);
-    for i in 0..6 {
-        let c0 = d0[i].clone();
-        let c2 = fp.mul(&fp.add(&fp.sub(&d0[i], &fp.double(&d1[i])), &d2[i]), &half);
-        let c1 = fp.sub(&fp.sub(&d1[i], &d0[i]), &c2);
-        polys.push([c0, c1, c2]);
-    }
-
-    // Pick the first coordinate whose constraint polynomial is not
-    // identically zero (an element of Fp2 only has non-zero coordinates at
-    // z^0 and z^3, but we scan all six for robustness).
-    let poly = polys
-        .into_iter()
-        .find(|p| !(p[0].is_zero() && p[1].is_zero() && p[2].is_zero()));
-    let Some([c0, c1, c2]) = poly else {
-        return Err(CeilidhError::DecompressionFailed(
-            "degenerate membership constraint",
-        ));
-    };
-
-    // Solve c2 t² + c1 t + c0 = 0 over Fp.
-    let mut roots: Vec<FpElement> = Vec::new();
-    if c2.is_zero() {
-        if c1.is_zero() {
-            return Err(CeilidhError::DecompressionFailed(
-                "constraint polynomial is constant and non-zero",
-            ));
-        }
-        let t = fp.neg(&fp.mul(&c0, &fp.inv(&c1).expect("non-zero")));
-        roots.push(t);
-    } else {
-        // discriminant = c1² - 4 c0 c2
-        let disc = fp.sub(&fp.square(&c1), &fp.mul(&fp.from_u64(4), &fp.mul(&c0, &c2)));
-        if let Some(sqrt_disc) = fp.sqrt(&disc) {
-            let inv_2a = fp
-                .inv(&fp.double(&c2))
-                .expect("2·c2 non-zero in odd characteristic");
-            let minus_c1 = fp.neg(&c1);
-            roots.push(fp.mul(&fp.add(&minus_c1, &sqrt_disc), &inv_2a));
-            roots.push(fp.mul(&fp.sub(&minus_c1, &sqrt_disc), &inv_2a));
-        }
-    }
-
-    // Keep only roots that really produce T6 members, in canonical order.
-    let mut candidates: Vec<BigUint> = Vec::new();
-    for t in roots {
-        let a = embed_fp3(params, u0, u1, &t);
-        if let Ok(g) = t2_point(params, &a) {
-            if params.is_torus_member(&g) {
-                candidates.push(fp.to_biguint(&t));
-            }
-        }
-    }
-    candidates.sort();
-    candidates.dedup();
-    if candidates.is_empty() {
-        return Err(CeilidhError::DecompressionFailed(
-            "no torus point matches the transmitted coordinates",
-        ));
-    }
-    Ok(candidates)
+    let numer = fp6.mul(&fp6.zeta_minus_inverse(), &fp6.add(g, &fp6.one()));
+    let a = fp6.mul(&numer, &fp6.inv(&fp6.sub(g, &fp6.one()))?);
+    let a = params.repr().from_f1(&a);
+    debug_assert!(a.v().is_zero(), "the parameter of g ∈ T2(Fp3) lies in Fp3");
+    Ok(a.u().coeffs().clone())
 }
 
 #[cfg(test)]
@@ -326,7 +172,11 @@ mod tests {
 
     #[test]
     fn factor_two_roundtrip() {
+        // The `T2(Fp3)` parameter both maps go through: a = γ(g + 1)/(g - 1)
+        // lies in Fp3, and (a + γ)/(a - γ) gives g back.
         let params = params();
+        let (fp6, repr) = (params.fp6(), params.repr());
+        let gamma = fp6.zeta_minus_inverse();
         let mut rng = rand::rngs::StdRng::seed_from_u64(61);
         let mut tested = 0;
         for _ in 0..25 {
@@ -334,9 +184,15 @@ mod tests {
             if g == params.identity() {
                 continue;
             }
-            let compressed = compress_t2(&params, &g).unwrap();
-            let back = decompress_t2(&params, &compressed).unwrap();
-            assert_eq!(back, g);
+            let u = repr
+                .fp3()
+                .from_coeffs(parameter(&params, g.as_fp6()).unwrap());
+            let a = repr.to_f1(&repr.from_components(u, repr.fp3().zero()));
+            let back = fp6.mul(
+                &fp6.add(&a, &gamma),
+                &fp6.inv(&fp6.sub(&a, &gamma)).unwrap(),
+            );
+            assert_eq!(&back, g.as_fp6());
             tested += 1;
         }
         assert!(tested > 5);
@@ -353,7 +209,6 @@ mod tests {
                 continue;
             }
             let compressed = compress(&params, &g).unwrap();
-            assert!(compressed.hint < 4);
             let back = decompress(&params, &compressed).unwrap();
             assert_eq!(back, g);
             tested += 1;
@@ -375,12 +230,120 @@ mod tests {
     }
 
     #[test]
+    fn the_torus_is_the_quadric_through_omega() {
+        // N₂(a + γ) - N₂(a - γ) = 2Q(u)·(1 + 2z³) for every a ∈ Fp3, and
+        // a0 = (-4/3, 1/3, 2/3) is the parameter of ω = z³.
+        for params in [params(), CeilidhParams::date2008().unwrap()] {
+            let (fp, fp6, repr) = (params.fp(), params.fp6(), params.repr());
+            let fp3 = repr.fp3();
+            let gamma = fp6.zeta_minus_inverse();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(65);
+            for _ in 0..20 {
+                let u = fp3.random(&mut rng);
+                let [u0, u1, u2] = u.coeffs();
+                let a = repr.to_f1(&repr.from_components(u.clone(), fp3.zero()));
+                let difference = fp6.sub(
+                    &fp6.norm_to_fp2(&fp6.add(&a, &gamma)),
+                    &fp6.norm_to_fp2(&fp6.sub(&a, &gamma)),
+                );
+                let q = fp.sub(
+                    &fp.sub(
+                        &fp.add(&fp.one(), &fp.mul_small(&fp.square(u1), 3)),
+                        &fp.mul_small(&fp.mul(u0, u2), 3),
+                    ),
+                    &fp.mul_small(&fp.square(u2), 9),
+                );
+                let zero = fp.zero();
+                let expected = fp6.from_coeffs([
+                    fp.double(&q),
+                    zero.clone(),
+                    zero.clone(),
+                    fp.mul_small(&q, 4),
+                    zero.clone(),
+                    zero,
+                ]);
+                assert_eq!(difference, expected);
+            }
+
+            let omega = fp6.from_u64_coeffs([0, 0, 0, 1, 0, 0]);
+            assert!(params.is_torus_member(&omega));
+            let a0 = parameter(&params, &omega)
+                .unwrap()
+                .map(|c| fp.mul_small(&c, 3));
+            assert_eq!(a0, [fp.from_i64(-4), fp.one(), fp.from_u64(2)]);
+            assert!(matches!(
+                compress(&params, &TorusElement::from_fp6_unchecked(omega)),
+                Err(CeilidhError::CompressionFailed(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn rho_and_psi_are_inverse_off_the_exceptional_set() {
+        // p = 101 ≡ 2 (mod 9) and p = 23 ≡ 5 (mod 9), exhaustively.
+        for (p, q) in [(101u64, 37u64), (23, 13)] {
+            let params =
+                CeilidhParams::from_components(&BigUint::from(p), &BigUint::from(q)).unwrap();
+            let order = params.torus_order().to_u64().unwrap();
+            let generator = torus_generator(&params);
+
+            let mut acc = params.identity();
+            let mut failures = 0;
+            for _ in 0..order {
+                match compress(&params, &acc) {
+                    Ok(c) => assert_eq!(decompress(&params, &c).unwrap(), acc),
+                    Err(CeilidhError::CompressionFailed(_)) => failures += 1,
+                    Err(e) => panic!("unexpected error: {e}"),
+                }
+                acc = params.mul(&acc, &generator);
+            }
+            assert_eq!(acc, params.identity());
+            assert!(
+                failures <= p + 2,
+                "{failures} exceptional elements at p = {p}"
+            );
+
+            let mut accepted = 0;
+            for s in 0..p {
+                for t in 0..p {
+                    let pair = CompressedTorus {
+                        u0: BigUint::from(s),
+                        u1: BigUint::from(t),
+                    };
+                    let Ok(g) = decompress(&params, &pair) else {
+                        continue;
+                    };
+                    assert!(params.is_torus_member(g.as_fp6()));
+                    assert_eq!(compress(&params, &g).unwrap(), pair);
+                    accepted += 1;
+                }
+            }
+            assert_eq!(accepted, order - failures);
+        }
+    }
+
+    /// An element of order `Φ6(p)`: it generates all of `T6`.
+    fn torus_generator(params: &CeilidhParams) -> TorusElement {
+        let order = params.torus_order().to_u64().unwrap();
+        let primes: Vec<u64> = (2..=order)
+            .filter(|&r| order.is_multiple_of(r) && (2..r).all(|d| !r.is_multiple_of(d)))
+            .collect();
+        let (fp, fp6) = (params.fp(), params.fp6());
+        (1..)
+            .filter_map(|c| {
+                params.project_to_torus(&fp6.add(&fp6.gen_z(), &fp6.from_fp(fp.from_u64(c))))
+            })
+            .find(|g| {
+                primes
+                    .iter()
+                    .all(|r| params.pow(g, &BigUint::from(order / r)) != params.identity())
+            })
+            .unwrap()
+    }
+
+    #[test]
     fn identity_cannot_be_compressed() {
         let params = params();
-        assert!(matches!(
-            compress_t2(&params, &params.identity()),
-            Err(CeilidhError::CompressionFailed(_))
-        ));
         assert!(matches!(
             compress(&params, &params.identity()),
             Err(CeilidhError::CompressionFailed(_))
@@ -407,12 +370,15 @@ mod tests {
             return;
         }
         let mut compressed = compress(&params, &g).unwrap();
-        compressed.hint = 3;
+        compressed.u1 = &(&compressed.u1 + &BigUint::one()) % params.p();
         match decompress(&params, &compressed) {
-            // Either the hint is out of range...
+            // Either the pair is not in ρ's image...
             Err(CeilidhError::DecompressionFailed(_)) => {}
-            // ...or it selects a different (but valid) torus element.
-            Ok(other) => assert!(params.is_torus_member(other.as_fp6())),
+            // ...or it decodes to a different (but valid) torus element.
+            Ok(other) => {
+                assert_ne!(other, g);
+                assert!(params.is_torus_member(other.as_fp6()));
+            }
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
@@ -448,16 +414,6 @@ mod tests {
                     Err(CeilidhError::DecompressionFailed(_))
                 ));
             }
-            let t2 = compress_t2(&params, &g).unwrap();
-            assert_eq!(decompress_t2(&params, &t2).unwrap(), g);
-            for i in 0..3 {
-                let mut shifted = t2.clone();
-                shifted.coords[i] = &shifted.coords[i] + &(&p * &BigUint::from(3u64));
-                assert!(matches!(
-                    decompress_t2(&params, &shifted),
-                    Err(CeilidhError::DecompressionFailed(_))
-                ));
-            }
         }
     }
 
@@ -466,9 +422,9 @@ mod tests {
         let compressed = CompressedTorus {
             u0: BigUint::zero(),
             u1: BigUint::zero(),
-            hint: 0,
         };
-        // 170-bit p: 2 * 22 bytes + 1 = 45 bytes versus 6 * 22 = 132 bytes.
-        assert_eq!(compressed.byte_len(170), 45);
+        // 170-bit p: 2 * 22 = 44 bytes versus 6 * 22 = 132 bytes.
+        assert_eq!(compressed.byte_len(170), 44);
+        assert_eq!(3 * compressed.byte_len(170), 6 * 170usize.div_ceil(8));
     }
 }

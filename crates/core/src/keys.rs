@@ -34,8 +34,8 @@ impl PublicKey {
         &self.element
     }
 
-    /// Compresses the public key for transmission (two `Fp` elements plus a
-    /// 2-bit hint — a third of the size of an `Fp6` element).
+    /// Compresses the public key for transmission (two `Fp` elements — a
+    /// third of the size of an `Fp6` element).
     ///
     /// # Errors
     ///

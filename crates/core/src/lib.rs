@@ -12,9 +12,9 @@
 //!   the order-`q` subgroup of the torus.
 //! * [`TorusElement`] and the group operations (multiplication, cheap
 //!   conjugation-based inversion, exponentiation, membership testing).
-//! * [`compress`]/[`decompress`] — factor-3 bandwidth compression
-//!   (two `Fp` elements plus a 2-bit hint), together with the exact
-//!   factor-2 `T2` compression of the underlying quadratic torus.
+//! * [`compress`]/[`decompress`] — CEILIDH's maps ρ/ψ, the factor-3
+//!   bandwidth compression: two `Fp` elements, a third of an `Fp6`
+//!   element.
 //! * Key exchange ([`KeyPair`], [`shared_secret`]), ElGamal-style
 //!   encryption ([`encrypt_element`]/[`decrypt_element`]) and Schnorr-style
 //!   signatures ([`sign`]/[`verify`]).
@@ -53,9 +53,7 @@ mod params;
 mod schnorr;
 mod torus;
 
-pub use compress::{
-    compress, compress_t2, decompress, decompress_t2, CompressedT2, CompressedTorus,
-};
+pub use compress::{compress, decompress, CompressedTorus};
 pub use elgamal::{
     decrypt_element, decrypt_hybrid, encrypt_element, encrypt_hybrid, ElGamalCiphertext,
     HybridCiphertext,

@@ -98,7 +98,6 @@ fn challenge(
     data.extend_from_slice(&compressed.u0.to_be_bytes());
     data.push(0xFF);
     data.extend_from_slice(&compressed.u1.to_be_bytes());
-    data.push(compressed.hint);
     data.extend_from_slice(message);
     Ok(ToyKdf::hash_to_scalar(&data, params.q()))
 }

@@ -9,17 +9,21 @@
 //! The DATE paper performs all arithmetic in F1 and notes that "for a
 //! complete cryptosystem also the mappings between different representations
 //! have to be implemented"; this module supplies those mappings as exact
-//! `Fp`-linear basis changes.
+//! `Fp`-linear basis changes. τ⁻¹ sends the F2 basis
+//! `{1, x, x², z, x·z, x²·z}` to `1`, `z - z² - z⁵`, `2 - z + z² - z⁴`, `z`,
+//! `1 + z²` and `2z - z² + z³ - z⁵`. That is an integer matrix of
+//! determinant −1, so its inverse τ is an integer matrix too. Each has 15
+//! non-zero entries in `{-1, 1, 2}`, the same for every `p`, so both maps are
+//! a handful of additions.
 
 use std::fmt;
 
 use rand::Rng;
 
 use crate::error::FieldError;
-use crate::fp::{FpContext, FpElement};
+use crate::fp::FpContext;
 use crate::fp3::{Fp3Context, Fp3Element};
 use crate::fp6::{Fp6Context, Fp6Element};
-use crate::linalg::FpMatrix;
 
 /// An element of representation F2: the pair `(u, v)` standing for `u + v·z`
 /// with `u, v ∈ Fp3`.
@@ -59,11 +63,6 @@ pub struct F2Repr {
     fp: FpContext,
     fp3: Fp3Context,
     fp6: Fp6Context,
-    /// τ⁻¹ as a 6×6 matrix: F2 coordinates `(u0,u1,u2,v0,v1,v2)` → F1
-    /// coordinates in the `z`-power basis.
-    to_f1: FpMatrix,
-    /// τ as a 6×6 matrix: the inverse basis change.
-    to_f2: FpMatrix,
 }
 
 impl fmt::Debug for F2Repr {
@@ -73,7 +72,7 @@ impl fmt::Debug for F2Repr {
 }
 
 impl F2Repr {
-    /// Builds the F2 representation and its conversion matrices.
+    /// Builds the F2 representation over `fp`.
     ///
     /// # Errors
     ///
@@ -82,33 +81,7 @@ impl F2Repr {
     pub fn new(fp: FpContext) -> Result<Self, FieldError> {
         let fp3 = Fp3Context::new(fp.clone())?;
         let fp6 = Fp6Context::new(fp.clone())?;
-
-        // Images of the F2 basis {1, x, x², z, x·z, x²·z} in the z-power basis.
-        let x = fp6.zeta_plus_inverse();
-        let z = fp6.gen_z();
-        let x2 = fp6.mul(&x, &x);
-        let basis = [
-            fp6.one(),
-            x.clone(),
-            x2.clone(),
-            z.clone(),
-            fp6.mul(&x, &z),
-            fp6.mul(&x2, &z),
-        ];
-        let mut to_f1 = FpMatrix::zero(&fp, 6, 6);
-        for (col, e) in basis.iter().enumerate() {
-            for (row, coeff) in e.coeffs().iter().enumerate() {
-                to_f1.set(row, col, coeff.clone());
-            }
-        }
-        let to_f2 = to_f1.inverse()?;
-        Ok(F2Repr {
-            fp,
-            fp3,
-            fp6,
-            to_f1,
-            to_f2,
-        })
+        Ok(F2Repr { fp, fp3, fp6 })
     }
 
     /// The underlying prime-field context.
@@ -155,31 +128,43 @@ impl F2Repr {
         }
     }
 
-    /// The map τ of Fig. 1: representation F1 → representation F2.
+    /// The map τ of Fig. 1: representation F1 → representation F2. From
+    /// the `z`-power coefficients `c`, `u = (c₀ - c₂ + c₄ + c₅, -c₃ - c₅,
+    /// -c₄)` and `v = (c₁ - c₃ - c₄ + c₅, c₂ + c₄ - c₅, c₃)`.
     pub fn from_f1(&self, a: &Fp6Element) -> F2Element {
-        let coords: Vec<FpElement> = a.coeffs().to_vec();
-        let out = self.to_f2.mul_vec(&coords);
+        let fp = &self.fp;
+        let [c0, c1, c2, c3, c4, c5] = a.coeffs();
+        let u = [
+            fp.add(&fp.sub(&fp.add(c0, c4), c2), c5),
+            fp.neg(&fp.add(c3, c5)),
+            fp.neg(c4),
+        ];
+        let v = [
+            fp.add(&fp.sub(&fp.sub(c1, c3), c4), c5),
+            fp.sub(&fp.add(c2, c4), c5),
+            c3.clone(),
+        ];
         F2Element {
-            u: self
-                .fp3
-                .from_coeffs([out[0].clone(), out[1].clone(), out[2].clone()]),
-            v: self
-                .fp3
-                .from_coeffs([out[3].clone(), out[4].clone(), out[5].clone()]),
+            u: self.fp3.from_coeffs(u),
+            v: self.fp3.from_coeffs(v),
         }
     }
 
-    /// The map τ⁻¹ of Fig. 1: representation F2 → representation F1.
+    /// The map τ⁻¹ of Fig. 1: representation F2 → representation F1. The
+    /// `z`-power coefficients are `(u₀ + 2u₂ + v₁, u₁ - u₂ + v₀ + 2v₂,
+    /// -u₁ + u₂ + v₁ - v₂, v₂, -u₂, -u₁ - v₂)`.
     pub fn to_f1(&self, a: &F2Element) -> Fp6Element {
-        let coords: Vec<FpElement> =
-            a.u.coeffs()
-                .iter()
-                .chain(a.v.coeffs().iter())
-                .cloned()
-                .collect();
-        let out = self.to_f1.mul_vec(&coords);
-        self.fp6
-            .from_coeffs(std::array::from_fn(|i| out[i].clone()))
+        let fp = &self.fp;
+        let [u0, u1, u2] = a.u.coeffs();
+        let [v0, v1, v2] = a.v.coeffs();
+        self.fp6.from_coeffs([
+            fp.add(&fp.add(u0, &fp.double(u2)), v1),
+            fp.add(&fp.add(&fp.sub(u1, u2), v0), &fp.double(v2)),
+            fp.sub(&fp.add(&fp.sub(u2, u1), v1), v2),
+            v2.clone(),
+            fp.neg(u2),
+            fp.neg(&fp.add(u1, v2)),
+        ])
     }
 
     /// Addition.
@@ -275,45 +260,61 @@ mod tests {
         F2Repr::new(FpContext::new(&BigUint::from(101u64)).unwrap()).unwrap()
     }
 
+    /// The toy field and the CEILIDH-170 prime, whose residues span three
+    /// words.
+    fn reprs() -> [F2Repr; 2] {
+        let p170 = BigUint::from_hex("2e14985ba5778232ba167ef32f9741a9a30db4650f7").unwrap();
+        [repr(), F2Repr::new(FpContext::new(&p170).unwrap()).unwrap()]
+    }
+
     #[test]
     fn conversion_roundtrip_f1_to_f2() {
-        let r = repr();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-        for _ in 0..20 {
-            let a = r.fp6().random(&mut rng);
-            assert_eq!(r.to_f1(&r.from_f1(&a)), a);
+        for r in reprs() {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+            for _ in 0..20 {
+                let a = r.fp6().random(&mut rng);
+                assert_eq!(r.to_f1(&r.from_f1(&a)), a);
+            }
         }
     }
 
     #[test]
     fn conversion_roundtrip_f2_to_f1() {
-        let r = repr();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
-        for _ in 0..20 {
-            let a = r.random(&mut rng);
-            assert_eq!(r.from_f1(&r.to_f1(&a)), a);
+        for r in reprs() {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+            for _ in 0..20 {
+                let a = r.random(&mut rng);
+                assert_eq!(r.from_f1(&r.to_f1(&a)), a);
+            }
         }
     }
 
     #[test]
     fn conversion_is_a_ring_isomorphism() {
-        let r = repr();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
-        for _ in 0..10 {
-            let a = r.fp6().random(&mut rng);
-            let b = r.fp6().random(&mut rng);
-            // τ(a·b) = τ(a)·τ(b)
-            assert_eq!(
-                r.from_f1(&r.fp6().mul(&a, &b)),
-                r.mul(&r.from_f1(&a), &r.from_f1(&b))
-            );
-            // τ(a+b) = τ(a)+τ(b)
-            assert_eq!(
-                r.from_f1(&r.fp6().add(&a, &b)),
-                r.add(&r.from_f1(&a), &r.from_f1(&b))
-            );
+        for r in reprs() {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(33);
+            for _ in 0..10 {
+                let a = r.fp6().random(&mut rng);
+                let b = r.fp6().random(&mut rng);
+                // τ(a·b) = τ(a)·τ(b)
+                assert_eq!(
+                    r.from_f1(&r.fp6().mul(&a, &b)),
+                    r.mul(&r.from_f1(&a), &r.from_f1(&b))
+                );
+                // τ(a+b) = τ(a)+τ(b)
+                assert_eq!(
+                    r.from_f1(&r.fp6().add(&a, &b)),
+                    r.add(&r.from_f1(&a), &r.from_f1(&b))
+                );
+            }
+            assert_eq!(r.from_f1(&r.fp6().one()), r.one());
+            // τ⁻¹ sends x and z to x and z.
+            let fp3 = r.fp3();
+            let x = r.from_components(fp3.gen_x(), fp3.zero());
+            let z = r.from_components(fp3.zero(), fp3.one());
+            assert_eq!(r.to_f1(&x), r.fp6().zeta_plus_inverse());
+            assert_eq!(r.to_f1(&z), r.fp6().gen_z());
         }
-        assert_eq!(r.from_f1(&r.fp6().one()), r.one());
     }
 
     #[test]

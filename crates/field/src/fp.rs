@@ -390,22 +390,25 @@ impl FpContext {
         self.exp(a, &exp) == self.one()
     }
 
-    /// Modular square root by Tonelli–Shanks. Returns `None` if `a` is a
-    /// non-residue; `Some(0)` for zero. When a root `r` exists, `p - r` is
-    /// the other root.
+    /// Modular square root. Returns `None` if `a` is a non-residue;
+    /// `Some(0)` for zero. When a root `r` exists, `p - r` is the other
+    /// root.
+    ///
+    /// For `p ≡ 3 (mod 4)` this is one exponentiation and one squaring:
+    /// `r = a^((p+1)/4)` is a root exactly when `a` is a square. Otherwise
+    /// it is Tonelli–Shanks after Euler's criterion.
     pub fn sqrt(&self, a: &FpElement) -> Option<FpElement> {
         if a.is_zero() {
             return Some(self.zero());
         }
-        if !self.is_square(a) {
-            return None;
-        }
         let p = self.modulus();
         let one = BigUint::one();
-        // Fast path: p ≡ 3 (mod 4) → a^((p+1)/4).
         if (p % &BigUint::from(4u64)).to_u64() == Some(3) {
-            let exp = (p + &one).shr_bits(2);
-            return Some(self.exp(a, &exp));
+            let r = self.exp(a, &(p + &one).shr_bits(2));
+            return (self.square(&r) == *a).then_some(r);
+        }
+        if !self.is_square(a) {
+            return None;
         }
         // Tonelli–Shanks. Write p - 1 = q · 2^s with q odd.
         let p_minus_one = p - &one;
@@ -685,6 +688,17 @@ mod tests {
             assert!(found_nonresidue, "expected to see a non-residue");
             assert_eq!(fp.sqrt(&fp.zero()), Some(fp.zero()));
             assert!(!fp.is_square(&fp.zero()));
+        }
+
+        // p ≡ 3 (mod 4): one exponentiation by (p+1)/4 and one squaring,
+        // with no separate residuosity test.
+        let fp = ctx();
+        let e = (fp.modulus() + &BigUint::one()).shr_bits(2);
+        let set_bits = (0..e.bit_len()).filter(|&i| e.bit(i)).count() as u64;
+        for a in [fp.from_u64(4), fp.from_u64(5)] {
+            fp.reset_op_count();
+            let _ = fp.sqrt(&a);
+            assert_eq!(fp.op_count().mul, e.bit_len() as u64 + set_bits + 1);
         }
     }
 

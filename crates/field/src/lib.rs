@@ -14,7 +14,8 @@
 //! * [`Fp6Context`] — the paper's representation F1 with the 18M + ~60A
 //!   Karatsuba multiplication, Frobenius maps, norms and inversion.
 //! * [`F2Repr`] — the representation F2 = `Fp3[y]/(y^2 - x·y + 1)` of
-//!   Fig. 1 with the maps τ / τ⁻¹ between F1 and F2.
+//!   Fig. 1 with the maps τ / τ⁻¹ between F1 and F2, two fixed integer
+//!   basis changes written as additions.
 //! * [`FieldOps`] — the mul/add/sub/copy interface every composite
 //!   formula is written against once ([`karatsuba_fp6`] here, the ECC
 //!   point formulas in the `ecc` crate), instantiated on the field, the
@@ -58,7 +59,6 @@ mod formulas;
 mod fp;
 mod fp3;
 mod fp6;
-mod linalg;
 mod opcount;
 
 pub use error::FieldError;
@@ -67,5 +67,4 @@ pub use formulas::{karatsuba_fp6, FieldJob, FieldOps, ValueOps};
 pub use fp::{FpContext, FpElement};
 pub use fp3::{Fp3Context, Fp3Element};
 pub use fp6::{Fp6Context, Fp6Element};
-pub use linalg::FpMatrix;
 pub use opcount::{OpCount, OpCounter};

@@ -102,15 +102,40 @@ fn paper_size_torus_calls_record_the_pinned_counts() {
 
     let count = |mul, add, sub, inv| OpCount { mul, add, sub, inv };
     assert_eq!(pow, count(8_964, 9_960, 21_912, 0), "pow");
-    assert_eq!(compressed, count(1_461, 1_189, 2_255, 5), "compress");
-    // Under debug assertions `decompress` also re-checks torus membership:
-    // two relative norms, three more products and their Frobenius maps.
-    let decompress = if cfg!(debug_assertions) {
-        count(1_419, 1_140, 2_201, 5)
-    } else {
-        count(1_365, 1_069, 2_055, 5)
-    };
-    assert_eq!(decompressed, decompress, "decompress");
+    // Both maps, derived from their formulas. An `Fp6` product is
+    // 18 M + 20 A + 44 S. An `Fp6` inversion is 5 products, the Frobenius
+    // maps k = 1..5 (19 A + 22 S on six non-zero coefficients: one A for each
+    // coefficient that lands on z⁰..z⁵, two S for each one that lands on
+    // z⁶..z⁸), a 6 M scalar product and one `Fp` inversion.
+    //
+    // ρ, 10 products:
+    // - membership: the norms to Fp3 and Fp2, 3 products and the Frobenius
+    //   maps k = 3, 2, 4 (11 A + 14 S);
+    // - g + 1 (6 A), γ(g + 1) (1 product), g - 1 (6 S), its inversion, and
+    //   a = γ(g + 1)/(g - 1) (1 product);
+    // - τ(a): 5 A + 6 S;
+    // - 3u₀ + 4 (4 A) and its inversion; s and t, 3 A + 1 S + 1 M each.
+    let rho = count(
+        18 * 10 + 6 + 2,
+        20 * 10 + 19 + 11 + 6 + 5 + 4 + 2 * 3,
+        44 * 10 + 22 + 14 + 6 + 6 + 2,
+        2,
+    );
+    assert_eq!(compressed, rho, "compress");
+    // ψ, 6 products:
+    // - q = 3(s² - t - 3t²): 2 M + 6 A + 2 S; l = 2(1 - s + 4t): 6 A + 1 S;
+    // - u = (3l - 4q, q + 3l·s, 2q + 3l·t): 2 M + 10 A + 1 S;
+    // - τ⁻¹(u, 0): 8 A + 5 S; 3q·γ: 3 A; A + 3q·γ: 6 A; A - 3q·γ: 6 S;
+    // - the inversion of A - 3q·γ, whose z³ coefficient is zero, so its
+    //   Frobenius maps skip it: 17 A + 16 S;
+    // - the product of A + 3q·γ with that inverse.
+    let psi = count(
+        18 * 6 + 6 + 2 + 2,
+        20 * 6 + 17 + 6 + 6 + 10 + 8 + 3 + 6,
+        44 * 6 + 16 + 2 + 1 + 1 + 5 + 6,
+        1,
+    );
+    assert_eq!(decompressed, psi, "decompress");
     // The exponentiation is 498 products of 18 M + 20 A + 44 S each: one
     // per squaring and one per set exponent bit.
     let set_bits = (0..e.bit_len()).filter(|&i| e.bit(i)).count();
@@ -148,9 +173,15 @@ fn security_levels_line_up_as_in_the_paper_introduction() {
     let params = CeilidhParams::date2008().expect("params");
     assert_eq!(params.p().bit_len(), 170);
     assert_eq!(params.p().bit_len() * 6, 1020);
-    // Transmitted data: 2 Fp elements ≈ 1/3 of an Fp6 element.
-    let compressed_bits = 2 * params.p().bit_len();
-    assert!(compressed_bits * 3 == params.p().bit_len() * 6);
+    // Transmitted data: a compressed public key is two Fp elements of 22
+    // bytes each, 44 bytes, a third of the 132-byte Fp6 element.
+    let key = KeyPair::generate(&params, &mut rand::rngs::StdRng::seed_from_u64(1005));
+    let compressed = key.public().compress(&params).expect("compressible");
+    assert!(compressed.u0 < *params.p() && compressed.u1 < *params.p());
+    let element_bytes = params.p().bit_len().div_ceil(8);
+    assert_eq!(compressed.byte_len(params.p().bit_len()), 44);
+    assert_eq!(6 * element_bytes, 132);
+    assert_eq!(3 * 44, 6 * element_bytes);
     // Subgroup order is large (no small-subgroup weakening from the cofactor).
     assert!(params.q().bit_len() >= 2 * params.p().bit_len() - 16);
 }

@@ -1,11 +1,15 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: multi-precision arithmetic, Montgomery reduction, the field
-//! tower, torus compression and the RSA entry points on raw bytes.
+//! tower, torus compression and the entry points that take external data
+//! (torus decompression and the RSA entry points) on arbitrary input.
 
 use std::sync::OnceLock;
 
 use bignum::{mod_exp, BigUint, MontgomeryParams};
-use ceilidh::{compress, decompress, CeilidhParams};
+use ceilidh::{
+    compress, decompress, decrypt_hybrid, CeilidhError, CeilidhParams, CompressedTorus,
+    HybridCiphertext, KeyPair,
+};
 use field::{Fp6Context, FpContext};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -22,6 +26,33 @@ fn biguint(max_bytes: usize) -> impl Strategy<Value = BigUint> {
 fn rsa_keys() -> &'static RsaKeyPair {
     static KEYS: OnceLock<RsaKeyPair> = OnceLock::new();
     KEYS.get_or_init(|| RsaKeyPair::generate(512, &mut StdRng::seed_from_u64(41)).expect("keygen"))
+}
+
+/// The CEILIDH-170 parameters and one key pair, built once for every case.
+fn ceilidh_170() -> &'static (CeilidhParams, KeyPair) {
+    static PARAMS: OnceLock<(CeilidhParams, KeyPair)> = OnceLock::new();
+    PARAMS.get_or_init(|| {
+        let params = CeilidhParams::date2008().expect("built-in parameters");
+        let key = KeyPair::generate(&params, &mut StdRng::seed_from_u64(43));
+        (params, key)
+    })
+}
+
+/// A transmitted coordinate of kind `kind` (`0..9`): 0, 1, p − 1, p, p + 1,
+/// 2¹⁷⁰ − 1, 2¹⁷¹, a random residue, or a random 200-bit value.
+fn torus_coordinate(p: &BigUint, kind: usize, rng: &mut StdRng) -> BigUint {
+    let one = BigUint::one();
+    match kind {
+        0 => BigUint::zero(),
+        1 => one,
+        2 => p - &one,
+        3 => p.clone(),
+        4 => p + &one,
+        5 => &one.shl_bits(170) - &one,
+        6 => one.shl_bits(171),
+        7 => BigUint::random_below(rng, p),
+        _ => BigUint::random_bits(rng, 200),
+    }
 }
 
 /// What `decrypt` must return for `bytes`, from the raw non-CRT private
@@ -146,9 +177,31 @@ proptest! {
         prop_assert!(params.is_torus_member(element.as_fp6()));
         if element != params.identity() {
             let c = compress(&params, &element).unwrap();
-            prop_assert!(c.hint < 4);
             prop_assert_eq!(decompress(&params, &c).unwrap(), element);
         }
+    }
+
+    /// `decompress` at 170 bits, on pairs of edge and random coordinates,
+    /// returns a typed error or the element that compresses back to the
+    /// pair; `decrypt_hybrid` on the same pair as its ephemeral key fails
+    /// exactly when `decompress` does, and never panics.
+    #[test]
+    fn decompress_answers_any_coordinates_correctly(
+        kinds in prop::array::uniform2(0usize..9),
+        seed in any::<u64>(),
+    ) {
+        let (params, key) = ceilidh_170();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let [u0, u1] = kinds.map(|kind| torus_coordinate(params.p(), kind, &mut rng));
+        let pair = CompressedTorus { u0, u1 };
+        let decompressed = decompress(params, &pair);
+        match &decompressed {
+            Ok(g) => prop_assert_eq!(compress(params, g), Ok(pair.clone())),
+            Err(e) => prop_assert!(matches!(e, CeilidhError::DecompressionFailed(_))),
+        }
+        let ciphertext = HybridCiphertext { ephemeral: pair, payload: vec![0x5a; 16] };
+        let decrypted = decrypt_hybrid(params, key.secret(), &ciphertext);
+        prop_assert_eq!(decrypted.is_ok(), decompressed.is_ok());
     }
 
     #[test]
