@@ -9,8 +9,10 @@
 //! * **The parameter.** `T6(Fp) ⊂ T2(Fp3)`, and every `g ∈ T2(Fp3) \ {1}`
 //!   is `g = (a + γ)/(a - γ)` for exactly one `a = γ(g + 1)/(g - 1)` in
 //!   `Fp3`, where `γ = z - z⁻¹` satisfies `γ^{p³} = -γ`. Its coordinates
-//!   `u = (u₀, u₁, u₂)` in the basis `{1, x, x²}`, `x = z + z⁻¹`, are the
-//!   `u` half of τ(a) ([`field::F2Repr::from_f1`]); the `v` half is zero.
+//!   `u = (u₀, u₁, u₂)` in the basis `{1, x, x²}`, `x = z + z⁻¹`, are τ(a)
+//!   ([`field::Fp6Context::to_fp3`]), and τ⁻¹
+//!   ([`field::Fp6Context::from_fp3`]) embeds them back: the maps of
+//!   Fig. 1 restricted to `Fp3`, a few fixed additions.
 //! * **The quadric.** `g` lies in `T6` when its norm to `Fp2` is 1 as well,
 //!   that is when `N₂(a + γ) = N₂(a - γ)`. The difference keeps only the
 //!   terms odd in `γ`: `N₂(a + γ) - N₂(a - γ) = 2Q(u)·(1 + 2z³)` with
@@ -105,7 +107,7 @@ pub fn decompress(
     params: &CeilidhParams,
     compressed: &CompressedTorus,
 ) -> Result<TorusElement, CeilidhError> {
-    let (fp, fp6, repr) = (params.fp(), params.fp6(), params.repr());
+    let (fp, fp6) = (params.fp(), params.fp6());
     let s = canonical_coordinate(params, &compressed.u0)?;
     let t = canonical_coordinate(params, &compressed.u1)?;
     // q = 3(s² - t - 3t²) and l = 2(1 - s + 4t).
@@ -124,13 +126,11 @@ pub fn decompress(
     }
     // A = 3q·(a0 + (l/q)(1, s, t)), embedded with τ⁻¹.
     let l3 = fp.mul_small(&l, 3);
-    let fp3 = repr.fp3();
-    let u = fp3.from_coeffs([
+    let a = fp6.from_fp3([
         fp.sub(&l3, &fp.mul_small(&q, 4)),
         fp.add(&q, &fp.mul(&l3, &s)),
         fp.add(&fp.double(&q), &fp.mul(&l3, &t)),
     ]);
-    let a = repr.to_f1(&repr.from_components(u, fp3.zero()));
     // 3q·γ, with γ = z + z² + z⁵.
     let (q3, zero) = (fp.mul_small(&q, 3), fp.zero());
     let q3_gamma = fp6.from_coeffs([zero.clone(), q3.clone(), q3.clone(), zero.clone(), zero, q3]);
@@ -156,9 +156,7 @@ fn parameter(params: &CeilidhParams, g: &Fp6Element) -> Result<[FpElement; 3], C
     let fp6 = params.fp6();
     let numer = fp6.mul(&fp6.zeta_minus_inverse(), &fp6.add(g, &fp6.one()));
     let a = fp6.mul(&numer, &fp6.inv(&fp6.sub(g, &fp6.one()))?);
-    let a = params.repr().from_f1(&a);
-    debug_assert!(a.v().is_zero(), "the parameter of g ∈ T2(Fp3) lies in Fp3");
-    Ok(a.u().coeffs().clone())
+    Ok(fp6.to_fp3(&a))
 }
 
 #[cfg(test)]
@@ -175,7 +173,7 @@ mod tests {
         // The `T2(Fp3)` parameter both maps go through: a = γ(g + 1)/(g - 1)
         // lies in Fp3, and (a + γ)/(a - γ) gives g back.
         let params = params();
-        let (fp6, repr) = (params.fp6(), params.repr());
+        let fp6 = params.fp6();
         let gamma = fp6.zeta_minus_inverse();
         let mut rng = rand::rngs::StdRng::seed_from_u64(61);
         let mut tested = 0;
@@ -184,10 +182,7 @@ mod tests {
             if g == params.identity() {
                 continue;
             }
-            let u = repr
-                .fp3()
-                .from_coeffs(parameter(&params, g.as_fp6()).unwrap());
-            let a = repr.to_f1(&repr.from_components(u, repr.fp3().zero()));
+            let a = fp6.from_fp3(parameter(&params, g.as_fp6()).unwrap());
             let back = fp6.mul(
                 &fp6.add(&a, &gamma),
                 &fp6.inv(&fp6.sub(&a, &gamma)).unwrap(),
@@ -234,14 +229,13 @@ mod tests {
         // N₂(a + γ) - N₂(a - γ) = 2Q(u)·(1 + 2z³) for every a ∈ Fp3, and
         // a0 = (-4/3, 1/3, 2/3) is the parameter of ω = z³.
         for params in [params(), CeilidhParams::date2008().unwrap()] {
-            let (fp, fp6, repr) = (params.fp(), params.fp6(), params.repr());
-            let fp3 = repr.fp3();
+            let (fp, fp6) = (params.fp(), params.fp6());
             let gamma = fp6.zeta_minus_inverse();
             let mut rng = rand::rngs::StdRng::seed_from_u64(65);
             for _ in 0..20 {
-                let u = fp3.random(&mut rng);
-                let [u0, u1, u2] = u.coeffs();
-                let a = repr.to_f1(&repr.from_components(u.clone(), fp3.zero()));
+                let u: [FpElement; 3] = std::array::from_fn(|_| fp.random(&mut rng));
+                let [u0, u1, u2] = &u;
+                let a = fp6.from_fp3(u.clone());
                 let difference = fp6.sub(
                     &fp6.norm_to_fp2(&fp6.add(&a, &gamma)),
                     &fp6.norm_to_fp2(&fp6.sub(&a, &gamma)),

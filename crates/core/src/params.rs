@@ -7,11 +7,11 @@
 //! the "security of `Fp6`" with transmissions of two `Fp` elements.
 
 use bignum::{gen_prime_congruent, is_prime, BigUint};
-use field::{F2Repr, Fp6Context, Fp6Element, FpContext};
+use field::{Fp6Context, Fp6Element, FpContext};
 use rand::Rng;
 
 use crate::error::CeilidhError;
-use crate::torus::TorusElement;
+use crate::torus::{project, TorusElement};
 
 /// Trial-division bound used when splitting `Φ6(p)` into cofactor × prime.
 const SMALL_FACTOR_BOUND: u32 = 100_000;
@@ -26,7 +26,6 @@ const SMALL_FACTOR_BOUND: u32 = 100_000;
 pub struct CeilidhParams {
     fp: FpContext,
     fp6: Fp6Context,
-    repr: F2Repr,
     p: BigUint,
     q: BigUint,
     cofactor: BigUint,
@@ -59,7 +58,6 @@ impl CeilidhParams {
         let fp = FpContext::new(p)
             .map_err(|_| CeilidhError::InvalidParameters("p is not a usable odd prime"))?;
         let fp6 = Fp6Context::new(fp.clone())?;
-        let repr = F2Repr::new(fp.clone())?;
 
         let phi6 = Self::phi6(p);
         if q.is_zero() || q.is_one() {
@@ -72,11 +70,10 @@ impl CeilidhParams {
             return Err(CeilidhError::InvalidParameters("q must divide p^2 - p + 1"));
         }
 
-        let generator = Self::find_generator(&fp6, p, q)?;
+        let generator = Self::find_generator(&fp6, &cofactor)?;
         Ok(CeilidhParams {
             fp,
             fp6,
-            repr,
             p: p.clone(),
             q: q.clone(),
             cofactor,
@@ -168,11 +165,6 @@ impl CeilidhParams {
         &self.fp6
     }
 
-    /// The representation-F2 machinery (maps τ / τ⁻¹), used by compression.
-    pub fn repr(&self) -> &F2Repr {
-        &self.repr
-    }
-
     /// The generator of the order-`q` subgroup.
     pub fn generator(&self) -> TorusElement {
         TorusElement::from_fp6_unchecked(self.generator.clone())
@@ -201,29 +193,16 @@ impl CeilidhParams {
         (cofactor, rest)
     }
 
-    /// Deterministically searches for an element of order exactly `q` by
-    /// projecting candidate field elements into the torus subgroup.
-    fn find_generator(
-        fp6: &Fp6Context,
-        p: &BigUint,
-        q: &BigUint,
-    ) -> Result<Fp6Element, CeilidhError> {
-        // (p^6 - 1) / q
-        let p6_minus_1 = &p.pow(6) - &BigUint::one();
-        let (exp, rem) = p6_minus_1
-            .div_rem(q)
-            .map_err(|_| CeilidhError::InvalidParameters("q must be non-zero"))?;
-        if !rem.is_zero() {
-            return Err(CeilidhError::InvalidParameters(
-                "q must divide the multiplicative group order",
-            ));
-        }
-        // Try simple deterministic candidates h = z + c.
+    /// Deterministically searches for an element of order exactly `q`:
+    /// `(z + c)^((p⁶ - 1)/q)` for the first `c = 1, 2, …` where that is not
+    /// 1, computed as the projection of `z + c` onto the torus raised to
+    /// the cofactor `Φ6(p)/q`. The result lies in `T6`, whose order is
+    /// `q · cofactor`, so its order is `q` when `q` is prime.
+    fn find_generator(fp6: &Fp6Context, cofactor: &BigUint) -> Result<Fp6Element, CeilidhError> {
         for c in 1u64..1000 {
             let candidate = fp6.add(&fp6.gen_z(), &fp6.from_fp(fp6.fp().from_u64(c)));
-            let g = fp6.exp(&candidate, &exp);
+            let g = fp6.exp(&project(fp6, &candidate)?, cofactor);
             if g != fp6.one() {
-                debug_assert_eq!(fp6.exp(&g, q), fp6.one());
                 return Ok(g);
             }
         }
@@ -339,6 +318,31 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         assert!(bignum::is_prime(params.p(), &mut rng));
         assert!(bignum::is_prime(params.q(), &mut rng));
+    }
+
+    #[test]
+    fn generators_are_the_first_nontrivial_power_of_z_plus_c() {
+        // (z + c)^((p⁶ - 1)/q) for the first c = 1, 2, … where it is not 1.
+        for params in [
+            CeilidhParams::toy().unwrap(),
+            CeilidhParams::date2008().unwrap(),
+        ] {
+            let fp6 = params.fp6();
+            let (exp, rem) = (&params.p().pow(6) - &BigUint::one())
+                .div_rem(params.q())
+                .unwrap();
+            assert!(rem.is_zero());
+            let g = (1u64..)
+                .map(|c| {
+                    fp6.exp(
+                        &fp6.add(&fp6.gen_z(), &fp6.from_fp(fp6.fp().from_u64(c))),
+                        &exp,
+                    )
+                })
+                .find(|g| *g != fp6.one())
+                .unwrap();
+            assert_eq!(params.generator().as_fp6(), &g);
+        }
     }
 
     #[test]

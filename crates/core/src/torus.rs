@@ -1,7 +1,7 @@
 //! The torus group `T6(Fp)` and its subgroup of prime order `q`.
 
 use bignum::BigUint;
-use field::Fp6Element;
+use field::{FieldError, Fp6Context, Fp6Element};
 use rand::Rng;
 
 use crate::error::CeilidhError;
@@ -120,24 +120,25 @@ impl CeilidhParams {
     }
 
     /// Projects an arbitrary non-zero field element onto the torus by
-    /// raising it to `(p^6 - 1)/Φ6(p)`. Returns `None` if the projection is
-    /// the identity.
+    /// raising it to `(p^6 - 1)/Φ6(p) = (p³ - 1)(p + 1)`, as `y^p · y` with
+    /// `y = x̄ · x⁻¹`. Returns `None` for zero and if the projection is the
+    /// identity.
     pub fn project_to_torus(&self, value: &Fp6Element) -> Option<TorusElement> {
-        if value.is_zero() {
-            return None;
-        }
-        let p6_minus_1 = &self.p().pow(6) - &BigUint::one();
-        let (exp, rem) = p6_minus_1
-            .div_rem(&self.torus_order())
-            .expect("torus order is non-zero");
-        debug_assert!(rem.is_zero());
-        let projected = self.fp6().exp(value, &exp);
-        if projected == self.fp6().one() {
-            None
-        } else {
-            Some(TorusElement { value: projected })
-        }
+        let projected = project(self.fp6(), value).ok()?;
+        (projected != self.fp6().one()).then_some(TorusElement { value: projected })
     }
+}
+
+/// `x^((p^6 - 1)/Φ6(p))`, the projection of `x` onto `T6(Fp)`. The exponent
+/// is `(p³ - 1)(p + 1)`, so this is `y^p · y` with `y = x^{p³ - 1} = x̄ · x⁻¹`:
+/// one `Fp6` inversion, two Frobenius maps and two products.
+///
+/// # Errors
+///
+/// Returns [`FieldError::DivisionByZero`] for zero.
+pub(crate) fn project(fp6: &Fp6Context, x: &Fp6Element) -> Result<Fp6Element, FieldError> {
+    let y = fp6.mul(&fp6.conjugate(x), &fp6.inv(x)?);
+    Ok(fp6.mul(&fp6.frobenius(&y, 1), &y))
 }
 
 #[cfg(test)]
@@ -230,17 +231,32 @@ mod tests {
 
     #[test]
     fn projection_lands_in_torus() {
-        let params = params();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(55);
-        for _ in 0..10 {
-            let v = params.fp6().random(&mut rng);
-            if v.is_zero() {
-                continue;
+        // The projection is the power (p⁶ - 1)/Φ6(p), at p ≡ 2 and p ≡ 5
+        // (mod 9).
+        for (p, q) in [(101u64, 37u64), (23, 13)] {
+            let params =
+                CeilidhParams::from_components(&BigUint::from(p), &BigUint::from(q)).unwrap();
+            let fp6 = params.fp6();
+            let (exp, rem) = (&params.p().pow(6) - &BigUint::one())
+                .div_rem(&params.torus_order())
+                .unwrap();
+            assert!(rem.is_zero());
+            let mut rng = rand::rngs::StdRng::seed_from_u64(55);
+            for _ in 0..20 {
+                let v = fp6.random(&mut rng);
+                if v.is_zero() {
+                    continue;
+                }
+                let power = fp6.exp(&v, &exp);
+                match params.project_to_torus(&v) {
+                    Some(t) => {
+                        assert_eq!(t.as_fp6(), &power);
+                        assert!(params.is_torus_member(t.as_fp6()));
+                    }
+                    None => assert_eq!(power, fp6.one()),
+                }
             }
-            if let Some(t) = params.project_to_torus(&v) {
-                assert!(params.is_torus_member(t.as_fp6()));
-            }
+            assert!(params.project_to_torus(&fp6.zero()).is_none());
         }
-        assert!(params.project_to_torus(&params.fp6().zero()).is_none());
     }
 }

@@ -10,7 +10,8 @@ pub enum FieldError {
     /// The modulus is not usable as a field characteristic (even, zero or one).
     InvalidModulus,
     /// The prime does not satisfy the congruence required by the extension
-    /// (`p ≡ 2, 5 mod 9` for `Fp3`/`Fp6`).
+    /// (`p ≡ 2, 5 mod 9` for `Fp6`, which keeps `z^6 + z^3 + 1`
+    /// irreducible).
     UnsupportedCongruence {
         /// Modulus of the congruence condition.
         modulus: u32,

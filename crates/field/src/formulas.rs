@@ -8,8 +8,8 @@
 //! instantiated on every backend:
 //!
 //! * [`FpContext`] — the field itself, each operation one counted job on
-//!   the shared counter (behind [`crate::Fp3Context`] and the `ecc`
-//!   crate's single `Curve::jacobian_*` operations);
+//!   the shared counter (behind the `ecc` crate's single
+//!   `Curve::jacobian_*` operations);
 //! * a tally over any [`ResidueOps`] backend, which [`FpContext::run`]
 //!   hands every [`FieldJob`] — each single [`FpContext`] operation, each
 //!   [`crate::Fp6Context`] product and exponentiation, each
@@ -274,7 +274,7 @@ impl<J: FieldJob> ResidueJob for Tallied<'_, J> {
 
 /// The 6M Karatsuba product of two degree-2 polynomials (Section 2.2.2):
 /// the five coefficients of `a · b`, in 6 M + 12 A/S.
-pub(crate) fn karatsuba3<F: FieldOps>(f: &F, a: [&F::Elem; 3], b: [&F::Elem; 3]) -> [F::Elem; 5] {
+fn karatsuba3<F: FieldOps>(f: &F, a: [&F::Elem; 3], b: [&F::Elem; 3]) -> [F::Elem; 5] {
     let c0 = f.mul(a[0], b[0]);
     let c1 = f.mul(a[1], b[1]);
     let c2 = f.mul(a[2], b[2]);

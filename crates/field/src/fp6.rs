@@ -5,7 +5,9 @@
 //! makes the 9th cyclotomic polynomial `z^6 + z^3 + 1` irreducible, and one
 //! multiplication costs 18 base-field multiplications plus roughly 60
 //! additions/subtractions — the figure that drives the Type-A/Type-B cycle
-//! analysis of the evaluation.
+//! analysis of the evaluation. The paper's representation F2 (Fig. 1) is
+//! present only as the maps τ/τ⁻¹ on the cubic subfield `Fp3`, generated
+//! by `x = z + z⁻¹`: [`Fp6Context::to_fp3`] and [`Fp6Context::from_fp3`].
 
 use std::fmt;
 
@@ -150,6 +152,48 @@ impl Fp6Context {
         let mut c: [FpElement; 6] = std::array::from_fn(|_| self.fp.zero());
         c[0] = v;
         self.from_coeffs(c)
+    }
+
+    /// The element `u₀ + u₁·x + u₂·x²` of the `Fp3` subfield, with
+    /// `x = z + z⁻¹`: the map τ⁻¹ of Fig. 1 on `Fp3`, which sends `x` and
+    /// `x²` to `z - z² - z⁵` and `2 - z + z² - z⁴`. The `z`-power
+    /// coefficients are `(u₀ + 2u₂, u₁ - u₂, u₂ - u₁, 0, -u₂, -u₁)`.
+    pub fn from_fp3(&self, u: [FpElement; 3]) -> Fp6Element {
+        let fp = &self.fp;
+        let [u0, u1, u2] = &u;
+        self.from_coeffs([
+            fp.add(u0, &fp.double(u2)),
+            fp.sub(u1, u2),
+            fp.sub(u2, u1),
+            fp.zero(),
+            fp.neg(u2),
+            fp.neg(u1),
+        ])
+    }
+
+    /// The coordinates `(u₀, u₁, u₂)` of an element `a` of the `Fp3`
+    /// subfield in the basis `{1, x, x²}`: the map τ of Fig. 1 on `Fp3`,
+    /// inverse to [`from_fp3`](Self::from_fp3), which it reads back from
+    /// the `z`-power coefficients `c₀`, `c₄` and `c₅`:
+    /// `u = (c₀ + 2c₄, -c₅, -c₄)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) unless `a` is fixed by conjugation, that is
+    /// unless `c₃ = 0`, `c₁ + c₂ = 0` and `c₁ + c₅ = c₄`. The check is
+    /// uncounted.
+    pub fn to_fp3(&self, a: &Fp6Element) -> [FpElement; 3] {
+        let fp = &self.fp;
+        let [c0, c1, c2, c3, c4, c5] = &a.c;
+        debug_assert!(
+            {
+                let [c1, c2, c4, c5] = [c1, c2, c4, c5].map(|c| fp.to_biguint(c));
+                let p = fp.modulus();
+                c3.is_zero() && ((&c1 + &c2) % p).is_zero() && (&c1 + &c5) % p == c4
+            },
+            "an element of the Fp3 subfield is fixed by conjugation"
+        );
+        [fp.add(c0, &fp.double(c4)), fp.neg(c5), fp.neg(c4)]
     }
 
     /// Uniformly random element.
@@ -305,24 +349,20 @@ impl Fp6Context {
         self.mul(a, &self.mul(&f2, &f4))
     }
 
-    /// The absolute norm `N_{Fp6/Fp}(a) ∈ Fp`.
+    /// The absolute norm `N_{Fp6/Fp}(a) ∈ Fp`, through the relative norm:
+    /// three products (see [`inv`](Self::inv)).
     ///
     /// # Panics
     ///
     /// Panics (debug builds) if the computed norm does not lie in `Fp`.
     pub fn norm(&self, a: &Fp6Element) -> FpElement {
-        let mut prod = a.clone();
-        for k in 1..6 {
-            prod = self.mul(&prod, &self.frobenius(a, k));
-        }
-        debug_assert!(
-            prod.c[1..].iter().all(FpElement::is_zero),
-            "absolute norm must lie in Fp"
-        );
-        prod.c[0].clone()
+        self.norm_tower(a).2
     }
 
-    /// Inversion via the norm method: `a^{-1} = (Π_{k=1..5} a^{p^k}) / N(a)`.
+    /// Inversion through the relative norm `n = a·ā ∈ Fp3`: with
+    /// `m = n^p·n^{p²}`, `N(a) = n·m ∈ Fp` and `a⁻¹ = ā·m / N(a)`. Four
+    /// products and three Frobenius maps, a scalar product and one `Fp`
+    /// inversion.
     ///
     /// # Errors
     ///
@@ -331,17 +371,23 @@ impl Fp6Context {
         if a.is_zero() {
             return Err(FieldError::DivisionByZero);
         }
-        let mut adj = self.frobenius(a, 1);
-        for k in 2..6 {
-            adj = self.mul(&adj, &self.frobenius(a, k));
-        }
-        let n = self.mul(a, &adj);
+        let (conj, m, norm) = self.norm_tower(a);
+        let norm_inv = self.fp.inv(&norm).ok_or(FieldError::DivisionByZero)?;
+        Ok(self.scalar_mul(&self.mul(&conj, &m), &norm_inv))
+    }
+
+    /// `(ā, m, N(a))` with `n = a·ā ∈ Fp3`, `m = n^p·n^{p²}` and
+    /// `N(a) = n·m ∈ Fp`: the norm and the factors inversion reuses.
+    fn norm_tower(&self, a: &Fp6Element) -> (Fp6Element, Fp6Element, FpElement) {
+        let conj = self.conjugate(a);
+        let n = self.mul(a, &conj);
+        let m = self.mul(&self.frobenius(&n, 1), &self.frobenius(&n, 2));
+        let [norm, rest @ ..] = self.mul(&n, &m).c;
         debug_assert!(
-            n.c[1..].iter().all(FpElement::is_zero),
+            rest.iter().all(FpElement::is_zero),
             "absolute norm must lie in Fp"
         );
-        let n_inv = self.fp.inv(&n.c[0]).ok_or(FieldError::DivisionByZero)?;
-        Ok(self.scalar_mul(&adj, &n_inv))
+        (conj, m, norm)
     }
 }
 
@@ -535,6 +581,37 @@ mod tests {
         // Absolute norm is multiplicative.
         let b = f.random(&mut rng);
         assert_eq!(f.norm(&f.mul(&a, &b)), f.fp().mul(&f.norm(&a), &f.norm(&b)));
+        // It is the product of all six conjugates.
+        let conjugates = (1..6).fold(a.clone(), |acc, k| f.mul(&acc, &f.frobenius(&a, k)));
+        assert_eq!(f.from_fp(f.norm(&a)), conjugates);
+    }
+
+    #[test]
+    fn fp3_coordinates_are_the_basis_one_x_x_squared() {
+        // τ⁻¹ sends u to u₀ + u₁·x + u₂·x², τ reads u back, and τ⁻¹∘τ is the
+        // identity on the Fp3 subfield: at p ≡ 2 and p ≡ 5 (mod 9) and at
+        // the CEILIDH-170 prime.
+        let p170 = BigUint::from_hex("2e14985ba5778232ba167ef32f9741a9a30db4650f7").unwrap();
+        for p in [BigUint::from(101u64), BigUint::from(23u64), p170] {
+            let f = Fp6Context::new(FpContext::new(&p).unwrap()).unwrap();
+            let fp = f.fp();
+            let x = f.zeta_plus_inverse();
+            let x2 = f.square(&x);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+            for _ in 0..20 {
+                let u: [FpElement; 3] = std::array::from_fn(|_| fp.random(&mut rng));
+                let a = f.from_fp3(u.clone());
+                let [u0, u1, u2] = &u;
+                let expected = f.add(
+                    &f.add(&f.from_fp(u0.clone()), &f.scalar_mul(&x, u1)),
+                    &f.scalar_mul(&x2, u2),
+                );
+                assert_eq!(a, expected);
+                assert_eq!(f.to_fp3(&a), u);
+                let n = f.norm_to_fp3(&f.random(&mut rng));
+                assert_eq!(f.from_fp3(f.to_fp3(&n)), n);
+            }
+        }
     }
 
     #[test]

@@ -3,19 +3,20 @@
 //! The DATE 2008 paper performs all CEILIDH arithmetic in the
 //! representation `F1 = Fp6 = Fp[z]/(z^6 + z^3 + 1)` (Section 2.2), built
 //! from prime-field operations that the coprocessor executes as Montgomery
-//! modular multiplications and modular additions. This crate provides the
-//! whole tower:
+//! modular multiplications and modular additions. This crate provides that
+//! representation and the prime field beneath it:
 //!
 //! * [`FpContext`]/[`FpElement`] — the base prime field with Montgomery
 //!   arithmetic and M/A/I operation counting (the counts drive the cycle
 //!   model in the `platform` crate).
-//! * [`Fp3Context`] — `Fp[x]/(x^3 - 3x + 1)`, the cubic subfield generated
-//!   by `ζ9 + ζ9^{-1}` (requires `p ≡ 2, 5 mod 9`).
 //! * [`Fp6Context`] — the paper's representation F1 with the 18M + ~60A
-//!   Karatsuba multiplication, Frobenius maps, norms and inversion.
-//! * [`F2Repr`] — the representation F2 = `Fp3[y]/(y^2 - x·y + 1)` of
-//!   Fig. 1 with the maps τ / τ⁻¹ between F1 and F2, two fixed integer
-//!   basis changes written as additions.
+//!   Karatsuba multiplication, Frobenius maps, norms and inversion
+//!   (requires `p ≡ 2, 5 mod 9`). The representation F2 =
+//!   `Fp3[y]/(y^2 - x·y + 1)` of Fig. 1 is never computed in: the paper
+//!   computes in F1, and F2 is present only as the maps τ / τ⁻¹ on the
+//!   cubic subfield `Fp3 = Fp(x)`, `x = ζ9 + ζ9^{-1}` —
+//!   [`Fp6Context::to_fp3`] and [`Fp6Context::from_fp3`], a few fixed
+//!   additions.
 //! * [`FieldOps`] — the mul/add/sub/copy interface every composite
 //!   formula is written against once ([`karatsuba_fp6`] here, the ECC
 //!   point formulas in the `ecc` crate), instantiated on the field, the
@@ -54,17 +55,13 @@
 #![warn(missing_docs)]
 
 mod error;
-mod f2repr;
 mod formulas;
 mod fp;
-mod fp3;
 mod fp6;
 mod opcount;
 
 pub use error::FieldError;
-pub use f2repr::{F2Element, F2Repr};
 pub use formulas::{karatsuba_fp6, FieldJob, FieldOps, ValueOps};
 pub use fp::{FpContext, FpElement};
-pub use fp3::{Fp3Context, Fp3Element};
 pub use fp6::{Fp6Context, Fp6Element};
 pub use opcount::{OpCount, OpCounter};

@@ -103,36 +103,40 @@ fn paper_size_torus_calls_record_the_pinned_counts() {
     let count = |mul, add, sub, inv| OpCount { mul, add, sub, inv };
     assert_eq!(pow, count(8_964, 9_960, 21_912, 0), "pow");
     // Both maps, derived from their formulas. An `Fp6` product is
-    // 18 M + 20 A + 44 S. An `Fp6` inversion is 5 products, the Frobenius
-    // maps k = 1..5 (19 A + 22 S on six non-zero coefficients: one A for each
-    // coefficient that lands on z⁰..z⁵, two S for each one that lands on
-    // z⁶..z⁸), a 6 M scalar product and one `Fp` inversion.
+    // 18 M + 20 A + 44 S. A Frobenius map records one A for each non-zero
+    // coefficient that lands on z⁰..z⁵ and two S for each one that lands on
+    // z⁶..z⁸. An `Fp6` inversion is 4 products, the conjugation of its
+    // argument (3 A + 6 S on six non-zero coefficients), the Frobenius maps
+    // k = 1, 2 of the relative norm a·ā, an `Fp3` element whose z³
+    // coefficient is zero (7 A + 6 S), a 6 M scalar product and one `Fp`
+    // inversion.
     //
-    // ρ, 10 products:
+    // ρ, 9 products:
     // - membership: the norms to Fp3 and Fp2, 3 products and the Frobenius
     //   maps k = 3, 2, 4 (11 A + 14 S);
     // - g + 1 (6 A), γ(g + 1) (1 product), g - 1 (6 S), its inversion, and
     //   a = γ(g + 1)/(g - 1) (1 product);
-    // - τ(a): 5 A + 6 S;
+    // - τ(a) = (c₀ + 2c₄, -c₅, -c₄): 2 A + 2 S;
     // - 3u₀ + 4 (4 A) and its inversion; s and t, 3 A + 1 S + 1 M each.
     let rho = count(
-        18 * 10 + 6 + 2,
-        20 * 10 + 19 + 11 + 6 + 5 + 4 + 2 * 3,
-        44 * 10 + 22 + 14 + 6 + 6 + 2,
+        18 * 9 + 6 + 2,
+        20 * 9 + (3 + 7) + 11 + 6 + 2 + 4 + 2 * 3,
+        44 * 9 + (6 + 6) + 14 + 6 + 2 + 2,
         2,
     );
     assert_eq!(compressed, rho, "compress");
-    // ψ, 6 products:
+    // ψ, 5 products:
     // - q = 3(s² - t - 3t²): 2 M + 6 A + 2 S; l = 2(1 - s + 4t): 6 A + 1 S;
     // - u = (3l - 4q, q + 3l·s, 2q + 3l·t): 2 M + 10 A + 1 S;
-    // - τ⁻¹(u, 0): 8 A + 5 S; 3q·γ: 3 A; A + 3q·γ: 6 A; A - 3q·γ: 6 S;
+    // - τ⁻¹(u) = (u₀ + 2u₂, u₁ - u₂, u₂ - u₁, 0, -u₂, -u₁): 2 A + 4 S;
+    //   3q·γ: 3 A; A + 3q·γ: 6 A; A - 3q·γ: 6 S;
     // - the inversion of A - 3q·γ, whose z³ coefficient is zero, so its
-    //   Frobenius maps skip it: 17 A + 16 S;
+    //   conjugation skips it: 3 A + 4 S;
     // - the product of A + 3q·γ with that inverse.
     let psi = count(
-        18 * 6 + 6 + 2 + 2,
-        20 * 6 + 17 + 6 + 6 + 10 + 8 + 3 + 6,
-        44 * 6 + 16 + 2 + 1 + 1 + 5 + 6,
+        18 * 5 + 6 + 2 + 2,
+        20 * 5 + (3 + 7) + 6 + 6 + 10 + 2 + 3 + 6,
+        44 * 5 + (4 + 6) + 2 + 1 + 1 + 4 + 6,
         1,
     );
     assert_eq!(decompressed, psi, "decompress");
@@ -141,6 +145,32 @@ fn paper_size_torus_calls_record_the_pinned_counts() {
     let set_bits = (0..e.bit_len()).filter(|&i| e.bit(i)).count();
     assert_eq!(e.bit_len() + set_bits, 498);
     assert_eq!(pow, count(18 * 498, 20 * 498, 44 * 498, 0));
+}
+
+#[test]
+fn paper_size_parameters_build_with_the_pinned_counts() {
+    // Building CEILIDH-170 searches z + c, c = 1, 2, …, for a generator
+    // (z + c)^((p⁶ - 1)/q): the projection onto the torus y^p·y with
+    // y = x̄·x⁻¹ (6 products, 6 M and 1 I, with the `Fp6` inversion of the
+    // test above), raised to the cofactor 327 = 0b101000111 (9 + 5 = 14
+    // products). z + 1 projects to z⁻³, of order 3, which divides 327, so
+    // two candidates are tried.
+    //
+    // Per candidate, besides the products: z + c (6 A); the conjugation of
+    // z + c (1 A + 2 S), in the projection and in the inversion; the
+    // Frobenius maps k = 1, 2 of n = (c² + 1, c, -c, 0, 0, -c) (4 A and
+    // 3 A + 2 S, at p ≡ 2 mod 9); and the Frobenius map k = 1 of y, which is
+    // z⁻¹ = -z² - z⁵ for c = 1 (2 A) and has six non-zero coefficients for
+    // c = 2 (4 A + 4 S).
+    let params = CeilidhParams::date2008().expect("built-in 170-bit parameters");
+    let products = 2 * (6 + 14);
+    let expected = OpCount {
+        mul: 18 * products + 2 * 6,
+        add: 20 * products + 2 * (6 + 2 + 4 + 3) + 2 + 4,
+        sub: 44 * products + 2 * (2 * 2 + 2) + 4,
+        inv: 2,
+    };
+    assert_eq!(params.fp().op_count(), expected);
 }
 
 #[test]
