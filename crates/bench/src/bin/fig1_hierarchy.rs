@@ -76,7 +76,7 @@ fn main() {
     let _ = params.pow(&g, &exp);
     let ops = params.fp().op_count();
     println!(
-        "cost  : one 5-bit torus exponentiation = {}M + {}A",
+        "cost  : one 5-bit torus exponentiation (split at p, 6M squarings) = {}M + {}A",
         ops.mul,
         ops.additions_total()
     );

@@ -22,7 +22,9 @@
 //! * **The maps.** `ω = z³` lies in `T6` with parameter
 //!   `a0 = (-4/3, 1/3, 2/3)`. Projecting the quadric from `a0` gives
 //!   - ρ(g) = `(s, t) = ((3u₁ - 1)/(3u₀ + 4), (3u₂ - 2)/(3u₀ + 4))`, the
-//!     direction `(1, s, t)` of the line from `a0` through `a`;
+//!     direction `(1, s, t)` of the line from `a0` through `a`. These are
+//!     ratios, so ρ takes `n·u` for `n = N(g - 1)`, from the adjugate of
+//!     `g - 1` instead of its inverse, and inverts only `3u₀′ + 4n`;
 //!   - ψ(s, t): that line `a0 + λ(1, s, t)` meets `Q = 0` again at
 //!     `λ = l/q`, with `q = 3s² - 3t - 9t²` (the quadratic part of `Q` at
 //!     `(1, s, t)`) and `l = 2 - 2s + 8t` (`-∇Q(a0)·(1, s, t)`). Scaled by
@@ -81,18 +83,20 @@ pub fn compress(params: &CeilidhParams, g: &TorusElement) -> Result<CompressedTo
     if !params.is_torus_member(value) {
         return Err(CeilidhError::NotInTorus);
     }
-    let [u0, u1, u2] = parameter(params, value)?;
+    // s = (3u₁′ - n)/(3u₀′ + 4n) and t = (3u₂′ - 2n)/(3u₀′ + 4n) on u′ = n·u.
+    let ([u0, u1, u2], n) = scaled_parameter(params, value);
+    let n2 = fp.double(&n);
     let scale = fp
-        .inv(&fp.add(&fp.mul_small(&u0, 3), &fp.from_u64(4)))
+        .inv(&fp.add(&fp.mul_small(&u0, 3), &fp.double(&n2)))
         .ok_or(CeilidhError::CompressionFailed(
             "the parameter lies on the plane 3u0 + 4 = 0",
         ))?;
-    let coordinate = |u: &FpElement, c: u64| {
-        fp.to_biguint(&fp.mul(&fp.sub(&fp.mul_small(u, 3), &fp.from_u64(c)), &scale))
+    let coordinate = |u: &FpElement, c: &FpElement| {
+        fp.to_biguint(&fp.mul(&fp.sub(&fp.mul_small(u, 3), c), &scale))
     };
     Ok(CompressedTorus {
-        u0: coordinate(&u1, 1),
-        u1: coordinate(&u2, 2),
+        u0: coordinate(&u1, &n),
+        u1: coordinate(&u2, &n2),
     })
 }
 
@@ -150,13 +154,16 @@ fn canonical_coordinate(params: &CeilidhParams, c: &BigUint) -> Result<FpElement
     Ok(fp.from_biguint(c))
 }
 
-/// The coordinates `u` of the parameter `a = γ(g + 1)/(g - 1)` of
-/// `g ∈ T2(Fp3) \ {1}`.
-fn parameter(params: &CeilidhParams, g: &Fp6Element) -> Result<[FpElement; 3], CeilidhError> {
+/// The coordinates `u′ = n·u` of `n·a` and the norm `n = N(g - 1)`, where
+/// `a = γ(g + 1)/(g - 1)` is the parameter of `g ∈ T2(Fp3) \ {1}`:
+/// `n·a = γ(g + 1)·(g - 1)*` with the adjugate `(g - 1)*` of
+/// [`field::Fp6Context::adjugate`], so no inversion. `n` is not zero
+/// because `g ≠ 1`.
+fn scaled_parameter(params: &CeilidhParams, g: &Fp6Element) -> ([FpElement; 3], FpElement) {
     let fp6 = params.fp6();
     let numer = fp6.mul(&fp6.zeta_minus_inverse(), &fp6.add(g, &fp6.one()));
-    let a = fp6.mul(&numer, &fp6.inv(&fp6.sub(g, &fp6.one()))?);
-    Ok(fp6.to_fp3(&a))
+    let (adjugate, n) = fp6.adjugate(&fp6.sub(g, &fp6.one()));
+    (fp6.to_fp3(&fp6.mul(&numer, &adjugate)), n)
 }
 
 #[cfg(test)]
@@ -166,6 +173,14 @@ mod tests {
 
     fn params() -> CeilidhParams {
         CeilidhParams::toy().unwrap()
+    }
+
+    /// The coordinates `u` of the parameter `a = γ(g + 1)/(g - 1)`.
+    fn parameter(params: &CeilidhParams, g: &Fp6Element) -> [FpElement; 3] {
+        let fp = params.fp();
+        let (u, n) = scaled_parameter(params, g);
+        let n_inv = fp.inv(&n).unwrap();
+        u.map(|c| fp.mul(&c, &n_inv))
     }
 
     #[test]
@@ -182,7 +197,7 @@ mod tests {
             if g == params.identity() {
                 continue;
             }
-            let a = fp6.from_fp3(parameter(&params, g.as_fp6()).unwrap());
+            let a = fp6.from_fp3(parameter(&params, g.as_fp6()));
             let back = fp6.mul(
                 &fp6.add(&a, &gamma),
                 &fp6.inv(&fp6.sub(&a, &gamma)).unwrap(),
@@ -261,9 +276,7 @@ mod tests {
 
             let omega = fp6.from_u64_coeffs([0, 0, 0, 1, 0, 0]);
             assert!(params.is_torus_member(&omega));
-            let a0 = parameter(&params, &omega)
-                .unwrap()
-                .map(|c| fp.mul_small(&c, 3));
+            let a0 = parameter(&params, &omega).map(|c| fp.mul_small(&c, 3));
             assert_eq!(a0, [fp.from_i64(-4), fp.one(), fp.from_u64(2)]);
             assert!(matches!(
                 compress(&params, &TorusElement::from_fp6_unchecked(omega)),

@@ -196,12 +196,13 @@ impl CeilidhParams {
     /// Deterministically searches for an element of order exactly `q`:
     /// `(z + c)^((p⁶ - 1)/q)` for the first `c = 1, 2, …` where that is not
     /// 1, computed as the projection of `z + c` onto the torus raised to
-    /// the cofactor `Φ6(p)/q`. The result lies in `T6`, whose order is
-    /// `q · cofactor`, so its order is `q` when `q` is prime.
+    /// the cofactor `Φ6(p)/q` by the torus exponentiation. The result lies
+    /// in `T6`, whose order is `q · cofactor`, so its order is `q` when `q`
+    /// is prime.
     fn find_generator(fp6: &Fp6Context, cofactor: &BigUint) -> Result<Fp6Element, CeilidhError> {
         for c in 1u64..1000 {
             let candidate = fp6.add(&fp6.gen_z(), &fp6.from_fp(fp6.fp().from_u64(c)));
-            let g = fp6.exp(&project(fp6, &candidate)?, cofactor);
+            let g = fp6.exp_cyclotomic(&project(fp6, &candidate)?, cofactor);
             if g != fp6.one() {
                 return Ok(g);
             }

@@ -21,6 +21,7 @@ impl TorusElement {
     ///
     /// Intended for internal use and for benchmarks that construct elements
     /// they already know are valid; use [`CeilidhParams::lift`] otherwise.
+    /// [`CeilidhParams::pow`] of an element outside `T6` is unspecified.
     pub fn from_fp6_unchecked(value: Fp6Element) -> Self {
         TorusElement { value }
     }
@@ -42,20 +43,23 @@ impl CeilidhParams {
         TorusElement::from_fp6_unchecked(self.fp6().one())
     }
 
-    /// Checks whether an `Fp6` element lies on the torus `T6(Fp)`, i.e.
-    /// whether its relative norms to both `Fp3` and `Fp2` equal 1.
+    /// Checks whether an `Fp6` element lies on the torus `T6(Fp)`, the
+    /// elements of order dividing `Φ6(p) = p² - p + 1`: a non-zero `g` with
+    /// `g·σ²(g) = σ(g)` for the Frobenius map σ, one product and two maps.
+    /// This is equivalent to both relative norms, to `Fp3` and to `Fp2`,
+    /// being 1, because `gcd(p³ + 1, p⁴ + p² + 1) = Φ6(p)`.
     pub fn is_torus_member(&self, value: &Fp6Element) -> bool {
-        if value.is_zero() {
-            return false;
-        }
         let fp6 = self.fp6();
-        fp6.norm_to_fp3(value) == fp6.one() && fp6.norm_to_fp2(value) == fp6.one()
+        !value.is_zero() && fp6.mul(value, &fp6.frobenius(value, 2)) == fp6.frobenius(value, 1)
     }
 
     /// Checks whether an element lies in the prime-order-`q` subgroup used
-    /// by the cryptosystem (a subgroup of the torus).
+    /// by the cryptosystem: a torus member whose `q`-th power, by
+    /// [`Fp6Context::exp_cyclotomic`](field::Fp6Context::exp_cyclotomic),
+    /// is 1.
     pub fn is_subgroup_member(&self, value: &Fp6Element) -> bool {
-        !value.is_zero() && self.fp6().exp(value, self.q()) == self.fp6().one()
+        self.is_torus_member(value)
+            && self.fp6().exp_cyclotomic(value, self.q()) == self.fp6().one()
     }
 
     /// Validates and wraps an `Fp6` element as a torus element.
@@ -87,27 +91,19 @@ impl CeilidhParams {
         }
     }
 
-    /// Exponentiation `g^k` by square-and-multiply over representation F1
-    /// (the operation the paper's platform spends its 20 ms on).
+    /// Exponentiation `g^k` on the torus, the operation the paper's
+    /// platform spends its 20 ms on, by
+    /// [`Fp6Context::exp_cyclotomic`](field::Fp6Context::exp_cyclotomic):
+    /// `k` reduced modulo `Φ6(p)` and split at `p` by the Frobenius map,
+    /// one shared 4-bit window and 6 M squarings. The platform simulator
+    /// keeps the paper's binary method, which
+    /// [`Fp6Context::exp`](field::Fp6Context::exp) also runs.
+    ///
+    /// The result for a `base` outside `T6` is unspecified; elements built
+    /// with [`TorusElement::from_fp6_unchecked`] must be members.
     pub fn pow(&self, base: &TorusElement, exponent: &BigUint) -> TorusElement {
         TorusElement {
-            value: self.fp6().exp(&base.value, exponent),
-        }
-    }
-
-    /// Windowed exponentiation (used by the exponentiation ablation bench).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is 0 or larger than 8.
-    pub fn pow_window(
-        &self,
-        base: &TorusElement,
-        exponent: &BigUint,
-        window: usize,
-    ) -> TorusElement {
-        TorusElement {
-            value: self.fp6().exp_window(&base.value, exponent, window),
+            value: self.fp6().exp_cyclotomic(&base.value, exponent),
         }
     }
 
@@ -162,18 +158,31 @@ mod tests {
 
     #[test]
     fn membership_by_norms_matches_membership_by_order() {
-        let params = params();
-        let fp6 = params.fp6();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(51);
-        let order = params.torus_order();
-        for _ in 0..20 {
-            let candidate = fp6.random(&mut rng);
-            if candidate.is_zero() {
-                continue;
+        // The Frobenius test g·σ²(g) = σ(g), both norms being 1 and
+        // g^Φ6(p) = 1 agree, on random elements (almost never members) and
+        // on projected ones (always members), at p ≡ 2 and p ≡ 5 (mod 9).
+        for (p, q) in [(101u64, 37u64), (23, 13)] {
+            let params =
+                CeilidhParams::from_components(&BigUint::from(p), &BigUint::from(q)).unwrap();
+            let fp6 = params.fp6();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(51);
+            let order = params.torus_order();
+            let mut members = 0;
+            for _ in 0..40 {
+                let random = fp6.random(&mut rng);
+                let projected = project(fp6, &random).unwrap_or_else(|_| fp6.zero());
+                for candidate in [random, projected] {
+                    let by_frobenius = params.is_torus_member(&candidate);
+                    let by_norms = !candidate.is_zero()
+                        && fp6.norm_to_fp3(&candidate) == fp6.one()
+                        && fp6.norm_to_fp2(&candidate) == fp6.one();
+                    let by_order = !candidate.is_zero() && fp6.exp(&candidate, &order) == fp6.one();
+                    assert_eq!(by_frobenius, by_order, "p = {p}: {candidate:?}");
+                    assert_eq!(by_norms, by_order, "p = {p}: {candidate:?}");
+                    members += usize::from(by_order);
+                }
             }
-            let by_norms = params.is_torus_member(&candidate);
-            let by_order = fp6.exp(&candidate, &order) == fp6.one();
-            assert_eq!(by_norms, by_order);
+            assert!((40..80).contains(&members), "p = {p}: {members} members");
         }
     }
 
@@ -216,8 +225,6 @@ mod tests {
         assert_eq!(lhs, params.pow(&g, &sum));
         // g^q = 1
         assert_eq!(params.pow(&g, params.q()), params.identity());
-        // windowed exponentiation agrees
-        assert_eq!(params.pow_window(&g, &x, 4), params.pow(&g, &x));
     }
 
     #[test]

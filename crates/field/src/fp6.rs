@@ -11,11 +11,12 @@
 
 use std::fmt;
 
-use bignum::{square_and_multiply, BigUint};
+use bignum::fixed::Uint;
+use bignum::{square_and_multiply, BigUint, ExponentBits};
 use rand::Rng;
 
 use crate::error::FieldError;
-use crate::formulas::{karatsuba_fp6, FieldJob, ValueOps};
+use crate::formulas::{cyclotomic_square, karatsuba_fp6, FieldJob, ValueOps};
 use crate::fp::{FpContext, FpElement};
 
 /// Context for arithmetic in `Fp6 = Fp[z]/(z^6 + z^3 + 1)` (representation F1).
@@ -236,99 +237,68 @@ impl Fp6Context {
         self.mul(a, a)
     }
 
-    /// Exponentiation by left-to-right square-and-multiply, as one
-    /// [`FieldJob`]: the base is lowered once, every product runs
-    /// [`crate::karatsuba_fp6`] on the backend [`FpContext::run`] picks,
-    /// and the `bit_len + popcount` products reach the counter in one
-    /// update.
+    /// Exponentiation by left-to-right square-and-multiply, the paper's
+    /// binary method, for every element, as one [`FieldJob`]: the base is
+    /// lowered once, every product runs [`crate::karatsuba_fp6`] on the
+    /// backend [`FpContext::run`] picks, and the `bit_len + popcount`
+    /// products reach the counter in one update. Elements of the torus
+    /// `T6` take [`exp_cyclotomic`](Self::exp_cyclotomic).
     pub fn exp(&self, base: &Fp6Element, exp: &BigUint) -> Fp6Element {
         self.fp.run(Exp { base, exp })
     }
 
-    /// Sliding-window exponentiation with `window` bits (1 ≤ window ≤ 8).
+    /// `base^exp` for `base` in the torus `T6`, by the torus's own
+    /// Frobenius map σ (Stam and Lenstra, CHES 2002): one [`FieldJob`]
+    /// that reduces `exp` modulo `Φ6(p) = p² − p + 1`, the order of `T6`,
+    /// splits it as `e₀ + e₁·p` with `e₀, e₁ < p`, and computes
+    /// `base^e₀ · σ(base)^e₁` with one interleaved 4-bit sliding window
+    /// and the 6 M torus squaring (Granger and Scott, PKC 2010).
     ///
-    /// Used by the exponentiation ablation bench; produces identical results
-    /// to [`exp`](Self::exp).
+    /// The tables hold `base, base³, …, base¹⁵` (one squaring and 7
+    /// products) and, unless `e₁` is zero, their images under σ
+    /// (Frobenius maps, no products).
+    /// The loop starts from the top window's entry, squares once per bit
+    /// and multiplies wherever a window of `e₀` or of `e₁` ends. At fields
+    /// of at most 256 bits the split runs on stack words, and the call
+    /// allocates nothing.
     ///
-    /// # Panics
-    ///
-    /// Panics if `window` is 0 or larger than 8.
-    pub fn exp_window(&self, base: &Fp6Element, exp: &BigUint, window: usize) -> Fp6Element {
-        assert!((1..=8).contains(&window), "window must be in 1..=8");
-        if window == 1 {
-            return self.exp(base, exp);
+    /// The result for a `base` outside `T6` is unspecified: the squaring
+    /// and the reduction of the exponent hold on `T6` only.
+    /// [`exp`](Self::exp) is the paper's binary method, for every element.
+    pub fn exp_cyclotomic(&self, base: &Fp6Element, exp: &BigUint) -> Fp6Element {
+        let p = self.fp.modulus();
+        let sigma = self.p_mod_9 as usize;
+        match Uint::<4>::from_biguint(p) {
+            Some(p) => self.fp.run(ExpCyclotomic {
+                base,
+                digits: split_at_p(exp, &p),
+                sigma,
+            }),
+            None => {
+                // Wider fields keep their residues on the heap, and so
+                // does the split.
+                let (e1, e0) = (exp % &phi6(p)).div_rem(p).expect("p is not zero");
+                self.fp.run(ExpCyclotomic {
+                    base,
+                    digits: [e0, e1],
+                    sigma,
+                })
+            }
         }
-        // Precompute odd powers base^1, base^3, ..., base^(2^window - 1).
-        let base_sq = self.square(base);
-        let mut odd_powers = vec![base.clone()];
-        for _ in 1..(1 << (window - 1)) {
-            let prev = odd_powers.last().expect("non-empty").clone();
-            odd_powers.push(self.mul(&prev, &base_sq));
-        }
-        let mut acc = self.one();
-        let mut i = exp.bit_len() as isize - 1;
-        while i >= 0 {
-            if !exp.bit(i as usize) {
-                acc = self.square(&acc);
-                i -= 1;
-                continue;
-            }
-            // Find the longest window ending in a set bit.
-            let lo = (i - window as isize + 1).max(0);
-            let mut j = lo;
-            while !exp.bit(j as usize) {
-                j += 1;
-            }
-            let width = (i - j + 1) as usize;
-            let mut value = 0usize;
-            for k in (j..=i).rev() {
-                value = (value << 1) | exp.bit(k as usize) as usize;
-            }
-            for _ in 0..width {
-                acc = self.square(&acc);
-            }
-            acc = self.mul(&acc, &odd_powers[(value - 1) / 2]);
-            i = j - 1;
-        }
-        acc
     }
 
-    /// The Frobenius map iterated `k` times: `a ↦ a^{p^k}`.
+    /// The Frobenius map iterated `k` times: `a ↦ a^{p^k}`, as one job.
     ///
-    /// Because `z` is a 9th root of unity this is just a signed permutation
-    /// of coefficients (no multiplications): `z^i ↦ z^{(i·p^k) mod 9}` with
-    /// `z^6 = -z³ - 1`, `z^7 = -z⁴ - z`, `z^8 = -z⁵ - z²`.
+    /// Because `z` is a 9th root of unity this is a signed permutation of
+    /// the coefficients, with no multiplications: `z^i ↦ z^{(i·p^k) mod 9}`,
+    /// where `z⁶ = -z³ - 1`, `z⁷ = -z⁴ - z` and `z⁸ = -z⁵ - z²`. A
+    /// coefficient that lands on `z⁰..z⁵` moves, uncounted; one that lands
+    /// on `z^{6+j}` is subtracted from the coefficients of `z^j` and
+    /// `z^{j+3}`, 2 S. The conjugation of a full element records 6 S, and
+    /// σ at `p ≡ 2 (mod 9)` is `(c₀ - c₃, c₅, c₁ - c₄, -c₃, c₂, -c₄)`.
     pub fn frobenius(&self, a: &Fp6Element, k: usize) -> Fp6Element {
-        let fp = &self.fp;
-        // p^k mod 9
-        let mut e = 1u32;
-        for _ in 0..(k % 6) {
-            e = (e * self.p_mod_9) % 9;
-        }
-        let mut r: [FpElement; 6] = std::array::from_fn(|_| fp.zero());
-        for i in 0..6 {
-            if a.c[i].is_zero() {
-                continue;
-            }
-            let m = ((i as u32) * e % 9) as usize;
-            match m {
-                0..=5 => r[m] = fp.add(&r[m], &a.c[i]),
-                6 => {
-                    r[3] = fp.sub(&r[3], &a.c[i]);
-                    r[0] = fp.sub(&r[0], &a.c[i]);
-                }
-                7 => {
-                    r[4] = fp.sub(&r[4], &a.c[i]);
-                    r[1] = fp.sub(&r[1], &a.c[i]);
-                }
-                8 => {
-                    r[5] = fp.sub(&r[5], &a.c[i]);
-                    r[2] = fp.sub(&r[2], &a.c[i]);
-                }
-                _ => unreachable!("exponent reduced mod 9"),
-            }
-        }
-        self.from_coeffs(r)
+        let power = (0..k % 6).fold(1, |e, _| e * self.p_mod_9 as usize % 9);
+        self.fp.run(Frobenius { a, power })
     }
 
     /// The conjugate over `Fp3`: `a ↦ a^{p³}` (i.e. `z ↦ z^{-1}`).
@@ -361,8 +331,8 @@ impl Fp6Context {
 
     /// Inversion through the relative norm `n = a·ā ∈ Fp3`: with
     /// `m = n^p·n^{p²}`, `N(a) = n·m ∈ Fp` and `a⁻¹ = ā·m / N(a)`. Four
-    /// products and three Frobenius maps, a scalar product and one `Fp`
-    /// inversion.
+    /// products and three Frobenius maps ([`adjugate`](Self::adjugate)),
+    /// a scalar product and one `Fp` inversion.
     ///
     /// # Errors
     ///
@@ -371,9 +341,19 @@ impl Fp6Context {
         if a.is_zero() {
             return Err(FieldError::DivisionByZero);
         }
-        let (conj, m, norm) = self.norm_tower(a);
+        let (adjugate, norm) = self.adjugate(a);
         let norm_inv = self.fp.inv(&norm).ok_or(FieldError::DivisionByZero)?;
-        Ok(self.scalar_mul(&self.mul(&conj, &m), &norm_inv))
+        Ok(self.scalar_mul(&adjugate, &norm_inv))
+    }
+
+    /// The pair `(ā·m, N(a))` with `a·ā·m = N(a) ∈ Fp`, so that
+    /// `a⁻¹ = ā·m / N(a)` for non-zero `a` ([`inv`](Self::inv)): four
+    /// products and three Frobenius maps, no inversion. A caller that
+    /// only needs `a⁻¹` up to a factor in `Fp` can skip the inversion of
+    /// the norm.
+    pub fn adjugate(&self, a: &Fp6Element) -> (Fp6Element, FpElement) {
+        let (conj, m, norm) = self.norm_tower(a);
+        (self.mul(&conj, &m), norm)
     }
 
     /// `(ā, m, N(a))` with `n = a·ā ∈ Fp3`, `m = n^p·n^{p²}` and
@@ -403,6 +383,11 @@ fn lift<F: ValueOps>(f: &F, c: [F::Elem; 6]) -> Fp6Element {
     }
 }
 
+/// The backend form of the identity.
+fn one<F: ValueOps>(f: &F) -> [F::Elem; 6] {
+    std::array::from_fn(|i| if i == 0 { f.one() } else { f.zero() })
+}
+
 /// [`Fp6Context::mul`]'s product, on the backend [`FpContext::run`] picks.
 struct Mul<'a> {
     a: &'a Fp6Element,
@@ -429,12 +414,172 @@ impl FieldJob for Exp<'_> {
 
     fn run<F: ValueOps>(self, f: &F) -> Fp6Element {
         let base = lower(f, self.base);
-        let one = std::array::from_fn(|i| if i == 0 { f.one() } else { f.zero() });
-        let power = square_and_multiply(one, &base, self.exp, |a, b| {
+        let power = square_and_multiply(one(f), &base, self.exp, |a, b| {
             karatsuba_fp6(f, a.each_ref(), b.each_ref())
         });
         lift(f, power)
     }
+}
+
+/// [`Fp6Context::frobenius`]'s signed permutation, on the backend
+/// [`FpContext::run`] picks.
+struct Frobenius<'a> {
+    a: &'a Fp6Element,
+    /// `p^k mod 9`.
+    power: usize,
+}
+
+impl FieldJob for Frobenius<'_> {
+    type Output = Fp6Element;
+
+    fn run<F: ValueOps>(self, f: &F) -> Fp6Element {
+        lift(f, frobenius(f, lower(f, self.a).each_ref(), self.power))
+    }
+}
+
+/// `a^{p^k}` with `power = p^k mod 9`: the coefficient of `z^i` moves to
+/// `z^{i·power mod 9}`, and one that lands on `z^{6+j} = -z^{j+3} - z^j`
+/// is subtracted from the slots `j` and `j + 3`, as a difference where a
+/// moved coefficient sits and as a negation where none does.
+fn frobenius<F: ValueOps>(f: &F, a: [&F::Elem; 6], power: usize) -> [F::Elem; 6] {
+    let target = |i: usize| i * power % 9;
+    let mut r: [Option<F::Elem>; 6] =
+        std::array::from_fn(|m| (0..6).find(|&i| target(i) == m).map(|i| a[i].clone()));
+    for (i, c) in a.into_iter().enumerate() {
+        let m = target(i);
+        if m >= 6 {
+            for slot in [m - 6, m - 3] {
+                r[slot] = Some(match &r[slot] {
+                    Some(moved) => f.sub(moved, c),
+                    None => f.neg(c),
+                });
+            }
+        }
+    }
+    r.map(|c| c.expect("every slot receives a coefficient"))
+}
+
+/// The width of [`Fp6Context::exp_cyclotomic`]'s sliding window.
+const WINDOW: usize = 4;
+
+/// The odd powers `g, g³, …, g^{2^WINDOW - 1}` a window reads.
+const TABLE: usize = 1 << (WINDOW - 1);
+
+/// [`Fp6Context::exp_cyclotomic`]'s loop, on the backend
+/// [`FpContext::run`] picks.
+struct ExpCyclotomic<'a, E> {
+    base: &'a Fp6Element,
+    /// The digits `e₀` and `e₁` of the reduced exponent `e₀ + e₁·p`.
+    digits: [E; 2],
+    /// `p mod 9`, the power σ raises `z` to.
+    sigma: usize,
+}
+
+impl<E: ExponentBits> FieldJob for ExpCyclotomic<'_, E> {
+    type Output = Fp6Element;
+
+    fn run<F: ValueOps>(self, f: &F) -> Fp6Element {
+        let mut windows = self.digits.each_ref().map(|e| window_below(e, e.bit_len()));
+        let Some(start) = windows.iter().flatten().map(|&(low, _)| low).max() else {
+            return lift(f, one(f));
+        };
+        // g, g³, …, g¹⁵ for e₀, and their images under σ for e₁ unless it
+        // is zero.
+        let base = lower(f, self.base);
+        let square = cyclotomic_square(f, base.each_ref());
+        let mut powers: [[F::Elem; 6]; TABLE] = std::array::from_fn(|_| base.clone());
+        for k in 1..TABLE {
+            powers[k] = karatsuba_fp6(f, powers[k - 1].each_ref(), square.each_ref());
+        }
+        let images = windows[1].map(|_| {
+            powers
+                .each_ref()
+                .map(|g| frobenius(f, g.each_ref(), self.sigma))
+        });
+        let tables = [Some(&powers), images.as_ref()];
+
+        // From the first window's entry: one squaring per bit, and one
+        // product wherever a window of e₀ or of e₁ ends.
+        let mut acc: Option<[F::Elem; 6]> = None;
+        for i in (0..=start).rev() {
+            if let Some(a) = &acc {
+                acc = Some(cyclotomic_square(f, a.each_ref()));
+            }
+            for ((window, table), e) in windows.iter_mut().zip(tables).zip(&self.digits) {
+                let Some((low, value)) = *window else {
+                    continue;
+                };
+                if low == i {
+                    let entry = &table.expect("a digit with a window has a table")[value / 2];
+                    acc = Some(match &acc {
+                        Some(a) => karatsuba_fp6(f, a.each_ref(), entry.each_ref()),
+                        None => entry.clone(),
+                    });
+                    *window = window_below(e, low);
+                }
+            }
+        }
+        lift(f, acc.expect("the first window ends at the start"))
+    }
+}
+
+/// The highest window of `exp` below bit `end`: its lowest bit and its
+/// value, odd and at most [`WINDOW`] bits wide. `None` when no bit below
+/// `end` is set.
+fn window_below(exp: &impl ExponentBits, end: usize) -> Option<(usize, usize)> {
+    let high = (0..end).rev().find(|&i| exp.bit(i))?;
+    let low = (high.saturating_sub(WINDOW - 1)..high)
+        .find(|&i| exp.bit(i))
+        .unwrap_or(high);
+    let value = (low..=high)
+        .rev()
+        .fold(0, |v, i| 2 * v + usize::from(exp.bit(i)));
+    Some((low, value))
+}
+
+/// `Φ6(p) = p² - p + 1`, the order of the torus `T6`.
+fn phi6(p: &BigUint) -> BigUint {
+    &(&(p * p) - p) + &BigUint::one()
+}
+
+/// `exp mod Φ6(p)` as the digits `[e₀, e₁]` of `e₀ + e₁·p`, each below
+/// `p`, on stack words: Horner's rule over the bits of `exp`, keeping
+/// `v = e₀ + e₁·p` below `Φ6(p) = (p - 1)·p + 1` after every step.
+fn split_at_p(exp: &BigUint, p: &Uint<4>) -> [Uint<4>; 2] {
+    let one = Uint::from_u64(1);
+    let top = p.wrapping_sub(&one);
+    // 2x + bit for a digit x < p: the digit mod p and the carry out of it.
+    let double = |x: &Uint<4>, bit: u64| {
+        let (sum, overflow) = x.carrying_add(x, bit);
+        if overflow == 1 || sum >= *p {
+            (sum.wrapping_sub(p), 1)
+        } else {
+            (sum, 0)
+        }
+    };
+    let [mut e0, mut e1] = [Uint::ZERO; 2];
+    for i in (0..exp.bit_len()).rev() {
+        // 2v + bit = t₀ + (t₁ + carry·p)·p, below 2·Φ6(p): subtract Φ6(p)
+        // once unless it is already below it.
+        let (t0, carry) = double(&e0, u64::from(exp.bit(i)));
+        let (t1, carry) = double(&e1, carry);
+        [e0, e1] = if carry == 0 && (t1 != top || t0.is_zero()) {
+            [t0, t1]
+        } else if t0.is_zero() {
+            // The carry is set: (t₁ + p)·p - Φ6(p) = (p - 1) + t₁·p.
+            [top, t1]
+        } else {
+            // (t₀ - 1) + (t₁ + carry·p - (p - 1))·p, where t₁ = p - 1 if
+            // the carry is clear.
+            let t1 = if carry == 1 {
+                t1.wrapping_add(&one)
+            } else {
+                Uint::ZERO
+            };
+            [t0.wrapping_sub(&one), t1]
+        };
+    }
+    [e0, e1]
 }
 
 #[cfg(test)]
@@ -641,21 +786,164 @@ mod tests {
         assert_eq!(f.exp(&a, &BigUint::zero()), f.one());
     }
 
+    /// The CEILIDH-170 prime and the prime order `q = Φ6(p)/327` of its
+    /// working subgroup.
+    const P170: &str = "2e14985ba5778232ba167ef32f9741a9a30db4650f7";
+    const Q170: &str =
+        "67e5cb35a64054b95002ed1c23bce161cfe740e26415dcc6b4a57f167304b8ea12b4dd0c3f6d1e80d4d";
+
+    /// The towers over p = 101 ≡ 2 and p = 23 ≡ 5 (mod 9) and over the
+    /// CEILIDH-170 prime, each with a prime q dividing Φ6(p).
+    fn torus_fields() -> Vec<(Fp6Context, BigUint)> {
+        [("65", "25"), ("17", "d"), (P170, Q170)]
+            .iter()
+            .map(|(p, q)| {
+                let p = BigUint::from_hex(p).unwrap();
+                let f = Fp6Context::new(FpContext::new(&p).unwrap()).unwrap();
+                (f, BigUint::from_hex(q).unwrap())
+            })
+            .collect()
+    }
+
+    /// `x^((p³ - 1)(p + 1))` as `y^p·y` with `y = x̄·x⁻¹`: an element of
+    /// `T6`, anywhere in it.
+    fn project(f: &Fp6Context, x: &Fp6Element) -> Fp6Element {
+        let y = f.mul(&f.conjugate(x), &f.inv(x).unwrap());
+        f.mul(&f.frobenius(&y, 1), &y)
+    }
+
     #[test]
-    fn windowed_exponentiation_matches_plain() {
+    fn frobenius_moves_coefficients_and_subtracts_the_wrapped_ones() {
+        // p = 101 ≡ 2 (mod 9): σ sends z^i to z^(2i), and z³, z⁴ land on
+        // z⁶, z⁸.
         let f = ctx();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(28);
-        for _ in 0..5 {
-            let a = f.random(&mut rng);
-            let e = BigUint::random_bits(&mut rng, 80);
-            let plain = f.exp(&a, &e);
-            for w in [2usize, 3, 4, 5] {
-                assert_eq!(f.exp_window(&a, &e, w), plain, "window {w}");
+        let fp = f.fp();
+        let a = f.from_u64_coeffs([1, 2, 3, 4, 5, 6]);
+        fp.reset_op_count();
+        let sigma = f.frobenius(&a, 1);
+        let count = fp.op_count();
+        assert_eq!(
+            (count.add, count.sub),
+            (0, 4),
+            "σ: 2 S per wrapped coefficient"
+        );
+        let c = |i: i64| fp.from_i64(i);
+        assert_eq!(
+            sigma,
+            f.from_coeffs([c(1 - 4), c(6), c(2 - 5), c(-4), c(3), c(-5)])
+        );
+        fp.reset_op_count();
+        let conj = f.conjugate(&a);
+        let count = fp.op_count();
+        assert_eq!((count.add, count.sub), (0, 6), "conjugation: 6 S");
+        assert_eq!(
+            conj,
+            f.from_coeffs([c(1 - 4), c(-3), c(-2), c(-4), c(6 - 3), c(5 - 2)])
+        );
+    }
+
+    #[test]
+    fn cyclotomic_squaring_is_the_square_on_the_torus_only() {
+        for (f, _) in torus_fields() {
+            let order = phi6(f.fp().modulus());
+            let square =
+                |g: &Fp6Element| f.from_coeffs(cyclotomic_square(f.fp(), g.coeffs().each_ref()));
+            let mut rng = rand::rngs::StdRng::seed_from_u64(30);
+            let mut outside = 0;
+            for _ in 0..20 {
+                let x = f.random(&mut rng);
+                if x.is_zero() {
+                    continue;
+                }
+                let g = project(&f, &x);
+                assert_eq!(square(&g), f.square(&g), "{:?}", f.fp());
+                if f.exp(&x, &order) != f.one() {
+                    assert_ne!(square(&x), f.square(&x), "{:?}", f.fp());
+                    outside += 1;
+                }
+            }
+            assert!(outside > 10);
+            let g = project(&f, &f.gen_z());
+            f.fp().reset_op_count();
+            let _ = square(&g);
+            let count = f.fp().op_count();
+            assert_eq!((count.mul, count.add, count.sub), (6, 21, 7));
+        }
+    }
+
+    #[test]
+    fn cyclotomic_exponentiation_matches_exp() {
+        for (f, q) in torus_fields() {
+            let p = f.fp().modulus().clone();
+            let phi6 = phi6(&p);
+            let one = BigUint::one();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+            let exponents = [
+                BigUint::zero(),
+                one.clone(),
+                BigUint::from(2u64),
+                &p - &one,
+                p.clone(),
+                &p + &one,
+                &q - &one,
+                q.clone(),
+                &phi6 - &one,
+                phi6.clone(),
+                &phi6 + &one,
+                &p * &p,
+                BigUint::random_below(&mut rng, &q),
+                BigUint::random_bits(&mut rng, 700),
+            ];
+            for _ in 0..3 {
+                let g = project(&f, &f.random(&mut rng));
+                for e in &exponents {
+                    assert_eq!(f.exp_cyclotomic(&g, e), f.exp(&g, e), "{p:?}^{e:?}");
+                }
             }
         }
-        // Edge cases: zero and tiny exponents.
-        let a = f.random(&mut rng);
-        assert_eq!(f.exp_window(&a, &BigUint::zero(), 4), f.one());
-        assert_eq!(f.exp_window(&a, &BigUint::one(), 4), a);
+    }
+
+    #[test]
+    fn the_exponent_splits_at_p_on_words() {
+        // Horner's rule on the digits of e mod Φ6(p) against the division,
+        // up to a 256-bit prime close to 2^256, where doubling a digit
+        // carries out of the top word.
+        let secp256k1 =
+            BigUint::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
+                .unwrap();
+        let primes = [
+            BigUint::from(101u64),
+            BigUint::from(23u64),
+            BigUint::from_hex(P170).unwrap(),
+            secp256k1,
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+        let one = BigUint::one();
+        for p in primes {
+            let phi6 = phi6(&p);
+            let words = Uint::<4>::from_biguint(&p).unwrap();
+            let mut exponents = vec![
+                BigUint::zero(),
+                one.clone(),
+                &p - &one,
+                p.clone(),
+                &p + &one,
+                &(&phi6 - &p) - &one,
+                &phi6 - &p,
+                &phi6 - &one,
+                phi6.clone(),
+                &phi6 + &one,
+                &(&p * &p) - &one,
+                &p * &p,
+                &one.shl_bits(2 * p.bit_len() + 1) - &one,
+                BigUint::random_bits(&mut rng, 700),
+            ];
+            exponents.extend((0..20).map(|_| BigUint::random_below(&mut rng, &phi6)));
+            for e in exponents {
+                let (e1, e0) = (&e % &phi6).div_rem(&p).unwrap();
+                let want = [e0, e1].map(|d| Uint::from_biguint(&d).unwrap());
+                assert_eq!(split_at_p(&e, &words), want, "{e:?} at {p:?}");
+            }
+        }
     }
 }

@@ -11,14 +11,18 @@
 //!   model in the `platform` crate).
 //! * [`Fp6Context`] — the paper's representation F1 with the 18M + ~60A
 //!   Karatsuba multiplication, Frobenius maps, norms and inversion
-//!   (requires `p ≡ 2, 5 mod 9`). The representation F2 =
+//!   (requires `p ≡ 2, 5 mod 9`), the paper's binary exponentiation
+//!   [`Fp6Context::exp`], and [`Fp6Context::exp_cyclotomic`] for elements
+//!   of the torus `T6`: the exponent split at `p` by the Frobenius map,
+//!   one 4-bit window and 6M squarings. The representation F2 =
 //!   `Fp3[y]/(y^2 - x·y + 1)` of Fig. 1 is never computed in: the paper
 //!   computes in F1, and F2 is present only as the maps τ / τ⁻¹ on the
 //!   cubic subfield `Fp3 = Fp(x)`, `x = ζ9 + ζ9^{-1}` —
 //!   [`Fp6Context::to_fp3`] and [`Fp6Context::from_fp3`], a few fixed
 //!   additions.
 //! * [`FieldOps`] — the mul/add/sub/copy interface every composite
-//!   formula is written against once ([`karatsuba_fp6`] here, the ECC
+//!   formula is written against once ([`karatsuba_fp6`] and the torus
+//!   squaring here, the ECC
 //!   point formulas in the `ecc` crate), instantiated on the field, the
 //!   tally every field job runs behind and the platform's program
 //!   recorder.

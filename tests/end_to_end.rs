@@ -101,28 +101,29 @@ fn paper_size_torus_calls_record_the_pinned_counts() {
     assert_eq!(back, h);
 
     let count = |mul, add, sub, inv| OpCount { mul, add, sub, inv };
-    assert_eq!(pow, count(8_964, 9_960, 21_912, 0), "pow");
+    assert_eq!(pow, count(2_328, 4_966, 4_450, 0), "pow");
     // Both maps, derived from their formulas. An `Fp6` product is
-    // 18 M + 20 A + 44 S. A Frobenius map records one A for each non-zero
-    // coefficient that lands on z⁰..z⁵ and two S for each one that lands on
-    // z⁶..z⁸. An `Fp6` inversion is 4 products, the conjugation of its
-    // argument (3 A + 6 S on six non-zero coefficients), the Frobenius maps
-    // k = 1, 2 of the relative norm a·ā, an `Fp3` element whose z³
-    // coefficient is zero (7 A + 6 S), a 6 M scalar product and one `Fp`
-    // inversion.
+    // 18 M + 20 A + 44 S. A Frobenius map records 2 S for each coefficient
+    // that lands on z⁶..z⁸, a difference with the coefficient that moved
+    // to z^j or z^(j+3) and a negation where none did; the negation of zero
+    // is not counted. An `Fp6` adjugate ā·m (`Fp6Context::adjugate`) is 4
+    // products, the conjugation of its argument (6 S on six non-zero
+    // coefficients) and the Frobenius maps k = 1, 2 of the relative norm
+    // n = a·ā, an `Fp3` element whose z³ coefficient is zero (3 S and 4 S).
+    // An inversion adds a 6 M scalar product and one `Fp` inversion.
     //
-    // ρ, 9 products:
-    // - membership: the norms to Fp3 and Fp2, 3 products and the Frobenius
-    //   maps k = 3, 2, 4 (11 A + 14 S);
-    // - g + 1 (6 A), γ(g + 1) (1 product), g - 1 (6 S), its inversion, and
-    //   a = γ(g + 1)/(g - 1) (1 product);
-    // - τ(a) = (c₀ + 2c₄, -c₅, -c₄): 2 A + 2 S;
-    // - 3u₀ + 4 (4 A) and its inversion; s and t, 3 A + 1 S + 1 M each.
+    // ρ, 7 products:
+    // - membership: g·σ²(g) = σ(g), 1 product and the maps k = 2, 1 (8 S);
+    // - g + 1 (6 A), γ(g + 1) (1 product), g - 1 (6 S), its adjugate and
+    //   n·a = γ(g + 1)·(g - 1)* (1 product);
+    // - τ(n·a) = (c₀ + 2c₄, -c₅, -c₄): 2 A + 2 S;
+    // - 2n and 4n (2 A), 3u₀′ + 4n (4 A) and its inversion; s and t,
+    //   3 A + 1 S + 1 M each.
     let rho = count(
-        18 * 9 + 6 + 2,
-        20 * 9 + (3 + 7) + 11 + 6 + 2 + 4 + 2 * 3,
-        44 * 9 + (6 + 6) + 14 + 6 + 2 + 2,
-        2,
+        18 * 7 + 2,
+        20 * 7 + 6 + 2 + 2 + 4 + 2 * 3,
+        44 * 7 + 8 + 6 + (6 + 3 + 4) + 2 + 2,
+        1,
     );
     assert_eq!(compressed, rho, "compress");
     // ψ, 5 products:
@@ -130,21 +131,49 @@ fn paper_size_torus_calls_record_the_pinned_counts() {
     // - u = (3l - 4q, q + 3l·s, 2q + 3l·t): 2 M + 10 A + 1 S;
     // - τ⁻¹(u) = (u₀ + 2u₂, u₁ - u₂, u₂ - u₁, 0, -u₂, -u₁): 2 A + 4 S;
     //   3q·γ: 3 A; A + 3q·γ: 6 A; A - 3q·γ: 6 S;
-    // - the inversion of A - 3q·γ, whose z³ coefficient is zero, so its
-    //   conjugation skips it: 3 A + 4 S;
+    // - the inversion of A - 3q·γ, whose z³ coefficient is zero: its
+    //   conjugation subtracts that zero from c₀ and skips its negation
+    //   (5 S);
     // - the product of A + 3q·γ with that inverse.
     let psi = count(
         18 * 5 + 6 + 2 + 2,
-        20 * 5 + (3 + 7) + 6 + 6 + 10 + 2 + 3 + 6,
-        44 * 5 + (4 + 6) + 2 + 1 + 1 + 4 + 6,
+        20 * 5 + 6 + 6 + 10 + 2 + 3 + 6,
+        44 * 5 + (5 + 3 + 4) + 2 + 1 + 1 + 4 + 6,
         1,
     );
     assert_eq!(decompressed, psi, "decompress");
-    // The exponentiation is 498 products of 18 M + 20 A + 44 S each: one
-    // per squaring and one per set exponent bit.
-    let set_bits = (0..e.bit_len()).filter(|&i| e.bit(i)).count();
-    assert_eq!(e.bit_len() + set_bits, 498);
-    assert_eq!(pow, count(18 * 498, 20 * 498, 44 * 498, 0));
+    // The exponentiation splits e < q < Φ6(p) at p, e = e₀ + e₁·p, and
+    // reads 4-bit sliding windows of both digits: a table of g, g³, …, g¹⁵
+    // (one squaring, 7 products) and their images under σ (8 maps of 4 S),
+    // then one squaring per bit below the lowest bit of the first window
+    // and one product for every other window. A squaring in T6 is
+    // 6 M + 21 A + 7 S.
+    let (e1, e0) = e.div_rem(params.p()).expect("p is not zero");
+    let [(w0, low0), (w1, low1)] = [&e0, &e1].map(windows);
+    let squarings = 1 + low0.max(low1).expect("e is not zero") as u64;
+    let products = 7 + w0 + w1 - 1;
+    assert_eq!(
+        pow,
+        count(
+            6 * squarings + 18 * products,
+            21 * squarings + 20 * products,
+            7 * squarings + 44 * products + 8 * 4,
+            0,
+        )
+    );
+}
+
+/// The 4-bit left-to-right sliding windows of `e`: how many there are, and
+/// the lowest bit of the first one.
+fn windows(e: &BigUint) -> (u64, Option<usize>) {
+    let (mut count, mut first, mut end) = (0, None, e.bit_len());
+    while let Some(high) = (0..end).rev().find(|&i| e.bit(i)) {
+        let low = (high.saturating_sub(3)..=high).find(|&i| e.bit(i)).unwrap();
+        first.get_or_insert(low);
+        count += 1;
+        end = low;
+    }
+    (count, first)
 }
 
 #[test]
@@ -152,24 +181,36 @@ fn paper_size_parameters_build_with_the_pinned_counts() {
     // Building CEILIDH-170 searches z + c, c = 1, 2, …, for a generator
     // (z + c)^((p⁶ - 1)/q): the projection onto the torus y^p·y with
     // y = x̄·x⁻¹ (6 products, 6 M and 1 I, with the `Fp6` inversion of the
-    // test above), raised to the cofactor 327 = 0b101000111 (9 + 5 = 14
-    // products). z + 1 projects to z⁻³, of order 3, which divides 327, so
-    // two candidates are tried.
+    // test above), raised to the cofactor 327 = 0b101000111 < p by the torus
+    // exponentiation: its table (one squaring, 7 products; e₁ = 0, so no
+    // σ table) and the windows 101 and 111, the first ending at bit 6
+    // (6 squarings, 1 product). z + 1 projects to z⁻³, of order 3, which
+    // divides 327, so two candidates are tried.
     //
-    // Per candidate, besides the products: z + c (6 A); the conjugation of
-    // z + c (1 A + 2 S), in the projection and in the inversion; the
-    // Frobenius maps k = 1, 2 of n = (c² + 1, c, -c, 0, 0, -c) (4 A and
-    // 3 A + 2 S, at p ≡ 2 mod 9); and the Frobenius map k = 1 of y, which is
-    // z⁻¹ = -z² - z⁵ for c = 1 (2 A) and has six non-zero coefficients for
-    // c = 2 (4 A + 4 S).
+    // Per candidate, besides the products and squarings: z + c (6 A); the
+    // conjugation of z + c = (c, 1, 0, 0, 0, 0), in the projection and in
+    // the inversion (4 S each: one negation of zero is not counted); the
+    // Frobenius maps k = 1, 2 of n = (c² + 1, c, -c, 0, 0, -c) (2 S and
+    // 3 S, at p ≡ 2 mod 9); and the Frobenius map k = 1 of y, which is
+    // z⁻¹ = -z² - z⁵ for c = 1 (2 S) and has six non-zero coefficients for
+    // c = 2 (4 S).
     let params = CeilidhParams::date2008().expect("built-in 170-bit parameters");
-    let products = 2 * (6 + 14);
+    let (products, squarings) = (2 * (6 + 8), 2 * 7);
     let expected = OpCount {
-        mul: 18 * products + 2 * 6,
-        add: 20 * products + 2 * (6 + 2 + 4 + 3) + 2 + 4,
-        sub: 44 * products + 2 * (2 * 2 + 2) + 4,
+        mul: 18 * products + 6 * squarings + 2 * 6,
+        add: 20 * products + 21 * squarings + 2 * 6,
+        sub: 44 * products + 7 * squarings + 2 * (4 + 4 + 2 + 3) + 2 + 4,
         inv: 2,
     };
+    assert_eq!(
+        expected,
+        OpCount {
+            mul: 600,
+            add: 866,
+            sub: 1_362,
+            inv: 2
+        }
+    );
     assert_eq!(params.fp().op_count(), expected);
 }
 

@@ -497,11 +497,13 @@ proptest! {
 
     /// `Fp6Context` over each field and over its `heap_only` twin, whose
     /// products and exponentiations run as jobs on the heap FIOS
-    /// reference: `mul`, `square`, `exp`, `exp_window(·, 4)`, `inv` and `norm`
-    /// give the same values and the same op-count deltas, at the exponents
-    /// 0, 1, a random exponent the size of CEILIDH-170's `q` and one wider
-    /// than the field. One product records exactly 18 M + 20 A + 44 S, and
-    /// `exp(a, e)` exactly `bit_len(e) + popcount(e)` products.
+    /// reference: `mul`, `square`, `exp`, `exp_cyclotomic` on a projection
+    /// onto `T6`, `inv` and `norm` give the same values and the same
+    /// op-count deltas, at the exponents 0, 1, a random exponent the size
+    /// of CEILIDH-170's `q` and one wider than the field. One product
+    /// records exactly 18 M + 20 A + 44 S, `exp(a, e)` exactly
+    /// `bit_len(e) + popcount(e)` products, and `exp_cyclotomic` equals
+    /// `exp` on the torus.
     #[test]
     fn fp6_jobs_match_the_heap_twin(seed in any::<u64>()) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -510,6 +512,9 @@ proptest! {
             let fast = Fp6Context::new(FpContext::new(&p).unwrap()).unwrap();
             let heap = Fp6Context::new(fast.fp().heap_only()).unwrap();
             let (a, b) = (fast.random(&mut rng), fast.random(&mut rng));
+            // The projection of a onto T6: y^p·y with y = ā·a⁻¹.
+            let y = fast.mul(&fast.conjugate(&a), &fast.inv(&a).unwrap());
+            let torus = fast.mul(&fast.frobenius(&y, 1), &y);
             let bits = p.bit_len();
             let counted = |label: &str, op: &dyn Fn(&Fp6Context) -> Fp6Element| {
                 let before = fast.fp().op_count();
@@ -537,13 +542,12 @@ proptest! {
                 BigUint::random_bits(&mut rng, wide),
             ] {
                 let label = format!("exp by {} bits", e.bit_len());
-                let (power, count) = counted(&label, &|f| f.exp(&a, &e));
+                let (_, count) = counted(&label, &|f| f.exp(&a, &e));
                 prop_assert_eq!(count, products(exp_products(&e)), "{} bits: {}", bits, label);
-                // The windowed loop is built from single products, not from
-                // the exponentiation job, so it checks the job's values.
-                let (window, count) = counted(&label, &|f| f.exp_window(&a, &e, 4));
-                prop_assert_eq!(window, power, "{} bits: {}", bits, label);
-                prop_assert_eq!(count, products(count.mul / 18), "{} bits: whole products", bits);
+                // The T6 path on a torus element, against the binary method.
+                let label = format!("exp_cyclotomic by {} bits", e.bit_len());
+                let (power, _) = counted(&label, &|f| f.exp_cyclotomic(&torus, &e));
+                prop_assert_eq!(power, fast.exp(&torus, &e), "{} bits: {}", bits, label);
             }
             counted("inv", &|f| f.inv(&a).unwrap());
             counted("norm", &|f| f.from_fp(f.norm(&a)));

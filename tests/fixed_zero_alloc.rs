@@ -8,7 +8,7 @@
 //! context, through the counted `FpContext` at the paper's 160- and
 //! 170-bit widths (field operations, the `Fp6` product and exponentiation,
 //! the p160 ladder), through the whole public `CeilidhParams::pow` call at
-//! 170 bits, and through the whole public `Curve::scalar_mul` call at 160
+//! 170 bits (the exponent's split at p included), and through the whole public `Curve::scalar_mul` call at 160
 //! and 256 bits. A `Vec` sneaking back into the CIOS kernel, the field
 //! element or the ladder would fail here immediately. RSA-size
 //! exponentiations through `MontgomeryParams` may allocate only for their
@@ -190,11 +190,18 @@ fn the_fp6_product_and_torus_exponentiation_at_170_bits_do_not_touch_the_heap() 
     assert_eq!(product, 0, "one karatsuba-fp6 product");
 
     // Whole exponentiations by a q-sized exponent, through the field and
-    // through the public torus API: one job each, 18 multiplications per
-    // squaring and per set exponent bit.
+    // through the public torus API: one job each. The binary method costs
+    // 18 multiplications per squaring and per set exponent bit. The torus
+    // path splits e = e₀ + e₁·p and reads 4-bit windows of both digits: a
+    // table of one 6 M squaring and 7 products, then one squaring per bit
+    // below the first window and one product per further window.
     let (_, g) = params.random_subgroup_element(&mut rng);
     let e = BigUint::random_below(&mut rng, params.q());
     let products = (e.bit_len() + (0..e.bit_len()).filter(|&i| e.bit(i)).count()) as u64;
+    let (e1, e0) = e.div_rem(params.p()).unwrap();
+    let [(w0, low0), (w1, low1)] = [&e0, &e1].map(windows);
+    let torus_squarings = 1 + low0.max(low1).unwrap() as u64;
+    let torus_products = 7 + w0 + w1 - 1;
     let before = params.fp().op_count();
     let power = allocations_in(|| fp6.exp(black_box(&a), black_box(&e)));
     assert_eq!(power, 0, "Fp6Context::exp");
@@ -204,9 +211,22 @@ fn the_fp6_product_and_torus_exponentiation_at_170_bits_do_not_touch_the_heap() 
     assert_eq!(mid.since(&before).mul, 18 * products, "Fp6Context::exp");
     assert_eq!(
         params.fp().op_count().since(&mid).mul,
-        18 * products,
+        6 * torus_squarings + 18 * torus_products,
         "CeilidhParams::pow"
     );
+}
+
+/// The 4-bit left-to-right sliding windows of `e`: how many there are, and
+/// the lowest bit of the first one.
+fn windows(e: &BigUint) -> (u64, Option<usize>) {
+    let (mut count, mut first, mut end) = (0, None, e.bit_len());
+    while let Some(high) = (0..end).rev().find(|&i| e.bit(i)) {
+        let low = (high.saturating_sub(3)..=high).find(|&i| e.bit(i)).unwrap();
+        first.get_or_insert(low);
+        count += 1;
+        end = low;
+    }
+    (count, first)
 }
 
 #[test]
