@@ -7,7 +7,9 @@
 //! inversion and Miller–Rabin based prime generation. A [`ResidueJob`],
 //! written once over [`ResidueOps`], runs through [`MontgomeryParams::run`]
 //! on the stack context of its modulus's width ([`fixed`]) or, at widths
-//! without one, on the heap reference.
+//! without one, on the heap reference. [`recoding`] writes each exponent
+//! and scalar recoding once, as a stream of steps every exponentiation and
+//! ladder folds.
 //!
 //! Every higher layer of the reproduction (the `field` tower, the `ceilidh`
 //! torus cryptosystem, the `ecc` and `rsa` comparators and the `platform`
@@ -42,6 +44,7 @@ mod limb;
 mod modular;
 mod montgomery;
 mod prime;
+pub mod recoding;
 mod residue;
 mod uint;
 
@@ -51,5 +54,6 @@ pub use limb::{DoubleLimb, Limb, LIMB_BITS};
 pub use modular::{mod_add, mod_exp, mod_inv, mod_mul, mod_neg, mod_sub};
 pub use montgomery::MontgomeryParams;
 pub use prime::{gen_prime, gen_prime_congruent, gen_safe_prime, is_prime, miller_rabin};
-pub use residue::{square_and_multiply, ExponentBits, ResidueJob, ResidueOps};
+pub use recoding::ExponentBits;
+pub use residue::{square_and_multiply, ResidueJob, ResidueOps};
 pub use uint::BigUint;

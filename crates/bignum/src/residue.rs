@@ -11,13 +11,14 @@
 //! [`MontgomeryParams::run`] runs it on the stack context of the modulus's
 //! width, or on the heap reference at widths without one. The two backends
 //! share the radix `R`, so a job computes the same residues on either.
-//! [`square_and_multiply`] is the one exponentiation loop, on these
-//! backends and on every level of the `field` tower.
+//! [`square_and_multiply`] folds the binary recoding on these backends and
+//! on every level of the `field` tower.
 
 use crate::fixed::{add_mod, neg_mod, sub_mod, MontgomeryContext, Uint};
 use crate::limb::{Limb, LIMB_BITS};
 use crate::modular::{mod_add, mod_neg, mod_sub};
 use crate::montgomery::MontgomeryParams;
+use crate::recoding::{binary, ExponentBits, Step};
 use crate::uint::BigUint;
 
 /// Arithmetic on reduced residues modulo one odd modulus.
@@ -112,39 +113,8 @@ pub trait ResidueJob {
     fn run<R: ResidueOps>(self, r: &R) -> Self::Output;
 }
 
-/// The bits of an exponent, as [`square_and_multiply`] reads them.
-pub trait ExponentBits {
-    /// The number of significant bits.
-    fn bit_len(&self) -> usize;
-
-    /// Bit `i`, where bit 0 is the least significant.
-    fn bit(&self, i: usize) -> bool;
-}
-
-impl ExponentBits for BigUint {
-    fn bit_len(&self) -> usize {
-        BigUint::bit_len(self)
-    }
-
-    fn bit(&self, i: usize) -> bool {
-        BigUint::bit(self, i)
-    }
-}
-
-impl<const L: usize> ExponentBits for Uint<L> {
-    fn bit_len(&self) -> usize {
-        Uint::bit_len(self)
-    }
-
-    fn bit(&self, i: usize) -> bool {
-        Uint::bit(self, i)
-    }
-}
-
-/// `base^exp` by left-to-right square-and-multiply from `one`: one
-/// `mul(acc, acc)` per bit of `exp` and one `mul(acc, base)` per set bit.
-/// The one exponentiation loop of both backends and of every level of the
-/// `field` tower.
+/// `base^exp` by the [`binary`] recoding from `one`: one `mul(acc, acc)` per
+/// bit of `exp` and one `mul(acc, base)` per set bit.
 ///
 /// ```
 /// use bignum::{square_and_multiply, BigUint};
@@ -157,16 +127,12 @@ pub fn square_and_multiply<E>(
     one: E,
     base: &E,
     exp: &impl ExponentBits,
-    mul: impl Fn(&E, &E) -> E,
+    mut mul: impl FnMut(&E, &E) -> E,
 ) -> E {
-    let mut acc = one;
-    for i in (0..exp.bit_len()).rev() {
-        acc = mul(&acc, &acc);
-        if exp.bit(i) {
-            acc = mul(&acc, base);
-        }
-    }
-    acc
+    binary(exp).fold(one, |acc, step| match step {
+        Step::Square => mul(&acc, &acc),
+        Step::Multiply { .. } => mul(&acc, base),
+    })
 }
 
 /// `base^exp` on Montgomery products of `r`.

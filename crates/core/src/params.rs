@@ -8,7 +8,7 @@
 
 use bignum::{gen_prime_congruent, is_prime, BigUint};
 use field::{Fp6Context, Fp6Element, FpContext};
-use rand::Rng;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::error::CeilidhError;
 use crate::torus::{project, TorusElement};
@@ -51,18 +51,26 @@ impl CeilidhParams {
     ///
     /// # Errors
     ///
-    /// Returns [`CeilidhError::InvalidParameters`] if `p` is not ≡ 2, 5
-    /// (mod 9), if `q` is trivial, or if `q` does not divide
-    /// `Φ6(p) = p² - p + 1`.
+    /// Returns [`CeilidhError::InvalidParameters`] if `p` or `q` is not
+    /// prime or if `q` does not divide `Φ6(p) = p² - p + 1`, and
+    /// [`CeilidhError::Field`] if `p` is not ≡ 2, 5 (mod 9).
     pub fn from_components(p: &BigUint, q: &BigUint) -> Result<Self, CeilidhError> {
+        // No RNG is passed in: Miller–Rabin draws its bases from a fixed seed.
+        let mut rng = StdRng::seed_from_u64(0x9e37_79b9);
+        if !is_prime(p, &mut rng) || !is_prime(q, &mut rng) {
+            return Err(CeilidhError::InvalidParameters("p and q must be prime"));
+        }
+        Self::from_primes(p, q)
+    }
+
+    /// [`Self::from_components`] without its primality tests (~10 ms at 331
+    /// bits), for the built-in sets and [`Self::generate`], known to be prime.
+    fn from_primes(p: &BigUint, q: &BigUint) -> Result<Self, CeilidhError> {
         let fp = FpContext::new(p)
             .map_err(|_| CeilidhError::InvalidParameters("p is not a usable odd prime"))?;
         let fp6 = Fp6Context::new(fp.clone())?;
 
         let phi6 = Self::phi6(p);
-        if q.is_zero() || q.is_one() {
-            return Err(CeilidhError::InvalidParameters("q must exceed 1"));
-        }
         let (cofactor, rem) = phi6
             .div_rem(q)
             .map_err(|_| CeilidhError::InvalidParameters("q must be non-zero"))?;
@@ -97,13 +105,12 @@ impl CeilidhParams {
             for residue in [2u32, 5] {
                 let p = gen_prime_congruent(bits, residue, 9, rng);
                 let phi6 = Self::phi6(&p);
-                let (cofactor, q) = Self::strip_small_factors(&phi6);
+                let (_, q) = Self::strip_small_factors(&phi6);
                 if q.bit_len() + 16 < phi6.bit_len() {
                     continue; // cofactor unexpectedly large; try again
                 }
                 if is_prime(&q, rng) {
-                    let _ = cofactor;
-                    return Self::from_components(&p, &q);
+                    return Self::from_primes(&p, &q);
                 }
             }
         }
@@ -112,7 +119,7 @@ impl CeilidhParams {
     /// A small parameter set (`p = 101`, `q = 37`) for unit tests, examples
     /// and documentation. Offers no security whatsoever.
     pub fn toy() -> Result<Self, CeilidhError> {
-        Self::from_components(&BigUint::from(101u64), &BigUint::from(37u64))
+        Self::from_primes(&BigUint::from(101u64), &BigUint::from(37u64))
     }
 
     /// The 170-bit parameter size evaluated in the paper (Table 3's
@@ -127,7 +134,7 @@ impl CeilidhParams {
             .map_err(|_| CeilidhError::InvalidParameters("bad built-in prime"))?;
         let q = BigUint::from_hex(Q_170_HEX)
             .map_err(|_| CeilidhError::InvalidParameters("bad built-in subgroup order"))?;
-        Self::from_components(&p, &q)
+        Self::from_primes(&p, &q)
     }
 
     /// `Φ6(p) = p² - p + 1`, the order of `T6(Fp)`.
@@ -258,24 +265,29 @@ mod tests {
         let fp6 = params.fp6();
         assert_ne!(g.as_fp6(), &fp6.one());
         assert_eq!(fp6.exp(g.as_fp6(), params.q()), fp6.one());
+        // p and q are prime.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        assert!(bignum::is_prime(params.p(), &mut rng));
+        assert!(bignum::is_prime(params.q(), &mut rng));
     }
 
     #[test]
     fn rejects_inconsistent_components() {
-        // q does not divide Φ6(p).
-        assert!(matches!(
-            CeilidhParams::from_components(&BigUint::from(101u64), &BigUint::from(41u64)),
-            Err(CeilidhError::InvalidParameters(_))
-        ));
+        // q does not divide Φ6(p), q is trivial, or a component is
+        // composite though every other check passes: 273 = 3·7·13 divides
+        // Φ6(101) (cofactor 37), and p = 119 = 7·17 ≡ 2 (mod 9), with
+        // q = Φ6(119) = 14,043.
+        for (p, q) in [(101u64, 41u64), (101, 1), (101, 273), (119, 14_043)] {
+            let built = CeilidhParams::from_components(&BigUint::from(p), &BigUint::from(q));
+            assert!(
+                matches!(built, Err(CeilidhError::InvalidParameters(_))),
+                "p = {p}, q = {q}"
+            );
+        }
         // p not congruent to 2 or 5 mod 9.
         assert!(
             CeilidhParams::from_components(&BigUint::from(19u64), &BigUint::from(7u64)).is_err()
         );
-        // trivial q.
-        assert!(matches!(
-            CeilidhParams::from_components(&BigUint::from(101u64), &BigUint::one()),
-            Err(CeilidhError::InvalidParameters(_))
-        ));
     }
 
     #[test]

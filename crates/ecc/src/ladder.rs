@@ -9,8 +9,8 @@
 //!   and `Y1 = 0`), [`Ladder::add`] and [`Ladder::add_mixed`] (infinity, and
 //!   `P = ±Q` decided from the `H` and `r` an addition returns);
 //! * [`Ladder::to_affine`] and the one-inversion [`Ladder::batch_to_affine`];
-//! * the double-and-add, NAF and window ladders, and the batch driver
-//!   [`Ladder::batch`].
+//! * the double-and-add and NAF ladders, each one pass over a
+//!   [`bignum::recoding`] stream, and the batch driver [`Ladder::batch`].
 //!
 //! [`crate::Curve::scalar_mul`] and [`crate::Curve::scalar_mul_batch`] run
 //! their ladders as [`field::FieldJob`]s through [`field::FpContext::run`]:
@@ -23,10 +23,10 @@
 //! intermediate is the same residue on each, and the counts are the same.
 //!
 //! Affine points are [`Affine`] pairs, with `None` the point at infinity.
-//! One rule covers both a table entry at infinity (a point of small order)
-//! and an accumulator that reaches infinity mid-ladder: adding an infinite
-//! addend returns the accumulator, and the batch normalization leaves
-//! infinite points out of its one inversion.
+//! One rule covers both an infinite request and an accumulator that
+//! reaches infinity mid-ladder: adding an infinite addend returns the
+//! accumulator, and the batch normalization leaves infinite points out of
+//! its one inversion.
 //!
 //! ```
 //! use bignum::BigUint;
@@ -50,12 +50,12 @@
 //! # Ok::<(), EccError>(())
 //! ```
 
+use bignum::recoding::{self, Step};
 use bignum::BigUint;
 use field::ValueOps;
 
 use crate::formulas::{self, Addition};
 use crate::point::JacobianPoint;
-use crate::scalar::{naf_digits, window_digits};
 
 /// An affine point `(x, y)` on a value backend; `None` is the point at
 /// infinity.
@@ -68,12 +68,6 @@ pub struct Ladder<'a, F: ValueOps> {
     f: &'a F,
     a: &'a F::Elem,
     a_is_minus_three: bool,
-}
-
-/// Borrows a stored affine point as the addend form [`Ladder::add_mixed`]
-/// takes.
-fn addend<E>(q: &Affine<E>) -> Option<(&E, &E)> {
-    q.as_ref().map(|(x, y)| (x, y))
 }
 
 impl<'a, F: ValueOps> Ladder<'a, F> {
@@ -213,76 +207,26 @@ impl<'a, F: ValueOps> Ladder<'a, F> {
             .collect()
     }
 
-    /// The window ladder's table `[q, 2q, .., (2^w − 1)·q]` (digit `d` at
-    /// index `d − 1`): a chain of mixed additions of `q`, normalized with
-    /// one inversion. `q` is already affine and is not normalized again.
-    pub(crate) fn window_table(
-        &self,
-        q: Option<(&F::Elem, &F::Elem)>,
-        window: usize,
-    ) -> Vec<Affine<F::Elem>> {
-        let len = (1usize << window) - 1;
-        let mut chain = Vec::with_capacity(len.saturating_sub(1));
-        let mut acc = self.to_jacobian(q);
-        for _ in 1..len {
-            acc = self.add_mixed(&acc, q);
-            chain.push(acc.clone());
-        }
-        let mut table = vec![q.map(|(x, y)| (x.clone(), y.clone()))];
-        table.extend(self.batch_to_affine(&chain));
-        table
-    }
-
-    /// Left-to-right double-and-add: one mixed addition of `(x, y)` per
-    /// set bit of `k`. Allocation-free on a field of at most 256 bits.
+    /// Left-to-right double-and-add ([`recoding::binary`]): one mixed
+    /// addition of `(x, y)` per set bit of `k`. Allocation-free on a field
+    /// of at most 256 bits.
     pub fn double_and_add(&self, x: &F::Elem, y: &F::Elem, k: &BigUint) -> JacobianPoint<F::Elem> {
-        let mut acc = self.infinity();
-        for i in (0..k.bit_len()).rev() {
-            acc = self.double(&acc);
-            if k.bit(i) {
-                acc = self.add_mixed(&acc, Some((x, y)));
-            }
-        }
-        acc
+        recoding::binary(k).fold(self.infinity(), |acc, step| match step {
+            Step::Square => self.double(&acc),
+            Step::Multiply { .. } => self.add_mixed(&acc, Some((x, y))),
+        })
     }
 
-    /// The signed-digit NAF ladder ([`naf_digits`]): a mixed addition of
+    /// The signed-digit NAF ladder ([`recoding::naf`]): a mixed addition of
     /// `±(x, y)` on roughly one third of the digits.
     pub fn naf(&self, x: &F::Elem, y: &F::Elem, k: &BigUint) -> JacobianPoint<F::Elem> {
         let neg_y = self.f.neg(y);
-        let mut acc = self.infinity();
-        for &d in naf_digits(k).iter().rev() {
-            acc = self.double(&acc);
-            match d {
-                1 => acc = self.add_mixed(&acc, Some((x, y))),
-                -1 => acc = self.add_mixed(&acc, Some((x, &neg_y))),
-                _ => {}
+        recoding::naf(k).fold(self.infinity(), |acc, step| match step {
+            Step::Square => self.double(&acc),
+            Step::Multiply { negate, .. } => {
+                self.add_mixed(&acc, Some((x, if negate { &neg_y } else { y })))
             }
-        }
-        acc
-    }
-
-    /// The fixed-window ladder ([`window_digits`]) over a per-call table of
-    /// `[P, 2P, .., (2^w − 1)·P]`, normalized with one inversion: `window`
-    /// doublings and at most one mixed addition per digit.
-    pub fn window(
-        &self,
-        x: &F::Elem,
-        y: &F::Elem,
-        k: &BigUint,
-        window: usize,
-    ) -> JacobianPoint<F::Elem> {
-        let table = self.window_table(Some((x, y)), window);
-        let mut acc = self.infinity();
-        for &digit in window_digits(k, window).iter().rev() {
-            for _ in 0..window {
-                acc = self.double(&acc);
-            }
-            if digit != 0 {
-                acc = self.add_mixed(&acc, addend(&table[digit - 1]));
-            }
-        }
-        acc
+        })
     }
 
     /// `k · P` for a batch of `(P, k)` requests: each runs the NAF ladder,

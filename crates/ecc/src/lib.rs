@@ -4,21 +4,20 @@
 //! platform as CEILIDH and RSA, and reports it to be roughly twice as fast
 //! as the torus at equivalent security (Table 3). This crate provides the
 //! comparator: short-Weierstrass curves `y² = x³ + ax + b`, affine and
-//! Jacobian group laws, scalar multiplication (double-and-add, NAF and
-//! fixed-window), point compression and Diffie–Hellman, together with the
-//! per-operation `Fp` multiplication/addition counts that feed the platform
-//! cycle model.
+//! Jacobian group laws, scalar multiplication (double-and-add and NAF),
+//! point compression and Diffie–Hellman, together with the per-operation
+//! `Fp` multiplication/addition counts that feed the platform cycle model.
 //!
 //! The point formulas live in [`formulas`], each written once over
 //! [`field::FieldOps`] and shared by the host ladders and the platform
 //! simulator's programs. The ladders around them — the degenerate cases,
-//! the return to affine form, the four scalar-multiplication algorithms
-//! and the batch driver — live in [`ladder`], each written once over
-//! [`field::ValueOps`]. [`Curve::scalar_mul`] and
-//! [`Curve::scalar_mul_batch`] hand their ladders to
-//! [`field::FpContext::run`], which runs them on the stack context of the
-//! field's width and counts them in one update; the single `jacobian_*`
-//! operations run on the counted field, one job each.
+//! the return to affine form, the two scalar-multiplication ladders over
+//! [`bignum::recoding`]'s streams and the batch driver — live in
+//! [`ladder`], each written once over [`field::ValueOps`].
+//! [`Curve::scalar_mul`] and [`Curve::scalar_mul_batch`] hand their
+//! ladders to [`field::FpContext::run`], which runs them on the stack
+//! context of the field's width and counts them in one update; the single
+//! `jacobian_*` operations run on the counted field, one job each.
 //!
 //! Curves are described by the [`WeierstrassParameters`] trait — constants
 //! as associated data on zero-sized marker types — and built through
@@ -61,7 +60,7 @@ pub use ecdh::EccKeyPair;
 pub use error::EccError;
 pub use params::{P160Reproduction, Secp256k1, Toy, WeierstrassParameters, P256};
 pub use point::{AffinePoint, JacobianPoint};
-pub use scalar::{naf_digits, window_digits, ScalarMulAlgorithm};
+pub use scalar::ScalarMulAlgorithm;
 
 /// One-line import for the common ECC surface: the parameter trait, the
 /// registered marker types, the curve and point types, and the key-exchange
@@ -80,5 +79,5 @@ pub mod prelude {
     pub use crate::error::EccError;
     pub use crate::params::{P160Reproduction, Secp256k1, Toy, WeierstrassParameters, P256};
     pub use crate::point::{AffinePoint, JacobianPoint};
-    pub use crate::scalar::{naf_digits, ScalarMulAlgorithm};
+    pub use crate::scalar::ScalarMulAlgorithm;
 }

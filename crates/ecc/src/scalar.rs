@@ -1,8 +1,8 @@
 //! Scalar multiplication.
 //!
 //! The full 160-bit scalar multiplication is the operation behind Table 3's
-//! "160-bit ECC: 9.4 ms" row. Three classic algorithms are provided so the
-//! benchmark harness can ablate over them; all accumulate in Jacobian
+//! "160-bit ECC: 9.4 ms" row. Two classic algorithms are provided so the
+//! benchmark harness can ablate over them; both accumulate in Jacobian
 //! coordinates and convert back to affine once at the end.
 //!
 //! The ladders themselves are written once in [`crate::ladder`]; this
@@ -16,10 +16,9 @@
 //! Every ladder keeps its **addend affine** and adds through the
 //! mixed-coordinate formula ([`crate::formulas::madd`], `Z2 = 1`): the
 //! double-and-add and NAF ladders add the (already affine) point or its
-//! negation, and the window ladder normalizes its table with one
-//! inversion before the main loop. This is the access pattern the
-//! platform's 13-multiplication `pa_mixed` sequence prices. Doublings on
-//! `a = -3` curves (the reproduction curve included) run the shortened
+//! negation. This is the access pattern the platform's 13-multiplication
+//! `pa_mixed` sequence prices. Doublings on `a = -3` curves (the
+//! reproduction curve included) run the shortened
 //! [`crate::formulas::dbl_2001_b`] body — the one the platform's
 //! 8-multiplication `dbl-2001-b` program records.
 
@@ -37,8 +36,6 @@ pub enum ScalarMulAlgorithm {
     DoubleAndAdd,
     /// Signed-digit non-adjacent form (PA on roughly one third of the digits).
     Naf,
-    /// Fixed 4-bit windows with a per-call table of affine multiples.
-    Window4,
 }
 
 /// The backend form of an affine point (`None` is infinity).
@@ -79,7 +76,6 @@ impl FieldJob for ScalarMul<'_> {
         let acc = match self.algorithm {
             ScalarMulAlgorithm::DoubleAndAdd => ladder.double_and_add(&x, &y, k),
             ScalarMulAlgorithm::Naf => ladder.naf(&x, &y, k),
-            ScalarMulAlgorithm::Window4 => ladder.window(&x, &y, k, 4),
         };
         lift_point(f, ladder.to_affine(&acc))
     }
@@ -168,70 +164,6 @@ impl Curve {
     pub fn scalar_mul_base(&self, k: &BigUint) -> AffinePoint {
         self.scalar_mul(self.base_point(), k, ScalarMulAlgorithm::DoubleAndAdd)
     }
-
-    /// The windowed ladder's table `[O, P, 2P, .., (2^w - 1)·P]` with every
-    /// entry **normalized to affine form** ([`Ladder::window`]'s table) — the
-    /// one-time normalization that lets the main loop use mixed additions
-    /// only. Exposed so tests can pin the ladder invariant (every addend is
-    /// affine and the correct multiple) without re-deriving the table.
-    pub fn affine_window_table(&self, point: &AffinePoint, window: usize) -> Vec<AffinePoint> {
-        let table = self.ladder().window_table(point.coordinates(), window);
-        std::iter::once(AffinePoint::Infinity)
-            .chain(table.into_iter().map(|p| lift_point(self.fp(), p)))
-            .collect()
-    }
-}
-
-/// Computes the non-adjacent form of `k` (least-significant digit first).
-///
-/// Runs a single O(bits) pass over the bits of `k` with a one-bit carry,
-/// never materializing intermediate big integers: at position `i` the
-/// remaining value is odd iff `bit(i) + carry` is odd, and the NAF rule
-/// `d = 2 - (n mod 4)` (1 → 1, 3 → −1) reads `n mod 4` straight from
-/// `bit(i + 1)` and the carry. The `+1` after emitting −1 is exactly a
-/// carry into the next position.
-pub fn naf_digits(k: &BigUint) -> Vec<i8> {
-    let bits = k.bit_len();
-    let mut digits = Vec::with_capacity(bits + 1);
-    let mut carry = 0u8;
-    let mut i = 0;
-    while i < bits || carry != 0 {
-        let b0 = u8::from(k.bit(i)) + carry;
-        if b0 & 1 == 0 {
-            // Even: emit 0; a settled carry (b0 == 2) moves up one bit.
-            digits.push(0);
-            carry = b0 >> 1;
-        } else {
-            // Odd: n mod 4 = (2·bit(i+1) + b0) mod 4 selects ±1; the −1
-            // branch borrows, i.e. carries +1 into bit i + 1.
-            let b1 = u8::from(k.bit(i + 1));
-            if (2 * b1 + b0) & 3 == 1 {
-                digits.push(1);
-                carry = 0;
-            } else {
-                digits.push(-1);
-                carry = 1;
-            }
-        }
-        i += 1;
-    }
-    digits
-}
-
-/// Splits `k` into unsigned `window`-bit digits, least-significant digit
-/// first — the recoding of [`Ladder::window`].
-pub fn window_digits(k: &BigUint, window: usize) -> Vec<usize> {
-    assert!(window > 0, "window width must be positive");
-    let chunks = k.bit_len().div_ceil(window);
-    let mut digits = Vec::with_capacity(chunks);
-    for chunk in 0..chunks {
-        let mut digit = 0usize;
-        for b in (0..window).rev() {
-            digit = (digit << 1) | k.bit(chunk * window + b) as usize;
-        }
-        digits.push(digit);
-    }
-    digits
 }
 
 #[cfg(test)]
@@ -248,10 +180,6 @@ mod tests {
             let k = BigUint::random_bits(&mut rng, 40);
             let reference = curve.scalar_mul(&p, &k, ScalarMulAlgorithm::DoubleAndAdd);
             assert_eq!(curve.scalar_mul(&p, &k, ScalarMulAlgorithm::Naf), reference);
-            assert_eq!(
-                curve.scalar_mul(&p, &k, ScalarMulAlgorithm::Window4),
-                reference
-            );
             assert!(curve.is_on_curve(&reference));
         }
     }
@@ -264,10 +192,6 @@ mod tests {
         let k = BigUint::random_bits(&mut rng, 160);
         let reference = curve.scalar_mul(&p, &k, ScalarMulAlgorithm::DoubleAndAdd);
         assert_eq!(curve.scalar_mul(&p, &k, ScalarMulAlgorithm::Naf), reference);
-        assert_eq!(
-            curve.scalar_mul(&p, &k, ScalarMulAlgorithm::Window4),
-            reference
-        );
         assert!(curve.is_on_curve(&reference));
     }
 
@@ -289,7 +213,7 @@ mod tests {
     fn small_order_point_matches_repeated_addition_in_every_ladder() {
         // The toy group has order 1020 = 2²·3·5·17, so (1020 / 3)·Q is a
         // point of order 3 whenever it is finite. Its multiples reach
-        // infinity mid-ladder, and its window table holds infinity entries.
+        // infinity mid-ladder.
         let curve = Curve::toy().unwrap();
         let third = BigUint::from(curve.order().unwrap().to_u64().unwrap() / 3);
         let mut rng = rand::rngs::StdRng::seed_from_u64(18);
@@ -301,17 +225,11 @@ mod tests {
             }
         };
         assert!(curve.add(&curve.double(&p), &p).is_infinity(), "order 3");
-        let table = curve.affine_window_table(&p, 4);
-        assert!(table[1..].iter().any(AffinePoint::is_infinity));
         let requests: Vec<_> = (0u64..=20).map(|k| (p.clone(), BigUint::from(k))).collect();
         let batch = curve.scalar_mul_batch(&requests);
         let mut expected = AffinePoint::Infinity;
         for ((_, k), batched) in requests.iter().zip(&batch) {
-            for alg in [
-                ScalarMulAlgorithm::DoubleAndAdd,
-                ScalarMulAlgorithm::Naf,
-                ScalarMulAlgorithm::Window4,
-            ] {
+            for alg in [ScalarMulAlgorithm::DoubleAndAdd, ScalarMulAlgorithm::Naf] {
                 assert_eq!(curve.scalar_mul(&p, k, alg), expected, "{alg:?}, k = {k:?}");
             }
             assert_eq!(*batched, expected, "batch, k = {k:?}");
@@ -332,22 +250,6 @@ mod tests {
             &curve.scalar_mul(&p, &b, ScalarMulAlgorithm::DoubleAndAdd),
         );
         assert_eq!(lhs, rhs);
-    }
-
-    #[test]
-    fn naf_digits_reconstruct_the_scalar() {
-        for k in [0u64, 1, 2, 3, 7, 255, 1_000_003, u64::MAX] {
-            let digits = naf_digits(&BigUint::from(k));
-            let mut value: i128 = 0;
-            for (i, &d) in digits.iter().enumerate() {
-                value += (d as i128) << i;
-            }
-            assert_eq!(value, k as i128);
-            // Non-adjacency: no two consecutive non-zero digits.
-            for w in digits.windows(2) {
-                assert!(w[0] == 0 || w[1] == 0, "NAF property violated for {k}");
-            }
-        }
     }
 
     #[test]
@@ -378,21 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn window_digits_reconstruct_the_scalar() {
-        for k in [0u64, 1, 2, 15, 16, 255, 1_000_003, u64::MAX] {
-            for window in [1usize, 3, 4, 5] {
-                let digits = window_digits(&BigUint::from(k), window);
-                let mut value: u128 = 0;
-                for (i, &d) in digits.iter().enumerate() {
-                    assert!(d < (1 << window));
-                    value += (d as u128) << (i * window);
-                }
-                assert_eq!(value, k as u128, "k = {k}, w = {window}");
-            }
-        }
-    }
-
-    #[test]
     fn fixed_ladders_and_batch_match_heap_reference_on_secp256k1() {
         let curve = Curve::by_name("secp256k1").unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
@@ -404,17 +291,13 @@ mod tests {
             &order - &BigUint::one(),
             BigUint::random_bits(&mut rng, 256),
         ];
-        // Every ladder (D&A, NAF, window), at the base point and elsewhere,
+        // Every ladder (D&A, NAF), at the base point and elsewhere,
         // must be bit-identical to the heap reference ladder.
         for point in [&base, &other] {
             for k in &scalars {
                 let reference =
                     curve.scalar_mul_reference(point, k, ScalarMulAlgorithm::DoubleAndAdd);
-                for alg in [
-                    ScalarMulAlgorithm::DoubleAndAdd,
-                    ScalarMulAlgorithm::Naf,
-                    ScalarMulAlgorithm::Window4,
-                ] {
+                for alg in [ScalarMulAlgorithm::DoubleAndAdd, ScalarMulAlgorithm::Naf] {
                     assert_eq!(curve.scalar_mul(point, k, alg), reference, "{alg:?}");
                 }
             }
@@ -450,7 +333,7 @@ mod tests {
             .scalar_mul(
                 &AffinePoint::Infinity,
                 &BigUint::from(5u64),
-                ScalarMulAlgorithm::Window4
+                ScalarMulAlgorithm::Naf
             )
             .is_infinity());
         assert_eq!(curve.scalar_mul_base(&BigUint::one()), *curve.base_point());

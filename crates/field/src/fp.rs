@@ -330,14 +330,11 @@ impl FpContext {
         self.mul(a, a)
     }
 
-    /// Multiplication by a small constant via repeated addition (the
-    /// coprocessor has no dedicated small-constant multiplier).
+    /// Multiplication by a small constant via `k − 1` additions from `a` (none
+    /// for `k = 0`): the coprocessor has no dedicated small-constant multiplier.
     pub fn mul_small(&self, a: &FpElement, k: u32) -> FpElement {
-        let mut acc = self.zero();
-        for _ in 0..k {
-            acc = self.add(&acc, a);
-        }
-        acc
+        let start = if k == 0 { self.zero() } else { a.clone() };
+        (1..k).fold(start, |acc, _| self.add(&acc, a))
     }
 
     /// Modular exponentiation by [`square_and_multiply`], run as one job:
@@ -587,8 +584,11 @@ mod tests {
         assert_eq!(fp.add(&a, &fp.neg(&a)), fp.zero());
         assert_eq!(fp.neg(&fp.zero()), fp.zero());
         assert_eq!(fp.double(&a), fp.from_u64(34));
-        assert_eq!(fp.mul_small(&a, 5), fp.from_u64(85));
-        assert_eq!(fp.mul_small(&a, 0), fp.zero());
+        for (k, adds) in [(0, 0), (1, 0), (2, 1), (5, 4)] {
+            let before = fp.op_count();
+            assert_eq!(fp.mul_small(&a, k), fp.from_u64(17 * u64::from(k)));
+            assert_eq!(fp.op_count().since(&before).add, adds, "k = {k}");
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use std::fmt;
 
 use bignum::fixed::Uint;
+use bignum::recoding::{sliding_window, Step};
 use bignum::{square_and_multiply, BigUint, ExponentBits};
 use rand::Rng;
 
@@ -479,10 +480,9 @@ impl<E: ExponentBits> FieldJob for ExpCyclotomic<'_, E> {
     type Output = Fp6Element;
 
     fn run<F: ValueOps>(self, f: &F) -> Fp6Element {
-        let mut windows = self.digits.each_ref().map(|e| window_below(e, e.bit_len()));
-        let Some(start) = windows.iter().flatten().map(|&(low, _)| low).max() else {
+        if self.digits.iter().all(|e| e.bit_len() == 0) {
             return lift(f, one(f));
-        };
+        }
         // g, g³, …, g¹⁵ for e₀, and their images under σ for e₁ unless it
         // is zero.
         let base = lower(f, self.base);
@@ -491,50 +491,30 @@ impl<E: ExponentBits> FieldJob for ExpCyclotomic<'_, E> {
         for k in 1..TABLE {
             powers[k] = karatsuba_fp6(f, powers[k - 1].each_ref(), square.each_ref());
         }
-        let images = windows[1].map(|_| {
+        let images = (self.digits[1].bit_len() > 0).then(|| {
             powers
                 .each_ref()
                 .map(|g| frobenius(f, g.each_ref(), self.sigma))
         });
         let tables = [Some(&powers), images.as_ref()];
 
-        // From the first window's entry: one squaring per bit, and one
-        // product wherever a window of e₀ or of e₁ ends.
+        // From the first window's entry, in place: a squaring per bit, a product per window end.
         let mut acc: Option<[F::Elem; 6]> = None;
-        for i in (0..=start).rev() {
-            if let Some(a) = &acc {
-                acc = Some(cyclotomic_square(f, a.each_ref()));
-            }
-            for ((window, table), e) in windows.iter_mut().zip(tables).zip(&self.digits) {
-                let Some((low, value)) = *window else {
-                    continue;
-                };
-                if low == i {
-                    let entry = &table.expect("a digit with a window has a table")[value / 2];
-                    acc = Some(match &acc {
+        for step in sliding_window(&self.digits, WINDOW) {
+            match (step, &mut acc) {
+                (Step::Square, Some(a)) => *a = cyclotomic_square(f, a.each_ref()),
+                (Step::Square, None) => {}
+                (Step::Multiply { table, index, .. }, acc) => {
+                    let entry = &tables[table].expect("a digit with a window has a table")[index];
+                    *acc = Some(match acc {
                         Some(a) => karatsuba_fp6(f, a.each_ref(), entry.each_ref()),
                         None => entry.clone(),
                     });
-                    *window = window_below(e, low);
                 }
             }
         }
-        lift(f, acc.expect("the first window ends at the start"))
+        lift(f, acc.expect("a non-zero exponent has a window"))
     }
-}
-
-/// The highest window of `exp` below bit `end`: its lowest bit and its
-/// value, odd and at most [`WINDOW`] bits wide. `None` when no bit below
-/// `end` is set.
-fn window_below(exp: &impl ExponentBits, end: usize) -> Option<(usize, usize)> {
-    let high = (0..end).rev().find(|&i| exp.bit(i))?;
-    let low = (high.saturating_sub(WINDOW - 1)..high)
-        .find(|&i| exp.bit(i))
-        .unwrap_or(high);
-    let value = (low..=high)
-        .rev()
-        .fold(0, |v, i| 2 * v + usize::from(exp.bit(i)));
-    Some((low, value))
 }
 
 /// `Φ6(p) = p² - p + 1`, the order of the torus `T6`.

@@ -18,10 +18,10 @@
 
 use std::sync::Arc;
 
-use bignum::{BigUint, ResidueJob, ResidueOps};
+use bignum::recoding::{self, Step};
+use bignum::{square_and_multiply, BigUint, ResidueJob, ResidueOps};
 use ceilidh::{CeilidhParams, TorusElement};
 use ecc::{AffinePoint, Curve, JacobianPoint};
-use field::Fp6Element;
 
 use crate::coprocessor::Coprocessor;
 use crate::cost::CostModel;
@@ -258,13 +258,11 @@ impl Platform {
         let fp = fp6.fp();
         let modulus = fp.modulus();
         let domain = Domain::new(self.cost(), modulus);
-        let plain = |x: &Fp6Element| x.coeffs().each_ref().map(|c| fp.to_biguint(c));
         let (coeffs, report) = domain.host.run(TorusExp {
             platform: self,
             domain: &domain,
             program: self.compiled(OpKind::Fp6Mul, modulus.bit_len()),
-            base: plain(base.as_fp6()),
-            one: plain(&fp6.one()),
+            base: base.as_fp6().coeffs().each_ref().map(|c| fp.to_biguint(c)),
             exponent,
         });
         let coeffs = coeffs.map(|c| fp.from_biguint(&c));
@@ -371,7 +369,6 @@ struct TorusExp<'a> {
     domain: &'a Domain,
     program: Arc<CompiledProgram>,
     base: [BigUint; 6],
-    one: [BigUint; 6],
     exponent: &'a BigUint,
 }
 
@@ -381,19 +378,14 @@ impl ResidueJob for TorusExp<'_> {
     fn run<R: ResidueOps>(self, r: &R) -> Self::Output {
         let mut leaves = self.domain.leaves(r, &self.platform.coprocessor);
         let base = self.base.each_ref().map(|c| leaves.enter(&r.lower(c)));
-        let mut acc = self.one.each_ref().map(|c| leaves.enter(&r.lower(c)));
+        let one = std::array::from_fn(|i| if i == 0 { leaves.one() } else { leaves.zero() });
         let mut bank = Bank::new(self.program, leaves.zero());
         let mut report = ExecutionReport::default();
-        for i in (0..self.exponent.bit_len()).rev() {
-            bank.load(FP6_B, acc.clone());
-            bank.load(FP6_A, acc);
-            acc = bank.run(self.platform, &mut leaves, &mut report);
-            if self.exponent.bit(i) {
-                bank.load(FP6_B, base.clone());
-                bank.load(FP6_A, acc);
-                acc = bank.run(self.platform, &mut leaves, &mut report);
-            }
-        }
+        let acc = square_and_multiply(one, &base, self.exponent, |a, b| {
+            bank.load(FP6_B, b.clone());
+            bank.load(FP6_A, a.clone());
+            bank.run(self.platform, &mut leaves, &mut report)
+        });
         (acc.map(|c| r.lift(&leaves.leave(&c))), report)
     }
 }
@@ -427,23 +419,19 @@ impl ResidueJob for EccLadder<'_> {
             pa.load(POINT_2, base.clone());
             pa.load(CURVE_A, [leaves.enter(&a)]);
         }
-        let mut acc: Option<[R::Elem; 3]> = None;
         let mut report = ExecutionReport::default();
-        for i in (0..self.k.bit_len()).rev() {
-            if let Some(p) = acc.take() {
-                pd.load(POINT_1, p);
-                acc = Some(pd.run(self.platform, &mut leaves, &mut report));
+        let acc = recoding::binary(self.k).fold(None, |acc, step| match (step, acc) {
+            (Step::Square, None) => None,
+            (Step::Multiply { .. }, None) => Some(base.clone()),
+            (step, Some(p)) => {
+                let bank = match step {
+                    Step::Square => &mut pd,
+                    Step::Multiply { .. } => &mut pa,
+                };
+                bank.load(POINT_1, p);
+                Some(bank.run(self.platform, &mut leaves, &mut report))
             }
-            if self.k.bit(i) {
-                acc = Some(match acc.take() {
-                    None => base.clone(),
-                    Some(p) => {
-                        pa.load(POINT_1, p);
-                        pa.run(self.platform, &mut leaves, &mut report)
-                    }
-                });
-            }
-        }
+        });
         let plain = acc.map(|p| p.map(|c| r.lift(&leaves.leave(&c))));
         (plain, report)
     }
@@ -465,14 +453,14 @@ impl ResidueJob for RsaExp<'_> {
         let mut bank = [leaves.zero(), leaves.zero()];
         bank[RSA_ACC] = leaves.one(); // 1 in the platform domain
         bank[RSA_BASE] = leaves.enter(&r.lower(self.base));
-        let exponent = self.exponent;
-        let products = (0..exponent.bit_len()).rev().flat_map(|i| {
-            std::iter::once(RSA_SQUARE).chain(exponent.bit(i).then_some(RSA_MULTIPLY))
-        });
         let mut report = ExecutionReport::default();
-        for ops in products {
-            let step = hierarchy::execute(&mut leaves, Hierarchy::TypeA, &mut bank, ops);
-            report = report.merge(&step);
+        for step in recoding::binary(self.exponent) {
+            let ops = match step {
+                Step::Square => RSA_SQUARE,
+                Step::Multiply { .. } => RSA_MULTIPLY,
+            };
+            let executed = hierarchy::execute(&mut leaves, Hierarchy::TypeA, &mut bank, ops);
+            report = report.merge(&executed);
         }
         (r.lift(&leaves.leave(&bank[RSA_ACC])), report)
     }
@@ -530,6 +518,7 @@ mod tests {
     use super::*;
     use bignum::MontgomeryParams;
     use ecc::ScalarMulAlgorithm;
+    use field::Fp6Element;
     use rand::SeedableRng;
 
     fn platform(hierarchy: Hierarchy) -> Platform {

@@ -1,11 +1,14 @@
 //! Cross-crate integration tests: the complete CEILIDH stack, the two
 //! comparators and the platform simulator working together.
 
+mod common;
+
 use bignum::BigUint;
 use ceilidh::{
     compress, decompress, decrypt_hybrid, encrypt_hybrid, shared_secret, shared_secret_bytes, sign,
     verify, CeilidhParams, KeyPair,
 };
+use common::windows;
 use ecc::prelude::*;
 use field::{FpContext, OpCount};
 use platform::{CostModel, Hierarchy, Platform};
@@ -48,17 +51,34 @@ fn ceilidh_full_protocol_on_paper_parameters() {
 
 #[test]
 fn torus_exponentiation_agrees_between_host_and_platform() {
+    // The simulated driver runs the paper's binary method: its values must
+    // match the host's torus exponentiation, and its operation counts the
+    // host's binary method, `Fp6Context::exp`, under either hierarchy.
     let mut rng = rand::rngs::StdRng::seed_from_u64(1002);
-    let params = CeilidhParams::toy().expect("toy parameters");
-    let plat = Platform::new(CostModel::paper(), 4, Hierarchy::TypeB);
-    for _ in 0..3 {
-        let (_, base) = params.random_subgroup_element(&mut rng);
-        let exponent = BigUint::random_bits(&mut rng, 24);
-        let host = params.pow(&base, &exponent);
-        let (simulated, report) = plat.torus_exponentiation(&params, &base, &exponent);
-        assert_eq!(simulated, host);
-        assert!(report.cycles > 0);
-        assert_eq!(report.modmuls, 18 * (report.interrupts));
+    for params in [
+        CeilidhParams::toy().expect("toy parameters"),
+        CeilidhParams::date2008().expect("built-in 170-bit parameters"),
+    ] {
+        let fp = params.fp();
+        for hierarchy in [Hierarchy::TypeA, Hierarchy::TypeB] {
+            let plat = Platform::new(CostModel::paper(), 4, hierarchy);
+            let (_, base) = params.random_subgroup_element(&mut rng);
+            let exponent = BigUint::random_bits(&mut rng, 40);
+            let before = fp.op_count();
+            params.fp6().exp(base.as_fp6(), &exponent);
+            let host = fp.op_count().since(&before);
+            let (simulated, report) = plat.torus_exponentiation(&params, &base, &exponent);
+            assert_eq!(simulated, params.pow(&base, &exponent));
+            assert!(report.cycles > 0);
+            assert_eq!(
+                (report.modmuls, report.modadds, report.modsubs),
+                (host.mul, host.add, host.sub),
+                "{hierarchy:?}: M, A and S"
+            );
+            if hierarchy == Hierarchy::TypeB {
+                assert_eq!(report.modmuls, 18 * report.interrupts);
+            }
+        }
     }
 }
 
@@ -117,27 +137,29 @@ fn paper_size_torus_calls_record_the_pinned_counts() {
     // - g + 1 (6 A), γ(g + 1) (1 product), g - 1 (6 S), its adjugate and
     //   n·a = γ(g + 1)·(g - 1)* (1 product);
     // - τ(n·a) = (c₀ + 2c₄, -c₅, -c₄): 2 A + 2 S;
-    // - 2n and 4n (2 A), 3u₀′ + 4n (4 A) and its inversion; s and t,
-    //   3 A + 1 S + 1 M each.
+    // - 2n and 4n (2 A), 3u₀′ + 4n (3 A) and its inversion; s and t,
+    //   2 A + 1 S + 1 M each.
+    //
+    // A small multiple k·x takes k - 1 additions.
     let rho = count(
         18 * 7 + 2,
-        20 * 7 + 6 + 2 + 2 + 4 + 2 * 3,
+        20 * 7 + 6 + 2 + 2 + 3 + 2 * 2,
         44 * 7 + 8 + 6 + (6 + 3 + 4) + 2 + 2,
         1,
     );
     assert_eq!(compressed, rho, "compress");
     // ψ, 5 products:
-    // - q = 3(s² - t - 3t²): 2 M + 6 A + 2 S; l = 2(1 - s + 4t): 6 A + 1 S;
-    // - u = (3l - 4q, q + 3l·s, 2q + 3l·t): 2 M + 10 A + 1 S;
+    // - q = 3(s² - t - 3t²): 2 M + 4 A + 2 S; l = 2(1 - s + 4t): 5 A + 1 S;
+    // - u = (3l - 4q, q + 3l·s, 2q + 3l·t): 2 M + 8 A + 1 S;
     // - τ⁻¹(u) = (u₀ + 2u₂, u₁ - u₂, u₂ - u₁, 0, -u₂, -u₁): 2 A + 4 S;
-    //   3q·γ: 3 A; A + 3q·γ: 6 A; A - 3q·γ: 6 S;
+    //   3q·γ: 2 A; A + 3q·γ: 6 A; A - 3q·γ: 6 S;
     // - the inversion of A - 3q·γ, whose z³ coefficient is zero: its
     //   conjugation subtracts that zero from c₀ and skips its negation
     //   (5 S);
     // - the product of A + 3q·γ with that inverse.
     let psi = count(
         18 * 5 + 6 + 2 + 2,
-        20 * 5 + 6 + 6 + 10 + 2 + 3 + 6,
+        20 * 5 + 4 + 5 + 8 + 2 + 2 + 6,
         44 * 5 + (5 + 3 + 4) + 2 + 1 + 1 + 4 + 6,
         1,
     );
@@ -161,19 +183,6 @@ fn paper_size_torus_calls_record_the_pinned_counts() {
             0,
         )
     );
-}
-
-/// The 4-bit left-to-right sliding windows of `e`: how many there are, and
-/// the lowest bit of the first one.
-fn windows(e: &BigUint) -> (u64, Option<usize>) {
-    let (mut count, mut first, mut end) = (0, None, e.bit_len());
-    while let Some(high) = (0..end).rev().find(|&i| e.bit(i)) {
-        let low = (high.saturating_sub(3)..=high).find(|&i| e.bit(i)).unwrap();
-        first.get_or_insert(low);
-        count += 1;
-        end = low;
-    }
-    (count, first)
 }
 
 #[test]

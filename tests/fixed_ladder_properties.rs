@@ -12,7 +12,7 @@
 //! counts on the toy, 160-bit and secp256k1 curves (one, three and four
 //! words).
 //!
-//! Every ladder variant (double-and-add, NAF, window) and
+//! Every ladder variant (double-and-add, NAF) and
 //! every batch entry point (`Curve::scalar_mul_batch`,
 //! `FpContext::inv_batch`, `MontgomeryContext::mont_mul_batch`) must agree
 //! with its one-at-a-time heap reference — `Curve::scalar_mul_reference`
@@ -204,11 +204,7 @@ proptest! {
             let g = curve.base_point().clone();
             let h = curve.scalar_mul_reference(&g, &BigUint::from(5u64), ScalarMulAlgorithm::Naf);
             for point in [&g, &h] {
-                for algorithm in [
-                    ScalarMulAlgorithm::DoubleAndAdd,
-                    ScalarMulAlgorithm::Naf,
-                    ScalarMulAlgorithm::Window4,
-                ] {
+                for algorithm in [ScalarMulAlgorithm::DoubleAndAdd, ScalarMulAlgorithm::Naf] {
                     let before = fp.op_count();
                     let got = curve.scalar_mul(point, &k, algorithm);
                     let mid = fp.op_count();
@@ -237,7 +233,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// All three ladder algorithms match the heap reference ladder on
+    /// Both ladder algorithms match the heap reference ladder on
     /// random 256-bit scalars, on the base point and on a non-base point.
     #[test]
     fn fixed_ladders_match_heap_reference(limbs in prop::array::uniform4(any::<u64>())) {
@@ -247,11 +243,7 @@ proptest! {
         let h = curve.scalar_mul_reference(&g, &BigUint::from(2u64), ScalarMulAlgorithm::DoubleAndAdd);
         for point in [&g, &h] {
             let reference = curve.scalar_mul_reference(point, &k, ScalarMulAlgorithm::DoubleAndAdd);
-            for algorithm in [
-                ScalarMulAlgorithm::DoubleAndAdd,
-                ScalarMulAlgorithm::Naf,
-                ScalarMulAlgorithm::Window4,
-            ] {
+            for algorithm in [ScalarMulAlgorithm::DoubleAndAdd, ScalarMulAlgorithm::Naf] {
                 prop_assert_eq!(
                     curve.scalar_mul(point, &k, algorithm),
                     reference.clone(),

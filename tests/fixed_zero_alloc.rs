@@ -18,6 +18,8 @@
 //! sanity-checked against the heap backend, which must allocate, and so
 //! must the `heap_only` twins every differential suite compares against.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -25,6 +27,7 @@ use std::hint::black_box;
 use bignum::fixed::{MontgomeryContext, Uint};
 use bignum::{BigUint, MontgomeryParams};
 use ceilidh::CeilidhParams;
+use common::windows;
 use ecc::ladder::Ladder;
 use ecc::prelude::*;
 use field::{Fp6Context, FpContext};
@@ -214,19 +217,6 @@ fn the_fp6_product_and_torus_exponentiation_at_170_bits_do_not_touch_the_heap() 
         6 * torus_squarings + 18 * torus_products,
         "CeilidhParams::pow"
     );
-}
-
-/// The 4-bit left-to-right sliding windows of `e`: how many there are, and
-/// the lowest bit of the first one.
-fn windows(e: &BigUint) -> (u64, Option<usize>) {
-    let (mut count, mut first, mut end) = (0, None, e.bit_len());
-    while let Some(high) = (0..end).rev().find(|&i| e.bit(i)) {
-        let low = (high.saturating_sub(3)..=high).find(|&i| e.bit(i)).unwrap();
-        first.get_or_insert(low);
-        count += 1;
-        end = low;
-    }
-    (count, first)
 }
 
 #[test]
