@@ -9,9 +9,9 @@
 //!
 //! - [`Uint`]: the `Copy` const-generic integer with explicit
 //!   carry/borrow/widening arithmetic and `BigUint` conversions.
-//! - [`MontgomeryContext`]: CIOS Montgomery multiplication, exponentiation
-//!   and Fermat inversion with zero allocation past setup, mirroring
-//!   [`MontgomeryParams`](crate::MontgomeryParams); it implements
+//! - [`MontgomeryContext`]: CIOS Montgomery multiplication, SOS squaring,
+//!   exponentiation and Fermat inversion with zero allocation past setup,
+//!   mirroring [`MontgomeryParams`](crate::MontgomeryParams); it implements
 //!   [`ResidueOps`](crate::ResidueOps), whose batched inversion
 //!   (Montgomery's trick) every ladder's affine normalization runs on.
 //! - The width rule, [`montgomery_words`]: a modulus of `n` bits runs on

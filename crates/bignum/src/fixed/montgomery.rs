@@ -2,8 +2,9 @@
 
 use super::modular::reduce_wide;
 use super::uint::Uint;
-use crate::limb::{carrying_add64, inv_mod_limb64, mac64};
-use crate::{square_and_multiply, BigUint};
+use crate::limb::{carrying_add64, inv_mod_limb64, mac64, widening_mul64};
+use crate::residue::pow;
+use crate::BigUint;
 
 /// Montgomery arithmetic over a fixed-width odd modulus, mirroring
 /// [`MontgomeryParams`](crate::MontgomeryParams) at radix 2^64.
@@ -17,6 +18,7 @@ use crate::{square_and_multiply, BigUint};
 ///
 /// Construction may allocate (it reduces with `BigUint`); every operation
 /// afterwards — [`mont_mul`](Self::mont_mul) (a word-level CIOS schedule),
+/// [`mont_sqr`](Self::mont_sqr) (SOS, each cross product once),
 /// [`mont_pow`](Self::mont_pow), [`mod_exp`](Self::mod_exp),
 /// [`mont_inv_prime`](Self::mont_inv_prime) — runs entirely on stack
 /// arrays.
@@ -155,9 +157,82 @@ impl<const LIMBS: usize> MontgomeryContext<LIMBS> {
             // the new t[LIMBS] in {0, 1} for the next round.
             t_hi = t_hi2 + c;
         }
-        // t < 2p: one conditional subtraction reduces. When t_hi is set the
-        // true value is 2^BITS + t >= p and the wrapping difference is
-        // exact.
+        self.final_subtract(t, t_hi)
+    }
+
+    /// The Montgomery square `a² · R^{-1} mod p`, equal to
+    /// [`mont_mul`](Self::mont_mul)`(a, a)`, by separated operand scanning
+    /// (SOS): each cross product `a[i]·a[j]`, `i < j`, once, doubled, plus
+    /// the diagonal `a[i]²`, then a word-by-word reduction of the
+    /// `2·LIMBS`-word square. That is `LIMBS·(LIMBS − 1)/2 + LIMBS²`
+    /// word products against CIOS's `2·LIMBS²`.
+    ///
+    /// The operand must be reduced (`< p`); the result is reduced.
+    pub fn mont_sqr(&self, a: &Uint<LIMBS>) -> Uint<LIMBS> {
+        debug_assert!(a < &self.modulus, "operand must be reduced");
+        let a = a.limbs();
+        // The square, word k of 2·LIMBS in lo[k] or hi[k − LIMBS].
+        let (mut lo, mut hi) = ([0u64; LIMBS], [0u64; LIMBS]);
+        // Row i adds a[i]·a[j] for j < i at words i..2i − 1; its carry
+        // lands in word 2i, which no earlier row reached.
+        for i in 1..LIMBS {
+            let mut carry = 0u64;
+            for j in 0..i {
+                let k = i + j;
+                let word = if k < LIMBS {
+                    &mut lo[k]
+                } else {
+                    &mut hi[k - LIMBS]
+                };
+                (*word, carry) = mac64(*word, a[i], a[j], carry);
+            }
+            let k = 2 * i;
+            if k < LIMBS {
+                lo[k] = carry;
+            } else {
+                hi[k - LIMBS] = carry;
+            }
+        }
+        // Double the cross products and add the diagonal. The cross
+        // products sum to less than a²/2, so neither the bit shifted out of
+        // the top word nor the final carry is ever set.
+        let (mut shifted_out, mut carry) = (0u64, 0u64);
+        for (i, &ai) in a.iter().enumerate() {
+            let (sq_lo, sq_hi) = widening_mul64(ai, ai);
+            for (k, sq) in [(2 * i, sq_lo), (2 * i + 1, sq_hi)] {
+                let word = if k < LIMBS {
+                    &mut lo[k]
+                } else {
+                    &mut hi[k - LIMBS]
+                };
+                let doubled = (*word << 1) | shifted_out;
+                shifted_out = *word >> 63;
+                (*word, carry) = carrying_add64(doubled, sq, carry);
+            }
+        }
+        debug_assert_eq!((shifted_out, carry), (0, 0), "a² fits 2·LIMBS words");
+        // Reduce word by word: add m·p to zero the low word, shift right
+        // one word and bring in the next word of hi, whose sum with the
+        // reduction's carry and the previous overflow bit overflows by at
+        // most one bit.
+        let mut t = Uint::from_limbs(lo);
+        let mut t_hi = 0u64;
+        for &next in &hi {
+            let m = t.limbs[0].wrapping_mul(self.n0_inv);
+            let (_, mut carry) = mac64(t.limbs[0], m, self.modulus.limbs[0], 0);
+            for j in 1..LIMBS {
+                (t.limbs[j - 1], carry) = mac64(t.limbs[j], m, self.modulus.limbs[j], carry);
+            }
+            (t.limbs[LIMBS - 1], t_hi) = carrying_add64(next, carry, t_hi);
+        }
+        self.final_subtract(t, t_hi)
+    }
+
+    /// Reduces `t_hi·2^BITS + t < 2p` below `p` with one conditional
+    /// subtraction. When `t_hi` is set the true value is `2^BITS + t ≥ p`
+    /// and the wrapping difference is exact.
+    #[inline]
+    fn final_subtract(&self, t: Uint<LIMBS>, t_hi: u64) -> Uint<LIMBS> {
         let (diff, borrow) = t.borrowing_sub(&self.modulus, 0);
         if t_hi != 0 || borrow == 0 {
             diff
@@ -167,13 +242,17 @@ impl<const LIMBS: usize> MontgomeryContext<LIMBS> {
     }
 
     /// Exponentiation of a Montgomery-form base, returning a
-    /// Montgomery-form result, by [`square_and_multiply`].
+    /// Montgomery-form result, by the sliding window every public
+    /// exponentiation runs, squaring with [`mont_sqr`](Self::mont_sqr).
+    /// Its schedule follows the exponent's bits: for a secret exponent use
+    /// [`MontgomeryParams::mod_exp_secret`](crate::MontgomeryParams::mod_exp_secret).
     pub fn mont_pow(&self, base_mont: &Uint<LIMBS>, exp: &Uint<LIMBS>) -> Uint<LIMBS> {
-        square_and_multiply(self.r_mod, base_mont, exp, |a, b| self.mont_mul(a, b))
+        pow(self, base_mont, exp)
     }
 
-    /// Modular exponentiation `base^exp mod p` via Montgomery
-    /// square-and-multiply.
+    /// Modular exponentiation `base^exp mod p` by
+    /// [`mont_pow`](Self::mont_pow), whose schedule follows the exponent's
+    /// bits.
     pub fn mod_exp(&self, base: &Uint<LIMBS>, exp: &Uint<LIMBS>) -> Uint<LIMBS> {
         let base_m = self.to_mont(base);
         self.from_mont(&self.mont_pow(&base_m, exp))

@@ -9,7 +9,7 @@
 
 use crate::fixed::{montgomery_words, MontgomeryContext, Uint};
 use crate::limb::{adc, inv_mod_limb, mac, Limb, LIMB_BITS};
-use crate::residue::{pow, ResidueJob, ResidueOps};
+use crate::residue::{pow, pow_secret, ResidueJob, ResidueOps};
 use crate::uint::BigUint;
 
 /// Precomputed per-modulus constants for Montgomery arithmetic.
@@ -23,7 +23,8 @@ use crate::uint::BigUint;
 /// the stack context of the modulus's width, built once with these
 /// constants, for widths of 1–4, 8 and 16 words (moduli of up to 256 bits,
 /// 512 and 1024 bits), and on the heap reference elsewhere;
-/// [`mont_pow`](Self::mont_pow), [`mod_exp`](Self::mod_exp) and
+/// [`mont_pow`](Self::mont_pow), [`mod_exp`](Self::mod_exp),
+/// [`mod_exp_secret`](Self::mod_exp_secret) and
 /// [`mod_inv_prime`](Self::mod_inv_prime) are such jobs.
 ///
 /// # Example
@@ -189,20 +190,51 @@ impl MontgomeryParams {
         self.final_subtract(self.fios(&x, &y))
     }
 
-    /// Modular exponentiation `base^exp mod p` via Montgomery
-    /// square-and-multiply (left-to-right), conversions included, as one
-    /// [`run`](Self::run): its allocations do not grow with the exponent.
+    /// Modular exponentiation `base^exp mod p` for a public exponent, by a
+    /// left-to-right sliding window whose width follows the exponent's
+    /// length (one bit up to 23 bits, so `e = 65537` costs 17 squarings
+    /// and two products), conversions included, as one [`run`](Self::run):
+    /// its allocations do not grow with the exponent. Its schedule follows
+    /// the exponent's bits; use [`mod_exp_secret`](Self::mod_exp_secret)
+    /// for a secret exponent.
     pub fn mod_exp(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         let base = base % &self.modulus;
         self.run(ModExp {
             base: &base,
             r2: &self.r2,
             exp,
+            secret_bits: None,
+        })
+    }
+
+    /// Modular exponentiation `base^exp mod p` for a secret exponent, by a
+    /// regular 5-bit window over the modulus's bit length: a 32-entry
+    /// table of 30 products, then per 5-bit digit five squarings, one
+    /// masked table read ([`ResidueOps::select`]) and one product, zero
+    /// digits included. Which products run, and the table entries each
+    /// read touches, depend on the modulus alone, not on the exponent; a
+    /// 1,024-bit modulus costs about 1,255 products whatever the exponent,
+    /// so a short public exponent belongs on [`mod_exp`](Self::mod_exp).
+    ///
+    /// Not yet hidden: the final subtraction of each product and square
+    /// branches on its value, as do modular sums and differences.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `exp` has more bits than the modulus.
+    pub fn mod_exp_secret(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let base = base % &self.modulus;
+        self.run(ModExp {
+            base: &base,
+            r2: &self.r2,
+            exp,
+            secret_bits: Some(self.modulus.bit_len()),
         })
     }
 
     /// Exponentiation of a reduced Montgomery-form base, returning a
-    /// Montgomery-form result, as one [`run`](Self::run).
+    /// Montgomery-form result, as one [`run`](Self::run) of the sliding
+    /// window [`mod_exp`](Self::mod_exp) runs.
     pub fn mont_pow(&self, base_mont: &BigUint, exp: &BigUint) -> BigUint {
         debug_assert!(base_mont < &self.modulus, "the base must be reduced");
         self.run(MontPow { base_mont, exp })
@@ -277,12 +309,16 @@ impl ResidueJob for MontPow<'_> {
     }
 }
 
-/// [`MontgomeryParams::mod_exp`] of a reduced base as a job: into
-/// Montgomery form through `R² mod p`, and out through a product with 1.
+/// [`MontgomeryParams::mod_exp`] and
+/// [`mod_exp_secret`](MontgomeryParams::mod_exp_secret) of a reduced base
+/// as a job: into Montgomery form through `R² mod p`, and out through a
+/// product with 1.
 struct ModExp<'a> {
     base: &'a BigUint,
     r2: &'a BigUint,
     exp: &'a BigUint,
+    /// For a secret exponent, the bit length its regular window covers.
+    secret_bits: Option<usize>,
 }
 
 impl ResidueJob for ModExp<'_> {
@@ -290,7 +326,10 @@ impl ResidueJob for ModExp<'_> {
 
     fn run<R: ResidueOps>(self, r: &R) -> BigUint {
         let base = r.mont_mul(&r.lower(self.base), &r.lower(self.r2));
-        let acc = pow(r, &base, self.exp);
+        let acc = match self.secret_bits {
+            None => pow(r, &base, self.exp),
+            Some(bits) => pow_secret(r, &base, self.exp, bits),
+        };
         r.lift(&r.mont_mul(&acc, &r.lower(&BigUint::one())))
     }
 }
@@ -396,6 +435,134 @@ mod tests {
         let inv = mont.mod_inv_prime(&a).unwrap();
         assert!(mod_mul(&a, &inv, &p).is_one());
         assert!(mont.mod_inv_prime(&BigUint::zero()).is_none());
+    }
+
+    /// A call a [`Logged`] backend records: its kind, never a value or an
+    /// index.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Mul,
+        Sqr,
+        Select,
+    }
+
+    /// A stack context that logs each product, square and table read.
+    struct Logged<const L: usize> {
+        ctx: MontgomeryContext<L>,
+        calls: std::cell::RefCell<Vec<Call>>,
+    }
+
+    impl<const L: usize> ResidueOps for Logged<L> {
+        type Elem = Uint<L>;
+
+        fn mont_mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+            self.calls.borrow_mut().push(Call::Mul);
+            self.ctx.mont_mul(a, b)
+        }
+
+        fn mont_sqr(&self, a: &Uint<L>) -> Uint<L> {
+            self.calls.borrow_mut().push(Call::Sqr);
+            self.ctx.mont_sqr(a)
+        }
+
+        fn select(&self, table: &[Uint<L>], index: usize) -> Uint<L> {
+            self.calls.borrow_mut().push(Call::Select);
+            ResidueOps::select(&self.ctx, table, index)
+        }
+
+        fn add(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+            self.ctx.add(a, b)
+        }
+
+        fn sub(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+            self.ctx.sub(a, b)
+        }
+
+        fn neg(&self, a: &Uint<L>) -> Uint<L> {
+            self.ctx.neg(a)
+        }
+
+        fn is_zero(&self, a: &Uint<L>) -> bool {
+            a.is_zero()
+        }
+
+        fn one_mont(&self) -> Uint<L> {
+            self.ctx.one_mont()
+        }
+
+        fn mont_inv_prime(&self, a: &Uint<L>) -> Option<Uint<L>> {
+            self.ctx.mont_inv_prime(a)
+        }
+
+        fn lower(&self, v: &BigUint) -> Uint<L> {
+            self.ctx.lower(v)
+        }
+
+        fn lift(&self, e: &Uint<L>) -> BigUint {
+            self.ctx.lift(e)
+        }
+
+        fn lower_words(&self, words: &[u64]) -> Uint<L> {
+            self.ctx.lower_words(words)
+        }
+
+        fn lift_words(&self, e: &Uint<L>, words: &mut [u64]) {
+            self.ctx.lift_words(e, words)
+        }
+    }
+
+    /// Runs `mod_exp_secret`'s job through a [`Logged`] context on a
+    /// random `bits`-bit modulus for six exponents, and checks that each
+    /// computes the power and logs the one sequence the modulus sets.
+    fn check_regular_schedule<const L: usize>(bits: usize, rng: &mut rand::rngs::StdRng) {
+        let n = BigUint::random_bits(rng, bits);
+        let n = if n.is_even() { &n + &BigUint::one() } else { n };
+        let mont = MontgomeryParams::new(&n).unwrap();
+        let logged = Logged {
+            ctx: MontgomeryContext::<L>::new(&n).unwrap(),
+            calls: Default::default(),
+        };
+        let digits = bits.div_ceil(5);
+        // Into Montgomery form, the table, the top digit's entry, one group
+        // per further digit and out of Montgomery form.
+        let mut expected = vec![Call::Mul; 31];
+        expected.push(Call::Select);
+        for _ in 1..digits {
+            expected.extend([Call::Sqr; 5]);
+            expected.extend([Call::Select, Call::Mul]);
+        }
+        expected.push(Call::Mul);
+        let base = BigUint::random_below(rng, &n);
+        let exponents = [
+            BigUint::zero(),
+            BigUint::one(),
+            &BigUint::one().shl_bits(bits) - &BigUint::one(),
+            BigUint::random_bits(rng, 5 * (digits - 1)),
+            BigUint::random_bits(rng, bits),
+            BigUint::random_below(rng, &n),
+        ];
+        for exp in &exponents {
+            let job = ModExp {
+                base: &base,
+                r2: &mont.r2,
+                exp,
+                secret_bits: Some(bits),
+            };
+            let power = job.run(&logged);
+            assert_eq!(
+                power,
+                crate::modular::mod_exp(&base, exp, &n),
+                "{bits} bits"
+            );
+            assert_eq!(logged.calls.take(), expected, "{bits} bits");
+        }
+    }
+
+    #[test]
+    fn secret_exponents_run_one_schedule_set_by_the_modulus() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        check_regular_schedule::<8>(512, &mut rng);
+        check_regular_schedule::<16>(1024, &mut rng);
     }
 
     #[test]

@@ -22,9 +22,11 @@ pub enum RsaError {
     InvalidPadding,
     /// A signature failed verification.
     VerificationFailed,
-    /// Internal arithmetic failure (e.g. non-invertible exponent); indicates
-    /// an unlucky prime pair and is retried internally.
-    ArithmeticFailure,
+    /// A private operation's result failed its check `sᵉ ≡ m (mod n)` and
+    /// was withheld: a fault struck the computation, or the key's CRT
+    /// components are corrupt. Released, such a result `s` would let
+    /// `gcd(sᵉ − m, n)` factor `n`.
+    FaultDetected,
 }
 
 impl fmt::Display for RsaError {
@@ -40,7 +42,9 @@ impl fmt::Display for RsaError {
             RsaError::ValueOutOfRange => write!(f, "value is not a canonical residue"),
             RsaError::InvalidPadding => write!(f, "invalid padding"),
             RsaError::VerificationFailed => write!(f, "signature verification failed"),
-            RsaError::ArithmeticFailure => write!(f, "internal arithmetic failure"),
+            RsaError::FaultDetected => {
+                write!(f, "fault detected: the private result failed its check")
+            }
         }
     }
 }
@@ -64,5 +68,6 @@ mod tests {
         assert!(RsaError::VerificationFailed
             .to_string()
             .contains("verification"));
+        assert!(RsaError::FaultDetected.to_string().contains("fault"));
     }
 }

@@ -167,8 +167,12 @@ impl RsaKeyPair {
         &self.private.d
     }
 
-    /// The raw private operation `c^d mod n`, computed without CRT
-    /// (this is the 1024-bit exponentiation the paper's 96 ms row measures).
+    /// The raw private operation `c^d mod n`, computed without CRT on the
+    /// regular window of [`MontgomeryParams::mod_exp_secret`] (this is the
+    /// 1024-bit exponentiation the paper's 96 ms row measures). It has no
+    /// fault check: the single-fault factoring that
+    /// [`raw_decrypt_crt`](Self::raw_decrypt_crt) checks against needs the
+    /// CRT split.
     ///
     /// # Errors
     ///
@@ -177,22 +181,39 @@ impl RsaKeyPair {
         if c >= &self.public.n {
             return Err(RsaError::ValueOutOfRange);
         }
-        Ok(self.public.mont.mod_exp(c, &self.private.d))
+        Ok(self.public.mont.mod_exp_secret(c, &self.private.d))
     }
 
-    /// The raw private operation computed with the Chinese Remainder
-    /// Theorem (about 4× faster; provided for the ablation bench).
+    /// The raw private operation `c^d mod n` by the Chinese Remainder
+    /// Theorem, which [`decrypt`](Self::decrypt) and [`sign`](Self::sign)
+    /// run: two half-size exponentiations on the regular window of
+    /// [`MontgomeryParams::mod_exp_secret`], recombined, and checked by
+    /// re-encryption before release (Boneh, DeMillo and Lipton, "On the
+    /// importance of checking cryptographic protocols for faults",
+    /// EUROCRYPT 1997).
     ///
     /// # Errors
     ///
-    /// Returns [`RsaError::ValueOutOfRange`] if `c >= n`.
+    /// Returns [`RsaError::ValueOutOfRange`] if `c >= n`, and
+    /// [`RsaError::FaultDetected`] if the result `m` fails `mᵉ ≡ c (mod n)`.
     pub fn raw_decrypt_crt(&self, c: &BigUint) -> Result<BigUint, RsaError> {
         if c >= &self.public.n {
             return Err(RsaError::ValueOutOfRange);
         }
+        let m = self.crt(c);
+        if self.public.mont.mod_exp(&m, &self.public.e) != *c {
+            return Err(RsaError::FaultDetected);
+        }
+        Ok(m)
+    }
+
+    /// `c^d mod n` by CRT, unchecked: one faulty half makes it correct
+    /// modulo one prime only, and then `gcd(mᵉ − c, n)` is that prime.
+    fn crt(&self, c: &BigUint) -> BigUint {
         let sk = &self.private;
-        let m_p = sk.mont_p.mod_exp(&(c % &sk.p), &sk.d_p);
-        let m_q = sk.mont_q.mod_exp(&(c % &sk.q), &sk.d_q);
+        // Each exponentiation reduces c modulo its own prime.
+        let m_p = sk.mont_p.mod_exp_secret(c, &sk.d_p);
+        let m_q = sk.mont_q.mod_exp_secret(c, &sk.d_q);
         // h = q_inv * (m_p - m_q) mod p
         let diff = if m_p >= m_q {
             &m_p - &(&m_q % &sk.p)
@@ -201,7 +222,7 @@ impl RsaKeyPair {
         };
         let diff = &diff % &sk.p;
         let h = &(&sk.q_inv * &diff) % &sk.p;
-        Ok(&m_q + &(&h * &sk.q))
+        &m_q + &(&h * &sk.q)
     }
 
     /// Decrypts a padded ciphertext of exactly
@@ -211,8 +232,10 @@ impl RsaKeyPair {
     /// # Errors
     ///
     /// Returns [`RsaError::ValueOutOfRange`] if the ciphertext is longer or
-    /// shorter than the modulus or encodes a value `>= n`, and
-    /// [`RsaError::InvalidPadding`] if the recovered block is malformed.
+    /// shorter than the modulus or encodes a value `>= n`,
+    /// [`RsaError::FaultDetected`] if the private operation fails its
+    /// check, and [`RsaError::InvalidPadding`] if the recovered block is
+    /// malformed.
     pub fn decrypt(&self, ciphertext: &[u8]) -> Result<Vec<u8>, RsaError> {
         if ciphertext.len() != self.public.byte_len() {
             return Err(RsaError::ValueOutOfRange);
@@ -223,12 +246,14 @@ impl RsaKeyPair {
         unpad_encrypt(&block)
     }
 
-    /// Signs a digest (PKCS#1 v1.5-style block, full-length exponentiation).
+    /// Signs a digest (PKCS#1 v1.5-style block) by the checked CRT
+    /// operation [`raw_decrypt_crt`](Self::raw_decrypt_crt).
     ///
     /// # Errors
     ///
     /// Returns [`RsaError::MessageTooLong`] if the digest exceeds the key's
-    /// capacity.
+    /// capacity, and [`RsaError::FaultDetected`] if the private operation
+    /// fails its check.
     pub fn sign(&self, digest: &[u8]) -> Result<Vec<u8>, RsaError> {
         let block = pad_sign(digest, self.public.byte_len())?;
         let s = self.raw_decrypt_crt(&BigUint::from_be_bytes(&block))?;
@@ -247,6 +272,7 @@ fn to_fixed_bytes(v: &BigUint, len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bignum::gcd;
     use rand::SeedableRng;
 
     fn keys() -> RsaKeyPair {
@@ -367,6 +393,37 @@ mod tests {
             kp.public().verify(&digest, &sig[1..]).unwrap_err(),
             RsaError::VerificationFailed
         );
+    }
+
+    /// With one CRT component of the private key corrupted, every private
+    /// operation withholds its result, which would otherwise factor `n`.
+    #[test]
+    fn corrupted_crt_components_are_detected_before_release() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(45);
+        let corruptions: [fn(&mut RsaPrivateKey); 3] = [
+            |sk| sk.d_p = &sk.d_p + &BigUint::from(2u64),
+            |sk| sk.d_q = &sk.d_q + &BigUint::from(2u64),
+            |sk| sk.q_inv = &sk.q_inv + &BigUint::from(2u64),
+        ];
+        for corrupt in corruptions {
+            let mut kp = keys();
+            let (n, p, q) = (
+                kp.public.n.clone(),
+                kp.private.p.clone(),
+                kp.private.q.clone(),
+            );
+            let ct = kp.public().encrypt(b"faulty", &mut rng).unwrap();
+            corrupt(&mut kp.private);
+            let c = BigUint::from_be_bytes(&ct);
+            // Unchecked, the result is right modulo one prime only.
+            let m = kp.crt(&c);
+            let power = kp.public().raw_encrypt(&m).unwrap();
+            let leak = gcd(&(&(&power + &n) - &c), &n);
+            assert!(leak == p || leak == q, "one prime leaks");
+            assert_eq!(kp.raw_decrypt_crt(&c), Err(RsaError::FaultDetected));
+            assert_eq!(kp.decrypt(&ct), Err(RsaError::FaultDetected));
+            assert_eq!(kp.sign(&[0xAB; 32]), Err(RsaError::FaultDetected));
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! host-side RSA implementation used to verify the platform simulator and
 //! to drive those benchmark rows: key generation, raw and padded
 //! encryption/decryption, signatures, and CRT-accelerated private-key
-//! operations.
+//! operations on a regular exponentiation schedule, each result checked
+//! by re-encryption before release.
 //!
 //! # Example
 //!

@@ -8,10 +8,12 @@ use bignum::BigUint;
 use ceilidh::{CeilidhParams, KeyPair};
 use ecc::prelude::*;
 use platform::{CostModel, Hierarchy, Platform};
+use rand::SeedableRng;
 use rsa_torus::RsaKeyPair;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut rng = rand::thread_rng();
+    // A fixed seed: the output repeats, so two builds can be diffed.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x4e1);
     let plat = Platform::new(CostModel::paper(), 4, Hierarchy::TypeB);
     let cost = *plat.cost();
 

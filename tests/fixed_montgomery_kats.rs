@@ -13,8 +13,11 @@
 //! Montgomery forms, products, powers — must agree *bit for bit*, not just
 //! modulo `p`. `n'`, `R` and `R²` are additionally checked against
 //! independently derived constants (extended-Euclid inverse, shifts), and
-//! powers against plain square-and-multiply, so a shared bug in the two
-//! backends, or a fast path checked against itself, could not hide.
+//! powers, public and secret, against plain square-and-multiply, so a
+//! shared bug in the two backends, or a fast path checked against itself,
+//! could not hide. The dedicated Montgomery square is pinned to the
+//! product of an operand with itself at every width, on random residues
+//! and on 0, 1, `R mod p` and `p − 1`.
 
 use bignum::fixed::{montgomery_words, MontgomeryContext, Uint};
 use bignum::{mod_exp, mod_inv, mod_mul, BigUint, MontgomeryParams};
@@ -185,6 +188,21 @@ fn check_width<const L: usize>(name: &str, p: &BigUint, rng: &mut StdRng) {
             "{name}: heap mont_pow"
         );
         assert_eq!(heap.mod_exp(&a, &e), power, "{name}: heap mod_exp");
+        assert_eq!(heap.mod_exp_secret(&a, &e), power, "{name}: mod_exp_secret");
+        assert_eq!(
+            fixed.mont_sqr(&am),
+            fixed.mont_mul(&am, &am),
+            "{name}: square"
+        );
+    }
+
+    // The dedicated square equals the product at the edges too: 0, 1,
+    // R mod p (the form of 1) and p − 1. On a modulus whose top word is
+    // all ones, the doubled cross products of p − 1 carry out of the top
+    // word.
+    let minus_one = Uint::from_biguint(&(p - &BigUint::one())).unwrap();
+    for x in [Uint::ZERO, Uint::from_u64(1), fixed.one_mont(), minus_one] {
+        assert_eq!(fixed.mont_sqr(&x), fixed.mont_mul(&x, &x), "{name}: {x:?}²");
     }
 }
 

@@ -2,9 +2,11 @@
 //!
 //! For random operands at 4, 5 and 8 limbs, every `Uint<LIMBS>` operation —
 //! add/sub with carries, widening multiplication, modular reduction,
-//! Montgomery multiplication and exponentiation — round-trips through
-//! `BigUint` and matches the heap result exactly, including the carry-chain
-//! boundary cases (`MAX` limbs, operands equal to the modulus, zero).
+//! Montgomery multiplication, squaring and exponentiation, public and
+//! secret — round-trips through `BigUint` and matches the heap result
+//! exactly, including the carry-chain boundary cases (`MAX` limbs, operands
+//! equal to the modulus, zero). At 5 limbs `MontgomeryParams` has no stack
+//! context, so its exponentiations run on the heap reference.
 //!
 //! The reference values are rebuilt with independent heap arithmetic
 //! (`shl_bits` + add for packing, `bignum::modular` and `MontgomeryParams`
@@ -132,15 +134,16 @@ fn check_ops<const L: usize>(a_limbs: [u64; L], b_limbs: [u64; L], e: u64) {
         ctx.from_mont(&ctx.mont_mul(&am, &bm)).to_biguint(),
         heap.from_mont(&heap.mont_mul(&heap.to_mont(&big_ar), &heap.to_mont(&big_br)))
     );
+    assert_eq!(ctx.mont_sqr(&am), ctx.mont_mul(&am, &am), "square");
     let exp = Uint::<L>::from_u64(e);
-    assert_eq!(
-        ctx.mod_exp(&ar, &exp).to_biguint(),
-        mod_exp(&big_ar, &BigUint::from(e), &big_m)
-    );
-    assert_eq!(
-        ctx.mod_exp(&ar, &exp).to_biguint(),
-        heap.mod_exp(&big_ar, &BigUint::from(e))
-    );
+    let power = mod_exp(&big_ar, &BigUint::from(e), &big_m);
+    assert_eq!(ctx.mod_exp(&ar, &exp).to_biguint(), power);
+    assert_eq!(heap.mod_exp(&big_ar, &BigUint::from(e)), power);
+    // The regular window covers the modulus's length, which the exponent
+    // must not exceed.
+    if BigUint::from(e).bit_len() <= big_m.bit_len() {
+        assert_eq!(heap.mod_exp_secret(&big_ar, &BigUint::from(e)), power);
+    }
 }
 
 /// The boundary values the proptest generators rarely hit by chance.

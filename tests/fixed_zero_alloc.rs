@@ -11,8 +11,9 @@
 //! 170 bits (the exponent's split at p included), and through the whole public `Curve::scalar_mul` call at 160
 //! and 256 bits. A `Vec` sneaking back into the CIOS kernel, the field
 //! element or the ladder would fail here immediately. RSA-size
-//! exponentiations through `MontgomeryParams` may allocate only for their
-//! conversions, a count that must not grow with the exponent, and so may
+//! exponentiations through `MontgomeryParams`, public and secret, may
+//! allocate only for their conversions, a count that must not grow with
+//! the exponent, and so may
 //! the platform simulator's Table 3 drivers (release builds only: debug
 //! builds re-run every leaf at register level). The counter itself is
 //! sanity-checked against the heap backend, which must allocate, and so
@@ -246,6 +247,16 @@ fn rsa_size_exponentiations_allocate_a_fixed_number_of_times() {
         let many = allocations_in(|| mont.mod_exp(black_box(&base), black_box(&long)));
         assert_eq!(few, many, "{bits} bits: allocations grow with the exponent");
         assert!(few <= 4, "{bits} bits: {few} allocations for one mod_exp");
+        let few = allocations_in(|| mont.mod_exp_secret(black_box(&base), black_box(&short)));
+        let many = allocations_in(|| mont.mod_exp_secret(black_box(&base), black_box(&long)));
+        assert_eq!(
+            few, many,
+            "{bits} bits: allocations grow with the secret exponent"
+        );
+        assert!(
+            few <= 4,
+            "{bits} bits: {few} allocations for one mod_exp_secret"
+        );
     }
 }
 
