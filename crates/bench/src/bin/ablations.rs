@@ -7,8 +7,7 @@
 //! * mixed-PA sweep — the 13-MM mixed-coordinate point addition against
 //!   the general 16-MM Jacobian addition, per ECC row of Tables 2 and 3;
 //! * fast-PD sweep — the 8-MM shortened `a = -3` doubling against the
-//!   general 10-MM Jacobian doubling, per ECC row of Tables 2 and 3,
-//!   plus the compiler's scheduling win on the sequence itself;
+//!   general 10-MM Jacobian doubling, per ECC row of Tables 2 and 3;
 //! * interrupt-cost sweep — where the Type-A bottleneck comes from and when
 //!   the two hierarchies cross over;
 //! * torus exponentiation — the paper's binary method against the `T6`
@@ -18,40 +17,38 @@
 //! * the paper's future-work items (faster modular adders, overlap between
 //!   modular operations), modelled as cost-model what-ifs;
 //! * search sweep — the superoptimizing beam-search pass against the
-//!   hand-authored sequences, per formula in the database (ROADMAP item
-//!   4's "search the sequence space"); honours `SEARCH_BEAM_WIDTH` and
-//!   merges the per-formula cycle counts into `BENCH_REPORT_JSON`.
+//!   hand-authored sequences, per formula in the database; honours
+//!   `SEARCH_BEAM_WIDTH`.
+//!
+//! The full-operation rows (the two 160-bit ladders and the torus
+//! exponentiation) run on [`bench::table3`]'s inputs, so their default
+//! rows are the `table3` binary's own figures.
 
-use bench::{metrics, paper, print_table, Row};
-use bignum::BigUint;
-use ceilidh::CeilidhParams;
+use bench::{metrics, paper, print_table, table3, Row};
 use platform::{Coprocessor, CostModel, Hierarchy, OpKind, Platform};
-use rand::SeedableRng;
 
 fn main() {
+    let inputs = table3::Inputs::draw();
     schedule_sweep();
     dual_path_sweep();
-    pa_mixed_sweep();
-    pd_fast_sweep();
+    pa_mixed_sweep(&inputs);
+    pd_fast_sweep(&inputs);
     search_sweep();
     interrupt_sweep();
-    window_sweep();
+    window_sweep(&inputs);
     core_sweep_rsa();
     future_work();
 }
 
 fn search_sweep() {
-    // ROADMAP item 4: the superoptimizing search pass versus the
-    // hand-authored InsRom orders, one row per formula in the database,
-    // priced by the executing Type-B engine at each formula's calibration
-    // point. The search is gated never-worse (the assert below is the
-    // same property the proptests pin); discovered wins land in the
-    // table and, when `BENCH_REPORT_JSON` is set, in the flat report.
-    // The sweep reads `SEARCH_BEAM_WIDTH`, which bounds the beam so CI
-    // smoke runs stay cheap.
+    // The superoptimizing search pass versus the hand-authored InsRom
+    // orders, one row per formula in the database, priced by the
+    // executing Type-B engine at each formula's calibration point. The
+    // search is gated never-worse (the assert below is the same property
+    // the proptests pin). The sweep reads `SEARCH_BEAM_WIDTH`, which
+    // bounds the beam so CI smoke runs stay cheap.
     let (beam, sweep) = metrics::search_sweep();
     let mut rows = Vec::new();
-    let mut pairs: Vec<(String, u64)> = Vec::new();
     for row in &sweep {
         let (formula, bits, authored, searched) =
             (row.kind.formula(), row.bits, row.authored, row.searched);
@@ -64,9 +61,6 @@ fn search_sweep() {
             paper: "-".into(),
             measured: format!("{:+.1}%", row.delta_pct()),
         });
-        let key = formula.replace('-', "_");
-        pairs.push((format!("search_{key}_authored_cycles"), authored));
-        pairs.push((format!("search_{key}_searched_cycles"), searched));
     }
     let wins = sweep.iter().filter(|r| r.searched < r.authored).count();
     rows.push(Row {
@@ -78,18 +72,9 @@ fn search_sweep() {
         "Ablation: superoptimizing search vs hand-authored sequences",
         &rows,
     );
-    if let Ok(path) = std::env::var("BENCH_REPORT_JSON") {
-        let mut merged = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| bench::json::parse_object(&text).ok())
-            .unwrap_or_default();
-        merged.retain(|(k, _)| !k.starts_with("search_"));
-        merged.extend(pairs);
-        std::fs::write(&path, bench::json::write_object(&merged)).expect("write BENCH_REPORT_JSON");
-    }
 }
 
-fn pd_fast_sweep() {
+fn pd_fast_sweep(inputs: &table3::Inputs) {
     // The Table 2 ECC PD ablation: the same doubling priced through the
     // general 10-MM Jacobian sequence versus the shortened 8-MM a = -3
     // sequence. The Type-A delta is the fidelity story (the paper's 5793
@@ -118,16 +103,9 @@ fn pd_fast_sweep() {
     }
     // Full 160-bit ladder (Table 3): the knob swaps the PD sequence under
     // the double-and-add driver; everything else is identical.
-    let curve = ecc::Curve::p160_reproduction().expect("built-in curve");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-    let point = curve.random_point(&mut rng);
-    let scalar = BigUint::random_bits(&mut rng, 160);
     let ladder = |fast: bool| -> u64 {
         let cost = CostModel::paper().with_fast_pd(fast);
-        let plat = Platform::new(cost, 4, Hierarchy::TypeB);
-        plat.ecc_scalar_multiplication(&curve, &point, &scalar)
-            .1
-            .cycles
+        inputs.ecc(&Platform::new(cost, 4, Hierarchy::TypeB)).cycles
     };
     let (general, fast) = (ladder(false), ladder(true));
     rows.push(Row {
@@ -141,7 +119,7 @@ fn pd_fast_sweep() {
     );
 }
 
-fn pa_mixed_sweep() {
+fn pa_mixed_sweep(inputs: &table3::Inputs) {
     // The Table 2 ECC fidelity ablation: the same point addition priced
     // through the general 16-MM Jacobian sequence versus the 13-MM
     // mixed-coordinate sequence the scalar ladder actually runs (affine
@@ -170,16 +148,9 @@ fn pa_mixed_sweep() {
     }
     // Full 160-bit ladder (Table 3): the knob swaps the PA sequence under
     // the double-and-add driver; everything else is identical.
-    let curve = ecc::Curve::p160_reproduction().expect("built-in curve");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-    let point = curve.random_point(&mut rng);
-    let scalar = BigUint::random_bits(&mut rng, 160);
     let ladder = |mixed: bool| -> u64 {
         let cost = CostModel::paper().with_mixed_pa(mixed);
-        let plat = Platform::new(cost, 4, Hierarchy::TypeB);
-        plat.ecc_scalar_multiplication(&curve, &point, &scalar)
-            .1
-            .cycles
+        inputs.ecc(&Platform::new(cost, 4, Hierarchy::TypeB)).cycles
     };
     let (general, mixed) = (ladder(false), ladder(true));
     rows.push(Row {
@@ -342,13 +313,15 @@ fn interrupt_sweep() {
     );
 }
 
-fn window_sweep() {
-    // The paper's parameters, not the toy ones: the toy torus has order
-    // 10,101, to which the T6 path would reduce a 160-bit exponent.
-    let params = CeilidhParams::date2008().expect("built-in 170-bit parameters");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let (_, g) = params.random_subgroup_element(&mut rng);
-    let exponent = BigUint::random_bits(&mut rng, 160);
+fn window_sweep(inputs: &table3::Inputs) {
+    // Table 3's torus exponentiation on the host: the same base and
+    // exponent the simulated driver runs.
+    let table3::Inputs {
+        params,
+        base,
+        exponent,
+        ..
+    } = inputs;
     let counted = |label: &str, run: &dyn Fn()| {
         params.fp().reset_op_count();
         run();
@@ -360,14 +333,14 @@ fn window_sweep() {
     };
     let rows = vec![
         counted("binary method (Fp6Context::exp, Table 3)", &|| {
-            params.fp6().exp(g.as_fp6(), &exponent);
+            params.fp6().exp(base.as_fp6(), exponent);
         }),
         counted("T6 path (CeilidhParams::pow)", &|| {
-            params.pow(&g, &exponent);
+            params.pow(base, exponent);
         }),
     ];
     print_table(
-        "Ablation: 160-bit torus exponentiation at 170 bits (Fp multiplications)",
+        "Ablation: 170-bit torus exponentiation (Fp multiplications)",
         &rows,
     );
 }

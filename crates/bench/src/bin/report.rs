@@ -1,11 +1,12 @@
 //! Prints the derived claims of the paper's running text in one place
-//! (the per-table binaries print the full tables).
+//! (the per-table binaries print the full tables). Its Table 3 rows run
+//! the drivers on [`bench::table3`]'s inputs, as `table3` does.
 //!
 //! With `BENCH_REPORT_JSON=<path>` set, additionally emits the gated cycle
 //! metrics as flat JSON — CI diffs that file against
 //! `crates/bench/golden/cycles.json` via the `cycle_gate` binary.
 
-use bench::{metrics, paper, print_table, Row};
+use bench::{metrics, paper, print_table, table3, Row};
 use engine::{Fleet, FleetConfig, TrafficProfile};
 use platform::{Coprocessor, CostModel, Hierarchy, OpKind, Platform};
 
@@ -24,17 +25,15 @@ fn main() {
     let pa_a = type_a.composite_report(OpKind::EccPaMixed, 160).cycles;
     let pa_b = type_b.composite_report(OpKind::EccPaMixed, 160).cycles;
     let pd_fast_a = type_a.composite_report(OpKind::EccPdFast, 160).cycles;
-    let pd_fast_b = type_b.composite_report(OpKind::EccPdFast, 160).cycles;
     let pd_b = type_b.composite_report(OpKind::EccPd, 160).cycles;
 
-    // Table 3 shape from composite costs (full drivers are in `table3`).
-    // The default ladder (CostModel::paper) runs the fast doubling; the
-    // InsRom-faithful composition with the general doubling is what the
-    // paper's own Table 2 rows compose to.
-    let torus = (170 + 85) * t6_b;
-    let ecc = 160 * pd_fast_b + 80 * pa_b;
-    let ecc_insrom = 160 * pd_b + 80 * pa_b;
-    let rsa = 1536 * (mm1024 + type_b.interrupt_cycles());
+    // Table 3 on its inputs. The default ladder (CostModel::paper) runs
+    // the fast doubling; the InsRom ladder runs the general doubling the
+    // paper's own Table 2 rows are consistent with.
+    let inputs = table3::Inputs::draw();
+    let run = inputs.run(&type_b);
+    let insrom = Platform::new(CostModel::paper().with_fast_pd(false), 4, Hierarchy::TypeB);
+    let ecc_insrom = inputs.ecc(&insrom).cycles;
     let to_ms = |c: u64| type_b.cost().cycles_to_ms(c);
 
     let mc1 = Coprocessor::new(CostModel::paper(), 1).mont_mul_cycles(256);
@@ -75,17 +74,17 @@ fn main() {
         Row::millis(
             "torus exponentiation [ms] (Table 3)",
             paper::TORUS_MS,
-            to_ms(torus),
+            to_ms(run.torus.cycles),
         ),
         Row::millis(
             "RSA exponentiation [ms] (Table 3)",
             paper::RSA_MS,
-            to_ms(rsa),
+            to_ms(run.rsa.cycles),
         ),
         Row::millis(
             "ECC scalar mult [ms] (Table 3, fast-PD ladder)",
             paper::ECC_MS,
-            to_ms(ecc),
+            to_ms(run.ecc.cycles),
         ),
         Row::millis(
             "ECC scalar mult [ms] (InsRom-general PD)",
@@ -95,12 +94,12 @@ fn main() {
         Row::ratio(
             "CEILIDH faster than RSA (headline)",
             paper::RSA_MS / paper::TORUS_MS,
-            rsa as f64 / torus as f64,
+            run.rsa_over_torus(),
         ),
         Row::ratio(
             "ECC faster than CEILIDH",
             paper::TORUS_MS / paper::ECC_MS,
-            torus as f64 / ecc as f64,
+            run.torus_over_ecc(),
         ),
         Row::ratio(
             "4-core MM speed-up, 256-bit (Fig. 5)",

@@ -1,43 +1,21 @@
 //! Regenerates Table 3: full public-key operations on the same platform.
 //!
 //! The latencies are obtained by running the full operations on the
-//! simulated platform (Type-B hierarchy, 4 cores) with representative
-//! exponents: a 170-bit exponent for the torus (as in the paper's 20 ms
-//! figure), a 160-bit scalar for ECC and a full-length exponent for RSA.
+//! simulated platform (Type-B hierarchy, 4 cores) on the inputs of
+//! [`bench::table3`]: a 170-bit exponent for the torus (as in the paper's
+//! 20 ms figure), a 160-bit scalar for ECC and a full-length exponent for
+//! RSA.
 
-use bench::{paper, print_table, Row};
-use bignum::BigUint;
-use ceilidh::CeilidhParams;
-use ecc::Curve;
+use bench::{paper, print_table, table3, Row};
 use platform::{CostModel, Hierarchy, Platform};
-use rand::SeedableRng;
 
 fn main() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2008);
     let plat = Platform::new(CostModel::paper(), 4, Hierarchy::TypeB);
     let cost = *plat.cost();
-
-    // 170-bit torus exponentiation.
-    let params = CeilidhParams::date2008().expect("built-in parameters");
-    let (_, base) = params.random_subgroup_element(&mut rng);
-    let exponent = BigUint::random_bits(&mut rng, 170);
-    let (_, torus_report) = plat.torus_exponentiation(&params, &base, &exponent);
-
-    // 160-bit ECC scalar multiplication.
-    let curve = Curve::p160_reproduction().expect("built-in curve");
-    let point = curve.random_point(&mut rng);
-    let scalar = BigUint::random_bits(&mut rng, 160);
-    let (_, ecc_report) = plat.ecc_scalar_multiplication(&curve, &point, &scalar);
-
-    // 1024-bit RSA exponentiation.
-    let keys = rsa_torus::RsaKeyPair::generate(1024, &mut rng).expect("key generation");
-    let message = BigUint::random_below(&mut rng, keys.public().modulus());
-    let (_, rsa_report) =
-        plat.rsa_exponentiation(keys.public().modulus(), &message, keys.private_exponent());
-
-    let torus_ms = torus_report.time_ms(&cost);
-    let ecc_ms = ecc_report.time_ms(&cost);
-    let rsa_ms = rsa_report.time_ms(&cost);
+    let run = table3::Inputs::draw().run(&plat);
+    let torus_ms = run.torus.time_ms(&cost);
+    let ecc_ms = run.ecc.time_ms(&cost);
+    let rsa_ms = run.rsa.time_ms(&cost);
 
     let rows = vec![
         Row {
@@ -56,20 +34,20 @@ fn main() {
         Row::ratio(
             "RSA / torus",
             paper::RSA_MS / paper::TORUS_MS,
-            rsa_ms / torus_ms,
+            run.rsa_over_torus(),
         ),
         Row::ratio(
             "torus / ECC",
             paper::TORUS_MS / paper::ECC_MS,
-            torus_ms / ecc_ms,
+            run.torus_over_ecc(),
         ),
     ];
     print_table("Table 3: full public-key operations at 74 MHz", &rows);
     println!(
         "\n(torus: {} MM / {} MA+MS; ECC: {} MM; RSA: {} MM)",
-        torus_report.modmuls,
-        torus_report.modadds + torus_report.modsubs,
-        ecc_report.modmuls,
-        rsa_report.modmuls
+        run.torus.modmuls,
+        run.torus.modadds + run.torus.modsubs,
+        run.ecc.modmuls,
+        run.rsa.modmuls
     );
 }

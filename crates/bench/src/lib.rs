@@ -5,9 +5,13 @@
 //! (`cargo run -p bench --bin table1|table2|table3|fig1_hierarchy|fig5_multicore|ablations|report`);
 //! `cycle_gate` diffs the report against the golden cycle file. Host
 //! wall-clock figures come from `hostbench/`, not from this crate.
+//! [`table3`] holds Table 3's inputs, from which every binary that prints
+//! a Table 3 figure runs the drivers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod table3;
 
 /// Paper-reported values (DATE 2008, Tables 1–3 and Section 3.3/Fig. 5).
 pub mod paper {

@@ -53,7 +53,7 @@ pub use gcd::{extended_gcd, gcd, ExtendedGcd};
 pub use limb::{DoubleLimb, Limb, LIMB_BITS};
 pub use modular::{mod_add, mod_exp, mod_inv, mod_mul, mod_neg, mod_sub};
 pub use montgomery::MontgomeryParams;
-pub use prime::{gen_prime, gen_prime_congruent, gen_safe_prime, is_prime, miller_rabin};
+pub use prime::{gen_prime, gen_prime_congruent, is_prime, miller_rabin};
 pub use recoding::ExponentBits;
 pub use residue::{square_and_multiply, ResidueJob, ResidueOps};
 pub use uint::BigUint;

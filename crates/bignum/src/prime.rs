@@ -140,23 +140,6 @@ pub fn gen_prime_congruent<R: Rng + ?Sized>(
     }
 }
 
-/// Generates a safe prime `p` (one where `(p-1)/2` is also prime) with
-/// exactly `bits` bits. Used by tests exercising subgroup constructions.
-///
-/// # Panics
-///
-/// Panics if `bits < 3`.
-pub fn gen_safe_prime<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> BigUint {
-    assert!(bits >= 3, "a safe prime needs at least 3 bits");
-    loop {
-        let q = gen_prime(bits - 1, rng);
-        let p = &q.shl_bits(1) + &BigUint::one();
-        if p.bit_len() == bits && is_prime(&p, rng) {
-            return p;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,15 +191,6 @@ mod tests {
             assert_eq!(p.bit_len(), 48);
             assert!(is_prime(&p, &mut rng));
         }
-    }
-
-    #[test]
-    fn safe_prime_structure() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let p = gen_safe_prime(32, &mut rng);
-        assert!(is_prime(&p, &mut rng));
-        let q = (&p - &BigUint::one()).shr_bits(1);
-        assert!(is_prime(&q, &mut rng));
     }
 
     #[test]

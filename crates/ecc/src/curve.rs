@@ -32,7 +32,6 @@ pub struct Curve {
     base: AffinePoint,
     order: Option<BigUint>,
     cofactor: BigUint,
-    bits: usize,
     name: &'static str,
     // Whether a ≡ -3 (mod p), precomputed so the per-doubling dispatch
     // to the shortened formulas costs a bool instead of a conversion.
@@ -78,9 +77,6 @@ pub struct CurveSpec {
     pub order: Option<BigUint>,
     /// The cofactor `h` (defaults to 1).
     pub cofactor: BigUint,
-    /// Canonical operand size in bits (defaults to the prime's bit
-    /// length) — the size the platform cycle model quotes rows at.
-    pub bits: Option<usize>,
     /// Curve name, carried into [`Curve::name`] (defaults to
     /// `"custom"`).
     pub name: &'static str,
@@ -104,7 +100,6 @@ impl CurveSpec {
             generator_y,
             order: None,
             cofactor: BigUint::one(),
-            bits: None,
             name: "custom",
         }
     }
@@ -125,12 +120,6 @@ impl CurveSpec {
     /// Declares the cofactor.
     pub fn cofactor(mut self, cofactor: BigUint) -> Self {
         self.cofactor = cofactor;
-        self
-    }
-
-    /// Declares the canonical operand size in bits.
-    pub fn bits(mut self, bits: usize) -> Self {
-        self.bits = Some(bits);
         self
     }
 
@@ -186,7 +175,6 @@ impl Curve {
             generator_y,
             order,
             cofactor,
-            bits,
             name,
         } = spec;
         let fp = FpContext::new(&p).map_err(|_| EccError::InvalidParameters {
@@ -207,7 +195,6 @@ impl Curve {
             });
         }
         let a_minus_three = a_is_minus_three(&fp, &a);
-        let bits = bits.unwrap_or_else(|| fp.bit_len());
         let curve = Curve {
             fp: fp.clone(),
             a,
@@ -215,7 +202,6 @@ impl Curve {
             base: AffinePoint::Infinity,
             order,
             cofactor,
-            bits,
             name,
             a_minus_three,
         };
@@ -327,13 +313,6 @@ impl Curve {
     /// The cofactor `h` (`#E(Fp) = h · n`); 1 for every registered curve.
     pub fn cofactor(&self) -> &BigUint {
         &self.cofactor
-    }
-
-    /// Canonical operand size in bits — the bit-length the platform cycle
-    /// model quotes this curve's rows at (the prime's bit length unless
-    /// the spec declared otherwise).
-    pub fn bits(&self) -> usize {
-        self.bits
     }
 
     /// The right-hand side of the curve equation, `x³ + a·x + b`.

@@ -24,8 +24,8 @@ pub enum EccError {
     /// [`WeierstrassParameters`](crate::WeierstrassParameters) field failed
     /// validation; `field` names the offending parameter.
     InvalidParameters {
-        /// The spec/trait field that failed validation (e.g. `"p"`,
-        /// `"generator"`, `"A_IS_MINUS_THREE"`).
+        /// The spec/trait field that failed validation (`"p"`, `"a/b"`
+        /// or `"generator"`).
         field: &'static str,
         /// Why the field was rejected.
         reason: &'static str,

@@ -10,14 +10,16 @@
 //! [`Toy`]) that [`Curve::from_parameters`] turns into a runtime
 //! [`Curve`].
 //!
-//! Whether `a ≡ -3 (mod p)` is surfaced at the **type level** through
-//! [`WeierstrassParameters::A_IS_MINUS_THREE`]: it decides, per curve, the
-//! dispatch between the general 10-MM point doubling and the shortened
-//! 8-MM `dbl-2001-b` formulas (and between the platform's `ecc_pd` and
-//! `ecc_pd_fast` sequences). P-256 has `a = -3`; secp256k1 does not — the
-//! pair finally exercises both sides of the dispatch on curves where the
-//! distinction matters. The declared flag is validated against the actual
-//! coefficient when the curve is built, so a marker type cannot lie.
+//! A marker declares only what a curve is: its name, `p`, `a`, `b`, the
+//! generator, the order and the cofactor. What follows from those is
+//! derived when the curve is built: the operand size is the prime's bit
+//! length, and [`Curve::a_is_minus_three`] reads `a ≡ -3 (mod p)` off the
+//! coefficient. That flag decides, per curve, the dispatch between the
+//! general 10-MM point doubling and the shortened 8-MM `dbl-2001-b`
+//! formulas (and between the platform's `ecc_pd` and `ecc_pd_fast`
+//! sequences). P-256 has `a = -3`; secp256k1 does not — the pair
+//! exercises both sides of the dispatch on curves where the distinction
+//! matters.
 
 use bignum::BigUint;
 
@@ -36,19 +38,6 @@ pub trait WeierstrassParameters {
     /// Canonical curve name — the key under which the curve is registered
     /// in [`Curve::by_name`].
     const NAME: &'static str;
-
-    /// Canonical operand size in bits — the bit-length the platform cycle
-    /// model quotes its Table 2/3 rows at (equal to the prime's bit
-    /// length for every registered curve).
-    const BITS: usize;
-
-    /// Whether the curve coefficient satisfies `a ≡ -3 (mod p)`, the
-    /// precondition of the shortened doubling formulas
-    /// ([`crate::formulas::dbl_2001_b`] and the platform's 8-MM
-    /// `ecc_pd_fast` sequence). Declared at the type level so generic
-    /// code can dispatch without a runtime conversion; validated against
-    /// [`a`](WeierstrassParameters::a) by [`Curve::from_parameters`].
-    const A_IS_MINUS_THREE: bool;
 
     /// The field prime `p`.
     fn prime() -> BigUint;
@@ -82,7 +71,6 @@ pub trait WeierstrassParameters {
         let (gx, gy) = Self::generator();
         CurveSpec::new(Self::prime(), Self::a(), Self::b(), gx, gy)
             .name(Self::NAME)
-            .bits(Self::BITS)
             .cofactor(Self::cofactor())
             .maybe_order(Self::order())
     }
@@ -98,8 +86,6 @@ pub struct Secp256k1;
 
 impl WeierstrassParameters for Secp256k1 {
     const NAME: &'static str = "secp256k1";
-    const BITS: usize = 256;
-    const A_IS_MINUS_THREE: bool = false;
 
     fn prime() -> BigUint {
         BigUint::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
@@ -140,8 +126,6 @@ pub struct P256;
 
 impl WeierstrassParameters for P256 {
     const NAME: &'static str = "p256";
-    const BITS: usize = 256;
-    const A_IS_MINUS_THREE: bool = true;
 
     fn prime() -> BigUint {
         BigUint::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff")
@@ -186,8 +170,6 @@ pub struct P160Reproduction;
 
 impl WeierstrassParameters for P160Reproduction {
     const NAME: &'static str = "p160-reproduction";
-    const BITS: usize = 160;
-    const A_IS_MINUS_THREE: bool = true;
 
     fn prime() -> BigUint {
         BigUint::from_hex("ffffffffffffffffffffffffffffffff7fffffff").expect("valid hex constant")
@@ -225,8 +207,6 @@ pub struct Toy;
 
 impl WeierstrassParameters for Toy {
     const NAME: &'static str = "toy-1009";
-    const BITS: usize = 10;
-    const A_IS_MINUS_THREE: bool = false;
 
     fn prime() -> BigUint {
         BigUint::from(1009u64)
@@ -256,10 +236,8 @@ impl Curve {
     /// Builds the [`Curve`] described by the marker type `E`.
     ///
     /// This is the single construction path for named curves: the
-    /// constants come from the trait, the validation from
-    /// [`Curve::from_spec`], plus one trait-specific check — the declared
-    /// [`A_IS_MINUS_THREE`](WeierstrassParameters::A_IS_MINUS_THREE) flag
-    /// must agree with the actual coefficient.
+    /// constants come from the trait and the validation from
+    /// [`Curve::from_spec`].
     ///
     /// ```
     /// use ecc::prelude::*;
@@ -274,17 +252,9 @@ impl Curve {
     /// # Errors
     ///
     /// Returns [`EccError::InvalidParameters`] if the marker's constants
-    /// fail validation (see [`Curve::from_spec`]) or its declared
-    /// `A_IS_MINUS_THREE` flag disagrees with `a mod p`.
+    /// fail validation (see [`Curve::from_spec`]).
     pub fn from_parameters<E: WeierstrassParameters>() -> Result<Curve, EccError> {
-        let curve = Curve::from_spec(E::spec())?;
-        if curve.a_is_minus_three() != E::A_IS_MINUS_THREE {
-            return Err(EccError::InvalidParameters {
-                field: "A_IS_MINUS_THREE",
-                reason: "declared flag disagrees with the coefficient a mod p",
-            });
-        }
-        Ok(curve)
+        Curve::from_spec(E::spec())
     }
 
     /// Looks a registered curve up by name (the registry behind the
@@ -356,16 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn declared_bits_match_the_field() {
-        // The canonical operand size is the prime's bit length for every
-        // registered curve (the platform quotes its rows at that size).
-        assert_eq!(Secp256k1::prime().bit_len(), Secp256k1::BITS);
-        assert_eq!(P256::prime().bit_len(), P256::BITS);
-        assert_eq!(P160Reproduction::prime().bit_len(), P160Reproduction::BITS);
-        assert_eq!(Toy::prime().bit_len(), Toy::BITS);
-    }
-
-    #[test]
     fn named_primes_are_prime() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
         for p in [Secp256k1::prime(), P256::prime(), Toy::prime()] {
@@ -374,39 +334,6 @@ mod tests {
                 "{} must be prime",
                 p.to_hex()
             );
-        }
-    }
-
-    #[test]
-    fn a_minus_three_flags_cannot_lie() {
-        // A marker whose declared flag disagrees with its coefficient is
-        // rejected at construction.
-        struct LyingP256;
-        impl WeierstrassParameters for LyingP256 {
-            const NAME: &'static str = "lying-p256";
-            const BITS: usize = 256;
-            const A_IS_MINUS_THREE: bool = false; // wrong: P-256 has a = -3
-            fn prime() -> BigUint {
-                P256::prime()
-            }
-            fn a() -> BigUint {
-                P256::a()
-            }
-            fn b() -> BigUint {
-                P256::b()
-            }
-            fn generator() -> (BigUint, BigUint) {
-                P256::generator()
-            }
-            fn order() -> Option<BigUint> {
-                P256::order()
-            }
-        }
-        match Curve::from_parameters::<LyingP256>() {
-            Err(EccError::InvalidParameters { field, .. }) => {
-                assert_eq!(field, "A_IS_MINUS_THREE");
-            }
-            other => panic!("expected InvalidParameters, got {other:?}"),
         }
     }
 

@@ -1,10 +1,12 @@
 //! The fleet: a farm of coprocessor instances behind one scheduler.
 //!
-//! A [`Fleet`] models `n` identical coprocessor instances (each a
-//! [`platform::Platform`] — cores + control hierarchy + cost model) that
-//! share **one** [`platform::ProgramCache`]: a level-2 program compiles
-//! at most once fleet-wide, and every later batch of that class hits the
-//! cache no matter which instance serves it.
+//! A [`Fleet`] models `n` identical coprocessor instances (cores +
+//! control hierarchy + cost model). Identical instances run identical
+//! programs, so the fleet holds **one** [`platform::Platform`] and, beside
+//! it, each instance's occupancy: a level-2 program compiles at most once
+//! fleet-wide, in that platform's [`platform::ProgramCache`], and every
+//! later batch of that class hits the cache no matter which instance
+//! serves it.
 //!
 //! [`Fleet::run`] is a deterministic **virtual-time event loop** — the
 //! "async scheduler" of the crate title is a model, not an OS runtime.
@@ -94,8 +96,8 @@ struct InstanceState {
 #[derive(Debug)]
 pub struct Fleet {
     config: FleetConfig,
-    cache: ProgramCache,
-    instances: Vec<Platform>,
+    /// The platform every instance runs: its program cache is the fleet's.
+    platform: Platform,
     /// Pricing platform with a private cache, so cost probes never touch
     /// the fleet cache's hit/miss telemetry.
     pricer: Platform,
@@ -104,30 +106,19 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Builds the fleet: `instances` platforms drawing from one shared
-    /// [`ProgramCache`].
+    /// Builds the fleet: one platform whose [`ProgramCache`] serves all
+    /// `instances`.
     ///
     /// # Panics
     ///
     /// Panics if `config.instances` is zero.
     pub fn new(config: FleetConfig) -> Self {
         assert!(config.instances > 0, "a fleet needs at least one instance");
-        let cache = ProgramCache::new();
-        let instances = (0..config.instances)
-            .map(|_| {
-                Platform::with_program_cache(
-                    config.cost,
-                    config.cores_per_instance,
-                    config.hierarchy,
-                    cache.clone(),
-                )
-            })
-            .collect();
+        let platform = Platform::new(config.cost, config.cores_per_instance, config.hierarchy);
         let pricer = Platform::new(config.cost, config.cores_per_instance, config.hierarchy);
         Fleet {
             config,
-            cache,
-            instances,
+            platform,
             pricer,
             curves: BTreeMap::new(),
             prices: BTreeMap::new(),
@@ -142,7 +133,7 @@ impl Fleet {
     /// The shared program cache (hit/miss counters accumulate across
     /// runs; [`Fleet::run`] reports per-run deltas).
     pub fn cache(&self) -> &ProgramCache {
-        &self.cache
+        self.platform.program_cache()
     }
 
     /// The curve registry entry for `name`, resolved once per fleet.
@@ -229,7 +220,7 @@ impl Fleet {
     /// lowest index).
     pub fn run(&mut self, mut trace: Vec<Request>) -> RunSummary {
         trace.sort_by_key(|r| r.arrival);
-        let (hits_before, misses_before) = (self.cache.hits(), self.cache.misses());
+        let (hits_before, misses_before) = (self.cache().hits(), self.cache().misses());
         let mut states = vec![InstanceState::default(); self.config.instances];
         let mut queue: VecDeque<Request> = VecDeque::new();
         let mut next = 0; // index of the first not-yet-admitted arrival
@@ -270,9 +261,9 @@ impl Fleet {
 
             let mut cursor = now;
             for (kind, bits) in self.class_programs(&batch.class) {
-                let misses = self.cache.misses();
-                let program = self.instances[instance].compiled(kind, bits);
-                if self.cache.misses() > misses {
+                let misses = self.cache().misses();
+                let program = self.platform.compiled(kind, bits);
+                if self.cache().misses() > misses {
                     cursor += self.compile_cycles(program.stats().steps as u64);
                 }
             }
@@ -313,8 +304,8 @@ impl Fleet {
             ops_per_sec,
             peak_queue_depth,
             batch_size_histogram,
-            cache_hits: self.cache.hits() - hits_before,
-            cache_misses: self.cache.misses() - misses_before,
+            cache_hits: self.cache().hits() - hits_before,
+            cache_misses: self.cache().misses() - misses_before,
             instance_busy_cycles: states.iter().map(|s| s.busy_cycles).collect(),
         }
     }

@@ -54,39 +54,10 @@ impl Platform {
     /// Creates a platform with `num_cores` coprocessor cores under the given
     /// control hierarchy.
     pub fn new(cost: CostModel, num_cores: usize, hierarchy: Hierarchy) -> Self {
-        Platform::with_program_cache(cost, num_cores, hierarchy, ProgramCache::new())
-    }
-
-    /// Creates a platform that draws compiled programs from a
-    /// caller-supplied cache.
-    ///
-    /// [`Platform::clone`] already shares the cache between identical
-    /// instances; this constructor is for *fleets* — pools of instances
-    /// that may differ in hierarchy or core count but should still compile
-    /// each `(OpKind, bits, cost-model)` program exactly once between
-    /// them. The cache key includes the cost-model fingerprint, so
-    /// instances with different knobs never alias each other's programs.
-    ///
-    /// ```
-    /// use platform::{CostModel, Hierarchy, OpKind, Platform, ProgramCache};
-    ///
-    /// let shared = ProgramCache::new();
-    /// let a = Platform::with_program_cache(CostModel::paper(), 4, Hierarchy::TypeB, shared.clone());
-    /// let b = Platform::with_program_cache(CostModel::paper(), 2, Hierarchy::TypeA, shared.clone());
-    /// a.composite_report(OpKind::Fp6Mul, 170);
-    /// b.composite_report(OpKind::Fp6Mul, 170); // same program: a hit, not a recompile
-    /// assert_eq!((shared.misses(), shared.hits()), (1, 1));
-    /// ```
-    pub fn with_program_cache(
-        cost: CostModel,
-        num_cores: usize,
-        hierarchy: Hierarchy,
-        programs: ProgramCache,
-    ) -> Self {
         Platform {
             coprocessor: Coprocessor::new(cost, num_cores),
             hierarchy,
-            programs,
+            programs: ProgramCache::new(),
         }
     }
 
@@ -816,36 +787,5 @@ mod tests {
         let reference = MontgomeryParams::new(&p).unwrap().mod_exp(&base, &exp);
         assert_eq!(got, reference);
         assert_eq!(report.interrupts, report.modmuls);
-    }
-
-    #[test]
-    fn table3_shape_holds() {
-        // Use short exponents so the test stays fast; the relative shape is
-        // what matters (CEILIDH beats RSA, ECC beats CEILIDH).
-        let plat = platform(Hierarchy::TypeB);
-        let t6_mult = plat.composite_report(OpKind::Fp6Mul, 170).cycles;
-        let pa = plat.composite_report(OpKind::EccPaMixed, 160).cycles;
-        let pd = plat.composite_report(OpKind::EccPd, 160).cycles;
-        let mm1024 = plat.montgomery_multiplication_report(1024).cycles + plat.interrupt_cycles();
-
-        // Scale to full operations as in the paper: a 170-bit torus
-        // exponentiation ≈ 170 squarings + 85 multiplications, a 160-bit
-        // scalar multiplication ≈ 160 PD + 80 PA, a 1024-bit RSA
-        // exponentiation ≈ 1536 MM.
-        let torus = (170 + 85) * t6_mult;
-        let ecc = 160 * pd + 80 * pa;
-        let rsa = 1536 * mm1024;
-        assert!(ecc < torus, "ECC ({ecc}) must beat the torus ({torus})");
-        assert!(torus < rsa, "the torus ({torus}) must beat RSA ({rsa})");
-        let rsa_over_torus = rsa as f64 / torus as f64;
-        let torus_over_ecc = torus as f64 / ecc as f64;
-        assert!(
-            (2.0..10.0).contains(&rsa_over_torus),
-            "paper: RSA/torus ≈ 4.8, got {rsa_over_torus}"
-        );
-        assert!(
-            (1.2..4.0).contains(&torus_over_ecc),
-            "paper: torus/ECC ≈ 2.1, got {torus_over_ecc}"
-        );
     }
 }

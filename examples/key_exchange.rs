@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (_, report) = plat.ecc_scalar_multiplication(&p256, n_bob.public(), n_alice.secret());
     println!(
         "  simulated scalar multiplication ({}-bit, a = -3 fast PD): {} cycles = {:.1} ms",
-        p256.bits(),
+        p256.fp().bit_len(),
         report.cycles,
         report.time_ms(&cost)
     );
